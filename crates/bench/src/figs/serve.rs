@@ -204,6 +204,10 @@ pub(crate) fn part_integrity(args: &BenchArgs, json: &mut JsonReport) {
         "[integrity] {} faults injected, {} detected, {} repaired ({} skipped), {} unrepairable, {} undetected",
         injected, c.detected, c.repaired, c.repair_skipped, c.unrepairable, c.undetected(),
     );
+    println!(
+        "  {} mirrored write commands through deep queue pairs",
+        c.queued_writes
+    );
     assert_eq!(
         c.undetected(),
         0,
@@ -236,6 +240,7 @@ pub(crate) fn part_integrity(args: &BenchArgs, json: &mut JsonReport) {
     json.add_scalar("integrity/repaired", c.repaired as f64);
     json.add_scalar("integrity/unrepairable", c.unrepairable as f64);
     json.add_scalar("integrity/undetected", c.undetected() as f64);
+    json.add_scalar("integrity/queued_writes", c.queued_writes as f64);
     json.add_scalar(
         "serve/integrity/protected_p99_cycles",
         protected.hist.quantile(0.99).get() as f64,

@@ -99,9 +99,10 @@ pub struct MmioPolicy {
     pub qos_delay: Cycles,
     /// Mirrors the NVMe backend 2-for-1 with per-sector checksums and
     /// read-repair (DESIGN.md §16). Only meaningful for
-    /// `DeviceKind::NvmeSpdk`; mirrored configurations forfeit
-    /// deep-queue batched writeback (the mirror exposes no raw device).
-    /// Off by default: single-device runs are bit-for-bit unchanged.
+    /// `DeviceKind::NvmeSpdk`. Write-behind batches go through one
+    /// deep queue pair per copy, so both devices serve them
+    /// concurrently. Off by default: single-device runs are bit-for-bit
+    /// unchanged.
     pub mirror: bool,
     /// Verify per-sector checksums on every read through the mirror
     /// (on by default; disabling it is the ablation that lets silent

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use aquila_sync::Mutex;
 
-use aquila_devices::{BufRef, DeviceError, NvmeOp, StorageAccess, STORE_PAGE};
+use aquila_devices::{DeviceError, StorageAccess, STORE_PAGE};
 use aquila_mmu::{
     Access, FrameId, Gva, LeafKind, PteFlags, ShardedPageTable, TlbFabric, Vpn, HUGE_PAGE_PAGES,
     L_PT_SHARD, PAGE_2M, PAGE_SIZE,
@@ -1168,13 +1168,12 @@ impl Aquila {
     }
 
     /// Write-behind: coalesces dirty pages into device-contiguous
-    /// segments and submits them through one *real* NVMe queue pair at
-    /// [`MmioPolicy::queue_depth`], so device service overlaps across
-    /// commands instead of the one-command-then-drain discipline of the
-    /// blocking path. [`DeviceError::QueueFull`] is the backpressure
-    /// signal: the submitter waits until the earliest in-flight command
-    /// lands, harvests it, and retries. Paths without an NVMe device
-    /// (DAX/HOST-pmem) and depth 1 fall back to blocking per-segment I/O.
+    /// segments and hands each access path its segments in one
+    /// [`StorageAccess::write_batch`] at [`MmioPolicy::queue_depth`].
+    /// NVMe paths keep that many commands in flight on real queue pairs
+    /// (both copies, for a mirror), so device service overlaps instead of
+    /// the one-command-then-drain discipline of the blocking path; DAX,
+    /// the host-kernel paths and depth 1 write segment by segment.
     fn writeback_batched(
         &self,
         ctx: &mut dyn SimCtx,
@@ -1206,14 +1205,10 @@ impl Aquila {
         // Translate runs into device-contiguous segments up front (the
         // submission loop must not interleave blob-map lookups with
         // completion waits).
-        struct Seg {
-            file: FileId,
-            dev: u64,
-            buf: Vec<u8>,
-        }
-        let mut segs: Vec<Seg> = Vec::new();
+        let mut segs: Vec<(Arc<dyn StorageAccess>, u64, Vec<u8>)> = Vec::new();
         for run in coalesce_runs(dirty) {
             let file = FileId(run[0].key.file);
+            let access = self.files.access_of(file)?;
             let mut i = 0usize;
             while i < run.len() {
                 let dev = self.files.dev_page(file, run[i].key.page)?;
@@ -1231,66 +1226,16 @@ impl Aquila {
                         &mut buf[j * STORE_PAGE..(j + 1) * STORE_PAGE],
                     );
                 }
-                segs.push(Seg { file, dev, buf });
+                segs.push((Arc::clone(&access), dev, buf));
                 i += len;
             }
         }
+        // One batch per run of segments on the same access path.
         let mut ios = 0u64;
-        let access0 = self.files.access_of(FileId(dirty[0].key.file))?;
-        match access0.nvme_device() {
-            Some(nvme) if qd > 1 => {
-                let qp = nvme.create_qpair_depth(qd);
-                for seg in &segs {
-                    let access = self.files.access_of(seg.file)?;
-                    let same_dev = access.nvme_device().is_some_and(|d| Arc::ptr_eq(d, nvme));
-                    if !same_dev {
-                        // A file on a different device: blocking path.
-                        access.write_pages(ctx, seg.dev, &seg.buf)?;
-                        ios += 1;
-                        continue;
-                    }
-                    // Transient command failures retry with backoff and
-                    // feed the write-path breaker; QueueFull stays the
-                    // pacing signal inside each attempt.
-                    let retry = access0.retry_policy();
-                    let breaker = access0.breaker().map(|b| b.as_ref());
-                    retry.run(ctx, breaker, |ctx| {
-                        let submit = ctx.cost().nvme_submit_poll;
-                        ctx.charge(CostCat::DeviceIo, submit);
-                        loop {
-                            let res = qp.submit(
-                                ctx.now(),
-                                NvmeOp::Write,
-                                seg.dev,
-                                seg.buf.len() / STORE_PAGE,
-                                BufRef::Shared(&seg.buf),
-                            );
-                            match res {
-                                Ok(_) => return Ok(()),
-                                Err(DeviceError::QueueFull { .. }) => {
-                                    if let Some(t) = qp.earliest_finish() {
-                                        ctx.wait_until(t, CostCat::DeviceIo);
-                                    }
-                                    qp.poll(ctx.now());
-                                }
-                                Err(e) => return Err(e),
-                            }
-                        }
-                    })?;
-                    ios += 1;
-                    ctx.counters().device_writes += 1;
-                    ctx.counters().bytes_written += seg.buf.len() as u64;
-                }
-                // Polled completion of the tail (SPDK-style busy wait).
-                qp.drain(ctx, CostCat::DeviceIo);
-            }
-            _ => {
-                for seg in &segs {
-                    let access = self.files.access_of(seg.file)?;
-                    access.write_pages(ctx, seg.dev, &seg.buf)?;
-                    ios += 1;
-                }
-            }
+        for group in segs.chunk_by(|a, b| Arc::ptr_eq(&a.0, &b.0)) {
+            let batch: Vec<(u64, &[u8])> =
+                group.iter().map(|(_, dev, buf)| (*dev, &buf[..])).collect();
+            ios += group[0].0.write_batch(ctx, &batch, qd)?;
         }
         ctx.counters().writebacks += dirty.len() as u64;
         // Everything submitted by this round is durable by now; publish

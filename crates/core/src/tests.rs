@@ -1215,3 +1215,56 @@ fn unrepairable_corruption_refuses_read_and_degrades_region() {
     // Other, uncorrupted pages still serve reads in ReadOnly.
     aq.read(&mut ctx, addr.add(4096), &mut buf).unwrap();
 }
+
+#[test]
+fn mirrored_async_msync_keeps_deep_queues_on_both_copies() {
+    use crate::config::{MmioPolicy, WritePolicy};
+
+    // Cycles one msync of 128 scattered dirty pages takes: every other
+    // page, so each is its own device command (per copy, when mirrored).
+    let msync_cycles = |mirror: bool, write_policy: WritePolicy| -> (u64, u64) {
+        let mut ctx = FreeCtx::new(31);
+        let debts = Arc::new(CoreDebts::new(1));
+        let policy = MmioPolicy {
+            mirror,
+            write_policy,
+            ..MmioPolicy::default()
+        };
+        let rt = AquilaRuntime::build_with_policy(
+            &mut ctx,
+            DeviceKind::NvmeSpdk,
+            65536,
+            512,
+            1,
+            debts,
+            policy,
+        );
+        rt.aquila.thread_enter(&mut ctx);
+        let f = rt.open("/data/msync", 256).unwrap();
+        let addr = rt.aquila.mmap(&mut ctx, f, 0, 256, Prot::RW).unwrap();
+        for page in (0..256u64).step_by(2) {
+            rt.aquila
+                .write(&mut ctx, addr.add(page * 4096), &[page as u8 + 1; 64])
+                .unwrap();
+        }
+        let t0 = ctx.now();
+        rt.aquila.msync(&mut ctx, addr, 256).unwrap();
+        let queued = rt
+            .access
+            .integrity_counters()
+            .map_or(0, |c| c.queued_writes);
+        ((ctx.now() - t0).get(), queued)
+    };
+    let (plain_async, _) = msync_cycles(false, WritePolicy::Async);
+    let (mirror_async, queued) = msync_cycles(true, WritePolicy::Async);
+    let (mirror_sync, _) = msync_cycles(true, WritePolicy::Sync);
+    assert_eq!(queued, 2 * 128, "every page went through both deep queues");
+    assert!(
+        mirror_async as f64 <= 1.25 * plain_async as f64,
+        "the replica's queue must serve concurrently: mirrored {mirror_async} vs plain {plain_async} cycles"
+    );
+    assert!(
+        (mirror_async as f64) < 0.5 * mirror_sync as f64,
+        "batching must beat blocking mirrored writeback: async {mirror_async} vs sync {mirror_sync} cycles"
+    );
+}

@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use aquila::{AquilaRuntime, DeviceKind, MmioPolicy, Prot};
+use aquila::{AquilaRuntime, DeviceKind, MmioPolicy, Prot, WritePolicy};
 use aquila_sim::fault::{FaultPlan, SECTOR_SIZE};
 use aquila_sim::{CoreDebts, FreeCtx, SimCtx};
 
@@ -51,6 +51,8 @@ struct RunOutcome {
     /// (completion time, per-page acked history index; -1 = never) for
     /// every msync that returned success.
     acks: Vec<(aquila_sim::Cycles, Vec<i32>)>,
+    /// Write commands a mirrored stack issued through deep queue pairs.
+    queued_writes: u64,
 }
 
 /// Runs the seeded workload with a crash planted at write op `cut_op`
@@ -151,6 +153,10 @@ fn run_workload_policy(
         cut: plan.crash_image().map(|c| (c.at, c.image)),
         history,
         acks,
+        queued_writes: rt
+            .access
+            .integrity_counters()
+            .map_or(0, |c| c.queued_writes),
     }
 }
 
@@ -294,6 +300,54 @@ fn promoted_runs_keep_the_durability_contract_across_power_cuts() {
     assert!(
         fired >= 30,
         "only {fired} huge cut points fired; the sweep must cover at least 30"
+    );
+}
+
+/// Power cuts on the primary of a mirrored write-behind stack land
+/// inside deep-queue batches that interleave primary and replica
+/// commands. Recovery from the primary's image alone must keep the same
+/// contract: every msync-acked version survives, and tearing stays
+/// sector-granular with only the cut command torn.
+#[test]
+fn mirrored_async_batches_keep_the_durability_contract_across_power_cuts() {
+    let policy = MmioPolicy {
+        mirror: true,
+        write_policy: WritePolicy::Async,
+        queue_depth: 8,
+        ..MmioPolicy::default()
+    };
+    let mut fired = 0u32;
+    for k in 0..30u64 {
+        // Each msync round submits ~40 segments per copy; a stride of 7
+        // lands cuts at many positions within and across batches.
+        let cut_op = 1 + k * 7;
+        let sectors = (k % 9) as usize;
+        let outcome = run_workload_policy(
+            0x3A1A_0000 + k,
+            cut_op,
+            sectors,
+            FILE_PAGES,
+            256,
+            policy.clone(),
+            false,
+        );
+        assert!(
+            outcome.queued_writes > 0,
+            "mirrored writeback never used the deep queues; the sweep would be vacuous"
+        );
+        if outcome.cut.is_none() {
+            continue;
+        }
+        fired += 1;
+        check_recovery(
+            &outcome,
+            &format!("mirror cut_op={cut_op} sectors={sectors}"),
+            MmioPolicy::default(),
+        );
+    }
+    assert!(
+        fired >= 25,
+        "only {fired} mirrored cut points fired; the sweep must cover at least 25"
     );
 }
 

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use aquila_sim::{CostCat, SimCtx};
 
 use crate::error::DeviceError;
-use crate::nvme::{BufRef, NvmeDevice, NvmeOp};
+use crate::nvme::{BufRef, NvmeDevice, NvmeOp, QueuePair};
 use crate::pmem::PmemDevice;
 use crate::retry::{CircuitBreaker, RetryPolicy};
 use crate::store::STORE_PAGE;
@@ -98,27 +98,39 @@ pub trait StorageAccess: Send + Sync {
     ) -> Result<(), DeviceError>;
     /// Writes `buf.len() / 4096` pages starting at `page`.
     fn write_pages(&self, ctx: &mut dyn SimCtx, page: u64, buf: &[u8]) -> Result<(), DeviceError>;
+    /// Writes a batch of device-contiguous segments `(first page,
+    /// payload)`, keeping up to `depth` commands in flight where the path
+    /// has real queue pairs, and returns the number of device commands
+    /// issued. Every segment is durable when it returns `Ok`.
+    ///
+    /// This is the write-behind pipeline's submission primitive. The
+    /// default is the blocking one-command-then-drain loop over
+    /// [`StorageAccess::write_pages`], which is what DAX, the host-kernel
+    /// paths and `depth <= 1` use.
+    fn write_batch(
+        &self,
+        ctx: &mut dyn SimCtx,
+        segs: &[(u64, &[u8])],
+        _depth: usize,
+    ) -> Result<u64, DeviceError> {
+        write_each(self, ctx, segs)
+    }
     /// Resets the underlying device's timing model (between experiment
     /// phases; contents untouched).
     fn reset_timing(&self);
-    /// The raw NVMe device behind this path, when there is one.
-    ///
-    /// The asynchronous write-behind evictor needs real queue pairs
-    /// (depth > 1) rather than the one-command-then-drain discipline the
-    /// blocking methods implement; paths without an NVMe device (DAX,
-    /// HOST-pmem) return `None` and writeback stays on the blocking path.
+    /// The raw NVMe device behind this path, when there is one (the
+    /// primary, for a mirror). Harnesses use it to attach per-device fault
+    /// plans and to capture device images; I/O goes through the access
+    /// path's own methods.
     fn nvme_device(&self) -> Option<&Arc<NvmeDevice>> {
         None
     }
-    /// The write-path circuit breaker, when the path has one. The engine
-    /// watches it to degrade the region once the device stops accepting
-    /// writes (DESIGN.md §11).
+    /// The write-path circuit breaker, when the path has one (the
+    /// primary's, for a mirror). Once it opens, writes fail with
+    /// [`DeviceError::CircuitOpen`], on which the engine degrades the
+    /// region (DESIGN.md §11).
     fn breaker(&self) -> Option<&Arc<CircuitBreaker>> {
         None
-    }
-    /// The retry policy the path applies to transient command failures.
-    fn retry_policy(&self) -> RetryPolicy {
-        RetryPolicy::default()
     }
     /// Verifies one device page against its recorded checksums,
     /// repairing it if a clean replica copy exists. Returns whether a
@@ -132,6 +144,18 @@ pub trait StorageAccess: Send + Sync {
     fn integrity_counters(&self) -> Option<crate::mirror::IntegrityCounters> {
         None
     }
+}
+
+/// Blocking batch write: one [`StorageAccess::write_pages`] per segment.
+pub(crate) fn write_each<A: StorageAccess + ?Sized>(
+    access: &A,
+    ctx: &mut dyn SimCtx,
+    segs: &[(u64, &[u8])],
+) -> Result<u64, DeviceError> {
+    for &(page, buf) in segs {
+        access.write_pages(ctx, page, buf)?;
+    }
+    Ok(segs.len() as u64)
 }
 
 /// Records the device's queue occupancy right after a submission: a trace
@@ -173,6 +197,47 @@ impl SpdkAccess {
     /// The underlying device.
     pub fn device(&self) -> &Arc<NvmeDevice> {
         &self.dev
+    }
+
+    /// Submits one write on `qp`, a depth-bounded queue pair over this
+    /// path's device, without waiting for it to complete. Transient
+    /// command failures retry with backoff and feed the write-path
+    /// breaker; [`DeviceError::QueueFull`] stays the pacing signal inside
+    /// each attempt: the submitter waits until the earliest in-flight
+    /// command lands, harvests it, and submits again.
+    pub(crate) fn queue_write(
+        &self,
+        ctx: &mut dyn SimCtx,
+        qp: &QueuePair<'_>,
+        page: u64,
+        buf: &[u8],
+    ) -> Result<(), DeviceError> {
+        self.retry.run(ctx, Some(&self.breaker), |ctx| {
+            let submit = ctx.cost().nvme_submit_poll;
+            ctx.charge(CostCat::DeviceIo, submit);
+            loop {
+                let res = qp.submit(
+                    ctx.now(),
+                    NvmeOp::Write,
+                    page,
+                    buf.len() / STORE_PAGE,
+                    BufRef::Shared(buf),
+                );
+                match res {
+                    Ok(_) => return Ok(()),
+                    Err(DeviceError::QueueFull { .. }) => {
+                        if let Some(t) = qp.earliest_finish() {
+                            ctx.wait_until(t, CostCat::DeviceIo);
+                        }
+                        qp.poll(ctx.now());
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+        })?;
+        ctx.counters().device_writes += 1;
+        ctx.counters().bytes_written += buf.len() as u64;
+        Ok(())
     }
 }
 
@@ -250,16 +315,32 @@ impl StorageAccess for SpdkAccess {
         Ok(())
     }
 
+    /// Submits every segment through one queue pair of depth `depth`, so
+    /// device service overlaps across commands, then busy-waits for the
+    /// tail (SPDK-style polled completion).
+    fn write_batch(
+        &self,
+        ctx: &mut dyn SimCtx,
+        segs: &[(u64, &[u8])],
+        depth: usize,
+    ) -> Result<u64, DeviceError> {
+        if depth <= 1 {
+            return write_each(self, ctx, segs);
+        }
+        let qp = self.dev.create_qpair_depth(depth);
+        for &(page, buf) in segs {
+            self.queue_write(ctx, &qp, page, buf)?;
+        }
+        qp.drain(ctx, CostCat::DeviceIo);
+        Ok(segs.len() as u64)
+    }
+
     fn nvme_device(&self) -> Option<&Arc<NvmeDevice>> {
         Some(&self.dev)
     }
 
     fn breaker(&self) -> Option<&Arc<CircuitBreaker>> {
         Some(&self.breaker)
-    }
-
-    fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 }
 
@@ -371,10 +452,6 @@ impl StorageAccess for HostNvmeAccess {
 
     fn breaker(&self) -> Option<&Arc<CircuitBreaker>> {
         Some(&self.breaker)
-    }
-
-    fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 }
 
@@ -597,7 +674,7 @@ mod tests {
         assert_eq!(back, data);
         assert!(!spdk.breaker().unwrap().is_open(ctx.now()));
         assert!(
-            ctx.now() >= spdk.retry_policy().backoff_for(1),
+            ctx.now() >= RetryPolicy::default().backoff_for(1),
             "retry charged its backoff"
         );
     }

@@ -21,19 +21,23 @@
 //! (the store reads zeros for them), so even the first fill of a fresh
 //! page is covered.
 //!
-//! The mirror deliberately reports no raw NVMe device
-//! ([`StorageAccess::nvme_device`] returns `None`): the engine's
-//! batched deep-queue writeback would bypass the checksum table and the
-//! replica, so mirrored configurations stay on the blocking write path.
+//! Write-behind batches keep the deep queues of the unmirrored path:
+//! [`StorageAccess::write_batch`] records every segment's checksums up
+//! front, then submits each segment to the primary and then the replica
+//! through one depth-`depth` queue pair per device, each under that
+//! device's own breaker, and drains both at the end, so the two devices
+//! serve the batch concurrently. A segment that never reached the
+//! primary gets its previous checksum entries back, so the table only
+//! ever describes bytes that landed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use aquila_sim::fault::SECTOR_SIZE;
-use aquila_sim::SimCtx;
+use aquila_sim::{CostCat, SimCtx};
 use aquila_sync::crc32;
 
-use crate::access::{AccessKind, SpdkAccess, StorageAccess};
+use crate::access::{write_each, AccessKind, SpdkAccess, StorageAccess};
 use crate::error::DeviceError;
 use crate::nvme::{NvmeDevice, SECTORS_PER_PAGE};
 use crate::retry::{CircuitBreaker, RetryPolicy};
@@ -72,6 +76,9 @@ pub struct IntegrityCounters {
     /// silently returned. `tainted - detected` is the number of
     /// corruptions that reached a caller unnoticed.
     pub tainted: u64,
+    /// Write commands (both copies) the mirror issued through queue
+    /// pairs deeper than one: the batched write-behind path.
+    pub queued_writes: u64,
 }
 
 impl IntegrityCounters {
@@ -99,7 +106,11 @@ pub struct MirrorAccess {
     repaired: AtomicU64,
     unrepairable: AtomicU64,
     repair_skipped: AtomicU64,
+    queued_writes: AtomicU64,
 }
+
+/// The checksum entries of one page's sectors.
+type PageSums = [u64; SECTORS_PER_PAGE as usize];
 
 impl MirrorAccess {
     /// Mirrors `primary` onto `replica` with checksums enabled and the
@@ -137,6 +148,7 @@ impl MirrorAccess {
             repaired: AtomicU64::new(0),
             unrepairable: AtomicU64::new(0),
             repair_skipped: AtomicU64::new(0),
+            queued_writes: AtomicU64::new(0),
         };
         m.sync_existing(pages);
         m
@@ -175,10 +187,51 @@ impl MirrorAccess {
         self.replica.device()
     }
 
-    fn record_sums(&self, page: u64, data: &[u8]) {
-        for s in 0..SECTORS_PER_PAGE as usize {
+    /// Records the checksums of `data` for `page`, returning the entries
+    /// they replaced.
+    fn record_sums(&self, page: u64, data: &[u8]) -> PageSums {
+        let mut prev = [0u64; SECTORS_PER_PAGE as usize];
+        for (s, old) in prev.iter_mut().enumerate() {
             let crc = crc32(&data[s * SECTOR_SIZE..(s + 1) * SECTOR_SIZE]);
-            self.sums[(page * SECTORS_PER_PAGE) as usize + s].store(pack(crc), Ordering::SeqCst);
+            *old =
+                self.sums[(page * SECTORS_PER_PAGE) as usize + s].swap(pack(crc), Ordering::SeqCst);
+        }
+        prev
+    }
+
+    /// Starts a write of `buf` at `page`: bumps the page versions first,
+    /// so an in-flight scrub of the old bytes never rewrites them over
+    /// this write, then records the new checksums. Returns the replaced
+    /// entries, one array per page, for [`Self::abort_write`].
+    fn begin_write(&self, page: u64, buf: &[u8]) -> Vec<PageSums> {
+        for i in 0..(buf.len() / STORE_PAGE) as u64 {
+            self.versions[(page + i) as usize].fetch_add(1, Ordering::SeqCst);
+        }
+        if !self.checksums {
+            return Vec::new();
+        }
+        buf.chunks(STORE_PAGE)
+            .enumerate()
+            .map(|(i, chunk)| self.record_sums(page + i as u64, chunk))
+            .collect()
+    }
+
+    /// Undoes [`Self::begin_write`]'s checksums for a write that never
+    /// reached the primary, so the table keeps describing the bytes on
+    /// the medium. A sector a later write has already re-recorded keeps
+    /// that newer entry.
+    fn abort_write(&self, page: u64, buf: &[u8], prev: &[PageSums]) {
+        for (i, (chunk, old)) in buf.chunks(STORE_PAGE).zip(prev).enumerate() {
+            let base = ((page + i as u64) * SECTORS_PER_PAGE) as usize;
+            for (s, &entry) in old.iter().enumerate() {
+                let ours = pack(crc32(&chunk[s * SECTOR_SIZE..(s + 1) * SECTOR_SIZE]));
+                let _ = self.sums[base + s].compare_exchange(
+                    ours,
+                    entry,
+                    Ordering::SeqCst,
+                    Ordering::SeqCst,
+                );
+            }
         }
     }
 
@@ -302,33 +355,63 @@ impl StorageAccess for MirrorAccess {
     }
 
     fn write_pages(&self, ctx: &mut dyn SimCtx, page: u64, buf: &[u8]) -> Result<(), DeviceError> {
-        let pages = buf.len() / STORE_PAGE;
-        // Bump versions first so an in-flight scrub of the old bytes
-        // never rewrites them over this write.
-        for i in 0..pages {
-            self.versions[(page + i as u64) as usize].fetch_add(1, Ordering::SeqCst);
+        let prev = self.begin_write(page, buf);
+        if let Err(e) = self.primary.write_pages(ctx, page, buf) {
+            self.abort_write(page, buf, &prev);
+            return Err(e);
         }
-        if self.checksums {
-            for (i, chunk) in buf.chunks(STORE_PAGE).enumerate() {
-                self.record_sums(page + i as u64, chunk);
-            }
-        }
-        self.primary.write_pages(ctx, page, buf)?;
         self.replica.write_pages(ctx, page, buf)
     }
 
+    /// One depth-`depth` queue pair per copy: each segment goes to the
+    /// primary and then the replica, and both queues drain at the end.
+    fn write_batch(
+        &self,
+        ctx: &mut dyn SimCtx,
+        segs: &[(u64, &[u8])],
+        depth: usize,
+    ) -> Result<u64, DeviceError> {
+        if depth <= 1 {
+            return write_each(self, ctx, segs);
+        }
+        let prev: Vec<Vec<PageSums>> = segs
+            .iter()
+            .map(|&(page, buf)| self.begin_write(page, buf))
+            .collect();
+        let pq = self.primary.device().create_qpair_depth(depth);
+        let rq = self.replica.device().create_qpair_depth(depth);
+        let mut issued = 0u64;
+        let mut failure = None;
+        for (i, &(page, buf)) in segs.iter().enumerate() {
+            if let Err(e) = self.primary.queue_write(ctx, &pq, page, buf) {
+                failure = Some((i, e));
+                break;
+            }
+            issued += 1;
+            if let Err(e) = self.replica.queue_write(ctx, &rq, page, buf) {
+                failure = Some((i + 1, e));
+                break;
+            }
+            issued += 1;
+        }
+        self.queued_writes.fetch_add(issued, Ordering::SeqCst);
+        if let Some((landed, e)) = failure {
+            for (&(page, buf), prev) in segs[landed..].iter().zip(&prev[landed..]) {
+                self.abort_write(page, buf, prev);
+            }
+            return Err(e);
+        }
+        pq.drain(ctx, CostCat::DeviceIo);
+        rq.drain(ctx, CostCat::DeviceIo);
+        Ok(issued)
+    }
+
     fn nvme_device(&self) -> Option<&Arc<NvmeDevice>> {
-        // Deliberately none: deep-queue batched writeback would bypass
-        // the checksum table and the replica (module docs).
-        None
+        self.primary.nvme_device()
     }
 
     fn breaker(&self) -> Option<&Arc<CircuitBreaker>> {
         self.primary.breaker()
-    }
-
-    fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     fn scrub_page(&self, ctx: &mut dyn SimCtx, page: u64) -> Result<bool, DeviceError> {
@@ -346,6 +429,7 @@ impl StorageAccess for MirrorAccess {
             unrepairable: self.unrepairable.load(Ordering::SeqCst),
             repair_skipped: self.repair_skipped.load(Ordering::SeqCst),
             tainted: self.primary.device().tainted_reads(),
+            queued_writes: self.queued_writes.load(Ordering::SeqCst),
         })
     }
 }
@@ -547,5 +631,163 @@ mod tests {
         ));
         assert_eq!(clean_reads, faulty_reads, "logical reads identical");
         assert_eq!(clean_image, faulty_image, "final device image identical");
+    }
+
+    /// Four media errors in a row exhaust the default retry budget.
+    const WRITE_DIES: &str = "nvme.write:media_error@op=1; nvme.write:media_error@op=2; \
+         nvme.write:media_error@op=3; nvme.write:media_error@op=4";
+
+    #[test]
+    fn failed_write_keeps_the_checksums_of_the_landed_bytes() {
+        let m = mirror_over(None);
+        let mut ctx = FreeCtx::new(1);
+        m.write_pages(&mut ctx, 3, &page_of(0x11)).unwrap();
+        m.primary_device()
+            .set_fault_plan(Arc::new(FaultPlan::parse(WRITE_DIES).unwrap()));
+        let err = m.write_pages(&mut ctx, 3, &page_of(0x22)).unwrap_err();
+        assert_eq!(err, DeviceError::MediaError { page: 3 });
+        // The old bytes are still on both copies and still verify.
+        assert_eq!(m.scrub_page(&mut ctx, 3), Ok(false));
+        let c = m.integrity_counters().unwrap();
+        assert_eq!((c.detected, c.unrepairable), (0, 0), "{c:?}");
+    }
+
+    #[test]
+    fn failed_batch_segment_keeps_the_checksums_of_the_landed_bytes() {
+        let m = mirror_over(None);
+        let mut ctx = FreeCtx::new(1);
+        for p in 0..3 {
+            m.write_pages(&mut ctx, p * 4, &page_of(0x10 + p as u8))
+                .unwrap();
+        }
+        // The first segment lands; the second exhausts its retries, so
+        // neither it nor the third ever reaches the primary.
+        m.primary_device().set_fault_plan(Arc::new(
+            FaultPlan::parse(
+                "nvme.write:media_error@op=2; nvme.write:media_error@op=3; \
+                 nvme.write:media_error@op=4; nvme.write:media_error@op=5",
+            )
+            .unwrap(),
+        ));
+        let (a, b, c) = (page_of(0xA0), page_of(0xB0), page_of(0xC0));
+        let segs: [(u64, &[u8]); 3] = [(0, &a), (4, &b), (8, &c)];
+        assert_eq!(
+            m.write_batch(&mut ctx, &segs, 8),
+            Err(DeviceError::MediaError { page: 4 })
+        );
+        for p in [0, 4, 8] {
+            assert_eq!(m.scrub_page(&mut ctx, p), Ok(false), "page {p}");
+        }
+        let counters = m.integrity_counters().unwrap();
+        assert_eq!(counters.detected, 0, "{counters:?}");
+        let mut back = page_of(0);
+        m.read_pages(&mut ctx, 0, &mut back).unwrap();
+        assert_eq!(back, a, "the landed segment reads back new");
+        m.read_pages(&mut ctx, 4, &mut back).unwrap();
+        assert_eq!(back, page_of(0x11), "the lost segment reads back old");
+    }
+
+    /// A seeded series of write batches: each batch is a list of
+    /// disjoint, ascending device-contiguous segments of 1-4 pages with
+    /// random payloads, as the write-behind pipeline produces them.
+    fn random_batches(seed: u64, capacity: u64) -> Vec<Vec<(u64, Vec<u8>)>> {
+        let mut x = seed | 1;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        (0..6)
+            .map(|_| {
+                let mut segs = Vec::new();
+                let mut page = next(3);
+                while page < capacity {
+                    let len = (1 + next(4)).min(capacity - page);
+                    let fill = next(255) as u8 + 1;
+                    let data = (0..len as usize * STORE_PAGE)
+                        .map(|i| fill ^ (i / 97) as u8)
+                        .collect();
+                    segs.push((page, data));
+                    page += len + 1 + next(6);
+                }
+                segs
+            })
+            .collect()
+    }
+
+    /// Final (primary, replica) images after writing `batches` through
+    /// `write_batch` at `depth` (or through blocking `write_pages` when
+    /// `depth` is `None`), plus the scrub's integrity counters.
+    fn batched_images(
+        batches: &[Vec<(u64, Vec<u8>)>],
+        depth: Option<usize>,
+        plan: Option<&str>,
+    ) -> (Vec<u8>, Vec<u8>, IntegrityCounters) {
+        let m = mirror_over(plan);
+        let mut ctx = FreeCtx::new(5);
+        for batch in batches {
+            match depth {
+                Some(d) => {
+                    let segs: Vec<(u64, &[u8])> = batch.iter().map(|(p, b)| (*p, &b[..])).collect();
+                    let cmds = m.write_batch(&mut ctx, &segs, d).unwrap();
+                    let copies = if d > 1 { 2 } else { 1 };
+                    assert_eq!(cmds, copies * segs.len() as u64);
+                }
+                None => {
+                    for (p, b) in batch {
+                        m.write_pages(&mut ctx, *p, b).unwrap();
+                    }
+                }
+            }
+        }
+        if let Some(plan) = m.primary_device().fault_plan() {
+            assert!(plan.injected() > 0, "the plan fired inside the batches");
+        }
+        for p in 0..m.capacity_pages() {
+            assert_eq!(
+                m.scrub_page(&mut ctx, p),
+                Ok(false),
+                "page {p} scrubbed dirty"
+            );
+        }
+        (
+            m.primary_device().store().snapshot(),
+            m.replica_device().store().snapshot(),
+            m.integrity_counters().unwrap(),
+        )
+    }
+
+    #[test]
+    fn batched_mirror_writes_match_the_blocking_path() {
+        for seed in [3u64, 17, 0xBEEF] {
+            let batches = random_batches(seed, 16);
+            let (p0, r0, _) = batched_images(&batches, None, None);
+            assert_eq!(p0, r0, "blocking path leaves identical copies");
+            for depth in [1, 2, 8] {
+                let (p, r, c) = batched_images(&batches, Some(depth), None);
+                assert_eq!(p, p0, "seed {seed} depth {depth}: primary image differs");
+                assert_eq!(r, r0, "seed {seed} depth {depth}: replica image differs");
+                assert_eq!((c.detected, c.repaired, c.unrepairable), (0, 0, 0));
+                let segs: u64 = batches.iter().map(|b| b.len() as u64).sum();
+                let queued = if depth > 1 { 2 * segs } else { 0 };
+                assert_eq!(c.queued_writes, queued, "depth {depth}");
+            }
+        }
+    }
+
+    #[test]
+    fn batched_mirror_writes_ride_out_queue_full_and_transient_errors() {
+        let batches = random_batches(29, 16);
+        let (p0, r0, _) = batched_images(&batches, None, None);
+        for plan in [
+            "nvme.write:queue_full*5@op=2",
+            "nvme.write:media_error@op=3; nvme.write:timeout@op=4",
+        ] {
+            let (p, r, c) = batched_images(&batches, Some(8), Some(plan));
+            assert_eq!(p, p0, "{plan}: primary image differs");
+            assert_eq!(r, r0, "{plan}: replica image differs");
+            assert_eq!((c.detected, c.repaired, c.unrepairable), (0, 0, 0));
+        }
     }
 }

@@ -166,6 +166,8 @@ grep -q 'race detector: 0 findings' "$tmp/integrity.txt" ||
     { echo "FAIL: storm produced unrepairable corruption (replica should cover it)" >&2; exit 1; }
 "$prof" get "$tmp/integrity.json" "integrity/undetected" --le 0 > /dev/null ||
     { echo "FAIL: corrupted payload acked to a session (checksums missed it)" >&2; exit 1; }
+"$prof" get "$tmp/integrity.json" "integrity/queued_writes" --ge 1 > /dev/null ||
+    { echo "FAIL: the storm never ran through the mirror's deep-queue write path" >&2; exit 1; }
 "$prof" get "$tmp/integrity.json" "serve/integrity/protected_slo_met" --ge 1 > /dev/null ||
     { echo "FAIL: protected tenant SLO broken by the integrity machinery" >&2; exit 1; }
 
