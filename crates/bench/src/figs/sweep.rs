@@ -5,13 +5,14 @@
 //! Four worker vcores issue random 64-bit stores over an NVMe-backed
 //! mapping 8x the DRAM cache, so every round of progress needs eviction
 //! with dirty writeback. Under `sync` the faulting worker runs the whole
-//! round — detach, shootdown, blocking one-command-at-a-time writeback —
-//! inline. Under `async` a dedicated evictor vcore watches the freelist
-//! watermarks and retires victims through a real NVMe queue pair at the
-//! configured depth; workers just pop clean frames. The figure of merit
-//! is the mean fault-path cycles observed by the workers: the cycles an
-//! op spends whenever it takes a page fault, which is where the paper
-//! says write-behind overlap buys its latency hiding.
+//! round — detach, shootdown, writeback — inline. Under `async` a
+//! dedicated evictor vcore watches the freelist watermarks and retires
+//! victims off the fault path; workers just pop clean frames. Either way
+//! the writeback goes through a real NVMe queue pair at the configured
+//! depth. The figure of merit is the mean fault-path cycles observed by
+//! the workers: the cycles an op spends whenever it takes a page fault,
+//! which is where the paper says write-behind overlap buys its latency
+//! hiding.
 //!
 //! Parts: `qd` sweeps sync vs async x queue depth {1,2,4,8}; `watermark`
 //! sweeps the low/high watermark pair at fixed depth 4; `tlb` compares
@@ -173,10 +174,18 @@ fn part_qd(args: &BenchArgs, json: &mut JsonReport) {
     let ops: u64 = if args.has_flag("--full") { 4000 } else { 1500 };
     banner(
         "Write-behind sweep (qd): sync eviction vs async pipeline x NVMe queue depth",
-        "expected: async < sync fault-path cycles once the qpair overlaps writes (qd >= 4)",
+        "expected: both policies cut fault-path cycles once the qpair overlaps writes (qd >= 4)",
     );
-    let mut cells = vec![run_cell("sync", MmioPolicy::default(), ops)];
+    let mut cells = Vec::new();
     for qd in [1usize, 2, 4, 8] {
+        cells.push(run_cell(
+            &format!("sync-qd{qd}"),
+            MmioPolicy {
+                queue_depth: qd,
+                ..MmioPolicy::default()
+            },
+            ops,
+        ));
         cells.push(run_cell(
             &format!("async-qd{qd}"),
             async_policy(qd, 0, 0),
@@ -184,14 +193,16 @@ fn part_qd(args: &BenchArgs, json: &mut JsonReport) {
         ));
     }
     print_cells(&cells, json);
-    let sync = cells[0].mean_fault_cycles;
+    // The baseline is one command at a time with eviction on the
+    // faulting vcore.
+    let base = cells[0].mean_fault_cycles;
     for c in &cells[1..] {
-        let speedup = sync / c.mean_fault_cycles;
+        let speedup = base / c.mean_fault_cycles;
         println!(
-            "  -> {}: {speedup:.2}x lower fault-path cycles than sync",
+            "  -> {}: {speedup:.2}x lower fault-path cycles than sync-qd1",
             c.label
         );
-        json.add_scalar(format!("{}/speedup_over_sync", c.label), speedup);
+        json.add_scalar(format!("{}/speedup_over_sync_qd1", c.label), speedup);
     }
 }
 
@@ -490,7 +501,7 @@ fn part_latency(args: &BenchArgs, json: &mut JsonReport) {
     let ops: u64 = if args.has_flag("--full") { 4000 } else { 1500 };
     banner(
         "Fault-service latency: cycle-exact distributions per backend",
-        "expected: mmio beats linuxsim at p50 (lean fault path); sync pays a heavy eviction tail at p99 that the async qd4 pipeline trims",
+        "expected: mmio beats linuxsim at p50 (lean fault path); the eviction tail at p99 is one deep-queue writeback round, inline (sync) or on the evictor (async qd4)",
     );
     let cells: [(&str, LatencyHist); 4] = [
         ("linuxsim", run_latency_linux(ops)),

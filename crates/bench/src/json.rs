@@ -60,7 +60,7 @@ impl Json {
     }
 
     /// Walks a `/`-separated key path through nested objects
-    /// (`"scalars/async-qd4/speedup_over_sync"`).
+    /// (`"scalars/async-qd4/speedup_over_sync_qd1"`).
     pub fn lookup(&self, path: &str) -> Option<&Json> {
         let mut cur = self;
         for key in path.split('/') {

@@ -27,13 +27,12 @@ use aquila_vmx::IpiSendPath;
 /// When eviction writeback happens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WritePolicy {
-    /// Dirty victims are written back synchronously inside the faulting
-    /// vcore's eviction round — the fault that triggers eviction pays the
-    /// full device latency (the pre-pipeline behavior, and the default).
+    /// Dirty victims are written back inside the faulting vcore's
+    /// eviction round — the fault that triggers eviction pays for the
+    /// round's writeback (the pre-pipeline behavior, and the default).
     Sync,
     /// Dedicated evictor threads watch the freelist watermarks, detach
-    /// victim batches off the fault path, and write them back through
-    /// real NVMe queue pairs at [`MmioPolicy::queue_depth`]; faulting
+    /// victim batches off the fault path, and write them back; faulting
     /// vcores take clean frames from the freelist and rarely block.
     Async,
 }
@@ -57,13 +56,13 @@ pub struct MmioPolicy {
     pub evictor_cores: Vec<usize>,
     /// When writeback happens relative to the fault path.
     pub write_policy: WritePolicy,
-    /// NVMe queue depth for write-behind submission. 1 degenerates to the
-    /// blocking one-command-then-drain discipline.
+    /// NVMe queue depth of every writeback (msync, `sync_all`, inline
+    /// eviction and the evictor), under either [`WritePolicy`]. 1
+    /// degenerates to the blocking one-command-then-drain discipline.
     pub queue_depth: usize,
     /// Retry/backoff policy applied to transient device-command failures
-    /// (media errors, timeouts, controller resets). The access paths
-    /// apply it to blocking I/O; the write-behind pipeline applies it to
-    /// queue-pair submission.
+    /// (media errors, timeouts, controller resets), per command, on
+    /// blocking I/O and queue-pair submission alike.
     pub retry: RetryPolicy,
     /// How long the freelist may sit *continuously* below the low
     /// watermark before the engine concludes the write-behind evictor
@@ -99,9 +98,8 @@ pub struct MmioPolicy {
     pub qos_delay: Cycles,
     /// Mirrors the NVMe backend 2-for-1 with per-sector checksums and
     /// read-repair (DESIGN.md §16). Only meaningful for
-    /// `DeviceKind::NvmeSpdk`. Write-behind batches go through one
-    /// deep queue pair per copy, so both devices serve them
-    /// concurrently. Off by default: single-device runs are bit-for-bit
+    /// `DeviceKind::NvmeSpdk`. Writeback batches go through one deep
+    /// queue pair per copy, so both devices serve them concurrently. Off by default: single-device runs are bit-for-bit
     /// unchanged.
     pub mirror: bool,
     /// Verify per-sector checksums on every read through the mirror
@@ -253,7 +251,7 @@ impl AquilaConfigBuilder {
         self
     }
 
-    /// NVMe queue depth for write-behind submission (default 8).
+    /// NVMe queue depth for writeback (default 8).
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.cfg.policy.queue_depth = depth;
         self

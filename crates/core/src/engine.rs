@@ -53,6 +53,13 @@ const V_HUGE: &str = "aquila.huge.runs";
 use aquila_vma::AddressSpace;
 pub use aquila_vma::{Advice, Prot};
 
+/// Most dirty pages one writeback copies out before submitting them, so
+/// its staging buffers stay under 8 MiB however much a sync drains.
+const STAGE_PAGES: usize = 2048;
+
+/// A staged writeback segment: access path, first device page, payload.
+type Segment = (Arc<dyn StorageAccess>, u64, Vec<u8>);
+
 /// Fault/IO statistics snapshot.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineStats {
@@ -69,11 +76,11 @@ pub struct EngineStats {
 /// breaker. Reads are served in every state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RegionState {
-    /// Full service: writeback follows the configured [`WritePolicy`].
+    /// Full service: writeback runs at [`MmioPolicy::queue_depth`].
     Healthy,
-    /// Write-behind suspended: dirty pages are written back
-    /// synchronously (write-through), applying backpressure directly to
-    /// the writers instead of letting the pipeline fall further behind.
+    /// Write-behind suspended: dirty pages are written back one command
+    /// at a time (write-through), applying backpressure directly to the
+    /// writers instead of letting the pipeline fall further behind.
     WriteThrough,
     /// The device no longer accepts writes: write faults and `msync`
     /// fail with [`AquilaError::DegradedReadOnly`]; cached data stays
@@ -655,23 +662,11 @@ impl Aquila {
         // a 2 MiB leaf cannot be write-protected per page, so any run
         // the range touches splinters first.
         self.demote_range(ctx, addr.vpn(), pages);
-        let file = FileId(desc.file);
         let start_fp = desc.file_page_of(addr.vpn());
         let dirty = self
             .cache
             .drain_dirty_range(ctx, desc.file, start_fp, start_fp + pages);
-        if let Err(e) = self.writeback_policy(ctx, &dirty) {
-            // Draining cleared the dirty bits; restore them so the data
-            // is not silently dropped from future writeback rounds.
-            for d in &dirty {
-                self.cache.mark_dirty(ctx, d.key, d.frame);
-            }
-            return Err(e);
-        }
-        // Under write-behind, pages of this range may already be detached
-        // and in flight on the evictor's queue pair; durability means
-        // waiting for the pipeline horizon, not re-issuing them.
-        self.write_behind_rendezvous(ctx);
+        self.persist_drained(ctx, &dirty)?;
         // Downgrade all written-back pages to read-only.
         let mut flushed = Vec::new();
         for d in &dirty {
@@ -690,7 +685,6 @@ impl Aquila {
         }
         self.tlbs
             .shootdown_batch(ctx, &self.debts, self.cfg.ipi_path, &flushed);
-        let _ = file;
         Ok(())
     }
 
@@ -1059,8 +1053,7 @@ impl Aquila {
     }
 
     /// Unmaps a detached victim batch (one batched shootdown), writes the
-    /// dirty ones back per the configured [`WritePolicy`], and recycles
-    /// every frame to the freelist.
+    /// dirty ones back, and recycles every frame to the freelist.
     fn retire_victims(&self, ctx: &mut dyn SimCtx, victims: &[Victim]) -> Result<(), AquilaError> {
         let mut flushed = Vec::new();
         for v in victims {
@@ -1083,7 +1076,7 @@ impl Aquila {
             })
             .collect();
         dirty.sort_by_key(|d| (d.key.file, d.key.page));
-        if let Err(e) = self.writeback_policy(ctx, &dirty) {
+        if let Err(e) = self.writeback(ctx, &dirty) {
             // The dirty victims could not be persisted; put them back in
             // the cache (still dirty) so their data stays readable and a
             // later round can retry, and recycle only the clean frames.
@@ -1102,122 +1095,111 @@ impl Aquila {
         Ok(())
     }
 
-    /// Dispatches writeback per the configured policy *and* the current
-    /// [`RegionState`]: blocking run-at-a-time I/O under
-    /// [`WritePolicy::Sync`] or once degraded to write-through,
-    /// queue-depth-batched submission under a healthy
-    /// [`WritePolicy::Async`]; refused outright once read-only. An open
-    /// circuit breaker surfacing from either path escalates the
-    /// degradation machine.
-    fn writeback_policy(
+    /// Makes pages just drained from the dirty trees durable: writes them
+    /// back, then waits out any write-behind still in flight. On failure
+    /// they are marked dirty again, so their data is not silently dropped
+    /// from future writeback rounds.
+    fn persist_drained(
         &self,
         ctx: &mut dyn SimCtx,
         dirty: &[DirtyPage],
     ) -> Result<(), AquilaError> {
+        if let Err(e) = self.writeback(ctx, dirty) {
+            for d in dirty {
+                self.cache.mark_dirty(ctx, d.key, d.frame);
+            }
+            return Err(e);
+        }
+        // Under write-behind, pages of the range may already be detached
+        // and in flight on the evictor's queue pair; durability means
+        // waiting for the pipeline horizon, not re-issuing them.
+        self.write_behind_rendezvous(ctx);
+        Ok(())
+    }
+
+    /// Writes dirty pages back. This is the one writeback path: msync,
+    /// `sync_all`, inline eviction and the evictor all come through here,
+    /// and [`WritePolicy`] only decides which vcore runs it.
+    ///
+    /// The pages are coalesced into device-contiguous segments, and each
+    /// access path gets its segments in one [`StorageAccess::write_batch`]
+    /// at [`MmioPolicy::queue_depth`]: NVMe paths keep that many commands
+    /// in flight on real queue pairs (both copies, for a mirror), so
+    /// device service overlaps instead of each command draining before the
+    /// next is issued; DAX and the host-kernel paths write segment by
+    /// segment. A region degraded to write-through submits at depth 1, so
+    /// its writers pay every command's device latency themselves; a
+    /// read-only region refuses. An open circuit breaker or unrepairable
+    /// corruption surfacing here escalates the degradation machine.
+    fn writeback(&self, ctx: &mut dyn SimCtx, dirty: &[DirtyPage]) -> Result<(), AquilaError> {
         if dirty.is_empty() {
             return Ok(());
         }
-        let state = self.region_state();
-        if state == RegionState::ReadOnly {
-            return Err(AquilaError::DegradedReadOnly);
-        }
-        let result = match (self.cfg.policy.write_policy, state) {
-            (WritePolicy::Async, RegionState::Healthy) => self.writeback_batched(ctx, dirty),
-            _ => self.writeback(ctx, dirty),
+        let depth = match self.region_state() {
+            RegionState::Healthy => self.cfg.policy.queue_depth.max(1),
+            RegionState::WriteThrough => 1,
+            RegionState::ReadOnly => return Err(AquilaError::DegradedReadOnly),
         };
+        let t_wb = ctx.now();
+        let sp = aquila_sim::span::begin(ctx, "aquila.writeback", CostCat::DeviceIo);
+        let result = self.write_segments(ctx, dirty, depth);
+        if result.is_ok() {
+            aquila_sim::metrics::record_latency(
+                ctx,
+                "aquila.writeback.cycles",
+                ctx.now().saturating_sub(t_wb),
+            );
+        }
+        aquila_sim::span::end(ctx, sp);
         if let Err(e) = &result {
             self.degrade_on_error(ctx, e);
         }
         result
     }
 
-    /// Writes dirty pages back to their files, coalescing contiguous runs
-    /// into large I/Os.
-    fn writeback(&self, ctx: &mut dyn SimCtx, dirty: &[DirtyPage]) -> Result<(), AquilaError> {
-        if dirty.is_empty() {
-            return Ok(());
+    fn write_segments(
+        &self,
+        ctx: &mut dyn SimCtx,
+        dirty: &[DirtyPage],
+        depth: usize,
+    ) -> Result<(), AquilaError> {
+        let mut ios = 0u64;
+        for part in dirty.chunks(STAGE_PAGES) {
+            let segs = self.stage_segments(part)?;
+            // One batch per run of segments on the same access path.
+            for group in segs.chunk_by(|a, b| Arc::ptr_eq(&a.0, &b.0)) {
+                let batch: Vec<(u64, &[u8])> =
+                    group.iter().map(|(_, dev, buf)| (*dev, &buf[..])).collect();
+                ios += group[0].0.write_batch(ctx, &batch, depth)?;
+            }
         }
-        let t_wb = ctx.now();
-        let sp = aquila_sim::span::begin(ctx, "aquila.writeback", CostCat::DeviceIo);
-        let mut runs = 0u64;
-        for run in coalesce_runs(dirty) {
-            runs += 1;
-            let file = FileId(run[0].key.file);
-            let first_page = run[0].key.page;
-            let mut buf = vec![0u8; run.len() * STORE_PAGE];
-            for (i, d) in run.iter().enumerate() {
-                self.cache
-                    .mem()
-                    .read(d.frame, 0, &mut buf[i * STORE_PAGE..(i + 1) * STORE_PAGE]);
+        ctx.counters().writebacks += dirty.len() as u64;
+        // Everything submitted by this writeback is durable by now;
+        // publish the horizon for msync/sync_all rendezvous, tagged with
+        // its causal span so a rendezvous can link its wait to it.
+        {
+            let mut h = self.wb_horizon.lock();
+            if ctx.now() > *h {
+                *h = ctx.now();
+                self.wb_span
+                    .store(aquila_sim::span::current(ctx).0, Ordering::Relaxed);
             }
-            if let Err(e) = self.files.write_pages(ctx, file, first_page, &buf) {
-                aquila_sim::span::end(ctx, sp);
-                return Err(e);
-            }
-            ctx.counters().writebacks += run.len() as u64;
         }
         aquila_sim::metrics::add(ctx, "aquila.writeback.pages", dirty.len() as u64);
-        aquila_sim::metrics::add(ctx, "aquila.writeback.runs", runs);
-        aquila_sim::metrics::record_latency(
-            ctx,
-            "aquila.writeback.cycles",
-            ctx.now().saturating_sub(t_wb),
-        );
-        aquila_sim::span::end(ctx, sp);
+        aquila_sim::metrics::add(ctx, "aquila.writeback.ios", ios);
         Ok(())
     }
 
-    /// Write-behind: coalesces dirty pages into device-contiguous
-    /// segments and hands each access path its segments in one
-    /// [`StorageAccess::write_batch`] at [`MmioPolicy::queue_depth`].
-    /// NVMe paths keep that many commands in flight on real queue pairs
-    /// (both copies, for a mirror), so device service overlaps instead of
-    /// the one-command-then-drain discipline of the blocking path; DAX,
-    /// the host-kernel paths and depth 1 write segment by segment.
-    fn writeback_batched(
-        &self,
-        ctx: &mut dyn SimCtx,
-        dirty: &[DirtyPage],
-    ) -> Result<(), AquilaError> {
-        if dirty.is_empty() {
-            return Ok(());
-        }
-        let t_wb = ctx.now();
-        let sp = aquila_sim::span::begin(ctx, "aquila.writeback.async", CostCat::DeviceIo);
-        let result = self.writeback_batched_locked(ctx, dirty);
-        if result.is_ok() {
-            aquila_sim::metrics::record_latency(
-                ctx,
-                "aquila.writeback.async.cycles",
-                ctx.now().saturating_sub(t_wb),
-            );
-        }
-        aquila_sim::span::end(ctx, sp);
-        result
-    }
-
-    fn writeback_batched_locked(
-        &self,
-        ctx: &mut dyn SimCtx,
-        dirty: &[DirtyPage],
-    ) -> Result<(), AquilaError> {
-        let qd = self.cfg.policy.queue_depth.max(1);
-        // Translate runs into device-contiguous segments up front (the
-        // submission loop must not interleave blob-map lookups with
-        // completion waits).
-        let mut segs: Vec<(Arc<dyn StorageAccess>, u64, Vec<u8>)> = Vec::new();
+    /// Copies sorted dirty pages out of their frames as device-contiguous
+    /// segments, each with its access path. Translation happens up front:
+    /// the submission loop must not interleave blob-map lookups with
+    /// completion waits.
+    fn stage_segments(&self, dirty: &[DirtyPage]) -> Result<Vec<Segment>, AquilaError> {
+        let mut segs: Vec<Segment> = Vec::new();
         for run in coalesce_runs(dirty) {
             let file = FileId(run[0].key.file);
             let access = self.files.access_of(file)?;
-            let mut i = 0usize;
-            while i < run.len() {
-                let dev = self.files.dev_page(file, run[i].key.page)?;
-                let mut len = 1usize;
-                while i + len < run.len()
-                    && self.files.dev_page(file, run[i + len].key.page)? == dev + len as u64
-                {
-                    len += 1;
-                }
+            for (dev, i, len) in self.files.segments(file, run[0].key.page, run.len())? {
                 let mut buf = vec![0u8; len * STORE_PAGE];
                 for (j, d) in run[i..i + len].iter().enumerate() {
                     self.cache.mem().read(
@@ -1227,31 +1209,9 @@ impl Aquila {
                     );
                 }
                 segs.push((Arc::clone(&access), dev, buf));
-                i += len;
             }
         }
-        // One batch per run of segments on the same access path.
-        let mut ios = 0u64;
-        for group in segs.chunk_by(|a, b| Arc::ptr_eq(&a.0, &b.0)) {
-            let batch: Vec<(u64, &[u8])> =
-                group.iter().map(|(_, dev, buf)| (*dev, &buf[..])).collect();
-            ios += group[0].0.write_batch(ctx, &batch, qd)?;
-        }
-        ctx.counters().writebacks += dirty.len() as u64;
-        // Everything submitted by this round is durable by now; publish
-        // the horizon for msync/sync_all rendezvous, tagged with this
-        // round's causal span so a rendezvous can link its wait to us.
-        {
-            let mut h = self.wb_horizon.lock();
-            if ctx.now() > *h {
-                *h = ctx.now();
-                self.wb_span
-                    .store(aquila_sim::span::current(ctx).0, Ordering::Relaxed);
-            }
-        }
-        aquila_sim::metrics::add(ctx, "aquila.writeback.async.pages", dirty.len() as u64);
-        aquila_sim::metrics::add(ctx, "aquila.writeback.async.ios", ios);
-        Ok(())
+        Ok(segs)
     }
 
     /// Blocks until every write-behind submission made so far (in virtual
@@ -1855,14 +1815,7 @@ impl Aquila {
         // whatever runs after the sync; splinter everything first.
         self.demote_all(ctx);
         let dirty = self.cache.drain_dirty_all(ctx);
-        if let Err(e) = self.writeback_policy(ctx, &dirty) {
-            for d in &dirty {
-                self.cache.mark_dirty(ctx, d.key, d.frame);
-            }
-            return Err(e);
-        }
-        self.write_behind_rendezvous(ctx);
-        Ok(())
+        self.persist_drained(ctx, &dirty)
     }
 
     /// Per-core TLB statistics: (hits, misses) summed across cores.

@@ -207,10 +207,22 @@ impl Files {
             .ok_or(AquilaError::BadFile)
     }
 
-    /// Device page backing logical `page` of `id` (the write-behind
-    /// pipeline translates victims before batching raw submissions).
+    /// Device page backing logical `page` of `id`.
     pub fn dev_page(&self, id: FileId, page: u64) -> Result<u64, AquilaError> {
         self.get(id)?.dev_page(page)
+    }
+
+    /// Splits file pages `[page, page + n)` of `id` into device-contiguous
+    /// segments `(first device page, index of its first page in the
+    /// range, pages)`: the unit of one device command. Writeback
+    /// translates its pages with this before submitting anything.
+    pub(crate) fn segments(
+        &self,
+        id: FileId,
+        page: u64,
+        n: usize,
+    ) -> Result<Vec<(u64, usize, usize)>, AquilaError> {
+        split(&*self.get(id)?, page, n)
     }
 
     /// The storage access path behind `id`.
@@ -230,18 +242,9 @@ impl Files {
         buf: &mut [u8],
     ) -> Result<(), AquilaError> {
         let obj = self.get(id)?;
-        let n = buf.len() / STORE_PAGE;
-        let mut i = 0usize;
-        while i < n {
-            let dev = obj.dev_page(page + i as u64)?;
-            // Extend the run while device pages stay contiguous.
-            let mut run = 1usize;
-            while i + run < n && obj.dev_page(page + (i + run) as u64)? == dev + run as u64 {
-                run += 1;
-            }
+        for (dev, i, len) in split(&obj, page, buf.len() / STORE_PAGE)? {
             obj.access()
-                .read_pages(ctx, dev, &mut buf[i * STORE_PAGE..(i + run) * STORE_PAGE])?;
-            i += run;
+                .read_pages(ctx, dev, &mut buf[i * STORE_PAGE..(i + len) * STORE_PAGE])?;
         }
         Ok(())
     }
@@ -256,20 +259,29 @@ impl Files {
         buf: &[u8],
     ) -> Result<(), AquilaError> {
         let obj = self.get(id)?;
-        let n = buf.len() / STORE_PAGE;
-        let mut i = 0usize;
-        while i < n {
-            let dev = obj.dev_page(page + i as u64)?;
-            let mut run = 1usize;
-            while i + run < n && obj.dev_page(page + (i + run) as u64)? == dev + run as u64 {
-                run += 1;
-            }
+        for (dev, i, len) in split(&obj, page, buf.len() / STORE_PAGE)? {
             obj.access()
-                .write_pages(ctx, dev, &buf[i * STORE_PAGE..(i + run) * STORE_PAGE])?;
-            i += run;
+                .write_pages(ctx, dev, &buf[i * STORE_PAGE..(i + len) * STORE_PAGE])?;
         }
         Ok(())
     }
+}
+
+/// [`Files::segments`] over an already-resolved file.
+fn split(obj: &FileObj, page: u64, n: usize) -> Result<Vec<(u64, usize, usize)>, AquilaError> {
+    let mut segs = Vec::new();
+    let mut i = 0usize;
+    while i < n {
+        let dev = obj.dev_page(page + i as u64)?;
+        // Extend the segment while device pages stay contiguous.
+        let mut len = 1usize;
+        while i + len < n && obj.dev_page(page + (i + len) as u64)? == dev + len as u64 {
+            len += 1;
+        }
+        segs.push((dev, i, len));
+        i += len;
+    }
+    Ok(segs)
 }
 
 impl Default for Files {

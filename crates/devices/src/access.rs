@@ -103,7 +103,7 @@ pub trait StorageAccess: Send + Sync {
     /// has real queue pairs, and returns the number of device commands
     /// issued. Every segment is durable when it returns `Ok`.
     ///
-    /// This is the write-behind pipeline's submission primitive. The
+    /// This is the engine's one writeback primitive. The
     /// default is the blocking one-command-then-drain loop over
     /// [`StorageAccess::write_pages`], which is what DAX, the host-kernel
     /// paths and `depth <= 1` use.

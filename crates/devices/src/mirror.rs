@@ -21,7 +21,7 @@
 //! (the store reads zeros for them), so even the first fill of a fresh
 //! page is covered.
 //!
-//! Write-behind batches keep the deep queues of the unmirrored path:
+//! Writeback batches keep the deep queues of the unmirrored path:
 //! [`StorageAccess::write_batch`] records every segment's checksums up
 //! front, then submits each segment to the primary and then the replica
 //! through one depth-`depth` queue pair per device, each under that
@@ -77,7 +77,7 @@ pub struct IntegrityCounters {
     /// corruptions that reached a caller unnoticed.
     pub tainted: u64,
     /// Write commands (both copies) the mirror issued through queue
-    /// pairs deeper than one: the batched write-behind path.
+    /// pairs deeper than one: the batched writeback path.
     pub queued_writes: u64,
 }
 
@@ -689,7 +689,7 @@ mod tests {
 
     /// A seeded series of write batches: each batch is a list of
     /// disjoint, ascending device-contiguous segments of 1-4 pages with
-    /// random payloads, as the write-behind pipeline produces them.
+    /// random payloads, as the engine's writeback produces them.
     fn random_batches(seed: u64, capacity: u64) -> Vec<Vec<(u64, Vec<u8>)>> {
         let mut x = seed | 1;
         let mut next = move |n: u64| {

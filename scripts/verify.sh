@@ -69,7 +69,7 @@ diff "$tmp/race1.txt" "$tmp/race2.txt" ||
 grep -q 'race detector: 0 findings' "$tmp/race1.txt" ||
     { echo "FAIL: race detector reported findings" >&2; exit 1; }
 
-step "write-behind sweep smoke run (sweep qd --race --json, async speedup at qd4)"
+step "write-behind sweep smoke run (sweep qd --race --json, speedups at qd4)"
 # The async double-run bit-identity check lives in
 # crates/bench/tests/determinism.rs (sweep_async_pipeline_is_bit_identical_
 # across_runs) and already ran under `cargo test --workspace` above; this
@@ -78,8 +78,10 @@ cargo run --release -q -p aquila-bench --bin sweep -- qd --race \
     --json "$tmp/sweep.json" > "$tmp/sweep.txt"
 grep -q 'race detector: 0 findings' "$tmp/sweep.txt" ||
     { echo "FAIL: race detector reported findings in sweep" >&2; exit 1; }
-"$prof" get "$tmp/sweep.json" "async-qd4/speedup_over_sync" --ge 1.0 > /dev/null ||
-    { echo "FAIL: async write-behind at qd4 is not faster than sync" >&2; exit 1; }
+"$prof" get "$tmp/sweep.json" "async-qd4/speedup_over_sync_qd1" --ge 1.0 > /dev/null ||
+    { echo "FAIL: async write-behind at qd4 is not faster than one-command-at-a-time sync" >&2; exit 1; }
+"$prof" get "$tmp/sweep.json" "sync-qd4/speedup_over_sync_qd1" --ge 1.5 > /dev/null ||
+    { echo "FAIL: inline (sync) writeback at qd4 does not overlap device commands" >&2; exit 1; }
 
 step "fault-injection sweep smoke run (sweep qd --faults --race, twice, bit-identical)"
 fault_spec='nvme.write:media_error@op=40'
