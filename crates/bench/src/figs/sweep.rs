@@ -580,11 +580,10 @@ fn run_scale_cell(mmio: bool, cores: usize) -> ScaleCell {
     let cache = SCALE_PAGES as usize * 2 + 512;
     let debts = Arc::new(CoreDebts::new(cores));
     let micro = if mmio {
-        // The scaled fault path: spill-free regions (no VMA tree, no
-        // shared lock), per-vcore page-table shards, and batched
-        // freelist work-stealing.
+        // The scaled fault path: per-vcore page-table shards and
+        // batched freelist work-stealing on top of the spill-free
+        // region map every mmio fault resolves through.
         let policy = MmioPolicy {
-            spill_regions: true,
             pt_shards: cores.max(2),
             freelist_steal_batch: 8,
             ..MmioPolicy::default()
@@ -618,16 +617,13 @@ fn run_scale_cell(mmio: bool, cores: usize) -> ScaleCell {
 }
 
 /// Shared-lock acquisitions the fault fast path is forbidden to take
-/// with the scaled policy on: VMA-tree walk locks and legacy shared
-/// page-table acquisitions. Zero when the metrics registry is absent.
+/// with the scaled policy on: legacy shared page-table acquisitions
+/// (region resolution takes no lock to count). Zero when the metrics
+/// registry is absent.
 fn shared_lock_count() -> u64 {
-    match aquila_sim::metrics::global() {
-        Some(reg) => {
-            let snap = reg.snapshot();
-            snap.get("vma.tree.lock").unwrap_or(0) + snap.get("mmu.pt.shared_lock").unwrap_or(0)
-        }
-        None => 0,
-    }
+    aquila_sim::metrics::global()
+        .and_then(|reg| reg.snapshot().get("mmu.pt.shared_lock"))
+        .unwrap_or(0)
 }
 
 fn part_scale(args: &BenchArgs, json: &mut JsonReport) {
@@ -667,8 +663,8 @@ fn part_scale(args: &BenchArgs, json: &mut JsonReport) {
             cells.push((label, c));
         }
     }
-    // The scaled fault fast path must never touch a shared lock: not
-    // the VMA tree's walk locks, not the legacy shared page table.
+    // The scaled fault fast path must never touch the legacy shared
+    // page table's lock.
     let shared_locks = shared_lock_count() - shared_before;
     json.add_scalar("scale/fastpath/shared_locks", shared_locks as f64);
     println!("  -> fault-fast-path shared-lock acquisitions: {shared_locks}");

@@ -111,11 +111,6 @@ pub struct MmioPolicy {
     /// [`Cycles::ZERO`] disables the scrubber. Only meaningful with
     /// [`MmioPolicy::mirror`].
     pub scrub_rate: Cycles,
-    /// Resolves address-space lookups through Theseus-style spill-free
-    /// region descriptors — O(1), no tree walk, no shared lock on any
-    /// fault (DESIGN.md §17) — instead of the radix VMA tree. Off by
-    /// default: tree-based runs are bit-for-bit unchanged.
-    pub spill_regions: bool,
     /// Number of page-table shards with per-vcore ownership (keyed by
     /// 2 MiB block, so huge runs keep one owner). 0 keeps the legacy
     /// single shared table, byte-identical to the pre-sharding engine.
@@ -145,7 +140,6 @@ impl Default for MmioPolicy {
             mirror: false,
             checksums: true,
             scrub_rate: Cycles::ZERO,
-            spill_regions: false,
             pt_shards: 0,
             freelist_steal_batch: 0,
         }
@@ -329,13 +323,6 @@ impl AquilaConfigBuilder {
         self
     }
 
-    /// Resolves address-space lookups through spill-free region
-    /// descriptors instead of the VMA tree (default off).
-    pub fn spill_regions(mut self, on: bool) -> Self {
-        self.cfg.policy.spill_regions = on;
-        self
-    }
-
     /// Page-table shards with per-vcore ownership; 0 (default) keeps the
     /// legacy single shared table.
     pub fn pt_shards(mut self, shards: usize) -> Self {
@@ -476,15 +463,12 @@ mod tests {
     #[test]
     fn scale_knobs_default_off_and_flow_through() {
         let d = MmioPolicy::default();
-        assert!(!d.spill_regions, "region map must be opt-in");
         assert_eq!(d.pt_shards, 0, "legacy shared page table by default");
         assert_eq!(d.freelist_steal_batch, 0, "legacy steal-one by default");
         let cfg = AquilaConfig::builder(16, 4096)
-            .spill_regions(true)
             .pt_shards(16)
             .freelist_steal_batch(8)
             .build();
-        assert!(cfg.policy.spill_regions);
         assert_eq!(cfg.policy.pt_shards, 16);
         assert_eq!(cfg.policy.freelist_steal_batch, 8);
     }

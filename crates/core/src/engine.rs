@@ -11,7 +11,7 @@
 //! 3. **Device access** (common path) — through a pluggable
 //!    [`StorageAccess`] path (SPDK, DAX, or host I/O).
 //! 4. **File-mapping management** (uncommon) — `mmap`/`munmap`/`mremap`
-//!    over the radix VMA tree; no host interaction needed.
+//!    over the spill-free region map; no host interaction needed.
 //! 5. **Cache resizing** (uncommon) — vmcalls to the hypervisor plus 1 GiB
 //!    EPT mappings.
 
@@ -50,7 +50,7 @@ const V_TLB: &str = "mmu.tlb.state";
 const L_HUGE: &str = "aquila.huge";
 const V_HUGE: &str = "aquila.huge.runs";
 
-use aquila_vma::AddressSpace;
+use aquila_vma::RegionMap;
 pub use aquila_vma::{Advice, Prot};
 
 /// Most dirty pages one writeback copies out before submitting them, so
@@ -130,7 +130,7 @@ pub struct Aquila {
     cfg: AquilaConfig,
     files: Files,
     cache: DramCache,
-    vmas: AddressSpace,
+    vmas: RegionMap,
     page_table: ShardedPageTable,
     tlbs: TlbFabric,
     debts: Arc<CoreDebts>,
@@ -220,7 +220,7 @@ impl Aquila {
         race::declare_order("mmu", &[L_HUGE, L_PT_SHARD]);
         let aquila = Aquila {
             files: Files::new(),
-            vmas: AddressSpace::new(0x10_0000, cfg.policy.spill_regions),
+            vmas: RegionMap::new(0x10_0000),
             page_table: ShardedPageTable::new(cfg.policy.pt_shards),
             tlbs: TlbFabric::new(cfg.cores),
             vcpus: (0..cfg.cores).map(|_| Mutex::new(Vcpu::new())).collect(),
@@ -831,7 +831,8 @@ impl Aquila {
             .lock()
             .deliver_exception(ctx);
 
-        // Operation 1: is this a valid address? (radix walk, no lock).
+        // Operation 1: is this a valid address? (O(1) region resolution,
+        // no lock).
         let (desc, prot) = self
             .vmas
             .lookup(ctx, vpn)

@@ -101,6 +101,24 @@ fn minor_fault_after_munmap_keeps_cache() {
 }
 
 #[test]
+fn descriptor_slots_and_va_recycle_across_100k_mmaps() {
+    // More mmap/munmap cycles than the region map has descriptor slots:
+    // each munmap frees its slot and its address range, so every cycle
+    // maps (and faults through) the same recycled range.
+    let (mut ctx, rt) = runtime(DeviceKind::PmemDax, 64);
+    let f = rt.open("/data/churn", 4).unwrap();
+    let mut b = [0u8; 1];
+    let mut first = None;
+    for i in 0..100_000u64 {
+        let addr = rt.aquila.mmap(&mut ctx, f, i % 4, 1, Prot::READ).unwrap();
+        assert_eq!(*first.get_or_insert(addr), addr, "cycle {i}: VA not reused");
+        rt.aquila.read(&mut ctx, addr, &mut b).unwrap();
+        rt.aquila.munmap(&mut ctx, addr, 1).unwrap();
+    }
+    assert_eq!(ctx.stats.page_faults, 100_000);
+}
+
+#[test]
 fn eviction_under_pressure_preserves_data() {
     // Cache of 16 frames, working set of 64 pages: heavy eviction.
     let (mut ctx, rt) = runtime(DeviceKind::PmemDax, 16);
@@ -220,8 +238,12 @@ fn mremap_preserves_file_window() {
     let (mut ctx, rt) = runtime(DeviceKind::PmemDax, 32);
     let f = rt.open("/data/remap", 32).unwrap();
     let addr = rt.aquila.mmap(&mut ctx, f, 0, 8, Prot::RW).unwrap();
+    // A neighbor right after the guard gap leaves no room to grow in
+    // place, so the mapping must move.
+    rt.aquila.mmap(&mut ctx, f, 8, 8, Prot::RW).unwrap();
     rt.aquila.write(&mut ctx, addr, b"movable").unwrap();
     let new_addr = rt.aquila.mremap(&mut ctx, addr, 8, 16).unwrap();
+    assert_ne!(new_addr, addr);
     let mut back = [0u8; 7];
     rt.aquila.read(&mut ctx, new_addr, &mut back).unwrap();
     assert_eq!(&back, b"movable");

@@ -154,10 +154,13 @@ pub struct CostModel {
     /// ~2.6 K of pmem I/O) and Figure 10(a) (Linux mmio 1.81x slower than
     /// Aquila for in-memory minor faults).
     pub linux_fault_body: Cycles,
-    /// Aquila page-fault handler software body (radix VMA walk, lock-free
-    /// hash lookup, PTE install), excluding trap and I/O. Calibrated so the
-    /// Figure 8(c) cache-hit total of 2179 cycles holds (2179 - 552 trap -
-    /// lookup/map costs charged separately).
+    /// Aquila page-fault handler software body (lock-free hash lookup, PTE
+    /// install), excluding trap, I/O, and the region lookup, which is
+    /// charged separately. Calibrated against the Figure 8(c) cache-hit
+    /// total of 2179 cycles (2179 - 552 trap - lookup/map costs) when that
+    /// lookup was a four-level radix VMA walk; the spill-free region map
+    /// resolves it with one `radix_level`, so the modeled cache-hit fault
+    /// is three levels (75 cycles) cheaper than the paper's.
     pub aquila_fault_body: Cycles,
     /// One probe of the lock-free cached-page hash table.
     pub hash_lookup: Cycles,

@@ -20,6 +20,13 @@ cargo test -q
 step "cargo test --workspace -q"
 cargo test --workspace -q
 
+step "benchmark smoke test (toy sizes, two seeds, bit-identical)"
+# The benchmark is a cargo workspace of its own that builds the stack
+# from source, so a stack change that breaks its correctness checks
+# (read-back values, per-vcore cycle attribution, traced == untraced)
+# fails here rather than only when the benchmark is next run.
+cargo test --manifest-path examples/benchmark/Cargo.toml
+
 step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -179,8 +186,8 @@ step "scale sweep smoke run (sweep scale --race --json, 1 -> 256 vcore fault sto
 # scaling claim itself (DESIGN.md §17): the mmio fault path — spill-free
 # regions, sharded page table, batched freelist steal — is near-linear
 # (>= 8x at 64 vcores) while linuxsim's non-scalable page-cache tree
-# lock collapses (< 2x), and the fast path took zero shared-lock
-# acquisitions along the way.
+# lock collapses (< 2x), and the fast path took zero shared page-table
+# lock acquisitions (`mmu.pt.shared_lock`) along the way.
 cargo run --release -q -p aquila-bench --bin sweep -- scale --race \
     --json "$tmp/scale.json" > "$tmp/scale.txt"
 grep -q 'race detector: 0 findings' "$tmp/scale.txt" ||

@@ -9,10 +9,10 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use aquila_mmu::{Access, Gva, PageTable, PteFlags};
+use aquila_mmu::{Access, Gva, PageTable, PteFlags, Vpn};
 use aquila_pcache::{coalesce_runs, DirtyPage, InsertOutcome, LockFreeMap, PageKey};
 use aquila_sim::{Cycles, FreeCtx, LatencyHist, Rng64};
-use aquila_vma::{Prot, VmaTree};
+use aquila_vma::{Prot, RegionMap, GUARD_PAGES};
 
 const CASES: u64 = 64;
 
@@ -111,167 +111,322 @@ fn lockfree_map_matches_model() {
     }
 }
 
-/// VMA lookups agree with a per-page model under map/unmap/protect.
+/// The region map agrees with a per-page model under fixed-address
+/// map/unmap/protect: every page resolves to the same presence, backing
+/// file window, and effective protection.
 #[test]
-fn vma_tree_matches_model() {
+fn region_map_matches_model() {
+    // Per page: file, file page, the mapping's own write permission, and
+    // whether `mprotect` forced the page read-only.
+    struct Page {
+        file: u32,
+        fpage: u64,
+        writable: bool,
+        force_ro: bool,
+    }
     let mut rng = Rng64::new(0x07A3);
     for _ in 0..CASES {
-        let tree = VmaTree::new(0);
+        let map = RegionMap::new(0);
         let mut ctx = FreeCtx::new(1);
-        let mut model: HashMap<u64, bool> = HashMap::new(); // vpn -> writable
+        let mut model: HashMap<u64, Page> = HashMap::new();
         let n = rng.range(1, 99);
         for _ in 0..n {
-            let op = rng.below(3) as u8;
             let start = rng.below(96);
             let len = rng.range(1, 15);
             let writable = rng.chance(0.5);
-            match op {
+            let prot = if writable { Prot::RW } else { Prot::READ };
+            match rng.below(4) {
                 0 => {
-                    let prot = if writable { Prot::RW } else { Prot::READ };
+                    let file = rng.below(8) as u32;
+                    let fpage = rng.below(1000);
                     let free = (start..start + len).all(|v| !model.contains_key(&v));
-                    let res = tree.map(&mut ctx, Some(aquila_mmu::Vpn(start)), len, 0, start, prot);
+                    let res = map.map(&mut ctx, Some(Vpn(start)), len, file, fpage, prot);
                     assert_eq!(res.is_ok(), free);
                     if free {
                         for v in start..start + len {
-                            model.insert(v, writable);
+                            let page = Page {
+                                file,
+                                fpage: fpage + v - start,
+                                writable,
+                                force_ro: false,
+                            };
+                            model.insert(v, page);
                         }
                     }
                 }
                 1 => {
-                    let removed = tree.unmap(&mut ctx, aquila_mmu::Vpn(start), len);
-                    let expected = (start..start + len)
+                    let removed = map.unmap(&mut ctx, Vpn(start), len);
+                    let expected: Vec<u64> = (start..start + len)
                         .filter(|v| model.remove(v).is_some())
-                        .count();
-                    assert_eq!(removed.len(), expected);
+                        .collect();
+                    let got: Vec<u64> = removed.iter().map(|(v, _)| v.0).collect();
+                    assert_eq!(got, expected);
+                }
+                2 => {
+                    let n = map.protect(&mut ctx, Vpn(start), len, prot);
+                    let mut expected = 0;
+                    for v in start..start + len {
+                        if let Some(page) = model.get_mut(&v) {
+                            page.force_ro = !writable;
+                            expected += 1;
+                        }
+                    }
+                    assert_eq!(n, expected);
                 }
                 _ => {
                     for v in start..start + len {
-                        let got = tree.lookup(&mut ctx, aquila_mmu::Vpn(v));
+                        let got = map.lookup(&mut ctx, Vpn(v));
                         assert_eq!(got.is_some(), model.contains_key(&v));
                     }
                 }
             }
         }
-        assert_eq!(tree.mapped_pages() as usize, model.len());
+        assert_eq!(map.mapped_pages() as usize, model.len());
+        for v in 0..96 + 16 {
+            match (map.lookup(&mut ctx, Vpn(v)), model.get(&v)) {
+                (None, None) => {}
+                (Some((d, p)), Some(page)) => {
+                    assert_eq!(d.file, page.file, "vpn {v}");
+                    assert_eq!(d.file_page_of(Vpn(v)), page.fpage, "vpn {v}");
+                    assert_eq!(p.write, page.writable && !page.force_ro, "vpn {v}");
+                    assert!(p.read, "vpn {v}");
+                }
+                (a, b) => panic!("vpn {v}: map={} model={}", a.is_some(), b.is_some()),
+            }
+        }
     }
 }
 
-/// The spill-free region map is observationally equivalent to the VMA
-/// radix tree: random mmap/munmap/mremap/mprotect sequences driven
-/// through [`aquila_vma::AddressSpace`] produce identical placement,
-/// identical map/unmap/remap results, and identical per-page lookups
-/// (presence, backing file window, and effective protection).
-#[test]
-fn region_map_matches_vma_tree() {
-    use aquila_mmu::Vpn;
-    use aquila_vma::AddressSpace;
+/// One automatically placed mapping of the VA-reuse model.
+struct Placed {
+    start: u64,
+    pages: u64,
+    file: u32,
+    /// File page backing `start`.
+    fpage: u64,
+    /// Pages of the mapping still mapped; the guard gap after it stays
+    /// reserved until this is empty.
+    live: BTreeSet<u64>,
+}
 
-    let mut rng = Rng64::new(0x5F11);
-    for _ in 0..CASES {
-        let tree = AddressSpace::new(0x1000, false);
-        let regions = AddressSpace::new(0x1000, true);
-        let mut ctx_t = FreeCtx::new(1);
-        let mut ctx_r = FreeCtx::new(1);
-        // Fixed-placement ops land in this window, below the automatic
-        // bump base at 0x1000 so the two placement modes never collide;
-        // auto placement bumps from 0x1000 identically on both sides.
-        let lo = 0x100u64;
-        let n = rng.range(1, 99);
-        for _ in 0..n {
-            let start = lo + rng.below(192);
-            let len = rng.range(1, 15);
-            match rng.below(5) {
-                0 => {
-                    // Fixed-placement map: same Ok/Overlap outcome.
-                    let prot = if rng.chance(0.5) {
-                        Prot::RW
-                    } else {
-                        Prot::READ
-                    };
-                    let file = rng.below(8) as u32;
-                    let fpage = rng.below(1000);
-                    let a = tree.map(&mut ctx_t, Some(Vpn(start)), len, file, fpage, prot);
-                    let b = regions.map(&mut ctx_r, Some(Vpn(start)), len, file, fpage, prot);
-                    assert_eq!(a.is_ok(), b.is_ok());
-                }
-                1 => {
-                    // Auto placement: both structures share the bump policy.
-                    let pages = if rng.chance(0.2) {
-                        rng.range(512, 1024) // exercise the 2 MiB alignment
-                    } else {
-                        rng.range(1, 15)
-                    };
-                    let a = tree.map(&mut ctx_t, None, pages, 1, 0, Prot::RW).unwrap();
-                    let b = regions
-                        .map(&mut ctx_r, None, pages, 1, 0, Prot::RW)
-                        .unwrap();
-                    assert_eq!(a.start, b.start, "auto placement diverged");
-                }
-                2 => {
-                    let mut a: Vec<u64> = tree
-                        .unmap(&mut ctx_t, Vpn(start), len)
-                        .iter()
-                        .map(|(v, _)| v.0)
-                        .collect();
-                    let mut b: Vec<u64> = regions
-                        .unmap(&mut ctx_r, Vpn(start), len)
-                        .iter()
-                        .map(|(v, _)| v.0)
-                        .collect();
-                    a.sort_unstable();
-                    b.sort_unstable();
-                    assert_eq!(a, b, "unmap removed different pages");
-                }
-                3 => {
-                    let prot = if rng.chance(0.5) {
-                        Prot::RW
-                    } else {
-                        Prot::READ
-                    };
-                    let a = tree.protect(&mut ctx_t, Vpn(start), len, prot);
-                    let b = regions.protect(&mut ctx_r, Vpn(start), len, prot);
-                    assert_eq!(a, b, "mprotect affected different page counts");
-                }
-                _ => {
-                    let grow = rng.range(1, 15);
-                    let a = tree.remap(&mut ctx_t, Vpn(start), len, grow);
-                    let b = regions.remap(&mut ctx_r, Vpn(start), len, grow);
-                    assert_eq!(a.is_ok(), b.is_ok(), "remap outcome diverged");
-                    if let (Ok(a), Ok(b)) = (a, b) {
-                        assert_eq!(a.start, b.start);
-                        assert_eq!(a.pages, b.pages);
+/// The VA-reuse model: live mappings, and the busy pages (mapped pages
+/// plus live guard gaps) that placement must avoid.
+#[derive(Default)]
+struct VaModel {
+    placed: Vec<Placed>,
+    busy: BTreeSet<u64>,
+}
+
+impl VaModel {
+    /// Coalesced first fit: the lowest start at or above `base` (a
+    /// multiple of 512 for mappings of 512 pages or more) whose pages and
+    /// guard gap are all free.
+    fn first_fit(&self, base: u64, pages: u64) -> u64 {
+        let align = |v: u64| {
+            if pages >= 512 {
+                v.next_multiple_of(512)
+            } else {
+                v
+            }
+        };
+        let mut s = align(base);
+        while let Some(&b) = self.busy.range(s..s + pages + GUARD_PAGES).next_back() {
+            s = align(b + 1);
+        }
+        s
+    }
+
+    fn place(&mut self, start: u64, pages: u64, file: u32, fpage: u64) {
+        self.busy.extend(start..start + pages + GUARD_PAGES);
+        self.placed.push(Placed {
+            start,
+            pages,
+            file,
+            fpage,
+            live: (start..start + pages).collect(),
+        });
+    }
+
+    /// Unmaps `[start, start + len)`; returns the pages that were mapped.
+    fn unmap(&mut self, start: u64, len: u64) -> usize {
+        let mut n = 0;
+        for p in &mut self.placed {
+            for v in start..start + len {
+                if p.live.remove(&v) {
+                    self.busy.remove(&v);
+                    n += 1;
+                    if p.live.is_empty() {
+                        let end = p.start + p.pages;
+                        for g in end..end + GUARD_PAGES {
+                            self.busy.remove(&g);
+                        }
                     }
                 }
             }
         }
-        // Full observational sweep: every page of the fixed window and
-        // the head of the auto-placement area resolves identically —
-        // presence, file window, and effective protection.
-        assert_eq!(tree.mapped_pages(), regions.mapped_pages());
-        let pages: Vec<u64> = (lo..lo + 192 + 16).chain(0x1000..0x1000 + 3072).collect();
-        for v in pages {
-            let a = tree.lookup(&mut ctx_t, Vpn(v));
-            let b = regions.lookup(&mut ctx_r, Vpn(v));
-            match (a, b) {
-                (None, None) => {}
-                (Some((da, pa)), Some((db, pb))) => {
-                    assert_eq!(da.file, db.file, "vpn {v}");
-                    assert_eq!(da.file_page_of(Vpn(v)), db.file_page_of(Vpn(v)), "vpn {v}");
-                    assert_eq!(pa.write, pb.write, "vpn {v}");
-                    assert_eq!(pa.read, pb.read, "vpn {v}");
-                }
-                (a, b) => panic!("vpn {v}: tree={:?} regions={:?}", a.is_some(), b.is_some()),
-            }
-        }
+        self.placed.retain(|p| !p.live.is_empty());
+        n
     }
 }
 
-/// Turning on the whole scaled fault path — spill-free regions, a
-/// sharded page table, and freelist steal batching — does not change
-/// what the engine computes: the same random fault-heavy workload takes
-/// exactly the same faults (minor and major), evicts the same number of
-/// pages, and reads back the same values as the legacy tree + shared
-/// page table.
+/// Freed virtual addresses are reused: random mmap / partial and whole
+/// munmap / mremap sequences place every mapping exactly where coalesced
+/// first fit over the model's busy pages says, which implies no overlap
+/// with live pages or guard gaps and 2 MiB alignment for mappings of 512
+/// pages or more; lookups agree with the model; and once everything is
+/// unmapped, placement starts over at the base.
+#[test]
+fn region_map_reuses_freed_va_first_fit() {
+    const BASE: u64 = 0x1000;
+    let mut rng = Rng64::new(0x5F11);
+    for _ in 0..CASES {
+        let map = RegionMap::new(BASE);
+        let mut ctx = FreeCtx::new(1);
+        let mut model = VaModel::default();
+        let n = rng.range(1, 99);
+        for _ in 0..n {
+            let size = if rng.chance(0.2) {
+                rng.range(512, 1100)
+            } else {
+                rng.range(1, 40)
+            };
+            let op = if model.placed.is_empty() {
+                0
+            } else {
+                rng.below(4)
+            };
+            let victim = rng.below(model.placed.len().max(1) as u64) as usize;
+            let placed = match op {
+                0 => {
+                    let file = rng.below(8) as u32;
+                    let fpage = rng.below(1000);
+                    let d = map
+                        .map(&mut ctx, None, size, file, fpage, Prot::RW)
+                        .unwrap();
+                    Some((d, file, fpage))
+                }
+                1 | 2 => {
+                    // Whole-mapping or partial munmap.
+                    let p = &model.placed[victim];
+                    let (off, len) = if op == 1 {
+                        (0, p.pages)
+                    } else {
+                        let off = rng.below(p.pages);
+                        (off, rng.range(1, p.pages - off))
+                    };
+                    let s = p.start + off;
+                    let removed = map.unmap(&mut ctx, Vpn(s), len);
+                    assert_eq!(removed.len(), model.unmap(s, len));
+                    None
+                }
+                _ => {
+                    // mremap from the mapping's first still-mapped page.
+                    let p = &model.placed[victim];
+                    let old = *p.live.first().unwrap();
+                    let old_pages = rng.range(1, p.start + p.pages - old);
+                    let (file, fpage) = (p.file, p.fpage + old - p.start);
+                    let d = map.remap(&mut ctx, Vpn(old), old_pages, size).unwrap();
+                    model.unmap(old, old_pages);
+                    Some((d, file, fpage))
+                }
+            };
+            if let Some((d, file, fpage)) = placed {
+                assert_eq!(d.start.0, model.first_fit(BASE, d.pages), "not first fit");
+                assert_eq!((d.file, d.file_page), (file, fpage), "file window");
+                if d.pages >= 512 {
+                    assert_eq!(d.start.0 % 512, 0, "large mapping not 2 MiB-aligned");
+                }
+                model.place(d.start.0, d.pages, file, fpage);
+            }
+            let live: usize = model.placed.iter().map(|p| p.live.len()).sum();
+            assert_eq!(map.mapped_pages() as usize, live);
+            assert_eq!(map.desc_count(), model.placed.len());
+        }
+        for p in &model.placed {
+            for &v in p.live.iter().step_by(7) {
+                let (d, _) = map.lookup(&mut ctx, Vpn(v)).expect("live page resolves");
+                assert_eq!(d.start.0, p.start, "vpn {v}");
+                assert_eq!(d.file, p.file, "vpn {v}");
+                assert_eq!(d.file_page_of(Vpn(v)), p.fpage + v - p.start, "vpn {v}");
+            }
+        }
+        for p in std::mem::take(&mut model.placed) {
+            map.unmap(&mut ctx, Vpn(p.start), p.pages);
+        }
+        assert_eq!(map.mapped_pages(), 0);
+        assert_eq!(map.desc_count(), 0);
+        let d = map.map(&mut ctx, None, 2000, 0, 0, Prot::RW).unwrap();
+        assert_eq!(d.start.0, BASE, "fully unmapped space is one free range");
+    }
+}
+
+/// The fault-remap pattern: slices of one size churned by random
+/// munmap+mmap and same-size mremap keep the VA high-water mark within
+/// the peak number of live slices times one slice's pages plus guard gap
+/// (rounded up to 2 MiB for slices of 512 pages or more), no matter how
+/// many remaps run.
+#[test]
+fn region_map_va_high_water_stays_at_peak_live() {
+    const BASE: u64 = 0x1000;
+    let mut rng = Rng64::new(0xA11C);
+    for case in 0..CASES {
+        let pages = if case % 2 == 0 {
+            rng.range(1, 300)
+        } else {
+            rng.range(512, 1100)
+        };
+        let footprint = if pages >= 512 {
+            (pages + GUARD_PAGES).next_multiple_of(512)
+        } else {
+            pages + GUARD_PAGES
+        };
+        let max_live = rng.range(1, 12) as usize;
+        let map = RegionMap::new(BASE);
+        let mut ctx = FreeCtx::new(1);
+        let mut live: Vec<u64> = Vec::new();
+        let (mut peak, mut high_water) = (0usize, BASE);
+        for _ in 0..400 {
+            // Retire a random live slice (munmap, munmap + mmap, or a
+            // same-size mremap) or map a new one, up to `max_live` live.
+            if !live.is_empty() && (live.len() == max_live || rng.chance(0.6)) {
+                let old = live.swap_remove(rng.below(live.len() as u64) as usize);
+                match rng.below(3) {
+                    0 => {
+                        map.unmap(&mut ctx, Vpn(old), pages);
+                    }
+                    1 => {
+                        let d = map.remap(&mut ctx, Vpn(old), pages, pages).unwrap();
+                        live.push(d.start.0);
+                    }
+                    _ => {
+                        map.unmap(&mut ctx, Vpn(old), pages);
+                        let d = map.map(&mut ctx, None, pages, 0, 0, Prot::READ).unwrap();
+                        live.push(d.start.0);
+                    }
+                }
+            } else {
+                let d = map.map(&mut ctx, None, pages, 0, 0, Prot::READ).unwrap();
+                live.push(d.start.0);
+            }
+            if let Some(&top) = live.iter().max() {
+                high_water = high_water.max(top + pages + GUARD_PAGES);
+            }
+            peak = peak.max(live.len());
+            assert_eq!(map.mapped_pages(), live.len() as u64 * pages);
+        }
+        assert!(
+            high_water - BASE <= peak as u64 * footprint,
+            "case {case}: high water {} pages above base for peak {peak} x {footprint}",
+            high_water - BASE
+        );
+    }
+}
+
+/// Turning on the rest of the scaled fault path — a sharded page table
+/// and freelist steal batching — does not change what the engine
+/// computes: the same random fault-heavy workload takes exactly the same
+/// faults (minor and major), evicts the same number of pages, and reads
+/// back the same values as the shared page table and steal-one freelist.
 #[test]
 fn spill_free_fault_counts_match_tree_path() {
     use aquila::{Advice, AquilaRuntime, DeviceKind, MmioPolicy, Prot};
@@ -338,7 +493,6 @@ fn spill_free_fault_counts_match_tree_path() {
         let scaled = run(
             seed,
             MmioPolicy {
-                spill_regions: true,
                 pt_shards: 4,
                 freelist_steal_batch: 8,
                 ..MmioPolicy::default()
@@ -351,7 +505,6 @@ fn spill_free_fault_counts_match_tree_path() {
         let degenerate = run(
             seed,
             MmioPolicy {
-                spill_regions: true,
                 pt_shards: 1,
                 freelist_steal_batch: 0,
                 ..MmioPolicy::default()
