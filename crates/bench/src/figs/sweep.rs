@@ -28,7 +28,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::micro::{micro_aquila_policy, micro_linux, prepare_micro, run_micro};
+use crate::micro::{micro_aquila, micro_linux, prepare_micro, run_micro};
 use crate::report::{banner, JsonReport};
 use crate::{BenchArgs, Dev, Runner};
 use aquila::{Advice, AquilaRuntime, DeviceKind, MmioPolicy, Prot, WritePolicy};
@@ -580,23 +580,10 @@ fn run_scale_cell(mmio: bool, cores: usize) -> ScaleCell {
     let cache = SCALE_PAGES as usize * 2 + 512;
     let debts = Arc::new(CoreDebts::new(cores));
     let micro = if mmio {
-        // The scaled fault path: per-vcore page-table shards and
-        // batched freelist work-stealing on top of the spill-free
-        // region map every mmio fault resolves through.
-        let policy = MmioPolicy {
-            pt_shards: cores.max(2),
-            freelist_steal_batch: 8,
-            ..MmioPolicy::default()
-        };
-        micro_aquila_policy(
-            DeviceKind::PmemDax,
-            cores,
-            cache,
-            1,
-            SCALE_PAGES,
-            debts,
-            policy,
-        )
+        // The default engine is the scaled fault path: the spill-free
+        // region map, one page-table shard per vcore and batched
+        // freelist work-stealing.
+        micro_aquila(DeviceKind::PmemDax, cores, cache, 1, SCALE_PAGES, debts)
     } else {
         micro_linux(false, Dev::Pmem, cores, cache, 1, SCALE_PAGES, debts)
     };
@@ -614,16 +601,6 @@ fn run_scale_cell(mmio: bool, cores: usize) -> ScaleCell {
         },
         makespan_ms: r.elapsed.as_secs_f64() * 1e3,
     }
-}
-
-/// Shared-lock acquisitions the fault fast path is forbidden to take
-/// with the scaled policy on: legacy shared page-table acquisitions
-/// (region resolution takes no lock to count). Zero when the metrics
-/// registry is absent.
-fn shared_lock_count() -> u64 {
-    aquila_sim::metrics::global()
-        .and_then(|reg| reg.snapshot().get("mmu.pt.shared_lock"))
-        .unwrap_or(0)
 }
 
 fn part_scale(args: &BenchArgs, json: &mut JsonReport) {
@@ -644,7 +621,6 @@ fn part_scale(args: &BenchArgs, json: &mut JsonReport) {
         .filter(|&c| only.is_none_or(|o| o == c))
         .collect();
     assert!(!swept.is_empty(), "--cores must name a swept vcore count");
-    let shared_before = shared_lock_count();
     println!(
         "{:<10} {:>6} {:>10} {:>14} {:>14}",
         "engine", "vcores", "faults", "kfaults/s", "makespan(ms)"
@@ -663,11 +639,6 @@ fn part_scale(args: &BenchArgs, json: &mut JsonReport) {
             cells.push((label, c));
         }
     }
-    // The scaled fault fast path must never touch the legacy shared
-    // page table's lock.
-    let shared_locks = shared_lock_count() - shared_before;
-    json.add_scalar("scale/fastpath/shared_locks", shared_locks as f64);
-    println!("  -> fault-fast-path shared-lock acquisitions: {shared_locks}");
     let kops = |eng: &str, n: usize| {
         cells
             .iter()

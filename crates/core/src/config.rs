@@ -64,12 +64,6 @@ pub struct MmioPolicy {
     /// (media errors, timeouts, controller resets), per command, on
     /// blocking I/O and queue-pair submission alike.
     pub retry: RetryPolicy,
-    /// How long the freelist may sit *continuously* below the low
-    /// watermark before the engine concludes the write-behind evictor
-    /// cannot keep up and degrades the region to synchronous
-    /// write-through (DESIGN.md §11). Only meaningful under
-    /// [`WritePolicy::Async`]; [`Cycles::MAX`] disables the deadline.
-    pub stall_deadline: Cycles,
     /// Enables transparent 2 MiB huge-page promotion (DESIGN.md §12):
     /// 2 MiB-aligned runs of resident file pages collapse into a single
     /// PD-level PTE backed by a physically contiguous slab run.
@@ -78,10 +72,6 @@ pub struct MmioPolicy {
     /// promotion triggers; the remainder is filled eagerly from the
     /// device during collapse. Clamped to `1..=512` at engine boot.
     pub promote_threshold: usize,
-    /// Upper bound on promoted cache share, in percent of
-    /// `max_cache_frames` (sizes the slab pool: promotion stops when all
-    /// slab runs are in use). Clamped to `1..=100` at engine boot.
-    pub max_promoted_share: usize,
     /// Enables multi-tenant QoS (DESIGN.md §15): per-tenant freelist
     /// quotas (an over-quota tenant reclaims its own frames before
     /// consuming the shared freelist), tenant-fair evictor rounds
@@ -91,34 +81,17 @@ pub struct MmioPolicy {
     /// or degraded). Off by default: single-tenant runs are bit-for-bit
     /// unchanged.
     pub tenant_qos: bool,
-    /// Base admission-delay unit under [`MmioPolicy::tenant_qos`]. A
-    /// noisy tenant's fault is delayed by this amount scaled by how deep
-    /// the freelist sits below the low watermark; sheds kick in when the
-    /// deficit exceeds half the low watermark or the region is degraded.
-    pub qos_delay: Cycles,
     /// Mirrors the NVMe backend 2-for-1 with per-sector checksums and
-    /// read-repair (DESIGN.md §16). Only meaningful for
+    /// read-repair (DESIGN.md §16); every read through the mirror
+    /// verifies its sector checksums. Only meaningful for
     /// `DeviceKind::NvmeSpdk`. Writeback batches go through one deep
-    /// queue pair per copy, so both devices serve them concurrently. Off by default: single-device runs are bit-for-bit
-    /// unchanged.
+    /// queue pair per copy, so both devices serve them concurrently. Off
+    /// by default: single-device runs are bit-for-bit unchanged.
     pub mirror: bool,
-    /// Verify per-sector checksums on every read through the mirror
-    /// (on by default; disabling it is the ablation that lets silent
-    /// corruption through undetected). No effect without
-    /// [`MmioPolicy::mirror`].
-    pub checksums: bool,
     /// Virtual-time pause between background-scrubber pages;
     /// [`Cycles::ZERO`] disables the scrubber. Only meaningful with
     /// [`MmioPolicy::mirror`].
     pub scrub_rate: Cycles,
-    /// Number of page-table shards with per-vcore ownership (keyed by
-    /// 2 MiB block, so huge runs keep one owner). 0 keeps the legacy
-    /// single shared table, byte-identical to the pre-sharding engine.
-    pub pt_shards: usize,
-    /// Extra frames a sibling freelist steal migrates to the stealing
-    /// core (work-stealing rebalance, DESIGN.md §17). 0 keeps the legacy
-    /// steal-one behavior.
-    pub freelist_steal_batch: usize,
 }
 
 impl Default for MmioPolicy {
@@ -131,17 +104,11 @@ impl Default for MmioPolicy {
             write_policy: WritePolicy::Sync,
             queue_depth: 8,
             retry: RetryPolicy::default(),
-            stall_deadline: Cycles::from_millis(10),
             huge_pages: false,
             promote_threshold: 512,
-            max_promoted_share: 50,
             tenant_qos: false,
-            qos_delay: Cycles::from_micros(2),
             mirror: false,
-            checksums: true,
             scrub_rate: Cycles::ZERO,
-            pt_shards: 0,
-            freelist_steal_batch: 0,
         }
     }
 }
@@ -263,13 +230,6 @@ impl AquilaConfigBuilder {
         self
     }
 
-    /// Continuous-watermark-stall budget before write-behind degrades to
-    /// write-through ([`Cycles::MAX`] disables).
-    pub fn stall_deadline(mut self, deadline: Cycles) -> Self {
-        self.cfg.policy.stall_deadline = deadline;
-        self
-    }
-
     /// Enables transparent 2 MiB huge-page promotion (default off).
     pub fn huge_pages(mut self, on: bool) -> Self {
         self.cfg.policy.huge_pages = on;
@@ -282,24 +242,10 @@ impl AquilaConfigBuilder {
         self
     }
 
-    /// Maximum promoted share of the cache, in percent (sizes the slab
-    /// pool).
-    pub fn max_promoted_share(mut self, percent: usize) -> Self {
-        self.cfg.policy.max_promoted_share = percent;
-        self
-    }
-
     /// Enables multi-tenant QoS: quotas, fair eviction, admission
     /// control (default off).
     pub fn tenant_qos(mut self, on: bool) -> Self {
         self.cfg.policy.tenant_qos = on;
-        self
-    }
-
-    /// Base admission-delay unit applied to over-quota tenants under
-    /// pressure (default 2 µs).
-    pub fn qos_delay(mut self, delay: Cycles) -> Self {
-        self.cfg.policy.qos_delay = delay;
         self
     }
 
@@ -310,30 +256,10 @@ impl AquilaConfigBuilder {
         self
     }
 
-    /// Per-sector checksum verification on mirrored reads (default on).
-    pub fn checksums(mut self, on: bool) -> Self {
-        self.cfg.policy.checksums = on;
-        self
-    }
-
     /// Virtual-time pause between scrubbed pages; [`Cycles::ZERO`]
     /// (default) disables the background scrubber.
     pub fn scrub_rate(mut self, rate: Cycles) -> Self {
         self.cfg.policy.scrub_rate = rate;
-        self
-    }
-
-    /// Page-table shards with per-vcore ownership; 0 (default) keeps the
-    /// legacy single shared table.
-    pub fn pt_shards(mut self, shards: usize) -> Self {
-        self.cfg.policy.pt_shards = shards;
-        self
-    }
-
-    /// Extra frames migrated per sibling freelist steal (default 0:
-    /// steal exactly one).
-    pub fn freelist_steal_batch(mut self, batch: usize) -> Self {
-        self.cfg.policy.freelist_steal_batch = batch;
         self
     }
 
@@ -402,19 +328,16 @@ mod tests {
     }
 
     #[test]
-    fn retry_and_stall_knobs_flow_through() {
+    fn retry_knob_flows_through() {
         let cfg = AquilaConfig::builder(2, 256)
             .retry(RetryPolicy {
                 max_attempts: 7,
                 ..RetryPolicy::default()
             })
-            .stall_deadline(Cycles::from_micros(50))
             .build();
         assert_eq!(cfg.policy.retry.max_attempts, 7);
-        assert_eq!(cfg.policy.stall_deadline, Cycles::from_micros(50));
         let d = MmioPolicy::default();
         assert_eq!(d.retry.max_attempts, RetryPolicy::default().max_attempts);
-        assert!(d.stall_deadline > Cycles::ZERO);
     }
 
     #[test]
@@ -422,30 +345,24 @@ mod tests {
         let d = MmioPolicy::default();
         assert!(!d.huge_pages);
         assert_eq!(d.promote_threshold, 512);
-        assert_eq!(d.max_promoted_share, 50);
         let cfg = AquilaConfig::builder(2, 4096)
             .huge_pages(true)
             .promote_threshold(384)
-            .max_promoted_share(25)
             .build();
         assert!(cfg.policy.huge_pages);
         assert_eq!(cfg.policy.promote_threshold, 384);
-        assert_eq!(cfg.policy.max_promoted_share, 25);
     }
 
     #[test]
     fn integrity_knobs_default_off_and_flow_through() {
         let d = MmioPolicy::default();
         assert!(!d.mirror, "mirroring must be opt-in");
-        assert!(d.checksums, "verification defaults on once mirrored");
         assert_eq!(d.scrub_rate, Cycles::ZERO, "scrubber off by default");
         let cfg = AquilaConfig::builder(2, 1024)
             .mirror(true)
-            .checksums(false)
             .scrub_rate(Cycles::from_micros(50))
             .build();
         assert!(cfg.policy.mirror);
-        assert!(!cfg.policy.checksums);
         assert_eq!(cfg.policy.scrub_rate, Cycles::from_micros(50));
     }
 
@@ -461,28 +378,10 @@ mod tests {
     }
 
     #[test]
-    fn scale_knobs_default_off_and_flow_through() {
-        let d = MmioPolicy::default();
-        assert_eq!(d.pt_shards, 0, "legacy shared page table by default");
-        assert_eq!(d.freelist_steal_batch, 0, "legacy steal-one by default");
-        let cfg = AquilaConfig::builder(16, 4096)
-            .pt_shards(16)
-            .freelist_steal_batch(8)
-            .build();
-        assert_eq!(cfg.policy.pt_shards, 16);
-        assert_eq!(cfg.policy.freelist_steal_batch, 8);
-    }
-
-    #[test]
     fn qos_knobs_default_off_and_flow_through() {
         let d = MmioPolicy::default();
         assert!(!d.tenant_qos, "QoS must be opt-in");
-        assert_eq!(d.qos_delay, Cycles::from_micros(2));
-        let cfg = AquilaConfig::builder(2, 1024)
-            .tenant_qos(true)
-            .qos_delay(Cycles::from_micros(5))
-            .build();
+        let cfg = AquilaConfig::builder(2, 1024).tenant_qos(true).build();
         assert!(cfg.policy.tenant_qos);
-        assert_eq!(cfg.policy.qos_delay, Cycles::from_micros(5));
     }
 }

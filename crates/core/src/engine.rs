@@ -57,6 +57,22 @@ pub use aquila_vma::{Advice, Prot};
 /// its staging buffers stay under 8 MiB however much a sync drains.
 const STAGE_PAGES: usize = 2048;
 
+/// How long the freelist may sit *continuously* below the low watermark
+/// under [`WritePolicy::Async`] before the engine concludes the
+/// write-behind evictor cannot keep up and degrades the region to
+/// synchronous write-through (DESIGN.md §11).
+pub(crate) const STALL_DEADLINE: Cycles = Cycles::from_millis(10);
+
+/// Upper bound on the promoted cache share, in percent of
+/// `max_cache_frames`: it sizes the slab pool, and promotion stops when
+/// every slab run is in use.
+const MAX_PROMOTED_SHARE: usize = 50;
+
+/// Base admission-delay unit under [`MmioPolicy::tenant_qos`]: a noisy
+/// tenant's fault is delayed by this amount scaled by how deep the
+/// freelist sits below the low watermark.
+const QOS_DELAY: Cycles = Cycles::from_micros(2);
+
 /// A staged writeback segment: access path, first device page, payload.
 type Segment = (Arc<dyn StorageAccess>, u64, Vec<u8>);
 
@@ -100,7 +116,7 @@ pub enum Admission {
     /// Proceed immediately.
     Admit,
     /// Proceed after charging the given deterministic throttle delay
-    /// (scaled from [`MmioPolicy::qos_delay`] by watermark deficit).
+    /// (scaled from `QOS_DELAY` by watermark deficit).
     Delay(Cycles),
     /// Refuse with [`AquilaError::QosShed`]: deep watermark deficit or
     /// a degraded region, and the tenant is over quota.
@@ -172,21 +188,17 @@ impl Aquila {
             .policy
             .promote_threshold
             .clamp(1, HUGE_PAGE_PAGES as usize);
-        cfg.policy.max_promoted_share = cfg.policy.max_promoted_share.clamp(1, 100);
         let mut ccfg = CacheConfig::flat(cfg.max_cache_frames, cfg.cores);
         ccfg.initial_frames = cfg.cache_frames;
         ccfg.evict_batch = cfg.policy.evict_batch;
         ccfg.low_watermark = cfg.policy.low_watermark;
         ccfg.high_watermark = cfg.policy.high_watermark;
         ccfg.topology = cfg.topology;
-        ccfg.freelist.steal_batch = cfg.policy.freelist_steal_batch;
         // The slab sizes the promoted share: each run holds 512 frames
         // *in addition to* the ordinary cache, so a full slab means
-        // `max_promoted_share` percent of the cache is huge-mapped.
+        // `MAX_PROMOTED_SHARE` percent of the cache is huge-mapped.
         ccfg.slab_runs = if cfg.policy.huge_pages {
-            ((cfg.max_cache_frames * cfg.policy.max_promoted_share / 100)
-                / HUGE_PAGE_PAGES as usize)
-                .max(1)
+            ((cfg.max_cache_frames * MAX_PROMOTED_SHARE / 100) / HUGE_PAGE_PAGES as usize).max(1)
         } else {
             0
         };
@@ -221,7 +233,9 @@ impl Aquila {
         let aquila = Aquila {
             files: Files::new(),
             vmas: RegionMap::new(0x10_0000),
-            page_table: ShardedPageTable::new(cfg.policy.pt_shards),
+            // One shard per vcore (at least two), keyed by 2 MiB block
+            // (DESIGN.md §17.2).
+            page_table: ShardedPageTable::new(cfg.cores.max(2)),
             tlbs: TlbFabric::new(cfg.cores),
             vcpus: (0..cfg.cores).map(|_| Mutex::new(Vcpu::new())).collect(),
             rmap: (0..cfg.max_cache_frames + slab_frames)
@@ -315,7 +329,7 @@ impl Aquila {
     }
 
     /// Samples the freelist against the low watermark: a *continuous*
-    /// stretch below it longer than [`MmioPolicy::stall_deadline`] means
+    /// stretch below it longer than `STALL_DEADLINE` (10 ms) means
     /// the write-behind evictor cannot keep up, and the region degrades
     /// to synchronous write-through. Called from the evictor tick and
     /// the direct-reclaim fallback; any alloc recovery above the
@@ -324,7 +338,6 @@ impl Aquila {
         if self.cfg.policy.write_policy != WritePolicy::Async {
             return;
         }
-        let deadline = self.cfg.policy.stall_deadline;
         let stalled = self.cache.watermark_deficit() > 0;
         let mut d = self.degrade.lock();
         if !stalled {
@@ -334,9 +347,7 @@ impl Aquila {
         match d.stall_since {
             None => d.stall_since = Some(ctx.now()),
             Some(t0) => {
-                if deadline != Cycles::MAX
-                    && ctx.now().saturating_sub(t0) > deadline
-                    && d.state == RegionState::Healthy
+                if ctx.now().saturating_sub(t0) > STALL_DEADLINE && d.state == RegionState::Healthy
                 {
                     drop(d);
                     self.transition(ctx, RegionState::WriteThrough);
@@ -384,7 +395,7 @@ impl Aquila {
         }
         // Mild pressure: deterministic backoff growing linearly with how
         // deep the freelist sits below the watermark.
-        let unit = self.cfg.policy.qos_delay.0.max(1);
+        let unit = QOS_DELAY.0;
         let scaled = unit + unit.saturating_mul(4 * deficit as u64) / low as u64;
         Admission::Delay(Cycles(scaled))
     }
@@ -509,16 +520,8 @@ impl Aquila {
         // A 4 KiB unmap inside a promoted run must splinter it first;
         // `PageTable::unmap` cannot carve pages out of a 2 MiB leaf.
         self.demote_range(ctx, addr.vpn(), pages);
-        let mut flushed = Vec::new();
-        for (vpn, _) in &removed {
-            let unmapped = self.page_table.with(ctx, *vpn, |pt| pt.unmap(vpn.base()));
-            if let Some(pte) = unmapped {
-                self.rmap_remove(pte_frame(&self.cache, pte.gpa), *vpn);
-                flushed.push(*vpn);
-            }
-        }
-        self.tlbs
-            .shootdown_batch(ctx, &self.debts, self.cfg.ipi_path, &flushed);
+        let vpns: Vec<Vpn> = removed.iter().map(|&(vpn, _)| vpn).collect();
+        self.zap(ctx, &vpns);
         Ok(())
     }
 
@@ -533,17 +536,7 @@ impl Aquila {
         ctx.counters().syscalls += 1;
         self.demote_range(ctx, addr.vpn(), old_pages);
         // Tear down PTEs of the old range first.
-        let mut flushed = Vec::new();
-        for i in 0..old_pages {
-            let vpn = Vpn(addr.vpn().0 + i);
-            let unmapped = self.page_table.with(ctx, vpn, |pt| pt.unmap(vpn.base()));
-            if let Some(pte) = unmapped {
-                self.rmap_remove(pte_frame(&self.cache, pte.gpa), vpn);
-                flushed.push(vpn);
-            }
-        }
-        self.tlbs
-            .shootdown_batch(ctx, &self.debts, self.cfg.ipi_path, &flushed);
+        self.zap(ctx, &vpn_range(addr.vpn(), old_pages));
         let desc = self
             .vmas
             .remap(ctx, addr.vpn(), old_pages, new_pages)
@@ -570,18 +563,7 @@ impl Aquila {
         desc.set_advice(advice);
         if advice == Advice::DontNeed {
             self.demote_range(ctx, addr.vpn(), pages);
-            // Drop the PTEs; cached data stays cached (shared mapping).
-            let mut flushed = Vec::new();
-            for i in 0..pages {
-                let vpn = Vpn(addr.vpn().0 + i);
-                let unmapped = self.page_table.with(ctx, vpn, |pt| pt.unmap(vpn.base()));
-                if let Some(pte) = unmapped {
-                    self.rmap_remove(pte_frame(&self.cache, pte.gpa), vpn);
-                    flushed.push(vpn);
-                }
-            }
-            self.tlbs
-                .shootdown_batch(ctx, &self.debts, self.cfg.ipi_path, &flushed);
+            self.zap(ctx, &vpn_range(addr.vpn(), pages));
         }
         Ok(())
     }
@@ -603,24 +585,7 @@ impl Aquila {
             // Write-protecting part of a promoted run splinters it:
             // per-page protection needs per-page leaves.
             self.demote_range(ctx, addr.vpn(), pages);
-            // Downgrade live PTEs and shoot down stale writable entries.
-            let mut flushed = Vec::new();
-            for i in 0..pages {
-                let vpn = Vpn(addr.vpn().0 + i);
-                let present = self.page_table.with(ctx, vpn, |pt| {
-                    if pt.lookup(vpn.base()).is_some() {
-                        pt.protect(vpn.base(), PteFlags::RO);
-                        true
-                    } else {
-                        false
-                    }
-                });
-                if present {
-                    flushed.push(vpn);
-                }
-            }
-            self.tlbs
-                .shootdown_batch(ctx, &self.debts, self.cfg.ipi_path, &flushed);
+            self.write_protect(ctx, &vpn_range(addr.vpn(), pages));
         }
         Ok(())
     }
@@ -668,24 +633,44 @@ impl Aquila {
             .drain_dirty_range(ctx, desc.file, start_fp, start_fp + pages);
         self.persist_drained(ctx, &dirty)?;
         // Downgrade all written-back pages to read-only.
+        let vpns: Vec<Vpn> = dirty
+            .iter()
+            .map(|d| Vpn(desc.start.0 + (d.key.page - desc.file_page)))
+            .collect();
+        self.write_protect(ctx, &vpns);
+        Ok(())
+    }
+
+    /// Drops the PTEs of `vpns` and shoots down the live ones; cached
+    /// data stays cached (shared mapping).
+    fn zap(&self, ctx: &mut dyn SimCtx, vpns: &[Vpn]) {
+        let unmapped = self
+            .page_table
+            .with_each(ctx, vpns, |pt, i| pt.unmap(vpns[i].base()));
         let mut flushed = Vec::new();
-        for d in &dirty {
-            let vpn = Vpn(desc.start.0 + (d.key.page - desc.file_page));
-            let present = self.page_table.with(ctx, vpn, |pt| {
-                if pt.lookup(vpn.base()).is_some() {
-                    pt.protect(vpn.base(), PteFlags::RO);
-                    true
-                } else {
-                    false
-                }
-            });
-            if present {
+        for (&vpn, pte) in vpns.iter().zip(unmapped) {
+            if let Some(pte) = pte {
+                self.rmap_remove(pte_frame(&self.cache, pte.gpa), vpn);
                 flushed.push(vpn);
             }
         }
         self.tlbs
             .shootdown_batch(ctx, &self.debts, self.cfg.ipi_path, &flushed);
-        Ok(())
+    }
+
+    /// Downgrades the live PTEs of `vpns` to read-only and shoots down
+    /// their stale writable entries.
+    fn write_protect(&self, ctx: &mut dyn SimCtx, vpns: &[Vpn]) {
+        let present = self.page_table.with_each(ctx, vpns, |pt, i| {
+            pt.protect(vpns[i].base(), PteFlags::RO).is_some()
+        });
+        let flushed: Vec<Vpn> = vpns
+            .iter()
+            .zip(present)
+            .filter_map(|(&vpn, p)| p.then_some(vpn))
+            .collect();
+        self.tlbs
+            .shootdown_batch(ctx, &self.debts, self.cfg.ipi_path, &flushed);
     }
 
     // ---------------------------------------------------------------
@@ -1056,16 +1041,13 @@ impl Aquila {
     /// Unmaps a detached victim batch (one batched shootdown), writes the
     /// dirty ones back, and recycles every frame to the freelist.
     fn retire_victims(&self, ctx: &mut dyn SimCtx, victims: &[Victim]) -> Result<(), AquilaError> {
-        let mut flushed = Vec::new();
-        for v in victims {
-            let vpns = std::mem::take(&mut *self.rmap[v.frame.0 as usize].lock());
-            for vpn in vpns {
-                self.page_table.with(ctx, vpn, |pt| {
-                    pt.unmap(vpn.base());
-                });
-                flushed.push(vpn);
-            }
-        }
+        let flushed: Vec<Vpn> = victims
+            .iter()
+            .flat_map(|v| std::mem::take(&mut *self.rmap[v.frame.0 as usize].lock()))
+            .collect();
+        self.page_table.with_each(ctx, &flushed, |pt, i| {
+            pt.unmap(flushed[i].base());
+        });
         self.tlbs
             .shootdown_batch(ctx, &self.debts, self.cfg.ipi_path, &flushed);
         let mut dirty: Vec<DirtyPage> = victims
@@ -1570,18 +1552,28 @@ impl Aquila {
         let mut fl = if dirty { PteFlags::RW } else { PteFlags::RO };
         fl.dirty = dirty;
         let gpa = self.cache.slab_run_gpa(run);
-        let mut flushed: Vec<Vpn> = Vec::new();
-        for (_, vpns) in &displaced {
-            for vpn in vpns {
-                let unmapped = self.page_table.with(ctx, *vpn, |pt| pt.unmap(vpn.base()));
-                if unmapped.is_some() {
-                    flushed.push(*vpn);
-                }
+        // Teardown and leaf install take each shard lock once, as a
+        // collapse holds the PMD lock across both; the leaf goes last so
+        // it never covers a PTE still to be torn down.
+        let mut vpns: Vec<Vpn> = displaced
+            .iter()
+            .flat_map(|(_, v)| v.iter().copied())
+            .collect();
+        let leaf = vpns.len();
+        vpns.push(hbase);
+        let unmapped = self.page_table.with_each(ctx, &vpns, |pt, i| {
+            if i == leaf {
+                pt.map_huge(hbase.base(), gpa, fl);
+                None
+            } else {
+                pt.unmap(vpns[i].base())
             }
-        }
-        self.page_table.with(ctx, hbase, |pt| {
-            pt.map_huge(hbase.base(), gpa, fl);
         });
+        let flushed: Vec<Vpn> = vpns
+            .iter()
+            .zip(unmapped)
+            .filter_map(|(&vpn, pte)| pte.map(|_| vpn))
+            .collect();
         self.tlbs
             .shootdown_batch(ctx, &self.debts, self.cfg.ipi_path, &flushed);
         for (old, _) in &displaced {
@@ -1845,4 +1837,9 @@ impl core::fmt::Debug for Aquila {
 /// Maps a PTE's GPA back to the cache frame holding it.
 fn pte_frame(cache: &DramCache, gpa: Gpa) -> Option<FrameId> {
     cache.mem().frame_of(gpa)
+}
+
+/// The `pages` consecutive pages starting at `start`.
+fn vpn_range(start: Vpn, pages: u64) -> Vec<Vpn> {
+    (start.0..start.0 + pages).map(Vpn).collect()
 }

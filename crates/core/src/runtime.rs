@@ -100,7 +100,7 @@ impl AquilaRuntime {
                 Self::nvme_device(device_pages),
                 Arc::new(NvmeDevice::optane(device_pages)),
                 policy.retry,
-                policy.checksums,
+                true,
             )),
             DeviceKind::NvmeSpdk => Arc::new(SpdkAccess::with_retry(
                 Self::nvme_device(device_pages),

@@ -100,6 +100,30 @@ fn minor_fault_after_munmap_keeps_cache() {
     assert!(ctx.stats.minor_faults > 0);
 }
 
+/// A range operation takes each page-table shard's lock once, so one
+/// core tearing down 1024 pages never queues behind its own holds. The
+/// only wait left is the tail of the core's own last PTE install (holds
+/// are not charged, so its clock may still sit inside that hold).
+#[test]
+fn range_op_takes_no_self_lock_wait() {
+    let (mut ctx, rt) = runtime(DeviceKind::PmemDax, 2048);
+    let f = rt.open("/data/range", 1024).unwrap();
+    let addr = rt.aquila.mmap(&mut ctx, f, 0, 1024, Prot::RW).unwrap();
+    rt.aquila.munmap(&mut ctx, addr, 1024).unwrap();
+    assert_eq!(ctx.breakdown.get(CostCat::LockWait), Cycles::ZERO);
+
+    let addr = rt.aquila.mmap(&mut ctx, f, 0, 1024, Prot::RW).unwrap();
+    let mut b = [0u8; 1];
+    for page in 0..1024 {
+        rt.aquila
+            .read(&mut ctx, addr.add(page * 4096), &mut b)
+            .unwrap();
+    }
+    assert_eq!(ctx.breakdown.get(CostCat::LockWait), Cycles::ZERO);
+    rt.aquila.munmap(&mut ctx, addr, 1024).unwrap();
+    assert!(ctx.breakdown.get(CostCat::LockWait) < ctx.cost().lock_uncontended);
+}
+
 #[test]
 fn descriptor_slots_and_va_recycle_across_100k_mmaps() {
     // More mmap/munmap cycles than the region map has descriptor slots:
@@ -614,7 +638,7 @@ fn breaker_trip_degrades_region_to_read_only() {
 #[test]
 fn watermark_stall_degrades_async_to_write_through() {
     use crate::config::{MmioPolicy, WritePolicy};
-    use crate::engine::RegionState;
+    use crate::engine::{RegionState, STALL_DEADLINE};
 
     let mut ctx = FreeCtx::new(12);
     let debts = Arc::new(CoreDebts::new(1));
@@ -622,7 +646,6 @@ fn watermark_stall_degrades_async_to_write_through() {
         write_policy: WritePolicy::Async,
         low_watermark: 16,
         high_watermark: 32,
-        stall_deadline: Cycles::from_micros(100),
         ..MmioPolicy::default()
     };
     let rt = AquilaRuntime::build_with_policy(
@@ -642,7 +665,10 @@ fn watermark_stall_degrades_async_to_write_through() {
     }
     rt.aquila.track_watermark_stall(&ctx); // Starts the stall clock.
     assert_eq!(rt.aquila.region_state(), RegionState::Healthy);
-    ctx.charge(CostCat::Idle, Cycles::from_micros(200));
+    ctx.charge(CostCat::Idle, Cycles::from_micros(9_000));
+    rt.aquila.track_watermark_stall(&ctx); // Still inside the deadline.
+    assert_eq!(rt.aquila.region_state(), RegionState::Healthy);
+    ctx.charge(CostCat::Idle, STALL_DEADLINE);
     rt.aquila.track_watermark_stall(&ctx); // Past the deadline.
     assert_eq!(rt.aquila.region_state(), RegionState::WriteThrough);
     // Recovery of the freelist does not un-degrade (sticky for the run).

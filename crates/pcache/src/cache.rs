@@ -77,7 +77,7 @@ impl CacheConfig {
             freelist: FreelistConfig {
                 core_spill_threshold: spill,
                 level_batch: (spill / 2).max(16),
-                steal_batch: 0,
+                ..FreelistConfig::default()
             },
             gpa_base: 0x1_0000_0000,
             slab_runs: 0,
@@ -1227,7 +1227,6 @@ mod tests {
     fn steal_under_quota_pressure_composes_with_tenant_accounting() {
         let mut cfg = CacheConfig::flat(16, 2);
         cfg.evict_batch = 4;
-        cfg.freelist.steal_batch = 8;
         let cache = DramCache::new(cfg);
         cache.bind_file_tenant(1, 1);
         cache.bind_file_tenant(2, 2);

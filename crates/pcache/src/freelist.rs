@@ -57,8 +57,9 @@ pub struct FreelistConfig {
     /// Batch size for movement between levels (paper: 4096).
     pub level_batch: usize,
     /// Extra frames a sibling steal migrates into the stealing core's
-    /// queue (work-stealing rebalance). 0 keeps the legacy behavior of
-    /// stealing exactly the one frame being allocated.
+    /// queue (work-stealing rebalance; default 8). 0 steals exactly the
+    /// one frame being allocated, the reference the alloc-sequence tests
+    /// compare batching against.
     pub steal_batch: usize,
 }
 
@@ -67,7 +68,7 @@ impl Default for FreelistConfig {
         FreelistConfig {
             core_spill_threshold: 8192,
             level_batch: 4096,
-            steal_batch: 0,
+            steal_batch: 8,
         }
     }
 }
@@ -409,8 +410,8 @@ mod tests {
     }
 
     /// Steal batching is pure prefetch: the *sequence of frames* each
-    /// alloc returns is byte-identical to the `steal_batch = 0` legacy
-    /// behavior — batching only changes which queue they wait in.
+    /// alloc returns is byte-identical to the `steal_batch = 0` steal-one
+    /// reference — batching only changes which queue they wait in.
     #[test]
     fn steal_batch_is_invisible_to_the_alloc_sequence() {
         let seq = |batch: usize| -> Vec<u32> {

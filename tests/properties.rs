@@ -422,101 +422,6 @@ fn region_map_va_high_water_stays_at_peak_live() {
     }
 }
 
-/// Turning on the rest of the scaled fault path — a sharded page table
-/// and freelist steal batching — does not change what the engine
-/// computes: the same random fault-heavy workload takes exactly the same
-/// faults (minor and major), evicts the same number of pages, and reads
-/// back the same values as the shared page table and steal-one freelist.
-#[test]
-fn spill_free_fault_counts_match_tree_path() {
-    use aquila::{Advice, AquilaRuntime, DeviceKind, MmioPolicy, Prot};
-    use aquila_sim::CoreDebts;
-
-    const FILE_PAGES: u64 = 512;
-    const CACHE_FRAMES: usize = 128; // pressure: forces evictions
-    const OPS: u64 = 1200;
-
-    let run = |seed: u64, policy: MmioPolicy| -> (u64, u64, u64, u64, u64) {
-        let mut ctx = FreeCtx::new(seed);
-        let debts = Arc::new(CoreDebts::new(1));
-        let rt = AquilaRuntime::build_with_policy(
-            &mut ctx,
-            DeviceKind::NvmeSpdk,
-            FILE_PAGES + 1024,
-            CACHE_FRAMES,
-            1,
-            debts,
-            policy,
-        );
-        rt.aquila.thread_enter(&mut ctx);
-        let f = rt.open("/prop/scale", FILE_PAGES).unwrap();
-        let addr = rt
-            .aquila
-            .mmap(&mut ctx, f, 0, FILE_PAGES, Prot::RW)
-            .unwrap();
-        rt.aquila
-            .madvise(&mut ctx, addr, FILE_PAGES, Advice::Random)
-            .unwrap();
-        let mut rng = Rng64::new(seed ^ 0x5CA1);
-        let mut buf = [0u8; 8];
-        let mut read_sum = 0u64;
-        for _ in 0..OPS {
-            let page = rng.below(FILE_PAGES);
-            let off = rng.below(4096 - 8);
-            if rng.chance(0.5) {
-                let val = rng.next_u64();
-                rt.aquila
-                    .write(&mut ctx, addr.add(page * 4096 + off), &val.to_le_bytes())
-                    .unwrap();
-            } else {
-                rt.aquila
-                    .read(&mut ctx, addr.add(page * 4096 + off), &mut buf)
-                    .unwrap();
-                read_sum = read_sum
-                    .wrapping_mul(0x100_0000_01B3)
-                    .wrapping_add(u64::from_le_bytes(buf));
-            }
-        }
-        let c = &ctx.stats;
-        (
-            c.page_faults,
-            c.minor_faults,
-            c.major_faults,
-            c.evictions,
-            read_sum,
-        )
-    };
-
-    for case in 0..6u64 {
-        let seed = 0x5CA1E + case * 0x9E37;
-        let legacy = run(seed, MmioPolicy::default());
-        let scaled = run(
-            seed,
-            MmioPolicy {
-                pt_shards: 4,
-                freelist_steal_batch: 8,
-                ..MmioPolicy::default()
-            },
-        );
-        assert_eq!(legacy, scaled, "fault behavior diverged (case {case})");
-        // Shard count 1 is the degenerate sharded configuration: one
-        // modeled shard must behave exactly like the legacy shared
-        // table (and a zero steal batch like the legacy freelist).
-        let degenerate = run(
-            seed,
-            MmioPolicy {
-                pt_shards: 1,
-                freelist_steal_batch: 0,
-                ..MmioPolicy::default()
-            },
-        );
-        assert_eq!(
-            legacy, degenerate,
-            "single-shard config diverged from legacy (case {case})"
-        );
-    }
-}
-
 /// Coalesced writeback runs preserve exactly the input pages, in
 /// order, and every run is contiguous within one file.
 #[test]
