@@ -215,14 +215,12 @@ pub fn lint_file(path: &str, source: &str) -> Vec<Finding> {
     // dynamic labels go to JSON scalars, not sim-path sinks).
     if !path.starts_with("crates/analysis/") && !path.starts_with("crates/bench/") {
         let raw_lines: Vec<&str> = source.lines().collect();
-        const SINKS: [&str; 9] = [
+        const SINKS: [&str; 7] = [
             "metrics::add(",
             "metrics::gauge(",
-            "metrics::record_latency(",
             // Labeled variant: the *base* name (second arg) must still be
             // a literal; the small tenant index may vary.
             "metrics::record_latency_labeled(",
-            "trace::span(",
             "trace::instant(",
             "trace::counter(",
             "span::begin(",
@@ -607,7 +605,8 @@ pub fn graph_lints(ws: &Workspace) -> Vec<Finding> {
                 ),
                 exit => format!(
                     "span '{}' (begun line {}) escapes through `{}` without \
-                     span::end; folded flamegraph totals drift from histogram sums",
+                     span::end; the trace loses its end event and the \
+                     `<name>.cycles` histogram loses its sample",
                     leak.name, leak.begin_line, exit
                 ),
             };
@@ -883,11 +882,12 @@ fn f() {
         assert!(lint_file("crates/core/src/x.rs", lit).is_empty());
         let multiline = "\
 fn f(ctx: &mut dyn SimCtx) {
-    aquila_sim::metrics::record_latency(
+    let sp = aquila_sim::span::begin(
         ctx,
-        \"aquila.fault.cycles\",
-        Cycles(5),
+        \"aquila.fault\",
+        CostCat::FaultHandler,
     );
+    aquila_sim::span::end(ctx, sp);
 }
 ";
         assert!(lint_file("crates/core/src/x.rs", multiline).is_empty());

@@ -98,7 +98,9 @@ impl Lint {
             Lint::LockGraph => {
                 "interprocedural lock acquisition chain inverts a declared rank or forms a cross-domain cycle"
             }
-            Lint::SpanBalance => "a span::begin can escape through a control-flow exit without span::end",
+            Lint::SpanBalance => {
+                "a span::begin can escape through a control-flow exit without span::end, losing its trace end and its <name>.cycles histogram sample"
+            }
             Lint::DesBlocking => "host-blocking call reachable from a DES thread body",
         }
     }

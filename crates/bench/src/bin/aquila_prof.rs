@@ -9,7 +9,8 @@
 //!
 //! - `aquila-prof check <current.json> --baseline <golden.json>
 //!    [--tolerance 0.10] [--quantiles p99_cycles,p999_cycles]`
-//!   Diffs two schema-v3 reports' latency arrays; exits 4 when any
+//!   Diffs two reports' latency arrays; both must carry the current
+//!   `SCHEMA_VERSION` (anything else is a parse error). Exits 4 when any
 //!   selected percentile exceeds the baseline by more than the
 //!   tolerance (or a baseline histogram disappeared).
 //!

@@ -105,7 +105,7 @@ impl Json {
         }
     }
 
-    /// Extracts a named scalar from a schema-v3+ report's `scalars`
+    /// Extracts a named scalar from a report's `scalars`
     /// object. This is the one place report consumers (aquila-prof,
     /// verify.sh via `aquila-prof get`, the regression baseline) resolve
     /// scalar names, replacing ad-hoc awk extraction.

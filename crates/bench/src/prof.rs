@@ -1,5 +1,6 @@
-//! Offline analysis for Chrome-trace exports and schema-v3+ reports
-//! (the `aquila-prof` binary is a thin CLI over this module).
+//! Offline analysis for Chrome-trace exports and JSON reports of the
+//! current schema (the `aquila-prof` binary is a thin CLI over this
+//! module).
 //!
 //! Three capabilities:
 //!
@@ -13,8 +14,10 @@
 //!   self/total table. Folding walks parent ids, not per-tid stacks, so
 //!   it is robust to several virtual threads multiplexed on one core
 //!   and to cross-thread causal children.
-//! - **Regression diff** — compare the `latency` arrays of two schema-v3+
-//!   reports quantile by quantile with a multiplicative tolerance.
+//! - **Regression diff** — compare the `latency` arrays of two reports
+//!   quantile by quantile with a multiplicative tolerance. Both must carry
+//!   the current [`SCHEMA_VERSION`]; older reports are rejected, not
+//!   interpreted.
 //!
 //! Determinism: all aggregation is over sorted keys, so identical traces
 //! fold to byte-identical output.
@@ -22,6 +25,7 @@
 use std::collections::BTreeMap;
 
 use crate::json::Json;
+use crate::report::SCHEMA_VERSION;
 
 /// A span reconstructed from a Chrome trace export.
 #[derive(Debug, Clone)]
@@ -249,7 +253,7 @@ impl Regression {
     }
 }
 
-/// Diffs the `latency` arrays of two schema-v3+ reports.
+/// Diffs the `latency` arrays of two reports of the current schema.
 ///
 /// For every histogram present in the baseline and every quantile field
 /// in `quantiles` (e.g. `["p99_cycles", "p999_cycles"]`), the current
@@ -267,8 +271,10 @@ pub fn diff_latency(
             .get("schema_version")
             .and_then(Json::as_u64)
             .ok_or_else(|| format!("{which}: missing schema_version"))?;
-        if v < 3 {
-            return Err(format!("{which}: schema_version {v} has no latency array"));
+        if v != SCHEMA_VERSION {
+            return Err(format!(
+                "{which}: schema_version {v}, expected {SCHEMA_VERSION}; regenerate the report"
+            ));
         }
     }
     let base = baseline
@@ -390,7 +396,11 @@ mod tests {
     }
 
     fn report(p99: u64) -> Json {
-        Json::obj().with("schema_version", Json::U64(3)).with(
+        report_v(SCHEMA_VERSION, p99)
+    }
+
+    fn report_v(version: u64, p99: u64) -> Json {
+        Json::obj().with("schema_version", Json::U64(version)).with(
             "latency",
             Json::Arr(vec![Json::obj()
                 .with("name", Json::from("aquila.fault.cycles"))
@@ -416,7 +426,7 @@ mod tests {
     #[test]
     fn diff_flags_missing_histogram() {
         let cur = Json::obj()
-            .with("schema_version", Json::U64(3))
+            .with("schema_version", Json::U64(SCHEMA_VERSION))
             .with("latency", Json::Arr(vec![]));
         let regs = diff_latency(&cur, &report(200), &["p99_cycles"], 0.10).unwrap();
         assert_eq!(regs.len(), 1);
@@ -425,7 +435,15 @@ mod tests {
 
     #[test]
     fn diff_rejects_old_schema() {
-        let old = Json::obj().with("schema_version", Json::U64(2));
-        assert!(diff_latency(&old, &report(200), &["p99_cycles"], 0.1).is_err());
+        for v in [2, 4] {
+            let old = report_v(v, 200);
+            let err = diff_latency(&old, &report(200), &["p99_cycles"], 0.1).unwrap_err();
+            assert!(
+                err.contains(&format!("schema_version {v}"))
+                    && err.contains(&format!("expected {SCHEMA_VERSION}")),
+                "{err}"
+            );
+            assert!(diff_latency(&report(200), &old, &["p99_cycles"], 0.1).is_err());
+        }
     }
 }

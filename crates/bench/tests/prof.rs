@@ -2,22 +2,26 @@
 //!
 //! The load-bearing test here is the cross-check: a real engine run with
 //! the global tracer and metrics registry installed, whose exported
-//! Chrome trace is folded back into per-stage cycles — and the folded
-//! total under the `aquila.fault` root must equal the engine-reported
-//! `aquila.fault.cycles` histogram sum *exactly* (both observe the same
-//! `[t_fault, now]` windows, and same-thread children telescope).
+//! Chrome trace is folded back into per-stage cycles. Closing a span is
+//! the only way a window is timed, and it records both the trace end
+//! event and the `<name>.cycles` histogram sample, so for every span
+//! name the completed spans and the histogram agree *exactly*, in count
+//! and in summed cycles; and the folded total under the `aquila.fault`
+//! root equals the `aquila.fault.cycles` sum, because same-thread
+//! children telescope.
 
+use std::collections::BTreeSet;
 use std::process::Command;
 use std::sync::Arc;
 
 use aquila::{Advice, AquilaRuntime, DeviceKind, MmioPolicy, Prot};
 use aquila_bench::json::Json;
-use aquila_bench::prof;
+use aquila_bench::{prof, SCHEMA_VERSION};
 use aquila_sim::{CoreDebts, FreeCtx};
 
 /// Drives a small single-core fault-heavy workload with the process
-/// globals installed, then folds the trace and cross-checks the
-/// histogram. Kept as ONE test because the tracer and registry are
+/// globals installed, then folds the trace and cross-checks it against
+/// the histograms. Kept as ONE test because the tracer and registry are
 /// process-global: a second engine run in this binary would append to
 /// the same ring.
 #[test]
@@ -25,7 +29,10 @@ fn folded_fault_totals_match_engine_histogram() {
     aquila_sim::trace::install(aquila_sim::trace::DEFAULT_CAPACITY);
     aquila_sim::metrics::install(4);
 
-    const PAGES: u64 = 512;
+    // Two 2 MiB runs. The first promotes after 128 resident pages (the
+    // one slab run); the second cannot, so its faults go through direct
+    // reclaim.
+    const PAGES: u64 = 1024;
     let mut ctx = FreeCtx::new(0xF0FA);
     let debts = Arc::new(CoreDebts::new(1));
     let rt = AquilaRuntime::build_with_policy(
@@ -35,7 +42,11 @@ fn folded_fault_totals_match_engine_histogram() {
         256, // fewer frames than pages: direct-reclaim spans nest inside faults
         1,
         debts,
-        MmioPolicy::default(),
+        MmioPolicy {
+            huge_pages: true,
+            promote_threshold: 128,
+            ..MmioPolicy::default()
+        },
     );
     rt.aquila.thread_enter(&mut ctx);
     let f = rt.open("/prof", PAGES).expect("open");
@@ -57,24 +68,64 @@ fn folded_fault_totals_match_engine_histogram() {
     assert_eq!(tracer.dropped(), 0, "ring must not overflow for this check");
     let doc = Json::parse(&tracer.export_chrome()).expect("export parses");
     let spans = prof::parse_trace(&doc).expect("spans parse");
+    assert!(
+        spans.iter().all(|s| s.end_cycles.is_some()),
+        "every span closed by the end of the run"
+    );
     let profile = prof::fold(&spans);
-
     let snap = aquila_sim::metrics::global().expect("installed").snapshot();
+
+    // One primitive: every span name's completed spans are exactly its
+    // histogram's samples, and every histogram is some span's.
+    for stage in &profile.stages {
+        let name = format!("{}.cycles", stage.name);
+        let hist = snap
+            .hist(&name)
+            .unwrap_or_else(|| panic!("no histogram {name}"));
+        assert_eq!(hist.count(), stage.count, "{name}: sample count");
+        assert_eq!(
+            hist.sum(),
+            stage.total_cycles as u128,
+            "{name}: summed cycles"
+        );
+    }
+    let hists: BTreeSet<&str> = snap.hists().iter().map(|(n, _)| n.as_str()).collect();
+    let stage_hists: Vec<String> = profile
+        .stages
+        .iter()
+        .map(|s| format!("{}.cycles", s.name))
+        .collect();
+    assert_eq!(
+        hists,
+        stage_hists.iter().map(String::as_str).collect(),
+        "every histogram is a span's"
+    );
+
     let hist = snap.hist("aquila.fault.cycles").expect("fault histogram");
-    assert!(hist.count() >= PAGES, "every cold touch faults");
+    assert!(
+        hist.count() >= PAGES / 2,
+        "the unpromoted run faults page by page"
+    );
     assert_eq!(
         profile.rooted_total("aquila.fault") as u128,
         hist.sum(),
         "folded fault-subtree cycles must equal the engine histogram sum"
     );
     // The folded view actually attributes work to children, not just the
-    // root: device reads happen inside faults.
+    // root: device reads happen inside faults, and so does the promotion.
     assert!(
         profile
             .folded
             .iter()
             .any(|(stack, c)| stack.starts_with("aquila.fault;") && *c > 0),
         "fault root must have attributed children"
+    );
+    assert!(
+        profile
+            .folded
+            .iter()
+            .any(|(stack, _)| stack.split(';').any(|s| s == "aquila.huge.promote")),
+        "the promotion reaches the folded profile"
     );
 }
 
@@ -84,7 +135,7 @@ fn prof_bin() -> &'static str {
 
 fn write_report(dir: &std::path::Path, name: &str, p99: u64) -> std::path::PathBuf {
     let j = Json::obj()
-        .with("schema_version", Json::U64(3))
+        .with("schema_version", Json::U64(SCHEMA_VERSION))
         .with(
             "scalars",
             Json::obj().with("latency/mmio-sync/p50_cycles", Json::U64(33792)),

@@ -595,14 +595,8 @@ impl Aquila {
     /// their mappings to read-only so future writes are tracked again.
     pub fn msync(&self, ctx: &mut dyn SimCtx, addr: Gva, pages: u64) -> Result<(), AquilaError> {
         ctx.counters().syscalls += 1;
-        let t0 = ctx.now();
         let sp = aquila_sim::span::begin(ctx, "aquila.msync", CostCat::Syscall);
         let result = self.msync_service(ctx, addr, pages);
-        aquila_sim::metrics::record_latency(
-            ctx,
-            "aquila.msync.cycles",
-            ctx.now().saturating_sub(t0),
-        );
         aquila_sim::span::end(ctx, sp);
         result
     }
@@ -778,25 +772,18 @@ impl Aquila {
     }
 
     /// The page-fault handler (non-root ring 0). The whole service is one
-    /// causal root span and one `aquila.fault.cycles` histogram sample,
-    /// measured over the same `[t_fault, now]` window so folded span
-    /// totals and the histogram sum agree exactly.
+    /// causal root span, whose end records the `aquila.fault.cycles`
+    /// histogram sample.
     fn handle_fault(
         &self,
         ctx: &mut dyn SimCtx,
         gva: Gva,
         access: Access,
     ) -> Result<(), AquilaError> {
-        let t_fault = ctx.now();
         ctx.counters().page_faults += 1;
         aquila_sim::metrics::add(ctx, "aquila.fault", 1);
         let sp = aquila_sim::span::begin(ctx, "aquila.fault", CostCat::FaultHandler);
         let result = self.fault_service(ctx, gva, access);
-        aquila_sim::metrics::record_latency(
-            ctx,
-            "aquila.fault.cycles",
-            ctx.now().saturating_sub(t_fault),
-        );
         aquila_sim::span::end(ctx, sp);
         result
     }
@@ -999,9 +986,8 @@ impl Aquila {
         }
         // Eviction round: detach a batch, unmap, one shootdown, write back
         // dirty victims in device order, then recycle frames.
-        let t_evict = ctx.now();
         aquila_sim::metrics::add(ctx, "aquila.evict.stall", 1);
-        let sp = aquila_sim::span::begin(ctx, "aquila.evict", CostCat::Eviction);
+        let sp = aquila_sim::span::begin(ctx, "aquila.evict.direct", CostCat::Eviction);
         // Direct reclaim means the evictor fell behind; feed the stall
         // clock even if the evictor itself is wedged and not ticking.
         self.track_watermark_stall(ctx);
@@ -1027,11 +1013,6 @@ impl Aquila {
             // ordinary freelist, so one round may leave it empty: keep
             // evicting until an allocatable frame shows up.
             if let Some(f) = self.cache.try_alloc(ctx) {
-                aquila_sim::metrics::record_latency(
-                    ctx,
-                    "aquila.evict.direct.cycles",
-                    ctx.now().saturating_sub(t_evict),
-                );
                 aquila_sim::span::end(ctx, sp);
                 return Ok(f);
             }
@@ -1123,16 +1104,8 @@ impl Aquila {
             RegionState::WriteThrough => 1,
             RegionState::ReadOnly => return Err(AquilaError::DegradedReadOnly),
         };
-        let t_wb = ctx.now();
         let sp = aquila_sim::span::begin(ctx, "aquila.writeback", CostCat::DeviceIo);
         let result = self.write_segments(ctx, dirty, depth);
-        if result.is_ok() {
-            aquila_sim::metrics::record_latency(
-                ctx,
-                "aquila.writeback.cycles",
-                ctx.now().saturating_sub(t_wb),
-            );
-        }
         aquila_sim::span::end(ctx, sp);
         if let Err(e) = &result {
             self.degrade_on_error(ctx, e);
@@ -1205,18 +1178,12 @@ impl Aquila {
             return;
         }
         let h = *self.wb_horizon.lock();
-        let t0 = ctx.now();
         // Link the drain to the writeback round that published the
         // horizon — a cross-thread parent: the waiter is an msync caller,
         // the publisher is (typically) the dedicated evictor.
         let parent = aquila_sim::SpanId(self.wb_span.load(Ordering::Relaxed));
         let sp = aquila_sim::span::begin_child(ctx, "aquila.msync.drain", CostCat::Idle, parent);
         ctx.wait_until(h, CostCat::Idle);
-        aquila_sim::metrics::record_latency(
-            ctx,
-            "aquila.msync.drain.cycles",
-            ctx.now().saturating_sub(t0),
-        );
         aquila_sim::span::end(ctx, sp);
     }
 
@@ -1241,7 +1208,8 @@ impl Aquila {
         if target == 0 {
             return Ok(0);
         }
-        let t_round = ctx.now();
+        // The round's window starts before victim selection.
+        let sp = aquila_sim::span::begin(ctx, "aquila.evictor.round", CostCat::Eviction);
         let batch = target.min(self.cfg.policy.evict_batch.max(1));
         let victims = if self.cfg.policy.tenant_qos {
             self.evict_candidates_fair(ctx, batch)
@@ -1249,18 +1217,13 @@ impl Aquila {
             self.cache.evict_candidates_n(ctx, batch)
         };
         if victims.is_empty() {
+            aquila_sim::span::end(ctx, sp);
             return Ok(0);
         }
         let n = victims.len();
         aquila_sim::metrics::add(ctx, "aquila.evictor.rounds", 1);
         aquila_sim::metrics::add(ctx, "aquila.evictor.pages", n as u64);
-        let sp = aquila_sim::span::begin(ctx, "aquila.evictor.round", CostCat::Eviction);
         let result = self.retire_victims(ctx, &victims);
-        aquila_sim::metrics::record_latency(
-            ctx,
-            "aquila.evictor.round.cycles",
-            ctx.now().saturating_sub(t_round),
-        );
         aquila_sim::span::end(ctx, sp);
         result?;
         Ok(n)
@@ -1455,7 +1418,6 @@ impl Aquila {
             return;
         }
         // Candidacy scan: residency and clean/dirty uniformity.
-        let t0 = ctx.now();
         let mut frames: Vec<Option<FrameId>> = Vec::with_capacity(HUGE_PAGE_PAGES as usize);
         let mut resident = 0usize;
         let mut dirty_ct = 0usize;
@@ -1484,7 +1446,9 @@ impl Aquila {
         let Some(run) = self.cache.try_alloc_slab_run(ctx) else {
             return;
         };
-        self.promote(ctx, hbase, desc, fp_base, run, &frames, dirty_ct != 0, t0);
+        let sp = aquila_sim::span::begin(ctx, "aquila.huge.promote", CostCat::CacheMgmt);
+        self.promote(ctx, hbase, desc, fp_base, run, &frames, dirty_ct != 0);
+        aquila_sim::span::end(ctx, sp);
     }
 
     /// Collapses the run at `hbase` into slab run `run`: eager-fills
@@ -1500,7 +1464,6 @@ impl Aquila {
         run: usize,
         frames: &[Option<FrameId>],
         dirty: bool,
-        t0: Cycles,
     ) {
         let file = FileId(desc.file);
         // Stage 1: device reads for the holes — the only fallible step,
@@ -1604,7 +1567,6 @@ impl Aquila {
         ctx.counters().huge_promotions += 1;
         aquila_sim::metrics::add(ctx, "aquila.huge.promote", 1);
         aquila_sim::metrics::gauge(ctx, "aquila.huge.promoted_runs", active as u64);
-        aquila_sim::trace::span(ctx, "aquila.huge.promote", CostCat::CacheMgmt, t0);
     }
 
     /// Write fault against a read-only 2 MiB leaf: the whole run turns
@@ -1648,7 +1610,6 @@ impl Aquila {
         if hbases.is_empty() {
             return;
         }
-        let t0 = ctx.now();
         race::acquire(ctx, (L_HUGE, 0));
         let dropped: Vec<(Vpn, HugeRun)> = {
             let mut runs = self.huge_runs.lock();
@@ -1662,6 +1623,7 @@ impl Aquila {
         if dropped.is_empty() {
             return;
         }
+        let sp = aquila_sim::span::begin(ctx, "aquila.huge.demote", CostCat::CacheMgmt);
         for (hv, _) in &dropped {
             self.page_table.with(ctx, *hv, |pt| {
                 pt.unmap_huge(hv.base());
@@ -1679,7 +1641,7 @@ impl Aquila {
         ctx.counters().huge_demotions += dropped.len() as u64;
         aquila_sim::metrics::add(ctx, "aquila.huge.demote", dropped.len() as u64);
         aquila_sim::metrics::gauge(ctx, "aquila.huge.promoted_runs", active as u64);
-        aquila_sim::trace::span(ctx, "aquila.huge.demote", CostCat::CacheMgmt, t0);
+        aquila_sim::span::end(ctx, sp);
     }
 
     /// Demotes every promoted run overlapping `[start, start + pages)`.

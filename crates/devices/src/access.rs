@@ -267,7 +267,7 @@ impl StorageAccess for SpdkAccess {
             let submit = ctx.cost().nvme_submit_poll;
             ctx.charge(CostCat::DeviceIo, submit);
             let t0 = ctx.now();
-            let sp = aquila_sim::span::begin(ctx, "nvme.read.io", CostCat::DeviceIo);
+            let sp = aquila_sim::span::begin(ctx, "nvme.read", CostCat::DeviceIo);
             let qp = self.dev.create_qpair();
             let submitted = qp.submit(ctx.now(), NvmeOp::Read, page, pages, BufRef::Mut(buf));
             record_nvme_occupancy(ctx, &self.dev);
@@ -280,7 +280,6 @@ impl StorageAccess for SpdkAccess {
             qp.drain(ctx, CostCat::DeviceIo);
             let served = ctx.now() - t0;
             self.retry.observe_latency(ctx, served);
-            aquila_sim::metrics::record_latency(ctx, "nvme.read.cycles", served);
             aquila_sim::span::end(ctx, sp);
             Ok(())
         })?;
@@ -295,7 +294,7 @@ impl StorageAccess for SpdkAccess {
             let submit = ctx.cost().nvme_submit_poll;
             ctx.charge(CostCat::DeviceIo, submit);
             let t0 = ctx.now();
-            let sp = aquila_sim::span::begin(ctx, "nvme.write.io", CostCat::DeviceIo);
+            let sp = aquila_sim::span::begin(ctx, "nvme.write", CostCat::DeviceIo);
             let qp = self.dev.create_qpair();
             let submitted = qp.submit(ctx.now(), NvmeOp::Write, page, pages, BufRef::Shared(buf));
             record_nvme_occupancy(ctx, &self.dev);
@@ -306,7 +305,6 @@ impl StorageAccess for SpdkAccess {
             qp.drain(ctx, CostCat::DeviceIo);
             let served = ctx.now() - t0;
             self.retry.observe_latency(ctx, served);
-            aquila_sim::metrics::record_latency(ctx, "nvme.write.cycles", served);
             aquila_sim::span::end(ctx, sp);
             Ok(())
         })?;
@@ -398,7 +396,7 @@ impl StorageAccess for HostNvmeAccess {
             let sw = ctx.cost().host_directio_sw + ctx.cost().nvme_submit_kernel;
             ctx.charge(CostCat::Syscall, sw);
             let t0 = ctx.now();
-            let sp = aquila_sim::span::begin(ctx, "nvme.read.io", CostCat::DeviceIo);
+            let sp = aquila_sim::span::begin(ctx, "nvme.read", CostCat::DeviceIo);
             let qp = self.dev.create_qpair();
             let submitted = qp.submit(ctx.now(), NvmeOp::Read, page, pages, BufRef::Mut(buf));
             record_nvme_occupancy(ctx, &self.dev);
@@ -410,7 +408,6 @@ impl StorageAccess for HostNvmeAccess {
             qp.drain(ctx, CostCat::Idle);
             let served = ctx.now() - t0;
             self.retry.observe_latency(ctx, served);
-            aquila_sim::metrics::record_latency(ctx, "nvme.read.cycles", served);
             aquila_sim::span::end(ctx, sp);
             Ok(())
         })?;
@@ -426,7 +423,7 @@ impl StorageAccess for HostNvmeAccess {
             let sw = ctx.cost().host_directio_sw + ctx.cost().nvme_submit_kernel;
             ctx.charge(CostCat::Syscall, sw);
             let t0 = ctx.now();
-            let sp = aquila_sim::span::begin(ctx, "nvme.write.io", CostCat::DeviceIo);
+            let sp = aquila_sim::span::begin(ctx, "nvme.write", CostCat::DeviceIo);
             let qp = self.dev.create_qpair();
             let submitted = qp.submit(ctx.now(), NvmeOp::Write, page, pages, BufRef::Shared(buf));
             record_nvme_occupancy(ctx, &self.dev);
@@ -437,7 +434,6 @@ impl StorageAccess for HostNvmeAccess {
             qp.drain(ctx, CostCat::Idle);
             let served = ctx.now() - t0;
             self.retry.observe_latency(ctx, served);
-            aquila_sim::metrics::record_latency(ctx, "nvme.write.cycles", served);
             aquila_sim::span::end(ctx, sp);
             Ok(())
         })?;
@@ -488,18 +484,14 @@ impl StorageAccess for DaxAccess {
         page: u64,
         buf: &mut [u8],
     ) -> Result<(), DeviceError> {
-        let t0 = ctx.now();
         self.dev
             .dax_read(ctx, page * STORE_PAGE as u64, buf, self.simd)?;
-        aquila_sim::metrics::record_latency(ctx, "pmem.read.cycles", ctx.now() - t0);
         Ok(())
     }
 
     fn write_pages(&self, ctx: &mut dyn SimCtx, page: u64, buf: &[u8]) -> Result<(), DeviceError> {
-        let t0 = ctx.now();
         self.dev
             .dax_write(ctx, page * STORE_PAGE as u64, buf, self.simd)?;
-        aquila_sim::metrics::record_latency(ctx, "pmem.write.cycles", ctx.now() - t0);
         Ok(())
     }
 }
@@ -540,10 +532,8 @@ impl StorageAccess for HostPmemAccess {
         self.domain.charge_entry(ctx);
         let sw = ctx.cost().host_directio_sw;
         ctx.charge(CostCat::Syscall, sw);
-        let t0 = ctx.now();
         self.dev
             .dax_read(ctx, page * STORE_PAGE as u64, buf, false)?;
-        aquila_sim::metrics::record_latency(ctx, "pmem.read.cycles", ctx.now() - t0);
         Ok(())
     }
 
@@ -551,10 +541,8 @@ impl StorageAccess for HostPmemAccess {
         self.domain.charge_entry(ctx);
         let sw = ctx.cost().host_directio_sw;
         ctx.charge(CostCat::Syscall, sw);
-        let t0 = ctx.now();
         self.dev
             .dax_write(ctx, page * STORE_PAGE as u64, buf, false)?;
-        aquila_sim::metrics::record_latency(ctx, "pmem.write.cycles", ctx.now() - t0);
         Ok(())
     }
 }

@@ -102,6 +102,7 @@ impl PmemDevice {
     ) -> Result<Cycles, DeviceError> {
         let before = ctx.now();
         self.store.read_range(pos, buf)?;
+        let sp = aquila_sim::span::begin(ctx, "pmem.read", aquila_sim::CostCat::Memcpy);
         let copy = ctx.cost().memcpy(buf.len() as u64, simd);
         let r = self
             .service
@@ -110,7 +111,7 @@ impl PmemDevice {
         ctx.wait_until(r.end, aquila_sim::CostCat::DeviceIo);
         ctx.counters().device_reads += 1;
         ctx.counters().bytes_read += buf.len() as u64;
-        aquila_sim::trace::span(ctx, "pmem.memcpy.read", aquila_sim::CostCat::Memcpy, before);
+        aquila_sim::span::end(ctx, sp);
         Ok(ctx.now() - before)
     }
 
@@ -124,6 +125,7 @@ impl PmemDevice {
     ) -> Result<Cycles, DeviceError> {
         let before = ctx.now();
         self.store.write_range(pos, buf)?;
+        let sp = aquila_sim::span::begin(ctx, "pmem.write", aquila_sim::CostCat::Memcpy);
         let copy = ctx.cost().memcpy(buf.len() as u64, simd);
         let r = self
             .service
@@ -132,12 +134,7 @@ impl PmemDevice {
         ctx.wait_until(r.end, aquila_sim::CostCat::DeviceIo);
         ctx.counters().device_writes += 1;
         ctx.counters().bytes_written += buf.len() as u64;
-        aquila_sim::trace::span(
-            ctx,
-            "pmem.memcpy.write",
-            aquila_sim::CostCat::Memcpy,
-            before,
-        );
+        aquila_sim::span::end(ctx, sp);
         Ok(ctx.now() - before)
     }
 

@@ -372,12 +372,8 @@ impl LinuxMmap {
 
     fn fault(&self, ctx: &mut dyn SimCtx, vpn: u64, write: bool) -> Result<(), LinuxError> {
         ctx.counters().page_faults += 1;
-        let t_fault = ctx.now();
         let sp = aquila_sim::span::begin(ctx, "linux.fault", CostCat::FaultHandler);
         let res = self.fault_service(ctx, vpn, write);
-        // Span and histogram cover the identical [t_fault, now] window so
-        // folded span totals cross-check against the histogram sum exactly.
-        aquila_sim::metrics::record_latency(ctx, "linux.fault.cycles", ctx.now() - t_fault);
         aquila_sim::span::end(ctx, sp);
         res
     }

@@ -179,7 +179,6 @@ impl KernelPageCache {
         );
         race::write(ctx, VAR_TREE_LOCKS);
         race::release(ctx, LOCK_TREE_LOCKS);
-        let t_lock = ctx.now();
         // The tree lock is a *non-scalable* spinlock: every waiter spins
         // on the lock word, so each hand-off pays one cache-line transfer
         // per spinner (Boyd-Wickizer et al., "Non-scalable locks are
@@ -194,10 +193,9 @@ impl KernelPageCache {
             self.contended
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             aquila_sim::metrics::add(ctx, "linux.tree_lock.contended", 1);
-        }
-        ctx.wait_until(r.start, CostCat::LockWait);
-        if r.wait > Cycles::ZERO {
-            aquila_sim::trace::span(ctx, "linux.tree_lock.wait", CostCat::LockWait, t_lock);
+            let sp = aquila_sim::span::begin(ctx, "linux.tree_lock.wait", CostCat::LockWait);
+            ctx.wait_until(r.start, CostCat::LockWait);
+            aquila_sim::span::end(ctx, sp);
         }
         ctx.wait_until(r.end, CostCat::CacheMgmt);
     }

@@ -297,7 +297,6 @@ impl TlbFabric {
         if pages.is_empty() {
             return;
         }
-        let t_sd = ctx.now();
         let sp = aquila_sim::span::begin(ctx, "tlb.shootdown", CostCat::Tlb);
         // Functional invalidation on every core's TLB.
         for (core, tlb) in self.tlbs.iter().enumerate() {
@@ -333,11 +332,6 @@ impl TlbFabric {
         race::release(ctx, (L_APIC, 0));
         aquila_sim::metrics::add(ctx, "tlb.shootdown.rounds", 1);
         aquila_sim::metrics::add(ctx, "tlb.shootdown.pages", pages.len() as u64);
-        aquila_sim::metrics::record_latency(
-            ctx,
-            "tlb.shootdown.cycles",
-            ctx.now().saturating_sub(t_sd),
-        );
         aquila_sim::span::end(ctx, sp);
     }
 }

@@ -167,22 +167,17 @@ impl ThreadCtx {
         self.id
     }
 
-    /// Drains pending cross-core interrupt debt into the TLB category.
-    /// When the depositor tagged this core with its causal span (a TLB
-    /// shootdown), the drain records a child span linking the remote
-    /// IPI-handling cost back to the shootdown that caused it.
+    /// Drains pending cross-core interrupt debt into the TLB category as
+    /// a `tlb.ipi.drain` span. When the depositor tagged this core with
+    /// its causal span (a traced TLB shootdown), the drain is its child,
+    /// linking the remote IPI-handling cost back to the shootdown.
     fn drain_debt(&mut self) {
         let d = self.debts.drain(self.core);
         if d > Cycles::ZERO {
-            let debts = Arc::clone(&self.debts);
-            let parent = debts.take_span_tag(self.core);
-            if parent.is_none() {
-                self.charge(CostCat::Tlb, d);
-            } else {
-                let sp = crate::span::begin_child(self, "tlb.ipi.drain", CostCat::Tlb, parent);
-                self.charge(CostCat::Tlb, d);
-                crate::span::end(self, sp);
-            }
+            let parent = self.debts.take_span_tag(self.core);
+            let sp = crate::span::begin_child(self, "tlb.ipi.drain", CostCat::Tlb, parent);
+            self.charge(CostCat::Tlb, d);
+            crate::span::end(self, sp);
         }
     }
 }

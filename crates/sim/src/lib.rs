@@ -16,9 +16,11 @@
 //!   machinery behind every figure;
 //! - [`trace`], [`span`], and [`metrics`] — cycle-stamped event tracing
 //!   (with a Chrome `trace_event` exporter for Perfetto), causal
-//!   begin/end spans with cross-thread parent links, and a registry of
-//!   named per-core counters/gauges/latency-histograms, all zero-cost
-//!   when not installed;
+//!   begin/end spans with cross-thread parent links (the one timing
+//!   primitive: each end feeds the trace and a `<name>.cycles`
+//!   histogram), and a registry of named per-core
+//!   counters/gauges/latency-histograms, all zero-cost when not
+//!   installed;
 //! - [`fault`] — schedule-deterministic fault plans (media errors,
 //!   timeouts, torn writes, power cuts) that device models consult at
 //!   chosen operation counts or cycle points, zero-cost when empty.

@@ -13,7 +13,9 @@
 //! Latency histograms ([`crate::hist::LatencyHist`]) are a third,
 //! first-class kind: each vcore records into its own shard and the
 //! snapshot merges them in shard order — a deterministic bucket-wise sum,
-//! so the merged distribution is a pure function of the run.
+//! so the merged distribution is a pure function of the run. Closing a
+//! [`crate::span`] records its duration into the histogram `<name>.cycles`;
+//! [`record_latency_labeled`] is the one explicit sample recorder.
 //!
 //! Like tracing, metrics never charge virtual cycles; with no registry
 //! installed each instrumentation site costs one atomic load.
@@ -47,7 +49,9 @@ struct Registrations {
     names: Vec<(&'static str, MetricKind)>,
     index: DetMap<&'static str, MetricId>,
     hist_names: Vec<String>,
-    hist_index: DetMap<&'static str, HistId>,
+    // Span histograms, keyed by the static span name; the display name
+    // `name.cycles` is rendered once, at registration.
+    span_hists: DetMap<&'static str, HistId>,
     // Tenant-labeled histograms: keyed by (static base name, tenant index)
     // so hot recording paths never format strings — the display name
     // `base[tNN]` is rendered exactly once, at registration.
@@ -71,7 +75,7 @@ impl MetricsRegistry {
                 names: Vec::new(),
                 index: DetMap::new(),
                 hist_names: Vec::new(),
-                hist_index: DetMap::new(),
+                span_hists: DetMap::new(),
                 hist_labels: DetMap::new(),
             }),
             shards: (0..cores).map(|_| Mutex::new(Vec::new())).collect(),
@@ -132,18 +136,23 @@ impl MetricsRegistry {
         self.gauge_max(core, id, value);
     }
 
-    /// Registers (or looks up) a latency histogram, returning its id.
-    pub fn register_hist(&self, name: &'static str) -> HistId {
-        if let Some(&id) = self.regs.read().hist_index.get(name) {
+    /// Registers (or looks up) the latency histogram `<span>.cycles` that
+    /// closing a span named `span` records into.
+    ///
+    /// The snapshot name is rendered once here, so span ends pass only
+    /// the static span name and never format a string on the simulation
+    /// hot path (lint AQ007).
+    pub fn register_span(&self, span: &'static str) -> HistId {
+        if let Some(&id) = self.regs.read().span_hists.get(span) {
             return id;
         }
         let mut regs = self.regs.write();
-        if let Some(&id) = regs.hist_index.get(name) {
+        if let Some(&id) = regs.span_hists.get(span) {
             return id;
         }
         let id = HistId(regs.hist_names.len());
-        regs.hist_names.push(name.to_string());
-        regs.hist_index.insert(name, id);
+        regs.hist_names.push(format!("{span}.cycles"));
+        regs.span_hists.insert(span, id);
         id
     }
 
@@ -177,9 +186,10 @@ impl MetricsRegistry {
         hists[id.0].record(v);
     }
 
-    /// Registers-and-records in one call (for low-frequency sites).
-    pub fn record_named(&self, core: usize, name: &'static str, v: Cycles) {
-        let id = self.register_hist(name);
+    /// Records a closed span's duration into its `<span>.cycles`
+    /// histogram.
+    pub fn record_span(&self, core: usize, span: &'static str, v: Cycles) {
+        let id = self.register_span(span);
         self.record(core, id, v);
     }
 
@@ -309,18 +319,14 @@ pub fn gauge(ctx: &dyn SimCtx, name: &'static str, value: u64) {
     }
 }
 
-/// Records a latency sample into a named histogram on the calling vcore
-/// (no-op when no registry is installed; never charges cycles).
-#[inline]
-pub fn record_latency(ctx: &dyn SimCtx, name: &'static str, v: Cycles) {
-    if let Some(m) = GLOBAL.get() {
-        m.record_named(ctx.core(), name, v);
-    }
-}
-
 /// Records a latency sample into a tenant-labeled histogram (`base[tNN]`)
 /// on the calling vcore. The base name must be a static literal; only the
 /// small tenant index varies — no string formatting on the hot path.
+///
+/// This is the one explicit sample recorder; every other histogram is a
+/// span's duration ([`crate::span::end`]). It stays because its samples
+/// are not span windows: `serve.request.cycles` runs from a request's
+/// open-loop *scheduled* arrival, and `session.op.cycles` is per tenant.
 #[inline]
 pub fn record_latency_labeled(ctx: &dyn SimCtx, base: &'static str, index: u16, v: Cycles) {
     if let Some(m) = GLOBAL.get() {
@@ -395,7 +401,7 @@ mod tests {
     #[test]
     fn hist_shards_merge_deterministically() {
         let m = MetricsRegistry::new(4);
-        let id = m.register_hist("fault.cycles");
+        let id = m.register_span("fault");
         m.record(0, id, Cycles(100));
         m.record(1, id, Cycles(300));
         m.record(3, id, Cycles(500));
@@ -415,10 +421,10 @@ mod tests {
     #[test]
     fn hist_register_is_idempotent_and_name_sorted() {
         let m = MetricsRegistry::new(1);
-        let a = m.register_hist("zeta.cycles");
-        let b = m.register_hist("zeta.cycles");
+        let a = m.register_span("zeta");
+        let b = m.register_span("zeta");
         assert_eq!(a, b);
-        m.record_named(0, "alpha.cycles", Cycles(7));
+        m.record_span(0, "alpha", Cycles(7));
         let snap = m.snapshot();
         let names: Vec<&str> = snap.hists().iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["alpha.cycles", "zeta.cycles"]);
@@ -454,7 +460,7 @@ mod tests {
     #[test]
     fn labeled_and_plain_hists_share_the_registry() {
         let m = MetricsRegistry::new(1);
-        m.record_named(0, "serve.req.cycles", Cycles(5));
+        m.record_span(0, "serve.req", Cycles(5));
         m.record_named_labeled(0, "serve.req.cycles", 0, Cycles(7));
         let snap = m.snapshot();
         assert_eq!(snap.hist("serve.req.cycles").unwrap().sum(), 5);
@@ -465,10 +471,10 @@ mod tests {
     fn hists_and_scalars_are_independent_namespaces() {
         let m = MetricsRegistry::new(1);
         m.add_named(0, "x", 2);
-        m.record_named(0, "x", Cycles(9));
+        m.record_span(0, "x", Cycles(9));
         let snap = m.snapshot();
         assert_eq!(snap.get("x"), Some(2));
-        assert_eq!(snap.hist("x").unwrap().count(), 1);
+        assert_eq!(snap.hist("x.cycles").unwrap().count(), 1);
         assert!(!snap.is_empty());
     }
 }

@@ -1,12 +1,13 @@
-//! Causal begin/end spans over the trace ring.
+//! Causal begin/end spans: the one way to time a window.
 //!
-//! [`crate::trace`]'s retroactive `Span` events describe *one* piece of
-//! work on *one* vcore. The fault path is not like that: a faulting vcore
-//! triggers a pcache miss, which submits NVMe commands, while a dedicated
-//! evictor writes back dirty frames and shoots down remote TLBs. This
-//! module layers cycle-exact begin/end spans with **parent links** on the
-//! same ring, so the whole causal chain reconstructs offline (Perfetto's
-//! async `b`/`e` view, or `aquila-prof`'s folded flamegraph).
+//! A faulting vcore triggers a pcache miss, which submits NVMe commands,
+//! while a dedicated evictor writes back dirty frames and shoots down
+//! remote TLBs. This module records cycle-exact begin/end spans with
+//! **parent links** on the trace ring, so the whole causal chain
+//! reconstructs offline (Perfetto's async `b`/`e` view, or
+//! `aquila-prof`'s folded flamegraph), and closing a span records its
+//! duration into the latency histogram `<name>.cycles`. A window is timed
+//! once, so the trace and the histogram can never disagree about it.
 //!
 //! Model:
 //!
@@ -18,20 +19,26 @@
 //!   [`SpanId`] through shared state (e.g. the evictor's last writeback
 //!   round, or a [`crate::engine::CoreDebts`] shootdown tag) and the
 //!   receiver links to it;
-//! - [`end`] closes a span; unbalanced inner spans are popped so a
-//!   forgotten `end` cannot wedge the stack.
+//! - [`end`] closes a span and records `now - start` into the installed
+//!   metrics registry's `<name>.cycles` histogram. Every `end` records,
+//!   error paths included. Unbalanced inner spans are popped so a
+//!   forgotten `end` cannot wedge the stack, but a forgotten span loses
+//!   its histogram sample (lint AQ009 flags that).
 //!
 //! Determinism: span ids come from one process-global counter, allocated
 //! only while a tracer is installed. The DES engine steps every virtual
 //! thread from a single OS thread in virtual-time order, so allocation
 //! order — and therefore the exported trace — is a pure function of the
-//! run. Recording never charges virtual cycles; with no tracer installed
-//! every function here is a single atomic load.
+//! run. Recording never charges virtual cycles; with neither a tracer nor
+//! a registry installed, `begin` is two atomic loads and `end` a branch.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::cost::CostCat;
 use crate::engine::SimCtx;
+use crate::metrics::{self, MetricsRegistry};
+use crate::time::Cycles;
 use crate::trace::{self, TraceEvent, Tracer};
 
 /// Identity of a causal span. `NONE` (zero) means "no span": tracing was
@@ -58,6 +65,9 @@ pub struct Span {
     name: &'static str,
     cat: CostCat,
     id: SpanId,
+    /// Open timestamp; `None` when neither a tracer nor a registry was
+    /// installed at `begin`, so `end` has nothing to record.
+    start: Option<Cycles>,
 }
 
 impl Span {
@@ -82,26 +92,22 @@ pub fn begin(ctx: &mut dyn SimCtx, name: &'static str, cat: CostCat) -> Span {
 /// thread). Pass [`SpanId::NONE`] for a root span.
 #[inline]
 pub fn begin_child(ctx: &mut dyn SimCtx, name: &'static str, cat: CostCat, parent: SpanId) -> Span {
-    match trace::global() {
-        Some(t) => begin_in(t, ctx, name, cat, parent),
-        None => Span {
-            name,
-            cat,
-            id: SpanId::NONE,
-        },
-    }
+    let t = trace::global().map(Arc::as_ref);
+    let m = metrics::global().map(Arc::as_ref);
+    begin_in(t, m, ctx, name, cat, parent)
 }
 
-/// Closes `span` at `ctx.now()`. A span opened while tracing was
-/// disabled (null id) is a no-op.
+/// Closes `span` at `ctx.now()`: records the trace end event and the
+/// `<name>.cycles` histogram sample. A span opened with nothing installed
+/// is a no-op.
 #[inline]
 pub fn end(ctx: &mut dyn SimCtx, span: Span) {
-    if span.id.is_none() {
+    if span.start.is_none() {
         return;
     }
-    if let Some(t) = trace::global() {
-        end_in(t, ctx, span);
-    }
+    let t = trace::global().map(Arc::as_ref);
+    let m = metrics::global().map(Arc::as_ref);
+    end_in(t, m, ctx, span);
 }
 
 /// The calling thread's innermost open span, or [`SpanId::NONE`]. Use to
@@ -117,59 +123,91 @@ pub fn current(ctx: &mut dyn SimCtx) -> SpanId {
         .unwrap_or(SpanId::NONE)
 }
 
-/// [`begin_child`] against an explicit tracer (tests; the free functions
-/// use the process-global one).
+/// [`begin_child`] against an explicit tracer and registry (tests; the
+/// free functions use the process-global ones).
 pub fn begin_in(
-    t: &Tracer,
+    t: Option<&Tracer>,
+    m: Option<&MetricsRegistry>,
     ctx: &mut dyn SimCtx,
     name: &'static str,
     cat: CostCat,
     parent: SpanId,
 ) -> Span {
-    let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-    t.record(TraceEvent::SpanBegin {
+    let mut span = Span {
         name,
         cat,
-        core: ctx.core(),
-        ts: ctx.now(),
-        id,
-        parent: parent.0,
-    });
-    if let Some(stack) = ctx.span_stack() {
-        stack.push(id);
+        id: SpanId::NONE,
+        start: None,
+    };
+    if t.is_none() && m.is_none() {
+        return span;
     }
-    Span {
-        name,
-        cat,
-        id: SpanId(id),
+    let ts = ctx.now();
+    span.start = Some(ts);
+    if let Some(t) = t {
+        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+        t.record(TraceEvent::SpanBegin {
+            name,
+            cat,
+            core: ctx.core(),
+            ts,
+            id,
+            parent: parent.0,
+        });
+        if let Some(stack) = ctx.span_stack() {
+            stack.push(id);
+        }
+        span.id = SpanId(id);
     }
+    span
 }
 
-/// [`end`] against an explicit tracer.
-pub fn end_in(t: &Tracer, ctx: &mut dyn SimCtx, span: Span) {
-    if let Some(stack) = ctx.span_stack() {
-        // Pop through unbalanced inner spans so a missed `end` deeper in
-        // the call tree cannot leak stack entries forever.
-        while let Some(top) = stack.pop() {
-            if top == span.id.0 {
-                break;
+/// [`end`] against an explicit tracer and registry.
+pub fn end_in(t: Option<&Tracer>, m: Option<&MetricsRegistry>, ctx: &mut dyn SimCtx, span: Span) {
+    let Some(start) = span.start else { return };
+    let now = ctx.now();
+    if let (Some(t), false) = (t, span.id.is_none()) {
+        if let Some(stack) = ctx.span_stack() {
+            // Pop through unbalanced inner spans so a missed `end` deeper
+            // in the call tree cannot leak stack entries forever.
+            while let Some(top) = stack.pop() {
+                if top == span.id.0 {
+                    break;
+                }
             }
         }
+        t.record(TraceEvent::SpanEnd {
+            name: span.name,
+            cat: span.cat,
+            core: ctx.core(),
+            ts: now,
+            id: span.id.0,
+        });
     }
-    t.record(TraceEvent::SpanEnd {
-        name: span.name,
-        cat: span.cat,
-        core: ctx.core(),
-        ts: ctx.now(),
-        id: span.id.0,
-    });
+    if let Some(m) = m {
+        m.record_span(ctx.core(), span.name, now.saturating_sub(start));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::FreeCtx;
-    use crate::time::Cycles;
+
+    /// A traced span with no registry.
+    fn open(
+        t: &Tracer,
+        ctx: &mut dyn SimCtx,
+        name: &'static str,
+        cat: CostCat,
+        parent: SpanId,
+    ) -> Span {
+        begin_in(Some(t), None, ctx, name, cat, parent)
+    }
+
+    fn close(t: &Tracer, ctx: &mut dyn SimCtx, sp: Span) {
+        end_in(Some(t), None, ctx, sp);
+    }
 
     fn begins(t: &Tracer) -> Vec<(u64, u64, u64)> {
         // (id, parent, ts) of SpanBegin events, recording order.
@@ -186,14 +224,14 @@ mod tests {
     fn nesting_links_parents_on_one_thread() {
         let t = Tracer::new(64);
         let mut ctx = FreeCtx::new(7);
-        let outer = begin_in(&t, &mut ctx, "outer", CostCat::App, SpanId::NONE);
+        let outer = open(&t, &mut ctx, "outer", CostCat::App, SpanId::NONE);
         ctx.charge(CostCat::App, Cycles(10));
         let parent = ctx.span_stack().unwrap().last().copied().unwrap();
         assert_eq!(parent, outer.id().0);
-        let inner = begin_in(&t, &mut ctx, "inner", CostCat::DeviceIo, SpanId(parent));
+        let inner = open(&t, &mut ctx, "inner", CostCat::DeviceIo, SpanId(parent));
         ctx.charge(CostCat::DeviceIo, Cycles(5));
-        end_in(&t, &mut ctx, inner);
-        end_in(&t, &mut ctx, outer);
+        close(&t, &mut ctx, inner);
+        close(&t, &mut ctx, outer);
         let b = begins(&t);
         assert_eq!(b.len(), 2);
         assert_eq!(b[0].1, 0, "outer is a root");
@@ -205,9 +243,9 @@ mod tests {
     fn end_pops_unbalanced_inner_spans() {
         let t = Tracer::new(64);
         let mut ctx = FreeCtx::new(7);
-        let outer = begin_in(&t, &mut ctx, "outer", CostCat::App, SpanId::NONE);
-        let _leaked = begin_in(&t, &mut ctx, "leaked", CostCat::App, SpanId(outer.id().0));
-        end_in(&t, &mut ctx, outer); // closes outer, discarding `leaked`
+        let outer = open(&t, &mut ctx, "outer", CostCat::App, SpanId::NONE);
+        let _leaked = open(&t, &mut ctx, "leaked", CostCat::App, SpanId(outer.id().0));
+        close(&t, &mut ctx, outer); // closes outer, discarding `leaked`
         assert!(ctx.span_stack().unwrap().is_empty());
     }
 
@@ -216,7 +254,7 @@ mod tests {
         let t = Tracer::new(64);
         let mut producer = FreeCtx::new(0x11).with_core(1, 4);
         let mut consumer = FreeCtx::new(0x22).with_core(2, 4);
-        let round = begin_in(
+        let round = open(
             &t,
             &mut producer,
             "evictor.round",
@@ -226,9 +264,9 @@ mod tests {
         // Publish the producer's span id; the consumer links to it even
         // though its own stack is empty.
         let handoff = round.id();
-        let drain = begin_in(&t, &mut consumer, "msync.drain", CostCat::Syscall, handoff);
-        end_in(&t, &mut consumer, drain);
-        end_in(&t, &mut producer, round);
+        let drain = open(&t, &mut consumer, "msync.drain", CostCat::Syscall, handoff);
+        close(&t, &mut consumer, drain);
+        close(&t, &mut producer, round);
         let b = begins(&t);
         assert_eq!(b[1].1, b[0].0, "consumer span parented across threads");
     }
@@ -237,22 +275,35 @@ mod tests {
     fn spans_never_charge_cycles() {
         let t = Tracer::new(8);
         let mut ctx = FreeCtx::new(1);
-        let sp = begin_in(&t, &mut ctx, "free", CostCat::App, SpanId::NONE);
-        end_in(&t, &mut ctx, sp);
+        let sp = open(&t, &mut ctx, "free", CostCat::App, SpanId::NONE);
+        close(&t, &mut ctx, sp);
         assert_eq!(ctx.now(), Cycles(0));
     }
 
     #[test]
-    fn disabled_global_returns_null_span() {
-        // The global tracer may or may not be installed depending on
-        // test order; a null-id span must always be a safe no-op.
+    fn end_records_the_span_window_into_its_histogram() {
+        let m = MetricsRegistry::new(1);
         let mut ctx = FreeCtx::new(1);
-        let sp = Span {
-            name: "x",
-            cat: CostCat::App,
-            id: SpanId::NONE,
-        };
-        end(&mut ctx, sp);
-        assert!(SpanId::NONE.is_none());
+        ctx.charge(CostCat::App, Cycles(5));
+        let sp = begin_in(None, Some(&m), &mut ctx, "work", CostCat::App, SpanId::NONE);
+        assert!(sp.id().is_none(), "no tracer: no span id allocated");
+        ctx.charge(CostCat::App, Cycles(37));
+        end_in(None, Some(&m), &mut ctx, sp);
+        let snap = m.snapshot();
+        let h = snap.hist("work.cycles").expect("span histogram");
+        assert_eq!((h.count(), h.sum()), (1, 37));
+        assert_eq!(ctx.now(), Cycles(42), "recording never charges cycles");
+    }
+
+    #[test]
+    fn span_with_nothing_installed_records_nothing() {
+        let m = MetricsRegistry::new(1);
+        let mut ctx = FreeCtx::new(1);
+        let sp = begin_in(None, None, &mut ctx, "work", CostCat::App, SpanId::NONE);
+        // Even a registry present at `end` gets no sample: the span never
+        // read its start.
+        end_in(None, Some(&m), &mut ctx, sp);
+        assert!(m.snapshot().is_empty());
+        assert_eq!(ctx.now(), Cycles(0));
     }
 }

@@ -1,11 +1,12 @@
 //! Cycle-accurate event tracing for the simulation.
 //!
-//! A [`Tracer`] collects spans, instants, and counter samples stamped
-//! with *virtual* cycles and the virtual core that produced them, into a
-//! bounded ring (oldest events are overwritten under pressure). The ring
-//! exports to Chrome's `trace_event` JSON format, so any run opens in
-//! Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing` as a
-//! per-vcore timeline.
+//! A [`Tracer`] collects causal span begin/end pairs, instants, and
+//! counter samples stamped with *virtual* cycles and the virtual core
+//! that produced them, into a bounded ring (oldest events are
+//! overwritten under pressure). The ring exports to Chrome's
+//! `trace_event` JSON format, so any run opens in Perfetto
+//! (<https://ui.perfetto.dev>) or `chrome://tracing` as a per-vcore
+//! timeline.
 //!
 //! Tracing is strictly an observer: recording an event never charges
 //! virtual cycles, so an instrumented run produces bit-identical results
@@ -14,9 +15,11 @@
 //! one atomic load each.
 //!
 //! The tracer is process-global, installed once by a figure binary's
-//! `--trace <path>` flag via [`install`]; library code reaches it through
-//! the free functions [`span`], [`instant`], and [`counter`], which read
-//! the clock and core id from the `SimCtx` they are handed.
+//! `--trace <path>` flag via [`install`]. Library code times a window with
+//! [`crate::span::begin`]/[`crate::span::end`], which record here and
+//! into the metrics registry's `<name>.cycles` histogram; it marks points
+//! with the free functions [`instant`] and [`counter`], which read the
+//! clock and core id from the `SimCtx` they are handed.
 
 use std::sync::{Arc, OnceLock};
 
@@ -32,19 +35,6 @@ pub const DEFAULT_CAPACITY: usize = 1 << 20;
 /// One recorded trace event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// A completed span: work of `dur` cycles ending at `end`.
-    Span {
-        /// Event name (Perfetto slice title).
-        name: &'static str,
-        /// Cost category (Perfetto category, for filtering).
-        cat: CostCat,
-        /// Virtual core the work ran on.
-        core: usize,
-        /// Span start, in virtual cycles.
-        start: Cycles,
-        /// Span duration, in virtual cycles.
-        dur: Cycles,
-    },
     /// A point-in-time event.
     Instant {
         /// Event name.
@@ -102,8 +92,7 @@ pub enum TraceEvent {
 impl TraceEvent {
     fn core(&self) -> usize {
         match *self {
-            TraceEvent::Span { core, .. }
-            | TraceEvent::Instant { core, .. }
+            TraceEvent::Instant { core, .. }
             | TraceEvent::Counter { core, .. }
             | TraceEvent::SpanBegin { core, .. }
             | TraceEvent::SpanEnd { core, .. } => core,
@@ -194,7 +183,7 @@ impl Tracer {
     }
 
     /// Serializes the retained events as Chrome `trace_event` JSON
-    /// (`ts`/`dur` in microseconds of virtual time; `tid` is the vcore).
+    /// (`ts` in microseconds of virtual time; `tid` is the vcore).
     ///
     /// Causal spans export as async `b`/`e` pairs matched on id. When
     /// ring pressure has overwritten a span's `SpanBegin`, the orphaned
@@ -235,23 +224,6 @@ impl Tracer {
         }
         for ev in &events {
             let line = match *ev {
-                TraceEvent::Span {
-                    name,
-                    cat,
-                    core,
-                    start,
-                    dur,
-                } => format!(
-                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\
-                     \"dur\":{:.3},\"pid\":1,\"tid\":{core},\
-                     \"args\":{{\"start_cycles\":{},\"dur_cycles\":{}}}}}",
-                    esc(name),
-                    cat.name(),
-                    us(start),
-                    us(dur),
-                    start.get(),
-                    dur.get()
-                ),
                 TraceEvent::Instant {
                     name,
                     cat,
@@ -350,23 +322,6 @@ pub fn enabled() -> bool {
     GLOBAL.get().is_some()
 }
 
-/// Records a completed span from `start` to `ctx.now()` on the calling
-/// vcore. Call *after* the work, passing the `ctx.now()` sampled before
-/// it; never charges cycles.
-#[inline]
-pub fn span(ctx: &dyn SimCtx, name: &'static str, cat: CostCat, start: Cycles) {
-    if let Some(t) = GLOBAL.get() {
-        let end = ctx.now();
-        t.record(TraceEvent::Span {
-            name,
-            cat,
-            core: ctx.core(),
-            start,
-            dur: end.saturating_sub(start),
-        });
-    }
-}
-
 /// Records an instant event at `ctx.now()` on the calling vcore.
 #[inline]
 pub fn instant(ctx: &dyn SimCtx, name: &'static str, cat: CostCat) {
@@ -426,12 +381,20 @@ mod tests {
     #[test]
     fn chrome_export_is_valid_shape() {
         let t = Tracer::new(16);
-        t.record(TraceEvent::Span {
+        t.record(TraceEvent::SpanBegin {
             name: "fault",
             cat: CostCat::FaultHandler,
             core: 1,
-            start: Cycles(2400),
-            dur: Cycles(4800),
+            ts: Cycles(2400),
+            id: 1,
+            parent: 0,
+        });
+        t.record(TraceEvent::SpanEnd {
+            name: "fault",
+            cat: CostCat::FaultHandler,
+            core: 1,
+            ts: Cycles(7200),
+            id: 1,
         });
         t.record(TraceEvent::Instant {
             name: "shootdown",
@@ -448,14 +411,15 @@ mod tests {
         let s = t.export_chrome();
         assert!(s.starts_with('{') && s.trim_end().ends_with('}'));
         assert!(s.contains("\"traceEvents\""));
-        assert!(s.contains("\"ph\":\"X\""));
+        assert!(s.contains("\"ph\":\"b\""));
+        assert!(s.contains("\"ph\":\"e\""));
         assert!(s.contains("\"ph\":\"i\""));
         assert!(s.contains("\"ph\":\"C\""));
         assert!(s.contains("\"name\":\"vcore 0\""));
         assert!(s.contains("\"name\":\"vcore 1\""));
         // 2400 cycles at 2.4 GHz = exactly 1 us.
         assert!(s.contains("\"ts\":1.000"), "virtual-cycle timestamp:\n{s}");
-        assert!(s.contains("\"dur\":2.000"));
+        assert!(s.contains("\"ts\":3.000"));
         // Balanced braces/brackets (cheap well-formedness check).
         assert_eq!(s.matches('{').count(), s.matches('}').count());
         assert_eq!(s.matches('[').count(), s.matches(']').count());
@@ -607,9 +571,7 @@ mod tests {
         // The global may or may not be installed (test order), so only
         // check these never panic or charge cycles.
         let mut ctx = FreeCtx::new(1);
-        let t0 = ctx.now();
         ctx.charge(CostCat::App, Cycles(10));
-        span(&ctx, "work", CostCat::App, t0);
         instant(&ctx, "tick", CostCat::Other);
         counter(&ctx, "gauge", 3);
         assert_eq!(ctx.now(), Cycles(10), "tracing never charges cycles");

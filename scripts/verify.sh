@@ -33,7 +33,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 # Scalar extraction goes through the shared bench::json parser via
-# `aquila-prof get` (one code path for every schema-v3 consumer).
+# `aquila-prof get` (one code path for every report consumer).
 prof=target/release/aquila-prof
 
 step "static analysis (aquila-analysis lint --strict, AQ001-AQ010)"
@@ -60,7 +60,7 @@ grep -q '"schema_version": 5' "$tmp/r.json" ||
 grep -q '"faults"' "$tmp/r.json" ||
     { echo "FAIL: JSON record missing faults section" >&2; exit 1; }
 grep -q '"latency"' "$tmp/r.json" ||
-    { echo "FAIL: JSON record missing schema-v3 latency section" >&2; exit 1; }
+    { echo "FAIL: JSON record missing latency section" >&2; exit 1; }
 grep -q '"traceEvents"' "$tmp/t.json" ||
     { echo "FAIL: trace file missing traceEvents" >&2; exit 1; }
 grep -q 'aquila.fault' "$tmp/t.json" ||
