@@ -149,6 +149,49 @@ fn bench_fault_path() {
         p = (p + 613) & 4095;
         rt.aquila.read(&mut ctx, addr.add(p * 4096), &mut buf)
     });
+    // Every read a minor fault on the cached file: the window is
+    // unmapped and mapped again before each pass over its 4096 pages.
+    let mut window = addr;
+    let mut p = 0u64;
+    bench("mmio_fault_path", "minor_fault_read", 200_000, || {
+        if p == 0 {
+            rt.aquila.munmap(&mut ctx, window, 4096).expect("unmap");
+            window = rt
+                .aquila
+                .mmap(&mut ctx, f, 0, 4096, aquila::Prot::RW)
+                .expect("map");
+        }
+        let r = rt.aquila.read(&mut ctx, window.add(p * 4096), &mut buf);
+        p = (p + 1) & 4095;
+        r
+    });
+
+    // Every read a major fault: a 1024-frame cache under an 8192-page
+    // file read without readahead, so nearly every read fills a frame
+    // from the device and evicts.
+    let mut ctx = FreeCtx::new(1);
+    let debts = Arc::new(aquila_sim::CoreDebts::new(1));
+    let rt = aquila::AquilaRuntime::build(
+        &mut ctx,
+        aquila::DeviceKind::PmemDax,
+        1 << 15,
+        1 << 10,
+        1,
+        debts,
+    );
+    let f = rt.open("/bench-major", 8192).expect("open");
+    let addr = rt
+        .aquila
+        .mmap(&mut ctx, f, 0, 8192, aquila::Prot::RW)
+        .expect("map");
+    rt.aquila
+        .madvise(&mut ctx, addr, 8192, aquila::Advice::Random)
+        .expect("madvise");
+    let mut p = 0u64;
+    bench("mmio_fault_path", "major_fault_read", 100_000, || {
+        p = (p + 613) & 8191;
+        rt.aquila.read(&mut ctx, addr.add(p * 4096), &mut buf)
+    });
 }
 
 fn bench_tlb() {

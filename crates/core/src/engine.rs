@@ -34,6 +34,7 @@ use aquila_vmx::{Ept, EptPageSize, EptPerms, Gpa, Hpa, Vcpu, PAGE_1G};
 
 use crate::error::AquilaError;
 use crate::file::{FileId, Files};
+use crate::rmap::Rmap;
 
 pub use crate::config::{AquilaConfig, AquilaConfigBuilder, MmioPolicy, WritePolicy};
 
@@ -152,7 +153,7 @@ pub struct Aquila {
     debts: Arc<CoreDebts>,
     vcpus: Vec<Mutex<Vcpu>>,
     /// Reverse map: frame -> virtual pages currently mapping it.
-    rmap: Vec<Mutex<Vec<Vpn>>>,
+    rmap: Rmap,
     ept: Mutex<Ept>,
     hpa_next: Mutex<u64>,
     stats: Mutex<EngineStats>,
@@ -238,9 +239,7 @@ impl Aquila {
             page_table: ShardedPageTable::new(cfg.cores.max(2)),
             tlbs: TlbFabric::new(cfg.cores),
             vcpus: (0..cfg.cores).map(|_| Mutex::new(Vcpu::new())).collect(),
-            rmap: (0..cfg.max_cache_frames + slab_frames)
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
+            rmap: Rmap::new(cfg.max_cache_frames + slab_frames),
             ept: Mutex::new(ept),
             hpa_next: Mutex::new(hpa_next),
             stats: Mutex::new(EngineStats {
@@ -644,7 +643,9 @@ impl Aquila {
         let mut flushed = Vec::new();
         for (&vpn, pte) in vpns.iter().zip(unmapped) {
             if let Some(pte) = pte {
-                self.rmap_remove(pte_frame(&self.cache, pte.gpa), vpn);
+                if let Some(frame) = pte_frame(&self.cache, pte.gpa) {
+                    self.rmap.remove(frame, vpn);
+                }
                 flushed.push(vpn);
             }
         }
@@ -901,20 +902,24 @@ impl Aquila {
         aquila_sim::metrics::add(ctx, "aquila.fault.major", 1);
         let frame = self.alloc_frame_for(ctx, desc.file)?;
         let sp_read = aquila_sim::span::begin(ctx, "aquila.fault.read", CostCat::DeviceIo);
-        let mut buf = vec![0u8; STORE_PAGE];
-        let read = self.files.read_pages(ctx, file, file_page, &mut buf);
+        // The device fills the frame in place; the frame is private to
+        // this fault until `commit_insert` publishes it.
+        let read = self.cache.mem().with_frame_mut(frame, |data| {
+            self.files.read_pages(ctx, file, file_page, data)
+        });
         aquila_sim::span::end(ctx, sp_read);
-        if let Err(AquilaError::Device(DeviceError::Corrupt { page })) = read {
-            // Unrepairable corruption on every copy: refuse to map the
-            // poisoned page and degrade the region instead of silently
-            // serving garbage (DESIGN.md §16).
+        if let Err(e) = read {
             self.cache.release_frame(ctx, frame);
-            aquila_sim::metrics::add(ctx, "aquila.integrity.read_refused", 1);
-            self.transition(ctx, RegionState::ReadOnly);
-            return Err(AquilaError::DataCorrupted { page });
+            if let AquilaError::Device(DeviceError::Corrupt { page }) = e {
+                // Unrepairable corruption on every copy: refuse to map
+                // the poisoned page and degrade the region instead of
+                // silently serving garbage (DESIGN.md §16).
+                aquila_sim::metrics::add(ctx, "aquila.integrity.read_refused", 1);
+                self.transition(ctx, RegionState::ReadOnly);
+                return Err(AquilaError::DataCorrupted { page });
+            }
+            return Err(e);
         }
-        read?;
-        self.cache.mem().write(frame, 0, &buf);
         match self.cache.commit_insert(ctx, key, frame) {
             Ok(()) => {
                 self.map_frame(ctx, vpn, key, frame, access);
@@ -958,19 +963,12 @@ impl Aquila {
         self.page_table.with(ctx, vpn, |pt| {
             pt.map(vpn.base(), gpa, flags);
         });
-        self.rmap[frame.0 as usize].lock().push(vpn);
+        self.rmap.push(frame, vpn);
         let core = ctx.core() % self.cfg.cores;
         race::acquire(ctx, (L_TLB, core as u64));
         self.tlbs.with_local(core, |t| t.insert(vpn, gpa, flags));
         race::write(ctx, (V_TLB, core as u64));
         race::release(ctx, (L_TLB, core as u64));
-    }
-
-    fn rmap_remove(&self, frame: Option<FrameId>, vpn: Vpn) {
-        if let Some(f) = frame {
-            let mut v = self.rmap[f.0 as usize].lock();
-            v.retain(|&p| p != vpn);
-        }
     }
 
     /// Allocates a cache frame, running a batched eviction round when the
@@ -1022,10 +1020,10 @@ impl Aquila {
     /// Unmaps a detached victim batch (one batched shootdown), writes the
     /// dirty ones back, and recycles every frame to the freelist.
     fn retire_victims(&self, ctx: &mut dyn SimCtx, victims: &[Victim]) -> Result<(), AquilaError> {
-        let flushed: Vec<Vpn> = victims
-            .iter()
-            .flat_map(|v| std::mem::take(&mut *self.rmap[v.frame.0 as usize].lock()))
-            .collect();
+        let mut flushed: Vec<Vpn> = Vec::with_capacity(victims.len());
+        for v in victims {
+            self.rmap.take_into(v.frame, &mut flushed);
+        }
         self.page_table.with_each(ctx, &flushed, |pt, i| {
             pt.unmap(flushed[i].base());
         });
@@ -1486,14 +1484,17 @@ impl Aquila {
         // Stage 2: repoint the cache into the slab run (infallible; the
         // DES cannot interleave another thread here).
         race::acquire(ctx, (L_HUGE, 0));
-        let mut displaced: Vec<(FrameId, Vec<Vpn>)> = Vec::new();
+        // Every mapping of a displaced frame, in the order the frames
+        // migrate.
+        let mut displaced: Vec<FrameId> = Vec::new();
+        let mut vpns: Vec<Vpn> = Vec::new();
         for (i, f) in frames.iter().enumerate() {
             if let Some(old) = *f {
                 let key = PageKey::new(desc.file, fp_base + i as u64);
                 self.cache
                     .migrate_frame(ctx, key, old, self.cache.slab_run_frame(run, i));
-                let vpns = std::mem::take(&mut *self.rmap[old.0 as usize].lock());
-                displaced.push((old, vpns));
+                self.rmap.take_into(old, &mut vpns);
+                displaced.push(old);
             }
         }
         for (i, buf) in &fills {
@@ -1518,10 +1519,6 @@ impl Aquila {
         // Teardown and leaf install take each shard lock once, as a
         // collapse holds the PMD lock across both; the leaf goes last so
         // it never covers a PTE still to be torn down.
-        let mut vpns: Vec<Vpn> = displaced
-            .iter()
-            .flat_map(|(_, v)| v.iter().copied())
-            .collect();
         let leaf = vpns.len();
         vpns.push(hbase);
         let unmapped = self.page_table.with_each(ctx, &vpns, |pt, i| {
@@ -1539,8 +1536,8 @@ impl Aquila {
             .collect();
         self.tlbs
             .shootdown_batch(ctx, &self.debts, self.cfg.ipi_path, &flushed);
-        for (old, _) in &displaced {
-            self.cache.release_frame(ctx, *old);
+        for &old in &displaced {
+            self.cache.release_frame(ctx, old);
         }
         // Prime the local 2 MiB sub-TLB so the faulting access retries
         // straight into a huge hit.

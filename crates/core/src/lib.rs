@@ -33,6 +33,7 @@ pub mod engine;
 pub mod error;
 pub mod file;
 pub mod region;
+mod rmap;
 pub mod runtime;
 pub mod session;
 pub mod syscall;

@@ -1343,3 +1343,110 @@ fn mirrored_async_msync_keeps_deep_queues_on_both_copies() {
         "batching must beat one command at a time: depth 8 {mirror_async} vs depth 1 {mirror_qd1} cycles"
     );
 }
+
+#[test]
+fn failed_fill_returns_its_frame() {
+    use crate::config::MmioPolicy;
+    use aquila_devices::RetryPolicy;
+    use aquila_sim::fault::FaultPlan;
+
+    let mut ctx = FreeCtx::new(17);
+    let debts = Arc::new(CoreDebts::new(1));
+    let policy = MmioPolicy {
+        retry: RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        },
+        ..MmioPolicy::default()
+    };
+    let rt = AquilaRuntime::build_with_policy(
+        &mut ctx,
+        DeviceKind::NvmeSpdk,
+        65536,
+        64,
+        1,
+        debts,
+        policy,
+    );
+    rt.aquila.thread_enter(&mut ctx);
+    let f = rt.open("/data/leak", 16).unwrap();
+    let addr = rt.aquila.mmap(&mut ctx, f, 0, 16, Prot::READ).unwrap();
+    rt.access
+        .nvme_device()
+        .expect("spdk path has an nvme device")
+        .set_fault_plan(Arc::new(
+            FaultPlan::parse("nvme.read:media_error@op=1").unwrap(),
+        ));
+    let free = rt.aquila.cache().free_frames();
+    let mut b = [0u8; 1];
+    let err = rt.aquila.read(&mut ctx, addr, &mut b).unwrap_err();
+    assert!(matches!(err, AquilaError::Device(_)), "got {err:?}");
+    assert_eq!(
+        rt.aquila.cache().free_frames(),
+        free,
+        "failed fill leaked its frame"
+    );
+    assert_eq!(rt.aquila.cache().resident(), 0);
+    // The plan was one-shot: the retry fills and maps normally.
+    rt.aquila.read(&mut ctx, addr, &mut b).unwrap();
+    assert!(rt.aquila.cache().resident() >= 1);
+}
+
+/// Two mappings of one file range share every frame, so each frame's
+/// reverse map holds two VPNs (the spill path). Unmapping one and then
+/// evicting must tear down the survivor's PTEs, and the frames must all
+/// come back.
+#[test]
+fn doubly_mapped_frames_unmap_and_evict_cleanly() {
+    let (mut ctx, rt) = runtime(DeviceKind::PmemDax, 16);
+    let f = rt.open("/data/twice", 64).unwrap();
+    let a = rt.aquila.mmap(&mut ctx, f, 0, 8, Prot::RW).unwrap();
+    let b = rt.aquila.mmap(&mut ctx, f, 0, 8, Prot::READ).unwrap();
+    assert_ne!(a, b);
+    for p in 0..8u64 {
+        rt.aquila
+            .write(&mut ctx, a.add(p * 4096), &[p as u8 + 1])
+            .unwrap();
+    }
+    let mut byte = [0u8; 1];
+    for p in 0..8u64 {
+        rt.aquila
+            .read(&mut ctx, b.add(p * 4096), &mut byte)
+            .unwrap();
+        assert_eq!(
+            byte[0],
+            p as u8 + 1,
+            "second mapping sees the first's write"
+        );
+    }
+    rt.aquila.munmap(&mut ctx, a, 8).unwrap();
+
+    // Stream the rest of the file through a third mapping: 56 pages
+    // through a 16-frame cache evicts every frame `b` maps.
+    let c = rt.aquila.mmap(&mut ctx, f, 8, 56, Prot::READ).unwrap();
+    for p in 0..56u64 {
+        rt.aquila
+            .read(&mut ctx, c.add(p * 4096), &mut byte)
+            .unwrap();
+    }
+    assert!(ctx.stats.evictions >= 8, "pressure must evict");
+
+    // Every page of `b` lost its PTE with its frame: each read faults
+    // again and brings back the bytes written through `a`.
+    for p in 0..8u64 {
+        let faults = ctx.stats.page_faults;
+        rt.aquila
+            .read(&mut ctx, b.add(p * 4096), &mut byte)
+            .unwrap();
+        assert_eq!(byte[0], p as u8 + 1, "page {p} after eviction");
+        assert!(
+            ctx.stats.page_faults > faults,
+            "page {p}: stale PTE survived"
+        );
+    }
+    let cache = rt.aquila.cache();
+    assert_eq!(
+        cache.free_frames() + cache.resident(),
+        cache.active_frames()
+    );
+}

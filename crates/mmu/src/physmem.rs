@@ -7,15 +7,27 @@
 //! frames out — so KV stores and graph workloads running on the simulator
 //! observe genuine data, not placeholders.
 //!
-//! Each frame has its own reader-writer lock so the structure is sound
-//! under real threads, while staying contention-free under the
+//! Frames live in chunks of 512 (2 MiB of host memory each), one
+//! reader-writer lock per chunk: neighbouring frames share host pages and
+//! a lock word instead of a heap box and a lock each. The locks keep the
+//! pool sound under real threads and are uncontended under the
 //! single-threaded discrete-event engine.
+//!
+//! **Lock rule:** a frame's bytes are only reachable inside
+//! [`PhysMem::with_frame`] / [`PhysMem::with_frame_mut`], which hold its
+//! chunk's lock. No caller may take another frame while inside one of
+//! them: the other frame may share the chunk, and a nested write would
+//! deadlock.
 
 use aquila_sync::RwLock;
 
 use aquila_vmx::Gpa;
 
 use crate::addr::PAGE_SIZE;
+
+/// Frames per chunk: one 2 MiB host allocation and lock.
+const CHUNK_FRAMES: usize = 512;
+const FRAME_BYTES: usize = PAGE_SIZE as usize;
 
 /// Index of a frame within a [`PhysMem`] pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -29,7 +41,11 @@ pub struct PhysMem {
     base: Gpa,
     slab_base: Gpa,
     slab_start: usize,
-    frames: Vec<RwLock<Box<[u8]>>>,
+    frames: usize,
+    /// Frame `i` is bytes `(i % 512) * 4096..` of chunk `i / 512`; the
+    /// last chunk holds only the remainder, so the slice bounds check
+    /// rejects a frame past the end.
+    chunks: Vec<RwLock<Box<[u8]>>>,
 }
 
 impl PhysMem {
@@ -55,19 +71,34 @@ impl PhysMem {
                 "slab window overlaps the ordinary frame window"
             );
         }
+        let total = frames + slab_frames;
         PhysMem {
             base,
             slab_base,
             slab_start: frames,
-            frames: (0..frames + slab_frames)
-                .map(|_| RwLock::new(vec![0u8; PAGE_SIZE as usize].into_boxed_slice()))
+            frames: total,
+            chunks: (0..total.div_ceil(CHUNK_FRAMES))
+                .map(|c| {
+                    let n = (total - c * CHUNK_FRAMES).min(CHUNK_FRAMES);
+                    RwLock::new(vec![0u8; n * FRAME_BYTES].into_boxed_slice())
+                })
                 .collect(),
         }
     }
 
     /// Number of frames in the pool (ordinary + slab).
     pub fn frame_count(&self) -> usize {
-        self.frames.len()
+        self.frames
+    }
+
+    /// The chunk holding `frame` and the frame's byte offset in it.
+    #[inline]
+    fn locate(&self, frame: FrameId) -> (&RwLock<Box<[u8]>>, usize) {
+        let idx = frame.0 as usize;
+        (
+            &self.chunks[idx / CHUNK_FRAMES],
+            (idx % CHUNK_FRAMES) * FRAME_BYTES,
+        )
     }
 
     /// First frame index of the slab window (== ordinary frame count).
@@ -99,10 +130,10 @@ impl PhysMem {
                 return Some(FrameId(idx as u32));
             }
         }
-        if self.slab_start < self.frames.len() {
+        if self.slab_start < self.frames {
             if let Some(off) = gpa.get().checked_sub(self.slab_base.get()) {
                 let idx = self.slab_start + (off / PAGE_SIZE) as usize;
-                if idx < self.frames.len() {
+                if idx < self.frames {
                     return Some(FrameId(idx as u32));
                 }
             }
@@ -116,7 +147,8 @@ impl PhysMem {
     ///
     /// Panics if `frame` is out of range.
     pub fn with_frame<R>(&self, frame: FrameId, f: impl FnOnce(&[u8]) -> R) -> R {
-        f(&self.frames[frame.0 as usize].read())
+        let (chunk, off) = self.locate(frame);
+        f(&chunk.read()[off..off + FRAME_BYTES])
     }
 
     /// Runs `f` with exclusive access to a frame's bytes.
@@ -125,7 +157,8 @@ impl PhysMem {
     ///
     /// Panics if `frame` is out of range.
     pub fn with_frame_mut<R>(&self, frame: FrameId, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        f(&mut self.frames[frame.0 as usize].write())
+        let (chunk, off) = self.locate(frame);
+        f(&mut chunk.write()[off..off + FRAME_BYTES])
     }
 
     /// Copies bytes out of a frame starting at `offset`.
@@ -153,8 +186,7 @@ impl core::fmt::Debug for PhysMem {
         write!(
             f,
             "PhysMem {{ base: {}, frames: {} }}",
-            self.base,
-            self.frames.len()
+            self.base, self.frames
         )
     }
 }
@@ -235,6 +267,21 @@ mod tests {
         assert_eq!(&buf, b"slab");
         pm.read(FrameId(3), 0, &mut buf);
         assert_eq!(buf, [0; 4]);
+    }
+
+    #[test]
+    fn frames_across_a_chunk_boundary_are_independent() {
+        // 513 frames: one full chunk plus a one-frame tail chunk.
+        let pm = PhysMem::new(Gpa(0), 513);
+        pm.write(FrameId(511), 4090, b"tail51");
+        pm.write(FrameId(512), 0, b"head");
+        let mut buf = [0u8; 6];
+        pm.read(FrameId(511), 4090, &mut buf);
+        assert_eq!(&buf, b"tail51");
+        pm.read(FrameId(512), 0, &mut buf[..4]);
+        assert_eq!(&buf[..4], b"head");
+        pm.with_frame(FrameId(510), |d| assert!(d.iter().all(|&b| b == 0)));
+        pm.with_frame(FrameId(512), |d| assert_eq!(d.len(), 4096));
     }
 
     #[test]

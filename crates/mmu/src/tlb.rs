@@ -12,20 +12,18 @@ use aquila_sync::Mutex;
 use aquila_sim::{race, CostCat, SimCtx};
 use aquila_vmx::{ApicFabric, Gpa, IpiSendPath};
 
-use crate::addr::Vpn;
+use crate::addr::{Vpn, PAGE_2M, PAGE_SIZE};
 use crate::pagetable::PteFlags;
 
 /// Number of sets in the simulated TLB (384 sets x 4 ways = 1536
 /// data-TLB entries, Haswell-class).
 const TLB_SETS: usize = 384;
-/// Associativity.
-const TLB_WAYS: usize = 4;
 /// Sets in the 2 MiB sub-TLB (8 sets x 4 ways = 32 huge entries,
 /// Haswell-class). Small on purpose: its *reach* (32 x 2 MiB = 64 MiB)
 /// is what promotion buys, not its entry count.
 const HUGE_TLB_SETS: usize = 8;
-/// Associativity of the 2 MiB sub-TLB.
-const HUGE_TLB_WAYS: usize = 4;
+/// Associativity of both arrays.
+const WAYS: usize = 4;
 
 // Race-detector identities: per-core TLB locks (instanced by core; the
 // shootdown sweep takes them one at a time in ascending core order, never
@@ -39,37 +37,134 @@ const V_APIC: &str = "mmu.apic.fabric";
 const L_SHOOTDOWNS: &str = "mmu.shootdowns";
 const V_SHOOTDOWNS: &str = "mmu.shootdowns.count";
 
+/// Key bits 0-1: the way's recency rank within its set (0 = most
+/// recently touched, 3 = least). The ranks of a set's four ways are
+/// always a permutation of 0..4.
+const RANK: u64 = 0b11;
+/// Key bit 2: the way holds a translation.
+const VALID: u64 = 0b100;
+/// The page number sits above the rank and valid bits.
+const KEY_SHIFT: u32 = 3;
+/// Value bits 0-3: the entry's [`PteFlags`]; the rest is the
+/// page-aligned GPA.
+const FLAG_BITS: u64 = 0xF;
+
+/// One 4-way set in one 64-byte cache line: a key per way (page number,
+/// valid bit, recency rank) and a value per way (GPA with the flags in
+/// its low bits). A probe touches exactly one host cache line.
 #[derive(Debug, Clone, Copy)]
-struct TlbEntry {
-    vpn: Vpn,
-    gpa: Gpa,
-    flags: PteFlags,
-    valid: bool,
-    lru: u64,
+#[repr(C, align(64))]
+struct Set {
+    keys: [u64; WAYS],
+    vals: [u64; WAYS],
 }
 
-const INVALID: TlbEntry = TlbEntry {
-    vpn: Vpn(0),
-    gpa: Gpa(0),
-    flags: PteFlags {
-        present: false,
-        writable: false,
-        dirty: false,
-        accessed: false,
-    },
-    valid: false,
-    lru: 0,
+/// All ways invalid, ranked by way index.
+const EMPTY_SET: Set = Set {
+    keys: [0, 1, 2, 3],
+    vals: [0; WAYS],
 };
+
+impl Set {
+    #[inline]
+    fn tag(vpn: Vpn) -> u64 {
+        assert!(vpn.0 >> (64 - KEY_SHIFT) == 0, "vpn {vpn:?} too wide");
+        (vpn.0 << KEY_SHIFT) | VALID
+    }
+
+    /// First way, in way order, holding the valid translation `tag`
+    /// names.
+    #[inline]
+    fn find(&self, tag: u64) -> Option<usize> {
+        self.keys.iter().position(|&k| k & !RANK == tag)
+    }
+
+    /// Makes `way` the most recently touched way of the set.
+    #[inline]
+    fn touch(&mut self, way: usize) {
+        let rank = self.keys[way] & RANK;
+        for k in self.keys.iter_mut() {
+            if *k & RANK < rank {
+                *k += 1;
+            }
+        }
+        self.keys[way] &= !RANK;
+    }
+
+    /// The way to fill: the first invalid way by index, else the least
+    /// recently touched.
+    #[inline]
+    fn victim(&self) -> usize {
+        self.keys
+            .iter()
+            .position(|&k| k & VALID == 0)
+            .unwrap_or_else(|| {
+                (0..WAYS)
+                    .max_by_key(|&w| self.keys[w] & RANK)
+                    .expect("sets are non-empty")
+            })
+    }
+
+    #[inline]
+    fn fill(&mut self, vpn: Vpn, gpa: Gpa, flags: PteFlags) {
+        let way = self.victim();
+        self.keys[way] = Self::tag(vpn) | (self.keys[way] & RANK);
+        self.vals[way] = pack(gpa, flags);
+        self.touch(way);
+    }
+
+    /// Invalidates every way holding `vpn`; returns how many did.
+    #[inline]
+    fn invalidate(&mut self, vpn: Vpn) -> u64 {
+        let tag = Self::tag(vpn);
+        let mut n = 0;
+        for k in self.keys.iter_mut() {
+            if *k & !RANK == tag {
+                *k &= !VALID;
+                n += 1;
+            }
+        }
+        n
+    }
+
+    fn valid_ways(&self) -> u64 {
+        self.keys.iter().filter(|&&k| k & VALID != 0).count() as u64
+    }
+}
+
+#[inline]
+fn pack(gpa: Gpa, flags: PteFlags) -> u64 {
+    assert_eq!(
+        gpa.get() & (PAGE_SIZE - 1),
+        0,
+        "TLB GPA {gpa} not page-aligned"
+    );
+    gpa.get()
+        | flags.present as u64
+        | (flags.writable as u64) << 1
+        | (flags.dirty as u64) << 2
+        | (flags.accessed as u64) << 3
+}
+
+#[inline]
+fn unpack(val: u64) -> (Gpa, PteFlags) {
+    let flags = PteFlags {
+        present: val & 1 != 0,
+        writable: val & 2 != 0,
+        dirty: val & 4 != 0,
+        accessed: val & 8 != 0,
+    };
+    (Gpa(val & !FLAG_BITS), flags)
+}
 
 /// A single core's dTLB: a 4 KiB array and a 2 MiB sub-TLB, both
 /// set-associative with LRU replacement, as on Haswell-class parts.
 #[derive(Debug)]
 pub struct Tlb {
-    sets: Vec<[TlbEntry; TLB_WAYS]>,
+    sets: Box<[Set]>,
     /// 2 MiB sub-TLB; entries are keyed by the huge VPN (vpn >> 9) and
     /// hold the 2 MiB-aligned base GPA.
-    huge_sets: Vec<[TlbEntry; HUGE_TLB_WAYS]>,
-    tick: u64,
+    huge_sets: Box<[Set]>,
     hits: u64,
     huge_hits: u64,
     misses: u64,
@@ -81,9 +176,8 @@ impl Tlb {
     /// Creates an empty TLB.
     pub fn new() -> Tlb {
         Tlb {
-            sets: vec![[INVALID; TLB_WAYS]; TLB_SETS],
-            huge_sets: vec![[INVALID; HUGE_TLB_WAYS]; HUGE_TLB_SETS],
-            tick: 0,
+            sets: vec![EMPTY_SET; TLB_SETS].into_boxed_slice(),
+            huge_sets: vec![EMPTY_SET; HUGE_TLB_SETS].into_boxed_slice(),
             hits: 0,
             huge_hits: 0,
             misses: 0,
@@ -107,52 +201,34 @@ impl Tlb {
         (hvpn.0 as usize) % HUGE_TLB_SETS
     }
 
-    /// Looks up a translation; updates hit/miss statistics and LRU. A
-    /// 2 MiB entry hit returns the GPA of the 4 KiB slice, so callers do
-    /// not care which array the translation came from.
+    /// Looks up a translation; updates hit/miss statistics and LRU. The
+    /// 4 KiB array is probed first, then the 2 MiB sub-TLB; a 2 MiB hit
+    /// returns the GPA of the 4 KiB slice, so callers do not care which
+    /// array the translation came from.
     pub fn lookup(&mut self, vpn: Vpn) -> Option<(Gpa, PteFlags)> {
-        self.tick += 1;
-        let tick = self.tick;
         let set = &mut self.sets[Self::set_of(vpn)];
-        for e in set.iter_mut() {
-            if e.valid && e.vpn == vpn {
-                e.lru = tick;
-                self.hits += 1;
-                return Some((e.gpa, e.flags));
-            }
+        if let Some(way) = set.find(Set::tag(vpn)) {
+            set.touch(way);
+            self.hits += 1;
+            return Some(unpack(set.vals[way]));
         }
         let hvpn = Self::hvpn_of(vpn);
         let set = &mut self.huge_sets[Self::huge_set_of(hvpn)];
-        for e in set.iter_mut() {
-            if e.valid && e.vpn == hvpn {
-                e.lru = tick;
-                self.hits += 1;
-                self.huge_hits += 1;
-                let slice = Gpa(e.gpa.get() + (vpn.0 & 0x1FF) * crate::addr::PAGE_SIZE);
-                return Some((slice, e.flags));
-            }
+        if let Some(way) = set.find(Set::tag(hvpn)) {
+            set.touch(way);
+            self.hits += 1;
+            self.huge_hits += 1;
+            let (base, flags) = unpack(set.vals[way]);
+            return Some((Gpa(base.get() + (vpn.0 & 0x1FF) * PAGE_SIZE), flags));
         }
         self.misses += 1;
         None
     }
 
-    /// Inserts a translation, evicting the LRU way in its set.
+    /// Inserts a translation for the page at page-aligned `gpa`,
+    /// evicting the LRU way in its set.
     pub fn insert(&mut self, vpn: Vpn, gpa: Gpa, flags: PteFlags) {
-        self.tick += 1;
-        let tick = self.tick;
-        let set = &mut self.sets[Self::set_of(vpn)];
-        // Prefer an invalid way; otherwise evict LRU.
-        let victim = set
-            .iter_mut()
-            .min_by_key(|e| if e.valid { e.lru + 1 } else { 0 })
-            .expect("sets are non-empty");
-        *victim = TlbEntry {
-            vpn,
-            gpa,
-            flags,
-            valid: true,
-            lru: tick,
-        };
+        self.sets[Self::set_of(vpn)].fill(vpn, gpa, flags);
     }
 
     /// Inserts a 2 MiB translation for the huge page containing
@@ -160,54 +236,34 @@ impl Tlb {
     /// base of the backing run), evicting the LRU way in its sub-TLB set.
     pub fn insert_huge(&mut self, hbase: Vpn, gpa: Gpa, flags: PteFlags) {
         debug_assert!(hbase.is_huge_aligned(), "huge TLB entry must be 2M-aligned");
-        self.tick += 1;
-        let tick = self.tick;
         let hvpn = Self::hvpn_of(hbase);
-        let set = &mut self.huge_sets[Self::huge_set_of(hvpn)];
-        let victim = set
-            .iter_mut()
-            .min_by_key(|e| if e.valid { e.lru + 1 } else { 0 })
-            .expect("sets are non-empty");
-        *victim = TlbEntry {
-            vpn: hvpn,
-            gpa,
-            flags,
-            valid: true,
-            lru: tick,
-        };
+        self.huge_sets[Self::huge_set_of(hvpn)].fill(hvpn, gpa, flags);
     }
 
     /// Invalidates the entry for one page (local `invlpg`). As on real
     /// hardware, `invlpg` also drops the covering 2 MiB entry, so every
     /// existing shootdown path handles promoted mappings unchanged.
     pub fn invalidate(&mut self, vpn: Vpn) {
-        let set = &mut self.sets[Self::set_of(vpn)];
-        for e in set.iter_mut() {
-            if e.valid && e.vpn == vpn {
-                e.valid = false;
-                self.invalidations += 1;
-            }
+        self.invalidate_batch(&[vpn], &[Self::hvpn_of(vpn)]);
+    }
+
+    /// [`Tlb::invalidate`] of every page in `pages`, with the 2 MiB
+    /// probes made once per entry of `hvpns`: the sorted, de-duplicated
+    /// huge VPNs (`vpn >> 9`) of `pages`.
+    pub fn invalidate_batch(&mut self, pages: &[Vpn], hvpns: &[Vpn]) {
+        for &vpn in pages {
+            self.invalidations += self.sets[Self::set_of(vpn)].invalidate(vpn);
         }
-        let hvpn = Self::hvpn_of(vpn);
-        let set = &mut self.huge_sets[Self::huge_set_of(hvpn)];
-        for e in set.iter_mut() {
-            if e.valid && e.vpn == hvpn {
-                e.valid = false;
-                self.invalidations += 1;
-            }
+        for &hvpn in hvpns {
+            self.invalidations += self.huge_sets[Self::huge_set_of(hvpn)].invalidate(hvpn);
         }
     }
 
     /// Flushes the whole TLB (CR3 reload), both page sizes.
     pub fn flush(&mut self) {
-        for set in self.sets.iter_mut() {
-            for e in set.iter_mut() {
-                e.valid = false;
-            }
-        }
-        for set in self.huge_sets.iter_mut() {
-            for e in set.iter_mut() {
-                e.valid = false;
+        for set in self.sets.iter_mut().chain(self.huge_sets.iter_mut()) {
+            for k in set.keys.iter_mut() {
+                *k &= !VALID;
             }
         }
         self.flushes += 1;
@@ -227,9 +283,9 @@ impl Tlb {
     /// Bytes of address space the currently valid entries can translate
     /// without a walk: 4 KiB per small entry, 2 MiB per huge entry.
     pub fn reach_bytes(&self) -> u64 {
-        let small = self.sets.iter().flatten().filter(|e| e.valid).count() as u64;
-        let huge = self.huge_sets.iter().flatten().filter(|e| e.valid).count() as u64;
-        small * crate::addr::PAGE_SIZE + huge * crate::addr::PAGE_2M
+        let small: u64 = self.sets.iter().map(Set::valid_ways).sum();
+        let huge: u64 = self.huge_sets.iter().map(Set::valid_ways).sum();
+        small * PAGE_SIZE + huge * PAGE_2M
     }
 
     /// Entries invalidated individually.
@@ -298,14 +354,14 @@ impl TlbFabric {
             return;
         }
         let sp = aquila_sim::span::begin(ctx, "tlb.shootdown", CostCat::Tlb);
-        // Functional invalidation on every core's TLB.
+        // Functional invalidation on every core's TLB; the 2 MiB probes
+        // run once per distinct huge page of the batch.
+        let mut hvpns: Vec<Vpn> = pages.iter().map(|&v| Tlb::hvpn_of(v)).collect();
+        hvpns.sort_unstable();
+        hvpns.dedup();
         for (core, tlb) in self.tlbs.iter().enumerate() {
             race::acquire(ctx, (L_TLB, core as u64));
-            let mut tlb = tlb.lock();
-            for &vpn in pages {
-                tlb.invalidate(vpn);
-            }
-            drop(tlb);
+            tlb.lock().invalidate_batch(pages, &hvpns);
             race::write(ctx, (V_TLB, core as u64));
             race::release(ctx, (L_TLB, core as u64));
         }
@@ -514,6 +570,232 @@ mod tests {
         for core in 0..2 {
             assert!(fabric.with_local(core, |t| t.lookup(Vpn(2048 + 17)).is_none()));
         }
+    }
+
+    /// The TLB as it was before sets were packed into cache lines: one
+    /// 40-byte entry per way and a global LRU tick. The packed [`Tlb`]
+    /// must be observably identical to it.
+    mod model {
+        use super::super::{HUGE_TLB_SETS, TLB_SETS, WAYS};
+        use crate::addr::{Vpn, PAGE_2M, PAGE_SIZE};
+        use crate::pagetable::PteFlags;
+        use aquila_vmx::Gpa;
+
+        #[derive(Clone, Copy)]
+        struct Entry {
+            vpn: Vpn,
+            gpa: Gpa,
+            flags: PteFlags,
+            valid: bool,
+            lru: u64,
+        }
+
+        const INVALID: Entry = Entry {
+            vpn: Vpn(0),
+            gpa: Gpa(0),
+            flags: PteFlags {
+                present: false,
+                writable: false,
+                dirty: false,
+                accessed: false,
+            },
+            valid: false,
+            lru: 0,
+        };
+
+        pub struct ModelTlb {
+            sets: Vec<[Entry; WAYS]>,
+            huge_sets: Vec<[Entry; WAYS]>,
+            tick: u64,
+            pub hits: u64,
+            pub huge_hits: u64,
+            pub misses: u64,
+            pub invalidations: u64,
+        }
+
+        fn fill(set: &mut [Entry; WAYS], vpn: Vpn, gpa: Gpa, flags: PteFlags, tick: u64) {
+            let victim = set
+                .iter_mut()
+                .min_by_key(|e| if e.valid { e.lru + 1 } else { 0 })
+                .unwrap();
+            *victim = Entry {
+                vpn,
+                gpa,
+                flags,
+                valid: true,
+                lru: tick,
+            };
+        }
+
+        impl ModelTlb {
+            pub fn new() -> ModelTlb {
+                ModelTlb {
+                    sets: vec![[INVALID; WAYS]; TLB_SETS],
+                    huge_sets: vec![[INVALID; WAYS]; HUGE_TLB_SETS],
+                    tick: 0,
+                    hits: 0,
+                    huge_hits: 0,
+                    misses: 0,
+                    invalidations: 0,
+                }
+            }
+
+            pub fn lookup(&mut self, vpn: Vpn) -> Option<(Gpa, PteFlags)> {
+                self.tick += 1;
+                let tick = self.tick;
+                for e in self.sets[vpn.0 as usize % TLB_SETS].iter_mut() {
+                    if e.valid && e.vpn == vpn {
+                        e.lru = tick;
+                        self.hits += 1;
+                        return Some((e.gpa, e.flags));
+                    }
+                }
+                let hvpn = Vpn(vpn.0 >> 9);
+                for e in self.huge_sets[hvpn.0 as usize % HUGE_TLB_SETS].iter_mut() {
+                    if e.valid && e.vpn == hvpn {
+                        e.lru = tick;
+                        self.hits += 1;
+                        self.huge_hits += 1;
+                        let slice = Gpa(e.gpa.get() + (vpn.0 & 0x1FF) * PAGE_SIZE);
+                        return Some((slice, e.flags));
+                    }
+                }
+                self.misses += 1;
+                None
+            }
+
+            pub fn insert(&mut self, vpn: Vpn, gpa: Gpa, flags: PteFlags) {
+                self.tick += 1;
+                fill(
+                    &mut self.sets[vpn.0 as usize % TLB_SETS],
+                    vpn,
+                    gpa,
+                    flags,
+                    self.tick,
+                );
+            }
+
+            pub fn insert_huge(&mut self, hbase: Vpn, gpa: Gpa, flags: PteFlags) {
+                self.tick += 1;
+                let hvpn = Vpn(hbase.0 >> 9);
+                fill(
+                    &mut self.huge_sets[hvpn.0 as usize % HUGE_TLB_SETS],
+                    hvpn,
+                    gpa,
+                    flags,
+                    self.tick,
+                );
+            }
+
+            pub fn invalidate(&mut self, vpn: Vpn) {
+                for e in self.sets[vpn.0 as usize % TLB_SETS].iter_mut() {
+                    if e.valid && e.vpn == vpn {
+                        e.valid = false;
+                        self.invalidations += 1;
+                    }
+                }
+                let hvpn = Vpn(vpn.0 >> 9);
+                for e in self.huge_sets[hvpn.0 as usize % HUGE_TLB_SETS].iter_mut() {
+                    if e.valid && e.vpn == hvpn {
+                        e.valid = false;
+                        self.invalidations += 1;
+                    }
+                }
+            }
+
+            pub fn flush(&mut self) {
+                for e in self.sets.iter_mut().chain(&mut self.huge_sets).flatten() {
+                    e.valid = false;
+                }
+            }
+
+            pub fn reach_bytes(&self) -> u64 {
+                let small = self.sets.iter().flatten().filter(|e| e.valid).count() as u64;
+                let huge = self.huge_sets.iter().flatten().filter(|e| e.valid).count() as u64;
+                small * PAGE_SIZE + huge * PAGE_2M
+            }
+        }
+    }
+
+    #[test]
+    fn packed_tlb_matches_the_entry_model() {
+        use aquila_sim::Rng64;
+        for seed in 1..=4 {
+            let mut rng = Rng64::new(seed);
+            let mut tlb = Tlb::new();
+            let mut model = model::ModelTlb::new();
+            // Few distinct VPNs, all in 3 small sets and 2 huge sets
+            // (stride TLB_SETS keeps the small set, stride 512 *
+            // HUGE_TLB_SETS the huge one), so ways collide constantly.
+            let vpn = |rng: &mut Rng64| {
+                let small_set = rng.below(3) * 5;
+                let huge = rng.below(2) * 3 + rng.below(3) * 512 * HUGE_TLB_SETS as u64;
+                Vpn(huge * 512 + small_set + rng.below(6) * TLB_SETS as u64)
+            };
+            let gpa = |rng: &mut Rng64| Gpa(rng.below(1 << 20) * PAGE_2M);
+            let flags = |rng: &mut Rng64| {
+                let b = rng.below(16);
+                PteFlags {
+                    present: b & 1 != 0,
+                    writable: b & 2 != 0,
+                    dirty: b & 4 != 0,
+                    accessed: b & 8 != 0,
+                }
+            };
+            for step in 0..3_000 {
+                match rng.below(100) {
+                    0..=39 => {
+                        let v = vpn(&mut rng);
+                        assert_eq!(tlb.lookup(v), model.lookup(v), "seed {seed} step {step}");
+                    }
+                    40..=69 => {
+                        let (v, g, f) = (vpn(&mut rng), gpa(&mut rng), flags(&mut rng));
+                        tlb.insert(v, g, f);
+                        model.insert(v, g, f);
+                    }
+                    70..=79 => {
+                        let v = Vpn(vpn(&mut rng).0 & !0x1FF);
+                        let (g, f) = (gpa(&mut rng), flags(&mut rng));
+                        tlb.insert_huge(v, g, f);
+                        model.insert_huge(v, g, f);
+                    }
+                    80..=89 => {
+                        let v = vpn(&mut rng);
+                        tlb.invalidate(v);
+                        model.invalidate(v);
+                    }
+                    90..=98 => {
+                        let pages: Vec<Vpn> =
+                            (0..rng.range(1, 12)).map(|_| vpn(&mut rng)).collect();
+                        let mut hvpns: Vec<Vpn> = pages.iter().map(|&v| Tlb::hvpn_of(v)).collect();
+                        hvpns.sort_unstable();
+                        hvpns.dedup();
+                        tlb.invalidate_batch(&pages, &hvpns);
+                        for &v in &pages {
+                            model.invalidate(v);
+                        }
+                    }
+                    _ => {
+                        tlb.flush();
+                        model.flush();
+                    }
+                }
+                assert_eq!(
+                    tlb.stats(),
+                    (model.hits, model.misses),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(tlb.huge_hits(), model.huge_hits);
+                assert_eq!(tlb.invalidations(), model.invalidations);
+                assert_eq!(tlb.reach_bytes(), model.reach_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn a_set_fills_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Set>(), 64);
+        assert_eq!(std::mem::align_of::<Set>(), 64);
     }
 
     #[test]
