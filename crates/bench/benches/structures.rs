@@ -200,12 +200,7 @@ fn bench_tlb() {
     let mut ctx = FreeCtx::new(1).with_core(0, 32);
     let pages: Vec<Vpn> = (0..512).map(Vpn).collect();
     bench("tlb", "shootdown_batch_512_32cores", 20_000, || {
-        fabric.shootdown_batch(
-            &mut ctx,
-            &debts,
-            aquila_vmx::IpiSendPath::VmexitMediated,
-            &pages,
-        )
+        fabric.shootdown_batch(&mut ctx, &debts, &pages)
     });
 }
 

@@ -126,11 +126,6 @@ impl BenchArgs {
         self.race
     }
 
-    /// The `--faults` spec, if the flag was given (possibly empty).
-    pub fn fault_spec(&self) -> Option<&str> {
-        self.faults.as_deref()
-    }
-
     /// Writes the requested artifacts (JSON record and/or Chrome trace),
     /// printing where each landed, then — under `--race` — prints the
     /// race-detector summary and exits 3 if it reported anything.

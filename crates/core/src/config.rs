@@ -3,18 +3,21 @@
 //! Construction goes through [`AquilaConfig::builder`]; the builder is the
 //! only supported way to assemble a configuration (lint AQ005 rejects
 //! direct struct construction elsewhere). The replacement/write-behind
-//! knobs live in their own [`MmioPolicy`] section so the eviction pipeline
-//! can be configured as a unit:
+//! knobs live in their own [`MmioPolicy`] section, set as a unit through
+//! [`AquilaConfigBuilder::policy`]:
 //!
 //! ```
-//! use aquila::config::{AquilaConfig, WritePolicy};
+//! use aquila::config::{AquilaConfig, MmioPolicy, WritePolicy};
 //!
 //! let cfg = AquilaConfig::builder(4, 4096)
 //!     .max_cache_frames(8192)
-//!     .write_policy(WritePolicy::Async)
-//!     .watermarks(256, 1024)
-//!     .queue_depth(8)
-//!     .evictor_cores(vec![3])
+//!     .policy(MmioPolicy {
+//!         write_policy: WritePolicy::Async,
+//!         low_watermark: 256,
+//!         high_watermark: 1024,
+//!         evictor_cores: vec![3],
+//!         ..MmioPolicy::default()
+//!     })
 //!     .build();
 //! assert_eq!(cfg.policy.low_watermark, 256);
 //! ```
@@ -22,7 +25,6 @@
 use aquila_devices::RetryPolicy;
 use aquila_pcache::NumaTopology;
 use aquila_sim::Cycles;
-use aquila_vmx::IpiSendPath;
 
 /// When eviction writeback happens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,12 +124,6 @@ pub struct AquilaConfig {
     pub cache_frames: usize,
     /// Maximum cache size (dynamic resizing headroom).
     pub max_cache_frames: usize,
-    /// Readahead window in pages under `Advice::Normal`.
-    pub readahead: usize,
-    /// Readahead window under `Advice::Sequential`.
-    pub readahead_seq: usize,
-    /// IPI send path for shootdowns (paper default: vmexit-mediated).
-    pub ipi_path: IpiSendPath,
     /// NUMA shape.
     pub topology: NumaTopology,
     /// Replacement and write-behind policy.
@@ -143,9 +139,6 @@ impl AquilaConfig {
                 cores,
                 cache_frames,
                 max_cache_frames: cache_frames,
-                readahead: 8,
-                readahead_seq: 32,
-                ipi_path: IpiSendPath::VmexitMediated,
                 topology: NumaTopology::flat(cores),
                 policy: MmioPolicy::default(),
             },
@@ -167,19 +160,6 @@ impl AquilaConfigBuilder {
         self
     }
 
-    /// Readahead windows for `Advice::Normal` and `Advice::Sequential`.
-    pub fn readahead(mut self, normal: usize, sequential: usize) -> Self {
-        self.cfg.readahead = normal;
-        self.cfg.readahead_seq = sequential;
-        self
-    }
-
-    /// IPI send path for TLB shootdowns.
-    pub fn ipi_path(mut self, path: IpiSendPath) -> Self {
-        self.cfg.ipi_path = path;
-        self
-    }
-
     /// NUMA topology (default: flat).
     pub fn topology(mut self, topology: NumaTopology) -> Self {
         self.cfg.topology = topology;
@@ -189,77 +169,6 @@ impl AquilaConfigBuilder {
     /// Replaces the whole policy section at once.
     pub fn policy(mut self, policy: MmioPolicy) -> Self {
         self.cfg.policy = policy;
-        self
-    }
-
-    /// Pages evicted per eviction round.
-    pub fn evict_batch(mut self, batch: usize) -> Self {
-        self.cfg.policy.evict_batch = batch;
-        self
-    }
-
-    /// Freelist watermarks driving the asynchronous evictor: start a
-    /// round below `low` free frames, refill to `high`.
-    pub fn watermarks(mut self, low: usize, high: usize) -> Self {
-        self.cfg.policy.low_watermark = low;
-        self.cfg.policy.high_watermark = high;
-        self
-    }
-
-    /// When eviction writeback happens ([`WritePolicy::Sync`] default).
-    pub fn write_policy(mut self, policy: WritePolicy) -> Self {
-        self.cfg.policy.write_policy = policy;
-        self
-    }
-
-    /// NVMe queue depth for writeback (default 8).
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        self.cfg.policy.queue_depth = depth;
-        self
-    }
-
-    /// Cores that run evictor threads.
-    pub fn evictor_cores(mut self, cores: Vec<usize>) -> Self {
-        self.cfg.policy.evictor_cores = cores;
-        self
-    }
-
-    /// Retry/backoff policy for transient device-command failures.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.cfg.policy.retry = retry;
-        self
-    }
-
-    /// Enables transparent 2 MiB huge-page promotion (default off).
-    pub fn huge_pages(mut self, on: bool) -> Self {
-        self.cfg.policy.huge_pages = on;
-        self
-    }
-
-    /// Resident pages (of 512) that trigger promotion of an aligned run.
-    pub fn promote_threshold(mut self, pages: usize) -> Self {
-        self.cfg.policy.promote_threshold = pages;
-        self
-    }
-
-    /// Enables multi-tenant QoS: quotas, fair eviction, admission
-    /// control (default off).
-    pub fn tenant_qos(mut self, on: bool) -> Self {
-        self.cfg.policy.tenant_qos = on;
-        self
-    }
-
-    /// Enables the 2-way mirrored NVMe backend with read-repair
-    /// (default off).
-    pub fn mirror(mut self, on: bool) -> Self {
-        self.cfg.policy.mirror = on;
-        self
-    }
-
-    /// Virtual-time pause between scrubbed pages; [`Cycles::ZERO`]
-    /// (default) disables the background scrubber.
-    pub fn scrub_rate(mut self, rate: Cycles) -> Self {
-        self.cfg.policy.scrub_rate = rate;
         self
     }
 
@@ -302,12 +211,28 @@ mod tests {
         assert_eq!(cfg.policy.queue_depth, 8);
         assert_eq!(cfg.policy.low_watermark, 0, "sync mode: no watermarks");
         assert!(cfg.policy.evictor_cores.is_empty());
+        assert!(!cfg.policy.huge_pages, "huge pages must be opt-in");
+        assert_eq!(cfg.policy.promote_threshold, 512);
+        assert!(!cfg.policy.tenant_qos, "QoS must be opt-in");
+        assert!(!cfg.policy.mirror, "mirroring must be opt-in");
+        assert_eq!(
+            cfg.policy.scrub_rate,
+            Cycles::ZERO,
+            "scrubber off by default"
+        );
+        assert_eq!(
+            format!("{:?}", cfg.policy.retry),
+            format!("{:?}", RetryPolicy::default())
+        );
     }
 
     #[test]
     fn async_derives_watermarks_from_cache_size() {
         let cfg = AquilaConfig::builder(2, 4096)
-            .write_policy(WritePolicy::Async)
+            .policy(MmioPolicy {
+                write_policy: WritePolicy::Async,
+                ..MmioPolicy::default()
+            })
             .build();
         assert_eq!(cfg.policy.low_watermark, 512);
         assert_eq!(cfg.policy.high_watermark, 1024);
@@ -316,72 +241,28 @@ mod tests {
     #[test]
     fn explicit_watermarks_survive_and_clamp() {
         let cfg = AquilaConfig::builder(2, 4096)
-            .write_policy(WritePolicy::Async)
-            .watermarks(100, 50)
-            .queue_depth(16)
-            .evictor_cores(vec![1])
+            .policy(MmioPolicy {
+                write_policy: WritePolicy::Async,
+                low_watermark: 100,
+                high_watermark: 50,
+                ..MmioPolicy::default()
+            })
             .build();
         assert_eq!(cfg.policy.low_watermark, 100);
         assert_eq!(cfg.policy.high_watermark, 100, "clamped up to low");
-        assert_eq!(cfg.policy.queue_depth, 16);
-        assert_eq!(cfg.policy.evictor_cores, vec![1]);
-    }
-
-    #[test]
-    fn retry_knob_flows_through() {
-        let cfg = AquilaConfig::builder(2, 256)
-            .retry(RetryPolicy {
-                max_attempts: 7,
-                ..RetryPolicy::default()
-            })
-            .build();
-        assert_eq!(cfg.policy.retry.max_attempts, 7);
-        let d = MmioPolicy::default();
-        assert_eq!(d.retry.max_attempts, RetryPolicy::default().max_attempts);
-    }
-
-    #[test]
-    fn huge_page_knobs_default_off_and_flow_through() {
-        let d = MmioPolicy::default();
-        assert!(!d.huge_pages);
-        assert_eq!(d.promote_threshold, 512);
-        let cfg = AquilaConfig::builder(2, 4096)
-            .huge_pages(true)
-            .promote_threshold(384)
-            .build();
-        assert!(cfg.policy.huge_pages);
-        assert_eq!(cfg.policy.promote_threshold, 384);
-    }
-
-    #[test]
-    fn integrity_knobs_default_off_and_flow_through() {
-        let d = MmioPolicy::default();
-        assert!(!d.mirror, "mirroring must be opt-in");
-        assert_eq!(d.scrub_rate, Cycles::ZERO, "scrubber off by default");
-        let cfg = AquilaConfig::builder(2, 1024)
-            .mirror(true)
-            .scrub_rate(Cycles::from_micros(50))
-            .build();
-        assert!(cfg.policy.mirror);
-        assert_eq!(cfg.policy.scrub_rate, Cycles::from_micros(50));
     }
 
     #[test]
     #[should_panic(expected = "invalid retry policy")]
     fn degenerate_retry_policy_fails_at_build() {
         let _ = AquilaConfig::builder(2, 1024)
-            .retry(RetryPolicy {
-                max_attempts: 0,
-                ..RetryPolicy::default()
+            .policy(MmioPolicy {
+                retry: RetryPolicy {
+                    max_attempts: 0,
+                    ..RetryPolicy::default()
+                },
+                ..MmioPolicy::default()
             })
             .build();
-    }
-
-    #[test]
-    fn qos_knobs_default_off_and_flow_through() {
-        let d = MmioPolicy::default();
-        assert!(!d.tenant_qos, "QoS must be opt-in");
-        let cfg = AquilaConfig::builder(2, 1024).tenant_qos(true).build();
-        assert!(cfg.policy.tenant_qos);
     }
 }

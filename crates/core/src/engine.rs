@@ -54,6 +54,12 @@ const V_HUGE: &str = "aquila.huge.runs";
 use aquila_vma::RegionMap;
 pub use aquila_vma::{Advice, Prot};
 
+/// Readahead window in pages after a fault under `Advice::Normal` and
+/// `Advice::WillNeed`.
+const READAHEAD_PAGES: usize = 8;
+/// Readahead window in pages after a fault under `Advice::Sequential`.
+const READAHEAD_SEQ_PAGES: usize = 32;
+
 /// Most dirty pages one writeback copies out before submitting them, so
 /// its staging buffers stay under 8 MiB however much a sync drains.
 const STAGE_PAGES: usize = 2048;
@@ -649,8 +655,7 @@ impl Aquila {
                 flushed.push(vpn);
             }
         }
-        self.tlbs
-            .shootdown_batch(ctx, &self.debts, self.cfg.ipi_path, &flushed);
+        self.tlbs.shootdown_batch(ctx, &self.debts, &flushed);
     }
 
     /// Downgrades the live PTEs of `vpns` to read-only and shoots down
@@ -664,8 +669,7 @@ impl Aquila {
             .zip(present)
             .filter_map(|(&vpn, p)| p.then_some(vpn))
             .collect();
-        self.tlbs
-            .shootdown_batch(ctx, &self.debts, self.cfg.ipi_path, &flushed);
+        self.tlbs.shootdown_batch(ctx, &self.debts, &flushed);
     }
 
     // ---------------------------------------------------------------
@@ -1027,8 +1031,7 @@ impl Aquila {
         self.page_table.with_each(ctx, &flushed, |pt, i| {
             pt.unmap(flushed[i].base());
         });
-        self.tlbs
-            .shootdown_batch(ctx, &self.debts, self.cfg.ipi_path, &flushed);
+        self.tlbs.shootdown_batch(ctx, &self.debts, &flushed);
         let mut dirty: Vec<DirtyPage> = victims
             .iter()
             .filter(|v| v.dirty)
@@ -1313,12 +1316,9 @@ impl Aquila {
     ) {
         let window = match desc.advice() {
             Advice::Random | Advice::DontNeed => return,
-            Advice::Sequential => self.cfg.readahead_seq,
-            Advice::Normal | Advice::WillNeed => self.cfg.readahead,
+            Advice::Sequential => READAHEAD_SEQ_PAGES,
+            Advice::Normal | Advice::WillNeed => READAHEAD_PAGES,
         };
-        if window == 0 {
-            return;
-        }
         let end_fp = desc.file_page + desc.pages;
         let mut to_fetch = Vec::new();
         for i in 1..=window as u64 {
@@ -1534,8 +1534,7 @@ impl Aquila {
             .zip(unmapped)
             .filter_map(|(&vpn, pte)| pte.map(|_| vpn))
             .collect();
-        self.tlbs
-            .shootdown_batch(ctx, &self.debts, self.cfg.ipi_path, &flushed);
+        self.tlbs.shootdown_batch(ctx, &self.debts, &flushed);
         for &old in &displaced {
             self.cache.release_frame(ctx, old);
         }
@@ -1629,8 +1628,7 @@ impl Aquila {
         // One invalidation per run base: every core's covering 2 MiB
         // TLB entry drops with it.
         let flushed: Vec<Vpn> = dropped.iter().map(|&(hv, _)| hv).collect();
-        self.tlbs
-            .shootdown_batch(ctx, &self.debts, self.cfg.ipi_path, &flushed);
+        self.tlbs.shootdown_batch(ctx, &self.debts, &flushed);
         for (_, hr) in &dropped {
             self.cache.unpin_slab_run(hr.run);
         }
@@ -1743,9 +1741,11 @@ impl Aquila {
         added
     }
 
-    /// Shrinks the cache by returning up to `frames` free frames to the
-    /// host (vmcall + EPT unmap at granule granularity). Returns frames
-    /// reclaimed.
+    /// Shrinks the cache by taking up to `frames` free frames off the
+    /// freelist after one vmcall to the host. Returns frames reclaimed.
+    ///
+    /// The EPT keeps its 1 GiB cache granules mapped; a later
+    /// [`Aquila::grow_cache`] skips granules that are still mapped.
     pub fn shrink_cache(&self, ctx: &mut dyn SimCtx, frames: usize) -> usize {
         let core = ctx.core() % self.vcpus.len();
         self.vcpus[core].lock().vmcall(ctx, 0x11);

@@ -7,8 +7,8 @@
 use std::sync::Arc;
 
 use aquila_devices::{
-    AccessKind, BlobError, Blobstore, CallDomain, DaxAccess, HostNvmeAccess, HostPmemAccess,
-    MirrorAccess, NvmeDevice, NvmeProfile, PmemDevice, SpdkAccess, StorageAccess,
+    BlobError, Blobstore, CallDomain, DaxAccess, HostNvmeAccess, HostPmemAccess, MirrorAccess,
+    NvmeDevice, NvmeProfile, PmemDevice, SpdkAccess, StorageAccess,
 };
 use aquila_pcache::NumaTopology;
 use aquila_sim::{fault, CoreDebts, SimCtx};
@@ -29,18 +29,6 @@ pub enum DeviceKind {
     PmemDax,
     /// pmem through host-kernel direct I/O (the HOST-pmem ablation).
     PmemHost,
-}
-
-impl DeviceKind {
-    /// The access-path kind this device configuration produces.
-    pub fn access_kind(self) -> AccessKind {
-        match self {
-            DeviceKind::NvmeSpdk => AccessKind::SpdkNvme,
-            DeviceKind::NvmeHost => AccessKind::HostNvme,
-            DeviceKind::PmemDax => AccessKind::DaxPmem,
-            DeviceKind::PmemHost => AccessKind::HostPmem,
-        }
-    }
 }
 
 /// A ready-to-use Aquila stack.

@@ -224,37 +224,30 @@ fn msync_downgrades_so_writes_retrack() {
 }
 
 #[test]
-fn madvise_sequential_prefetches() {
-    let (mut ctx, rt) = runtime(DeviceKind::PmemDax, 128);
-    let f = rt.open("/data/seq", 256).unwrap();
-    let addr = rt.aquila.mmap(&mut ctx, f, 0, 256, Prot::RW).unwrap();
-    rt.aquila
-        .madvise(&mut ctx, addr, 256, Advice::Sequential)
-        .unwrap();
-    let mut b = [0u8; 1];
-    rt.aquila.read(&mut ctx, addr, &mut b).unwrap();
-    assert!(
-        ctx.stats.readahead_pages >= 16,
-        "sequential advice widens readahead: {}",
-        ctx.stats.readahead_pages
-    );
-    // The next pages are minor faults (already cached).
-    let major_before = ctx.stats.major_faults;
-    rt.aquila.read(&mut ctx, addr.add(4096), &mut b).unwrap();
-    assert_eq!(ctx.stats.major_faults, major_before);
-}
-
-#[test]
-fn madvise_random_disables_readahead() {
-    let (mut ctx, rt) = runtime(DeviceKind::PmemDax, 128);
-    let f = rt.open("/data/rand", 64).unwrap();
-    let addr = rt.aquila.mmap(&mut ctx, f, 0, 64, Prot::RW).unwrap();
-    rt.aquila
-        .madvise(&mut ctx, addr, 64, Advice::Random)
-        .unwrap();
-    let mut b = [0u8; 1];
-    rt.aquila.read(&mut ctx, addr, &mut b).unwrap();
-    assert_eq!(ctx.stats.readahead_pages, 0);
+fn madvise_advice_sets_the_readahead_window() {
+    // Pages prefetched by the first fault under each advice: 8 by default,
+    // 32 when sequential, none under Random or DontNeed.
+    let cases = [
+        (Advice::Normal, 8),
+        (Advice::WillNeed, 8),
+        (Advice::Sequential, 32),
+        (Advice::Random, 0),
+        (Advice::DontNeed, 0),
+    ];
+    for (advice, window) in cases {
+        let (mut ctx, rt) = runtime(DeviceKind::PmemDax, 128);
+        let f = rt.open("/data/advice", 256).unwrap();
+        let addr = rt.aquila.mmap(&mut ctx, f, 0, 256, Prot::RW).unwrap();
+        rt.aquila.madvise(&mut ctx, addr, 256, advice).unwrap();
+        let mut b = [0u8; 1];
+        rt.aquila.read(&mut ctx, addr, &mut b).unwrap();
+        assert_eq!(ctx.stats.readahead_pages, window, "{advice:?}");
+        // The next page is a minor fault exactly when it was prefetched.
+        let major_before = ctx.stats.major_faults;
+        rt.aquila.read(&mut ctx, addr.add(4096), &mut b).unwrap();
+        let minor = ctx.stats.major_faults == major_before;
+        assert_eq!(minor, window > 0, "{advice:?}");
+    }
 }
 
 #[test]

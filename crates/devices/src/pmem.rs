@@ -24,15 +24,6 @@ pub struct PmemProfile {
 }
 
 impl PmemProfile {
-    /// An Optane DC Persistent Memory-class profile.
-    pub fn optane_pmm() -> PmemProfile {
-        PmemProfile {
-            load_latency: Cycles::from_nanos(300),
-            max_bw: 10_000_000_000,
-            channels: 16,
-        }
-    }
-
     /// The paper's `pmem` emulation: DRAM-backed (dual-socket DDR4-2400,
     /// ~50 GB/s effective), so much faster than real NVM. Used to stress
     /// the software path.

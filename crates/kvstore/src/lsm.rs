@@ -101,11 +101,6 @@ impl StoneDb {
         }
     }
 
-    /// The environment kind this store reads through.
-    pub fn env_kind(&self) -> EnvKind {
-        self.env.kind()
-    }
-
     /// Table counts per level (diagnostics).
     pub fn level_sizes(&self) -> Vec<usize> {
         self.levels.lock().iter().map(|l| l.len()).collect()

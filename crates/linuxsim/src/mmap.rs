@@ -36,6 +36,12 @@ const SHOOTDOWN_PER_CORE: Cycles = Cycles(300);
 const SHOOTDOWN_REMOTE: Cycles = Cycles(600);
 /// `mmap_sem` read-side hold time on the fault path.
 const RWSEM_HOLD: Cycles = Cycles(80);
+/// kmmap: dirty fraction of the cache that triggers a synchronous
+/// lazy-writeback flush on the faulting thread. It follows the kernel's
+/// dirty thresholds (10-20% of memory); the flush landing on one unlucky
+/// fault is the writeback burstiness the paper measures as kmmap's tail
+/// latency.
+const KMMAP_FLUSH_RATIO: f64 = 0.10;
 
 // Race-detector identities (`aquila_sim::race`). Canonical acquisition
 // order within the engine: files -> vmas -> pt -> rmap (declared in
@@ -82,9 +88,6 @@ pub struct LinuxConfig {
     /// Kreon `kmmap` mode: no forced readahead, lazy coalesced writeback,
     /// custom batched `msync`.
     pub kmmap: bool,
-    /// kmmap: dirty fraction that triggers a synchronous lazy-writeback
-    /// flush on the faulting thread.
-    pub kmmap_flush_ratio: f64,
 }
 
 impl LinuxConfig {
@@ -95,21 +98,17 @@ impl LinuxConfig {
             cache_frames,
             readahead_pages: 32,
             kmmap: false,
-            kmmap_flush_ratio: 0.5,
         }
     }
 
-    /// Kreon's kmmap. The flush ratio follows the kernel's dirty
-    /// thresholds (10-20% of memory): when that much of the cache is
-    /// dirty, a synchronous flush lands on the faulting thread — the
-    /// writeback burstiness the paper measures as kmmap's tail latency.
+    /// Kreon's kmmap: once 10% of the cache is dirty, a synchronous flush
+    /// lands on the faulting thread.
     pub fn kmmap(cores: usize, cache_frames: usize) -> LinuxConfig {
         LinuxConfig {
             cores,
             cache_frames,
             readahead_pages: 0,
             kmmap: true,
-            kmmap_flush_ratio: 0.10,
         }
     }
 }
@@ -543,7 +542,7 @@ impl LinuxMmap {
     }
 
     fn kmmap_lazy_flush(&self, ctx: &mut dyn SimCtx) -> Result<(), LinuxError> {
-        let threshold = (self.cfg.cache_frames as f64 * self.cfg.kmmap_flush_ratio) as usize;
+        let threshold = (self.cfg.cache_frames as f64 * KMMAP_FLUSH_RATIO) as usize;
         if self.cache.dirty_count() <= threshold {
             return Ok(());
         }
@@ -657,22 +656,6 @@ impl LinuxMmap {
         ctx.counters().syscalls += 1;
         let dev_page = self.file_dev_page(file.0, page)?;
         self.dev.write_pages(ctx, dev_page, buf);
-        Ok(())
-    }
-
-    /// Direct-I/O positional read (`pread` with O_DIRECT).
-    pub fn pread_direct(
-        &self,
-        ctx: &mut dyn SimCtx,
-        file: LinuxFileId,
-        page: u64,
-        buf: &mut [u8],
-    ) -> Result<(), LinuxError> {
-        let c = ctx.cost().syscall_entry_exit + ctx.cost().host_directio_sw;
-        ctx.charge(CostCat::Syscall, c);
-        ctx.counters().syscalls += 1;
-        let dev_page = self.file_dev_page(file.0, page)?;
-        self.dev.read_pages(ctx, dev_page, buf);
         Ok(())
     }
 
@@ -843,9 +826,7 @@ mod tests {
         let mut ctx = FreeCtx::new(3);
         let dev = KernelDevice::Pmem(Arc::new(PmemDevice::dram_backed(4096)));
         let debts = Arc::new(CoreDebts::new(1));
-        let mut cfg = LinuxConfig::kmmap(1, 64);
-        cfg.kmmap_flush_ratio = 0.25;
-        let lm = LinuxMmap::new(cfg, dev, debts);
+        let lm = LinuxMmap::new(LinuxConfig::kmmap(1, 64), dev, debts);
         let f = lm.open_file(64).unwrap();
         let vpn = lm.mmap(&mut ctx, f, 0, 64, true).unwrap();
         for p in 0..40u64 {

@@ -10,7 +10,7 @@
 use aquila_sync::Mutex;
 
 use aquila_sim::{race, CostCat, SimCtx};
-use aquila_vmx::{ApicFabric, Gpa, IpiSendPath};
+use aquila_vmx::{ApicFabric, Gpa};
 
 use crate::addr::{Vpn, PAGE_2M, PAGE_SIZE};
 use crate::pagetable::PteFlags;
@@ -340,14 +340,13 @@ impl TlbFabric {
     /// Performs a batched shootdown of `pages` on every core.
     ///
     /// The caller has already removed/downgraded the page-table entries.
-    /// Costs follow the paper: local `invlpg` per page, one IPI broadcast
-    /// on `path` (Aquila: vmexit-mediated for DoS protection), remote
-    /// handler cost proportional to the batch deposited as core debt.
+    /// Costs follow the paper: local `invlpg` per page, one vmexit-mediated
+    /// IPI broadcast (rate-limited for DoS protection), remote handler cost
+    /// proportional to the batch deposited as core debt.
     pub fn shootdown_batch(
         &self,
         ctx: &mut dyn SimCtx,
         debts: &aquila_sim::CoreDebts,
-        path: IpiSendPath,
         pages: &[Vpn],
     ) {
         if pages.is_empty() {
@@ -383,7 +382,7 @@ impl TlbFabric {
         // records a `tlb.ipi.drain` child linking back to us.
         debts.tag_broadcast_except(ctx.core(), sp.id());
         race::acquire(ctx, (L_APIC, 0));
-        self.apic.lock().broadcast(ctx, debts, path, remote_handler);
+        self.apic.lock().broadcast(ctx, debts, remote_handler);
         race::write(ctx, (V_APIC, 0));
         race::release(ctx, (L_APIC, 0));
         aquila_sim::metrics::add(ctx, "tlb.shootdown.rounds", 1);
@@ -456,12 +455,7 @@ mod tests {
         // Fill core 2's TLB.
         fabric.with_local(2, |t| t.insert(Vpn(9), Gpa(0x9000), flags()));
         let mut ctx = FreeCtx::new(1).with_core(0, 4);
-        fabric.shootdown_batch(
-            &mut ctx,
-            &debts,
-            IpiSendPath::VmexitMediated,
-            &[Vpn(9), Vpn(10)],
-        );
+        fabric.shootdown_batch(&mut ctx, &debts, &[Vpn(9), Vpn(10)]);
         assert!(fabric.with_local(2, |t| t.lookup(Vpn(9)).is_none()));
         assert_eq!(ctx.stats.tlb_shootdowns, 1);
         assert_eq!(ctx.stats.tlb_invalidations, 2);
@@ -477,7 +471,7 @@ mod tests {
         let fabric = TlbFabric::new(2);
         let debts = CoreDebts::new(2);
         let mut ctx = FreeCtx::new(1).with_core(0, 2);
-        fabric.shootdown_batch(&mut ctx, &debts, IpiSendPath::Posted, &[]);
+        fabric.shootdown_batch(&mut ctx, &debts, &[]);
         assert_eq!(ctx.now(), Cycles::ZERO);
         assert_eq!(fabric.shootdowns(), 0);
     }
@@ -488,9 +482,9 @@ mod tests {
         let debts = CoreDebts::new(2);
         let mut ctx = FreeCtx::new(1).with_core(0, 2);
         let pages: Vec<Vpn> = (0..512).map(Vpn).collect();
-        fabric.shootdown_batch(&mut ctx, &debts, IpiSendPath::Posted, &pages);
+        fabric.shootdown_batch(&mut ctx, &debts, &pages);
         // 512 invlpg at 120 cycles would be 61k; the flush cap (4 * 500)
-        // bounds the local cost.
+        // bounds the local cost, leaving 2000 + the 2081-cycle send.
         let tlb_cost = ctx.breakdown.get(CostCat::Tlb).get();
         assert!(
             tlb_cost < 10_000,
@@ -566,7 +560,7 @@ mod tests {
             fabric.with_local(core, |t| t.insert_huge(hbase, Gpa(0x80_0000), flags()));
         }
         let mut ctx = FreeCtx::new(1).with_core(0, 2);
-        fabric.shootdown_batch(&mut ctx, &debts, IpiSendPath::VmexitMediated, &[hbase]);
+        fabric.shootdown_batch(&mut ctx, &debts, &[hbase]);
         for core in 0..2 {
             assert!(fabric.with_local(core, |t| t.lookup(Vpn(2048 + 17)).is_none()));
         }
@@ -806,13 +800,13 @@ mod tests {
 
         let fabric1 = TlbFabric::new(2);
         let mut batched = FreeCtx::new(1).with_core(0, 2);
-        fabric1.shootdown_batch(&mut batched, &debts, IpiSendPath::VmexitMediated, &pages);
+        fabric1.shootdown_batch(&mut batched, &debts, &pages);
         let _ = debts.drain(1);
 
         let fabric2 = TlbFabric::new(2);
         let mut single = FreeCtx::new(1).with_core(0, 2);
         for &p in &pages {
-            fabric2.shootdown_batch(&mut single, &debts, IpiSendPath::VmexitMediated, &[p]);
+            fabric2.shootdown_batch(&mut single, &debts, &[p]);
         }
         let b = batched.breakdown.get(CostCat::Tlb).get();
         let s = single.breakdown.get(CostCat::Tlb).get();

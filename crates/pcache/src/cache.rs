@@ -395,16 +395,6 @@ impl DramCache {
         self.slab_free.lock().len()
     }
 
-    /// Frames the CLOCK sweep currently considers resident (diagnostics).
-    pub fn clock_resident(&self) -> usize {
-        self.clock.resident_count()
-    }
-
-    /// Cached pages occupying slab run `run` (diagnostics).
-    pub fn slab_occupancy_of(&self, run: usize) -> usize {
-        usize::from(*self.slab_occupancy[run].lock())
-    }
-
     /// First frame id of slab run `run`.
     pub fn slab_run_frame(&self, run: usize, page: usize) -> FrameId {
         debug_assert!(run < self.cfg.slab_runs && page < HUGE_PAGE_PAGES as usize);

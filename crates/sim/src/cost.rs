@@ -121,10 +121,9 @@ pub struct CostModel {
     /// Explicit `vmcall` hypercall round trip (a deliberate vmexit plus
     /// hypervisor dispatch).
     pub vmcall: Cycles,
-    /// Posted-interrupt IPI send without a vmexit (Shinjuku): 298 cycles.
-    pub ipi_send_posted: Cycles,
     /// IPI send through an MSR write that takes a vmexit so the hypervisor
-    /// can rate-limit interrupt floods (Aquila section 4.1): 2081 cycles.
+    /// can rate-limit interrupt floods (Aquila section 4.1): 2081 cycles,
+    /// against 298 for a direct posted-interrupt send (Shinjuku).
     pub ipi_send_vmexit: Cycles,
     /// Receiving and dispatching an IPI on the target core (vmexit-less
     /// receive path).
@@ -144,9 +143,6 @@ pub struct CostModel {
     /// System-call entry/exit (syscall/sysret plus kernel entry glue),
     /// excluding the in-kernel work of the specific call.
     pub syscall_entry_exit: Cycles,
-    /// In-kernel software path of a buffered/direct `read`/`write` beyond
-    /// entry/exit: VFS dispatch, block layer, request setup.
-    pub kernel_io_submit: Cycles,
     /// Page-fault handler software body in the Linux kernel (VMA lookup
     /// on the rb-tree, page-cache radix lookup, rmap insertion, memcg
     /// accounting, PTE install), excluding the trap, locks, and device
@@ -214,7 +210,6 @@ impl CostModel {
             trap_nonroot_ring0: Cycles(552),
             vmexit_roundtrip: Cycles(750),
             vmcall: Cycles(1500),
-            ipi_send_posted: Cycles(298),
             ipi_send_vmexit: Cycles(2081),
             ipi_receive: Cycles(300),
             tlb_invlpg: Cycles(120),
@@ -223,7 +218,6 @@ impl CostModel {
             memcpy_4k_avx2: Cycles(900),
             fpu_save_restore: Cycles(300),
             syscall_entry_exit: Cycles(150),
-            kernel_io_submit: Cycles(1800),
             linux_fault_body: Cycles(1900),
             aquila_fault_body: Cycles(1000),
             hash_lookup: Cycles(80),

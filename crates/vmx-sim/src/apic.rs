@@ -1,25 +1,14 @@
-//! Posted-interrupt APIC model and the rate-limited IPI send path.
+//! APIC model and the rate-limited IPI send path.
 //!
 //! Aquila's batched TLB shootdowns (section 4.1) send inter-processor
-//! interrupts using posted interrupts, with a twist: the *send* side
-//! deliberately goes through an intercepted MSR write (a vmexit) so the
-//! hypervisor can rate-limit a malicious guest flooding a core with IPIs,
-//! raising the send cost from 298 to 2081 cycles; the *receive* side stays
-//! vmexit-less (Shinjuku's mechanism). Batching amortizes the send cost
-//! over many invalidated pages.
+//! interrupts whose *send* side deliberately goes through an intercepted
+//! MSR write (a vmexit) so the hypervisor can rate-limit a malicious guest
+//! flooding a core with IPIs. That raises the send cost from the 298
+//! cycles of a direct posted-interrupt send (Shinjuku) to 2081 cycles; the
+//! *receive* side stays vmexit-less. Batching amortizes the send cost over
+//! many invalidated pages.
 
 use aquila_sim::{CoreDebts, CostCat, Cycles, SimCtx};
-
-/// How the IPI send side is implemented.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IpiSendPath {
-    /// Direct posted-interrupt send from the guest: 298 cycles, but a
-    /// malicious guest could flood cores (no hypervisor mediation).
-    Posted,
-    /// MSR write intercepted by the hypervisor: 2081 cycles, rate-limited.
-    /// This is Aquila's default.
-    VmexitMediated,
-}
 
 /// Hypervisor-side token-bucket rate limiter for mediated IPI sends.
 ///
@@ -100,26 +89,20 @@ impl ApicFabric {
 
     /// Sends an IPI from the calling core to every other core.
     ///
-    /// Charges the sender according to `path` (plus any rate-limit delay on
-    /// the mediated path) and deposits the receive-handler cost on all
-    /// other cores. Returns the number of target cores.
+    /// Charges the sender the mediated send (plus any rate-limit delay)
+    /// and deposits the receive-handler cost on all other cores. Returns
+    /// the number of target cores.
     pub fn broadcast(
         &mut self,
         ctx: &mut dyn SimCtx,
         debts: &CoreDebts,
-        path: IpiSendPath,
         handler_cost: Cycles,
     ) -> usize {
-        let send_cost = match path {
-            IpiSendPath::Posted => ctx.cost().ipi_send_posted,
-            IpiSendPath::VmexitMediated => {
-                let delay = self.limiter.lock().admit(ctx.now());
-                if delay > Cycles::ZERO {
-                    ctx.charge(CostCat::Tlb, delay);
-                }
-                ctx.cost().ipi_send_vmexit
-            }
-        };
+        let delay = self.limiter.lock().admit(ctx.now());
+        if delay > Cycles::ZERO {
+            ctx.charge(CostCat::Tlb, delay);
+        }
+        let send_cost = ctx.cost().ipi_send_vmexit;
         ctx.charge(CostCat::Tlb, send_cost);
         let receive = ctx.cost().ipi_receive + handler_cost;
         debts.broadcast_except(ctx.core(), receive);
@@ -145,21 +128,12 @@ mod tests {
     use aquila_sim::FreeCtx;
 
     #[test]
-    fn posted_send_costs_298() {
+    fn mediated_send_costs_2081() {
         let mut fabric = ApicFabric::new();
         let debts = CoreDebts::new(4);
         let mut ctx = FreeCtx::new(1).with_core(0, 4);
-        let targets = fabric.broadcast(&mut ctx, &debts, IpiSendPath::Posted, Cycles(50));
+        let targets = fabric.broadcast(&mut ctx, &debts, Cycles(0));
         assert_eq!(targets, 3);
-        assert_eq!(ctx.breakdown.get(CostCat::Tlb), Cycles(298));
-    }
-
-    #[test]
-    fn mediated_send_costs_2081() {
-        let mut fabric = ApicFabric::new();
-        let debts = CoreDebts::new(2);
-        let mut ctx = FreeCtx::new(1).with_core(0, 2);
-        fabric.broadcast(&mut ctx, &debts, IpiSendPath::VmexitMediated, Cycles(0));
         assert_eq!(ctx.breakdown.get(CostCat::Tlb), Cycles(2081));
     }
 
@@ -168,7 +142,7 @@ mod tests {
         let mut fabric = ApicFabric::new();
         let debts = CoreDebts::new(3);
         let mut ctx = FreeCtx::new(1).with_core(1, 3);
-        fabric.broadcast(&mut ctx, &debts, IpiSendPath::Posted, Cycles(100));
+        fabric.broadcast(&mut ctx, &debts, Cycles(100));
         // ipi_receive (300) + handler (100) deposited on cores 0 and 2.
         assert_eq!(debts.drain(0), Cycles(400));
         assert_eq!(debts.drain(2), Cycles(400));
@@ -205,7 +179,7 @@ mod tests {
         let debts = CoreDebts::new(2);
         let mut ctx = FreeCtx::new(1).with_core(0, 2);
         for _ in 0..10 {
-            fabric.broadcast(&mut ctx, &debts, IpiSendPath::VmexitMediated, Cycles(0));
+            fabric.broadcast(&mut ctx, &debts, Cycles(0));
         }
         // Every other send pays a full token-refill delay: the flood is
         // paced down to the configured rate.
@@ -221,7 +195,7 @@ mod tests {
         let mut fabric = ApicFabric::new();
         let debts = CoreDebts::new(1);
         let mut ctx = FreeCtx::new(1).with_core(0, 1);
-        let targets = fabric.broadcast(&mut ctx, &debts, IpiSendPath::Posted, Cycles(10));
+        let targets = fabric.broadcast(&mut ctx, &debts, Cycles(10));
         assert_eq!(targets, 0);
     }
 }

@@ -1,20 +1,18 @@
-//! Virtual CPU state: VMX modes, protection rings, VMCS, and the cost of
-//! mode transitions.
+//! Virtual CPU state: VMX modes, VMCS, and the cost of mode transitions.
 //!
 //! The performance argument of the paper is entirely about *which
 //! transition* each mmio operation pays:
 //!
-//! - a Linux page fault pays a ring-3 -> ring-0 trap (1287 cycles);
+//! - a Linux page fault pays a ring-3 -> ring-0 trap (1287 cycles, charged
+//!   by the Linux baseline itself);
 //! - an Aquila page fault stays in non-root ring 0 and pays only exception
 //!   delivery (552 cycles);
 //! - uncommon operations (mapping management, cache resize) pay a
-//!   vmcall/vmexit (~750-1500 cycles), which is fine because they are rare.
+//!   vmcall (~1500 cycles), which is fine because they are rare.
 //!
-//! [`Vcpu`] makes those charges explicit and countable.
+//! [`Vcpu`] makes the Aquila-side charges explicit and countable.
 
-use aquila_sim::{CostCat, Counters, Cycles, SimCtx};
-
-use crate::ept::EptViolation;
+use aquila_sim::{CostCat, Cycles, SimCtx};
 
 /// VMX operating mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,62 +23,14 @@ pub enum CpuMode {
     VmxNonRoot,
 }
 
-/// x86 protection ring. Rings 1 and 2 are modelled but unused, as in
-/// modern OSes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Ring {
-    /// Most privileged.
-    Ring0,
-    /// Unused.
-    Ring1,
-    /// Unused.
-    Ring2,
-    /// User mode.
-    Ring3,
-}
-
-/// Why a vmexit happened (a subset of the Intel SDM exit reasons that the
-/// simulation needs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExitReason {
-    /// Explicit hypercall from the guest.
-    Vmcall {
-        /// Hypercall number.
-        nr: u64,
-    },
-    /// EPT violation (guest-physical access with no/insufficient mapping).
-    EptViolation(EptViolation),
-    /// Guest wrote a model-specific register the hypervisor intercepts
-    /// (Aquila's rate-limited IPI send path).
-    MsrWrite {
-        /// MSR index.
-        msr: u32,
-    },
-    /// External interrupt arrived while in guest mode.
-    ExternalInterrupt,
-}
-
 /// Per-vcpu VM control structure (the simulation keeps only the fields the
 /// experiments observe).
 #[derive(Debug, Default)]
 pub struct Vmcs {
-    /// vmexits taken, by coarse reason.
+    /// vmcall exits taken.
     pub exits_vmcall: u64,
-    /// EPT-violation exits.
-    pub exits_ept: u64,
-    /// Intercepted-MSR exits.
-    pub exits_msr: u64,
-    /// External-interrupt exits.
-    pub exits_interrupt: u64,
     /// vmentries executed.
     pub entries: u64,
-}
-
-impl Vmcs {
-    /// Total vmexits across reasons.
-    pub fn total_exits(&self) -> u64 {
-        self.exits_vmcall + self.exits_ept + self.exits_msr + self.exits_interrupt
-    }
 }
 
 /// Model-specific registers the simulation knows about.
@@ -88,46 +38,32 @@ pub mod msr {
     /// Syscall entry point (`MSR_LSTAR`); Aquila installs its own handler
     /// here to intercept system calls in non-root ring 0 (section 4.4).
     pub const LSTAR: u32 = 0xC000_0082;
-    /// Interrupt command register as an x2APIC MSR; writes are intercepted
-    /// so the hypervisor can rate-limit IPI floods (section 4.1).
-    pub const X2APIC_ICR: u32 = 0x830;
 }
 
 /// A virtual CPU.
 ///
-/// Tracks mode and ring, charges transition costs through the [`SimCtx`],
+/// Tracks the VMX mode, charges transition costs through the [`SimCtx`],
 /// and counts events in the VMCS. One `Vcpu` corresponds to one simulated
-/// core running one (Aquila or Linux) thread.
+/// core running one Aquila thread, always in ring 0.
 #[derive(Debug)]
 pub struct Vcpu {
     mode: CpuMode,
-    ring: Ring,
     /// The VM control structure for this vcpu.
     pub vmcs: Vmcs,
-    msrs: aquila_sync::DetMap<u32, u64>,
-    ist: IstStacks,
 }
 
 impl Vcpu {
-    /// Creates a vcpu in VMX root, ring 0 (hypervisor context).
+    /// Creates a vcpu in VMX root (hypervisor context).
     pub fn new() -> Vcpu {
         Vcpu {
             mode: CpuMode::VmxRoot,
-            ring: Ring::Ring0,
             vmcs: Vmcs::default(),
-            msrs: aquila_sync::DetMap::new(),
-            ist: IstStacks::new(),
         }
     }
 
     /// Current VMX mode.
     pub fn mode(&self) -> CpuMode {
         self.mode
-    }
-
-    /// Current protection ring.
-    pub fn ring(&self) -> Ring {
-        self.ring
     }
 
     /// Enters the guest (vmlaunch/vmresume): VMX root -> non-root ring 0.
@@ -137,31 +73,7 @@ impl Vcpu {
     /// constants charged at exit points, so entry itself charges nothing.
     pub fn vmentry(&mut self) {
         self.mode = CpuMode::VmxNonRoot;
-        self.ring = Ring::Ring0;
         self.vmcs.entries += 1;
-    }
-
-    /// Drops the guest to ring 3 (a conventional Linux process).
-    pub fn enter_user(&mut self) {
-        self.ring = Ring::Ring3;
-    }
-
-    /// Takes a vmexit for `reason`, charging the round-trip cost, and
-    /// returns to non-root mode.
-    ///
-    /// The guest resumes immediately after handling: the simulation charges
-    /// exit+entry as one round trip (~750 cycles, per Dune).
-    pub fn vmexit_roundtrip(&mut self, ctx: &mut dyn SimCtx, reason: ExitReason) {
-        debug_assert_eq!(self.mode, CpuMode::VmxNonRoot, "vmexit requires guest mode");
-        match reason {
-            ExitReason::Vmcall { .. } => self.vmcs.exits_vmcall += 1,
-            ExitReason::EptViolation(_) => self.vmcs.exits_ept += 1,
-            ExitReason::MsrWrite { .. } => self.vmcs.exits_msr += 1,
-            ExitReason::ExternalInterrupt => self.vmcs.exits_interrupt += 1,
-        }
-        ctx.counters().vmexits += 1;
-        let c = ctx.cost().vmexit_roundtrip;
-        ctx.charge(CostCat::Vmexit, c);
     }
 
     /// Executes a `vmcall` hypercall: a deliberate vmexit with hypervisor
@@ -174,123 +86,25 @@ impl Vcpu {
         ctx.charge(CostCat::Vmexit, c);
     }
 
-    /// Delivers an exception (e.g. a page fault) and returns from it,
-    /// charging the protection-domain-switch cost appropriate to the
-    /// current ring.
+    /// Delivers an exception (e.g. a page fault) and returns from it.
     ///
-    /// Ring 3 pays the full trap (stack switch, kernel entry, `iret`);
-    /// non-root ring 0 pays only exception delivery on the alternate stack
-    /// (Aquila, section 4.2).
+    /// In non-root ring 0 this costs only exception delivery on an
+    /// alternate stack, with no protection-domain switch (Aquila,
+    /// section 4.2).
     pub fn deliver_exception(&mut self, ctx: &mut dyn SimCtx) {
-        let c = match self.ring {
-            Ring::Ring3 => ctx.cost().trap_ring3,
-            _ => ctx.cost().trap_nonroot_ring0,
-        };
-        self.ist.enter();
+        let c = ctx.cost().trap_nonroot_ring0;
         ctx.charge(CostCat::Trap, c);
-        self.ist.leave();
     }
 
-    /// Writes an MSR from guest context.
-    ///
-    /// Intercepted MSRs (the x2APIC ICR) take a vmexit so the hypervisor
-    /// can rate-limit; others are charged as a cheap `wrmsr`.
-    pub fn write_msr(&mut self, ctx: &mut dyn SimCtx, index: u32, value: u64) {
-        if index == msr::X2APIC_ICR && self.mode == CpuMode::VmxNonRoot {
-            self.vmexit_roundtrip(ctx, ExitReason::MsrWrite { msr: index });
-        } else {
-            ctx.charge(CostCat::Other, Cycles(100));
-        }
-        self.msrs.insert(index, value);
-    }
-
-    /// Reads an MSR (zero when never written).
-    pub fn read_msr(&self, index: u32) -> u64 {
-        self.msrs.get(&index).copied().unwrap_or(0)
-    }
-
-    /// Exposes the exception-stack table for configuration.
-    pub fn ist_mut(&mut self) -> &mut IstStacks {
-        &mut self.ist
-    }
-
-    /// Merges this vcpu's exit counters into simulation counters (used by
-    /// report code).
-    pub fn export_counters(&self, c: &mut Counters) {
-        c.vmexits += self.vmcs.total_exits();
-        c.ept_faults += self.vmcs.exits_ept;
+    /// Writes an MSR from guest context, charged as a cheap `wrmsr`.
+    pub fn write_msr(&mut self, ctx: &mut dyn SimCtx, _index: u32, _value: u64) {
+        ctx.charge(CostCat::Other, Cycles(100));
     }
 }
 
 impl Default for Vcpu {
     fn default() -> Self {
         Vcpu::new()
-    }
-}
-
-/// The interrupt-stack-table model: up to seven alternative exception
-/// stacks, as provided by x86-64.
-///
-/// Aquila (section 4.2) runs its two handlers (page fault, IPI) on
-/// dedicated alternative stacks so the handler cannot clobber the
-/// application's red zone, without recompiling the world with
-/// `-mno-red-zone`. The model tracks nesting depth so tests can assert the
-/// red-zone discipline is respected.
-#[derive(Debug)]
-pub struct IstStacks {
-    /// Number of configured alternative stacks (Aquila uses 2).
-    configured: usize,
-    depth: usize,
-    max_depth: usize,
-}
-
-/// x86-64 allows at most seven IST entries.
-pub const MAX_IST_STACKS: usize = 7;
-
-impl IstStacks {
-    /// Creates a table with Aquila's two stacks (page fault + IPI)
-    /// configured.
-    pub fn new() -> IstStacks {
-        IstStacks {
-            configured: 2,
-            depth: 0,
-            max_depth: 0,
-        }
-    }
-
-    /// Configures the number of alternative stacks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` exceeds the architectural limit of seven.
-    pub fn configure(&mut self, n: usize) {
-        assert!(n <= MAX_IST_STACKS, "x86-64 allows at most 7 IST stacks");
-        self.configured = n;
-    }
-
-    /// Number of configured stacks.
-    pub fn configured(&self) -> usize {
-        self.configured
-    }
-
-    fn enter(&mut self) {
-        self.depth += 1;
-        self.max_depth = self.max_depth.max(self.depth);
-    }
-
-    fn leave(&mut self) {
-        self.depth -= 1;
-    }
-
-    /// Deepest nesting observed (a double fault would be depth 2).
-    pub fn max_depth(&self) -> usize {
-        self.max_depth
-    }
-}
-
-impl Default for IstStacks {
-    fn default() -> Self {
-        IstStacks::new()
     }
 }
 
@@ -305,18 +119,7 @@ mod tests {
         assert_eq!(v.mode(), CpuMode::VmxRoot);
         v.vmentry();
         assert_eq!(v.mode(), CpuMode::VmxNonRoot);
-        assert_eq!(v.ring(), Ring::Ring0);
         assert_eq!(v.vmcs.entries, 1);
-    }
-
-    #[test]
-    fn ring3_trap_costs_1287() {
-        let mut v = Vcpu::new();
-        let mut ctx = FreeCtx::new(1);
-        v.vmentry();
-        v.enter_user();
-        v.deliver_exception(&mut ctx);
-        assert_eq!(ctx.breakdown.get(CostCat::Trap), Cycles(1287));
     }
 
     #[test]
@@ -340,60 +143,12 @@ mod tests {
     }
 
     #[test]
-    fn icr_write_in_guest_takes_vmexit() {
-        let mut v = Vcpu::new();
-        let mut ctx = FreeCtx::new(1);
-        v.vmentry();
-        v.write_msr(&mut ctx, msr::X2APIC_ICR, 0xdead);
-        assert_eq!(v.vmcs.exits_msr, 1);
-        assert_eq!(v.read_msr(msr::X2APIC_ICR), 0xdead);
-    }
-
-    #[test]
     fn lstar_write_is_cheap() {
         let mut v = Vcpu::new();
         let mut ctx = FreeCtx::new(1);
         v.vmentry();
         v.write_msr(&mut ctx, msr::LSTAR, 0x4000);
-        assert_eq!(v.vmcs.exits_msr, 0);
-        assert_eq!(v.read_msr(msr::LSTAR), 0x4000);
-        assert_eq!(v.read_msr(0x999), 0);
-    }
-
-    #[test]
-    fn exception_uses_alternative_stack_once() {
-        let mut v = Vcpu::new();
-        let mut ctx = FreeCtx::new(1);
-        v.vmentry();
-        v.deliver_exception(&mut ctx);
-        v.deliver_exception(&mut ctx);
-        assert_eq!(v.ist_mut().max_depth(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 7")]
-    fn too_many_ist_stacks_panics() {
-        let mut ist = IstStacks::new();
-        ist.configure(8);
-    }
-
-    #[test]
-    fn export_counters_sums_exits() {
-        let mut v = Vcpu::new();
-        let mut ctx = FreeCtx::new(1);
-        v.vmentry();
-        v.vmcall(&mut ctx, 1);
-        v.vmexit_roundtrip(
-            &mut ctx,
-            ExitReason::EptViolation(crate::ept::EptViolation {
-                gpa: crate::addr::Gpa(0),
-                access: crate::ept::EptAccess::Read,
-                permission_fault: false,
-            }),
-        );
-        let mut c = Counters::new();
-        v.export_counters(&mut c);
-        assert_eq!(c.vmexits, 2);
-        assert_eq!(c.ept_faults, 1);
+        assert_eq!(ctx.stats.vmexits, 0);
+        assert_eq!(ctx.breakdown.get(CostCat::Other), Cycles(100));
     }
 }

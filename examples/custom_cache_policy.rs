@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use aquila::{Advice, Aquila, AquilaConfig, AquilaRuntime, DeviceKind, Prot};
+use aquila::{Advice, Aquila, AquilaConfig, AquilaRuntime, DeviceKind, MmioPolicy, Prot};
 use aquila_pcache::NumaTopology;
 use aquila_sim::{CoreDebts, FreeCtx, SimCtx};
 
@@ -37,7 +37,10 @@ fn scan_with(advice: Advice, evict_batch: usize, kind: DeviceKind) -> (f64, u64,
         debts.clone(),
     );
     let cfg = AquilaConfig::builder(1, CACHE_FRAMES)
-        .evict_batch(evict_batch)
+        .policy(MmioPolicy {
+            evict_batch,
+            ..MmioPolicy::default()
+        })
         .topology(NumaTopology::flat(1))
         .build();
     let aquila = Aquila::new(cfg, debts);

@@ -51,6 +51,30 @@ grep -q '"version": "2.1.0"' "$tmp/lint.sarif" ||
 step "interprocedural checker fixtures (seeded AQ008/AQ009/AQ010 bugs)"
 scripts/lint-fixtures.sh
 
+step "results freshness (committed results/*.txt match what the binaries print)"
+# Every committed results file must be what the current binary prints,
+# so a change that moves a figure has to regenerate it in the same
+# commit. fig10.txt (`fig10`) and fig10_huge.txt (`fig10 fit --huge`)
+# are left out: each takes about 2 min 40 s of host time, against about
+# 40 s for the ten files below together. Re-run those two by hand when a
+# change can move Figure 10.
+cargo build --release -q -p aquila-bench --bins
+fresh() {
+    local file="$1" bin="$2"
+    shift 2
+    "target/release/$bin" "$@" > "$tmp/$file"
+    diff -u "results/$file" "$tmp/$file" ||
+        { echo "FAIL: results/$file is stale (regenerate: $bin $*)" >&2; exit 1; }
+}
+for fig in fig5 fig7 fig8 fig9 table1; do
+    fresh "$fig.txt" "$fig"
+done
+fresh fig6a.txt fig6 small
+fresh fig6b.txt fig6 large
+fresh sweep_latency.txt sweep latency
+fresh serve_qos.txt serve qos diurnal
+fresh serve_integrity.txt serve integrity --race
+
 step "fig8 smoke run with --json/--trace"
 cargo run --release -q -p aquila-bench --bin fig8 -- c \
     --json "$tmp/r.json" --trace "$tmp/t.json" > "$tmp/stdout.txt"
