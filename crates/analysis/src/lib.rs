@@ -23,6 +23,8 @@
 //! interprocedural AQ008–AQ010 over the graph. Findings, allowlist
 //! suppression, and the JSON/SARIF emitters live in [`report`].
 
+#![forbid(unsafe_code)]
+
 pub mod graph;
 pub mod lexer;
 pub mod lints;

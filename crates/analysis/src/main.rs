@@ -7,6 +7,8 @@
 //! Exit codes: 0 clean, 1 unsuppressed findings (or stale allowlist
 //! entries under `--strict`), 2 usage or I/O error.
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 
 use aquila_analysis::{run_lint, LintOptions};

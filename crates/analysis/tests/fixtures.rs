@@ -2,6 +2,8 @@
 //! seeded bug (the acceptance criterion for AQ008–AQ010), and the real
 //! workspace must feed the symbol graph the facts those checkers need.
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 
 use aquila_analysis::graph::Workspace;

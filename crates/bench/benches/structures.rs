@@ -5,9 +5,12 @@
 //! Plain `std::time::Instant` timing loops — the build is fully offline,
 //! so there is no Criterion. Run with `cargo bench -p aquila-bench`.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 use std::time::Instant;
 
+use aquila_devices::{MirrorAccess, NvmeDevice, StorageAccess, STORE_PAGE};
 use aquila_kvstore::{SstReader, SstWriter};
 use aquila_mmu::{Access, Gva, PageTable, PteFlags, Vpn};
 use aquila_pcache::{ClockLru, Freelist, FreelistConfig, LockFreeMap, NumaTopology, PageKey};
@@ -194,6 +197,36 @@ fn bench_fault_path() {
     });
 }
 
+fn bench_integrity() {
+    // Host cost of the mirror's checksums: the eight sector CRCs of one
+    // page, then one page written to both copies and read back
+    // verified (two CRC passes plus the device model's copies).
+    let mut x = 0x9E37_79B9u32;
+    let page: Vec<u8> = (0..STORE_PAGE)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x as u8
+        })
+        .collect();
+    bench("integrity", "crc32c_page", 2_000_000, || {
+        aquila_sync::crc32c_sectors(std::hint::black_box(&page))
+    });
+    let m = MirrorAccess::new(
+        Arc::new(NvmeDevice::optane(1024)),
+        Arc::new(NvmeDevice::optane(1024)),
+    );
+    let mut ctx = FreeCtx::new(1);
+    let mut back = vec![0u8; STORE_PAGE];
+    let mut p = 0u64;
+    bench("integrity", "mirror_write_read_page", 200_000, || {
+        p = (p + 7) & 1023;
+        m.write_pages(&mut ctx, p, &page).expect("write");
+        m.read_pages(&mut ctx, p, &mut back).expect("read")
+    });
+}
+
 fn bench_tlb() {
     let fabric = aquila_mmu::TlbFabric::new(32);
     let debts = aquila_sim::CoreDebts::new(32);
@@ -211,5 +244,6 @@ fn main() {
     bench_clock_lru();
     bench_sst();
     bench_fault_path();
+    bench_integrity();
     bench_tlb();
 }

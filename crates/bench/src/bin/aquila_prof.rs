@@ -22,6 +22,8 @@
 //! Exit codes: 0 ok, 1 bound failed, 2 usage/parse error, 3 missing
 //! data, 4 latency regression.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use aquila_bench::json::Json;

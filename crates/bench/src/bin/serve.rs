@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 fn main() {
     aquila_bench::cli::main_for("serve");
 }

@@ -21,6 +21,8 @@
 //! bodies live in [`figs`]. Sizes are scaled from the paper's testbed
 //! (see DESIGN.md); pass `--full` to the binaries for larger runs.
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 pub mod figs;
 pub mod json;

@@ -6,6 +6,8 @@
 //! a seed-randomized map or a wall-clock read on the sim path, one of
 //! the artifacts diverges here.
 
+#![forbid(unsafe_code)]
+
 use std::fs;
 use std::path::PathBuf;
 use std::process::{Command, Output};

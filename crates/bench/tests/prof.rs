@@ -10,6 +10,8 @@
 //! root equals the `aquila.fault.cycles` sum, because same-thread
 //! children telescope.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeSet;
 use std::process::Command;
 use std::sync::Arc;

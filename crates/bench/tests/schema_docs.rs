@@ -1,6 +1,8 @@
 //! The report schema has one source of truth, `SCHEMA_VERSION`: the
 //! docs that name the current version must name that one.
 
+#![forbid(unsafe_code)]
+
 use aquila_bench::SCHEMA_VERSION;
 
 /// Versions `doc` names as current: the number after `currently` or

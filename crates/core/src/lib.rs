@@ -28,6 +28,8 @@
 //! assert_eq!(&back, b"hello, mmio");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod engine;
 pub mod error;

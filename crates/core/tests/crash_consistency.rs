@@ -19,6 +19,8 @@
 //! Cut points sweep both the command index and the torn-sector count,
 //! giving well over 100 distinct seeded crash scenarios in one test.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use aquila::{AquilaRuntime, DeviceKind, MmioPolicy, Prot, WritePolicy};

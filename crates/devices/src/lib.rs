@@ -13,6 +13,8 @@
 //!
 //! Device contents are real bytes; only the timing is modelled.
 
+#![forbid(unsafe_code)]
+
 pub mod access;
 pub mod error;
 pub mod mirror;

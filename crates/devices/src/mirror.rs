@@ -5,7 +5,8 @@
 //! layer closes that gap end to end:
 //!
 //! - every write lands on *two* devices (primary + replica) and records
-//!   a CRC32 per 512-byte sector;
+//!   a CRC-32C per 512-byte sector, all eight of a page's in one pass
+//!   ([`aquila_sync::crc32c_sectors`]);
 //! - every read verifies the primary against the recorded checksums
 //!   before a byte reaches the page cache — a mismatch or an unreadable
 //!   (latent) sector triggers *read-repair*: fetch the replica, verify
@@ -33,9 +34,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use aquila_sim::fault::SECTOR_SIZE;
 use aquila_sim::{CostCat, SimCtx};
-use aquila_sync::crc32;
+use aquila_sync::crc32c_sectors;
 
 use crate::access::{write_each, AccessKind, SpdkAccess, StorageAccess};
 use crate::error::DeviceError;
@@ -46,7 +46,7 @@ use crate::store::STORE_PAGE;
 /// CRC of a never-written (all-zero) sector.
 fn zero_sector_crc() -> u32 {
     static ZERO: OnceLock<u32> = OnceLock::new();
-    *ZERO.get_or_init(|| crc32(&[0u8; SECTOR_SIZE]))
+    *ZERO.get_or_init(|| crc32c_sectors(&[0u8; STORE_PAGE])[0])
 }
 
 /// A checksum-table entry: bit 32 marks "recorded", low 32 bits hold
@@ -112,6 +112,13 @@ pub struct MirrorAccess {
 /// The checksum entries of one page's sectors.
 type PageSums = [u64; SECTORS_PER_PAGE as usize];
 
+/// What one write recorded for a page: its own entries and the ones
+/// they replaced, so an abort can put the old ones back.
+struct Recorded {
+    ours: PageSums,
+    prev: PageSums,
+}
+
 impl MirrorAccess {
     /// Mirrors `primary` onto `replica` with checksums enabled and the
     /// default retry policy.
@@ -156,25 +163,16 @@ impl MirrorAccess {
 
     /// Copies pre-existing primary content to the replica and seeds the
     /// checksum table (free of simulated time: the mirror existed
-    /// before the run).
+    /// before the run). Only materialized pages can hold data, and an
+    /// all-zero one already verifies against [`zero_sector_crc`].
     fn sync_existing(&self, pages: u64) {
-        let mut buf = [0u8; STORE_PAGE];
-        for p in 0..pages {
-            if self
-                .primary
-                .device()
-                .store()
-                .read_at(p, 0, &mut buf)
-                .is_err()
-            {
-                continue;
+        let replica = self.replica.device().store();
+        self.primary.device().store().for_each_resident(|p, data| {
+            if p < pages && data.iter().any(|&b| b != 0) {
+                let _ = replica.write_at(p, 0, data);
+                self.record_sums(p, data);
             }
-            if buf.iter().all(|&b| b == 0) {
-                continue;
-            }
-            let _ = self.replica.device().store().write_at(p, 0, &buf);
-            self.record_sums(p, &buf);
-        }
+        });
     }
 
     /// The primary device (fault plans attach here).
@@ -187,23 +185,27 @@ impl MirrorAccess {
         self.replica.device()
     }
 
-    /// Records the checksums of `data` for `page`, returning the entries
-    /// they replaced.
-    fn record_sums(&self, page: u64, data: &[u8]) -> PageSums {
+    /// The checksum-table entries of `page`'s sectors.
+    fn page_sums(&self, page: u64) -> &[AtomicU64] {
+        let base = (page * SECTORS_PER_PAGE) as usize;
+        &self.sums[base..base + SECTORS_PER_PAGE as usize]
+    }
+
+    /// Records the checksums of `data` for `page`.
+    fn record_sums(&self, page: u64, data: &[u8]) -> Recorded {
+        let ours = crc32c_sectors(data).map(pack);
         let mut prev = [0u64; SECTORS_PER_PAGE as usize];
-        for (s, old) in prev.iter_mut().enumerate() {
-            let crc = crc32(&data[s * SECTOR_SIZE..(s + 1) * SECTOR_SIZE]);
-            *old =
-                self.sums[(page * SECTORS_PER_PAGE) as usize + s].swap(pack(crc), Ordering::SeqCst);
+        for ((old, slot), &entry) in prev.iter_mut().zip(self.page_sums(page)).zip(&ours) {
+            *old = slot.swap(entry, Ordering::SeqCst);
         }
-        prev
+        Recorded { ours, prev }
     }
 
     /// Starts a write of `buf` at `page`: bumps the page versions first,
     /// so an in-flight scrub of the old bytes never rewrites them over
-    /// this write, then records the new checksums. Returns the replaced
-    /// entries, one array per page, for [`Self::abort_write`].
-    fn begin_write(&self, page: u64, buf: &[u8]) -> Vec<PageSums> {
+    /// this write, then records the new checksums. Returns what it
+    /// recorded, one entry per page, for [`Self::abort_write`].
+    fn begin_write(&self, page: u64, buf: &[u8]) -> Vec<Recorded> {
         for i in 0..(buf.len() / STORE_PAGE) as u64 {
             self.versions[(page + i) as usize].fetch_add(1, Ordering::SeqCst);
         }
@@ -220,35 +222,27 @@ impl MirrorAccess {
     /// reached the primary, so the table keeps describing the bytes on
     /// the medium. A sector a later write has already re-recorded keeps
     /// that newer entry.
-    fn abort_write(&self, page: u64, buf: &[u8], prev: &[PageSums]) {
-        for (i, (chunk, old)) in buf.chunks(STORE_PAGE).zip(prev).enumerate() {
-            let base = ((page + i as u64) * SECTORS_PER_PAGE) as usize;
-            for (s, &entry) in old.iter().enumerate() {
-                let ours = pack(crc32(&chunk[s * SECTOR_SIZE..(s + 1) * SECTOR_SIZE]));
-                let _ = self.sums[base + s].compare_exchange(
-                    ours,
-                    entry,
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                );
+    fn abort_write(&self, page: u64, recorded: &[Recorded]) {
+        for (i, rec) in recorded.iter().enumerate() {
+            let slots = self.page_sums(page + i as u64);
+            for ((slot, &ours), &prev) in slots.iter().zip(&rec.ours).zip(&rec.prev) {
+                let _ = slot.compare_exchange(ours, prev, Ordering::SeqCst, Ordering::SeqCst);
             }
         }
     }
 
     /// Whether every sector of `data` matches its recorded checksum.
     fn verify_page(&self, page: u64, data: &[u8]) -> bool {
-        for s in 0..SECTORS_PER_PAGE as usize {
-            let entry = self.sums[(page * SECTORS_PER_PAGE) as usize + s].load(Ordering::SeqCst);
+        let crcs = crc32c_sectors(data);
+        self.page_sums(page).iter().zip(crcs).all(|(slot, crc)| {
+            let entry = slot.load(Ordering::SeqCst);
             let expected = if entry == 0 {
                 zero_sector_crc()
             } else {
                 entry as u32
             };
-            if crc32(&data[s * SECTOR_SIZE..(s + 1) * SECTOR_SIZE]) != expected {
-                return false;
-            }
-        }
-        true
+            crc == expected
+        })
     }
 
     /// Reads one page with verification and repair. Returns whether a
@@ -355,9 +349,9 @@ impl StorageAccess for MirrorAccess {
     }
 
     fn write_pages(&self, ctx: &mut dyn SimCtx, page: u64, buf: &[u8]) -> Result<(), DeviceError> {
-        let prev = self.begin_write(page, buf);
+        let recorded = self.begin_write(page, buf);
         if let Err(e) = self.primary.write_pages(ctx, page, buf) {
-            self.abort_write(page, buf, &prev);
+            self.abort_write(page, &recorded);
             return Err(e);
         }
         self.replica.write_pages(ctx, page, buf)
@@ -374,7 +368,7 @@ impl StorageAccess for MirrorAccess {
         if depth <= 1 {
             return write_each(self, ctx, segs);
         }
-        let prev: Vec<Vec<PageSums>> = segs
+        let recorded: Vec<Vec<Recorded>> = segs
             .iter()
             .map(|&(page, buf)| self.begin_write(page, buf))
             .collect();
@@ -396,8 +390,8 @@ impl StorageAccess for MirrorAccess {
         }
         self.queued_writes.fetch_add(issued, Ordering::SeqCst);
         if let Some((landed, e)) = failure {
-            for (&(page, buf), prev) in segs[landed..].iter().zip(&prev[landed..]) {
-                self.abort_write(page, buf, prev);
+            for (&(page, _), rec) in segs[landed..].iter().zip(&recorded[landed..]) {
+                self.abort_write(page, rec);
             }
             return Err(e);
         }
@@ -631,6 +625,28 @@ mod tests {
         ));
         assert_eq!(clean_reads, faulty_reads, "logical reads identical");
         assert_eq!(clean_image, faulty_image, "final device image identical");
+    }
+
+    #[test]
+    fn attaching_syncs_and_records_only_pages_with_data() {
+        let primary = Arc::new(NvmeDevice::optane(16));
+        primary.store().write_at(2, 0, &page_of(0x42)).unwrap();
+        primary.store().write_at(5, 100, &[7]).unwrap();
+        // Materialized but all zero: nothing to sync or record.
+        primary.store().write_at(9, 0, &page_of(0)).unwrap();
+        let m = MirrorAccess::new(primary, Arc::new(NvmeDevice::optane(16)));
+        let recorded: Vec<u64> = (0..m.capacity_pages())
+            .filter(|&p| m.page_sums(p).iter().any(|e| e.load(Ordering::SeqCst) != 0))
+            .collect();
+        assert_eq!(recorded, vec![2, 5]);
+        assert_eq!(m.replica_device().store().resident_pages(), 2);
+        let mut ctx = FreeCtx::new(1);
+        for p in 0..m.capacity_pages() {
+            assert_eq!(m.scrub_page(&mut ctx, p), Ok(false), "page {p}");
+        }
+        let mut back = page_of(0);
+        m.read_pages(&mut ctx, 2, &mut back).unwrap();
+        assert_eq!(back, page_of(0x42));
     }
 
     /// Four media errors in a row exhaust the default retry budget.

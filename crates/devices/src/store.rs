@@ -38,6 +38,17 @@ impl PageStore {
         self.pages.iter().filter(|p| p.read().is_some()).count() as u64
     }
 
+    /// Calls `f(page, bytes)` for each materialized page in page order,
+    /// under that page's read lock. Never-written and discarded pages
+    /// read as zero and are skipped.
+    pub(crate) fn for_each_resident(&self, mut f: impl FnMut(u64, &[u8])) {
+        for (i, slot) in self.pages.iter().enumerate() {
+            if let Some(data) = &*slot.read() {
+                f(i as u64, data);
+            }
+        }
+    }
+
     fn slot(&self, page: u64) -> Result<&RwLock<Option<Box<[u8]>>>, DeviceError> {
         self.pages
             .get(page as usize)
@@ -124,11 +135,10 @@ impl PageStore {
     /// simulated power cut and recovers a fresh device from it.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut image = vec![0u8; self.pages.len() * STORE_PAGE];
-        for (i, slot) in self.pages.iter().enumerate() {
-            if let Some(data) = &*slot.read() {
-                image[i * STORE_PAGE..(i + 1) * STORE_PAGE].copy_from_slice(data);
-            }
-        }
+        self.for_each_resident(|i, data| {
+            let at = i as usize * STORE_PAGE;
+            image[at..at + STORE_PAGE].copy_from_slice(data);
+        });
         image
     }
 }
@@ -199,6 +209,21 @@ mod tests {
                 len: 16
             })
         );
+    }
+
+    #[test]
+    fn resident_walk_visits_materialized_pages_in_order() {
+        let s = PageStore::new(6);
+        s.write_at(4, 0, &[4]).unwrap();
+        s.write_at(1, 7, &[1]).unwrap();
+        s.write_at(3, 0, &[3]).unwrap();
+        s.discard(3).unwrap();
+        let mut seen = Vec::new();
+        s.for_each_resident(|p, data| {
+            assert_eq!(data.len(), STORE_PAGE);
+            seen.push((p, data.iter().map(|&b| b as u32).sum::<u32>()));
+        });
+        assert_eq!(seen, vec![(1, 1), (4, 4)]);
     }
 
     #[test]

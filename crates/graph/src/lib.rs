@@ -13,6 +13,8 @@
 //! - [`algos`] — BFS (the paper's benchmark), label-propagation
 //!   components, and PageRank.
 
+#![forbid(unsafe_code)]
+
 pub mod algos;
 pub mod csr;
 pub mod rmat;

@@ -8,6 +8,8 @@
 //!   per-level index) over any [`aquila_sim::MemRegion`]: kmmap or Aquila
 //!   (the Figure 9 comparison).
 
+#![forbid(unsafe_code)]
+
 pub mod block;
 pub mod bloom;
 pub mod env;

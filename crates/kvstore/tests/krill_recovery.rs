@@ -9,6 +9,8 @@
 //! history, each with its exact value, and always at least every commit
 //! that fully preceded the cut.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use aquila::{AquilaRegion, AquilaRuntime, DeviceKind, MmioPolicy};

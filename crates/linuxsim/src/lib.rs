@@ -12,6 +12,8 @@
 //! - [`device::KernelDevice`] — in-kernel fill paths (scalar-copy pmem,
 //!   interrupt-driven NVMe).
 
+#![forbid(unsafe_code)]
+
 pub mod device;
 pub mod mmap;
 pub mod pagecache;

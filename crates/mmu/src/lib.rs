@@ -16,6 +16,8 @@
 //! - [`physmem::PhysMem`] — real 4 KiB frames backing the DRAM cache,
 //!   with an optional 2 MiB-contiguous slab window for promoted runs.
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod pagetable;
 pub mod physmem;

@@ -14,6 +14,8 @@
 //!   eviction, dynamic grow/shrink, and a policy/mechanism split that
 //!   leaves page tables and shootdowns to the mmio engine.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod dirty;
 pub mod freelist;

@@ -16,6 +16,8 @@
 //! decision bit-for-bit, which is what lets `aquila-prof check` gate
 //! per-tenant percentiles against golden records.
 
+#![forbid(unsafe_code)]
+
 pub mod arrival;
 
 use std::cell::RefCell;

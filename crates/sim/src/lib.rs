@@ -28,6 +28,8 @@
 //! Everything is deterministic: a run is a pure function of the seed, the
 //! cost model, and the workload parameters.
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod engine;
 pub mod fault;

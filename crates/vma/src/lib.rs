@@ -33,6 +33,8 @@
 //!   promotable to huge pages), and every placed mapping reserves a
 //!   [`GUARD_PAGES`] gap after itself until its last page is unmapped.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};

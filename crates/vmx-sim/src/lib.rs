@@ -16,6 +16,8 @@
 //! cost model, which is what lets a container with no `/dev/kvm` reproduce
 //! the paper's transition-cost arguments.
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod apic;
 pub mod ept;

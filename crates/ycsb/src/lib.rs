@@ -6,6 +6,8 @@
 //! [`runner`] drives any key-value executor closure and records the
 //! per-operation latency histogram the paper's latency results need.
 
+#![forbid(unsafe_code)]
+
 pub mod runner;
 pub mod workload;
 

@@ -13,6 +13,8 @@
 //! cargo run --release --example custom_cache_policy
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use aquila::{Advice, Aquila, AquilaConfig, AquilaRuntime, DeviceKind, MmioPolicy, Prot};

@@ -5,6 +5,8 @@
 //! cargo run --release --example heap_extension
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use aquila::{AquilaRegion, AquilaRuntime, DeviceKind};

@@ -5,6 +5,8 @@
 //! cargo run --release --example kvstore_ycsb
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use aquila::{AquilaRuntime, DeviceKind};

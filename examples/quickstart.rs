@@ -4,6 +4,8 @@
 //! cargo run --example quickstart
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use aquila::{AquilaRuntime, DeviceKind, Prot};

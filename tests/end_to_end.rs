@@ -1,6 +1,8 @@
 //! Cross-crate integration tests: the full Aquila stack, the baselines,
 //! and the applications, exercised together.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use aquila::{Advice, AquilaRegion, AquilaRuntime, DeviceKind, Prot};

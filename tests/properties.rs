@@ -6,6 +6,8 @@
 //! [`Rng64`] (the build is fully offline, so there is no `proptest`); a
 //! fixed seed per property keeps failures exactly reproducible.
 
+#![forbid(unsafe_code)]
+
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
