@@ -34,7 +34,7 @@ use crate::{BenchArgs, Dev, Runner};
 use aquila::{Advice, AquilaRuntime, DeviceKind, MmioPolicy, Prot, WritePolicy};
 use aquila_devices::NvmeDevice;
 use aquila_linuxsim::{KernelDevice, LinuxConfig, LinuxMmap};
-use aquila_sim::{CoreDebts, Cycles, Engine, LatencyHist, SimCtx, Step};
+use aquila_sim::{CoreDebts, Cycles, Engine, LatencyHist, RunReport, SimCtx, Step};
 
 const WORKERS: usize = 4;
 const FILE_PAGES: u64 = 8192;
@@ -48,9 +48,11 @@ struct Cell {
     writebacks: u64,
 }
 
-/// Runs one sweep cell: four workers (plus any configured evictor cores)
-/// over a fresh NVMe-backed stack under `policy`.
-fn run_cell(label: &str, policy: MmioPolicy, ops_per_thread: u64) -> Cell {
+/// Runs the random-store workload: four workers (plus any configured
+/// evictor cores) issue 64-bit stores over a fresh NVMe-backed stack
+/// under `policy`. Every store that faults records its service latency
+/// (the cycles the worker lost to it) in that worker's histogram.
+fn run_stores(policy: MmioPolicy, ops_per_thread: u64) -> (Vec<LatencyHist>, RunReport) {
     let cores = WORKERS + policy.evictor_cores.len();
     let evictor_cores = policy.evictor_cores.clone();
     let mut engine = Engine::new(cores, 0x5EE9);
@@ -75,12 +77,13 @@ fn run_cell(label: &str, policy: MmioPolicy, ops_per_thread: u64) -> Cell {
 
     let stop = Arc::new(AtomicBool::new(false));
     let live = Arc::new(AtomicUsize::new(WORKERS));
-    // Per-worker (fault-path cycles, faulting ops).
-    let tallies: Rc<RefCell<Vec<(u64, u64)>>> = Rc::new(RefCell::new(vec![(0, 0); WORKERS]));
+    let hists: Rc<RefCell<Vec<LatencyHist>>> = Rc::new(RefCell::new(
+        (0..WORKERS).map(|_| LatencyHist::new()).collect(),
+    ));
     let chunk = FILE_PAGES / WORKERS as u64;
     for t in 0..WORKERS {
         let aquila = Arc::clone(&rt.aquila);
-        let tallies = Rc::clone(&tallies);
+        let hists = Rc::clone(&hists);
         let stop = Arc::clone(&stop);
         let live = Arc::clone(&live);
         let lo = t as u64 * chunk;
@@ -97,9 +100,7 @@ fn run_cell(label: &str, policy: MmioPolicy, ops_per_thread: u64) -> Cell {
                     .write(ctx, addr.add(page * 4096 + 16), &page.to_le_bytes())
                     .expect("store");
                 if ctx.counters().page_faults > pf0 {
-                    let mut tl = tallies.borrow_mut();
-                    tl[t].0 += (ctx.now() - t0).get();
-                    tl[t].1 += 1;
+                    hists.borrow_mut()[t].record(ctx.now() - t0);
                 }
                 done += 1;
                 if done >= ops_per_thread {
@@ -120,14 +121,27 @@ fn run_cell(label: &str, policy: MmioPolicy, ops_per_thread: u64) -> Cell {
         );
     }
     let report = engine.run();
-    let (cycles, faults) = tallies
-        .borrow()
-        .iter()
-        .fold((0u64, 0u64), |(c, n), &(tc, tn)| (c + tc, n + tn));
+    let hists = hists.take();
+    (hists, report)
+}
+
+/// Merges per-worker histograms in worker order.
+fn merged(hists: &[LatencyHist]) -> LatencyHist {
+    let mut all = LatencyHist::new();
+    for h in hists {
+        all.merge(h);
+    }
+    all
+}
+
+/// Runs one sweep cell of the random-store workload under `policy`.
+fn run_cell(label: &str, policy: MmioPolicy, ops_per_thread: u64) -> Cell {
+    let (hists, report) = run_stores(policy, ops_per_thread);
+    let faults = merged(&hists);
     Cell {
         label: label.to_string(),
-        mean_fault_cycles: cycles as f64 / faults.max(1) as f64,
-        faults,
+        mean_fault_cycles: faults.sum() as f64 / faults.count().max(1) as f64,
+        faults: faults.count(),
         makespan: report.makespan,
         writebacks: report.counters.writebacks,
     }
@@ -371,83 +385,6 @@ fn part_tlb(_args: &BenchArgs, json: &mut JsonReport) {
 // Part `latency`: cycle-exact fault-service latency distributions.
 // ---------------------------------------------------------------------
 
-/// Runs the random-store workload under `policy`, recording each fault's
-/// service latency (cycles the faulting worker lost to the store that
-/// faulted) in per-worker histograms merged in worker order.
-fn run_latency_mmio(policy: MmioPolicy, ops_per_thread: u64) -> LatencyHist {
-    let cores = WORKERS + policy.evictor_cores.len();
-    let evictor_cores = policy.evictor_cores.clone();
-    let mut engine = Engine::new(cores, 0x5EE9);
-    let mut ctx = aquila_sim::FreeCtx::new(0x5EE9);
-    let rt = AquilaRuntime::build_with_policy(
-        &mut ctx,
-        DeviceKind::NvmeSpdk,
-        FILE_PAGES + 4096,
-        CACHE_FRAMES,
-        cores,
-        engine.debts(),
-        policy,
-    );
-    let f = rt.open("/sweep-lat", FILE_PAGES).expect("open");
-    let addr = rt
-        .aquila
-        .mmap(&mut ctx, f, 0, FILE_PAGES, Prot::RW)
-        .expect("mmap");
-    rt.aquila
-        .madvise(&mut ctx, addr, FILE_PAGES, Advice::Random)
-        .expect("madvise");
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let live = Arc::new(AtomicUsize::new(WORKERS));
-    let hists: Rc<RefCell<Vec<LatencyHist>>> = Rc::new(RefCell::new(
-        (0..WORKERS).map(|_| LatencyHist::new()).collect(),
-    ));
-    let chunk = FILE_PAGES / WORKERS as u64;
-    for t in 0..WORKERS {
-        let aquila = Arc::clone(&rt.aquila);
-        let hists = Rc::clone(&hists);
-        let stop = Arc::clone(&stop);
-        let live = Arc::clone(&live);
-        let lo = t as u64 * chunk;
-        let mut done = 0u64;
-        engine.spawn(
-            t,
-            Box::new(move |ctx| {
-                let page = lo + ctx.rng().below(chunk);
-                let pf0 = ctx.counters().page_faults;
-                let t0 = ctx.now();
-                aquila
-                    .write(ctx, addr.add(page * 4096 + 16), &page.to_le_bytes())
-                    .expect("store");
-                if ctx.counters().page_faults > pf0 {
-                    hists.borrow_mut()[t].record(ctx.now() - t0);
-                }
-                done += 1;
-                if done >= ops_per_thread {
-                    if live.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        stop.store(true, Ordering::Release);
-                    }
-                    Step::Done
-                } else {
-                    Step::Yield
-                }
-            }),
-        );
-    }
-    for &core in &evictor_cores {
-        engine.spawn(
-            core,
-            rt.aquila.evictor(Arc::clone(&stop), Cycles::from_micros(2)),
-        );
-    }
-    engine.run();
-    let mut merged = LatencyHist::new();
-    for h in hists.borrow().iter() {
-        merged.merge(h);
-    }
-    merged
-}
-
 /// The linuxsim analog: same stores, same footprint, kernel mmap path
 /// (inline reclaim, no evictor thread).
 fn run_latency_linux(ops_per_thread: u64) -> LatencyHist {
@@ -490,11 +427,8 @@ fn run_latency_linux(ops_per_thread: u64) -> LatencyHist {
         );
     }
     engine.run();
-    let mut merged = LatencyHist::new();
-    for h in hists.borrow().iter() {
-        merged.merge(h);
-    }
-    merged
+    let hists = hists.take();
+    merged(&hists)
 }
 
 fn part_latency(args: &BenchArgs, json: &mut JsonReport) {
@@ -503,23 +437,18 @@ fn part_latency(args: &BenchArgs, json: &mut JsonReport) {
         "Fault-service latency: cycle-exact distributions per backend",
         "expected: mmio beats linuxsim at p50 (lean fault path); the eviction tail at p99 is one deep-queue writeback round, inline (sync) or on the evictor (async qd4)",
     );
+    let mmio = |policy| merged(&run_stores(policy, ops).0);
     let cells: [(&str, LatencyHist); 4] = [
         ("linuxsim", run_latency_linux(ops)),
-        ("mmio-sync", run_latency_mmio(MmioPolicy::default(), ops)),
-        (
-            "mmio-async-qd4",
-            run_latency_mmio(async_policy(4, 0, 0), ops),
-        ),
+        ("mmio-sync", mmio(MmioPolicy::default())),
+        ("mmio-async-qd4", mmio(async_policy(4, 0, 0))),
         (
             "mmio-huge",
-            run_latency_mmio(
-                MmioPolicy {
-                    huge_pages: true,
-                    promote_threshold: 64,
-                    ..MmioPolicy::default()
-                },
-                ops,
-            ),
+            mmio(MmioPolicy {
+                huge_pages: true,
+                promote_threshold: 64,
+                ..MmioPolicy::default()
+            }),
         ),
     ];
     println!(

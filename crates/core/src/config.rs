@@ -24,7 +24,6 @@
 
 use aquila_devices::RetryPolicy;
 use aquila_pcache::NumaTopology;
-use aquila_sim::Cycles;
 
 /// When eviction writeback happens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,10 +89,6 @@ pub struct MmioPolicy {
     /// queue pair per copy, so both devices serve them concurrently. Off
     /// by default: single-device runs are bit-for-bit unchanged.
     pub mirror: bool,
-    /// Virtual-time pause between background-scrubber pages;
-    /// [`Cycles::ZERO`] disables the scrubber. Only meaningful with
-    /// [`MmioPolicy::mirror`].
-    pub scrub_rate: Cycles,
 }
 
 impl Default for MmioPolicy {
@@ -110,7 +105,6 @@ impl Default for MmioPolicy {
             promote_threshold: 512,
             tenant_qos: false,
             mirror: false,
-            scrub_rate: Cycles::ZERO,
         }
     }
 }
@@ -215,11 +209,6 @@ mod tests {
         assert_eq!(cfg.policy.promote_threshold, 512);
         assert!(!cfg.policy.tenant_qos, "QoS must be opt-in");
         assert!(!cfg.policy.mirror, "mirroring must be opt-in");
-        assert_eq!(
-            cfg.policy.scrub_rate,
-            Cycles::ZERO,
-            "scrubber off by default"
-        );
         assert_eq!(
             format!("{:?}", cfg.policy.retry),
             format!("{:?}", RetryPolicy::default())

@@ -12,8 +12,8 @@
 //!    [`StorageAccess`] path (SPDK, DAX, or host I/O).
 //! 4. **File-mapping management** (uncommon) — `mmap`/`munmap`/`mremap`
 //!    over the spill-free region map; no host interaction needed.
-//! 5. **Cache resizing** (uncommon) — vmcalls to the hypervisor plus 1 GiB
-//!    EPT mappings.
+//! 5. **Cache resizing** (uncommon) — vmcalls to the hypervisor plus one
+//!    EPT fault per newly mapped 1 GiB granule.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -24,13 +24,13 @@ use aquila_sync::Mutex;
 use aquila_devices::{DeviceError, StorageAccess, STORE_PAGE};
 use aquila_mmu::{
     Access, FrameId, Gva, LeafKind, PteFlags, ShardedPageTable, TlbFabric, Vpn, HUGE_PAGE_PAGES,
-    L_PT_SHARD, PAGE_2M, PAGE_SIZE,
+    L_PT_SHARD, PAGE_SIZE,
 };
 use aquila_pcache::{
     coalesce_runs, CacheConfig, DirtyPage, DramCache, PageKey, Victim, MAX_TENANTS,
 };
 use aquila_sim::{race, CoreDebts, CostCat, Cycles, SimCtx, Step, ThreadFn};
-use aquila_vmx::{Ept, EptPageSize, EptPerms, Gpa, Hpa, Vcpu, PAGE_1G};
+use aquila_vmx::{Gpa, Vcpu, PAGE_1G};
 
 use crate::error::AquilaError;
 use crate::file::{FileId, Files};
@@ -82,15 +82,6 @@ const QOS_DELAY: Cycles = Cycles::from_micros(2);
 
 /// A staged writeback segment: access path, first device page, payload.
 type Segment = (Arc<dyn StorageAccess>, u64, Vec<u8>);
-
-/// Fault/IO statistics snapshot.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EngineStats {
-    /// EPT granules mapped for the cache.
-    pub ept_granules: u64,
-    /// vmcalls issued for uncommon-path operations.
-    pub uncommon_vmcalls: u64,
-}
 
 /// Health of the mmio region's write path (DESIGN.md §11). Transitions
 /// only escalate within a run: `Healthy` → `WriteThrough` when the
@@ -160,9 +151,9 @@ pub struct Aquila {
     vcpus: Vec<Mutex<Vcpu>>,
     /// Reverse map: frame -> virtual pages currently mapping it.
     rmap: Rmap,
-    ept: Mutex<Ept>,
-    hpa_next: Mutex<u64>,
-    stats: Mutex<EngineStats>,
+    /// End of the guest-physical window the cache's 1 GiB EPT granules
+    /// cover: a high-water mark, since shrinking leaves granules mapped.
+    ept_mapped_end: Mutex<u64>,
     /// Latest virtual time at which every write-behind submission so far
     /// is known durable on the device; `msync`/`sync_all` rendezvous with
     /// this horizon under [`WritePolicy::Async`].
@@ -185,7 +176,7 @@ pub struct Aquila {
 
 impl Aquila {
     /// Boots an Aquila instance: builds the cache, maps its initial frames
-    /// through 1 GiB EPT granules, and prepares per-core vcpus.
+    /// through 1 GiB EPT granules, and enters the guest on every vcpu.
     pub fn new(mut cfg: AquilaConfig, debts: Arc<CoreDebts>) -> Aquila {
         // An eviction batch close to the cache size would wipe the whole
         // working set per round; clamp to 1/8 of the cache (the paper's
@@ -211,29 +202,7 @@ impl Aquila {
         };
         let slab_frames = ccfg.slab_runs * HUGE_PAGE_PAGES as usize;
         let cache = DramCache::new(ccfg);
-        let mut ept = Ept::new();
-        let mut hpa_next = 0x40_0000_0000u64; // Host frames for the guest cache.
-        let mut granules = Self::map_cache_granules(
-            &mut ept,
-            &mut hpa_next,
-            cache.mem().base().get(),
-            cfg.cache_frames as u64 * PAGE_SIZE,
-        );
-        // Slab runs get eager 2 MiB EPT granules from a separate host
-        // window, keeping the 1 GiB cache granules above contiguous for
-        // grow_cache.
-        let mut slab_hpa = 0x200_0000_0000u64;
-        for run in 0..cache.slab_runs() {
-            ept.map(
-                cache.slab_run_gpa(run),
-                Hpa(slab_hpa),
-                EptPageSize::Size2M,
-                EptPerms::RW,
-            )
-            .expect("slab granules are disjoint from the cache window");
-            slab_hpa += PAGE_2M;
-            granules += 1;
-        }
+        let ept_mapped_end = cache_window_end(cache.mem().base().get(), cfg.cache_frames);
         // The huge-run registry is the outermost annotated lock on the
         // promotion path; page-table shard locks are leaves under it.
         race::declare_order("mmu", &[L_HUGE, L_PT_SHARD]);
@@ -246,12 +215,7 @@ impl Aquila {
             tlbs: TlbFabric::new(cfg.cores),
             vcpus: (0..cfg.cores).map(|_| Mutex::new(Vcpu::new())).collect(),
             rmap: Rmap::new(cfg.max_cache_frames + slab_frames),
-            ept: Mutex::new(ept),
-            hpa_next: Mutex::new(hpa_next),
-            stats: Mutex::new(EngineStats {
-                ept_granules: granules,
-                uncommon_vmcalls: 0,
-            }),
+            ept_mapped_end: Mutex::new(ept_mapped_end),
             wb_horizon: Mutex::new(Cycles::ZERO),
             wb_span: AtomicU64::new(0),
             degrade: Mutex::new(DegradeState {
@@ -270,24 +234,6 @@ impl Aquila {
         aquila
     }
 
-    fn map_cache_granules(ept: &mut Ept, hpa_next: &mut u64, gpa_base: u64, bytes: u64) -> u64 {
-        // The cache GPA range is mapped with 1 GiB pages (section 3.5);
-        // partial tails use one granule too (the paper allocates cache in
-        // 1 GiB multiples).
-        let granules = bytes.div_ceil(PAGE_1G).max(1);
-        let gpa_start = gpa_base & !(PAGE_1G - 1);
-        for g in 0..granules {
-            let gpa = Gpa(gpa_start + g * PAGE_1G);
-            if ept.is_mapped(gpa) {
-                continue;
-            }
-            ept.map(gpa, Hpa(*hpa_next), EptPageSize::Size1G, EptPerms::RW)
-                .expect("cache granules are disjoint");
-            *hpa_next += PAGE_1G;
-        }
-        granules
-    }
-
     /// The file registry (intercepted `open`).
     pub fn files(&self) -> &Files {
         &self.files
@@ -296,11 +242,6 @@ impl Aquila {
     /// The DRAM cache (for inspection and custom policies).
     pub fn cache(&self) -> &DramCache {
         &self.cache
-    }
-
-    /// Engine statistics snapshot.
-    pub fn stats(&self) -> EngineStats {
-        *self.stats.lock()
     }
 
     /// The configuration this instance was booted with.
@@ -478,9 +419,6 @@ impl Aquila {
     /// function call the paper requires at thread start).
     pub fn thread_enter(&self, ctx: &mut dyn SimCtx) {
         let mut vcpu = self.vcpus[ctx.core() % self.vcpus.len()].lock();
-        if vcpu.vmcs.entries == 0 {
-            vcpu.vmentry();
-        }
         // Install the syscall-interception handler (MSR_LSTAR).
         vcpu.write_msr(ctx, aquila_vmx::msr::LSTAR, 0xFFFF_8000_0000_0000);
     }
@@ -1715,41 +1653,34 @@ impl Aquila {
     // ---------------------------------------------------------------
 
     /// Grows the DRAM cache by `frames` frames: a vmcall asks the host for
-    /// memory, new 1 GiB EPT granules map it, and the freelist absorbs the
-    /// frames. Returns frames actually added.
+    /// memory, the freelist absorbs the frames, and each 1 GiB EPT granule
+    /// the grown window newly covers costs one EPT fault. Returns frames
+    /// actually added.
     pub fn grow_cache(&self, ctx: &mut dyn SimCtx, frames: usize) -> usize {
         let core = ctx.core() % self.vcpus.len();
         self.vcpus[core].lock().vmcall(ctx, 0x10);
-        self.stats.lock().uncommon_vmcalls += 1;
+        let mut mapped_end = self.ept_mapped_end.lock();
         let added = self.cache.grow(frames);
-        if added > 0 {
-            let mut ept = self.ept.lock();
-            let mut hpa = self.hpa_next.lock();
-            let start_byte = self.cache.mem().base().get()
-                + (self.cache.active_frames() - added) as u64 * PAGE_SIZE;
-            let granules =
-                Self::map_cache_granules(&mut ept, &mut hpa, start_byte, added as u64 * PAGE_SIZE);
-            self.stats.lock().ept_granules += granules;
-            // Each fresh granule costs one EPT fault on first touch; the
-            // paper uses 1 GiB pages precisely to make this negligible.
-            for _ in 0..granules {
-                ctx.counters().ept_faults += 1;
-                let c = ctx.cost().vmexit_roundtrip;
-                ctx.charge(CostCat::Vmexit, c);
-            }
+        let end = cache_window_end(self.cache.mem().base().get(), self.cache.active_frames());
+        // The paper maps the cache with 1 GiB pages precisely so that
+        // growth inside a mapped granule takes no EPT fault at all.
+        for _ in 0..end.saturating_sub(*mapped_end) / PAGE_1G {
+            ctx.counters().ept_faults += 1;
+            let c = ctx.cost().vmexit_roundtrip;
+            ctx.charge(CostCat::Vmexit, c);
         }
+        *mapped_end = (*mapped_end).max(end);
         added
     }
 
     /// Shrinks the cache by taking up to `frames` free frames off the
     /// freelist after one vmcall to the host. Returns frames reclaimed.
     ///
-    /// The EPT keeps its 1 GiB cache granules mapped; a later
-    /// [`Aquila::grow_cache`] skips granules that are still mapped.
+    /// The EPT keeps its 1 GiB cache granules mapped, so a later
+    /// [`Aquila::grow_cache`] back into them takes no EPT fault.
     pub fn shrink_cache(&self, ctx: &mut dyn SimCtx, frames: usize) -> usize {
         let core = ctx.core() % self.vcpus.len();
         self.vcpus[core].lock().vmcall(ctx, 0x11);
-        self.stats.lock().uncommon_vmcalls += 1;
         self.cache.shrink(frames)
     }
 
@@ -1794,6 +1725,14 @@ impl core::fmt::Debug for Aquila {
 }
 
 /// Maps a PTE's GPA back to the cache frame holding it.
+/// End of the guest-physical window that 1 GiB EPT granules must cover
+/// for a cache of `frames` frames starting at `base`: the paper allocates
+/// the cache in 1 GiB multiples (section 3.5), so a partial tail takes a
+/// whole granule.
+pub(crate) fn cache_window_end(base: u64, frames: usize) -> u64 {
+    (base + frames as u64 * PAGE_SIZE).next_multiple_of(PAGE_1G)
+}
+
 fn pte_frame(cache: &DramCache, gpa: Gpa) -> Option<FrameId> {
     cache.mem().frame_of(gpa)
 }

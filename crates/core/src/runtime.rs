@@ -11,7 +11,7 @@ use aquila_devices::{
     NvmeDevice, NvmeProfile, PmemDevice, SpdkAccess, StorageAccess,
 };
 use aquila_pcache::NumaTopology;
-use aquila_sim::{fault, CoreDebts, SimCtx};
+use aquila_sim::{fault, CoreDebts, DeviceImage, SimCtx};
 
 use crate::engine::{Aquila, AquilaConfig};
 use crate::error::AquilaError;
@@ -156,12 +156,12 @@ impl AquilaRuntime {
 
     /// Reboots an Aquila stack from a captured NVMe device image (the
     /// crash-consistency harness's recovery path): the device is restored
-    /// byte-for-byte from the image and the blobstore is *loaded*, not
+    /// page-for-page from the image and the blobstore is *loaded*, not
     /// formatted, so every file and page that was durable at the capture
     /// point is visible again through [`AquilaRuntime::open`].
     pub fn recover_from_image(
         ctx: &mut dyn SimCtx,
-        image: &[u8],
+        image: &DeviceImage,
         cache_frames: usize,
         cores: usize,
         debts: Arc<CoreDebts>,

@@ -298,15 +298,51 @@ fn grow_and_shrink_cache_via_hypervisor() {
     let vmexits_before = ctx.stats.vmexits;
     let added = aquila.grow_cache(&mut ctx, 512);
     assert_eq!(added, 512);
-    assert!(
-        ctx.stats.vmexits > vmexits_before,
-        "resize goes through the host"
+    assert_eq!(
+        ctx.stats.vmexits,
+        vmexits_before + 1,
+        "growth is one vmcall to the host"
     );
+    assert_eq!(ctx.stats.ept_faults, 0, "growth stayed in the boot granule");
     assert_eq!(aquila.cache().active_frames(), 544);
     let reclaimed = aquila.shrink_cache(&mut ctx, 100);
     assert_eq!(reclaimed, 100);
     assert_eq!(aquila.cache().active_frames(), 444);
-    assert!(aquila.stats().uncommon_vmcalls >= 2);
+    assert_eq!(
+        ctx.stats.vmexits,
+        vmexits_before + 2,
+        "shrinking is one vmcall to the host"
+    );
+}
+
+#[test]
+fn ept_faults_count_only_newly_covered_granules() {
+    use crate::engine::cache_window_end;
+    const GIB_FRAMES: usize = (1 << 30) / 4096;
+    let base = 0x1_0000_0000u64;
+    let granules = |from: usize, to: usize| {
+        cache_window_end(base, to).saturating_sub(cache_window_end(base, from)) >> 30
+    };
+    // Growth inside the first granule maps nothing new.
+    assert_eq!(granules(32, 1024), 0);
+    assert_eq!(granules(1, GIB_FRAMES), 0);
+    // A growth that straddles boundaries takes one fault per new granule.
+    assert_eq!(granules(GIB_FRAMES, GIB_FRAMES + 1), 1);
+    assert_eq!(granules(GIB_FRAMES - 1, 3 * GIB_FRAMES + 1), 3);
+    // An empty cache covers no granule; its first frame maps one.
+    assert_eq!(granules(0, 1), 1);
+
+    // Through the engine: shrinking leaves the granules mapped, so a
+    // regrow into them is free; crossing the window's end is not.
+    let mut ctx = FreeCtx::new(9);
+    let debts = Arc::new(CoreDebts::new(1));
+    let cfg = AquilaConfig::builder(1, 32).max_cache_frames(1024).build();
+    let aquila = crate::engine::Aquila::new(cfg, debts);
+    assert_eq!(aquila.grow_cache(&mut ctx, 992), 992);
+    assert_eq!(aquila.shrink_cache(&mut ctx, 500), 500);
+    assert_eq!(aquila.grow_cache(&mut ctx, 500), 500);
+    assert_eq!(ctx.stats.ept_faults, 0);
+    assert_eq!(ctx.breakdown.get(CostCat::Vmexit), Cycles(3 * 1500));
 }
 
 #[test]
@@ -1014,7 +1050,10 @@ fn recover_from_unformatted_image_is_typed_error() {
     use crate::config::MmioPolicy;
     let mut ctx = FreeCtx::new(15);
     let debts = Arc::new(CoreDebts::new(1));
-    let blank = vec![0u8; 256 * 4096];
+    let blank = aquila_sim::DeviceImage {
+        pages: 256,
+        resident: Vec::new(),
+    };
     let err =
         AquilaRuntime::recover_from_image(&mut ctx, &blank, 16, 1, debts, MmioPolicy::default())
             .unwrap_err();

@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use aquila::{AquilaRuntime, DeviceKind, MmioPolicy, Prot, WritePolicy};
-use aquila_sim::fault::{FaultPlan, SECTOR_SIZE};
+use aquila_sim::fault::{DeviceImage, FaultPlan, SECTOR_SIZE};
 use aquila_sim::{CoreDebts, FreeCtx, SimCtx};
 
 const FILE_PAGES: u64 = 128;
@@ -47,7 +47,7 @@ struct RunOutcome {
     /// Pages in the workload file (the huge sweep uses a full 2 MiB run).
     file_pages: u64,
     /// Device image captured at the cut, with the cut's virtual time.
-    cut: Option<(aquila_sim::Cycles, Vec<u8>)>,
+    cut: Option<(aquila_sim::Cycles, DeviceImage)>,
     /// Per-page history of tags in writeback order.
     history: Vec<Vec<u8>>,
     /// (completion time, per-page acked history index; -1 = never) for
@@ -176,7 +176,7 @@ fn check_recovery(outcome: &RunOutcome, label: &str, policy: MmioPolicy) {
         }
     }
 
-    let mut ctx = FreeCtx::new(0x4EC0 ^ image.len() as u64);
+    let mut ctx = FreeCtx::new(0x4EC0 ^ image.bytes());
     let debts = Arc::new(CoreDebts::new(1));
     let rt = AquilaRuntime::recover_from_image(&mut ctx, image, 1024, 1, debts, policy)
         .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));

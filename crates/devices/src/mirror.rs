@@ -432,7 +432,7 @@ impl StorageAccess for MirrorAccess {
 mod tests {
     use super::*;
     use crate::nvme::{BufRef, NvmeOp};
-    use aquila_sim::fault::FaultPlan;
+    use aquila_sim::fault::{DeviceImage, FaultPlan};
     use aquila_sim::{Cycles, FreeCtx};
 
     fn mirror_over(plan: Option<&str>) -> MirrorAccess {
@@ -602,7 +602,7 @@ mod tests {
         // Repair equivalence: with corrupt + latent plans active on the
         // primary, a mirrored run's logical reads AND its final primary
         // image match a fault-free run exactly.
-        let run = |spec: Option<&str>| -> (Vec<Vec<u8>>, Vec<u8>) {
+        let run = |spec: Option<&str>| -> (Vec<Vec<u8>>, DeviceImage) {
             let m = mirror_over(spec);
             let mut ctx = FreeCtx::new(7);
             for p in 0..8u64 {
@@ -739,7 +739,7 @@ mod tests {
         batches: &[Vec<(u64, Vec<u8>)>],
         depth: Option<usize>,
         plan: Option<&str>,
-    ) -> (Vec<u8>, Vec<u8>, IntegrityCounters) {
+    ) -> (DeviceImage, DeviceImage, IntegrityCounters) {
         let m = mirror_over(plan);
         let mut ctx = FreeCtx::new(5);
         for batch in batches {

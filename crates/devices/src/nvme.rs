@@ -14,7 +14,9 @@ use std::sync::{Arc, OnceLock};
 
 use aquila_sync::Mutex;
 
-use aquila_sim::fault::{CrashImage, FaultOutcome, FaultPlan, FaultTarget, SECTOR_SIZE};
+use aquila_sim::fault::{
+    CrashImage, DeviceImage, FaultOutcome, FaultPlan, FaultTarget, SECTOR_SIZE,
+};
 use aquila_sim::{Cycles, ServiceCenter, SimCtx};
 
 use crate::error::DeviceError;
@@ -104,15 +106,17 @@ impl NvmeDevice {
         }
     }
 
-    /// Restores a device from a flat byte image (a crash-consistency
-    /// recovery boot). The image length is rounded up to whole pages.
-    pub fn from_image(image: &[u8], profile: NvmeProfile) -> NvmeDevice {
-        let pages = (image.len() as u64).div_ceil(STORE_PAGE as u64);
-        let dev = NvmeDevice::new(pages, profile);
-        match dev.store.write_range(0, image) {
-            Ok(()) => dev,
-            Err(_) => unreachable!("device is sized to hold the image"),
+    /// Restores a device from a captured image (a crash-consistency
+    /// recovery boot): the image's resident pages are written back and
+    /// every other page stays implied zero.
+    pub fn from_image(image: &DeviceImage, profile: NvmeProfile) -> NvmeDevice {
+        let dev = NvmeDevice::new(image.pages, profile);
+        for (page, data) in &image.resident {
+            if dev.store.write_at(*page, 0, data).is_err() {
+                unreachable!("device is sized to hold the image");
+            }
         }
+        dev
     }
 
     /// Attaches a fault plan; commands submitted through any queue pair
@@ -145,11 +149,6 @@ impl NvmeDevice {
     /// The device profile.
     pub fn profile(&self) -> &NvmeProfile {
         &self.profile
-    }
-
-    /// Total I/O operations served.
-    pub fn ops_served(&self) -> u64 {
-        self.service.ops()
     }
 
     /// Commands still being served by the device at virtual time `now`
@@ -430,10 +429,7 @@ impl<'d> QueuePair<'d> {
                         if let Some(plan) = self.dev.fault.get() {
                             let mut image = self.dev.store.snapshot();
                             let keep = (sectors as usize * SECTOR_SIZE).min(b.len());
-                            let end = (pos as usize + keep).min(image.len());
-                            if (pos as usize) < end {
-                                image[pos as usize..end].copy_from_slice(&b[..end - pos as usize]);
-                            }
+                            image.write(pos, &b[..keep]);
                             plan.record_crash(CrashImage { at: now, image });
                         }
                         self.dev.store.write_range(pos, b)?;
@@ -577,6 +573,8 @@ mod tests {
             qp.submit(Cycles(0), NvmeOp::Read, i, 1, BufRef::Mut(&mut buf))
                 .unwrap();
         }
+        // All 100 commands were admitted and stay in flight until drained.
+        assert_eq!(qp.inflight(), 100);
         let mut ctx = FreeCtx::new(1);
         qp.drain(&mut ctx, CostCat::DeviceIo);
         // 100 admissions paced at the IOPS gate: at least 99 * 4363 cycles
@@ -586,7 +584,7 @@ mod tests {
             "IOPS gate must pace: {}",
             ctx.now()
         );
-        assert_eq!(dev.ops_served(), 100);
+        assert_eq!(qp.inflight(), 0);
     }
 
     #[test]
@@ -716,7 +714,9 @@ mod tests {
             .unwrap();
         let img = plan.crash_image().expect("crash captured");
         assert_eq!(img.at, Cycles(99));
-        let page3 = &img.image[3 * STORE_PAGE..4 * STORE_PAGE];
+        assert_eq!(img.image.resident.len(), 1, "only page 3 holds data");
+        let (page, page3) = &img.image.resident[0];
+        assert_eq!(*page, 3);
         let cut = 2 * SECTOR_SIZE;
         assert!(page3[..cut].iter().all(|&b| b == 0x22), "new prefix");
         assert!(page3[cut..].iter().all(|&b| b == 0x11), "old tail");
@@ -732,7 +732,72 @@ mod tests {
         rec.create_qpair()
             .submit(Cycles(0), NvmeOp::Read, 3, 1, BufRef::Mut(&mut rback))
             .unwrap();
-        assert_eq!(&rback[..], page3);
+        assert_eq!(&rback[..], &page3[..]);
+        assert_eq!(rec.store().resident_pages(), 1, "zeros stay implied");
+    }
+
+    /// The byte image a crash used to capture: the whole store flattened,
+    /// then the first `keep` bytes of the cut write laid over it.
+    fn flat_torn_image(store: &PageStore, pos: u64, data: &[u8], keep: usize) -> Vec<u8> {
+        let mut flat = vec![0u8; store.page_count() as usize * STORE_PAGE];
+        store.read_range(0, &mut flat).unwrap();
+        let end = (pos as usize + keep).min(flat.len());
+        if (pos as usize) < end {
+            flat[pos as usize..end].copy_from_slice(&data[..end - pos as usize]);
+        }
+        flat
+    }
+
+    fn expand(image: &DeviceImage) -> Vec<u8> {
+        let mut flat = vec![0u8; image.bytes() as usize];
+        for (page, data) in &image.resident {
+            let at = *page as usize * STORE_PAGE;
+            flat[at..at + STORE_PAGE].copy_from_slice(data);
+        }
+        flat
+    }
+
+    #[test]
+    fn sparse_crash_image_expands_to_the_flat_torn_image() {
+        // Cuts tearing 0, 3, 8 (one whole page) and 11 sectors (into the
+        // second page) of a two-page write over resident, discarded and
+        // never-written pages, plus a write into the device's last pages.
+        for (sectors, first) in [(0u64, 2u64), (3, 2), (8, 5), (11, 5), (11, 14)] {
+            let dev = NvmeDevice::optane(16);
+            let qp = dev.create_qpair();
+            let old: Vec<u8> = (0..3 * STORE_PAGE).map(|i| (i % 251) as u8 + 1).collect();
+            qp.submit(Cycles(0), NvmeOp::Write, 1, 3, BufRef::Shared(&old))
+                .unwrap();
+            qp.submit(
+                Cycles(0),
+                NvmeOp::Write,
+                9,
+                1,
+                BufRef::Shared(&old[..STORE_PAGE]),
+            )
+            .unwrap();
+            dev.store().discard(9).unwrap();
+            let plan =
+                Arc::new(FaultPlan::parse(&format!("nvme.write:crash={sectors}@op=1")).unwrap());
+            dev.set_fault_plan(Arc::clone(&plan));
+            let new = vec![0xC3u8; 2 * STORE_PAGE];
+            let pos = first * STORE_PAGE as u64;
+            let keep = sectors as usize * SECTOR_SIZE;
+            let want = flat_torn_image(dev.store(), pos, &new, keep);
+            qp.submit(Cycles(5), NvmeOp::Write, first, 2, BufRef::Shared(&new))
+                .unwrap();
+            let img = plan.crash_image().expect("crash captured").image;
+            assert_eq!(img.bytes() as usize, want.len());
+            assert!(
+                img.resident.windows(2).all(|w| w[0].0 < w[1].0),
+                "resident pages in page order"
+            );
+            assert_eq!(expand(&img), want, "sectors={sectors} first={first}");
+            let rec = NvmeDevice::from_image(&img, NvmeProfile::optane_p4800x());
+            let mut back = vec![0u8; want.len()];
+            rec.store().read_range(0, &mut back).unwrap();
+            assert_eq!(back, want, "recovered device reads the flat image");
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! integrity through the whole mmio path. Per-page locks keep the store
 //! sound under real threads without serializing unrelated pages.
 
+use aquila_sim::fault::DeviceImage;
 use aquila_sync::RwLock;
 
 use crate::error::DeviceError;
@@ -130,16 +131,17 @@ impl PageStore {
         Ok(())
     }
 
-    /// Flattens the whole store into one byte image (never-written pages
-    /// read as zero). The crash-consistency harness captures this at a
-    /// simulated power cut and recovers a fresh device from it.
-    pub fn snapshot(&self) -> Vec<u8> {
-        let mut image = vec![0u8; self.pages.len() * STORE_PAGE];
-        self.for_each_resident(|i, data| {
-            let at = i as usize * STORE_PAGE;
-            image[at..at + STORE_PAGE].copy_from_slice(data);
-        });
-        image
+    /// Captures the store as a sparse image: its size plus a copy of
+    /// each materialized page (never-written pages stay implied zero).
+    /// The crash-consistency harness captures this at a simulated power
+    /// cut and recovers a fresh device from it.
+    pub fn snapshot(&self) -> DeviceImage {
+        let mut resident = Vec::new();
+        self.for_each_resident(|i, data| resident.push((i, data.into())));
+        DeviceImage {
+            pages: self.page_count(),
+            resident,
+        }
     }
 }
 
@@ -227,14 +229,17 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_flattens_with_zero_holes() {
+    fn snapshot_keeps_only_resident_pages() {
         let s = PageStore::new(3);
         s.write_at(1, 8, b"mid").unwrap();
         let img = s.snapshot();
-        assert_eq!(img.len(), 3 * STORE_PAGE);
-        assert_eq!(&img[STORE_PAGE + 8..STORE_PAGE + 11], b"mid");
-        assert!(img[..STORE_PAGE].iter().all(|&b| b == 0));
-        assert!(img[2 * STORE_PAGE..].iter().all(|&b| b == 0));
+        assert_eq!(img.pages, 3);
+        assert_eq!(img.bytes(), 3 * STORE_PAGE as u64);
+        assert_eq!(img.resident.len(), 1);
+        let (page, data) = &img.resident[0];
+        assert_eq!(*page, 1);
+        assert_eq!(&data[8..11], b"mid");
+        assert!(data[..8].iter().chain(&data[11..]).all(|&b| b == 0));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Ligra-style graph algorithms over region-backed CSR graphs.
 //!
-//! BFS is the paper's Figure 6 workload; connected components and
-//! PageRank exercise the same edge-map pattern with different state
-//! footprints. All per-vertex state lives in the region — the whole point
+//! BFS is the paper's Figure 6 workload; connected components exercise
+//! the same edge-map pattern with a different state footprint. All per-vertex state lives in the region — the whole point
 //! of the heap-extension scenario — and each parallel round ends at a
 //! team barrier, like Ligra's OpenMP loops.
 
@@ -169,76 +168,6 @@ pub fn label_propagation(team: &mut Team, g: &CsrGraph, max_iters: u32) -> (u64,
     (seen.len() as u64, iters)
 }
 
-/// PageRank (push-based) for `iters` iterations; ranks stored in the
-/// region as fixed-point u64 (rank * 2^32). Returns the rank of vertex 0.
-pub fn pagerank(team: &mut Team, g: &CsrGraph, iters: u32) -> f64 {
-    const ONE: u64 = 1 << 32;
-    let n = g.vertices();
-    let cur_at = (g.bytes_used() + 4095) & !4095;
-    let next_at = cur_at + n * 8;
-    let region = std::sync::Arc::clone(g.region());
-    assert!(next_at + n * 8 <= region.len(), "region lacks space");
-
-    let init = (ONE as f64 / n as f64) as u64;
-    let base = ((0.15 * ONE as f64) / n as f64) as u64;
-    let chunks = team.chunks(n as usize);
-    team.round(|tid, ctx| {
-        let (a, b) = chunks[tid];
-        let mut buf = Vec::with_capacity((b - a) * 8);
-        for _ in a..b {
-            buf.extend_from_slice(&init.to_le_bytes());
-        }
-        if a < b {
-            region.write(ctx, cur_at + a as u64 * 8, &buf);
-        }
-    });
-
-    for _ in 0..iters {
-        // Reset next to the teleport base.
-        let chunks = team.chunks(n as usize);
-        team.round(|tid, ctx| {
-            let (a, b) = chunks[tid];
-            let mut buf = Vec::with_capacity((b - a) * 8);
-            for _ in a..b {
-                buf.extend_from_slice(&base.to_le_bytes());
-            }
-            if a < b {
-                region.write(ctx, next_at + a as u64 * 8, &buf);
-            }
-        });
-        // Push shares along out-edges.
-        team.round(|tid, ctx| {
-            let (a, b) = chunks[tid];
-            for u in a..b {
-                ctx.charge(CostCat::App, VERTEX_WORK);
-                let rank = region.read_u64(ctx, cur_at + u as u64 * 8);
-                let neigh = g.neighbors(ctx, u as u32);
-                if neigh.is_empty() {
-                    continue;
-                }
-                let share = (rank as f64 * 0.85 / neigh.len() as f64) as u64;
-                for v in neigh {
-                    ctx.charge(CostCat::App, EDGE_WORK);
-                    let nv = region.read_u64(ctx, next_at + v as u64 * 8);
-                    region.write_u64(ctx, next_at + v as u64 * 8, nv + share);
-                }
-            }
-        });
-        // Swap: copy next -> cur.
-        team.round(|tid, ctx| {
-            let (a, b) = chunks[tid];
-            if a < b {
-                let mut buf = vec![0u8; (b - a) * 8];
-                region.read(ctx, next_at + a as u64 * 8, &mut buf);
-                region.write(ctx, cur_at + a as u64 * 8, &buf);
-            }
-        });
-    }
-    let r0 = region.read_u64(team.ctx(0), cur_at);
-    team.barrier();
-    r0 as f64 / ONE as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,21 +244,5 @@ mod tests {
         let (labels, iters) = label_propagation(&mut team, &g, 100);
         assert_eq!(labels, 1, "a chain is one component");
         assert!(iters <= 100);
-    }
-
-    #[test]
-    fn pagerank_sums_to_one_ish() {
-        let edges: Vec<(u32, u32)> = (1..16)
-            .map(|v| (0, v))
-            .chain((1..16).map(|v| (v, 0)))
-            .collect();
-        let region: Arc<dyn MemRegion> = Arc::new(DramRegion::new(4 << 20));
-        let mut team = Team::new(2, 1);
-        let g = CsrGraph::build(team.ctx(0), region, 16, &edges);
-        team.barrier();
-        let r0 = pagerank(&mut team, &g, 10);
-        // The hub of a star holds a large share of the rank.
-        assert!(r0 > 0.2, "hub rank {r0}");
-        assert!(r0 < 1.0);
     }
 }

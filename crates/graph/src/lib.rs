@@ -10,8 +10,8 @@
 //!   [`aquila_sim::MemRegion`];
 //! - [`team::Team`] — OpenMP-style thread teams with barrier-idle
 //!   accounting (Figure 6(c)'s user/system/idle split);
-//! - [`algos`] — BFS (the paper's benchmark), label-propagation
-//!   components, and PageRank.
+//! - [`algos`] — BFS (the paper's benchmark) and label-propagation
+//!   components.
 
 #![forbid(unsafe_code)]
 
@@ -20,7 +20,7 @@ pub mod csr;
 pub mod rmat;
 pub mod team;
 
-pub use algos::{bfs, label_propagation, pagerank, BfsResult, NO_PARENT};
+pub use algos::{bfs, label_propagation, BfsResult, NO_PARENT};
 pub use csr::CsrGraph;
 pub use rmat::{rmat_edges, RmatParams};
 pub use team::Team;

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use aquila::{AquilaRegion, AquilaRuntime, DeviceKind, MmioPolicy};
 use aquila_kvstore::{Krill, KrillConfig};
-use aquila_sim::fault::FaultPlan;
+use aquila_sim::fault::{DeviceImage, FaultPlan};
 use aquila_sim::{CoreDebts, FreeCtx};
 
 const DB_PAGES: u64 = 2048;
@@ -32,7 +32,7 @@ fn kv(i: u64) -> (Vec<u8>, Vec<u8>) {
 
 /// Runs the workload with a cut armed after the base commit; returns the
 /// captured crash image, if the cut fired.
-fn run_with_cut(seed: u64, cut_op: u64, sectors: usize) -> Option<Vec<u8>> {
+fn run_with_cut(seed: u64, cut_op: u64, sectors: usize) -> Option<DeviceImage> {
     let mut ctx = FreeCtx::new(seed);
     let debts = Arc::new(CoreDebts::new(1));
     let rt = AquilaRuntime::build(&mut ctx, DeviceKind::NvmeSpdk, 65536, 512, 1, debts);

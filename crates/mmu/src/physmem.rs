@@ -220,7 +220,7 @@ mod tests {
         let gpa = pm.gpa_of(FrameId(3));
         assert_eq!(gpa, Gpa(0x4000_3000));
         assert_eq!(pm.frame_of(gpa), Some(FrameId(3)));
-        assert_eq!(pm.frame_of(gpa.add(0xfff)), Some(FrameId(3)));
+        assert_eq!(pm.frame_of(Gpa(gpa.get() + 0xfff)), Some(FrameId(3)));
         assert_eq!(pm.frame_of(Gpa(0x3FFF_F000)), None);
         assert_eq!(pm.frame_of(Gpa(0x4000_8000)), None);
     }

@@ -150,7 +150,6 @@ fn serve_policy(cfg: &ServeConfig) -> MmioPolicy {
         queue_depth: 4,
         tenant_qos: cfg.qos,
         mirror: cfg.mirror,
-        scrub_rate: cfg.scrub_rate,
         ..MmioPolicy::default()
     }
 }

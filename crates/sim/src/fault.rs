@@ -38,6 +38,7 @@ use std::sync::{Arc, OnceLock};
 use aquila_sync::Mutex;
 
 use crate::time::Cycles;
+use crate::PAGE_SIZE;
 
 /// Torn-write granularity: the device persists whole 512-byte sectors.
 pub const SECTOR_SIZE: usize = 512;
@@ -186,14 +187,54 @@ pub enum FaultOutcome {
     },
 }
 
+/// A sparse device image: the device's size in pages plus the contents
+/// of its resident pages. Every page not listed reads as zero, matching
+/// page-store semantics, so an image costs host memory only for data.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DeviceImage {
+    /// Device capacity in [`PAGE_SIZE`] pages.
+    pub pages: u64,
+    /// Resident pages in ascending page order, each [`PAGE_SIZE`] bytes.
+    pub resident: Vec<(u64, Box<[u8]>)>,
+}
+
+impl DeviceImage {
+    /// Image size in bytes: the device's whole capacity, zeros included.
+    pub fn bytes(&self) -> u64 {
+        self.pages * PAGE_SIZE as u64
+    }
+
+    /// Writes `data` at absolute byte offset `pos`, materializing zero
+    /// pages as needed. Bytes past the end of the device are dropped.
+    pub fn write(&mut self, pos: u64, data: &[u8]) {
+        let end = (pos + data.len() as u64).min(self.bytes());
+        let mut at = pos;
+        while at < end {
+            let page = at / PAGE_SIZE as u64;
+            let off = (at % PAGE_SIZE as u64) as usize;
+            let n = (PAGE_SIZE - off).min((end - at) as usize);
+            let i = match self.resident.binary_search_by_key(&page, |&(p, _)| p) {
+                Ok(i) => i,
+                Err(i) => {
+                    let zero = vec![0u8; PAGE_SIZE].into_boxed_slice();
+                    self.resident.insert(i, (page, zero));
+                    i
+                }
+            };
+            let src = (at - pos) as usize;
+            self.resident[i].1[off..off + n].copy_from_slice(&data[src..src + n]);
+            at += n as u64;
+        }
+    }
+}
+
 /// A device image captured at a crash point.
 #[derive(Debug, Clone)]
 pub struct CrashImage {
     /// Virtual time of the power cut.
     pub at: Cycles,
-    /// Flat byte image of the device at the cut (never-written pages
-    /// read as zero, matching page-store semantics).
-    pub image: Vec<u8>,
+    /// The device as it stood at the cut.
+    pub image: DeviceImage,
 }
 
 /// A malformed fault spec string.
@@ -554,17 +595,41 @@ mod tests {
     fn crash_image_keeps_first_capture() {
         let p = FaultPlan::empty();
         assert!(p.crash_image().is_none());
+        let image = |pages| DeviceImage {
+            pages,
+            resident: Vec::new(),
+        };
         p.record_crash(CrashImage {
             at: Cycles(10),
-            image: vec![1],
+            image: image(1),
         });
         p.record_crash(CrashImage {
             at: Cycles(20),
-            image: vec![2],
+            image: image(2),
         });
         let img = p.crash_image().unwrap();
         assert_eq!(img.at, Cycles(10));
-        assert_eq!(img.image, vec![1]);
+        assert_eq!(img.image.pages, 1);
+    }
+
+    #[test]
+    fn image_writes_materialize_pages_in_order_and_stop_at_the_end() {
+        let mut img = DeviceImage {
+            pages: 4,
+            resident: Vec::new(),
+        };
+        assert_eq!(img.bytes(), 4 * PAGE_SIZE as u64);
+        img.write(3 * PAGE_SIZE as u64 - 2, &[7; 4]);
+        img.write(10, &[9]);
+        // The last write runs past the device's end; the tail is dropped.
+        img.write(4 * PAGE_SIZE as u64 - 1, &[5; 8]);
+        let pages: Vec<u64> = img.resident.iter().map(|&(p, _)| p).collect();
+        assert_eq!(pages, vec![0, 2, 3]);
+        assert_eq!(img.resident[0].1[10], 9);
+        assert_eq!(&img.resident[1].1[PAGE_SIZE - 2..], &[7, 7]);
+        assert_eq!(&img.resident[2].1[..2], &[7, 7]);
+        assert_eq!(img.resident[2].1[PAGE_SIZE - 1], 5);
+        assert!(img.resident[2].1[2..PAGE_SIZE - 1].iter().all(|&b| b == 0));
     }
 
     #[test]

@@ -47,8 +47,8 @@ pub mod trace;
 pub use cost::{CostCat, CostModel};
 pub use engine::{CoreDebts, Engine, FreeCtx, RunReport, SimCtx, Step, ThreadCtx, ThreadFn};
 pub use fault::{
-    CrashImage, FaultClause, FaultKind, FaultOutcome, FaultPlan, FaultSpecError, FaultTarget,
-    FaultTrigger, SECTOR_SIZE,
+    CrashImage, DeviceImage, FaultClause, FaultKind, FaultOutcome, FaultPlan, FaultSpecError,
+    FaultTarget, FaultTrigger, SECTOR_SIZE,
 };
 pub use hist::LatencyHist;
 pub use metrics::{HistId, MetricId, MetricKind, MetricsRegistry, MetricsSnapshot};

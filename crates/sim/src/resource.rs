@@ -29,21 +29,14 @@ pub struct Reservation {
     pub end: Cycles,
 }
 
-#[derive(Debug, Default)]
-struct MutexState {
-    available: Cycles,
-    acquisitions: u64,
-    contended: u64,
-    busy: Cycles,
-}
-
 /// A mutual-exclusion resource with FIFO-by-arrival reservation semantics.
 ///
 /// Models, e.g., the Linux page-cache tree lock or a shard lock in a
-/// user-space cache.
+/// user-space cache. The only state is the reservation cursor: the
+/// virtual time at which the last holder releases.
 #[derive(Debug, Default)]
 pub struct SimMutex {
-    state: Mutex<MutexState>,
+    available: Mutex<Cycles>,
 }
 
 impl SimMutex {
@@ -54,15 +47,10 @@ impl SimMutex {
 
     /// Reserves the mutex at `now` for `hold` cycles.
     pub fn acquire(&self, now: Cycles, hold: Cycles) -> Reservation {
-        let mut st = self.state.lock();
-        let start = now.max(st.available);
+        let mut available = self.available.lock();
+        let start = now.max(*available);
         let end = start + hold;
-        st.available = end;
-        st.acquisitions += 1;
-        if start > now {
-            st.contended += 1;
-        }
-        st.busy += hold;
+        *available = end;
         Reservation {
             wait: start - now,
             start,
@@ -77,32 +65,17 @@ impl SimMutex {
     /// locks, whose per-acquisition cost grows with the number of
     /// waiters spinning on the lock's cache line.
     pub fn backlog(&self, now: Cycles) -> Cycles {
-        let st = self.state.lock();
-        if st.available > now {
-            st.available - now
+        let available = *self.available.lock();
+        if available > now {
+            available - now
         } else {
             Cycles::ZERO
         }
     }
 
-    /// Number of acquisitions so far.
-    pub fn acquisitions(&self) -> u64 {
-        self.state.lock().acquisitions
-    }
-
-    /// Number of acquisitions that had to wait.
-    pub fn contended(&self) -> u64 {
-        self.state.lock().contended
-    }
-
-    /// Total busy (held) time.
-    pub fn busy(&self) -> Cycles {
-        self.state.lock().busy
-    }
-
     /// Resets reservation state (between experiment phases).
     pub fn reset(&self) {
-        *self.state.lock() = MutexState::default();
+        *self.available.lock() = Cycles::ZERO;
     }
 }
 
@@ -112,9 +85,6 @@ struct RwState {
     writer_available: Cycles,
     /// Latest end among granted readers; a writer must also wait for this.
     readers_until: Cycles,
-    read_acquisitions: u64,
-    write_acquisitions: u64,
-    contended: u64,
 }
 
 /// A readers-writer resource: readers overlap freely; writers exclude
@@ -139,10 +109,6 @@ impl SimRwLock {
         let start = now.max(st.writer_available);
         let end = start + hold;
         st.readers_until = st.readers_until.max(end);
-        st.read_acquisitions += 1;
-        if start > now {
-            st.contended += 1;
-        }
         Reservation {
             wait: start - now,
             start,
@@ -156,20 +122,11 @@ impl SimRwLock {
         let start = now.max(st.writer_available).max(st.readers_until);
         let end = start + hold;
         st.writer_available = end;
-        st.write_acquisitions += 1;
-        if start > now {
-            st.contended += 1;
-        }
         Reservation {
             wait: start - now,
             start,
             end,
         }
-    }
-
-    /// Number of contended acquisitions (read or write).
-    pub fn contended(&self) -> u64 {
-        self.state.lock().contended
     }
 
     /// Resets reservation state (between experiment phases).
@@ -182,8 +139,6 @@ impl SimRwLock {
 struct ServiceState {
     channels: Vec<Cycles>,
     gate: Cycles,
-    ops: u64,
-    bytes: u64,
 }
 
 /// A service center with `k` parallel channels and a global admission gate,
@@ -222,8 +177,6 @@ impl ServiceCenter {
             state: Mutex::new(ServiceState {
                 channels: vec![Cycles::ZERO; channels],
                 gate: Cycles::ZERO,
-                ops: 0,
-                bytes: 0,
             }),
             gap_per_op,
             gap_per_byte_femto,
@@ -249,18 +202,11 @@ impl ServiceCenter {
         let start = admit.max(st.channels[idx]);
         let end = start + service;
         st.channels[idx] = end;
-        st.ops += 1;
-        st.bytes += bytes;
         Reservation {
             wait: start - now,
             start,
             end,
         }
-    }
-
-    /// Operations admitted so far.
-    pub fn ops(&self) -> u64 {
-        self.state.lock().ops
     }
 
     /// Channels still serving an operation at virtual time `now` — the
@@ -274,11 +220,6 @@ impl ServiceCenter {
             .count()
     }
 
-    /// Bytes transferred so far.
-    pub fn bytes(&self) -> u64 {
-        self.state.lock().bytes
-    }
-
     /// Resets reservation state.
     pub fn reset(&self) {
         let mut st = self.state.lock();
@@ -286,8 +227,6 @@ impl ServiceCenter {
             *c = Cycles::ZERO;
         }
         st.gate = Cycles::ZERO;
-        st.ops = 0;
-        st.bytes = 0;
     }
 }
 
@@ -306,9 +245,10 @@ mod tests {
         assert_eq!(b.start, Cycles(100));
         assert_eq!(b.wait, Cycles(90));
         assert_eq!(b.end, Cycles(200));
-        assert_eq!(m.acquisitions(), 2);
-        assert_eq!(m.contended(), 1);
-        assert_eq!(m.busy(), Cycles(200));
+        // The cursor sits at the last release: a third arrival at t=150
+        // sees a 50-cycle backlog and waits it out.
+        assert_eq!(m.backlog(Cycles(150)), Cycles(50));
+        assert_eq!(m.acquire(Cycles(150), Cycles(1)).wait, Cycles(50));
     }
 
     #[test]
@@ -334,8 +274,8 @@ mod tests {
         // A subsequent reader waits for the writer.
         let r3 = l.acquire_read(Cycles(30), Cycles(10));
         assert_eq!(r3.start, Cycles(160));
-        let _ = (r1, r2);
-        assert!(l.contended() >= 2);
+        assert_eq!(r1.wait, Cycles::ZERO);
+        assert_eq!((w.wait, r3.wait), (Cycles(90), Cycles(130)));
     }
 
     #[test]
@@ -348,8 +288,9 @@ mod tests {
         assert_eq!(a.end, Cycles(100));
         assert_eq!(b.end, Cycles(100));
         assert_eq!(c.start, Cycles(100));
-        assert_eq!(d.ops(), 3);
-        assert_eq!(d.bytes(), 3 * 4096);
+        assert_eq!(c.wait, Cycles(100));
+        assert_eq!(d.busy_channels(Cycles(50)), 2);
+        assert_eq!(d.busy_channels(Cycles(150)), 1);
     }
 
     #[test]
@@ -376,9 +317,9 @@ mod tests {
         let d = ServiceCenter::new(1, 0, 0);
         d.submit(Cycles(0), Cycles(1_000_000), 1);
         d.reset();
+        assert_eq!(d.busy_channels(Cycles(0)), 0);
         let a = d.submit(Cycles(0), Cycles(10), 1);
         assert_eq!(a.wait, Cycles::ZERO);
-        assert_eq!(d.ops(), 1);
     }
 
     #[test]

@@ -1,96 +1,41 @@
-//! Guest-physical and host-physical address types.
+//! Guest-physical addresses.
 //!
 //! Intel VT-x translates in two stages: guest virtual -> guest physical
 //! (regular page tables, owned by the guest — see the `aquila-mmu` crate)
 //! and guest physical -> host physical (the EPT, owned by the hypervisor).
-//! Distinct newtypes keep the two address spaces from being mixed up.
+//! The simulation models the first stage; a distinct newtype keeps guest
+//! physical addresses from being mixed up with guest virtual ones.
 
 use core::fmt;
 
-/// Size of a 4 KiB page.
-pub const PAGE_4K: u64 = 4 << 10;
-/// Size of a 2 MiB huge page.
-pub const PAGE_2M: u64 = 2 << 20;
-/// Size of a 1 GiB huge page.
+/// Size of a 1 GiB huge page: the EPT granule that maps Aquila's DRAM
+/// cache (section 3.5).
 pub const PAGE_1G: u64 = 1 << 30;
 
 /// A guest-physical address (GPA).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Gpa(pub u64);
 
-/// A host-physical address (HPA).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Hpa(pub u64);
-
-macro_rules! addr_impl {
-    ($t:ident) => {
-        impl $t {
-            /// Returns the raw address.
-            #[inline]
-            pub const fn get(self) -> u64 {
-                self.0
-            }
-
-            /// Rounds down to the given power-of-two alignment.
-            #[inline]
-            pub const fn align_down(self, align: u64) -> $t {
-                $t(self.0 & !(align - 1))
-            }
-
-            /// Offset within a region of the given power-of-two size.
-            #[inline]
-            pub const fn offset_in(self, align: u64) -> u64 {
-                self.0 & (align - 1)
-            }
-
-            /// Whether the address is aligned to `align`.
-            #[inline]
-            pub const fn is_aligned(self, align: u64) -> bool {
-                self.0 & (align - 1) == 0
-            }
-
-            /// Adds a byte offset.
-            #[inline]
-            pub const fn add(self, off: u64) -> $t {
-                $t(self.0 + off)
-            }
-        }
-
-        impl fmt::Display for $t {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, "{}({:#x})", stringify!($t), self.0)
-            }
-        }
-    };
+impl Gpa {
+    /// Returns the raw address.
+    #[inline]
+    pub const fn get(self) -> u64 {
+        self.0
+    }
 }
 
-addr_impl!(Gpa);
-addr_impl!(Hpa);
+impl fmt::Display for Gpa {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Gpa({:#x})", self.0)
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn alignment_helpers() {
-        let a = Gpa(0x1234_5678);
-        assert_eq!(a.align_down(PAGE_4K), Gpa(0x1234_5000));
-        assert_eq!(a.offset_in(PAGE_4K), 0x678);
-        assert!(!a.is_aligned(PAGE_4K));
-        assert!(Gpa(0x4000_0000).is_aligned(PAGE_1G));
-        assert_eq!(Hpa(0x1000).add(0x10), Hpa(0x1010));
-    }
-
-    #[test]
-    fn page_size_constants() {
-        assert_eq!(PAGE_4K, 4096);
-        assert_eq!(PAGE_2M, 2 * 1024 * 1024);
-        assert_eq!(PAGE_1G, 1024 * 1024 * 1024);
-    }
-
-    #[test]
     fn display_formats_hex() {
         assert_eq!(format!("{}", Gpa(0xff)), "Gpa(0xff)");
-        assert_eq!(format!("{}", Hpa(0x10)), "Hpa(0x10)");
     }
 }

@@ -1,4 +1,4 @@
-//! Virtual CPU state: VMX modes, VMCS, and the cost of mode transitions.
+//! Virtual CPU state: VMX modes and the cost of mode transitions.
 //!
 //! The performance argument of the paper is entirely about *which
 //! transition* each mmio operation pays:
@@ -16,21 +16,11 @@ use aquila_sim::{CostCat, Cycles, SimCtx};
 
 /// VMX operating mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CpuMode {
+enum CpuMode {
     /// VMX root: the hypervisor / host OS.
     VmxRoot,
     /// VMX non-root: guest execution (where Aquila runs applications).
     VmxNonRoot,
-}
-
-/// Per-vcpu VM control structure (the simulation keeps only the fields the
-/// experiments observe).
-#[derive(Debug, Default)]
-pub struct Vmcs {
-    /// vmcall exits taken.
-    pub exits_vmcall: u64,
-    /// vmentries executed.
-    pub entries: u64,
 }
 
 /// Model-specific registers the simulation knows about.
@@ -42,14 +32,13 @@ pub mod msr {
 
 /// A virtual CPU.
 ///
-/// Tracks the VMX mode, charges transition costs through the [`SimCtx`],
-/// and counts events in the VMCS. One `Vcpu` corresponds to one simulated
-/// core running one Aquila thread, always in ring 0.
+/// Tracks the VMX mode and charges transition costs through the
+/// [`SimCtx`]; vmexits are counted in the context's counters. One `Vcpu`
+/// corresponds to one simulated core running one Aquila thread, always
+/// in ring 0.
 #[derive(Debug)]
 pub struct Vcpu {
     mode: CpuMode,
-    /// The VM control structure for this vcpu.
-    pub vmcs: Vmcs,
 }
 
 impl Vcpu {
@@ -57,13 +46,7 @@ impl Vcpu {
     pub fn new() -> Vcpu {
         Vcpu {
             mode: CpuMode::VmxRoot,
-            vmcs: Vmcs::default(),
         }
-    }
-
-    /// Current VMX mode.
-    pub fn mode(&self) -> CpuMode {
-        self.mode
     }
 
     /// Enters the guest (vmlaunch/vmresume): VMX root -> non-root ring 0.
@@ -73,14 +56,12 @@ impl Vcpu {
     /// constants charged at exit points, so entry itself charges nothing.
     pub fn vmentry(&mut self) {
         self.mode = CpuMode::VmxNonRoot;
-        self.vmcs.entries += 1;
     }
 
     /// Executes a `vmcall` hypercall: a deliberate vmexit with hypervisor
     /// dispatch (used by Aquila's uncommon-path operations).
     pub fn vmcall(&mut self, ctx: &mut dyn SimCtx, _nr: u64) {
         debug_assert_eq!(self.mode, CpuMode::VmxNonRoot, "vmcall requires guest mode");
-        self.vmcs.exits_vmcall += 1;
         ctx.counters().vmexits += 1;
         let c = ctx.cost().vmcall;
         ctx.charge(CostCat::Vmexit, c);
@@ -114,12 +95,12 @@ mod tests {
     use aquila_sim::FreeCtx;
 
     #[test]
-    fn vmentry_reaches_nonroot_ring0() {
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "vmcall requires guest mode")]
+    fn vmcall_before_vmentry_is_refused() {
         let mut v = Vcpu::new();
-        assert_eq!(v.mode(), CpuMode::VmxRoot);
-        v.vmentry();
-        assert_eq!(v.mode(), CpuMode::VmxNonRoot);
-        assert_eq!(v.vmcs.entries, 1);
+        let mut ctx = FreeCtx::new(1);
+        v.vmcall(&mut ctx, 7);
     }
 
     #[test]
@@ -137,7 +118,6 @@ mod tests {
         let mut ctx = FreeCtx::new(1);
         v.vmentry();
         v.vmcall(&mut ctx, 7);
-        assert_eq!(v.vmcs.exits_vmcall, 1);
         assert_eq!(ctx.stats.vmexits, 1);
         assert!(ctx.breakdown.get(CostCat::Vmexit) > Cycles::ZERO);
     }

@@ -244,5 +244,14 @@ cargo test --release -q -p aquila --test crash_consistency \
     cut_before_any_writeback_recovers_empty_file
 cargo test --release -q -p aquila-kvstore --test krill_recovery
 
+step "root examples (quickstart, custom_cache_policy, heap_extension, kvstore_ycsb)"
+# The examples drive the public API end to end (kvstore_ycsb checks every
+# value it reads back byte for byte), so an API change that breaks one
+# fails here rather than when someone next runs it.
+for ex in quickstart custom_cache_policy heap_extension kvstore_ycsb; do
+    cargo run --release -q --example "$ex" > "$tmp/example-$ex.txt" ||
+        { echo "FAIL: example $ex exited non-zero" >&2; exit 1; }
+done
+
 echo
 echo "verify: all checks passed"
