@@ -165,9 +165,10 @@ pub fn lint_file(path: &str, source: &str) -> Vec<Finding> {
         // Entry points whose Results carry DeviceError (directly or via
         // a wrapper like BlobError); `.read(`/`.write(` are too generic
         // to list without drowning the lint in engine-API noise.
-        const DEVICE_TOKENS: [&str; 11] = [
+        const DEVICE_TOKENS: [&str; 12] = [
             "read_pages",
             "write_pages",
+            "write_page_list",
             "dax_read",
             "dax_write",
             "read_at",

@@ -16,6 +16,7 @@
 //!    EPT fault per newly mapped 1 GiB granule.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -23,8 +24,8 @@ use aquila_sync::Mutex;
 
 use aquila_devices::{DeviceError, StorageAccess, STORE_PAGE};
 use aquila_mmu::{
-    Access, FrameId, Gva, LeafKind, PteFlags, ShardedPageTable, TlbFabric, Vpn, HUGE_PAGE_PAGES,
-    L_PT_SHARD, PAGE_SIZE,
+    Access, FrameId, Gva, LeafKind, PhysMem, PteFlags, ShardedPageTable, TlbFabric, Vpn,
+    HUGE_PAGE_PAGES, L_PT_SHARD, PAGE_SIZE,
 };
 use aquila_pcache::{
     coalesce_runs, CacheConfig, DirtyPage, DramCache, PageKey, Victim, MAX_TENANTS,
@@ -60,8 +61,11 @@ const READAHEAD_PAGES: usize = 8;
 /// Readahead window in pages after a fault under `Advice::Sequential`.
 const READAHEAD_SEQ_PAGES: usize = 32;
 
-/// Most dirty pages one writeback copies out before submitting them, so
-/// its staging buffers stay under 8 MiB however much a sync drains.
+/// Most dirty pages one [`StorageAccess::write_batch`] submits before it
+/// drains: a writeback of more pages goes out as several batches, each
+/// holding the read locks of its frames' chunks while it runs. The batch
+/// boundaries fix when each drain happens, so changing this moves
+/// simulated time.
 const STAGE_PAGES: usize = 2048;
 
 /// How long the freelist may sit *continuously* below the low watermark
@@ -80,8 +84,9 @@ const MAX_PROMOTED_SHARE: usize = 50;
 /// freelist sits below the low watermark.
 const QOS_DELAY: Cycles = Cycles::from_micros(2);
 
-/// A staged writeback segment: access path, first device page, payload.
-type Segment = (Arc<dyn StorageAccess>, u64, Vec<u8>);
+/// A planned writeback segment: access path, first device page, and the
+/// positions of its pages in the batch of dirty pages it was planned from.
+pub(crate) type Segment = (Arc<dyn StorageAccess>, u64, Range<usize>);
 
 /// Health of the mmio region's write path (DESIGN.md §11). Transitions
 /// only escalate within a run: `Healthy` → `WriteThrough` when the
@@ -1060,13 +1065,8 @@ impl Aquila {
     ) -> Result<(), AquilaError> {
         let mut ios = 0u64;
         for part in dirty.chunks(STAGE_PAGES) {
-            let segs = self.stage_segments(part)?;
-            // One batch per run of segments on the same access path.
-            for group in segs.chunk_by(|a, b| Arc::ptr_eq(&a.0, &b.0)) {
-                let batch: Vec<(u64, &[u8])> =
-                    group.iter().map(|(_, dev, buf)| (*dev, &buf[..])).collect();
-                ios += group[0].0.write_batch(ctx, &batch, depth)?;
-            }
+            let segs = self.plan_segments(part)?;
+            ios += write_planned(ctx, self.cache.mem(), part, &segs, depth)?;
         }
         ctx.counters().writebacks += dirty.len() as u64;
         // Everything submitted by this writeback is durable by now;
@@ -1085,26 +1085,20 @@ impl Aquila {
         Ok(())
     }
 
-    /// Copies sorted dirty pages out of their frames as device-contiguous
-    /// segments, each with its access path. Translation happens up front:
-    /// the submission loop must not interleave blob-map lookups with
+    /// Groups sorted dirty pages into device-contiguous segments, each
+    /// with its access path. Translation happens up front: the
+    /// submission loop must not interleave blob-map lookups with
     /// completion waits.
-    fn stage_segments(&self, dirty: &[DirtyPage]) -> Result<Vec<Segment>, AquilaError> {
+    fn plan_segments(&self, dirty: &[DirtyPage]) -> Result<Vec<Segment>, AquilaError> {
         let mut segs: Vec<Segment> = Vec::new();
+        let mut at = 0;
         for run in coalesce_runs(dirty) {
             let file = FileId(run[0].key.file);
             let access = self.files.access_of(file)?;
             for (dev, i, len) in self.files.segments(file, run[0].key.page, run.len())? {
-                let mut buf = vec![0u8; len * STORE_PAGE];
-                for (j, d) in run[i..i + len].iter().enumerate() {
-                    self.cache.mem().read(
-                        d.frame,
-                        0,
-                        &mut buf[j * STORE_PAGE..(j + 1) * STORE_PAGE],
-                    );
-                }
-                segs.push((Arc::clone(&access), dev, buf));
+                segs.push((Arc::clone(&access), dev, at + i..at + i + len));
             }
+            at += run.len();
         }
         Ok(segs)
     }
@@ -1661,7 +1655,10 @@ impl Aquila {
         self.vcpus[core].lock().vmcall(ctx, 0x10);
         let mut mapped_end = self.ept_mapped_end.lock();
         let added = self.cache.grow(frames);
-        let end = cache_window_end(self.cache.mem().base().get(), self.cache.active_frames());
+        let end = cache_window_end(
+            self.cache.mem().base().get(),
+            self.cache.high_water_frames(),
+        );
         // The paper maps the cache with 1 GiB pages precisely so that
         // growth inside a mapped granule takes no EPT fault at all.
         for _ in 0..end.saturating_sub(*mapped_end) / PAGE_1G {
@@ -1724,7 +1721,32 @@ impl core::fmt::Debug for Aquila {
     }
 }
 
-/// Maps a PTE's GPA back to the cache frame holding it.
+/// Submits planned segments straight from the cache frames, one
+/// [`StorageAccess::write_batch`] per run of segments on the same access
+/// path, and returns the device commands issued. Each segment's page list
+/// points into the frames of `dirty`, so the device copies every page
+/// once, from its frame; the frames' chunks stay read-locked until the
+/// last batch returns.
+pub(crate) fn write_planned(
+    ctx: &mut dyn SimCtx,
+    mem: &PhysMem,
+    dirty: &[DirtyPage],
+    segs: &[Segment],
+    depth: usize,
+) -> Result<u64, AquilaError> {
+    let view = mem.read_view(dirty.iter().map(|d| d.frame));
+    let pages: Vec<&[u8]> = dirty.iter().map(|d| view.frame(d.frame)).collect();
+    let mut ios = 0;
+    for group in segs.chunk_by(|a, b| Arc::ptr_eq(&a.0, &b.0)) {
+        let batch: Vec<(u64, &[&[u8]])> = group
+            .iter()
+            .map(|(_, dev, at)| (*dev, &pages[at.clone()]))
+            .collect();
+        ios += group[0].0.write_batch(ctx, &batch, depth)?;
+    }
+    Ok(ios)
+}
+
 /// End of the guest-physical window that 1 GiB EPT granules must cover
 /// for a cache of `frames` frames starting at `base`: the paper allocates
 /// the cache in 1 GiB multiples (section 3.5), so a partial tail takes a
@@ -1733,6 +1755,7 @@ pub(crate) fn cache_window_end(base: u64, frames: usize) -> u64 {
     (base + frames as u64 * PAGE_SIZE).next_multiple_of(PAGE_1G)
 }
 
+/// Maps a PTE's GPA back to the cache frame holding it.
 fn pte_frame(cache: &DramCache, gpa: Gpa) -> Option<FrameId> {
     cache.mem().frame_of(gpa)
 }

@@ -1482,3 +1482,91 @@ fn doubly_mapped_frames_unmap_and_evict_cleanly() {
         cache.active_frames()
     );
 }
+
+/// Writeback hands the device slices of the cache frames themselves:
+/// whatever the access path, the device ends up holding exactly the
+/// frames' bytes. The first segment's frames are out of order and
+/// straddle a `PhysMem` chunk boundary (frames 511 and 512); a
+/// single-page segment rides in the same batch.
+#[test]
+fn page_list_writeback_lands_the_frames_bytes_on_every_path() {
+    use aquila_devices::{
+        CallDomain, DaxAccess, HostNvmeAccess, MirrorAccess, NvmeDevice, PmemDevice, SpdkAccess,
+        StorageAccess, STORE_PAGE,
+    };
+    use aquila_mmu::{FrameId, PhysMem};
+    use aquila_pcache::{DirtyPage, PageKey};
+
+    use crate::engine::{write_planned, Segment};
+
+    let mem = PhysMem::new(aquila_vmx::Gpa(0), 1024);
+    let frames = [512u32, 40, 511, 513];
+    for &f in &frames {
+        let bytes: Vec<u8> = (0..STORE_PAGE)
+            .map(|i| (i as u32 * 7 + f * 13) as u8)
+            .collect();
+        mem.write(FrameId(f), 0, &bytes);
+    }
+    let dirty: Vec<DirtyPage> = frames
+        .iter()
+        .enumerate()
+        .map(|(i, &f)| DirtyPage {
+            key: PageKey::new(1, i as u64),
+            frame: FrameId(f),
+        })
+        .collect();
+    let paths: Vec<(&str, Arc<dyn StorageAccess>, bool)> = vec![
+        (
+            "SPDK-NVMe",
+            Arc::new(SpdkAccess::new(Arc::new(NvmeDevice::optane(64)))),
+            false,
+        ),
+        (
+            "mirror",
+            Arc::new(MirrorAccess::new(
+                Arc::new(NvmeDevice::optane(64)),
+                Arc::new(NvmeDevice::optane(64)),
+            )),
+            true,
+        ),
+        (
+            "DAX-pmem",
+            Arc::new(DaxAccess::new(Arc::new(PmemDevice::dram_backed(64)), true)),
+            false,
+        ),
+        (
+            "HOST-NVMe",
+            Arc::new(HostNvmeAccess::new(
+                Arc::new(NvmeDevice::optane(64)),
+                CallDomain::Guest,
+            )),
+            false,
+        ),
+    ];
+    for (name, access, mirrored) in paths {
+        for depth in [1, 8] {
+            let mut ctx = FreeCtx::new(3);
+            // Pages 0-2 land contiguously at device page 20, page 3 alone
+            // at device page 9.
+            let segs: Vec<Segment> = vec![
+                (Arc::clone(&access), 20, 0..3),
+                (Arc::clone(&access), 9, 3..4),
+            ];
+            write_planned(&mut ctx, &mem, &dirty, &segs, depth).unwrap();
+            for (dev, frame) in [(20u64, 512u32), (21, 40), (22, 511), (9, 513)] {
+                let mut back = vec![0u8; STORE_PAGE];
+                access.read_pages(&mut ctx, dev, &mut back).unwrap();
+                let mut want = vec![0u8; STORE_PAGE];
+                mem.read(FrameId(frame), 0, &mut want);
+                assert_eq!(back, want, "{name} depth {depth}: device page {dev}");
+            }
+            if mirrored {
+                let c = access.integrity_counters().unwrap();
+                assert_eq!((c.detected, c.repaired), (0, 0), "{name}: {c:?}");
+                for dev in [9, 20, 21, 22] {
+                    assert_eq!(access.scrub_page(&mut ctx, dev), Ok(false), "{name}");
+                }
+            }
+        }
+    }
+}

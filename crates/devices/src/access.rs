@@ -22,7 +22,7 @@ use crate::error::DeviceError;
 use crate::nvme::{BufRef, NvmeDevice, NvmeOp, QueuePair};
 use crate::pmem::PmemDevice;
 use crate::retry::{CircuitBreaker, RetryPolicy};
-use crate::store::STORE_PAGE;
+use crate::store::{page_list, STORE_PAGE};
 
 /// Which protection domain the caller sits in, which determines the price
 /// of asking the host kernel for I/O.
@@ -82,8 +82,13 @@ impl AccessKind {
 
 /// A blocking page-granular storage path.
 ///
-/// `read_pages`/`write_pages` return once the data is usable, having
+/// `read_pages`/`write_page_list` return once the data is usable, having
 /// charged all CPU, transition, and device costs to the context.
+///
+/// Every write carries its data as a page list: one 4 KiB slice per
+/// device page, in device order, like an NVMe PRP list. Writeback hands
+/// slices of the cache frames themselves, so the device copies each page
+/// once, from the frame into its store.
 pub trait StorageAccess: Send + Sync {
     /// The path's kind.
     fn kind(&self) -> AccessKind;
@@ -96,21 +101,32 @@ pub trait StorageAccess: Send + Sync {
         page: u64,
         buf: &mut [u8],
     ) -> Result<(), DeviceError>;
-    /// Writes `buf.len() / 4096` pages starting at `page`.
-    fn write_pages(&self, ctx: &mut dyn SimCtx, page: u64, buf: &[u8]) -> Result<(), DeviceError>;
-    /// Writes a batch of device-contiguous segments `(first page,
-    /// payload)`, keeping up to `depth` commands in flight where the path
+    /// Writes `pages.len()` device-contiguous pages starting at `page`,
+    /// one 4 KiB slice each, as one command.
+    fn write_page_list(
+        &self,
+        ctx: &mut dyn SimCtx,
+        page: u64,
+        pages: &[&[u8]],
+    ) -> Result<(), DeviceError>;
+    /// Writes `buf.len() / 4096` pages starting at `page`, from a
+    /// contiguous buffer split into its page list.
+    fn write_pages(&self, ctx: &mut dyn SimCtx, page: u64, buf: &[u8]) -> Result<(), DeviceError> {
+        self.write_page_list(ctx, page, &page_list(buf))
+    }
+    /// Writes a batch of device-contiguous segments `(first page, page
+    /// list)`, keeping up to `depth` commands in flight where the path
     /// has real queue pairs, and returns the number of device commands
     /// issued. Every segment is durable when it returns `Ok`.
     ///
     /// This is the engine's one writeback primitive. The
     /// default is the blocking one-command-then-drain loop over
-    /// [`StorageAccess::write_pages`], which is what DAX, the host-kernel
-    /// paths and `depth <= 1` use.
+    /// [`StorageAccess::write_page_list`], which is what DAX, the
+    /// host-kernel paths and `depth <= 1` use.
     fn write_batch(
         &self,
         ctx: &mut dyn SimCtx,
-        segs: &[(u64, &[u8])],
+        segs: &[(u64, &[&[u8]])],
         _depth: usize,
     ) -> Result<u64, DeviceError> {
         write_each(self, ctx, segs)
@@ -146,14 +162,15 @@ pub trait StorageAccess: Send + Sync {
     }
 }
 
-/// Blocking batch write: one [`StorageAccess::write_pages`] per segment.
+/// Blocking batch write: one [`StorageAccess::write_page_list`] per
+/// segment.
 pub(crate) fn write_each<A: StorageAccess + ?Sized>(
     access: &A,
     ctx: &mut dyn SimCtx,
-    segs: &[(u64, &[u8])],
+    segs: &[(u64, &[&[u8]])],
 ) -> Result<u64, DeviceError> {
-    for &(page, buf) in segs {
-        access.write_pages(ctx, page, buf)?;
+    for &(page, pages) in segs {
+        access.write_page_list(ctx, page, pages)?;
     }
     Ok(segs.len() as u64)
 }
@@ -210,7 +227,7 @@ impl SpdkAccess {
         ctx: &mut dyn SimCtx,
         qp: &QueuePair<'_>,
         page: u64,
-        buf: &[u8],
+        pages: &[&[u8]],
     ) -> Result<(), DeviceError> {
         self.retry.run(ctx, Some(&self.breaker), |ctx| {
             let submit = ctx.cost().nvme_submit_poll;
@@ -220,8 +237,8 @@ impl SpdkAccess {
                     ctx.now(),
                     NvmeOp::Write,
                     page,
-                    buf.len() / STORE_PAGE,
-                    BufRef::Shared(buf),
+                    pages.len(),
+                    BufRef::Pages(pages),
                 );
                 match res {
                     Ok(_) => return Ok(()),
@@ -236,7 +253,7 @@ impl SpdkAccess {
             }
         })?;
         ctx.counters().device_writes += 1;
-        ctx.counters().bytes_written += buf.len() as u64;
+        ctx.counters().bytes_written += (pages.len() * STORE_PAGE) as u64;
         Ok(())
     }
 }
@@ -288,15 +305,20 @@ impl StorageAccess for SpdkAccess {
         Ok(())
     }
 
-    fn write_pages(&self, ctx: &mut dyn SimCtx, page: u64, buf: &[u8]) -> Result<(), DeviceError> {
-        let pages = buf.len() / STORE_PAGE;
+    fn write_page_list(
+        &self,
+        ctx: &mut dyn SimCtx,
+        page: u64,
+        list: &[&[u8]],
+    ) -> Result<(), DeviceError> {
+        let pages = list.len();
         self.retry.run(ctx, Some(&self.breaker), |ctx| {
             let submit = ctx.cost().nvme_submit_poll;
             ctx.charge(CostCat::DeviceIo, submit);
             let t0 = ctx.now();
             let sp = aquila_sim::span::begin(ctx, "nvme.write", CostCat::DeviceIo);
             let qp = self.dev.create_qpair();
-            let submitted = qp.submit(ctx.now(), NvmeOp::Write, page, pages, BufRef::Shared(buf));
+            let submitted = qp.submit(ctx.now(), NvmeOp::Write, page, pages, BufRef::Pages(list));
             record_nvme_occupancy(ctx, &self.dev);
             if let Err(e) = submitted {
                 aquila_sim::span::end(ctx, sp);
@@ -319,15 +341,15 @@ impl StorageAccess for SpdkAccess {
     fn write_batch(
         &self,
         ctx: &mut dyn SimCtx,
-        segs: &[(u64, &[u8])],
+        segs: &[(u64, &[&[u8]])],
         depth: usize,
     ) -> Result<u64, DeviceError> {
         if depth <= 1 {
             return write_each(self, ctx, segs);
         }
         let qp = self.dev.create_qpair_depth(depth);
-        for &(page, buf) in segs {
-            self.queue_write(ctx, &qp, page, buf)?;
+        for &(page, pages) in segs {
+            self.queue_write(ctx, &qp, page, pages)?;
         }
         qp.drain(ctx, CostCat::DeviceIo);
         Ok(segs.len() as u64)
@@ -416,8 +438,13 @@ impl StorageAccess for HostNvmeAccess {
         Ok(())
     }
 
-    fn write_pages(&self, ctx: &mut dyn SimCtx, page: u64, buf: &[u8]) -> Result<(), DeviceError> {
-        let pages = buf.len() / STORE_PAGE;
+    fn write_page_list(
+        &self,
+        ctx: &mut dyn SimCtx,
+        page: u64,
+        list: &[&[u8]],
+    ) -> Result<(), DeviceError> {
+        let pages = list.len();
         self.retry.run(ctx, Some(&self.breaker), |ctx| {
             self.domain.charge_entry(ctx);
             let sw = ctx.cost().host_directio_sw + ctx.cost().nvme_submit_kernel;
@@ -425,7 +452,7 @@ impl StorageAccess for HostNvmeAccess {
             let t0 = ctx.now();
             let sp = aquila_sim::span::begin(ctx, "nvme.write", CostCat::DeviceIo);
             let qp = self.dev.create_qpair();
-            let submitted = qp.submit(ctx.now(), NvmeOp::Write, page, pages, BufRef::Shared(buf));
+            let submitted = qp.submit(ctx.now(), NvmeOp::Write, page, pages, BufRef::Pages(list));
             record_nvme_occupancy(ctx, &self.dev);
             if let Err(e) = submitted {
                 aquila_sim::span::end(ctx, sp);
@@ -489,9 +516,13 @@ impl StorageAccess for DaxAccess {
         Ok(())
     }
 
-    fn write_pages(&self, ctx: &mut dyn SimCtx, page: u64, buf: &[u8]) -> Result<(), DeviceError> {
-        self.dev
-            .dax_write(ctx, page * STORE_PAGE as u64, buf, self.simd)?;
+    fn write_page_list(
+        &self,
+        ctx: &mut dyn SimCtx,
+        page: u64,
+        pages: &[&[u8]],
+    ) -> Result<(), DeviceError> {
+        self.dev.dax_write(ctx, page, pages, self.simd)?;
         Ok(())
     }
 }
@@ -537,12 +568,16 @@ impl StorageAccess for HostPmemAccess {
         Ok(())
     }
 
-    fn write_pages(&self, ctx: &mut dyn SimCtx, page: u64, buf: &[u8]) -> Result<(), DeviceError> {
+    fn write_page_list(
+        &self,
+        ctx: &mut dyn SimCtx,
+        page: u64,
+        pages: &[&[u8]],
+    ) -> Result<(), DeviceError> {
         self.domain.charge_entry(ctx);
         let sw = ctx.cost().host_directio_sw;
         ctx.charge(CostCat::Syscall, sw);
-        self.dev
-            .dax_write(ctx, page * STORE_PAGE as u64, buf, false)?;
+        self.dev.dax_write(ctx, page, pages, false)?;
         Ok(())
     }
 }

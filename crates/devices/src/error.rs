@@ -33,8 +33,8 @@ pub enum DeviceError {
         /// Bytes the caller supplied.
         got: usize,
     },
-    /// Buffer mutability did not match the opcode (read needs `Mut`,
-    /// write needs `Shared`).
+    /// Buffer kind did not match the opcode (read needs `Mut`, write
+    /// needs `Pages`).
     BufferDirection,
     /// A bounded queue pair is full; poll completions and resubmit.
     QueueFull {

@@ -33,4 +33,4 @@ pub use nvme::{BufRef, NvmeCompletion, NvmeDevice, NvmeOp, NvmeProfile, QueuePai
 pub use pmem::{PmemDevice, PmemProfile};
 pub use retry::{CircuitBreaker, RetryPolicy};
 pub use spdk::{BlobError, BlobId, Blobstore, MD_PAGES, PAGES_PER_CLUSTER};
-pub use store::{PageStore, STORE_PAGE};
+pub use store::{page_list, PageStore, STORE_PAGE};

@@ -24,7 +24,7 @@
 //!
 //! Writeback batches keep the deep queues of the unmirrored path:
 //! [`StorageAccess::write_batch`] records every segment's checksums up
-//! front, then submits each segment to the primary and then the replica
+//! front, straight from the page list it was handed, then submits each segment to the primary and then the replica
 //! through one depth-`depth` queue pair per device, each under that
 //! device's own breaker, and drains both at the end, so the two devices
 //! serve the batch concurrently. A segment that never reached the
@@ -201,20 +201,22 @@ impl MirrorAccess {
         Recorded { ours, prev }
     }
 
-    /// Starts a write of `buf` at `page`: bumps the page versions first,
-    /// so an in-flight scrub of the old bytes never rewrites them over
-    /// this write, then records the new checksums. Returns what it
-    /// recorded, one entry per page, for [`Self::abort_write`].
-    fn begin_write(&self, page: u64, buf: &[u8]) -> Vec<Recorded> {
-        for i in 0..(buf.len() / STORE_PAGE) as u64 {
+    /// Starts a write of the page list `pages` at `page`: bumps the page
+    /// versions first, so an in-flight scrub of the old bytes never
+    /// rewrites them over this write, then records the new checksums.
+    /// Returns what it recorded, one entry per page, for
+    /// [`Self::abort_write`].
+    fn begin_write(&self, page: u64, pages: &[&[u8]]) -> Vec<Recorded> {
+        for i in 0..pages.len() as u64 {
             self.versions[(page + i) as usize].fetch_add(1, Ordering::SeqCst);
         }
         if !self.checksums {
             return Vec::new();
         }
-        buf.chunks(STORE_PAGE)
+        pages
+            .iter()
             .enumerate()
-            .map(|(i, chunk)| self.record_sums(page + i as u64, chunk))
+            .map(|(i, data)| self.record_sums(page + i as u64, data))
             .collect()
     }
 
@@ -348,13 +350,18 @@ impl StorageAccess for MirrorAccess {
         Ok(())
     }
 
-    fn write_pages(&self, ctx: &mut dyn SimCtx, page: u64, buf: &[u8]) -> Result<(), DeviceError> {
-        let recorded = self.begin_write(page, buf);
-        if let Err(e) = self.primary.write_pages(ctx, page, buf) {
+    fn write_page_list(
+        &self,
+        ctx: &mut dyn SimCtx,
+        page: u64,
+        pages: &[&[u8]],
+    ) -> Result<(), DeviceError> {
+        let recorded = self.begin_write(page, pages);
+        if let Err(e) = self.primary.write_page_list(ctx, page, pages) {
             self.abort_write(page, &recorded);
             return Err(e);
         }
-        self.replica.write_pages(ctx, page, buf)
+        self.replica.write_page_list(ctx, page, pages)
     }
 
     /// One depth-`depth` queue pair per copy: each segment goes to the
@@ -362,7 +369,7 @@ impl StorageAccess for MirrorAccess {
     fn write_batch(
         &self,
         ctx: &mut dyn SimCtx,
-        segs: &[(u64, &[u8])],
+        segs: &[(u64, &[&[u8]])],
         depth: usize,
     ) -> Result<u64, DeviceError> {
         if depth <= 1 {
@@ -370,19 +377,19 @@ impl StorageAccess for MirrorAccess {
         }
         let recorded: Vec<Vec<Recorded>> = segs
             .iter()
-            .map(|&(page, buf)| self.begin_write(page, buf))
+            .map(|&(page, pages)| self.begin_write(page, pages))
             .collect();
         let pq = self.primary.device().create_qpair_depth(depth);
         let rq = self.replica.device().create_qpair_depth(depth);
         let mut issued = 0u64;
         let mut failure = None;
-        for (i, &(page, buf)) in segs.iter().enumerate() {
-            if let Err(e) = self.primary.queue_write(ctx, &pq, page, buf) {
+        for (i, &(page, pages)) in segs.iter().enumerate() {
+            if let Err(e) = self.primary.queue_write(ctx, &pq, page, pages) {
                 failure = Some((i, e));
                 break;
             }
             issued += 1;
-            if let Err(e) = self.replica.queue_write(ctx, &rq, page, buf) {
+            if let Err(e) = self.replica.queue_write(ctx, &rq, page, pages) {
                 failure = Some((i + 1, e));
                 break;
             }
@@ -432,6 +439,7 @@ impl StorageAccess for MirrorAccess {
 mod tests {
     use super::*;
     use crate::nvme::{BufRef, NvmeOp};
+    use crate::store::page_list;
     use aquila_sim::fault::{DeviceImage, FaultPlan};
     use aquila_sim::{Cycles, FreeCtx};
 
@@ -686,7 +694,7 @@ mod tests {
             .unwrap(),
         ));
         let (a, b, c) = (page_of(0xA0), page_of(0xB0), page_of(0xC0));
-        let segs: [(u64, &[u8]); 3] = [(0, &a), (4, &b), (8, &c)];
+        let segs: [(u64, &[&[u8]]); 3] = [(0, &[&a]), (4, &[&b]), (8, &[&c])];
         assert_eq!(
             m.write_batch(&mut ctx, &segs, 8),
             Err(DeviceError::MediaError { page: 4 })
@@ -745,7 +753,12 @@ mod tests {
         for batch in batches {
             match depth {
                 Some(d) => {
-                    let segs: Vec<(u64, &[u8])> = batch.iter().map(|(p, b)| (*p, &b[..])).collect();
+                    let lists: Vec<Vec<&[u8]>> = batch.iter().map(|(_, b)| page_list(b)).collect();
+                    let segs: Vec<(u64, &[&[u8]])> = batch
+                        .iter()
+                        .zip(&lists)
+                        .map(|((p, _), l)| (*p, &l[..]))
+                        .collect();
                     let cmds = m.write_batch(&mut ctx, &segs, d).unwrap();
                     let copies = if d > 1 { 2 } else { 1 };
                     assert_eq!(cmds, copies * segs.len() as u64);

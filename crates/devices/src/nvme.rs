@@ -371,20 +371,21 @@ impl<'d> QueuePair<'d> {
                     self.dev.tainted.fetch_add(tainted, Ordering::SeqCst);
                 }
             }
-            (NvmeOp::Write, BufRef::Shared(b)) => {
-                if b.len() != pages * STORE_PAGE {
+            (NvmeOp::Write, BufRef::Pages(list)) => {
+                let got: usize = list.iter().map(|p| p.len()).sum();
+                if list.len() != pages || list.iter().any(|p| p.len() != STORE_PAGE) {
                     return Err(DeviceError::BufferSize {
                         expected: pages * STORE_PAGE,
-                        got: b.len(),
+                        got,
                     });
                 }
-                let pos = lba_page * STORE_PAGE as u64;
+                let store = &self.dev.store;
                 match injected {
                     Some(FaultOutcome::Torn { sectors }) => {
                         // The command dies mid-transfer: whole sectors up
                         // to the cut persist, the rest never land.
-                        let keep = (sectors as usize * SECTOR_SIZE).min(b.len());
-                        self.dev.store.write_range(pos, &b[..keep])?;
+                        let keep = (sectors as usize * SECTOR_SIZE).min(got);
+                        store.write_pages(lba_page, list, keep)?;
                         // The persisted prefix is fresh data.
                         self.dev
                             .heal_sectors(first_sector, (keep / SECTOR_SIZE) as u64);
@@ -394,14 +395,16 @@ impl<'d> QueuePair<'d> {
                         // Silent write corruption: bits flip as the data
                         // lands, the command still reports success. The
                         // flipped sectors become poisoned ground truth.
-                        let mut data = b.to_vec();
+                        // The flips hit the stored copy, never the
+                        // caller's pages, so this branch gathers them.
+                        let mut data = list.concat();
                         let mut bad = BTreeSet::new();
                         for k in 0..bits {
                             let bit = NvmeDevice::flip_bit(k, data.len());
                             data[bit / 8] ^= 1 << (bit % 8);
                             bad.insert(first_sector + (bit / 8 / SECTOR_SIZE) as u64);
                         }
-                        self.dev.store.write_range(pos, &data)?;
+                        store.write_range(lba_page * STORE_PAGE as u64, &data)?;
                         self.dev.heal_sectors(first_sector, nsectors);
                         let mut poi = self.dev.poisoned.lock();
                         for s in bad {
@@ -412,7 +415,7 @@ impl<'d> QueuePair<'d> {
                         // The write lands, then the cells degrade: the
                         // leading sectors become unreadable until the
                         // next rewrite.
-                        self.dev.store.write_range(pos, b)?;
+                        store.write_pages(lba_page, list, got)?;
                         self.dev.heal_sectors(first_sector, nsectors);
                         let mut lat = self.dev.latent.lock();
                         for s in first_sector..first_sector + sectors.min(nsectors) {
@@ -427,16 +430,22 @@ impl<'d> QueuePair<'d> {
                         // crash-consistency harness recovers from the
                         // captured image.
                         if let Some(plan) = self.dev.fault.get() {
-                            let mut image = self.dev.store.snapshot();
-                            let keep = (sectors as usize * SECTOR_SIZE).min(b.len());
-                            image.write(pos, &b[..keep]);
+                            let mut image = store.snapshot();
+                            let keep = (sectors as usize * SECTOR_SIZE).min(got);
+                            for (i, data) in list.iter().enumerate() {
+                                let n = keep.saturating_sub(i * STORE_PAGE).min(STORE_PAGE);
+                                if n == 0 {
+                                    break;
+                                }
+                                image.write((lba_page + i as u64) * STORE_PAGE as u64, &data[..n]);
+                            }
                             plan.record_crash(CrashImage { at: now, image });
                         }
-                        self.dev.store.write_range(pos, b)?;
+                        store.write_pages(lba_page, list, got)?;
                         self.dev.heal_sectors(first_sector, nsectors);
                     }
                     _ => {
-                        self.dev.store.write_range(pos, b)?;
+                        store.write_pages(lba_page, list, got)?;
                         self.dev.heal_sectors(first_sector, nsectors);
                     }
                 }
@@ -509,8 +518,10 @@ impl<'d> QueuePair<'d> {
 
 /// A read or write buffer handed to [`QueuePair::submit`].
 pub enum BufRef<'a> {
-    /// Source data for writes.
-    Shared(&'a [u8]),
+    /// Source data for writes: one 4 KiB slice per page, in device
+    /// order, like an NVMe PRP list. The device copies each page
+    /// straight from where it lies.
+    Pages(&'a [&'a [u8]]),
     /// Destination for reads.
     Mut(&'a mut [u8]),
 }
@@ -518,6 +529,7 @@ pub enum BufRef<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::page_list;
     use aquila_sim::{CostCat, FreeCtx};
 
     #[test]
@@ -525,8 +537,14 @@ mod tests {
         let dev = NvmeDevice::optane(64);
         let qp = dev.create_qpair();
         let data = vec![0xABu8; STORE_PAGE];
-        qp.submit(Cycles(0), NvmeOp::Write, 5, 1, BufRef::Shared(&data))
-            .unwrap();
+        qp.submit(
+            Cycles(0),
+            NvmeOp::Write,
+            5,
+            1,
+            BufRef::Pages(&page_list(&data)),
+        )
+        .unwrap();
         let mut back = vec![0u8; STORE_PAGE];
         qp.submit(Cycles(0), NvmeOp::Read, 5, 1, BufRef::Mut(&mut back))
             .unwrap();
@@ -592,8 +610,14 @@ mod tests {
         let dev = NvmeDevice::optane(64);
         let qp = dev.create_qpair();
         let data: Vec<u8> = (0..8 * STORE_PAGE).map(|i| (i % 253) as u8).collect();
-        qp.submit(Cycles(0), NvmeOp::Write, 16, 8, BufRef::Shared(&data))
-            .unwrap();
+        qp.submit(
+            Cycles(0),
+            NvmeOp::Write,
+            16,
+            8,
+            BufRef::Pages(&page_list(&data)),
+        )
+        .unwrap();
         let mut back = vec![0u8; 8 * STORE_PAGE];
         qp.submit(Cycles(0), NvmeOp::Read, 16, 8, BufRef::Mut(&mut back))
             .unwrap();
@@ -663,10 +687,22 @@ mod tests {
         ));
         let qp = dev.create_qpair();
         let data = vec![7u8; STORE_PAGE];
-        qp.submit(Cycles(0), NvmeOp::Write, 0, 1, BufRef::Shared(&data))
-            .unwrap();
+        qp.submit(
+            Cycles(0),
+            NvmeOp::Write,
+            0,
+            1,
+            BufRef::Pages(&page_list(&data)),
+        )
+        .unwrap();
         assert_eq!(
-            qp.submit(Cycles(0), NvmeOp::Write, 1, 1, BufRef::Shared(&data)),
+            qp.submit(
+                Cycles(0),
+                NvmeOp::Write,
+                1,
+                1,
+                BufRef::Pages(&page_list(&data))
+            ),
             Err(DeviceError::MediaError { page: 1 })
         );
         // The failed write never reached the medium.
@@ -675,8 +711,14 @@ mod tests {
             .unwrap();
         assert!(back.iter().all(|&b| b == 0));
         // The retry (op 3) succeeds.
-        qp.submit(Cycles(0), NvmeOp::Write, 1, 1, BufRef::Shared(&data))
-            .unwrap();
+        qp.submit(
+            Cycles(0),
+            NvmeOp::Write,
+            1,
+            1,
+            BufRef::Pages(&page_list(&data)),
+        )
+        .unwrap();
     }
 
     #[test]
@@ -688,7 +730,13 @@ mod tests {
         let qp = dev.create_qpair();
         let data = vec![0xAAu8; STORE_PAGE];
         assert_eq!(
-            qp.submit(Cycles(0), NvmeOp::Write, 2, 1, BufRef::Shared(&data)),
+            qp.submit(
+                Cycles(0),
+                NvmeOp::Write,
+                2,
+                1,
+                BufRef::Pages(&page_list(&data))
+            ),
             Err(DeviceError::MediaError { page: 2 })
         );
         let mut back = vec![0u8; STORE_PAGE];
@@ -707,11 +755,23 @@ mod tests {
         let qp = dev.create_qpair();
         let old = vec![0x11u8; STORE_PAGE];
         let new = vec![0x22u8; STORE_PAGE];
-        qp.submit(Cycles(0), NvmeOp::Write, 3, 1, BufRef::Shared(&old))
-            .unwrap();
+        qp.submit(
+            Cycles(0),
+            NvmeOp::Write,
+            3,
+            1,
+            BufRef::Pages(&page_list(&old)),
+        )
+        .unwrap();
         // Op 2 overwrites page 3; the cut lands mid-transfer.
-        qp.submit(Cycles(99), NvmeOp::Write, 3, 1, BufRef::Shared(&new))
-            .unwrap();
+        qp.submit(
+            Cycles(99),
+            NvmeOp::Write,
+            3,
+            1,
+            BufRef::Pages(&page_list(&new)),
+        )
+        .unwrap();
         let img = plan.crash_image().expect("crash captured");
         assert_eq!(img.at, Cycles(99));
         assert_eq!(img.image.resident.len(), 1, "only page 3 holds data");
@@ -766,14 +826,20 @@ mod tests {
             let dev = NvmeDevice::optane(16);
             let qp = dev.create_qpair();
             let old: Vec<u8> = (0..3 * STORE_PAGE).map(|i| (i % 251) as u8 + 1).collect();
-            qp.submit(Cycles(0), NvmeOp::Write, 1, 3, BufRef::Shared(&old))
-                .unwrap();
+            qp.submit(
+                Cycles(0),
+                NvmeOp::Write,
+                1,
+                3,
+                BufRef::Pages(&page_list(&old)),
+            )
+            .unwrap();
             qp.submit(
                 Cycles(0),
                 NvmeOp::Write,
                 9,
                 1,
-                BufRef::Shared(&old[..STORE_PAGE]),
+                BufRef::Pages(&page_list(&old[..STORE_PAGE])),
             )
             .unwrap();
             dev.store().discard(9).unwrap();
@@ -784,8 +850,14 @@ mod tests {
             let pos = first * STORE_PAGE as u64;
             let keep = sectors as usize * SECTOR_SIZE;
             let want = flat_torn_image(dev.store(), pos, &new, keep);
-            qp.submit(Cycles(5), NvmeOp::Write, first, 2, BufRef::Shared(&new))
-                .unwrap();
+            qp.submit(
+                Cycles(5),
+                NvmeOp::Write,
+                first,
+                2,
+                BufRef::Pages(&page_list(&new)),
+            )
+            .unwrap();
             let img = plan.crash_image().expect("crash captured").image;
             assert_eq!(img.bytes() as usize, want.len());
             assert!(
@@ -800,6 +872,82 @@ mod tests {
         }
     }
 
+    /// A three-page write whose pages lie apart in memory, out of order,
+    /// fed to the torn, crash and corrupt branches, persists the same
+    /// image as the flat buffer of those pages would.
+    #[test]
+    fn faulty_page_list_writes_persist_the_flat_buffer_image() {
+        let pages: Vec<Vec<u8>> = (0..3u8)
+            .rev()
+            .map(|p| {
+                (0..STORE_PAGE)
+                    .map(|i| (i % 251) as u8 ^ (p * 40 + 9))
+                    .collect()
+            })
+            .collect();
+        let list: Vec<&[u8]> = pages.iter().rev().map(|p| &p[..]).collect();
+        let flat = list.concat();
+        let first = 4u64;
+        let pos = first * STORE_PAGE as u64;
+        // A device with old data under and around the write, and a fresh
+        // device to replay the flat reference on.
+        let seeded = |spec: &str| {
+            let dev = NvmeDevice::optane(12);
+            let old = vec![0x5Eu8; 6 * STORE_PAGE];
+            dev.create_qpair()
+                .submit(
+                    Cycles(0),
+                    NvmeOp::Write,
+                    3,
+                    6,
+                    BufRef::Pages(&page_list(&old)),
+                )
+                .unwrap();
+            let plan = Arc::new(FaultPlan::parse(spec).unwrap());
+            dev.set_fault_plan(Arc::clone(&plan));
+            (dev, plan)
+        };
+        for sectors in [0u64, 5, 8, 13, 24] {
+            let torn = format!("nvme.write:torn={sectors}@op=1");
+            let (dev, _) = seeded(&torn);
+            let keep = sectors as usize * SECTOR_SIZE;
+            let want = flat_torn_image(dev.store(), pos, &flat, keep);
+            let res =
+                dev.create_qpair()
+                    .submit(Cycles(0), NvmeOp::Write, first, 3, BufRef::Pages(&list));
+            assert_eq!(res, Err(DeviceError::MediaError { page: first }));
+            let mut got = vec![0u8; want.len()];
+            dev.store().read_range(0, &mut got).unwrap();
+            assert_eq!(got, want, "torn={sectors}");
+
+            let crash = format!("nvme.write:crash={sectors}@op=1");
+            let (dev, plan) = seeded(&crash);
+            let want = flat_torn_image(dev.store(), pos, &flat, keep);
+            dev.create_qpair()
+                .submit(Cycles(0), NvmeOp::Write, first, 3, BufRef::Pages(&list))
+                .unwrap();
+            let img = plan.crash_image().expect("crash captured").image;
+            assert_eq!(expand(&img), want, "crash={sectors}");
+        }
+        for bits in [1u64, 9, 64] {
+            let (dev, _) = seeded(&format!("nvme.write:corrupt={bits}@op=1"));
+            dev.create_qpair()
+                .submit(Cycles(0), NvmeOp::Write, first, 3, BufRef::Pages(&list))
+                .unwrap();
+            let mut want = flat.clone();
+            let mut bad = BTreeSet::new();
+            for k in 0..bits {
+                let bit = NvmeDevice::flip_bit(k, want.len());
+                want[bit / 8] ^= 1 << (bit % 8);
+                bad.insert(first * SECTORS_PER_PAGE + (bit / 8 / SECTOR_SIZE) as u64);
+            }
+            let mut got = vec![0u8; flat.len()];
+            dev.store().read_range(pos, &mut got).unwrap();
+            assert_eq!(got, want, "corrupt={bits}");
+            assert_eq!(dev.poisoned_sectors(), bad.len() as u64);
+        }
+    }
+
     #[test]
     fn corrupt_write_silently_poisons_and_rewrite_heals() {
         let dev = NvmeDevice::optane(8);
@@ -809,8 +957,14 @@ mod tests {
         let qp = dev.create_qpair();
         let data = vec![0x5Au8; STORE_PAGE];
         // The corrupted write reports success (that is the whole point).
-        qp.submit(Cycles(0), NvmeOp::Write, 2, 1, BufRef::Shared(&data))
-            .unwrap();
+        qp.submit(
+            Cycles(0),
+            NvmeOp::Write,
+            2,
+            1,
+            BufRef::Pages(&page_list(&data)),
+        )
+        .unwrap();
         assert!(dev.poisoned_sectors() > 0, "flips recorded as poison");
         assert_eq!(dev.tainted_reads(), 0, "nothing returned yet");
         // The read also reports success but returns flipped bytes.
@@ -826,8 +980,14 @@ mod tests {
         assert_eq!(flipped, 4, "exactly the budgeted bits flipped");
         assert_eq!(dev.tainted_reads(), 1, "one tainted page returned");
         // A clean rewrite heals the poison.
-        qp.submit(Cycles(0), NvmeOp::Write, 2, 1, BufRef::Shared(&data))
-            .unwrap();
+        qp.submit(
+            Cycles(0),
+            NvmeOp::Write,
+            2,
+            1,
+            BufRef::Pages(&page_list(&data)),
+        )
+        .unwrap();
         assert_eq!(dev.poisoned_sectors(), 0);
         qp.submit(Cycles(0), NvmeOp::Read, 2, 1, BufRef::Mut(&mut back))
             .unwrap();
@@ -843,8 +1003,14 @@ mod tests {
         ));
         let qp = dev.create_qpair();
         let data = vec![0x11u8; STORE_PAGE];
-        qp.submit(Cycles(0), NvmeOp::Write, 1, 1, BufRef::Shared(&data))
-            .unwrap();
+        qp.submit(
+            Cycles(0),
+            NvmeOp::Write,
+            1,
+            1,
+            BufRef::Pages(&page_list(&data)),
+        )
+        .unwrap();
         let mut back = vec![0u8; STORE_PAGE];
         qp.submit(Cycles(0), NvmeOp::Read, 1, 1, BufRef::Mut(&mut back))
             .unwrap();
@@ -866,8 +1032,14 @@ mod tests {
         ));
         let qp = dev.create_qpair();
         let data = vec![0x33u8; STORE_PAGE];
-        qp.submit(Cycles(0), NvmeOp::Write, 4, 1, BufRef::Shared(&data))
-            .unwrap();
+        qp.submit(
+            Cycles(0),
+            NvmeOp::Write,
+            4,
+            1,
+            BufRef::Pages(&page_list(&data)),
+        )
+        .unwrap();
         let mut back = vec![0u8; STORE_PAGE];
         qp.submit(Cycles(0), NvmeOp::Read, 4, 1, BufRef::Mut(&mut back))
             .unwrap();
@@ -883,8 +1055,14 @@ mod tests {
             "latent errors persist"
         );
         // A rewrite heals the cells; reads work again.
-        qp.submit(Cycles(0), NvmeOp::Write, 4, 1, BufRef::Shared(&data))
-            .unwrap();
+        qp.submit(
+            Cycles(0),
+            NvmeOp::Write,
+            4,
+            1,
+            BufRef::Pages(&page_list(&data)),
+        )
+        .unwrap();
         assert_eq!(dev.latent_sectors(), 0);
         qp.submit(Cycles(0), NvmeOp::Read, 4, 1, BufRef::Mut(&mut back))
             .unwrap();
@@ -898,8 +1076,14 @@ mod tests {
         let qp = dev.create_qpair();
         let data = vec![1u8; STORE_PAGE];
         for i in 0..4 {
-            qp.submit(Cycles(0), NvmeOp::Write, i, 1, BufRef::Shared(&data))
-                .unwrap();
+            qp.submit(
+                Cycles(0),
+                NvmeOp::Write,
+                i,
+                1,
+                BufRef::Pages(&page_list(&data)),
+            )
+            .unwrap();
         }
         assert_eq!(dev.fault_plan().unwrap().injected(), 0);
     }

@@ -106,25 +106,34 @@ impl PmemDevice {
         Ok(ctx.now() - before)
     }
 
-    /// DAX copy of `buf` to device offset `pos`; mirror of [`Self::dax_read`].
+    /// DAX copy of a page list (one 4 KiB slice per page) to the
+    /// consecutive device pages from `page`, charged as one copy of the
+    /// whole run; mirror of [`Self::dax_read`].
     pub fn dax_write(
         &self,
         ctx: &mut dyn SimCtx,
-        pos: u64,
-        buf: &[u8],
+        page: u64,
+        pages: &[&[u8]],
         simd: bool,
     ) -> Result<Cycles, DeviceError> {
+        let bytes = pages.len() * STORE_PAGE;
+        if pages.iter().any(|p| p.len() != STORE_PAGE) {
+            return Err(DeviceError::BufferSize {
+                expected: bytes,
+                got: pages.iter().map(|p| p.len()).sum(),
+            });
+        }
         let before = ctx.now();
-        self.store.write_range(pos, buf)?;
+        self.store.write_pages(page, pages, bytes)?;
         let sp = aquila_sim::span::begin(ctx, "pmem.write", aquila_sim::CostCat::Memcpy);
-        let copy = ctx.cost().memcpy(buf.len() as u64, simd);
+        let copy = ctx.cost().memcpy(bytes as u64, simd);
         let r = self
             .service
-            .submit(ctx.now(), self.profile.load_latency, buf.len() as u64);
+            .submit(ctx.now(), self.profile.load_latency, bytes as u64);
         ctx.charge(aquila_sim::CostCat::Memcpy, copy);
         ctx.wait_until(r.end, aquila_sim::CostCat::DeviceIo);
         ctx.counters().device_writes += 1;
-        ctx.counters().bytes_written += buf.len() as u64;
+        ctx.counters().bytes_written += bytes as u64;
         aquila_sim::span::end(ctx, sp);
         Ok(ctx.now() - before)
     }
@@ -146,24 +155,6 @@ impl PmemDevice {
         self.dax_read(ctx, page * STORE_PAGE as u64, buf, simd)?;
         Ok(())
     }
-
-    /// Page-granular DAX write.
-    pub fn dax_write_page(
-        &self,
-        ctx: &mut dyn SimCtx,
-        page: u64,
-        buf: &[u8],
-        simd: bool,
-    ) -> Result<(), DeviceError> {
-        if buf.len() != STORE_PAGE {
-            return Err(DeviceError::BufferSize {
-                expected: STORE_PAGE,
-                got: buf.len(),
-            });
-        }
-        self.dax_write(ctx, page * STORE_PAGE as u64, buf, simd)?;
-        Ok(())
-    }
 }
 
 impl core::fmt::Debug for PmemDevice {
@@ -175,6 +166,7 @@ impl core::fmt::Debug for PmemDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::page_list;
     use aquila_sim::{CostCat, FreeCtx};
 
     #[test]
@@ -182,7 +174,7 @@ mod tests {
         let dev = PmemDevice::dram_backed(16);
         let mut ctx = FreeCtx::new(1);
         let data: Vec<u8> = (0..STORE_PAGE).map(|i| (i % 256) as u8).collect();
-        dev.dax_write_page(&mut ctx, 3, &data, true).unwrap();
+        dev.dax_write(&mut ctx, 3, &[&data], true).unwrap();
         let mut back = vec![0u8; STORE_PAGE];
         dev.dax_read_page(&mut ctx, 3, &mut back, true).unwrap();
         assert_eq!(back, data);
@@ -196,10 +188,9 @@ mod tests {
         let data = vec![0u8; STORE_PAGE];
 
         let mut ctx_simd = FreeCtx::new(1);
-        dev.dax_write_page(&mut ctx_simd, 0, &data, true).unwrap();
+        dev.dax_write(&mut ctx_simd, 0, &[&data], true).unwrap();
         let mut ctx_scalar = FreeCtx::new(1);
-        dev.dax_write_page(&mut ctx_scalar, 1, &data, false)
-            .unwrap();
+        dev.dax_write(&mut ctx_scalar, 1, &[&data], false).unwrap();
 
         let simd = ctx_simd.breakdown.get(CostCat::Memcpy);
         let scalar = ctx_scalar.breakdown.get(CostCat::Memcpy);
@@ -217,7 +208,7 @@ mod tests {
         let mut ctx = FreeCtx::new(1);
         let chunk = vec![0u8; 256 * 1024];
         for i in 0..4 {
-            dev.dax_write(&mut ctx, i * chunk.len() as u64, &chunk, true)
+            dev.dax_write(&mut ctx, i * 64, &page_list(&chunk), true)
                 .unwrap();
         }
         assert!(ctx.now() >= Cycles::from_micros(50), "paced: {}", ctx.now());
@@ -227,7 +218,9 @@ mod tests {
     fn sub_page_ranges_work() {
         let dev = PmemDevice::dram_backed(4);
         let mut ctx = FreeCtx::new(1);
-        dev.dax_write(&mut ctx, 5000, b"tail", true).unwrap();
+        let mut page = vec![0u8; STORE_PAGE];
+        page[904..908].copy_from_slice(b"tail");
+        dev.dax_write(&mut ctx, 1, &[&page], true).unwrap();
         let mut buf = [0u8; 4];
         dev.dax_read(&mut ctx, 5000, &mut buf, false).unwrap();
         assert_eq!(&buf, b"tail");
@@ -238,7 +231,7 @@ mod tests {
         let dev = PmemDevice::dram_backed(4);
         let mut ctx = FreeCtx::new(1);
         assert_eq!(
-            dev.dax_write_page(&mut ctx, 0, &[0u8; 100], true),
+            dev.dax_write(&mut ctx, 0, &[&[0u8; 100]], true),
             Err(DeviceError::BufferSize {
                 expected: STORE_PAGE,
                 got: 100

@@ -13,6 +13,13 @@ use crate::error::DeviceError;
 /// Page size of the store (4 KiB).
 pub const STORE_PAGE: usize = 4096;
 
+/// Splits a contiguous buffer into the page list a device write takes:
+/// one 4 KiB slice per page (a short tail stays short, and the device
+/// rejects it).
+pub fn page_list(buf: &[u8]) -> Vec<&[u8]> {
+    buf.chunks(STORE_PAGE).collect()
+}
+
 /// A page-granular byte store.
 pub struct PageStore {
     pages: Vec<RwLock<Option<Box<[u8]>>>>,
@@ -121,6 +128,25 @@ impl PageStore {
             let n = (STORE_PAGE - off).min(buf.len() - done);
             self.write_at(page, off, &buf[done..done + n])?;
             done += n;
+        }
+        Ok(())
+    }
+
+    /// Writes the first `bytes` bytes of the page list `pages` (one
+    /// 4 KiB slice per page) to consecutive pages from `first`. A page
+    /// the cut leaves untouched is not materialized.
+    pub fn write_pages(
+        &self,
+        first: u64,
+        pages: &[&[u8]],
+        bytes: usize,
+    ) -> Result<(), DeviceError> {
+        for (i, data) in pages.iter().enumerate() {
+            let keep = bytes.saturating_sub(i * STORE_PAGE).min(data.len());
+            if keep == 0 {
+                break;
+            }
+            self.write_at(first + i as u64, 0, &data[..keep])?;
         }
         Ok(())
     }

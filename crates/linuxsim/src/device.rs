@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use aquila_devices::{BufRef, NvmeDevice, NvmeOp, PmemDevice, STORE_PAGE};
+use aquila_devices::{page_list, BufRef, NvmeDevice, NvmeOp, PmemDevice, STORE_PAGE};
 use aquila_sim::{CostCat, SimCtx};
 
 /// A device as seen from the host kernel.
@@ -59,26 +59,38 @@ impl KernelDevice {
         }
     }
 
-    /// Writes pages from within the kernel (writeback).
-    pub fn write_pages(&self, ctx: &mut dyn SimCtx, page: u64, buf: &[u8]) {
+    /// Writes a page list (one 4 KiB slice per page) to consecutive
+    /// device pages from `page`, from within the kernel (writeback).
+    pub fn write_page_list(&self, ctx: &mut dyn SimCtx, page: u64, pages: &[&[u8]]) {
         match self {
             KernelDevice::Pmem(d) => {
                 ctx.charge(CostCat::DeviceIo, aquila_sim::Cycles(240));
-                d.dax_write(ctx, page * STORE_PAGE as u64, buf, false)
+                d.dax_write(ctx, page, pages, false)
                     .expect("kernel writeback within device bounds");
             }
             KernelDevice::Nvme(d) => {
                 let c = ctx.cost().nvme_submit_kernel;
                 ctx.charge(CostCat::DeviceIo, c);
-                let pages = buf.len() / STORE_PAGE;
                 let qp = d.create_qpair();
-                qp.submit(ctx.now(), NvmeOp::Write, page, pages, BufRef::Shared(buf))
-                    .expect("kernel writeback within device bounds");
+                qp.submit(
+                    ctx.now(),
+                    NvmeOp::Write,
+                    page,
+                    pages.len(),
+                    BufRef::Pages(pages),
+                )
+                .expect("kernel writeback within device bounds");
                 qp.drain(ctx, CostCat::Idle);
                 ctx.counters().device_writes += 1;
-                ctx.counters().bytes_written += buf.len() as u64;
+                ctx.counters().bytes_written += (pages.len() * STORE_PAGE) as u64;
             }
         }
+    }
+
+    /// Writes `buf.len() / 4096` pages from a contiguous buffer, split
+    /// into its page list.
+    pub fn write_pages(&self, ctx: &mut dyn SimCtx, page: u64, buf: &[u8]) {
+        self.write_page_list(ctx, page, &page_list(buf));
     }
 }
 

@@ -531,10 +531,10 @@ impl LinuxMmap {
         }
         for v in victims {
             if v.dirty {
-                let mut data = vec![0u8; 4096];
-                self.cache.read_frame(v.frame, 0, &mut data);
                 let dev_page = self.file_dev_page(v.key.0, v.key.1)?;
-                self.dev.write_pages(ctx, dev_page, &data);
+                self.cache.with_frames(&[v.frame], |pages| {
+                    self.dev.write_page_list(ctx, dev_page, pages)
+                });
                 ctx.counters().writebacks += 1;
             }
         }
@@ -614,13 +614,11 @@ impl LinuxMmap {
                 while i + run < dirty.len() && dirty[i + run].0 .1 == dirty[i].0 .1 + run as u64 {
                     run += 1;
                 }
-                let mut data = vec![0u8; run * 4096];
-                for (j, &(_, frame)) in dirty[i..i + run].iter().enumerate() {
-                    self.cache
-                        .read_frame(frame, 0, &mut data[j * 4096..(j + 1) * 4096]);
-                }
+                let frames: Vec<u32> = dirty[i..i + run].iter().map(|&(_, f)| f).collect();
                 let dev_page = self.file_dev_page(file, dirty[i].0 .1)?;
-                self.dev.write_pages(ctx, dev_page, &data);
+                self.cache.with_frames(&frames, |pages| {
+                    self.dev.write_page_list(ctx, dev_page, pages)
+                });
                 for &(k, _) in &dirty[i..i + run] {
                     self.cache.clear_dirty(ctx, k);
                     ctx.counters().writebacks += 1;
@@ -630,10 +628,10 @@ impl LinuxMmap {
         } else {
             // Vanilla: page-at-a-time writeback.
             for &(k, frame) in &dirty {
-                let mut data = vec![0u8; 4096];
-                self.cache.read_frame(frame, 0, &mut data);
                 let dev_page = self.file_dev_page(file, k.1)?;
-                self.dev.write_pages(ctx, dev_page, &data);
+                self.cache.with_frames(&[frame], |pages| {
+                    self.dev.write_page_list(ctx, dev_page, pages)
+                });
                 self.cache.clear_dirty(ctx, k);
                 ctx.counters().writebacks += 1;
             }

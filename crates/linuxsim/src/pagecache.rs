@@ -341,6 +341,24 @@ impl KernelPageCache {
         buf.copy_from_slice(&data[offset..offset + buf.len()]);
     }
 
+    /// Runs `f` with the bytes of `frames` as a page list, in the order
+    /// given: writeback hands it straight to the device. The frames'
+    /// read locks are taken in ascending frame order and held while `f`
+    /// runs.
+    pub fn with_frames<R>(&self, frames: &[u32], f: impl FnOnce(&[&[u8]]) -> R) -> R {
+        let mut order: Vec<usize> = (0..frames.len()).collect();
+        order.sort_by_key(|&i| frames[i]);
+        let guards: Vec<_> = order
+            .iter()
+            .map(|&i| (i, self.frames[frames[i] as usize].read()))
+            .collect();
+        let mut pages: Vec<&[u8]> = vec![&[]; frames.len()];
+        for (i, data) in &guards {
+            pages[*i] = data;
+        }
+        f(&pages)
+    }
+
     /// Writes bytes into a frame.
     pub fn write_frame(&self, frame: u32, offset: usize, buf: &[u8]) {
         let mut data = self.frames[frame as usize].write();

@@ -15,9 +15,14 @@
 //!
 //! **Lock rule:** a frame's bytes are only reachable inside
 //! [`PhysMem::with_frame`] / [`PhysMem::with_frame_mut`], which hold its
-//! chunk's lock. No caller may take another frame while inside one of
-//! them: the other frame may share the chunk, and a nested write would
-//! deadlock.
+//! chunk's lock, or through a [`FramesView`], which holds the read locks
+//! of every chunk a batch touches. No caller may take another frame while
+//! inside one of them or while holding a view: the other frame may share
+//! a chunk, and a nested write would deadlock. A view takes its read
+//! locks in ascending chunk order, all at once, so two views never wait
+//! on each other.
+
+use std::sync::RwLockReadGuard;
 
 use aquila_sync::RwLock;
 
@@ -161,6 +166,29 @@ impl PhysMem {
         f(&mut chunk.write()[off..off + FRAME_BYTES])
     }
 
+    /// Shared access to the bytes of every frame in `frames`, for as long
+    /// as the view lives: device writes take their page lists straight
+    /// from it. Takes the read locks of the chunks the frames live in, in
+    /// ascending chunk order; see the module's lock rule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a frame is out of range.
+    pub fn read_view(&self, frames: impl IntoIterator<Item = FrameId>) -> FramesView<'_> {
+        let mut chunks: Vec<usize> = frames
+            .into_iter()
+            .map(|f| f.0 as usize / CHUNK_FRAMES)
+            .collect();
+        chunks.sort_unstable();
+        chunks.dedup();
+        FramesView {
+            guards: chunks
+                .into_iter()
+                .map(|c| (c, self.chunks[c].read()))
+                .collect(),
+        }
+    }
+
     /// Copies bytes out of a frame starting at `offset`.
     pub fn read(&self, frame: FrameId, offset: usize, buf: &mut [u8]) {
         self.with_frame(frame, |data| {
@@ -178,6 +206,30 @@ impl PhysMem {
     /// Zeroes a frame (frame recycling between mappings).
     pub fn zero(&self, frame: FrameId) {
         self.with_frame_mut(frame, |data| data.fill(0));
+    }
+}
+
+/// Read locks on the chunks of a batch of frames; see
+/// [`PhysMem::read_view`].
+pub struct FramesView<'a> {
+    /// `(chunk index, its read guard)`, ascending by chunk.
+    guards: Vec<(usize, RwLockReadGuard<'a, Box<[u8]>>)>,
+}
+
+impl FramesView<'_> {
+    /// The bytes of `frame`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` was not in the set the view was taken over.
+    pub fn frame(&self, frame: FrameId) -> &[u8] {
+        let idx = frame.0 as usize;
+        let at = self
+            .guards
+            .binary_search_by_key(&(idx / CHUNK_FRAMES), |(c, _)| *c)
+            .unwrap_or_else(|_| panic!("frame {} outside the view", frame.0));
+        let off = (idx % CHUNK_FRAMES) * FRAME_BYTES;
+        &self.guards[at].1[off..off + FRAME_BYTES]
     }
 }
 
@@ -282,6 +334,37 @@ mod tests {
         assert_eq!(&buf[..4], b"head");
         pm.with_frame(FrameId(510), |d| assert!(d.iter().all(|&b| b == 0)));
         pm.with_frame(FrameId(512), |d| assert_eq!(d.len(), 4096));
+    }
+
+    #[test]
+    fn read_view_spans_chunks_in_any_frame_order() {
+        // Three chunks; the view covers frames in the first and third,
+        // listed out of order and with a repeat.
+        let pm = PhysMem::new(Gpa(0), 1100);
+        for f in [3u32, 511, 512, 1099] {
+            pm.write(FrameId(f), 0, &[f as u8; 8]);
+        }
+        let frames = [FrameId(1099), FrameId(3), FrameId(1099), FrameId(511)];
+        let view = pm.read_view(frames);
+        for f in [3u32, 511, 1099] {
+            let data = view.frame(FrameId(f));
+            assert_eq!(data.len(), FRAME_BYTES);
+            assert_eq!(&data[..8], &[f as u8; 8]);
+            assert!(data[8..].iter().all(|&b| b == 0));
+        }
+        assert_eq!(view.guards.len(), 2, "one guard per touched chunk");
+        // Readers coexist with a view; the view holds no frame lock.
+        pm.with_frame(FrameId(512), |d| assert_eq!(&d[..8], &[0u8; 8][..]));
+        drop(view);
+        pm.write(FrameId(3), 0, b"after");
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the view")]
+    fn read_view_rejects_a_frame_it_does_not_cover() {
+        let pm = PhysMem::new(Gpa(0), 1024);
+        let view = pm.read_view([FrameId(0)]);
+        view.frame(FrameId(600));
     }
 
     #[test]

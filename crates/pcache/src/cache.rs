@@ -195,7 +195,7 @@ pub struct DramCache {
     /// Reverse mapping frame -> key for eviction (slot locked per frame).
     owners: Vec<Mutex<Option<PageKey>>>,
     cfg: CacheConfig,
-    active_frames: Mutex<usize>,
+    pool: Mutex<FramePool>,
     /// Free slab runs, sorted descending so `pop` yields the lowest id
     /// (deterministic allocation order).
     slab_free: Mutex<Vec<usize>>,
@@ -204,6 +204,18 @@ pub struct DramCache {
     slab_occupancy: Vec<Mutex<u16>>,
     /// Per-tenant residency/quota accounting (DESIGN.md §15).
     tenants: TenantTable,
+}
+
+/// Which ordinary frame ids the cache may use (dynamic resizing).
+struct FramePool {
+    /// Frames currently usable.
+    active: usize,
+    /// One past the highest frame id ever handed to the freelist.
+    high_water: usize,
+    /// Ids [`DramCache::shrink`] took off the freelist; [`DramCache::grow`]
+    /// hands these back before it extends `high_water`, so every id is
+    /// either free, in use or parked, never two of them.
+    parked: Vec<FrameId>,
 }
 
 impl DramCache {
@@ -239,7 +251,11 @@ impl DramCache {
             owners: (0..total_frames).map(|_| Mutex::new(None)).collect(),
             freelist,
             mem,
-            active_frames: Mutex::new(cfg.initial_frames),
+            pool: Mutex::new(FramePool {
+                active: cfg.initial_frames,
+                high_water: cfg.initial_frames,
+                parked: Vec::new(),
+            }),
             slab_free: Mutex::new((0..cfg.slab_runs).rev().collect()),
             slab_occupancy: (0..cfg.slab_runs).map(|_| Mutex::new(0)).collect(),
             tenants: TenantTable::new(),
@@ -328,7 +344,13 @@ impl DramCache {
     /// Frames currently usable by the cache (dynamic resizing changes
     /// this).
     pub fn active_frames(&self) -> usize {
-        *self.active_frames.lock()
+        self.pool.lock().active
+    }
+
+    /// One past the highest ordinary frame id the cache has ever used:
+    /// shrinking parks ids below it rather than lowering it.
+    pub fn high_water_frames(&self) -> usize {
+        self.pool.lock().high_water
     }
 
     /// Looks up a cached page, updating the LRU approximation.
@@ -776,34 +798,45 @@ impl DramCache {
     }
 
     /// Grows the active frame pool by `extra` frames (dynamic cache
-    /// resizing, backed by new EPT mappings in the engine). Returns the
-    /// number actually added (bounded by `max_frames`).
+    /// resizing, backed by new EPT mappings in the engine): ids a shrink
+    /// parked come back first, then fresh ids above the high-water mark.
+    /// Returns the number actually added (bounded by `max_frames`).
     pub fn grow(&self, extra: usize) -> usize {
-        let mut active = self.active_frames.lock();
-        let room = self.cfg.max_frames - *active;
-        let add = extra.min(room);
-        let start = *active as u32;
-        self.freelist
-            .grow(0, (start..start + add as u32).map(FrameId));
-        *active += add;
+        let mut pool = self.pool.lock();
+        let add = extra.min(self.cfg.max_frames - pool.active);
+        let reused = add.min(pool.parked.len());
+        let fresh = (add - reused) as u32;
+        let start = pool.high_water as u32;
+        let keep = pool.parked.len() - reused;
+        let back = pool.parked.split_off(keep);
+        self.freelist.grow(
+            0,
+            back.into_iter().chain((start..start + fresh).map(FrameId)),
+        );
+        pool.high_water += fresh as usize;
+        pool.active += add;
         add
     }
 
-    /// Shrinks the active pool by reclaiming up to `n` *free* frames;
-    /// returns how many were reclaimed. (Resident frames must be evicted
-    /// first by the engine.)
+    /// Shrinks the active pool by reclaiming up to `n` *free* frames and
+    /// parking their ids for a later [`DramCache::grow`]; returns how many
+    /// were reclaimed. (Resident frames must be evicted first by the
+    /// engine.)
     pub fn shrink(&self, n: usize) -> usize {
-        let mut active = self.active_frames.lock();
+        let mut pool = self.pool.lock();
         let mut got = 0;
         for _ in 0..n {
             // Reclaim from any core's perspective; core 0 is fine because
             // the freelist falls through to the node queues.
             match self.freelist.alloc(0) {
-                Some(_) => got += 1,
+                Some(f) => {
+                    pool.parked.push(f);
+                    got += 1;
+                }
                 None => break,
             }
         }
-        *active -= got;
+        pool.active -= got;
         got
     }
 
@@ -982,6 +1015,24 @@ mod tests {
         let reclaimed = cache.shrink(6);
         assert_eq!(reclaimed, 6);
         assert_eq!(cache.active_frames(), 10);
+    }
+
+    #[test]
+    fn regrowing_after_a_shrink_hands_out_each_frame_once() {
+        let mut cfg = CacheConfig::flat(16, 1);
+        cfg.initial_frames = 8;
+        let cache = DramCache::new(cfg);
+        assert_eq!(cache.grow(8), 8);
+        assert_eq!(cache.shrink(4), 4);
+        assert_eq!(cache.high_water_frames(), 16, "shrinking parks ids");
+        assert_eq!(cache.grow(4), 4);
+        assert_eq!(cache.high_water_frames(), 16);
+        let mut ctx = FreeCtx::new(1);
+        let mut got: Vec<u32> = std::iter::from_fn(|| cache.try_alloc(&mut ctx))
+            .map(|f| f.0)
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, (0..16).collect::<Vec<_>>(), "every frame exactly once");
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! pages in the paper's evaluation). Lock-free queues plus batching keep
 //! allocator contention negligible.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use aquila_sync::SegQueue;
 
 use aquila_mmu::FrameId;
@@ -100,6 +102,11 @@ pub struct Freelist {
     cfg: FreelistConfig,
     core_queues: Vec<SegQueue<FrameId>>,
     node_queues: Vec<SegQueue<FrameId>>,
+    /// Frames across all queues. A frame entering the freelist counts
+    /// before it is pushed and one leaving stops counting after it is
+    /// popped, so the count never undercounts; moves between levels
+    /// leave it alone.
+    free: AtomicUsize,
 }
 
 impl Freelist {
@@ -115,8 +122,10 @@ impl Freelist {
             node_queues: (0..topo.nodes).map(|_| SegQueue::new()).collect(),
             topo,
             cfg,
+            free: AtomicUsize::new(0),
         };
         for (i, frame) in frames.enumerate() {
+            fl.free.fetch_add(1, Ordering::Relaxed);
             fl.node_queues[i % fl.topo.nodes].push(frame);
         }
         fl
@@ -142,6 +151,15 @@ impl Freelist {
     /// frames from the victim's queue into the stealer's (deterministic
     /// ascending victim scan), so one steal rebalances a run of them.
     pub fn alloc_traced(&self, core: usize) -> Option<(FrameId, AllocOutcome)> {
+        let got = self.take(core);
+        if got.is_some() {
+            self.free.fetch_sub(1, Ordering::Relaxed);
+        }
+        got
+    }
+
+    /// The search behind [`Freelist::alloc_traced`], without the count.
+    fn take(&self, core: usize) -> Option<(FrameId, AllocOutcome)> {
         let core = core % self.core_queues.len();
         if let Some(f) = self.core_queues[core].pop() {
             return Some((f, AllocOutcome::LocalHit));
@@ -207,6 +225,7 @@ impl Freelist {
     pub fn free(&self, core: usize, frame: FrameId) -> bool {
         let core = core % self.core_queues.len();
         let cq = &self.core_queues[core];
+        self.free.fetch_add(1, Ordering::Relaxed);
         cq.push(frame);
         if cq.len() > self.cfg.core_spill_threshold {
             let node = &self.node_queues[self.topo.node_of(core)];
@@ -221,16 +240,18 @@ impl Freelist {
         false
     }
 
-    /// Total free frames across all queues (approximate under concurrency).
+    /// Total free frames across all queues (approximate under
+    /// concurrency, exact whenever no push or pop is in progress). O(1):
+    /// the watermark checks read it on every evictor poll.
     pub fn free_count(&self) -> usize {
-        self.core_queues.iter().map(|q| q.len()).sum::<usize>()
-            + self.node_queues.iter().map(|q| q.len()).sum::<usize>()
+        self.free.load(Ordering::Relaxed)
     }
 
     /// Adds new frames (dynamic cache growth) to a node queue.
     pub fn grow(&self, node: usize, frames: impl Iterator<Item = FrameId>) {
         let node = node % self.topo.nodes;
         for f in frames {
+            self.free.fetch_add(1, Ordering::Relaxed);
             self.node_queues[node].push(f);
         }
     }
@@ -448,6 +469,37 @@ mod tests {
             );
         }
         assert!(fl.alloc(0).is_none());
+    }
+
+    /// The O(1) count agrees with the queues it summarizes through
+    /// refills, spills, steals and growth.
+    #[test]
+    fn free_count_matches_the_queues() {
+        let cfg = FreelistConfig {
+            core_spill_threshold: 12,
+            level_batch: 8,
+            steal_batch: 3,
+        };
+        let fl = Freelist::new(NumaTopology::paper_testbed(), cfg, frames(40));
+        let summed = |fl: &Freelist| {
+            fl.core_queues.iter().map(|q| q.len()).sum::<usize>()
+                + fl.node_queues.iter().map(|q| q.len()).sum::<usize>()
+        };
+        let mut held = Vec::new();
+        for i in 0..200usize {
+            if i % 3 == 2 {
+                if let Some(f) = held.pop() {
+                    fl.free(i % 7, f);
+                }
+            } else if let Some(f) = fl.alloc(i % 32) {
+                held.push(f);
+            }
+            if i == 100 {
+                fl.grow(1, (40..50).map(FrameId));
+            }
+            assert_eq!(fl.free_count(), summed(&fl), "step {i}");
+        }
+        assert_eq!(fl.free_count() + held.len(), 50);
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! and usable from real threads in library code, even though the engine
 //! itself is single-threaded.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use aquila_sync::Mutex;
 
 use crate::time::Cycles;
@@ -137,7 +140,9 @@ impl SimRwLock {
 
 #[derive(Debug)]
 struct ServiceState {
-    channels: Vec<Cycles>,
+    /// Each channel's free time, earliest on top. Channels are
+    /// interchangeable, so only the multiset of free times matters.
+    channels: BinaryHeap<Reverse<Cycles>>,
     gate: Cycles,
 }
 
@@ -175,7 +180,7 @@ impl ServiceCenter {
             .unwrap_or(0);
         ServiceCenter {
             state: Mutex::new(ServiceState {
-                channels: vec![Cycles::ZERO; channels],
+                channels: vec![Reverse(Cycles::ZERO); channels].into(),
                 gate: Cycles::ZERO,
             }),
             gap_per_op,
@@ -193,15 +198,11 @@ impl ServiceCenter {
             self.gap_per_op + Cycles(self.gap_per_byte_femto.saturating_mul(bytes) / 1_000_000_000);
         st.gate = admit + advance;
         // Channel selection: earliest-available channel.
-        let (idx, _) = st
-            .channels
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, c)| *c)
-            .expect("at least one channel");
-        let start = admit.max(st.channels[idx]);
+        let mut earliest = st.channels.peek_mut().expect("at least one channel");
+        let start = admit.max(earliest.0);
         let end = start + service;
-        st.channels[idx] = end;
+        *earliest = Reverse(end);
+        drop(earliest);
         Reservation {
             wait: start - now,
             start,
@@ -216,16 +217,15 @@ impl ServiceCenter {
             .lock()
             .channels
             .iter()
-            .filter(|&&c| c > now)
+            .filter(|c| c.0 > now)
             .count()
     }
 
     /// Resets reservation state.
     pub fn reset(&self) {
         let mut st = self.state.lock();
-        for c in st.channels.iter_mut() {
-            *c = Cycles::ZERO;
-        }
+        let channels = st.channels.len();
+        st.channels = vec![Reverse(Cycles::ZERO); channels].into();
         st.gate = Cycles::ZERO;
     }
 }
@@ -320,6 +320,86 @@ mod tests {
         assert_eq!(d.busy_channels(Cycles(0)), 0);
         let a = d.submit(Cycles(0), Cycles(10), 1);
         assert_eq!(a.wait, Cycles::ZERO);
+    }
+
+    /// The linear scan `submit` used before the channel heap: take the
+    /// first earliest-free channel of a flat list.
+    struct ScanCenter {
+        channels: Vec<Cycles>,
+        gate: Cycles,
+        gap_per_op: Cycles,
+        gap_per_byte_femto: u64,
+    }
+
+    impl ScanCenter {
+        fn like(d: &ServiceCenter, channels: usize) -> ScanCenter {
+            ScanCenter {
+                channels: vec![Cycles::ZERO; channels],
+                gate: Cycles::ZERO,
+                gap_per_op: d.gap_per_op,
+                gap_per_byte_femto: d.gap_per_byte_femto,
+            }
+        }
+
+        fn submit(&mut self, now: Cycles, service: Cycles, bytes: u64) -> Reservation {
+            let admit = now.max(self.gate);
+            self.gate = admit
+                + self.gap_per_op
+                + Cycles(self.gap_per_byte_femto.saturating_mul(bytes) / 1_000_000_000);
+            let (idx, _) = self
+                .channels
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, c)| *c)
+                .expect("at least one channel");
+            let start = admit.max(self.channels[idx]);
+            let end = start + service;
+            self.channels[idx] = end;
+            Reservation {
+                wait: start - now,
+                start,
+                end,
+            }
+        }
+
+        fn busy_channels(&self, now: Cycles) -> usize {
+            self.channels.iter().filter(|&&c| c > now).count()
+        }
+    }
+
+    #[test]
+    fn channel_heap_matches_the_linear_scan() {
+        // Seeded submission streams with bursts (many arrivals at one
+        // instant), idle gaps, mixed service times and sizes, on an
+        // Optane-like and on a narrow, gate-free device.
+        for (seed, channels, iops, bw) in [
+            (1u64, 128usize, 550_000u64, 2_400_000_000u64),
+            (7, 4, 0, 0),
+            (0xBEEF, 48, 0, 50_000_000_000),
+        ] {
+            let heap = ServiceCenter::new(channels, iops, bw);
+            let mut scan = ScanCenter::like(&heap, channels);
+            let mut rng = crate::rng::Rng64::new(seed);
+            let mut now = Cycles::ZERO;
+            for i in 0..20_000u64 {
+                match rng.next_u64() % 8 {
+                    0 => now += Cycles(rng.next_u64() % 200_000),
+                    1..=3 => now += Cycles(rng.next_u64() % 2_000),
+                    _ => {}
+                }
+                let service = Cycles(1_000 + rng.next_u64() % 40_000);
+                let bytes = 4096 * (1 + rng.next_u64() % 16);
+                let a = heap.submit(now, service, bytes);
+                let b = scan.submit(now, service, bytes);
+                assert_eq!(a, b, "seed {seed} submission {i}");
+                let probe = now + Cycles(rng.next_u64() % 30_000);
+                assert_eq!(heap.busy_channels(probe), scan.busy_channels(probe));
+                if i == 10_000 {
+                    heap.reset();
+                    scan = ScanCenter::like(&heap, channels);
+                }
+            }
+        }
     }
 
     #[test]
