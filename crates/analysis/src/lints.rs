@@ -165,12 +165,15 @@ pub fn lint_file(path: &str, source: &str) -> Vec<Finding> {
         // Entry points whose Results carry DeviceError (directly or via
         // a wrapper like BlobError); `.read(`/`.write(` are too generic
         // to list without drowning the lint in engine-API noise.
-        const DEVICE_TOKENS: [&str; 12] = [
+        const DEVICE_TOKENS: [&str; 15] = [
             "read_pages",
             "write_pages",
             "write_page_list",
+            "read_refs",
+            "write_refs",
             "dax_read",
             "dax_write",
+            "adopt",
             "read_at",
             "write_at",
             "read_range",
@@ -837,6 +840,8 @@ fn b(&self) { let f = self.files.lock(); }
     #[test]
     fn aq006_flags_device_calls_elsewhere_including_chains() {
         let inline = "fn f() { access.write_pages(ctx, 0, &b).unwrap(); }\n";
+        let refs = "fn f() { access.read_refs(ctx, 0, &mut out).unwrap(); }\n";
+        let adopt = "fn f() { store.adopt(3, page).expect(\"in range\"); }\n";
         let chained = "\
 fn f() {
     self.access
@@ -844,7 +849,7 @@ fn f() {
         .expect(\"SST write\");
 }
 ";
-        for src in [inline, chained] {
+        for src in [inline, refs, adopt, chained] {
             let findings = lint_file("crates/kvstore/src/x.rs", src);
             assert!(
                 findings.iter().any(|f| f.lint == Lint::DeviceUnwrap),

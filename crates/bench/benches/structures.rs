@@ -277,6 +277,76 @@ fn bench_writeback(name: &str, mirror: bool) {
     );
 }
 
+/// Host cost of one major-fault fill: a 1024-frame cache under an
+/// 8192-page file whose every page holds data on the device, read
+/// without readahead, so nearly every read fills a frame (and evicts a
+/// clean one). Timed alone and reported per major fault.
+fn bench_fill(name: &str, kind: aquila::DeviceKind, mirror: bool) {
+    const FILE_PAGES: u64 = 8192;
+    const READS: u64 = 100_000;
+    let mut ctx = FreeCtx::new(1);
+    let debts = Arc::new(aquila_sim::CoreDebts::new(1));
+    let policy = aquila::MmioPolicy {
+        mirror,
+        ..aquila::MmioPolicy::default()
+    };
+    let rt = aquila::AquilaRuntime::build_with_policy(
+        &mut ctx,
+        kind,
+        1 << 15,
+        1 << 10,
+        1,
+        debts,
+        policy,
+    );
+    let f = rt.open("/bench-fill", FILE_PAGES).expect("open");
+    let addr = rt
+        .aquila
+        .mmap(&mut ctx, f, 0, FILE_PAGES, aquila::Prot::RW)
+        .expect("map");
+    rt.aquila
+        .madvise(&mut ctx, addr, FILE_PAGES, aquila::Advice::Random)
+        .expect("madvise");
+    for p in 0..FILE_PAGES {
+        rt.aquila
+            .write(&mut ctx, addr.add(p * 4096 + 8), &p.to_le_bytes())
+            .expect("write");
+    }
+    rt.aquila.msync(&mut ctx, addr, FILE_PAGES).expect("msync");
+    let mut buf = [0u8; 64];
+    let mut p = 0u64;
+    let faults = ctx.stats.major_faults;
+    let t0 = Instant::now();
+    for _ in 0..READS {
+        p = (p + 613) % FILE_PAGES;
+        rt.aquila
+            .read(&mut ctx, addr.add(p * 4096), &mut buf)
+            .expect("read");
+    }
+    let elapsed = t0.elapsed();
+    let fills = ctx.stats.major_faults - faults;
+    println!(
+        "fill/{name:<29} {:>10.1} ns/fill ({fills} major faults, {:.3} s)",
+        elapsed.as_nanos() as f64 / fills as f64,
+        elapsed.as_secs_f64()
+    );
+}
+
+/// Host cost of the first write to a frame that shares its page with a
+/// device store: the frame takes a reference to the stored page (a fill),
+/// then an 8-byte write copies the page before writing it.
+fn bench_cow() {
+    let mem = aquila_mmu::PhysMem::new(Gpa(0), 1);
+    let stored = aquila_sim::Page::copy_of(&[0x5A; STORE_PAGE]);
+    let frame = aquila_mmu::FrameId(0);
+    let mut x = 0u64;
+    bench("cow", "first_write", 1_000_000, || {
+        mem.install(frame, stored.clone());
+        x += 1;
+        mem.write(frame, 64, &x.to_le_bytes());
+    });
+}
+
 fn bench_tlb() {
     let fabric = aquila_mmu::TlbFabric::new(32);
     let debts = aquila_sim::CoreDebts::new(32);
@@ -297,5 +367,9 @@ fn main() {
     bench_integrity();
     bench_writeback("msync_spdk_nvme", false);
     bench_writeback("msync_mirror", true);
+    bench_fill("pmem_dax", aquila::DeviceKind::PmemDax, false);
+    bench_fill("spdk_nvme", aquila::DeviceKind::NvmeSpdk, false);
+    bench_fill("mirror", aquila::DeviceKind::NvmeSpdk, true);
+    bench_cow();
     bench_tlb();
 }

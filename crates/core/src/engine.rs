@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use aquila_sync::Mutex;
 
-use aquila_devices::{DeviceError, StorageAccess, STORE_PAGE};
+use aquila_devices::{DeviceError, StorageAccess};
 use aquila_mmu::{
     Access, FrameId, Gva, LeafKind, PhysMem, PteFlags, ShardedPageTable, TlbFabric, Vpn,
     HUGE_PAGE_PAGES, L_PT_SHARD, PAGE_SIZE,
@@ -30,7 +30,7 @@ use aquila_mmu::{
 use aquila_pcache::{
     coalesce_runs, CacheConfig, DirtyPage, DramCache, PageKey, Victim, MAX_TENANTS,
 };
-use aquila_sim::{race, CoreDebts, CostCat, Cycles, SimCtx, Step, ThreadFn};
+use aquila_sim::{race, CoreDebts, CostCat, Cycles, Page, SimCtx, Step, ThreadFn};
 use aquila_vmx::{Gpa, Vcpu, PAGE_1G};
 
 use crate::error::AquilaError;
@@ -849,11 +849,11 @@ impl Aquila {
         aquila_sim::metrics::add(ctx, "aquila.fault.major", 1);
         let frame = self.alloc_frame_for(ctx, desc.file)?;
         let sp_read = aquila_sim::span::begin(ctx, "aquila.fault.read", CostCat::DeviceIo);
-        // The device fills the frame in place; the frame is private to
-        // this fault until `commit_insert` publishes it.
-        let read = self.cache.mem().with_frame_mut(frame, |data| {
-            self.files.read_pages(ctx, file, file_page, data)
-        });
+        // The fill installs the device's own page in the frame (the model
+        // charges the copy); the frame is private to this fault until
+        // `commit_insert` publishes it.
+        let mut page = [Page::zero()];
+        let read = self.files.read_refs(ctx, file, file_page, &mut page);
         aquila_sim::span::end(ctx, sp_read);
         if let Err(e) = read {
             self.cache.release_frame(ctx, frame);
@@ -867,6 +867,8 @@ impl Aquila {
             }
             return Err(e);
         }
+        let [page] = page;
+        self.cache.mem().install(frame, page);
         match self.cache.commit_insert(ctx, key, frame) {
             Ok(()) => {
                 self.map_frame(ctx, vpn, key, frame, access);
@@ -1269,28 +1271,27 @@ impl Aquila {
             return;
         }
         let sp = aquila_sim::span::begin(ctx, "aquila.readahead", CostCat::DeviceIo);
-        // One multi-page read for the contiguous prefix.
+        // One multi-page read for the contiguous prefix; each prefetched
+        // frame gets the device's page by reference.
         let mut run = 1usize;
         while run < to_fetch.len() && to_fetch[run] == to_fetch[0] + run as u64 {
             run += 1;
         }
-        let mut buf = vec![0u8; run * STORE_PAGE];
+        let mut pages = vec![Page::zero(); run];
         if self
             .files
-            .read_pages(ctx, file, to_fetch[0], &mut buf)
+            .read_refs(ctx, file, to_fetch[0], &mut pages)
             .is_err()
         {
             aquila_sim::span::end(ctx, sp);
             return;
         }
-        for (i, &fp) in to_fetch[..run].iter().enumerate() {
+        for (page, &fp) in pages.into_iter().zip(&to_fetch[..run]) {
             let frame = match self.cache.try_alloc(ctx) {
                 Some(f) => f,
                 None => break, // Never evict for readahead.
             };
-            self.cache
-                .mem()
-                .write(frame, 0, &buf[i * STORE_PAGE..(i + 1) * STORE_PAGE]);
+            self.cache.mem().install(frame, page);
             let key = PageKey::new(desc.file, fp);
             if self.cache.commit_insert(ctx, key, frame).is_err() {
                 self.cache.release_frame(ctx, frame);
@@ -1398,19 +1399,20 @@ impl Aquila {
         let file = FileId(desc.file);
         // Stage 1: device reads for the holes — the only fallible step,
         // done before any state changes so an error aborts cleanly.
-        let mut fills: Vec<(usize, Vec<u8>)> = Vec::new();
+        let mut fills: Vec<(usize, Page)> = Vec::new();
         for (i, f) in frames.iter().enumerate() {
             if f.is_none() {
-                let mut buf = vec![0u8; STORE_PAGE];
+                let mut page = [Page::zero()];
                 if self
                     .files
-                    .read_pages(ctx, file, fp_base + i as u64, &mut buf)
+                    .read_refs(ctx, file, fp_base + i as u64, &mut page)
                     .is_err()
                 {
                     self.cache.release_slab_run(ctx, run);
                     return;
                 }
-                fills.push((i, buf));
+                let [page] = page;
+                fills.push((i, page));
             }
         }
         // Stage 2: repoint the cache into the slab run (infallible; the
@@ -1429,10 +1431,10 @@ impl Aquila {
                 displaced.push(old);
             }
         }
-        for (i, buf) in &fills {
-            let slab = self.cache.slab_run_frame(run, *i);
-            self.cache.mem().write(slab, 0, buf);
-            let key = PageKey::new(desc.file, fp_base + *i as u64);
+        for (i, page) in fills {
+            let slab = self.cache.slab_run_frame(run, i);
+            self.cache.mem().install(slab, page);
+            let key = PageKey::new(desc.file, fp_base + i as u64);
             self.cache
                 .insert_pinned(ctx, key, slab)
                 .expect("scan saw the page absent under the fault lock");
@@ -1723,10 +1725,10 @@ impl core::fmt::Debug for Aquila {
 
 /// Submits planned segments straight from the cache frames, one
 /// [`StorageAccess::write_batch`] per run of segments on the same access
-/// path, and returns the device commands issued. Each segment's page list
-/// points into the frames of `dirty`, so the device copies every page
-/// once, from its frame; the frames' chunks stay read-locked until the
-/// last batch returns.
+/// path, and returns the device commands issued. Each segment's pages are
+/// the frames' own pages, handed over by reference: the device adopts
+/// them at submission, and the frame's next write copies first, so the
+/// bytes the device holds never change under it.
 pub(crate) fn write_planned(
     ctx: &mut dyn SimCtx,
     mem: &PhysMem,
@@ -1734,11 +1736,10 @@ pub(crate) fn write_planned(
     segs: &[Segment],
     depth: usize,
 ) -> Result<u64, AquilaError> {
-    let view = mem.read_view(dirty.iter().map(|d| d.frame));
-    let pages: Vec<&[u8]> = dirty.iter().map(|d| view.frame(d.frame)).collect();
+    let pages: Vec<Page> = dirty.iter().map(|d| mem.page(d.frame)).collect();
     let mut ios = 0;
     for group in segs.chunk_by(|a, b| Arc::ptr_eq(&a.0, &b.0)) {
-        let batch: Vec<(u64, &[&[u8]])> = group
+        let batch: Vec<(u64, &[Page])> = group
             .iter()
             .map(|(_, dev, at)| (*dev, &pages[at.clone()]))
             .collect();

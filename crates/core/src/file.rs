@@ -12,7 +12,7 @@ use std::sync::Arc;
 use aquila_sync::{DetMap, RwLock};
 
 use aquila_devices::{BlobId, Blobstore, StorageAccess, STORE_PAGE};
-use aquila_sim::SimCtx;
+use aquila_sim::{Page, SimCtx};
 
 use crate::error::AquilaError;
 
@@ -230,10 +230,28 @@ impl Files {
         Ok(Arc::clone(self.get(id)?.access()))
     }
 
-    /// Reads file pages `[page, page + buf.len()/4096)` from the device.
+    /// Reads file pages `[page, page + out.len())` from the device, each
+    /// slot receiving a reference to the device's page (the fault path's
+    /// fill by reference).
     ///
     /// Runs of logically contiguous pages that are also contiguous on the
     /// device (within a blob cluster) are issued as single larger I/Os.
+    pub fn read_refs(
+        &self,
+        ctx: &mut dyn SimCtx,
+        id: FileId,
+        page: u64,
+        out: &mut [Page],
+    ) -> Result<(), AquilaError> {
+        let obj = self.get(id)?;
+        for (dev, i, len) in split(&obj, page, out.len())? {
+            obj.access().read_refs(ctx, dev, &mut out[i..i + len])?;
+        }
+        Ok(())
+    }
+
+    /// Reads file pages `[page, page + buf.len()/4096)` into a buffer;
+    /// [`Files::read_refs`] plus one copy per page.
     pub fn read_pages(
         &self,
         ctx: &mut dyn SimCtx,

@@ -1483,29 +1483,33 @@ fn doubly_mapped_frames_unmap_and_evict_cleanly() {
     );
 }
 
-/// Writeback hands the device slices of the cache frames themselves:
-/// whatever the access path, the device ends up holding exactly the
-/// frames' bytes. The first segment's frames are out of order and
-/// straddle a `PhysMem` chunk boundary (frames 511 and 512); a
-/// single-page segment rides in the same batch.
+/// Writeback hands the device the cache frames' own pages: whatever the
+/// access path, the device ends up holding the very pages the frames
+/// hold (both copies, for a mirror), and a later write to a frame copies
+/// first, so the device keeps the bytes it was given. The first
+/// segment's frames are out of order; a single-page segment rides in the
+/// same batch.
 #[test]
-fn page_list_writeback_lands_the_frames_bytes_on_every_path() {
+fn writeback_hands_the_frames_pages_to_every_path() {
     use aquila_devices::{
         CallDomain, DaxAccess, HostNvmeAccess, MirrorAccess, NvmeDevice, PmemDevice, SpdkAccess,
         StorageAccess, STORE_PAGE,
     };
     use aquila_mmu::{FrameId, PhysMem};
     use aquila_pcache::{DirtyPage, PageKey};
+    use aquila_sim::Page;
 
     use crate::engine::{write_planned, Segment};
 
     let mem = PhysMem::new(aquila_vmx::Gpa(0), 1024);
     let frames = [512u32, 40, 511, 513];
-    for &f in &frames {
-        let bytes: Vec<u8> = (0..STORE_PAGE)
+    let bytes_of = |f: u32| -> Vec<u8> {
+        (0..STORE_PAGE)
             .map(|i| (i as u32 * 7 + f * 13) as u8)
-            .collect();
-        mem.write(FrameId(f), 0, &bytes);
+            .collect()
+    };
+    for &f in &frames {
+        mem.write(FrameId(f), 0, &bytes_of(f));
     }
     let dirty: Vec<DirtyPage> = frames
         .iter()
@@ -1553,12 +1557,24 @@ fn page_list_writeback_lands_the_frames_bytes_on_every_path() {
                 (Arc::clone(&access), 9, 3..4),
             ];
             write_planned(&mut ctx, &mem, &dirty, &segs, depth).unwrap();
-            for (dev, frame) in [(20u64, 512u32), (21, 40), (22, 511), (9, 513)] {
+            let placed = [(20u64, 512u32), (21, 40), (22, 511), (9, 513)];
+            for (dev, frame) in placed {
+                let mut got = [Page::zero()];
+                access.read_refs(&mut ctx, dev, &mut got).unwrap();
+                assert!(
+                    got[0].same_as(&mem.page(FrameId(frame))),
+                    "{name} depth {depth}: device page {dev} is the frame's page"
+                );
+            }
+            // The frames' next writes copy; the device keeps what it got.
+            for (_, frame) in placed {
+                mem.write(FrameId(frame), 0, b"later");
+            }
+            for (dev, frame) in placed {
                 let mut back = vec![0u8; STORE_PAGE];
                 access.read_pages(&mut ctx, dev, &mut back).unwrap();
-                let mut want = vec![0u8; STORE_PAGE];
-                mem.read(FrameId(frame), 0, &mut want);
-                assert_eq!(back, want, "{name} depth {depth}: device page {dev}");
+                assert_eq!(back, bytes_of(frame), "{name} depth {depth}: page {dev}");
+                mem.write(FrameId(frame), 0, &bytes_of(frame));
             }
             if mirrored {
                 let c = access.integrity_counters().unwrap();
@@ -1568,5 +1584,44 @@ fn page_list_writeback_lands_the_frames_bytes_on_every_path() {
                 }
             }
         }
+    }
+}
+
+/// A page dirtied through one mapping, unmapped while still cached and
+/// dirty, then dirtied again from another core through a new mapping,
+/// sits in one dirty tree. Entered in both, the second core's entry
+/// outlived the page's eviction, and msync wrote the frame's next
+/// occupant over the page on the device.
+#[test]
+fn a_page_redirtied_from_another_core_is_written_back_once() {
+    let debts = Arc::new(CoreDebts::new(2));
+    let mut c0 = FreeCtx::new(42).with_core(0, 2);
+    let rt = AquilaRuntime::build(&mut c0, DeviceKind::NvmeSpdk, 65536, 16, 2, debts);
+    let mut c1 = FreeCtx::new(43).with_core(1, 2);
+    rt.aquila.thread_enter(&mut c0);
+    rt.aquila.thread_enter(&mut c1);
+    let f = rt.open("/data/redirty", 64).unwrap();
+    let a = rt.aquila.mmap(&mut c0, f, 0, 64, Prot::RW).unwrap();
+    rt.aquila.write(&mut c0, a, &[0xAA; 8]).unwrap();
+    rt.aquila.munmap(&mut c0, a, 64).unwrap();
+    assert_eq!(rt.aquila.cache().dirty_count(), 1, "still cached and dirty");
+    let b = rt.aquila.mmap(&mut c1, f, 0, 64, Prot::RW).unwrap();
+    rt.aquila.write(&mut c1, b, &[0xBB; 8]).unwrap();
+    assert_eq!(rt.aquila.cache().dirty_count(), 1, "one page, one entry");
+    // 39 more pages through a 16-frame cache evict page 0.
+    for p in 1..40u64 {
+        rt.aquila
+            .write(&mut c1, b.add(p * 4096), &[0x20 + p as u8; 8])
+            .unwrap();
+    }
+    rt.aquila.msync(&mut c1, b, 64).unwrap();
+    for p in 0..40u64 {
+        let mut page = vec![0u8; 4096];
+        rt.aquila
+            .files()
+            .read_pages(&mut c1, f, p, &mut page)
+            .unwrap();
+        let want = if p == 0 { 0xBB } else { 0x20 + p as u8 };
+        assert_eq!(&page[..8], &[want; 8], "device page {p}");
     }
 }

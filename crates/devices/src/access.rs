@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use aquila_sim::{CostCat, SimCtx};
+use aquila_sim::{CostCat, Page, SimCtx};
 
 use crate::error::DeviceError;
 use crate::nvme::{BufRef, NvmeDevice, NvmeOp, QueuePair};
@@ -82,51 +82,98 @@ impl AccessKind {
 
 /// A blocking page-granular storage path.
 ///
-/// `read_pages`/`write_page_list` return once the data is usable, having
+/// `read_refs`/`write_refs` return once the data is usable, having
 /// charged all CPU, transition, and device costs to the context.
 ///
-/// Every write carries its data as a page list: one 4 KiB slice per
-/// device page, in device order, like an NVMe PRP list. Writeback hands
-/// slices of the cache frames themselves, so the device copies each page
-/// once, from the frame into its store.
+/// Data moves as [`Page`] references into the process-wide page pool
+/// ([`aquila_sim::page`]): a read hands out the device's own pages and a
+/// write's pages are adopted by the device's store, one page per device
+/// page in device order, like an NVMe PRP list. A cache fill therefore
+/// installs the device's page in its frame and writeback hands the frame's
+/// page over; the host copies a page only when one side later writes it.
+/// The charges model the hardware and are the same as if every byte
+/// moved. The slice forms [`StorageAccess::read_pages`] and
+/// [`StorageAccess::write_page_list`] are provided wrappers that copy
+/// once, for callers that keep their bytes in their own buffers.
 pub trait StorageAccess: Send + Sync {
     /// The path's kind.
     fn kind(&self) -> AccessKind;
     /// Device capacity in 4 KiB pages.
     fn capacity_pages(&self) -> u64;
-    /// Reads `buf.len() / 4096` pages starting at `page`.
+    /// Reads `out.len()` pages starting at `page` as one command; each
+    /// slot receives a reference to the device's page.
+    fn read_refs(
+        &self,
+        ctx: &mut dyn SimCtx,
+        page: u64,
+        out: &mut [Page],
+    ) -> Result<(), DeviceError>;
+    /// Writes `pages.len()` device-contiguous pages starting at `page` as
+    /// one command; the device adopts the pages themselves.
+    fn write_refs(
+        &self,
+        ctx: &mut dyn SimCtx,
+        page: u64,
+        pages: &[Page],
+    ) -> Result<(), DeviceError>;
+    /// Reads `buf.len() / 4096` pages starting at `page` into a
+    /// contiguous buffer: [`StorageAccess::read_refs`] plus one copy per
+    /// page.
     fn read_pages(
         &self,
         ctx: &mut dyn SimCtx,
         page: u64,
         buf: &mut [u8],
-    ) -> Result<(), DeviceError>;
-    /// Writes `pages.len()` device-contiguous pages starting at `page`,
-    /// one 4 KiB slice each, as one command.
+    ) -> Result<(), DeviceError> {
+        if !buf.len().is_multiple_of(STORE_PAGE) {
+            return Err(DeviceError::BufferSize {
+                expected: buf.len().next_multiple_of(STORE_PAGE),
+                got: buf.len(),
+            });
+        }
+        let mut out = vec![Page::zero(); buf.len() / STORE_PAGE];
+        self.read_refs(ctx, page, &mut out)?;
+        for (dst, data) in buf.chunks_exact_mut(STORE_PAGE).zip(&out) {
+            dst.copy_from_slice(&data.read());
+        }
+        Ok(())
+    }
+    /// Writes a page list of 4 KiB slices to consecutive pages from
+    /// `page` as one command: one copy per page into a fresh [`Page`],
+    /// then [`StorageAccess::write_refs`].
     fn write_page_list(
         &self,
         ctx: &mut dyn SimCtx,
         page: u64,
         pages: &[&[u8]],
-    ) -> Result<(), DeviceError>;
+    ) -> Result<(), DeviceError> {
+        if pages.iter().any(|p| p.len() != STORE_PAGE) {
+            return Err(DeviceError::BufferSize {
+                expected: pages.len() * STORE_PAGE,
+                got: pages.iter().map(|p| p.len()).sum(),
+            });
+        }
+        let copies: Vec<Page> = pages.iter().map(|p| Page::copy_of(p)).collect();
+        self.write_refs(ctx, page, &copies)
+    }
     /// Writes `buf.len() / 4096` pages starting at `page`, from a
     /// contiguous buffer split into its page list.
     fn write_pages(&self, ctx: &mut dyn SimCtx, page: u64, buf: &[u8]) -> Result<(), DeviceError> {
         self.write_page_list(ctx, page, &page_list(buf))
     }
-    /// Writes a batch of device-contiguous segments `(first page, page
-    /// list)`, keeping up to `depth` commands in flight where the path
+    /// Writes a batch of device-contiguous segments `(first page,
+    /// pages)`, keeping up to `depth` commands in flight where the path
     /// has real queue pairs, and returns the number of device commands
     /// issued. Every segment is durable when it returns `Ok`.
     ///
     /// This is the engine's one writeback primitive. The
     /// default is the blocking one-command-then-drain loop over
-    /// [`StorageAccess::write_page_list`], which is what DAX, the
-    /// host-kernel paths and `depth <= 1` use.
+    /// [`StorageAccess::write_refs`], which is what DAX, the host-kernel
+    /// paths and `depth <= 1` use.
     fn write_batch(
         &self,
         ctx: &mut dyn SimCtx,
-        segs: &[(u64, &[&[u8]])],
+        segs: &[(u64, &[Page])],
         _depth: usize,
     ) -> Result<u64, DeviceError> {
         write_each(self, ctx, segs)
@@ -162,15 +209,14 @@ pub trait StorageAccess: Send + Sync {
     }
 }
 
-/// Blocking batch write: one [`StorageAccess::write_page_list`] per
-/// segment.
+/// Blocking batch write: one [`StorageAccess::write_refs`] per segment.
 pub(crate) fn write_each<A: StorageAccess + ?Sized>(
     access: &A,
     ctx: &mut dyn SimCtx,
-    segs: &[(u64, &[&[u8]])],
+    segs: &[(u64, &[Page])],
 ) -> Result<u64, DeviceError> {
     for &(page, pages) in segs {
-        access.write_page_list(ctx, page, pages)?;
+        access.write_refs(ctx, page, pages)?;
     }
     Ok(segs.len() as u64)
 }
@@ -227,7 +273,7 @@ impl SpdkAccess {
         ctx: &mut dyn SimCtx,
         qp: &QueuePair<'_>,
         page: u64,
-        pages: &[&[u8]],
+        pages: &[Page],
     ) -> Result<(), DeviceError> {
         self.retry.run(ctx, Some(&self.breaker), |ctx| {
             let submit = ctx.cost().nvme_submit_poll;
@@ -271,13 +317,13 @@ impl StorageAccess for SpdkAccess {
         self.dev.capacity_pages()
     }
 
-    fn read_pages(
+    fn read_refs(
         &self,
         ctx: &mut dyn SimCtx,
         page: u64,
-        buf: &mut [u8],
+        out: &mut [Page],
     ) -> Result<(), DeviceError> {
-        let pages = buf.len() / STORE_PAGE;
+        let pages = out.len();
         // Reads retry but never consult the breaker: a degraded region
         // must keep serving reads (DESIGN.md §11).
         self.retry.run(ctx, None, |ctx| {
@@ -286,7 +332,7 @@ impl StorageAccess for SpdkAccess {
             let t0 = ctx.now();
             let sp = aquila_sim::span::begin(ctx, "nvme.read", CostCat::DeviceIo);
             let qp = self.dev.create_qpair();
-            let submitted = qp.submit(ctx.now(), NvmeOp::Read, page, pages, BufRef::Mut(buf));
+            let submitted = qp.submit(ctx.now(), NvmeOp::Read, page, pages, BufRef::Out(out));
             record_nvme_occupancy(ctx, &self.dev);
             if let Err(e) = submitted {
                 aquila_sim::span::end(ctx, sp);
@@ -305,11 +351,11 @@ impl StorageAccess for SpdkAccess {
         Ok(())
     }
 
-    fn write_page_list(
+    fn write_refs(
         &self,
         ctx: &mut dyn SimCtx,
         page: u64,
-        list: &[&[u8]],
+        list: &[Page],
     ) -> Result<(), DeviceError> {
         let pages = list.len();
         self.retry.run(ctx, Some(&self.breaker), |ctx| {
@@ -341,7 +387,7 @@ impl StorageAccess for SpdkAccess {
     fn write_batch(
         &self,
         ctx: &mut dyn SimCtx,
-        segs: &[(u64, &[&[u8]])],
+        segs: &[(u64, &[Page])],
         depth: usize,
     ) -> Result<u64, DeviceError> {
         if depth <= 1 {
@@ -406,13 +452,13 @@ impl StorageAccess for HostNvmeAccess {
         self.dev.capacity_pages()
     }
 
-    fn read_pages(
+    fn read_refs(
         &self,
         ctx: &mut dyn SimCtx,
         page: u64,
-        buf: &mut [u8],
+        out: &mut [Page],
     ) -> Result<(), DeviceError> {
-        let pages = buf.len() / STORE_PAGE;
+        let pages = out.len();
         self.retry.run(ctx, None, |ctx| {
             self.domain.charge_entry(ctx);
             let sw = ctx.cost().host_directio_sw + ctx.cost().nvme_submit_kernel;
@@ -420,7 +466,7 @@ impl StorageAccess for HostNvmeAccess {
             let t0 = ctx.now();
             let sp = aquila_sim::span::begin(ctx, "nvme.read", CostCat::DeviceIo);
             let qp = self.dev.create_qpair();
-            let submitted = qp.submit(ctx.now(), NvmeOp::Read, page, pages, BufRef::Mut(buf));
+            let submitted = qp.submit(ctx.now(), NvmeOp::Read, page, pages, BufRef::Out(out));
             record_nvme_occupancy(ctx, &self.dev);
             if let Err(e) = submitted {
                 aquila_sim::span::end(ctx, sp);
@@ -438,11 +484,11 @@ impl StorageAccess for HostNvmeAccess {
         Ok(())
     }
 
-    fn write_page_list(
+    fn write_refs(
         &self,
         ctx: &mut dyn SimCtx,
         page: u64,
-        list: &[&[u8]],
+        list: &[Page],
     ) -> Result<(), DeviceError> {
         let pages = list.len();
         self.retry.run(ctx, Some(&self.breaker), |ctx| {
@@ -505,22 +551,21 @@ impl StorageAccess for DaxAccess {
         self.dev.capacity_pages()
     }
 
-    fn read_pages(
+    fn read_refs(
         &self,
         ctx: &mut dyn SimCtx,
         page: u64,
-        buf: &mut [u8],
+        out: &mut [Page],
     ) -> Result<(), DeviceError> {
-        self.dev
-            .dax_read(ctx, page * STORE_PAGE as u64, buf, self.simd)?;
+        self.dev.dax_read(ctx, page, out, self.simd)?;
         Ok(())
     }
 
-    fn write_page_list(
+    fn write_refs(
         &self,
         ctx: &mut dyn SimCtx,
         page: u64,
-        pages: &[&[u8]],
+        pages: &[Page],
     ) -> Result<(), DeviceError> {
         self.dev.dax_write(ctx, page, pages, self.simd)?;
         Ok(())
@@ -554,25 +599,24 @@ impl StorageAccess for HostPmemAccess {
         self.dev.capacity_pages()
     }
 
-    fn read_pages(
+    fn read_refs(
         &self,
         ctx: &mut dyn SimCtx,
         page: u64,
-        buf: &mut [u8],
+        out: &mut [Page],
     ) -> Result<(), DeviceError> {
         self.domain.charge_entry(ctx);
         let sw = ctx.cost().host_directio_sw;
         ctx.charge(CostCat::Syscall, sw);
-        self.dev
-            .dax_read(ctx, page * STORE_PAGE as u64, buf, false)?;
+        self.dev.dax_read(ctx, page, out, false)?;
         Ok(())
     }
 
-    fn write_page_list(
+    fn write_refs(
         &self,
         ctx: &mut dyn SimCtx,
         page: u64,
-        pages: &[&[u8]],
+        pages: &[Page],
     ) -> Result<(), DeviceError> {
         self.domain.charge_entry(ctx);
         let sw = ctx.cost().host_directio_sw;

@@ -22,19 +22,24 @@
 //! (the store reads zeros for them), so even the first fill of a fresh
 //! page is covered.
 //!
+//! Both copies adopt the same [`Page`]s on a write, so the host holds a
+//! mirrored page once; a fault that flips bits as data lands flips them
+//! in a private copy of the faulty device only.
+//!
 //! Writeback batches keep the deep queues of the unmirrored path:
 //! [`StorageAccess::write_batch`] records every segment's checksums up
-//! front, straight from the page list it was handed, then submits each segment to the primary and then the replica
-//! through one depth-`depth` queue pair per device, each under that
-//! device's own breaker, and drains both at the end, so the two devices
-//! serve the batch concurrently. A segment that never reached the
-//! primary gets its previous checksum entries back, so the table only
-//! ever describes bytes that landed.
+//! front, straight from the pages it was handed, then submits each
+//! segment to the primary and then the replica through one
+//! depth-`depth` queue pair per device, each under that device's own
+//! breaker, and drains both at the end, so the two devices serve the
+//! batch concurrently. A segment that never reached the primary gets its
+//! previous checksum entries back, so the table only ever describes bytes
+//! that landed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use aquila_sim::{CostCat, SimCtx};
+use aquila_sim::{CostCat, Page, SimCtx};
 use aquila_sync::crc32c_sectors;
 
 use crate::access::{write_each, AccessKind, SpdkAccess, StorageAccess};
@@ -161,16 +166,17 @@ impl MirrorAccess {
         m
     }
 
-    /// Copies pre-existing primary content to the replica and seeds the
+    /// Shares pre-existing primary content with the replica and seeds the
     /// checksum table (free of simulated time: the mirror existed
     /// before the run). Only materialized pages can hold data, and an
     /// all-zero one already verifies against [`zero_sector_crc`].
     fn sync_existing(&self, pages: u64) {
         let replica = self.replica.device().store();
         self.primary.device().store().for_each_resident(|p, data| {
-            if p < pages && data.iter().any(|&b| b != 0) {
-                let _ = replica.write_at(p, 0, data);
-                self.record_sums(p, data);
+            let nonzero = data.read().iter().any(|&b| b != 0);
+            if p < pages && nonzero {
+                let _ = replica.adopt(p, data.clone());
+                self.record_sums(p, &data.read());
             }
         });
     }
@@ -206,7 +212,7 @@ impl MirrorAccess {
     /// rewrites them over this write, then records the new checksums.
     /// Returns what it recorded, one entry per page, for
     /// [`Self::abort_write`].
-    fn begin_write(&self, page: u64, pages: &[&[u8]]) -> Vec<Recorded> {
+    fn begin_write(&self, page: u64, pages: &[Page]) -> Vec<Recorded> {
         for i in 0..pages.len() as u64 {
             self.versions[(page + i) as usize].fetch_add(1, Ordering::SeqCst);
         }
@@ -216,7 +222,7 @@ impl MirrorAccess {
         pages
             .iter()
             .enumerate()
-            .map(|(i, data)| self.record_sums(page + i as u64, data))
+            .map(|(i, data)| self.record_sums(page + i as u64, &data.read()))
             .collect()
     }
 
@@ -247,18 +253,18 @@ impl MirrorAccess {
         })
     }
 
-    /// Reads one page with verification and repair. Returns whether a
-    /// repair happened.
+    /// Reads one page with verification and repair into `out`. Returns
+    /// whether a repair happened.
     fn fetch_page(
         &self,
         ctx: &mut dyn SimCtx,
         page: u64,
-        out: &mut [u8],
+        out: &mut Page,
     ) -> Result<bool, DeviceError> {
         let v0 = self.versions[page as usize].load(Ordering::SeqCst);
-        match self.primary.read_pages(ctx, page, out) {
+        match self.primary.read_refs(ctx, page, std::slice::from_mut(out)) {
             Ok(()) => {
-                if !self.checksums || self.verify_page(page, out) {
+                if !self.checksums || self.verify_page(page, &out.read()) {
                     return Ok(false);
                 }
                 // Silent corruption caught before it reaches the caller.
@@ -275,21 +281,22 @@ impl MirrorAccess {
     }
 
     /// Fetches the replica copy, verifies it, hands it to the caller,
-    /// and rewrites the primary (which also heals latent sectors).
+    /// and rewrites the primary (which also heals latent sectors). The
+    /// caller and both devices end up sharing the replica's page.
     fn repair_page(
         &self,
         ctx: &mut dyn SimCtx,
         page: u64,
         v0: u64,
-        out: &mut [u8],
+        out: &mut Page,
     ) -> Result<bool, DeviceError> {
-        let mut rep = vec![0u8; STORE_PAGE];
-        if self.replica.read_pages(ctx, page, &mut rep).is_err() {
+        let mut rep = [Page::zero()];
+        if self.replica.read_refs(ctx, page, &mut rep).is_err() {
             self.unrepairable.fetch_add(1, Ordering::SeqCst);
             aquila_sim::metrics::add(ctx, "aquila.integrity.unrepairable", 1);
             return Err(DeviceError::Corrupt { page });
         }
-        if self.checksums && !self.verify_page(page, &rep) {
+        if self.checksums && !self.verify_page(page, &rep[0].read()) {
             if self.versions[page as usize].load(Ordering::SeqCst) != v0 {
                 // A writer moved the page mid-verification; the error is
                 // transient and a retry reads the settled state.
@@ -300,11 +307,11 @@ impl MirrorAccess {
             aquila_sim::metrics::add(ctx, "aquila.integrity.unrepairable", 1);
             return Err(DeviceError::Corrupt { page });
         }
-        out.copy_from_slice(&rep);
+        *out = rep[0].clone();
         // Rewrite the primary unless a newer write superseded the page
         // (the caller still gets the clean copy either way).
         if self.versions[page as usize].load(Ordering::SeqCst) == v0 {
-            if self.primary.write_pages(ctx, page, &rep).is_err() {
+            if self.primary.write_refs(ctx, page, &rep).is_err() {
                 self.repair_skipped.fetch_add(1, Ordering::SeqCst);
             }
         } else {
@@ -330,38 +337,40 @@ impl StorageAccess for MirrorAccess {
         self.replica.reset_timing();
     }
 
-    fn read_pages(
+    fn read_refs(
         &self,
         ctx: &mut dyn SimCtx,
         page: u64,
-        buf: &mut [u8],
+        out: &mut [Page],
     ) -> Result<(), DeviceError> {
         // Page-at-a-time so one bad sector repairs exactly one page;
         // the mirror forfeits multi-page command coalescing.
-        for (i, chunk) in buf.chunks_mut(STORE_PAGE).enumerate() {
+        for (i, slot) in out.iter_mut().enumerate() {
             let p = page + i as u64;
             // Bounded retry: a one-shot in-flight flip re-reads clean;
             // persistent double corruption exhausts the budget and the
             // engine degrades the region. No breaker — degraded regions
             // must keep serving reads (DESIGN.md §11).
             self.retry
-                .run(ctx, None, |ctx| self.fetch_page(ctx, p, chunk).map(|_| ()))?;
+                .run(ctx, None, |ctx| self.fetch_page(ctx, p, slot).map(|_| ()))?;
         }
         Ok(())
     }
 
-    fn write_page_list(
+    /// Both copies adopt the same pages: the replica shares the
+    /// primary's bytes instead of holding a second copy.
+    fn write_refs(
         &self,
         ctx: &mut dyn SimCtx,
         page: u64,
-        pages: &[&[u8]],
+        pages: &[Page],
     ) -> Result<(), DeviceError> {
         let recorded = self.begin_write(page, pages);
-        if let Err(e) = self.primary.write_page_list(ctx, page, pages) {
+        if let Err(e) = self.primary.write_refs(ctx, page, pages) {
             self.abort_write(page, &recorded);
             return Err(e);
         }
-        self.replica.write_page_list(ctx, page, pages)
+        self.replica.write_refs(ctx, page, pages)
     }
 
     /// One depth-`depth` queue pair per copy: each segment goes to the
@@ -369,7 +378,7 @@ impl StorageAccess for MirrorAccess {
     fn write_batch(
         &self,
         ctx: &mut dyn SimCtx,
-        segs: &[(u64, &[&[u8]])],
+        segs: &[(u64, &[Page])],
         depth: usize,
     ) -> Result<u64, DeviceError> {
         if depth <= 1 {
@@ -419,8 +428,7 @@ impl StorageAccess for MirrorAccess {
         if !self.checksums || page >= self.capacity_pages() {
             return Ok(false);
         }
-        let mut buf = vec![0u8; STORE_PAGE];
-        self.fetch_page(ctx, page, &mut buf)
+        self.fetch_page(ctx, page, &mut Page::zero())
     }
 
     fn integrity_counters(&self) -> Option<IntegrityCounters> {
@@ -438,10 +446,8 @@ impl StorageAccess for MirrorAccess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nvme::{BufRef, NvmeOp};
-    use crate::store::page_list;
     use aquila_sim::fault::{DeviceImage, FaultPlan};
-    use aquila_sim::{Cycles, FreeCtx};
+    use aquila_sim::FreeCtx;
 
     fn mirror_over(plan: Option<&str>) -> MirrorAccess {
         let primary = Arc::new(NvmeDevice::optane(16));
@@ -453,6 +459,11 @@ mod tests {
 
     fn page_of(b: u8) -> Vec<u8> {
         vec![b; STORE_PAGE]
+    }
+
+    /// The bytes of `page` as a raw read of `dev` returns them.
+    fn raw_read(dev: &NvmeDevice, page: u64) -> Vec<u8> {
+        dev.store().page(page).unwrap().read().to_vec()
     }
 
     #[test]
@@ -467,12 +478,15 @@ mod tests {
         let c = m.integrity_counters().unwrap();
         assert_eq!(c, IntegrityCounters::default());
         // The replica holds the same bytes.
-        let mut rep = page_of(0);
-        m.replica_device()
-            .create_qpair()
-            .submit(Cycles(0), NvmeOp::Read, 3, 1, BufRef::Mut(&mut rep))
-            .unwrap();
-        assert_eq!(rep, data);
+        assert_eq!(raw_read(m.replica_device(), 3), data);
+        assert!(
+            m.replica_device()
+                .store()
+                .page(3)
+                .unwrap()
+                .same_as(&m.primary_device().store().page(3).unwrap()),
+            "both copies share one page"
+        );
     }
 
     #[test]
@@ -495,12 +509,7 @@ mod tests {
         assert_eq!(c.undetected(), 0, "every taint was caught");
         // Read-repair healed the primary: a raw device read is clean.
         assert_eq!(m.primary_device().poisoned_sectors(), 0);
-        let mut raw = page_of(0);
-        m.primary_device()
-            .create_qpair()
-            .submit(Cycles(0), NvmeOp::Read, 2, 1, BufRef::Mut(&mut raw))
-            .unwrap();
-        assert_eq!(raw, data);
+        assert_eq!(raw_read(m.primary_device(), 2), data);
     }
 
     #[test]
@@ -693,8 +702,8 @@ mod tests {
             )
             .unwrap(),
         ));
-        let (a, b, c) = (page_of(0xA0), page_of(0xB0), page_of(0xC0));
-        let segs: [(u64, &[&[u8]]); 3] = [(0, &[&a]), (4, &[&b]), (8, &[&c])];
+        let [a, b, c] = [0xA0, 0xB0, 0xC0].map(|x| [Page::copy_of(&page_of(x))]);
+        let segs: [(u64, &[Page]); 3] = [(0, &a), (4, &b), (8, &c)];
         assert_eq!(
             m.write_batch(&mut ctx, &segs, 8),
             Err(DeviceError::MediaError { page: 4 })
@@ -706,7 +715,7 @@ mod tests {
         assert_eq!(counters.detected, 0, "{counters:?}");
         let mut back = page_of(0);
         m.read_pages(&mut ctx, 0, &mut back).unwrap();
-        assert_eq!(back, a, "the landed segment reads back new");
+        assert_eq!(back, page_of(0xA0), "the landed segment reads back new");
         m.read_pages(&mut ctx, 4, &mut back).unwrap();
         assert_eq!(back, page_of(0x11), "the lost segment reads back old");
     }
@@ -753,8 +762,11 @@ mod tests {
         for batch in batches {
             match depth {
                 Some(d) => {
-                    let lists: Vec<Vec<&[u8]>> = batch.iter().map(|(_, b)| page_list(b)).collect();
-                    let segs: Vec<(u64, &[&[u8]])> = batch
+                    let lists: Vec<Vec<Page>> = batch
+                        .iter()
+                        .map(|(_, b)| b.chunks(STORE_PAGE).map(Page::copy_of).collect())
+                        .collect();
+                    let segs: Vec<(u64, &[Page])> = batch
                         .iter()
                         .zip(&lists)
                         .map(|((p, _), l)| (*p, &l[..]))

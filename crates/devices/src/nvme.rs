@@ -17,7 +17,7 @@ use aquila_sync::Mutex;
 use aquila_sim::fault::{
     CrashImage, DeviceImage, FaultOutcome, FaultPlan, FaultTarget, SECTOR_SIZE,
 };
-use aquila_sim::{Cycles, ServiceCenter, SimCtx};
+use aquila_sim::{Cycles, Page, ServiceCenter, SimCtx};
 
 use crate::error::DeviceError;
 use crate::store::{PageStore, STORE_PAGE};
@@ -107,12 +107,13 @@ impl NvmeDevice {
     }
 
     /// Restores a device from a captured image (a crash-consistency
-    /// recovery boot): the image's resident pages are written back and
-    /// every other page stays implied zero.
+    /// recovery boot): the store adopts the image's resident pages (the
+    /// two share them until either side writes) and every other page
+    /// stays implied zero.
     pub fn from_image(image: &DeviceImage, profile: NvmeProfile) -> NvmeDevice {
         let dev = NvmeDevice::new(image.pages, profile);
         for (page, data) in &image.resident {
-            if dev.store.write_at(*page, 0, data).is_err() {
+            if dev.store.adopt(*page, data.clone()).is_err() {
                 unreachable!("device is sized to hold the image");
             }
         }
@@ -321,11 +322,11 @@ impl<'d> QueuePair<'d> {
         let first_sector = lba_page * SECTORS_PER_PAGE;
         let nsectors = pages as u64 * SECTORS_PER_PAGE;
         match (op, buf) {
-            (NvmeOp::Read, BufRef::Mut(b)) => {
-                if b.len() != pages * STORE_PAGE {
+            (NvmeOp::Read, BufRef::Out(out)) => {
+                if out.len() != pages {
                     return Err(DeviceError::BufferSize {
                         expected: pages * STORE_PAGE,
-                        got: b.len(),
+                        got: out.len() * STORE_PAGE,
                     });
                 }
                 // A latent fault drawn on a read marks the leading
@@ -347,17 +348,21 @@ impl<'d> QueuePair<'d> {
                         });
                     }
                 }
-                self.dev.store.read_range(lba_page * STORE_PAGE as u64, b)?;
-                // Silent corruption: flip bits in the *returned* buffer
-                // (the medium is fine; the transfer lied). Stored poison
-                // rides along for free since the store holds the
-                // flipped bytes. Both count toward `tainted`.
+                for (i, slot) in out.iter_mut().enumerate() {
+                    *slot = self.dev.store.page(lba_page + i as u64)?;
+                }
+                // Silent corruption: flip bits in a private copy of the
+                // *returned* pages (the medium is fine; the transfer
+                // lied). Stored poison rides along for free since the
+                // store holds the flipped bytes. Both count toward
+                // `tainted`.
                 let mut bad_page = vec![false; pages];
                 if let Some(FaultOutcome::Corrupt { bits }) = injected {
                     for k in 0..bits {
-                        let bit = NvmeDevice::flip_bit(k, b.len());
-                        b[bit / 8] ^= 1 << (bit % 8);
-                        bad_page[bit / 8 / STORE_PAGE] = true;
+                        let bit = NvmeDevice::flip_bit(k, pages * STORE_PAGE);
+                        let (page, byte) = (bit / 8 / STORE_PAGE, bit / 8 % STORE_PAGE);
+                        out[page].write(|b| b[byte] ^= 1 << (bit % 8));
+                        bad_page[page] = true;
                     }
                 }
                 {
@@ -372,13 +377,13 @@ impl<'d> QueuePair<'d> {
                 }
             }
             (NvmeOp::Write, BufRef::Pages(list)) => {
-                let got: usize = list.iter().map(|p| p.len()).sum();
-                if list.len() != pages || list.iter().any(|p| p.len() != STORE_PAGE) {
+                if list.len() != pages {
                     return Err(DeviceError::BufferSize {
                         expected: pages * STORE_PAGE,
-                        got,
+                        got: list.len() * STORE_PAGE,
                     });
                 }
+                let got = pages * STORE_PAGE;
                 let store = &self.dev.store;
                 match injected {
                     Some(FaultOutcome::Torn { sectors }) => {
@@ -395,16 +400,17 @@ impl<'d> QueuePair<'d> {
                         // Silent write corruption: bits flip as the data
                         // lands, the command still reports success. The
                         // flipped sectors become poisoned ground truth.
-                        // The flips hit the stored copy, never the
-                        // caller's pages, so this branch gathers them.
-                        let mut data = list.concat();
+                        // The flips hit private copies only the store
+                        // adopts, never the caller's pages.
+                        let mut data = list.to_vec();
                         let mut bad = BTreeSet::new();
                         for k in 0..bits {
-                            let bit = NvmeDevice::flip_bit(k, data.len());
-                            data[bit / 8] ^= 1 << (bit % 8);
+                            let bit = NvmeDevice::flip_bit(k, got);
+                            let (page, byte) = (bit / 8 / STORE_PAGE, bit / 8 % STORE_PAGE);
+                            data[page].write(|b| b[byte] ^= 1 << (bit % 8));
                             bad.insert(first_sector + (bit / 8 / SECTOR_SIZE) as u64);
                         }
-                        store.write_range(lba_page * STORE_PAGE as u64, &data)?;
+                        store.write_pages(lba_page, &data, got)?;
                         self.dev.heal_sectors(first_sector, nsectors);
                         let mut poi = self.dev.poisoned.lock();
                         for s in bad {
@@ -428,16 +434,23 @@ impl<'d> QueuePair<'d> {
                         // in-flight write applied, then let the live run
                         // proceed so the workload can finish. The
                         // crash-consistency harness recovers from the
-                        // captured image.
+                        // captured image, which shares the store's pages
+                        // and gives the cut page a fresh copy.
                         if let Some(plan) = self.dev.fault.get() {
                             let mut image = store.snapshot();
                             let keep = (sectors as usize * SECTOR_SIZE).min(got);
                             for (i, data) in list.iter().enumerate() {
                                 let n = keep.saturating_sub(i * STORE_PAGE).min(STORE_PAGE);
-                                if n == 0 {
-                                    break;
+                                let at = lba_page + i as u64;
+                                if n == STORE_PAGE {
+                                    image.put(at, data.clone());
+                                    continue;
                                 }
-                                image.write((lba_page + i as u64) * STORE_PAGE as u64, &data[..n]);
+                                if n > 0 {
+                                    let prefix = data.read()[..n].to_vec();
+                                    image.write(at * STORE_PAGE as u64, &prefix);
+                                }
+                                break;
                             }
                             plan.record_crash(CrashImage { at: now, image });
                         }
@@ -516,38 +529,53 @@ impl<'d> QueuePair<'d> {
     }
 }
 
-/// A read or write buffer handed to [`QueuePair::submit`].
+/// The pages a command moves, handed to [`QueuePair::submit`].
 pub enum BufRef<'a> {
-    /// Source data for writes: one 4 KiB slice per page, in device
-    /// order, like an NVMe PRP list. The device copies each page
-    /// straight from where it lies.
-    Pages(&'a [&'a [u8]]),
-    /// Destination for reads.
-    Mut(&'a mut [u8]),
+    /// Source data for writes: one page per device page, in device
+    /// order, like an NVMe PRP list. The store adopts the pages
+    /// themselves; no bytes move on the host.
+    Pages(&'a [Page]),
+    /// Destination for reads: each slot receives a reference to the
+    /// stored page (a private copy when an injected fault flips bits in
+    /// flight).
+    Out(&'a mut [Page]),
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::page_list;
     use aquila_sim::{CostCat, FreeCtx};
+
+    /// The page list of a contiguous buffer.
+    fn pages(buf: &[u8]) -> Vec<Page> {
+        buf.chunks(STORE_PAGE).map(Page::copy_of).collect()
+    }
+
+    /// Reads `n` pages from `page` through `qp` into `buf`.
+    fn read_into(
+        qp: &QueuePair<'_>,
+        now: Cycles,
+        page: u64,
+        n: usize,
+        buf: &mut [u8],
+    ) -> Result<u64, DeviceError> {
+        let mut out = vec![Page::zero(); buf.len() / STORE_PAGE];
+        let cid = qp.submit(now, NvmeOp::Read, page, n, BufRef::Out(&mut out))?;
+        for (dst, p) in buf.chunks_mut(STORE_PAGE).zip(&out) {
+            dst.copy_from_slice(&p.read());
+        }
+        Ok(cid)
+    }
 
     #[test]
     fn write_then_read_roundtrip() {
         let dev = NvmeDevice::optane(64);
         let qp = dev.create_qpair();
         let data = vec![0xABu8; STORE_PAGE];
-        qp.submit(
-            Cycles(0),
-            NvmeOp::Write,
-            5,
-            1,
-            BufRef::Pages(&page_list(&data)),
-        )
-        .unwrap();
-        let mut back = vec![0u8; STORE_PAGE];
-        qp.submit(Cycles(0), NvmeOp::Read, 5, 1, BufRef::Mut(&mut back))
+        qp.submit(Cycles(0), NvmeOp::Write, 5, 1, BufRef::Pages(&pages(&data)))
             .unwrap();
+        let mut back = vec![0u8; STORE_PAGE];
+        read_into(&qp, Cycles(0), 5, 1, &mut back).unwrap();
         assert_eq!(back, data);
     }
 
@@ -556,9 +584,7 @@ mod tests {
         let dev = NvmeDevice::optane(16);
         let qp = dev.create_qpair();
         let mut buf = vec![0u8; STORE_PAGE];
-        let cid = qp
-            .submit(Cycles(0), NvmeOp::Read, 0, 1, BufRef::Mut(&mut buf))
-            .unwrap();
+        let cid = read_into(&qp, Cycles(0), 0, 1, &mut buf).unwrap();
         // Nothing completes before the 10 us latency.
         assert!(qp.poll(Cycles(1000)).is_empty());
         assert_eq!(qp.inflight(), 1);
@@ -573,8 +599,7 @@ mod tests {
         let dev = NvmeDevice::optane(16);
         let qp = dev.create_qpair();
         let mut buf = vec![0u8; STORE_PAGE];
-        qp.submit(Cycles(0), NvmeOp::Read, 0, 1, BufRef::Mut(&mut buf))
-            .unwrap();
+        read_into(&qp, Cycles(0), 0, 1, &mut buf).unwrap();
         let mut ctx = FreeCtx::new(1);
         let done = qp.drain(&mut ctx, CostCat::DeviceIo);
         assert_eq!(done.len(), 1);
@@ -588,8 +613,7 @@ mod tests {
         let qp = dev.create_qpair();
         let mut buf = vec![0u8; STORE_PAGE];
         for i in 0..100 {
-            qp.submit(Cycles(0), NvmeOp::Read, i, 1, BufRef::Mut(&mut buf))
-                .unwrap();
+            read_into(&qp, Cycles(0), i, 1, &mut buf).unwrap();
         }
         // All 100 commands were admitted and stay in flight until drained.
         assert_eq!(qp.inflight(), 100);
@@ -615,12 +639,11 @@ mod tests {
             NvmeOp::Write,
             16,
             8,
-            BufRef::Pages(&page_list(&data)),
+            BufRef::Pages(&pages(&data)),
         )
         .unwrap();
         let mut back = vec![0u8; 8 * STORE_PAGE];
-        qp.submit(Cycles(0), NvmeOp::Read, 16, 8, BufRef::Mut(&mut back))
-            .unwrap();
+        read_into(&qp, Cycles(0), 16, 8, &mut back).unwrap();
         assert_eq!(back, data);
     }
 
@@ -628,15 +651,7 @@ mod tests {
     fn io_beyond_capacity_is_error() {
         let dev = NvmeDevice::optane(4);
         let qp = dev.create_qpair();
-        let err = qp
-            .submit(
-                Cycles(0),
-                NvmeOp::Read,
-                3,
-                2,
-                BufRef::Mut(&mut vec![0u8; 2 * STORE_PAGE]),
-            )
-            .unwrap_err();
+        let err = read_into(&qp, Cycles(0), 3, 2, &mut vec![0u8; 2 * STORE_PAGE]).unwrap_err();
         assert_eq!(
             err,
             DeviceError::OutOfRange {
@@ -652,26 +667,29 @@ mod tests {
         let dev = NvmeDevice::optane(64);
         let qp = dev.create_qpair_depth(2);
         let mut buf = vec![0u8; STORE_PAGE];
-        qp.submit(Cycles(0), NvmeOp::Read, 0, 1, BufRef::Mut(&mut buf))
-            .unwrap();
-        qp.submit(Cycles(0), NvmeOp::Read, 1, 1, BufRef::Mut(&mut buf))
-            .unwrap();
+        read_into(&qp, Cycles(0), 0, 1, &mut buf).unwrap();
+        read_into(&qp, Cycles(0), 1, 1, &mut buf).unwrap();
         assert_eq!(
-            qp.submit(Cycles(0), NvmeOp::Read, 2, 1, BufRef::Mut(&mut buf)),
+            read_into(&qp, Cycles(0), 2, 1, &mut buf),
             Err(DeviceError::QueueFull { depth: 2 })
         );
         // Harvesting frees a slot.
         assert!(qp.earliest_finish().is_some());
         qp.poll(Cycles::from_micros(20));
-        qp.submit(Cycles(0), NvmeOp::Read, 2, 1, BufRef::Mut(&mut buf))
-            .unwrap();
+        read_into(&qp, Cycles(0), 2, 1, &mut buf).unwrap();
         // Direction and size mismatches are reportable too.
         assert_eq!(
-            qp.submit(Cycles(0), NvmeOp::Write, 0, 1, BufRef::Mut(&mut buf)),
+            qp.submit(
+                Cycles(0),
+                NvmeOp::Write,
+                0,
+                1,
+                BufRef::Out(&mut [Page::zero()])
+            ),
             Err(DeviceError::BufferDirection)
         );
         assert_eq!(
-            qp.submit(Cycles(0), NvmeOp::Read, 0, 2, BufRef::Mut(&mut buf)),
+            read_into(&qp, Cycles(0), 0, 2, &mut buf),
             Err(DeviceError::BufferSize {
                 expected: 2 * STORE_PAGE,
                 got: STORE_PAGE
@@ -687,38 +705,19 @@ mod tests {
         ));
         let qp = dev.create_qpair();
         let data = vec![7u8; STORE_PAGE];
-        qp.submit(
-            Cycles(0),
-            NvmeOp::Write,
-            0,
-            1,
-            BufRef::Pages(&page_list(&data)),
-        )
-        .unwrap();
+        qp.submit(Cycles(0), NvmeOp::Write, 0, 1, BufRef::Pages(&pages(&data)))
+            .unwrap();
         assert_eq!(
-            qp.submit(
-                Cycles(0),
-                NvmeOp::Write,
-                1,
-                1,
-                BufRef::Pages(&page_list(&data))
-            ),
+            qp.submit(Cycles(0), NvmeOp::Write, 1, 1, BufRef::Pages(&pages(&data))),
             Err(DeviceError::MediaError { page: 1 })
         );
         // The failed write never reached the medium.
         let mut back = vec![0u8; STORE_PAGE];
-        qp.submit(Cycles(0), NvmeOp::Read, 1, 1, BufRef::Mut(&mut back))
-            .unwrap();
+        read_into(&qp, Cycles(0), 1, 1, &mut back).unwrap();
         assert!(back.iter().all(|&b| b == 0));
         // The retry (op 3) succeeds.
-        qp.submit(
-            Cycles(0),
-            NvmeOp::Write,
-            1,
-            1,
-            BufRef::Pages(&page_list(&data)),
-        )
-        .unwrap();
+        qp.submit(Cycles(0), NvmeOp::Write, 1, 1, BufRef::Pages(&pages(&data)))
+            .unwrap();
     }
 
     #[test]
@@ -730,18 +729,11 @@ mod tests {
         let qp = dev.create_qpair();
         let data = vec![0xAAu8; STORE_PAGE];
         assert_eq!(
-            qp.submit(
-                Cycles(0),
-                NvmeOp::Write,
-                2,
-                1,
-                BufRef::Pages(&page_list(&data))
-            ),
+            qp.submit(Cycles(0), NvmeOp::Write, 2, 1, BufRef::Pages(&pages(&data))),
             Err(DeviceError::MediaError { page: 2 })
         );
         let mut back = vec![0u8; STORE_PAGE];
-        qp.submit(Cycles(0), NvmeOp::Read, 2, 1, BufRef::Mut(&mut back))
-            .unwrap();
+        read_into(&qp, Cycles(0), 2, 1, &mut back).unwrap();
         let cut = 3 * SECTOR_SIZE;
         assert!(back[..cut].iter().all(|&b| b == 0xAA), "prefix persisted");
         assert!(back[cut..].iter().all(|&b| b == 0), "tail never landed");
@@ -755,43 +747,29 @@ mod tests {
         let qp = dev.create_qpair();
         let old = vec![0x11u8; STORE_PAGE];
         let new = vec![0x22u8; STORE_PAGE];
-        qp.submit(
-            Cycles(0),
-            NvmeOp::Write,
-            3,
-            1,
-            BufRef::Pages(&page_list(&old)),
-        )
-        .unwrap();
+        qp.submit(Cycles(0), NvmeOp::Write, 3, 1, BufRef::Pages(&pages(&old)))
+            .unwrap();
         // Op 2 overwrites page 3; the cut lands mid-transfer.
-        qp.submit(
-            Cycles(99),
-            NvmeOp::Write,
-            3,
-            1,
-            BufRef::Pages(&page_list(&new)),
-        )
-        .unwrap();
+        qp.submit(Cycles(99), NvmeOp::Write, 3, 1, BufRef::Pages(&pages(&new)))
+            .unwrap();
         let img = plan.crash_image().expect("crash captured");
         assert_eq!(img.at, Cycles(99));
         assert_eq!(img.image.resident.len(), 1, "only page 3 holds data");
         let (page, page3) = &img.image.resident[0];
         assert_eq!(*page, 3);
+        let page3 = page3.read().to_vec();
         let cut = 2 * SECTOR_SIZE;
         assert!(page3[..cut].iter().all(|&b| b == 0x22), "new prefix");
         assert!(page3[cut..].iter().all(|&b| b == 0x11), "old tail");
         // The live device saw the whole write (the run continues).
         let mut back = vec![0u8; STORE_PAGE];
-        qp.submit(Cycles(100), NvmeOp::Read, 3, 1, BufRef::Mut(&mut back))
-            .unwrap();
+        read_into(&qp, Cycles(100), 3, 1, &mut back).unwrap();
         assert_eq!(back, new);
         // A recovered device boots from the captured image.
         let rec = NvmeDevice::from_image(&img.image, NvmeProfile::optane_p4800x());
         assert_eq!(rec.capacity_pages(), 8);
         let mut rback = vec![0u8; STORE_PAGE];
-        rec.create_qpair()
-            .submit(Cycles(0), NvmeOp::Read, 3, 1, BufRef::Mut(&mut rback))
-            .unwrap();
+        read_into(&rec.create_qpair(), Cycles(0), 3, 1, &mut rback).unwrap();
         assert_eq!(&rback[..], &page3[..]);
         assert_eq!(rec.store().resident_pages(), 1, "zeros stay implied");
     }
@@ -812,7 +790,7 @@ mod tests {
         let mut flat = vec![0u8; image.bytes() as usize];
         for (page, data) in &image.resident {
             let at = *page as usize * STORE_PAGE;
-            flat[at..at + STORE_PAGE].copy_from_slice(data);
+            flat[at..at + STORE_PAGE].copy_from_slice(&data.read());
         }
         flat
     }
@@ -826,20 +804,14 @@ mod tests {
             let dev = NvmeDevice::optane(16);
             let qp = dev.create_qpair();
             let old: Vec<u8> = (0..3 * STORE_PAGE).map(|i| (i % 251) as u8 + 1).collect();
-            qp.submit(
-                Cycles(0),
-                NvmeOp::Write,
-                1,
-                3,
-                BufRef::Pages(&page_list(&old)),
-            )
-            .unwrap();
+            qp.submit(Cycles(0), NvmeOp::Write, 1, 3, BufRef::Pages(&pages(&old)))
+                .unwrap();
             qp.submit(
                 Cycles(0),
                 NvmeOp::Write,
                 9,
                 1,
-                BufRef::Pages(&page_list(&old[..STORE_PAGE])),
+                BufRef::Pages(&pages(&old[..STORE_PAGE])),
             )
             .unwrap();
             dev.store().discard(9).unwrap();
@@ -855,7 +827,7 @@ mod tests {
                 NvmeOp::Write,
                 first,
                 2,
-                BufRef::Pages(&page_list(&new)),
+                BufRef::Pages(&pages(&new)),
             )
             .unwrap();
             let img = plan.crash_image().expect("crash captured").image;
@@ -872,12 +844,12 @@ mod tests {
         }
     }
 
-    /// A three-page write whose pages lie apart in memory, out of order,
-    /// fed to the torn, crash and corrupt branches, persists the same
-    /// image as the flat buffer of those pages would.
+    /// A three-page write fed to the torn, crash and corrupt branches
+    /// persists the same image as the flat buffer of its pages would, and
+    /// never changes the caller's pages.
     #[test]
     fn faulty_page_list_writes_persist_the_flat_buffer_image() {
-        let pages: Vec<Vec<u8>> = (0..3u8)
+        let bufs: Vec<Vec<u8>> = (0..3u8)
             .rev()
             .map(|p| {
                 (0..STORE_PAGE)
@@ -885,8 +857,8 @@ mod tests {
                     .collect()
             })
             .collect();
-        let list: Vec<&[u8]> = pages.iter().rev().map(|p| &p[..]).collect();
-        let flat = list.concat();
+        let list: Vec<Page> = bufs.iter().rev().map(|p| Page::copy_of(p)).collect();
+        let flat: Vec<u8> = bufs.iter().rev().flatten().copied().collect();
         let first = 4u64;
         let pos = first * STORE_PAGE as u64;
         // A device with old data under and around the write, and a fresh
@@ -895,13 +867,7 @@ mod tests {
             let dev = NvmeDevice::optane(12);
             let old = vec![0x5Eu8; 6 * STORE_PAGE];
             dev.create_qpair()
-                .submit(
-                    Cycles(0),
-                    NvmeOp::Write,
-                    3,
-                    6,
-                    BufRef::Pages(&page_list(&old)),
-                )
+                .submit(Cycles(0), NvmeOp::Write, 3, 6, BufRef::Pages(&pages(&old)))
                 .unwrap();
             let plan = Arc::new(FaultPlan::parse(spec).unwrap());
             dev.set_fault_plan(Arc::clone(&plan));
@@ -946,6 +912,8 @@ mod tests {
             assert_eq!(got, want, "corrupt={bits}");
             assert_eq!(dev.poisoned_sectors(), bad.len() as u64);
         }
+        let unchanged: Vec<u8> = list.iter().flat_map(|p| p.read().to_vec()).collect();
+        assert_eq!(unchanged, flat, "the flips hit private copies only");
     }
 
     #[test]
@@ -957,20 +925,13 @@ mod tests {
         let qp = dev.create_qpair();
         let data = vec![0x5Au8; STORE_PAGE];
         // The corrupted write reports success (that is the whole point).
-        qp.submit(
-            Cycles(0),
-            NvmeOp::Write,
-            2,
-            1,
-            BufRef::Pages(&page_list(&data)),
-        )
-        .unwrap();
+        qp.submit(Cycles(0), NvmeOp::Write, 2, 1, BufRef::Pages(&pages(&data)))
+            .unwrap();
         assert!(dev.poisoned_sectors() > 0, "flips recorded as poison");
         assert_eq!(dev.tainted_reads(), 0, "nothing returned yet");
         // The read also reports success but returns flipped bytes.
         let mut back = vec![0u8; STORE_PAGE];
-        qp.submit(Cycles(0), NvmeOp::Read, 2, 1, BufRef::Mut(&mut back))
-            .unwrap();
+        read_into(&qp, Cycles(0), 2, 1, &mut back).unwrap();
         assert_ne!(back, data, "corruption is silent, not absent");
         let flipped: u32 = back
             .iter()
@@ -980,17 +941,10 @@ mod tests {
         assert_eq!(flipped, 4, "exactly the budgeted bits flipped");
         assert_eq!(dev.tainted_reads(), 1, "one tainted page returned");
         // A clean rewrite heals the poison.
-        qp.submit(
-            Cycles(0),
-            NvmeOp::Write,
-            2,
-            1,
-            BufRef::Pages(&page_list(&data)),
-        )
-        .unwrap();
-        assert_eq!(dev.poisoned_sectors(), 0);
-        qp.submit(Cycles(0), NvmeOp::Read, 2, 1, BufRef::Mut(&mut back))
+        qp.submit(Cycles(0), NvmeOp::Write, 2, 1, BufRef::Pages(&pages(&data)))
             .unwrap();
+        assert_eq!(dev.poisoned_sectors(), 0);
+        read_into(&qp, Cycles(0), 2, 1, &mut back).unwrap();
         assert_eq!(back, data);
         assert_eq!(dev.tainted_reads(), 1, "healed read is clean");
     }
@@ -1003,23 +957,15 @@ mod tests {
         ));
         let qp = dev.create_qpair();
         let data = vec![0x11u8; STORE_PAGE];
-        qp.submit(
-            Cycles(0),
-            NvmeOp::Write,
-            1,
-            1,
-            BufRef::Pages(&page_list(&data)),
-        )
-        .unwrap();
-        let mut back = vec![0u8; STORE_PAGE];
-        qp.submit(Cycles(0), NvmeOp::Read, 1, 1, BufRef::Mut(&mut back))
+        qp.submit(Cycles(0), NvmeOp::Write, 1, 1, BufRef::Pages(&pages(&data)))
             .unwrap();
+        let mut back = vec![0u8; STORE_PAGE];
+        read_into(&qp, Cycles(0), 1, 1, &mut back).unwrap();
         assert_ne!(back, data, "in-flight flip corrupted the transfer");
         assert_eq!(dev.tainted_reads(), 1);
         assert_eq!(dev.poisoned_sectors(), 0, "the medium itself is fine");
         // The next read (no fault drawn) is clean: one-shot clause.
-        qp.submit(Cycles(0), NvmeOp::Read, 1, 1, BufRef::Mut(&mut back))
-            .unwrap();
+        read_into(&qp, Cycles(0), 1, 1, &mut back).unwrap();
         assert_eq!(back, data);
         assert_eq!(dev.tainted_reads(), 1);
     }
@@ -1032,40 +978,26 @@ mod tests {
         ));
         let qp = dev.create_qpair();
         let data = vec![0x33u8; STORE_PAGE];
-        qp.submit(
-            Cycles(0),
-            NvmeOp::Write,
-            4,
-            1,
-            BufRef::Pages(&page_list(&data)),
-        )
-        .unwrap();
-        let mut back = vec![0u8; STORE_PAGE];
-        qp.submit(Cycles(0), NvmeOp::Read, 4, 1, BufRef::Mut(&mut back))
+        qp.submit(Cycles(0), NvmeOp::Write, 4, 1, BufRef::Pages(&pages(&data)))
             .unwrap();
+        let mut back = vec![0u8; STORE_PAGE];
+        read_into(&qp, Cycles(0), 4, 1, &mut back).unwrap();
         // Op 2 trips the latent clause: the read fails and keeps failing.
         assert_eq!(
-            qp.submit(Cycles(0), NvmeOp::Read, 4, 1, BufRef::Mut(&mut back)),
+            read_into(&qp, Cycles(0), 4, 1, &mut back),
             Err(DeviceError::MediaError { page: 4 })
         );
         assert_eq!(dev.latent_sectors(), 2);
         assert_eq!(
-            qp.submit(Cycles(0), NvmeOp::Read, 4, 1, BufRef::Mut(&mut back)),
+            read_into(&qp, Cycles(0), 4, 1, &mut back),
             Err(DeviceError::MediaError { page: 4 }),
             "latent errors persist"
         );
         // A rewrite heals the cells; reads work again.
-        qp.submit(
-            Cycles(0),
-            NvmeOp::Write,
-            4,
-            1,
-            BufRef::Pages(&page_list(&data)),
-        )
-        .unwrap();
-        assert_eq!(dev.latent_sectors(), 0);
-        qp.submit(Cycles(0), NvmeOp::Read, 4, 1, BufRef::Mut(&mut back))
+        qp.submit(Cycles(0), NvmeOp::Write, 4, 1, BufRef::Pages(&pages(&data)))
             .unwrap();
+        assert_eq!(dev.latent_sectors(), 0);
+        read_into(&qp, Cycles(0), 4, 1, &mut back).unwrap();
         assert_eq!(back, data);
     }
 
@@ -1076,14 +1008,8 @@ mod tests {
         let qp = dev.create_qpair();
         let data = vec![1u8; STORE_PAGE];
         for i in 0..4 {
-            qp.submit(
-                Cycles(0),
-                NvmeOp::Write,
-                i,
-                1,
-                BufRef::Pages(&page_list(&data)),
-            )
-            .unwrap();
+            qp.submit(Cycles(0), NvmeOp::Write, i, 1, BufRef::Pages(&pages(&data)))
+                .unwrap();
         }
         assert_eq!(dev.fault_plan().unwrap().injected(), 0);
     }
@@ -1095,10 +1021,8 @@ mod tests {
         let mut buf = vec![0u8; STORE_PAGE];
         // Two commands at t=0 on a 128-channel device finish at nearly the
         // same time (only the IOPS gate separates them).
-        qp.submit(Cycles(0), NvmeOp::Read, 0, 1, BufRef::Mut(&mut buf))
-            .unwrap();
-        qp.submit(Cycles(0), NvmeOp::Read, 1, 1, BufRef::Mut(&mut buf))
-            .unwrap();
+        read_into(&qp, Cycles(0), 0, 1, &mut buf).unwrap();
+        read_into(&qp, Cycles(0), 1, 1, &mut buf).unwrap();
         let done = qp.poll(Cycles::from_micros(15));
         assert_eq!(done.len(), 2);
         let spread = done[1].finished_at.get() as i64 - done[0].finished_at.get() as i64;

@@ -5,9 +5,11 @@
 //! direct-access path Aquila uses for byte-addressable devices (section
 //! 3.3). Data moves by memory copy; the cost model distinguishes the
 //! kernel's scalar `memcpy` (~2400 cycles / 4 KiB) from Aquila's AVX2
-//! streaming copy (~900 + 300 cycles FPU save/restore).
+//! streaming copy (~900 + 300 cycles FPU save/restore). The host moves
+//! page references instead (the page pool of [`aquila_sim::page`]); the
+//! copies are charged all the same.
 
-use aquila_sim::{Cycles, ServiceCenter, SimCtx};
+use aquila_sim::{Cycles, Page, ServiceCenter, SimCtx};
 
 use crate::error::DeviceError;
 use crate::store::{PageStore, STORE_PAGE};
@@ -79,50 +81,49 @@ impl PmemDevice {
         self.service.reset();
     }
 
-    /// DAX copy of `buf.len()` bytes from device offset `pos` into `buf`,
-    /// charging the memcpy cost (`simd` selects Aquila's AVX2 streaming
-    /// copy) and pacing against device bandwidth.
+    /// DAX read of `out.len()` pages from `page`, charging the memcpy
+    /// cost (`simd` selects Aquila's AVX2 streaming copy) and pacing
+    /// against device bandwidth. The model pays the copy into the cache
+    /// frame; the host hands out references to the stored pages instead
+    /// of moving their bytes.
     ///
     /// Returns the cycles spent (CPU copy plus any bandwidth stall).
     pub fn dax_read(
         &self,
         ctx: &mut dyn SimCtx,
-        pos: u64,
-        buf: &mut [u8],
+        page: u64,
+        out: &mut [Page],
         simd: bool,
     ) -> Result<Cycles, DeviceError> {
         let before = ctx.now();
-        self.store.read_range(pos, buf)?;
+        for (i, slot) in out.iter_mut().enumerate() {
+            *slot = self.store.page(page + i as u64)?;
+        }
+        let bytes = (out.len() * STORE_PAGE) as u64;
         let sp = aquila_sim::span::begin(ctx, "pmem.read", aquila_sim::CostCat::Memcpy);
-        let copy = ctx.cost().memcpy(buf.len() as u64, simd);
+        let copy = ctx.cost().memcpy(bytes, simd);
         let r = self
             .service
-            .submit(ctx.now(), self.profile.load_latency, buf.len() as u64);
+            .submit(ctx.now(), self.profile.load_latency, bytes);
         ctx.charge(aquila_sim::CostCat::Memcpy, copy);
         ctx.wait_until(r.end, aquila_sim::CostCat::DeviceIo);
         ctx.counters().device_reads += 1;
-        ctx.counters().bytes_read += buf.len() as u64;
+        ctx.counters().bytes_read += bytes;
         aquila_sim::span::end(ctx, sp);
         Ok(ctx.now() - before)
     }
 
-    /// DAX copy of a page list (one 4 KiB slice per page) to the
-    /// consecutive device pages from `page`, charged as one copy of the
-    /// whole run; mirror of [`Self::dax_read`].
+    /// DAX write of `pages` to the consecutive device pages from `page`,
+    /// charged as one copy of the whole run; mirror of
+    /// [`Self::dax_read`]. The store adopts the pages themselves.
     pub fn dax_write(
         &self,
         ctx: &mut dyn SimCtx,
         page: u64,
-        pages: &[&[u8]],
+        pages: &[Page],
         simd: bool,
     ) -> Result<Cycles, DeviceError> {
         let bytes = pages.len() * STORE_PAGE;
-        if pages.iter().any(|p| p.len() != STORE_PAGE) {
-            return Err(DeviceError::BufferSize {
-                expected: bytes,
-                got: pages.iter().map(|p| p.len()).sum(),
-            });
-        }
         let before = ctx.now();
         self.store.write_pages(page, pages, bytes)?;
         let sp = aquila_sim::span::begin(ctx, "pmem.write", aquila_sim::CostCat::Memcpy);
@@ -137,24 +138,6 @@ impl PmemDevice {
         aquila_sim::span::end(ctx, sp);
         Ok(ctx.now() - before)
     }
-
-    /// Page-granular DAX read (the common fault-fill size).
-    pub fn dax_read_page(
-        &self,
-        ctx: &mut dyn SimCtx,
-        page: u64,
-        buf: &mut [u8],
-        simd: bool,
-    ) -> Result<(), DeviceError> {
-        if buf.len() != STORE_PAGE {
-            return Err(DeviceError::BufferSize {
-                expected: STORE_PAGE,
-                got: buf.len(),
-            });
-        }
-        self.dax_read(ctx, page * STORE_PAGE as u64, buf, simd)?;
-        Ok(())
-    }
 }
 
 impl core::fmt::Debug for PmemDevice {
@@ -166,18 +149,26 @@ impl core::fmt::Debug for PmemDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::page_list;
     use aquila_sim::{CostCat, FreeCtx};
+
+    fn pages_of(buf: &[u8]) -> Vec<Page> {
+        buf.chunks(STORE_PAGE).map(Page::copy_of).collect()
+    }
 
     #[test]
     fn dax_roundtrip_preserves_data() {
         let dev = PmemDevice::dram_backed(16);
         let mut ctx = FreeCtx::new(1);
         let data: Vec<u8> = (0..STORE_PAGE).map(|i| (i % 256) as u8).collect();
-        dev.dax_write(&mut ctx, 3, &[&data], true).unwrap();
-        let mut back = vec![0u8; STORE_PAGE];
-        dev.dax_read_page(&mut ctx, 3, &mut back, true).unwrap();
-        assert_eq!(back, data);
+        let written = pages_of(&data);
+        dev.dax_write(&mut ctx, 3, &written, true).unwrap();
+        let mut back = [Page::zero()];
+        dev.dax_read(&mut ctx, 3, &mut back, true).unwrap();
+        assert!(
+            back[0].same_as(&written[0]),
+            "the fill shares the stored page"
+        );
+        assert_eq!(*back[0].read(), data[..]);
         assert_eq!(ctx.stats.device_reads, 1);
         assert_eq!(ctx.stats.device_writes, 1);
     }
@@ -185,12 +176,12 @@ mod tests {
     #[test]
     fn simd_copy_is_cheaper() {
         let dev = PmemDevice::dram_backed(16);
-        let data = vec![0u8; STORE_PAGE];
+        let data = [Page::zero()];
 
         let mut ctx_simd = FreeCtx::new(1);
-        dev.dax_write(&mut ctx_simd, 0, &[&data], true).unwrap();
+        dev.dax_write(&mut ctx_simd, 0, &data, true).unwrap();
         let mut ctx_scalar = FreeCtx::new(1);
-        dev.dax_write(&mut ctx_scalar, 1, &[&data], false).unwrap();
+        dev.dax_write(&mut ctx_scalar, 1, &data, false).unwrap();
 
         let simd = ctx_simd.breakdown.get(CostCat::Memcpy);
         let scalar = ctx_scalar.breakdown.get(CostCat::Memcpy);
@@ -206,40 +197,24 @@ mod tests {
         // top of the CPU copy cost.
         let dev = PmemDevice::dram_backed(512);
         let mut ctx = FreeCtx::new(1);
-        let chunk = vec![0u8; 256 * 1024];
+        let chunk = vec![Page::zero(); 64];
         for i in 0..4 {
-            dev.dax_write(&mut ctx, i * 64, &page_list(&chunk), true)
-                .unwrap();
+            dev.dax_write(&mut ctx, i * 64, &chunk, true).unwrap();
         }
         assert!(ctx.now() >= Cycles::from_micros(50), "paced: {}", ctx.now());
     }
 
     #[test]
-    fn sub_page_ranges_work() {
+    fn out_of_range_io_is_error() {
         let dev = PmemDevice::dram_backed(4);
         let mut ctx = FreeCtx::new(1);
-        let mut page = vec![0u8; STORE_PAGE];
-        page[904..908].copy_from_slice(b"tail");
-        dev.dax_write(&mut ctx, 1, &[&page], true).unwrap();
-        let mut buf = [0u8; 4];
-        dev.dax_read(&mut ctx, 5000, &mut buf, false).unwrap();
-        assert_eq!(&buf, b"tail");
-    }
-
-    #[test]
-    fn mis_sized_page_io_is_error() {
-        let dev = PmemDevice::dram_backed(4);
-        let mut ctx = FreeCtx::new(1);
-        assert_eq!(
-            dev.dax_write(&mut ctx, 0, &[&[0u8; 100]], true),
-            Err(DeviceError::BufferSize {
-                expected: STORE_PAGE,
-                got: 100
-            })
-        );
         assert!(matches!(
-            dev.dax_read(&mut ctx, 4 * STORE_PAGE as u64, &mut [0u8; 8], false),
-            Err(DeviceError::OutOfRange { .. })
+            dev.dax_write(&mut ctx, 4, &[Page::zero()], true),
+            Err(DeviceError::OutOfRange { page: 4, .. })
+        ));
+        assert!(matches!(
+            dev.dax_read(&mut ctx, 3, &mut [Page::zero(), Page::zero()], true),
+            Err(DeviceError::OutOfRange { page: 4, .. })
         ));
     }
 }

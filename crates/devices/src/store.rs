@@ -2,11 +2,17 @@
 //!
 //! Device contents are real bytes: writes persist, reads return what was
 //! written, so the KV stores and graph workloads above verify actual data
-//! integrity through the whole mmio path. Per-page locks keep the store
-//! sound under real threads without serializing unrelated pages.
+//! integrity through the whole mmio path. Each device page is one
+//! [`Page`] handle into the process-wide page pool
+//! ([`aquila_sim::page`]); the zero page means "never written". A read
+//! hands out a reference to the stored page and a page-list write adopts
+//! the caller's pages, so the DRAM cache and the store share bytes
+//! instead of copying them. One short lock per slot keeps the store sound
+//! under real threads without serializing unrelated pages.
 
 use aquila_sim::fault::DeviceImage;
-use aquila_sync::RwLock;
+use aquila_sim::Page;
+use aquila_sync::Mutex;
 
 use crate::error::DeviceError;
 
@@ -22,17 +28,17 @@ pub fn page_list(buf: &[u8]) -> Vec<&[u8]> {
 
 /// A page-granular byte store.
 pub struct PageStore {
-    pages: Vec<RwLock<Option<Box<[u8]>>>>,
+    pages: Vec<Mutex<Page>>,
 }
 
 impl PageStore {
     /// Creates a store of `pages` logically-zero pages.
     ///
-    /// Pages are materialized lazily on first write, so a mostly-empty
+    /// Every page starts as the shared zero page, so a mostly-empty
     /// multi-GB device costs almost no host memory.
     pub fn new(pages: u64) -> PageStore {
         PageStore {
-            pages: (0..pages).map(|_| RwLock::new(None)).collect(),
+            pages: (0..pages).map(|_| Mutex::new(Page::zero())).collect(),
         }
     }
 
@@ -41,23 +47,24 @@ impl PageStore {
         self.pages.len() as u64
     }
 
-    /// Pages currently materialized (allocated in host memory).
+    /// Pages currently materialized (not the zero page).
     pub fn resident_pages(&self) -> u64 {
-        self.pages.iter().filter(|p| p.read().is_some()).count() as u64
+        self.pages.iter().filter(|p| !p.lock().is_zero()).count() as u64
     }
 
-    /// Calls `f(page, bytes)` for each materialized page in page order,
-    /// under that page's read lock. Never-written and discarded pages
+    /// Calls `f(page, data)` for each materialized page in page order,
+    /// under that page's slot lock. Never-written and discarded pages
     /// read as zero and are skipped.
-    pub(crate) fn for_each_resident(&self, mut f: impl FnMut(u64, &[u8])) {
+    pub(crate) fn for_each_resident(&self, mut f: impl FnMut(u64, &Page)) {
         for (i, slot) in self.pages.iter().enumerate() {
-            if let Some(data) = &*slot.read() {
-                f(i as u64, data);
+            let page = slot.lock();
+            if !page.is_zero() {
+                f(i as u64, &page);
             }
         }
     }
 
-    fn slot(&self, page: u64) -> Result<&RwLock<Option<Box<[u8]>>>, DeviceError> {
+    fn slot(&self, page: u64) -> Result<&Mutex<Page>, DeviceError> {
         self.pages
             .get(page as usize)
             .ok_or(DeviceError::OutOfRange {
@@ -65,6 +72,19 @@ impl PageStore {
                 pages: 1,
                 capacity: self.page_count(),
             })
+    }
+
+    /// A reference to the stored `page` (no bytes move).
+    pub fn page(&self, page: u64) -> Result<Page, DeviceError> {
+        Ok(self.slot(page)?.lock().clone())
+    }
+
+    /// Makes `data` the contents of `page` without copying it; later
+    /// writes to either copy it first.
+    pub fn adopt(&self, page: u64, data: Page) -> Result<(), DeviceError> {
+        let old = std::mem::replace(&mut *self.slot(page)?.lock(), data);
+        drop(old);
+        Ok(())
     }
 
     /// Reads `buf.len()` bytes from `page` starting at `offset`.
@@ -78,14 +98,14 @@ impl PageStore {
                 len: buf.len(),
             });
         }
-        match &*self.slot(page)?.read() {
-            Some(data) => buf.copy_from_slice(&data[offset..offset + buf.len()]),
-            None => buf.fill(0),
-        }
+        let data = self.slot(page)?.lock();
+        buf.copy_from_slice(&data.read()[offset..offset + buf.len()]);
         Ok(())
     }
 
-    /// Writes `buf` into `page` starting at `offset`.
+    /// Writes `buf` into `page` starting at `offset`, copying a shared
+    /// page first. `buf` must not be borrowed from a [`Page`] (the page
+    /// pool's lock rule).
     ///
     /// Fails if the range crosses the page boundary or the page index is
     /// out of bounds.
@@ -96,9 +116,9 @@ impl PageStore {
                 len: buf.len(),
             });
         }
-        let mut slot = self.slot(page)?.write();
-        let data = slot.get_or_insert_with(|| vec![0u8; STORE_PAGE].into_boxed_slice());
-        data[offset..offset + buf.len()].copy_from_slice(buf);
+        self.slot(page)?
+            .lock()
+            .write(|data| data[offset..offset + buf.len()].copy_from_slice(buf));
         Ok(())
     }
 
@@ -132,38 +152,41 @@ impl PageStore {
         Ok(())
     }
 
-    /// Writes the first `bytes` bytes of the page list `pages` (one
-    /// 4 KiB slice per page) to consecutive pages from `first`. A page
-    /// the cut leaves untouched is not materialized.
-    pub fn write_pages(
-        &self,
-        first: u64,
-        pages: &[&[u8]],
-        bytes: usize,
-    ) -> Result<(), DeviceError> {
+    /// Persists the first `bytes` bytes of `pages` to consecutive pages
+    /// from `first`. Whole pages are adopted by reference; a page the cut
+    /// ends inside gets its prefix written into a fresh copy of the old
+    /// page; a page the cut leaves untouched is not touched.
+    pub fn write_pages(&self, first: u64, pages: &[Page], bytes: usize) -> Result<(), DeviceError> {
         for (i, data) in pages.iter().enumerate() {
-            let keep = bytes.saturating_sub(i * STORE_PAGE).min(data.len());
-            if keep == 0 {
-                break;
+            let keep = bytes.saturating_sub(i * STORE_PAGE).min(STORE_PAGE);
+            if keep == STORE_PAGE {
+                self.adopt(first + i as u64, data.clone())?;
+                continue;
             }
-            self.write_at(first + i as u64, 0, &data[..keep])?;
+            if keep > 0 {
+                let mut prefix = [0u8; STORE_PAGE];
+                prefix[..keep].copy_from_slice(&data.read()[..keep]);
+                self.write_at(first + i as u64, 0, &prefix[..keep])?;
+            }
+            break;
         }
         Ok(())
     }
 
     /// Drops a page's contents back to logical zero (TRIM/deallocate).
     pub fn discard(&self, page: u64) -> Result<(), DeviceError> {
-        *self.slot(page)?.write() = None;
-        Ok(())
+        self.adopt(page, Page::zero())
     }
 
-    /// Captures the store as a sparse image: its size plus a copy of
+    /// Captures the store as a sparse image: its size plus a reference to
     /// each materialized page (never-written pages stay implied zero).
-    /// The crash-consistency harness captures this at a simulated power
-    /// cut and recovers a fresh device from it.
+    /// The image shares the store's pages; a later write to either side
+    /// copies first, so the image keeps the bytes of the capture. The
+    /// crash-consistency harness captures this at a simulated power cut
+    /// and recovers a fresh device from it.
     pub fn snapshot(&self) -> DeviceImage {
         let mut resident = Vec::new();
-        self.for_each_resident(|i, data| resident.push((i, data.into())));
+        self.for_each_resident(|i, data| resident.push((i, data.clone())));
         DeviceImage {
             pages: self.page_count(),
             resident,
@@ -248,8 +271,7 @@ mod tests {
         s.discard(3).unwrap();
         let mut seen = Vec::new();
         s.for_each_resident(|p, data| {
-            assert_eq!(data.len(), STORE_PAGE);
-            seen.push((p, data.iter().map(|&b| b as u32).sum::<u32>()));
+            seen.push((p, data.read().iter().map(|&b| b as u32).sum::<u32>()));
         });
         assert_eq!(seen, vec![(1, 1), (4, 4)]);
     }
@@ -264,8 +286,42 @@ mod tests {
         assert_eq!(img.resident.len(), 1);
         let (page, data) = &img.resident[0];
         assert_eq!(*page, 1);
-        assert_eq!(&data[8..11], b"mid");
-        assert!(data[..8].iter().chain(&data[11..]).all(|&b| b == 0));
+        assert!(
+            data.same_as(&s.page(1).unwrap()),
+            "the image shares the page"
+        );
+        let bytes = data.read();
+        assert_eq!(&bytes[8..11], b"mid");
+        assert!(bytes[..8].iter().chain(&bytes[11..]).all(|&b| b == 0));
+        drop(bytes);
+        // A write after the capture copies; the image keeps its bytes.
+        s.write_at(1, 8, b"new").unwrap();
+        assert_eq!(&img.resident[0].1.read()[8..11], b"mid");
+    }
+
+    #[test]
+    fn page_lists_are_adopted_and_a_cut_page_gets_a_fresh_copy() {
+        let s = PageStore::new(4);
+        s.write_at(1, 0, &[0xAA; STORE_PAGE]).unwrap();
+        let old = s.page(1).unwrap();
+        let list = [
+            Page::copy_of(&[1; STORE_PAGE]),
+            Page::copy_of(&[2; STORE_PAGE]),
+        ];
+        // Page 0 whole, page 1 cut after 512 bytes.
+        s.write_pages(0, &list, STORE_PAGE + 512).unwrap();
+        assert!(s.page(0).unwrap().same_as(&list[0]), "adopted, not copied");
+        let cut = s.page(1).unwrap();
+        assert!(!cut.same_as(&list[1]) && !cut.same_as(&old));
+        assert!(cut.read()[..512].iter().all(|&b| b == 2));
+        assert!(cut.read()[512..].iter().all(|&b| b == 0xAA));
+        assert!(
+            old.read().iter().all(|&b| b == 0xAA),
+            "the old page is intact"
+        );
+        // A zero-byte cut leaves every page alone.
+        s.write_pages(2, &list, 0).unwrap();
+        assert_eq!(s.resident_pages(), 2);
     }
 
     #[test]

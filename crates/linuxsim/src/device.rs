@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use aquila_devices::{page_list, BufRef, NvmeDevice, NvmeOp, PmemDevice, STORE_PAGE};
-use aquila_sim::{CostCat, SimCtx};
+use aquila_sim::{CostCat, Page, SimCtx};
 
 /// A device as seen from the host kernel.
 #[derive(Clone)]
@@ -37,31 +37,45 @@ impl KernelDevice {
 
     /// Reads pages from within the kernel (fault fill / readahead).
     pub fn read_pages(&self, ctx: &mut dyn SimCtx, page: u64, buf: &mut [u8]) {
+        let mut out = vec![Page::zero(); buf.len() / STORE_PAGE];
         match self {
             KernelDevice::Pmem(d) => {
                 // Kernel pmem driver: scalar copy, small block-glue cost.
                 ctx.charge(CostCat::DeviceIo, aquila_sim::Cycles(240));
-                d.dax_read(ctx, page * STORE_PAGE as u64, buf, false)
+                d.dax_read(ctx, page, &mut out, false)
                     .expect("kernel fill within device bounds");
             }
             KernelDevice::Nvme(d) => {
                 let c = ctx.cost().nvme_submit_kernel;
                 ctx.charge(CostCat::DeviceIo, c);
-                let pages = buf.len() / STORE_PAGE;
                 let qp = d.create_qpair();
-                qp.submit(ctx.now(), NvmeOp::Read, page, pages, BufRef::Mut(buf))
-                    .expect("kernel fill within device bounds");
+                qp.submit(
+                    ctx.now(),
+                    NvmeOp::Read,
+                    page,
+                    out.len(),
+                    BufRef::Out(&mut out),
+                )
+                .expect("kernel fill within device bounds");
                 // Interrupt-driven completion: CPU idles.
                 qp.drain(ctx, CostCat::Idle);
                 ctx.counters().device_reads += 1;
                 ctx.counters().bytes_read += buf.len() as u64;
             }
         }
+        // The kernel's page-cache pages are its own: one copy each.
+        for (dst, data) in buf.chunks_exact_mut(STORE_PAGE).zip(&out) {
+            dst.copy_from_slice(&data.read());
+        }
     }
 
     /// Writes a page list (one 4 KiB slice per page) to consecutive
     /// device pages from `page`, from within the kernel (writeback).
     pub fn write_page_list(&self, ctx: &mut dyn SimCtx, page: u64, pages: &[&[u8]]) {
+        // The kernel's buffers are its own: the device takes one copy of
+        // each page.
+        let pages: Vec<Page> = pages.iter().map(|p| Page::copy_of(p)).collect();
+        let pages = &pages[..];
         match self {
             KernelDevice::Pmem(d) => {
                 ctx.charge(CostCat::DeviceIo, aquila_sim::Cycles(240));

@@ -28,6 +28,6 @@ pub use addr::{
     Gva, Vpn, ENTRIES_PER_TABLE, HUGE_PAGE_PAGES, PAGE_2M, PAGE_SHIFT, PAGE_SIZE, PT_LEVELS,
 };
 pub use pagetable::{Access, LeafKind, PageFaultKind, PageTable, Pte, PteFlags};
-pub use physmem::{FrameId, FramesView, PhysMem};
+pub use physmem::{FrameId, PhysMem};
 pub use sharded::{ShardedPageTable, L_PT_SHARD};
 pub use tlb::{Tlb, TlbFabric};

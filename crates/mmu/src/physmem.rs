@@ -2,43 +2,36 @@
 //!
 //! One contiguous guest-physical range holds the frames of the Aquila
 //! DRAM cache (the paper resizes this range in 1 GiB EPT granules). The
-//! bytes are real: page-fault handlers copy device data in, applications
-//! read and write through their mappings, and writeback copies dirty
-//! frames out — so KV stores and graph workloads running on the simulator
-//! observe genuine data, not placeholders.
+//! bytes are real: page-fault handlers fill frames with device data,
+//! applications read and write through their mappings, and writeback
+//! hands dirty frames to the device — so KV stores and graph workloads
+//! running on the simulator observe genuine data, not placeholders.
 //!
-//! Frames live in chunks of 512 (2 MiB of host memory each), one
-//! reader-writer lock per chunk: neighbouring frames share host pages and
-//! a lock word instead of a heap box and a lock each. The locks keep the
-//! pool sound under real threads and are uncontended under the
-//! single-threaded discrete-event engine.
+//! Each frame holds a [`Page`] of the process-wide page pool
+//! ([`aquila_sim::page`]) and starts as the shared zero page, so no frame
+//! bytes exist until a frame is filled. A fill installs the device's own
+//! page ([`PhysMem::install`]); writeback hands the frame's page to the
+//! device ([`PhysMem::page`]), which adopts it; a write through a mapping
+//! ([`PhysMem::write`]) copies a shared page first, making the frame
+//! private. One short lock per frame slot guards the handle.
 //!
-//! **Lock rule:** a frame's bytes are only reachable inside
-//! [`PhysMem::with_frame`] / [`PhysMem::with_frame_mut`], which hold its
-//! chunk's lock, or through a [`FramesView`], which holds the read locks
-//! of every chunk a batch touches. No caller may take another frame while
-//! inside one of them or while holding a view: the other frame may share
-//! a chunk, and a nested write would deadlock. A view takes its read
-//! locks in ascending chunk order, all at once, so two views never wait
-//! on each other.
+//! A frame's bytes are reached only by copying them in or out
+//! ([`PhysMem::read`] / [`PhysMem::write`]), under the frame's slot lock
+//! and its page's chunk lock, or by taking a reference to its page; there
+//! is no closure access in which a caller could fill a frame in place.
 
-use std::sync::RwLockReadGuard;
-
-use aquila_sync::RwLock;
+use aquila_sim::Page;
+use aquila_sync::Mutex;
 
 use aquila_vmx::Gpa;
 
 use crate::addr::PAGE_SIZE;
 
-/// Frames per chunk: one 2 MiB host allocation and lock.
-const CHUNK_FRAMES: usize = 512;
-const FRAME_BYTES: usize = PAGE_SIZE as usize;
-
 /// Index of a frame within a [`PhysMem`] pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FrameId(pub u32);
 
-/// A pool of real 4 KiB frames at a guest-physical base address, with an
+/// A pool of 4 KiB frames at a guest-physical base address, with an
 /// optional second *slab* window of physically contiguous 2 MiB runs at a
 /// separate base (the huge-page promotion pool). Frame indices are flat:
 /// `0..slab_start` live at `base`, `slab_start..` at `slab_base`.
@@ -46,20 +39,18 @@ pub struct PhysMem {
     base: Gpa,
     slab_base: Gpa,
     slab_start: usize,
-    frames: usize,
-    /// Frame `i` is bytes `(i % 512) * 4096..` of chunk `i / 512`; the
-    /// last chunk holds only the remainder, so the slice bounds check
-    /// rejects a frame past the end.
-    chunks: Vec<RwLock<Box<[u8]>>>,
+    /// The page each frame holds; the slice bounds check rejects a frame
+    /// past the end.
+    frames: Vec<Mutex<Page>>,
 }
 
 impl PhysMem {
-    /// Allocates a pool of `frames` zeroed frames based at `base`.
+    /// Creates a pool of `frames` zeroed frames based at `base`.
     pub fn new(base: Gpa, frames: usize) -> PhysMem {
         Self::with_slab(base, frames, Gpa(base.get()), 0)
     }
 
-    /// Allocates `frames` ordinary frames at `base` plus `slab_frames`
+    /// Creates `frames` ordinary frames at `base` plus `slab_frames`
     /// slab frames at `slab_base` (which must be 2 MiB-aligned and must
     /// not overlap the ordinary window).
     pub fn with_slab(base: Gpa, frames: usize, slab_base: Gpa, slab_frames: usize) -> PhysMem {
@@ -76,34 +67,19 @@ impl PhysMem {
                 "slab window overlaps the ordinary frame window"
             );
         }
-        let total = frames + slab_frames;
         PhysMem {
             base,
             slab_base,
             slab_start: frames,
-            frames: total,
-            chunks: (0..total.div_ceil(CHUNK_FRAMES))
-                .map(|c| {
-                    let n = (total - c * CHUNK_FRAMES).min(CHUNK_FRAMES);
-                    RwLock::new(vec![0u8; n * FRAME_BYTES].into_boxed_slice())
-                })
+            frames: (0..frames + slab_frames)
+                .map(|_| Mutex::new(Page::zero()))
                 .collect(),
         }
     }
 
     /// Number of frames in the pool (ordinary + slab).
     pub fn frame_count(&self) -> usize {
-        self.frames
-    }
-
-    /// The chunk holding `frame` and the frame's byte offset in it.
-    #[inline]
-    fn locate(&self, frame: FrameId) -> (&RwLock<Box<[u8]>>, usize) {
-        let idx = frame.0 as usize;
-        (
-            &self.chunks[idx / CHUNK_FRAMES],
-            (idx % CHUNK_FRAMES) * FRAME_BYTES,
-        )
+        self.frames.len()
     }
 
     /// First frame index of the slab window (== ordinary frame count).
@@ -135,10 +111,10 @@ impl PhysMem {
                 return Some(FrameId(idx as u32));
             }
         }
-        if self.slab_start < self.frames {
+        if self.slab_start < self.frames.len() {
             if let Some(off) = gpa.get().checked_sub(self.slab_base.get()) {
                 let idx = self.slab_start + (off / PAGE_SIZE) as usize;
-                if idx < self.frames {
+                if idx < self.frames.len() {
                     return Some(FrameId(idx as u32));
                 }
             }
@@ -146,90 +122,53 @@ impl PhysMem {
         None
     }
 
-    /// Runs `f` with shared access to a frame's bytes.
+    /// A reference to the page `frame` holds: writeback hands it to the
+    /// device, which adopts it without copying.
     ///
     /// # Panics
     ///
     /// Panics if `frame` is out of range.
-    pub fn with_frame<R>(&self, frame: FrameId, f: impl FnOnce(&[u8]) -> R) -> R {
-        let (chunk, off) = self.locate(frame);
-        f(&chunk.read()[off..off + FRAME_BYTES])
+    pub fn page(&self, frame: FrameId) -> Page {
+        self.frames[frame.0 as usize].lock().clone()
     }
 
-    /// Runs `f` with exclusive access to a frame's bytes.
+    /// Makes `page` the contents of `frame` (a fill by reference) and
+    /// returns the page the frame held before.
     ///
     /// # Panics
     ///
     /// Panics if `frame` is out of range.
-    pub fn with_frame_mut<R>(&self, frame: FrameId, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        let (chunk, off) = self.locate(frame);
-        f(&mut chunk.write()[off..off + FRAME_BYTES])
-    }
-
-    /// Shared access to the bytes of every frame in `frames`, for as long
-    /// as the view lives: device writes take their page lists straight
-    /// from it. Takes the read locks of the chunks the frames live in, in
-    /// ascending chunk order; see the module's lock rule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a frame is out of range.
-    pub fn read_view(&self, frames: impl IntoIterator<Item = FrameId>) -> FramesView<'_> {
-        let mut chunks: Vec<usize> = frames
-            .into_iter()
-            .map(|f| f.0 as usize / CHUNK_FRAMES)
-            .collect();
-        chunks.sort_unstable();
-        chunks.dedup();
-        FramesView {
-            guards: chunks
-                .into_iter()
-                .map(|c| (c, self.chunks[c].read()))
-                .collect(),
-        }
+    pub fn install(&self, frame: FrameId, page: Page) -> Page {
+        std::mem::replace(&mut *self.frames[frame.0 as usize].lock(), page)
     }
 
     /// Copies bytes out of a frame starting at `offset`.
-    pub fn read(&self, frame: FrameId, offset: usize, buf: &mut [u8]) {
-        self.with_frame(frame, |data| {
-            buf.copy_from_slice(&data[offset..offset + buf.len()]);
-        });
-    }
-
-    /// Copies bytes into a frame starting at `offset`.
-    pub fn write(&self, frame: FrameId, offset: usize, buf: &[u8]) {
-        self.with_frame_mut(frame, |data| {
-            data[offset..offset + buf.len()].copy_from_slice(buf);
-        });
-    }
-
-    /// Zeroes a frame (frame recycling between mappings).
-    pub fn zero(&self, frame: FrameId) {
-        self.with_frame_mut(frame, |data| data.fill(0));
-    }
-}
-
-/// Read locks on the chunks of a batch of frames; see
-/// [`PhysMem::read_view`].
-pub struct FramesView<'a> {
-    /// `(chunk index, its read guard)`, ascending by chunk.
-    guards: Vec<(usize, RwLockReadGuard<'a, Box<[u8]>>)>,
-}
-
-impl FramesView<'_> {
-    /// The bytes of `frame`.
     ///
     /// # Panics
     ///
-    /// Panics if `frame` was not in the set the view was taken over.
-    pub fn frame(&self, frame: FrameId) -> &[u8] {
-        let idx = frame.0 as usize;
-        let at = self
-            .guards
-            .binary_search_by_key(&(idx / CHUNK_FRAMES), |(c, _)| *c)
-            .unwrap_or_else(|_| panic!("frame {} outside the view", frame.0));
-        let off = (idx % CHUNK_FRAMES) * FRAME_BYTES;
-        &self.guards[at].1[off..off + FRAME_BYTES]
+    /// Panics if `frame` is out of range or the bytes cross its end.
+    pub fn read(&self, frame: FrameId, offset: usize, buf: &mut [u8]) {
+        let page = self.frames[frame.0 as usize].lock();
+        buf.copy_from_slice(&page.read()[offset..offset + buf.len()]);
+    }
+
+    /// Copies bytes into a frame starting at `offset`. A page the frame
+    /// shares (with a device store, say) is copied first, so the write
+    /// stays private to the frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` is out of range or the bytes cross its end.
+    pub fn write(&self, frame: FrameId, offset: usize, buf: &[u8]) {
+        self.frames[frame.0 as usize]
+            .lock()
+            .write(|data| data[offset..offset + buf.len()].copy_from_slice(buf));
+    }
+
+    /// Zeroes a frame (frame recycling between mappings): it drops its
+    /// page and holds the shared zero page again.
+    pub fn zero(&self, frame: FrameId) {
+        self.install(frame, Page::zero());
     }
 }
 
@@ -238,7 +177,8 @@ impl core::fmt::Debug for PhysMem {
         write!(
             f,
             "PhysMem {{ base: {}, frames: {} }}",
-            self.base, self.frames
+            self.base,
+            self.frames.len()
         )
     }
 }
@@ -250,7 +190,7 @@ mod tests {
     #[test]
     fn frames_start_zeroed() {
         let pm = PhysMem::new(Gpa(0x1000_0000), 4);
-        pm.with_frame(FrameId(0), |d| assert!(d.iter().all(|&b| b == 0)));
+        assert!(pm.page(FrameId(0)).read().iter().all(|&b| b == 0));
         assert_eq!(pm.frame_count(), 4);
     }
 
@@ -282,7 +222,7 @@ mod tests {
         let pm = PhysMem::new(Gpa(0), 1);
         pm.write(FrameId(0), 0, &[0xAA; 4096]);
         pm.zero(FrameId(0));
-        pm.with_frame(FrameId(0), |d| assert!(d.iter().all(|&b| b == 0)));
+        assert!(pm.page(FrameId(0)).read().iter().all(|&b| b == 0));
     }
 
     #[test]
@@ -322,8 +262,7 @@ mod tests {
     }
 
     #[test]
-    fn frames_across_a_chunk_boundary_are_independent() {
-        // 513 frames: one full chunk plus a one-frame tail chunk.
+    fn neighbouring_frames_are_independent() {
         let pm = PhysMem::new(Gpa(0), 513);
         pm.write(FrameId(511), 4090, b"tail51");
         pm.write(FrameId(512), 0, b"head");
@@ -332,39 +271,33 @@ mod tests {
         assert_eq!(&buf, b"tail51");
         pm.read(FrameId(512), 0, &mut buf[..4]);
         assert_eq!(&buf[..4], b"head");
-        pm.with_frame(FrameId(510), |d| assert!(d.iter().all(|&b| b == 0)));
-        pm.with_frame(FrameId(512), |d| assert_eq!(d.len(), 4096));
+        assert!(pm.page(FrameId(510)).is_zero());
+        assert_eq!(pm.page(FrameId(512)).read().len(), 4096);
     }
 
     #[test]
-    fn read_view_spans_chunks_in_any_frame_order() {
-        // Three chunks; the view covers frames in the first and third,
-        // listed out of order and with a repeat.
-        let pm = PhysMem::new(Gpa(0), 1100);
-        for f in [3u32, 511, 512, 1099] {
-            pm.write(FrameId(f), 0, &[f as u8; 8]);
-        }
-        let frames = [FrameId(1099), FrameId(3), FrameId(1099), FrameId(511)];
-        let view = pm.read_view(frames);
-        for f in [3u32, 511, 1099] {
-            let data = view.frame(FrameId(f));
-            assert_eq!(data.len(), FRAME_BYTES);
-            assert_eq!(&data[..8], &[f as u8; 8]);
-            assert!(data[8..].iter().all(|&b| b == 0));
-        }
-        assert_eq!(view.guards.len(), 2, "one guard per touched chunk");
-        // Readers coexist with a view; the view holds no frame lock.
-        pm.with_frame(FrameId(512), |d| assert_eq!(&d[..8], &[0u8; 8][..]));
-        drop(view);
-        pm.write(FrameId(3), 0, b"after");
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the view")]
-    fn read_view_rejects_a_frame_it_does_not_cover() {
-        let pm = PhysMem::new(Gpa(0), 1024);
-        let view = pm.read_view([FrameId(0)]);
-        view.frame(FrameId(600));
+    fn fills_share_pages_and_writes_make_the_frame_private() {
+        let pm = PhysMem::new(Gpa(0), 2);
+        assert!(pm.page(FrameId(0)).is_zero(), "no bytes until a fill");
+        let store = Page::copy_of(&[0x5A; 4096]);
+        assert!(pm.install(FrameId(0), store.clone()).is_zero());
+        assert!(pm.page(FrameId(0)).same_as(&store), "filled by reference");
+        let mut buf = [0u8; 2];
+        pm.read(FrameId(0), 10, &mut buf);
+        assert_eq!(buf, [0x5A; 2]);
+        // The first write copies; the store's page keeps its bytes.
+        pm.write(FrameId(0), 10, b"hi");
+        let private = pm.page(FrameId(0));
+        assert!(!private.same_as(&store));
+        assert_eq!(&private.read()[9..13], &[0x5A, b'h', b'i', 0x5A]);
+        assert!(store.read().iter().all(|&b| b == 0x5A));
+        // Writeback hands the frame's page over; the next write copies
+        // again, so the adopted page never changes under its new owner.
+        let adopted = pm.page(FrameId(0));
+        pm.write(FrameId(0), 0, b"x");
+        assert_eq!(adopted.read()[0], 0x5A);
+        pm.zero(FrameId(0));
+        assert!(pm.page(FrameId(0)).is_zero());
     }
 
     #[test]

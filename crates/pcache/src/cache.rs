@@ -16,8 +16,8 @@
 
 use std::sync::atomic::{AtomicU16, AtomicUsize, Ordering};
 
-use aquila_mmu::{FrameId, PhysMem, HUGE_PAGE_PAGES, PAGE_SIZE};
-use aquila_sim::{race, CostCat, SimCtx};
+use aquila_mmu::{FrameId, PhysMem, HUGE_PAGE_PAGES};
+use aquila_sim::{race, CostCat, Page, SimCtx};
 use aquila_sync::Mutex;
 use aquila_vmx::Gpa;
 
@@ -247,7 +247,7 @@ impl DramCache {
         DramCache {
             map: LockFreeMap::new(total_frames),
             clock: ClockLru::new(total_frames),
-            dirty: DirtyTrees::new(cfg.topology.cores()),
+            dirty: DirtyTrees::new(cfg.topology.cores(), total_frames),
             owners: (0..total_frames).map(|_| Mutex::new(None)).collect(),
             freelist,
             mem,
@@ -473,8 +473,8 @@ impl DramCache {
     }
 
     /// Migrates a cached page from `old` (an ordinary frame) into `new`
-    /// (a slab frame) during huge-page collapse: copies the bytes,
-    /// repoints the index, owner slots, and dirty tree, and charges the
+    /// (a slab frame) during huge-page collapse: moves the page (charged
+    /// as the copy the hardware makes), repoints the index, owner slots, and dirty tree, and charges the
     /// run's occupancy. Returns whether the page was dirty.
     ///
     /// The caller still owns `old`: it must unmap any virtual mappings,
@@ -494,9 +494,9 @@ impl DramCache {
             .expect("migration target must be a slab frame");
         let c = ctx.cost().memcpy_4k_avx2 + ctx.cost().hash_update;
         ctx.charge(CostCat::CacheMgmt, c);
-        let mut buf = vec![0u8; PAGE_SIZE as usize];
-        self.mem.read(old, 0, &mut buf);
-        self.mem.write(new, 0, &buf);
+        // The model copies the page; the host moves the reference.
+        let page = self.mem.install(old, Page::zero());
+        self.mem.install(new, page);
         let bucket = self.map.bucket_index(key);
         race::acquire(ctx, (L_BUCKET, bucket));
         let repointed = self.map.update(key, new.0 as u64);
@@ -515,8 +515,8 @@ impl DramCache {
         race::write(ctx, (V_OWNER, new.0 as u64));
         race::release(ctx, (L_OWNER, new.0 as u64));
         race::acquire(ctx, (L_DIRTY, 0));
-        let dirty = match self.dirty.remove_anywhere(key) {
-            Some((core, _)) => {
+        let dirty = match self.dirty.take(old, key) {
+            Some(core) => {
                 self.dirty.insert(core, key, new);
                 true
             }
@@ -661,7 +661,7 @@ impl DramCache {
             }
             self.tenants.debit(key.file);
             race::acquire(ctx, (L_DIRTY, 0));
-            let dirty = self.dirty.remove_anywhere(key).is_some();
+            let dirty = self.dirty.take(frame, key).is_some();
             race::write(ctx, (V_DIRTY, 0));
             race::release(ctx, (L_DIRTY, 0));
             if dirty {
@@ -717,7 +717,8 @@ impl DramCache {
     }
 
     /// Returns a frame to its pool (after eviction writeback, or when an
-    /// insert lost a race). Ordinary frames go back to the freelist; slab
+    /// insert lost a race), dropping the page it held. Ordinary frames go
+    /// back to the freelist; slab
     /// frames drain their run's occupancy, and the run returns to the
     /// slab pool once empty — slab frames never enter the freelist.
     pub fn release_frame(&self, ctx: &mut dyn SimCtx, frame: FrameId) {
@@ -728,8 +729,10 @@ impl DramCache {
         *self.owners[frame.0 as usize].lock() = None;
         race::write(ctx, (V_OWNER, frame.0 as u64));
         race::release(ctx, (L_OWNER, frame.0 as u64));
+        // A free frame holds no page: its reference goes back now, not
+        // at the next fill.
+        self.mem.zero(frame);
         if let Some(run) = self.slab_run_of(frame) {
-            self.mem.zero(frame);
             race::acquire(ctx, (L_SLAB, 0));
             let mut occ = self.slab_occupancy[run].lock();
             *occ -= 1;

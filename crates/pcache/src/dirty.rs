@@ -13,6 +13,7 @@
 //! operation regardless.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use aquila_sync::Mutex;
 
@@ -29,18 +30,32 @@ pub struct DirtyPage {
     pub frame: FrameId,
 }
 
+/// Per-core tree contents: `(file, page) -> frame`.
+type Tree = BTreeMap<(u32, u64), FrameId>;
+
 /// The per-core dirty trees.
+///
+/// A page sits in at most one tree: each frame has a dirty word holding
+/// the owning core plus one (0 while clean). Marking sets it by
+/// compare-and-swap, so a page re-dirtied from another core (a fresh
+/// mapping of a still-dirty page) is not entered twice; eviction, drains
+/// and migration read and clear it, and removal goes to the one tree the
+/// word names. The word publishes which tree holds the entry: a marker's
+/// `AcqRel` compare-and-swap pairs with the `AcqRel` swap of `take` and
+/// the `Release` store of a drain (made under that tree's lock).
 pub struct DirtyTrees {
-    trees: Vec<Mutex<BTreeMap<(u32, u64), FrameId>>>,
+    trees: Vec<Mutex<Tree>>,
+    owner: Vec<AtomicU32>,
 }
 
 impl DirtyTrees {
-    /// Creates trees for `cores` cores.
-    pub fn new(cores: usize) -> DirtyTrees {
+    /// Creates trees for `cores` cores over a pool of `frames` frames.
+    pub fn new(cores: usize, frames: usize) -> DirtyTrees {
         DirtyTrees {
             trees: (0..cores.max(1))
                 .map(|_| Mutex::new(BTreeMap::new()))
                 .collect(),
+            owner: (0..frames).map(|_| AtomicU32::new(0)).collect(),
         }
     }
 
@@ -49,32 +64,32 @@ impl DirtyTrees {
         self.trees.len()
     }
 
-    /// Marks a page dirty from `core`. Returns false if it was already
-    /// marked in this core's tree.
+    /// Marks `key` (held in `frame`) dirty from `core`. Returns false,
+    /// changing nothing, if the frame is already dirty in any core's tree.
     pub fn insert(&self, core: usize, key: PageKey, frame: FrameId) -> bool {
-        self.trees[core % self.trees.len()]
-            .lock()
-            .insert((key.file, key.page), frame)
-            .is_none()
-    }
-
-    /// Removes a specific page from `core`'s tree (page cleaned or
-    /// evicted). Returns the frame if it was present.
-    pub fn remove(&self, core: usize, key: PageKey) -> Option<FrameId> {
-        self.trees[core % self.trees.len()]
-            .lock()
-            .remove(&(key.file, key.page))
-    }
-
-    /// Removes a page from whichever tree holds it (used when the cleaner
-    /// does not know the dirtying core).
-    pub fn remove_anywhere(&self, key: PageKey) -> Option<(usize, FrameId)> {
-        for (core, tree) in self.trees.iter().enumerate() {
-            if let Some(f) = tree.lock().remove(&(key.file, key.page)) {
-                return Some((core, f));
-            }
+        let core = core % self.trees.len();
+        let word = &self.owner[frame.0 as usize];
+        if word
+            .compare_exchange(0, core as u32 + 1, Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
+        {
+            return false;
         }
-        None
+        self.trees[core].lock().insert((key.file, key.page), frame);
+        true
+    }
+
+    /// Cleans `frame`, which holds `key`: clears its dirty word and
+    /// removes the page from the one tree the word named. Returns that
+    /// tree's core, or `None` if the frame was clean.
+    pub fn take(&self, frame: FrameId, key: PageKey) -> Option<usize> {
+        let core = self.owner[frame.0 as usize].swap(0, Ordering::AcqRel);
+        if core == 0 {
+            return None;
+        }
+        let core = core as usize - 1;
+        self.trees[core].lock().remove(&(key.file, key.page));
+        Some(core)
     }
 
     /// Whether `key` is marked dirty in any core's tree.
@@ -94,6 +109,16 @@ impl DirtyTrees {
         self.len() == 0
     }
 
+    /// Removes `k` from a locked tree and clears its frame's dirty word.
+    fn drain_one(&self, tree: &mut Tree, k: (u32, u64), out: &mut Vec<DirtyPage>) {
+        let frame = tree.remove(&k).expect("key just observed");
+        self.owner[frame.0 as usize].store(0, Ordering::Release);
+        out.push(DirtyPage {
+            key: PageKey::new(k.0, k.1),
+            frame,
+        });
+    }
+
     /// Drains all dirty pages of `file` whose page index lies in
     /// `[start, end)`, merged across cores in device-offset order (the
     /// `msync` and writeback path).
@@ -106,11 +131,7 @@ impl DirtyTrees {
                 .map(|(&k, _)| k)
                 .collect();
             for k in keys {
-                let frame = tree.remove(&k).expect("key just observed");
-                merged.push(DirtyPage {
-                    key: PageKey::new(k.0, k.1),
-                    frame,
-                });
+                self.drain_one(&mut tree, k, &mut merged);
             }
         }
         // Per-core trees are sorted runs; a final sort merges them.
@@ -124,12 +145,8 @@ impl DirtyTrees {
         let mut merged: Vec<DirtyPage> = Vec::new();
         for tree in &self.trees {
             let mut tree = tree.lock();
-            while let Some((&k, &frame)) = tree.iter().next() {
-                tree.remove(&k);
-                merged.push(DirtyPage {
-                    key: PageKey::new(k.0, k.1),
-                    frame,
-                });
+            while let Some(&k) = tree.keys().next() {
+                self.drain_one(&mut tree, k, &mut merged);
             }
         }
         merged.sort_by_key(|d| (d.key.file, d.key.page));
@@ -184,27 +201,35 @@ mod tests {
     }
 
     #[test]
-    fn insert_remove_roundtrip() {
-        let t = DirtyTrees::new(4);
+    fn insert_take_roundtrip() {
+        let t = DirtyTrees::new(4, 16);
         assert!(t.insert(1, PageKey::new(0, 5), FrameId(9)));
         assert!(!t.insert(1, PageKey::new(0, 5), FrameId(9)), "re-mark");
         assert_eq!(t.len(), 1);
-        assert_eq!(t.remove(1, PageKey::new(0, 5)), Some(FrameId(9)));
+        assert_eq!(t.take(FrameId(9), PageKey::new(0, 5)), Some(1));
         assert!(t.is_empty());
+        assert_eq!(t.take(FrameId(9), PageKey::new(0, 5)), None);
     }
 
     #[test]
-    fn remove_anywhere_searches_all_cores() {
-        let t = DirtyTrees::new(4);
-        t.insert(3, PageKey::new(1, 2), FrameId(7));
-        assert_eq!(t.remove(0, PageKey::new(1, 2)), None);
-        assert_eq!(t.remove_anywhere(PageKey::new(1, 2)), Some((3, FrameId(7))));
-        assert_eq!(t.remove_anywhere(PageKey::new(1, 2)), None);
+    fn a_page_dirtied_from_two_cores_sits_in_one_tree() {
+        let t = DirtyTrees::new(4, 16);
+        let key = PageKey::new(1, 2);
+        assert!(t.insert(3, key, FrameId(7)));
+        assert!(!t.insert(0, key, FrameId(7)), "already dirty on core 3");
+        assert_eq!(t.len(), 1);
+        assert!(t.contains(key));
+        assert_eq!(t.take(FrameId(7), key), Some(3), "the owning core's tree");
+        assert!(t.is_empty() && !t.contains(key));
+        // Clean again: the next mark may come from any core.
+        assert!(t.insert(0, key, FrameId(7)));
+        assert_eq!(t.drain_all().len(), 1);
+        assert!(t.insert(2, key, FrameId(7)), "a drain clears the word");
     }
 
     #[test]
     fn drain_file_range_is_sorted_and_scoped() {
-        let t = DirtyTrees::new(4);
+        let t = DirtyTrees::new(4, 16);
         // Spread pages of file 1 across cores, plus noise in file 2.
         t.insert(0, PageKey::new(1, 30), FrameId(0));
         t.insert(1, PageKey::new(1, 10), FrameId(1));
@@ -220,7 +245,7 @@ mod tests {
 
     #[test]
     fn drain_all_empties_everything() {
-        let t = DirtyTrees::new(2);
+        let t = DirtyTrees::new(2, 16);
         for i in 0..10 {
             t.insert(i as usize % 2, PageKey::new(0, 9 - i), FrameId(i as u32));
         }

@@ -37,6 +37,7 @@ use std::sync::{Arc, OnceLock};
 
 use aquila_sync::Mutex;
 
+use crate::page::Page;
 use crate::time::Cycles;
 use crate::PAGE_SIZE;
 
@@ -190,12 +191,17 @@ pub enum FaultOutcome {
 /// A sparse device image: the device's size in pages plus the contents
 /// of its resident pages. Every page not listed reads as zero, matching
 /// page-store semantics, so an image costs host memory only for data.
+///
+/// The resident pages are [`Page`] references: capturing an image from a
+/// page store shares the store's pages, and writing into the image gives
+/// it private copies, so a live device running on after a capture never
+/// changes the image (DESIGN.md §11.4).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceImage {
     /// Device capacity in [`PAGE_SIZE`] pages.
     pub pages: u64,
-    /// Resident pages in ascending page order, each [`PAGE_SIZE`] bytes.
-    pub resident: Vec<(u64, Box<[u8]>)>,
+    /// Resident pages in ascending page order.
+    pub resident: Vec<(u64, Page)>,
 }
 
 impl DeviceImage {
@@ -204,8 +210,30 @@ impl DeviceImage {
         self.pages * PAGE_SIZE as u64
     }
 
+    /// The resident slot of `page`, inserted as zero if absent.
+    fn slot(&mut self, page: u64) -> &mut Page {
+        let i = match self.resident.binary_search_by_key(&page, |(p, _)| *p) {
+            Ok(i) => i,
+            Err(i) => {
+                self.resident.insert(i, (page, Page::zero()));
+                i
+            }
+        };
+        &mut self.resident[i].1
+    }
+
+    /// Makes `data` the contents of `page` without copying it. Pages
+    /// past the end of the device are dropped.
+    pub fn put(&mut self, page: u64, data: Page) {
+        if page < self.pages {
+            *self.slot(page) = data;
+        }
+    }
+
     /// Writes `data` at absolute byte offset `pos`, materializing zero
     /// pages as needed. Bytes past the end of the device are dropped.
+    /// `data` must not be borrowed from a [`Page`] (the page pool's lock
+    /// rule).
     pub fn write(&mut self, pos: u64, data: &[u8]) {
         let end = (pos + data.len() as u64).min(self.bytes());
         let mut at = pos;
@@ -213,16 +241,9 @@ impl DeviceImage {
             let page = at / PAGE_SIZE as u64;
             let off = (at % PAGE_SIZE as u64) as usize;
             let n = (PAGE_SIZE - off).min((end - at) as usize);
-            let i = match self.resident.binary_search_by_key(&page, |&(p, _)| p) {
-                Ok(i) => i,
-                Err(i) => {
-                    let zero = vec![0u8; PAGE_SIZE].into_boxed_slice();
-                    self.resident.insert(i, (page, zero));
-                    i
-                }
-            };
             let src = (at - pos) as usize;
-            self.resident[i].1[off..off + n].copy_from_slice(&data[src..src + n]);
+            self.slot(page)
+                .write(|b| b[off..off + n].copy_from_slice(&data[src..src + n]));
             at += n as u64;
         }
     }
@@ -614,6 +635,7 @@ mod tests {
 
     #[test]
     fn image_writes_materialize_pages_in_order_and_stop_at_the_end() {
+        let _g = crate::page::SERIAL.lock();
         let mut img = DeviceImage {
             pages: 4,
             resident: Vec::new(),
@@ -625,11 +647,33 @@ mod tests {
         img.write(4 * PAGE_SIZE as u64 - 1, &[5; 8]);
         let pages: Vec<u64> = img.resident.iter().map(|&(p, _)| p).collect();
         assert_eq!(pages, vec![0, 2, 3]);
-        assert_eq!(img.resident[0].1[10], 9);
-        assert_eq!(&img.resident[1].1[PAGE_SIZE - 2..], &[7, 7]);
-        assert_eq!(&img.resident[2].1[..2], &[7, 7]);
-        assert_eq!(img.resident[2].1[PAGE_SIZE - 1], 5);
-        assert!(img.resident[2].1[2..PAGE_SIZE - 1].iter().all(|&b| b == 0));
+        assert_eq!(img.resident[0].1.read()[10], 9);
+        assert_eq!(&img.resident[1].1.read()[PAGE_SIZE - 2..], &[7, 7]);
+        let last = img.resident[2].1.read();
+        assert_eq!(&last[..2], &[7, 7]);
+        assert_eq!(last[PAGE_SIZE - 1], 5);
+        assert!(last[2..PAGE_SIZE - 1].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn an_image_shares_put_pages_until_written() {
+        let _g = crate::page::SERIAL.lock();
+        let data = Page::copy_of(&[3; PAGE_SIZE]);
+        let mut img = DeviceImage {
+            pages: 2,
+            resident: Vec::new(),
+        };
+        img.put(1, data.clone());
+        img.put(2, data.clone()); // past the end: dropped
+        assert_eq!(img.resident.len(), 1);
+        assert!(img.resident[0].1.same_as(&data));
+        img.write(PAGE_SIZE as u64, &[4]);
+        assert!(!img.resident[0].1.same_as(&data), "a write copies first");
+        assert!(
+            data.read().iter().all(|&b| b == 3),
+            "the source is untouched"
+        );
+        assert_eq!(img.resident[0].1.read()[..2], [4, 3]);
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //!   histogram), and a registry of named per-core
 //!   counters/gauges/latency-histograms, all zero-cost when not
 //!   installed;
+//! - [`page`] — the process-wide pool of refcounted 4 KiB pages that
+//!   device stores and the DRAM cache share, copied only on first write;
 //! - [`fault`] — schedule-deterministic fault plans (media errors,
 //!   timeouts, torn writes, power cuts) that device models consult at
 //!   chosen operation counts or cycle points, zero-cost when empty.
@@ -35,6 +37,7 @@ pub mod engine;
 pub mod fault;
 pub mod hist;
 pub mod metrics;
+pub mod page;
 pub mod race;
 pub mod region;
 pub mod resource;
@@ -52,6 +55,7 @@ pub use fault::{
 };
 pub use hist::LatencyHist;
 pub use metrics::{HistId, MetricId, MetricKind, MetricsRegistry, MetricsSnapshot};
+pub use page::Page;
 pub use race::{RaceDetector, RaceStats};
 pub use region::{DramRegion, MemRegion};
 pub use resource::{Reservation, ServiceCenter, SimMutex, SimRwLock};
