@@ -165,7 +165,7 @@ pub fn lint_file(path: &str, source: &str) -> Vec<Finding> {
         // Entry points whose Results carry DeviceError (directly or via
         // a wrapper like BlobError); `.read(`/`.write(` are too generic
         // to list without drowning the lint in engine-API noise.
-        const DEVICE_TOKENS: [&str; 15] = [
+        const DEVICE_TOKENS: [&str; 16] = [
             "read_pages",
             "write_pages",
             "write_page_list",
@@ -181,6 +181,7 @@ pub fn lint_file(path: &str, source: &str) -> Vec<Finding> {
             "open_blob",
             "sync_md",
             "submit",
+            "execute",
         ];
         let in_devices = path.starts_with("crates/devices/");
         for (n, line) in lines.iter().enumerate() {
@@ -842,6 +843,13 @@ fn b(&self) { let f = self.files.lock(); }
         let inline = "fn f() { access.write_pages(ctx, 0, &b).unwrap(); }\n";
         let refs = "fn f() { access.read_refs(ctx, 0, &mut out).unwrap(); }\n";
         let adopt = "fn f() { store.adopt(3, page).expect(\"in range\"); }\n";
+        let execute = "\
+fn f() {
+    let finish = dev
+        .execute(ctx.now(), page, NvmeCmd::Read(&mut out))
+        .expect(\"in range\");
+}
+";
         let chained = "\
 fn f() {
     self.access
@@ -849,7 +857,7 @@ fn f() {
         .expect(\"SST write\");
 }
 ";
-        for src in [inline, refs, adopt, chained] {
+        for src in [inline, refs, adopt, execute, chained] {
             let findings = lint_file("crates/kvstore/src/x.rs", src);
             assert!(
                 findings.iter().any(|f| f.lint == Lint::DeviceUnwrap),

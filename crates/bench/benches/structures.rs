@@ -100,8 +100,10 @@ fn bench_sst() {
     // Build an SST in a DRAM-cheap direct env.
     let mut ctx = FreeCtx::new(1);
     let dev = Arc::new(aquila_devices::PmemDevice::dram_backed(1 << 16));
-    let access: Arc<dyn aquila_devices::StorageAccess> =
-        Arc::new(aquila_devices::DaxAccess::new(dev, true));
+    let access: Arc<dyn aquila_devices::StorageAccess> = Arc::new(aquila_devices::PmemAccess::new(
+        dev,
+        aquila_devices::Entry::Direct,
+    ));
     let env = aquila_kvstore::DirectIoEnv::new(access, 1 << 14);
     let mut w = SstWriter::new();
     for i in 0..20_000u64 {
@@ -167,33 +169,6 @@ fn bench_fault_path() {
         let r = rt.aquila.read(&mut ctx, window.add(p * 4096), &mut buf);
         p = (p + 1) & 4095;
         r
-    });
-
-    // Every read a major fault: a 1024-frame cache under an 8192-page
-    // file read without readahead, so nearly every read fills a frame
-    // from the device and evicts.
-    let mut ctx = FreeCtx::new(1);
-    let debts = Arc::new(aquila_sim::CoreDebts::new(1));
-    let rt = aquila::AquilaRuntime::build(
-        &mut ctx,
-        aquila::DeviceKind::PmemDax,
-        1 << 15,
-        1 << 10,
-        1,
-        debts,
-    );
-    let f = rt.open("/bench-major", 8192).expect("open");
-    let addr = rt
-        .aquila
-        .mmap(&mut ctx, f, 0, 8192, aquila::Prot::RW)
-        .expect("map");
-    rt.aquila
-        .madvise(&mut ctx, addr, 8192, aquila::Advice::Random)
-        .expect("madvise");
-    let mut p = 0u64;
-    bench("mmio_fault_path", "major_fault_read", 100_000, || {
-        p = (p + 613) & 8191;
-        rt.aquila.read(&mut ctx, addr.add(p * 4096), &mut buf)
     });
 }
 

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use aquila::{AquilaRuntime, DeviceKind};
 use aquila_devices::{
-    CallDomain, HostNvmeAccess, HostPmemAccess, NvmeDevice, PmemDevice, StorageAccess,
+    CallDomain, Entry, NvmeAccess, NvmeDevice, PmemAccess, PmemDevice, StorageAccess,
 };
 use aquila_kvstore::{AquilaEnv, DirectIoEnv, DynEnv, MmapEnv, StoneConfig, StoneDb};
 use aquila_linuxsim::{KernelDevice, LinuxConfig, LinuxMmap};
@@ -95,13 +95,13 @@ pub fn build_stone(
     let env: DynEnv = match backend {
         Backend::DirectIo => {
             let access: Arc<dyn StorageAccess> = match dev {
-                Dev::Nvme => Arc::new(HostNvmeAccess::new(
+                Dev::Nvme => Arc::new(NvmeAccess::new(
                     Arc::new(NvmeDevice::optane(device_pages)),
-                    CallDomain::User,
+                    Entry::Host(CallDomain::User),
                 )),
-                Dev::Pmem => Arc::new(HostPmemAccess::new(
+                Dev::Pmem => Arc::new(PmemAccess::new(
                     Arc::new(PmemDevice::dram_backed(device_pages)),
-                    CallDomain::User,
+                    Entry::Host(CallDomain::User),
                 )),
             };
             let e = Arc::new(DirectIoEnv::new(Arc::clone(&access), cache_frames));

@@ -1357,7 +1357,7 @@ impl Aquila {
             match self.cache.lookup(ctx, key) {
                 Some(f) => {
                     resident += 1;
-                    if self.cache.page_dirty(ctx, key) {
+                    if self.cache.page_dirty(ctx, f) {
                         dirty_ct += 1;
                     }
                     frames.push(Some(f));

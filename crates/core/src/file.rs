@@ -317,13 +317,13 @@ impl core::fmt::Debug for Files {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aquila_devices::{NvmeDevice, SpdkAccess};
+    use aquila_devices::{Entry, NvmeAccess, NvmeDevice};
     use aquila_sim::FreeCtx;
 
     fn setup() -> (FreeCtx, Arc<Blobstore>, Arc<dyn StorageAccess>, Files) {
         let mut ctx = FreeCtx::new(1);
         let dev = Arc::new(NvmeDevice::optane(16384));
-        let access: Arc<dyn StorageAccess> = Arc::new(SpdkAccess::new(dev));
+        let access: Arc<dyn StorageAccess> = Arc::new(NvmeAccess::new(dev, Entry::Direct));
         let store = Arc::new(Blobstore::format(&mut ctx, Arc::clone(&access)).unwrap());
         (ctx, store, access, Files::new())
     }

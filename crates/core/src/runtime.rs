@@ -7,8 +7,8 @@
 use std::sync::Arc;
 
 use aquila_devices::{
-    BlobError, Blobstore, CallDomain, DaxAccess, HostNvmeAccess, HostPmemAccess, MirrorAccess,
-    NvmeDevice, NvmeProfile, PmemDevice, SpdkAccess, StorageAccess,
+    BlobError, Blobstore, CallDomain, Entry, MirrorAccess, NvmeAccess, NvmeDevice, NvmeProfile,
+    PmemAccess, PmemDevice, StorageAccess,
 };
 use aquila_pcache::NumaTopology;
 use aquila_sim::{fault, CoreDebts, DeviceImage, SimCtx};
@@ -79,6 +79,11 @@ impl AquilaRuntime {
         debts: Arc<CoreDebts>,
         policy: crate::config::MmioPolicy,
     ) -> AquilaRuntime {
+        // Aquila itself is the guest: host I/O costs it a vmcall.
+        let entry = match kind {
+            DeviceKind::NvmeSpdk | DeviceKind::PmemDax => Entry::Direct,
+            DeviceKind::NvmeHost | DeviceKind::PmemHost => Entry::Host(CallDomain::Guest),
+        };
         let access: Arc<dyn StorageAccess> = match kind {
             // A mirrored backend replicates 2-for-1 with per-sector
             // checksums and read-repair (DESIGN.md §16). The fault plan
@@ -90,22 +95,14 @@ impl AquilaRuntime {
                 policy.retry,
                 true,
             )),
-            DeviceKind::NvmeSpdk => Arc::new(SpdkAccess::with_retry(
+            DeviceKind::NvmeSpdk | DeviceKind::NvmeHost => Arc::new(NvmeAccess::with_retry(
                 Self::nvme_device(device_pages),
+                entry,
                 policy.retry,
             )),
-            DeviceKind::NvmeHost => Arc::new(HostNvmeAccess::with_retry(
-                Self::nvme_device(device_pages),
-                CallDomain::Guest,
-                policy.retry,
-            )),
-            DeviceKind::PmemDax => Arc::new(DaxAccess::new(
+            DeviceKind::PmemDax | DeviceKind::PmemHost => Arc::new(PmemAccess::new(
                 Arc::new(PmemDevice::dram_backed(device_pages)),
-                true,
-            )),
-            DeviceKind::PmemHost => Arc::new(HostPmemAccess::new(
-                Arc::new(PmemDevice::dram_backed(device_pages)),
-                CallDomain::Guest,
+                entry,
             )),
         };
         let store = Arc::new(
@@ -171,7 +168,8 @@ impl AquilaRuntime {
         if let Some(plan) = fault::global() {
             dev.set_fault_plan(Arc::clone(plan));
         }
-        let access: Arc<dyn StorageAccess> = Arc::new(SpdkAccess::with_retry(dev, policy.retry));
+        let access: Arc<dyn StorageAccess> =
+            Arc::new(NvmeAccess::with_retry(dev, Entry::Direct, policy.retry));
         let store = match Blobstore::load(ctx, Arc::clone(&access)) {
             Ok(bs) => Arc::new(bs),
             Err(BlobError::Device(e)) => return Err(AquilaError::Device(e)),

@@ -1492,7 +1492,7 @@ fn doubly_mapped_frames_unmap_and_evict_cleanly() {
 #[test]
 fn writeback_hands_the_frames_pages_to_every_path() {
     use aquila_devices::{
-        CallDomain, DaxAccess, HostNvmeAccess, MirrorAccess, NvmeDevice, PmemDevice, SpdkAccess,
+        CallDomain, Entry, MirrorAccess, NvmeAccess, NvmeDevice, PmemAccess, PmemDevice,
         StorageAccess, STORE_PAGE,
     };
     use aquila_mmu::{FrameId, PhysMem};
@@ -1522,7 +1522,10 @@ fn writeback_hands_the_frames_pages_to_every_path() {
     let paths: Vec<(&str, Arc<dyn StorageAccess>, bool)> = vec![
         (
             "SPDK-NVMe",
-            Arc::new(SpdkAccess::new(Arc::new(NvmeDevice::optane(64)))),
+            Arc::new(NvmeAccess::new(
+                Arc::new(NvmeDevice::optane(64)),
+                Entry::Direct,
+            )),
             false,
         ),
         (
@@ -1535,14 +1538,17 @@ fn writeback_hands_the_frames_pages_to_every_path() {
         ),
         (
             "DAX-pmem",
-            Arc::new(DaxAccess::new(Arc::new(PmemDevice::dram_backed(64)), true)),
+            Arc::new(PmemAccess::new(
+                Arc::new(PmemDevice::dram_backed(64)),
+                Entry::Direct,
+            )),
             false,
         ),
         (
             "HOST-NVMe",
-            Arc::new(HostNvmeAccess::new(
+            Arc::new(NvmeAccess::new(
                 Arc::new(NvmeDevice::optane(64)),
-                CallDomain::Guest,
+                Entry::Host(CallDomain::Guest),
             )),
             false,
         ),

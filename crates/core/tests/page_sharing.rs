@@ -30,9 +30,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use aquila::{AquilaRuntime, DeviceKind, MmioPolicy, Prot};
-use aquila_devices::{
-    BufRef, DeviceError, MirrorAccess, NvmeDevice, NvmeOp, StorageAccess, STORE_PAGE,
-};
+use aquila_devices::{DeviceError, MirrorAccess, NvmeCmd, NvmeDevice, StorageAccess, STORE_PAGE};
 use aquila_pcache::PageKey;
 use aquila_sim::fault::{FaultPlan, SECTOR_SIZE};
 use aquila_sim::page::live_pages;
@@ -259,7 +257,6 @@ fn device_run(seed: u64) {
         .collect();
     let plan = Arc::new(FaultPlan::parse(&spec.join("; ")).unwrap());
     dev.set_fault_plan(Arc::clone(&plan));
-    let qp = dev.create_qpair();
     let mut held: Vec<Page> = (0..FRAMES).map(|_| Page::zero()).collect();
     let mut m = Model {
         disk: vec![vec![0u8; STORE_PAGE]; DEV_PAGES as usize],
@@ -283,7 +280,7 @@ fn device_run(seed: u64) {
                     m.latent.extend(s0..s0 + k.min(ns));
                 }
                 let mut out = vec![Page::zero(); n];
-                let res = qp.submit(Cycles(0), NvmeOp::Read, lba, n, BufRef::Out(&mut out));
+                let res = dev.execute(Cycles(0), lba, NvmeCmd::Read(&mut out));
                 let want: Vec<u8> = m.disk[lba as usize..lba as usize + n].concat();
                 if let Some(&s) = m.latent.range(s0..s0 + ns).next() {
                     let page = s / SECTORS;
@@ -323,7 +320,7 @@ fn device_run(seed: u64) {
                 let list = &held[frame..frame + n];
                 let data: Vec<u8> = m.frames[frame..frame + n].concat();
                 let before: Vec<u8> = m.disk[lba as usize..lba as usize + n].concat();
-                let res = qp.submit(Cycles(step), NvmeOp::Write, lba, n, BufRef::Pages(list));
+                let res = dev.execute(Cycles(step), lba, NvmeCmd::Write(list));
                 let mut landed = data.clone();
                 match inj {
                     Some(Inj::Torn(k)) => {

@@ -1,25 +1,27 @@
 //! Storage access paths: *how* a page moves between the DRAM cache and a
 //! device.
 //!
-//! The paper's Figure 8(c) compares four ways Aquila can reach storage:
+//! The paper's Figure 8(c) compares four ways Aquila can reach storage.
+//! Each device has one path type, and the path's [`Entry`] picks the bar:
 //!
-//! | Path        | Mechanism                              | Cost structure |
-//! |-------------|----------------------------------------|----------------|
-//! | `SPDK-NVMe` | polled user-space driver, no kernel    | submit CPU + device time (spinning) |
-//! | `HOST-NVMe` | direct-I/O syscall into the host OS    | vmcall/syscall + kernel path + device time (idle) |
-//! | `DAX-pmem`  | AVX2 streaming memcpy to mapped NVM    | SIMD copy + bandwidth |
-//! | `HOST-pmem` | direct-I/O syscall, kernel scalar copy | vmcall/syscall + kernel path + scalar copy |
+//! | Path        | Type + entry               | Mechanism                              | Cost structure |
+//! |-------------|----------------------------|----------------------------------------|----------------|
+//! | `SPDK-NVMe` | `NvmeAccess`, `Direct`     | polled user-space driver, no kernel    | submit CPU + device time (spinning) |
+//! | `HOST-NVMe` | `NvmeAccess`, `Host(..)`   | direct-I/O syscall into the host OS    | vmcall/syscall + kernel path + device time (idle) |
+//! | `DAX-pmem`  | `PmemAccess`, `Direct`     | AVX2 streaming memcpy to mapped NVM    | SIMD copy + bandwidth |
+//! | `HOST-pmem` | `PmemAccess`, `Host(..)`   | direct-I/O syscall, kernel scalar copy | vmcall/syscall + kernel path + scalar copy |
 //!
-//! All four implement [`StorageAccess`], so the page cache and the mmio
-//! engines are parameterized over the access method — which is exactly the
-//! customization the paper argues for.
+//! Both implement [`StorageAccess`] (as does the mirrored NVMe path,
+//! [`crate::mirror::MirrorAccess`]), so the page cache and the mmio
+//! engines are parameterized over the access method — which is exactly
+//! the customization the paper argues for.
 
 use std::sync::Arc;
 
-use aquila_sim::{CostCat, Page, SimCtx};
+use aquila_sim::{CostCat, Cycles, Page, SimCtx};
 
 use crate::error::DeviceError;
-use crate::nvme::{BufRef, NvmeDevice, NvmeOp, QueuePair};
+use crate::nvme::{NvmeCmd, NvmeDevice, QueuePair};
 use crate::pmem::PmemDevice;
 use crate::retry::{CircuitBreaker, RetryPolicy};
 use crate::store::{page_list, STORE_PAGE};
@@ -32,13 +34,13 @@ pub enum CallDomain {
     User,
     /// Aquila in VMX non-root ring 0: host I/O costs a vmcall.
     Guest,
-    /// Already in the host kernel (the Linux mmap fault handler): host I/O
-    /// costs neither.
-    Kernel,
 }
 
 impl CallDomain {
-    fn charge_entry(self, ctx: &mut dyn SimCtx) {
+    /// Charges one host direct-I/O call from this domain: the crossing,
+    /// then the kernel's direct-I/O software path plus `extra` (the NVMe
+    /// block layer's submit).
+    fn charge_host_io(self, ctx: &mut dyn SimCtx, extra: Cycles) {
         match self {
             CallDomain::User => {
                 let c = ctx.cost().syscall_entry_exit;
@@ -50,9 +52,22 @@ impl CallDomain {
                 ctx.charge(CostCat::Vmexit, c);
                 ctx.counters().vmexits += 1;
             }
-            CallDomain::Kernel => {}
         }
+        let sw = ctx.cost().host_directio_sw + extra;
+        ctx.charge(CostCat::Syscall, sw);
     }
+}
+
+/// Where a path's I/O enters the device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Entry {
+    /// The process drives the device itself: SPDK's polled queue pairs
+    /// for NVMe, DAX and Aquila's AVX2 streaming copy for pmem.
+    Direct,
+    /// Host-kernel direct I/O, called from the given domain. The kernel
+    /// sleeps on NVMe completions and copies pmem pages with a scalar
+    /// memcpy (it cannot afford SIMD in kernel context, section 3.3).
+    Host(CallDomain),
 }
 
 /// A named access-path kind, for reports.
@@ -233,25 +248,44 @@ fn record_nvme_occupancy(ctx: &dyn SimCtx, dev: &NvmeDevice) {
     aquila_sim::metrics::gauge(ctx, "nvme.inflight.max", depth);
 }
 
-/// SPDK-style polled user-space NVMe access (no kernel on the I/O path).
-pub struct SpdkAccess {
+/// Counts one completed command in the device counters.
+fn count(ctx: &mut dyn SimCtx, cmd: &NvmeCmd<'_>) {
+    let bytes = (cmd.pages() * STORE_PAGE) as u64;
+    let c = ctx.counters();
+    match cmd {
+        NvmeCmd::Read(_) => {
+            c.device_reads += 1;
+            c.bytes_read += bytes;
+        }
+        NvmeCmd::Write(_) => {
+            c.device_writes += 1;
+            c.bytes_written += bytes;
+        }
+    }
+}
+
+/// NVMe access, polled from user space (SPDK) or through host-kernel
+/// direct I/O.
+pub struct NvmeAccess {
     dev: Arc<NvmeDevice>,
+    entry: Entry,
     retry: RetryPolicy,
     breaker: Arc<CircuitBreaker>,
 }
 
-impl SpdkAccess {
+impl NvmeAccess {
     /// Wraps a device. Direct access requires the device be dedicated to
     /// this process (the paper's protection argument), which the type
     /// system encodes by taking ownership of the only handle used for I/O.
-    pub fn new(dev: Arc<NvmeDevice>) -> SpdkAccess {
-        SpdkAccess::with_retry(dev, RetryPolicy::default())
+    pub fn new(dev: Arc<NvmeDevice>, entry: Entry) -> NvmeAccess {
+        NvmeAccess::with_retry(dev, entry, RetryPolicy::default())
     }
 
     /// Wraps a device with an explicit retry policy.
-    pub fn with_retry(dev: Arc<NvmeDevice>, retry: RetryPolicy) -> SpdkAccess {
-        SpdkAccess {
+    pub fn with_retry(dev: Arc<NvmeDevice>, entry: Entry, retry: RetryPolicy) -> NvmeAccess {
+        NvmeAccess {
             dev,
+            entry,
             retry,
             breaker: CircuitBreaker::new(retry.breaker_threshold, retry.breaker_cooldown),
         }
@@ -260,6 +294,84 @@ impl SpdkAccess {
     /// The underlying device.
     pub fn device(&self) -> &Arc<NvmeDevice> {
         &self.dev
+    }
+
+    /// Charges the CPU side of submitting one command attempt.
+    fn charge_submit(&self, ctx: &mut dyn SimCtx) {
+        match self.entry {
+            Entry::Direct => {
+                let c = ctx.cost().nvme_submit_poll;
+                ctx.charge(CostCat::DeviceIo, c);
+            }
+            Entry::Host(domain) => {
+                let c = ctx.cost().nvme_submit_kernel;
+                domain.charge_host_io(ctx, c);
+            }
+        }
+    }
+
+    /// What waiting for a completion costs: a polled driver spins, so
+    /// the wait is busy `DeviceIo`; the host kernel sleeps on the
+    /// interrupt, so it is `Idle`.
+    fn wait_cat(&self) -> CostCat {
+        match self.entry {
+            Entry::Direct => CostCat::DeviceIo,
+            Entry::Host(_) => CostCat::Idle,
+        }
+    }
+
+    /// Runs one blocking command on the pages from `page`. Each attempt
+    /// pays the submit, then times the command and its completion in an
+    /// `nvme.read`/`nvme.write` span. Transient failures retry with
+    /// backoff; writes feed the write-path breaker, reads never consult
+    /// it (a degraded region must keep serving reads, DESIGN.md §11).
+    fn command(
+        &self,
+        ctx: &mut dyn SimCtx,
+        page: u64,
+        mut cmd: NvmeCmd<'_>,
+    ) -> Result<(), DeviceError> {
+        let breaker = match cmd {
+            NvmeCmd::Read(_) => None,
+            NvmeCmd::Write(_) => Some(self.breaker.as_ref()),
+        };
+        self.retry.run(ctx, breaker, |ctx| {
+            self.charge_submit(ctx);
+            // Span names are literals, so each direction opens its own.
+            match &mut cmd {
+                NvmeCmd::Read(out) => {
+                    let sp = aquila_sim::span::begin(ctx, "nvme.read", CostCat::DeviceIo);
+                    let done = self.complete(ctx, page, NvmeCmd::Read(out));
+                    aquila_sim::span::end(ctx, sp);
+                    done
+                }
+                NvmeCmd::Write(list) => {
+                    let sp = aquila_sim::span::begin(ctx, "nvme.write", CostCat::DeviceIo);
+                    let done = self.complete(ctx, page, NvmeCmd::Write(list));
+                    aquila_sim::span::end(ctx, sp);
+                    done
+                }
+            }
+        })?;
+        count(ctx, &cmd);
+        Ok(())
+    }
+
+    /// Executes one attempt of a blocking command and waits for it to
+    /// complete, checking its latency against the command deadline.
+    fn complete(
+        &self,
+        ctx: &mut dyn SimCtx,
+        page: u64,
+        cmd: NvmeCmd<'_>,
+    ) -> Result<(), DeviceError> {
+        let t0 = ctx.now();
+        let done = self.dev.execute(t0, page, cmd);
+        record_nvme_occupancy(ctx, &self.dev);
+        ctx.wait_until(done?, self.wait_cat());
+        let served = ctx.now() - t0;
+        self.retry.observe_latency(ctx, served);
+        Ok(())
     }
 
     /// Submits one write on `qp`, a depth-bounded queue pair over this
@@ -276,21 +388,13 @@ impl SpdkAccess {
         pages: &[Page],
     ) -> Result<(), DeviceError> {
         self.retry.run(ctx, Some(&self.breaker), |ctx| {
-            let submit = ctx.cost().nvme_submit_poll;
-            ctx.charge(CostCat::DeviceIo, submit);
+            self.charge_submit(ctx);
             loop {
-                let res = qp.submit(
-                    ctx.now(),
-                    NvmeOp::Write,
-                    page,
-                    pages.len(),
-                    BufRef::Pages(pages),
-                );
-                match res {
-                    Ok(_) => return Ok(()),
+                match qp.submit(ctx.now(), page, NvmeCmd::Write(pages)) {
+                    Ok(()) => return Ok(()),
                     Err(DeviceError::QueueFull { .. }) => {
                         if let Some(t) = qp.earliest_finish() {
-                            ctx.wait_until(t, CostCat::DeviceIo);
+                            ctx.wait_until(t, self.wait_cat());
                         }
                         qp.poll(ctx.now());
                     }
@@ -298,15 +402,17 @@ impl SpdkAccess {
                 }
             }
         })?;
-        ctx.counters().device_writes += 1;
-        ctx.counters().bytes_written += (pages.len() * STORE_PAGE) as u64;
+        count(ctx, &NvmeCmd::Write(pages));
         Ok(())
     }
 }
 
-impl StorageAccess for SpdkAccess {
+impl StorageAccess for NvmeAccess {
     fn kind(&self) -> AccessKind {
-        AccessKind::SpdkNvme
+        match self.entry {
+            Entry::Direct => AccessKind::SpdkNvme,
+            Entry::Host(_) => AccessKind::HostNvme,
+        }
     }
 
     fn reset_timing(&self) {
@@ -323,77 +429,33 @@ impl StorageAccess for SpdkAccess {
         page: u64,
         out: &mut [Page],
     ) -> Result<(), DeviceError> {
-        let pages = out.len();
-        // Reads retry but never consult the breaker: a degraded region
-        // must keep serving reads (DESIGN.md §11).
-        self.retry.run(ctx, None, |ctx| {
-            let submit = ctx.cost().nvme_submit_poll;
-            ctx.charge(CostCat::DeviceIo, submit);
-            let t0 = ctx.now();
-            let sp = aquila_sim::span::begin(ctx, "nvme.read", CostCat::DeviceIo);
-            let qp = self.dev.create_qpair();
-            let submitted = qp.submit(ctx.now(), NvmeOp::Read, page, pages, BufRef::Out(out));
-            record_nvme_occupancy(ctx, &self.dev);
-            if let Err(e) = submitted {
-                aquila_sim::span::end(ctx, sp);
-                return Err(e);
-            }
-            // Polled completion: the CPU spins, so the wait is DeviceIo
-            // (busy), not Idle.
-            qp.drain(ctx, CostCat::DeviceIo);
-            let served = ctx.now() - t0;
-            self.retry.observe_latency(ctx, served);
-            aquila_sim::span::end(ctx, sp);
-            Ok(())
-        })?;
-        ctx.counters().device_reads += 1;
-        ctx.counters().bytes_read += (pages * STORE_PAGE) as u64;
-        Ok(())
+        self.command(ctx, page, NvmeCmd::Read(out))
     }
 
     fn write_refs(
         &self,
         ctx: &mut dyn SimCtx,
         page: u64,
-        list: &[Page],
+        pages: &[Page],
     ) -> Result<(), DeviceError> {
-        let pages = list.len();
-        self.retry.run(ctx, Some(&self.breaker), |ctx| {
-            let submit = ctx.cost().nvme_submit_poll;
-            ctx.charge(CostCat::DeviceIo, submit);
-            let t0 = ctx.now();
-            let sp = aquila_sim::span::begin(ctx, "nvme.write", CostCat::DeviceIo);
-            let qp = self.dev.create_qpair();
-            let submitted = qp.submit(ctx.now(), NvmeOp::Write, page, pages, BufRef::Pages(list));
-            record_nvme_occupancy(ctx, &self.dev);
-            if let Err(e) = submitted {
-                aquila_sim::span::end(ctx, sp);
-                return Err(e);
-            }
-            qp.drain(ctx, CostCat::DeviceIo);
-            let served = ctx.now() - t0;
-            self.retry.observe_latency(ctx, served);
-            aquila_sim::span::end(ctx, sp);
-            Ok(())
-        })?;
-        ctx.counters().device_writes += 1;
-        ctx.counters().bytes_written += (pages * STORE_PAGE) as u64;
-        Ok(())
+        self.command(ctx, page, NvmeCmd::Write(pages))
     }
 
-    /// Submits every segment through one queue pair of depth `depth`, so
-    /// device service overlaps across commands, then busy-waits for the
-    /// tail (SPDK-style polled completion).
+    /// A direct entry submits every segment through one queue pair of
+    /// depth `depth`, so device service overlaps across commands, then
+    /// busy-waits for the tail (SPDK-style polled completion). The host
+    /// entry keeps the blocking loop, which charges the kernel's
+    /// per-command path.
     fn write_batch(
         &self,
         ctx: &mut dyn SimCtx,
         segs: &[(u64, &[Page])],
         depth: usize,
     ) -> Result<u64, DeviceError> {
-        if depth <= 1 {
+        if depth <= 1 || self.entry != Entry::Direct {
             return write_each(self, ctx, segs);
         }
-        let qp = self.dev.create_qpair_depth(depth);
+        let qp = self.dev.create_qpair(depth);
         for &(page, pages) in segs {
             self.queue_write(ctx, &qp, page, pages)?;
         }
@@ -410,38 +472,38 @@ impl StorageAccess for SpdkAccess {
     }
 }
 
-/// Host-kernel direct I/O to an NVMe device.
-pub struct HostNvmeAccess {
-    dev: Arc<NvmeDevice>,
-    domain: CallDomain,
-    retry: RetryPolicy,
-    breaker: Arc<CircuitBreaker>,
+/// Pmem access: DAX with Aquila's AVX2 streaming copy, or host-kernel
+/// direct I/O to the pmem block device.
+pub struct PmemAccess {
+    dev: Arc<PmemDevice>,
+    entry: Entry,
 }
 
-impl HostNvmeAccess {
-    /// Creates the path; `domain` selects syscall vs vmcall entry cost.
-    pub fn new(dev: Arc<NvmeDevice>, domain: CallDomain) -> HostNvmeAccess {
-        HostNvmeAccess::with_retry(dev, domain, RetryPolicy::default())
+impl PmemAccess {
+    /// Creates the path.
+    pub fn new(dev: Arc<PmemDevice>, entry: Entry) -> PmemAccess {
+        PmemAccess { dev, entry }
     }
 
-    /// Creates the path with an explicit retry policy.
-    pub fn with_retry(
-        dev: Arc<NvmeDevice>,
-        domain: CallDomain,
-        retry: RetryPolicy,
-    ) -> HostNvmeAccess {
-        HostNvmeAccess {
-            dev,
-            domain,
-            retry,
-            breaker: CircuitBreaker::new(retry.breaker_threshold, retry.breaker_cooldown),
+    /// Charges entering the device and returns whether the copy is the
+    /// SIMD one.
+    fn enter(&self, ctx: &mut dyn SimCtx) -> bool {
+        match self.entry {
+            Entry::Direct => true,
+            Entry::Host(domain) => {
+                domain.charge_host_io(ctx, Cycles::ZERO);
+                false
+            }
         }
     }
 }
 
-impl StorageAccess for HostNvmeAccess {
+impl StorageAccess for PmemAccess {
     fn kind(&self) -> AccessKind {
-        AccessKind::HostNvme
+        match self.entry {
+            Entry::Direct => AccessKind::DaxPmem,
+            Entry::Host(_) => AccessKind::HostPmem,
+        }
     }
 
     fn reset_timing(&self) {
@@ -458,107 +520,8 @@ impl StorageAccess for HostNvmeAccess {
         page: u64,
         out: &mut [Page],
     ) -> Result<(), DeviceError> {
-        let pages = out.len();
-        self.retry.run(ctx, None, |ctx| {
-            self.domain.charge_entry(ctx);
-            let sw = ctx.cost().host_directio_sw + ctx.cost().nvme_submit_kernel;
-            ctx.charge(CostCat::Syscall, sw);
-            let t0 = ctx.now();
-            let sp = aquila_sim::span::begin(ctx, "nvme.read", CostCat::DeviceIo);
-            let qp = self.dev.create_qpair();
-            let submitted = qp.submit(ctx.now(), NvmeOp::Read, page, pages, BufRef::Out(out));
-            record_nvme_occupancy(ctx, &self.dev);
-            if let Err(e) = submitted {
-                aquila_sim::span::end(ctx, sp);
-                return Err(e);
-            }
-            // Interrupt-driven completion: the CPU sleeps.
-            qp.drain(ctx, CostCat::Idle);
-            let served = ctx.now() - t0;
-            self.retry.observe_latency(ctx, served);
-            aquila_sim::span::end(ctx, sp);
-            Ok(())
-        })?;
-        ctx.counters().device_reads += 1;
-        ctx.counters().bytes_read += (pages * STORE_PAGE) as u64;
-        Ok(())
-    }
-
-    fn write_refs(
-        &self,
-        ctx: &mut dyn SimCtx,
-        page: u64,
-        list: &[Page],
-    ) -> Result<(), DeviceError> {
-        let pages = list.len();
-        self.retry.run(ctx, Some(&self.breaker), |ctx| {
-            self.domain.charge_entry(ctx);
-            let sw = ctx.cost().host_directio_sw + ctx.cost().nvme_submit_kernel;
-            ctx.charge(CostCat::Syscall, sw);
-            let t0 = ctx.now();
-            let sp = aquila_sim::span::begin(ctx, "nvme.write", CostCat::DeviceIo);
-            let qp = self.dev.create_qpair();
-            let submitted = qp.submit(ctx.now(), NvmeOp::Write, page, pages, BufRef::Pages(list));
-            record_nvme_occupancy(ctx, &self.dev);
-            if let Err(e) = submitted {
-                aquila_sim::span::end(ctx, sp);
-                return Err(e);
-            }
-            qp.drain(ctx, CostCat::Idle);
-            let served = ctx.now() - t0;
-            self.retry.observe_latency(ctx, served);
-            aquila_sim::span::end(ctx, sp);
-            Ok(())
-        })?;
-        ctx.counters().device_writes += 1;
-        ctx.counters().bytes_written += (pages * STORE_PAGE) as u64;
-        Ok(())
-    }
-
-    fn nvme_device(&self) -> Option<&Arc<NvmeDevice>> {
-        Some(&self.dev)
-    }
-
-    fn breaker(&self) -> Option<&Arc<CircuitBreaker>> {
-        Some(&self.breaker)
-    }
-}
-
-/// DAX access to byte-addressable NVM with Aquila's AVX2 streaming copy.
-pub struct DaxAccess {
-    dev: Arc<PmemDevice>,
-    simd: bool,
-}
-
-impl DaxAccess {
-    /// Creates the path; `simd` enables the AVX2 streaming copy (Aquila's
-    /// optimization, on by default in the paper).
-    pub fn new(dev: Arc<PmemDevice>, simd: bool) -> DaxAccess {
-        DaxAccess { dev, simd }
-    }
-}
-
-impl StorageAccess for DaxAccess {
-    fn kind(&self) -> AccessKind {
-        AccessKind::DaxPmem
-    }
-
-    fn reset_timing(&self) {
-        self.dev.reset_timing();
-    }
-
-    fn capacity_pages(&self) -> u64 {
-        self.dev.capacity_pages()
-    }
-
-    fn read_refs(
-        &self,
-        ctx: &mut dyn SimCtx,
-        page: u64,
-        out: &mut [Page],
-    ) -> Result<(), DeviceError> {
-        self.dev.dax_read(ctx, page, out, self.simd)?;
-        Ok(())
+        let simd = self.enter(ctx);
+        self.dev.dax_read(ctx, page, out, simd)
     }
 
     fn write_refs(
@@ -567,69 +530,16 @@ impl StorageAccess for DaxAccess {
         page: u64,
         pages: &[Page],
     ) -> Result<(), DeviceError> {
-        self.dev.dax_write(ctx, page, pages, self.simd)?;
-        Ok(())
-    }
-}
-
-/// Host-kernel direct I/O to the pmem block device (the kernel uses a
-/// scalar copy — it cannot afford SIMD in kernel context, section 3.3).
-pub struct HostPmemAccess {
-    dev: Arc<PmemDevice>,
-    domain: CallDomain,
-}
-
-impl HostPmemAccess {
-    /// Creates the path; `domain` selects syscall vs vmcall entry cost.
-    pub fn new(dev: Arc<PmemDevice>, domain: CallDomain) -> HostPmemAccess {
-        HostPmemAccess { dev, domain }
-    }
-}
-
-impl StorageAccess for HostPmemAccess {
-    fn kind(&self) -> AccessKind {
-        AccessKind::HostPmem
-    }
-
-    fn reset_timing(&self) {
-        self.dev.reset_timing();
-    }
-
-    fn capacity_pages(&self) -> u64 {
-        self.dev.capacity_pages()
-    }
-
-    fn read_refs(
-        &self,
-        ctx: &mut dyn SimCtx,
-        page: u64,
-        out: &mut [Page],
-    ) -> Result<(), DeviceError> {
-        self.domain.charge_entry(ctx);
-        let sw = ctx.cost().host_directio_sw;
-        ctx.charge(CostCat::Syscall, sw);
-        self.dev.dax_read(ctx, page, out, false)?;
-        Ok(())
-    }
-
-    fn write_refs(
-        &self,
-        ctx: &mut dyn SimCtx,
-        page: u64,
-        pages: &[Page],
-    ) -> Result<(), DeviceError> {
-        self.domain.charge_entry(ctx);
-        let sw = ctx.cost().host_directio_sw;
-        ctx.charge(CostCat::Syscall, sw);
-        self.dev.dax_write(ctx, page, pages, false)?;
-        Ok(())
+        let simd = self.enter(ctx);
+        self.dev.dax_write(ctx, page, pages, simd)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aquila_sim::{Cycles, FreeCtx};
+    use aquila_sim::fault::FaultPlan;
+    use aquila_sim::FreeCtx;
 
     fn page_of(b: u8) -> Vec<u8> {
         vec![b; STORE_PAGE]
@@ -640,10 +550,16 @@ mod tests {
         let nvme = Arc::new(NvmeDevice::optane(64));
         let pmem = Arc::new(PmemDevice::dram_backed(64));
         let paths: Vec<Box<dyn StorageAccess>> = vec![
-            Box::new(SpdkAccess::new(Arc::clone(&nvme))),
-            Box::new(HostNvmeAccess::new(Arc::clone(&nvme), CallDomain::Guest)),
-            Box::new(DaxAccess::new(Arc::clone(&pmem), true)),
-            Box::new(HostPmemAccess::new(Arc::clone(&pmem), CallDomain::User)),
+            Box::new(NvmeAccess::new(Arc::clone(&nvme), Entry::Direct)),
+            Box::new(NvmeAccess::new(
+                Arc::clone(&nvme),
+                Entry::Host(CallDomain::Guest),
+            )),
+            Box::new(PmemAccess::new(Arc::clone(&pmem), Entry::Direct)),
+            Box::new(PmemAccess::new(
+                Arc::clone(&pmem),
+                Entry::Host(CallDomain::User),
+            )),
         ];
         for (i, p) in paths.iter().enumerate() {
             let mut ctx = FreeCtx::new(i as u64);
@@ -659,8 +575,8 @@ mod tests {
     fn spdk_is_cheaper_than_host_nvme() {
         // Figure 8(c): bypassing the host OS reduces overhead by ~1.5x.
         let nvme = Arc::new(NvmeDevice::optane(64));
-        let spdk = SpdkAccess::new(Arc::clone(&nvme));
-        let host = HostNvmeAccess::new(Arc::clone(&nvme), CallDomain::Guest);
+        let spdk = NvmeAccess::new(Arc::clone(&nvme), Entry::Direct);
+        let host = NvmeAccess::new(Arc::clone(&nvme), Entry::Host(CallDomain::Guest));
         let mut a = FreeCtx::new(1);
         let mut b = FreeCtx::new(1);
         let mut buf = page_of(0);
@@ -677,8 +593,8 @@ mod tests {
     fn dax_is_much_cheaper_than_host_pmem() {
         // Figure 8(c): removing the host OS from the pmem path is ~7.8x.
         let pmem = Arc::new(PmemDevice::dram_backed(64));
-        let dax = DaxAccess::new(Arc::clone(&pmem), true);
-        let host = HostPmemAccess::new(Arc::clone(&pmem), CallDomain::Guest);
+        let dax = PmemAccess::new(Arc::clone(&pmem), Entry::Direct);
+        let host = PmemAccess::new(Arc::clone(&pmem), Entry::Host(CallDomain::Guest));
         let mut a = FreeCtx::new(1);
         let mut b = FreeCtx::new(1);
         let mut buf = page_of(0);
@@ -693,13 +609,13 @@ mod tests {
         let pmem = Arc::new(PmemDevice::dram_backed(8));
         let mut buf = page_of(0);
 
-        let guest = HostPmemAccess::new(Arc::clone(&pmem), CallDomain::Guest);
+        let guest = PmemAccess::new(Arc::clone(&pmem), Entry::Host(CallDomain::Guest));
         let mut gctx = FreeCtx::new(1);
         guest.read_pages(&mut gctx, 0, &mut buf).unwrap();
         assert_eq!(gctx.stats.vmexits, 1);
         assert_eq!(gctx.stats.syscalls, 0);
 
-        let user = HostPmemAccess::new(Arc::clone(&pmem), CallDomain::User);
+        let user = PmemAccess::new(Arc::clone(&pmem), Entry::Host(CallDomain::User));
         let mut uctx = FreeCtx::new(1);
         user.read_pages(&mut uctx, 0, &mut buf).unwrap();
         assert_eq!(uctx.stats.syscalls, 1);
@@ -711,13 +627,13 @@ mod tests {
         let nvme = Arc::new(NvmeDevice::optane(64));
         let mut buf = page_of(0);
 
-        let spdk = SpdkAccess::new(Arc::clone(&nvme));
+        let spdk = NvmeAccess::new(Arc::clone(&nvme), Entry::Direct);
         let mut sctx = FreeCtx::new(1);
         spdk.read_pages(&mut sctx, 0, &mut buf).unwrap();
         assert_eq!(sctx.breakdown.get(CostCat::Idle), Cycles::ZERO);
         assert!(sctx.breakdown.get(CostCat::DeviceIo) >= Cycles::from_micros(10));
 
-        let host = HostNvmeAccess::new(Arc::clone(&nvme), CallDomain::User);
+        let host = NvmeAccess::new(Arc::clone(&nvme), Entry::Host(CallDomain::User));
         let mut hctx = FreeCtx::new(1);
         host.read_pages(&mut hctx, 1, &mut buf).unwrap();
         assert!(hctx.breakdown.get(CostCat::Idle) >= Cycles::from_micros(9));
@@ -725,12 +641,11 @@ mod tests {
 
     #[test]
     fn spdk_write_retries_through_injected_fault() {
-        use aquila_sim::fault::FaultPlan;
         let nvme = Arc::new(NvmeDevice::optane(64));
         nvme.set_fault_plan(Arc::new(
             FaultPlan::parse("nvme.write:media_error@op=1").unwrap(),
         ));
-        let spdk = SpdkAccess::new(Arc::clone(&nvme));
+        let spdk = NvmeAccess::new(Arc::clone(&nvme), Entry::Direct);
         let mut ctx = FreeCtx::new(1);
         let data = page_of(0x5A);
         // The first submission fails; the retry layer backs off and the
@@ -748,7 +663,6 @@ mod tests {
 
     #[test]
     fn breaker_opens_under_sustained_write_failure() {
-        use aquila_sim::fault::FaultPlan;
         let nvme = Arc::new(NvmeDevice::optane(64));
         // Both write attempts fail, which meets the tightened breaker
         // threshold below mid-retry.
@@ -760,7 +674,7 @@ mod tests {
             breaker_threshold: 2,
             ..RetryPolicy::default()
         };
-        let spdk = SpdkAccess::with_retry(Arc::clone(&nvme), policy);
+        let spdk = NvmeAccess::with_retry(Arc::clone(&nvme), Entry::Direct, policy);
         let mut ctx = FreeCtx::new(1);
         let data = page_of(1);
         let err = spdk.write_pages(&mut ctx, 0, &data).unwrap_err();
@@ -774,7 +688,7 @@ mod tests {
     #[test]
     fn multi_page_reads_work_through_paths() {
         let nvme = Arc::new(NvmeDevice::optane(64));
-        let spdk = SpdkAccess::new(Arc::clone(&nvme));
+        let spdk = NvmeAccess::new(Arc::clone(&nvme), Entry::Direct);
         let mut ctx = FreeCtx::new(1);
         let data: Vec<u8> = (0..32 * STORE_PAGE)
             .map(|i| (i / STORE_PAGE) as u8)
@@ -783,5 +697,27 @@ mod tests {
         let mut back = vec![0u8; 32 * STORE_PAGE];
         spdk.read_pages(&mut ctx, 8, &mut back).unwrap();
         assert_eq!(back, data);
+    }
+
+    #[test]
+    fn an_injected_queue_full_on_a_blocking_command_surfaces_unretried() {
+        for entry in [Entry::Direct, Entry::Host(CallDomain::Guest)] {
+            let nvme = Arc::new(NvmeDevice::optane(64));
+            nvme.set_fault_plan(Arc::new(
+                FaultPlan::parse("nvme.read:queue_full@op=1").unwrap(),
+            ));
+            let path = NvmeAccess::new(nvme, entry);
+            let mut ctx = FreeCtx::new(1);
+            let mut out = [Page::zero()];
+            assert_eq!(
+                path.read_refs(&mut ctx, 0, &mut out),
+                Err(DeviceError::QueueFull { depth: 1 }),
+                "{entry:?}"
+            );
+            // One attempt: no backoff was parked and nothing completed.
+            assert_eq!(ctx.breakdown.get(CostCat::Idle), Cycles::ZERO);
+            assert_eq!(ctx.stats.device_reads, 0);
+            path.read_refs(&mut ctx, 0, &mut out).unwrap();
+        }
     }
 }

@@ -33,9 +33,6 @@ pub enum DeviceError {
         /// Bytes the caller supplied.
         got: usize,
     },
-    /// Buffer kind did not match the opcode (read needs `Mut`, write
-    /// needs `Pages`).
-    BufferDirection,
     /// A bounded queue pair is full; poll completions and resubmit.
     QueueFull {
         /// The queue depth that was exceeded.
@@ -90,9 +87,6 @@ impl core::fmt::Display for DeviceError {
                     f,
                     "buffer size {got} does not match transfer size {expected}"
                 )
-            }
-            DeviceError::BufferDirection => {
-                write!(f, "buffer mutability does not match opcode")
             }
             DeviceError::QueueFull { depth } => {
                 write!(f, "queue pair full (depth {depth})")

@@ -42,7 +42,7 @@ use std::sync::{Arc, OnceLock};
 use aquila_sim::{CostCat, Page, SimCtx};
 use aquila_sync::crc32c_sectors;
 
-use crate::access::{write_each, AccessKind, SpdkAccess, StorageAccess};
+use crate::access::{write_each, AccessKind, Entry, NvmeAccess, StorageAccess};
 use crate::error::DeviceError;
 use crate::nvme::{NvmeDevice, SECTORS_PER_PAGE};
 use crate::retry::{CircuitBreaker, RetryPolicy};
@@ -95,10 +95,10 @@ impl IntegrityCounters {
     }
 }
 
-/// Two-way mirrored SPDK-NVMe access with sector checksums.
+/// Two-way mirrored access with sector checksums over two polled NVMe paths.
 pub struct MirrorAccess {
-    primary: SpdkAccess,
-    replica: SpdkAccess,
+    primary: NvmeAccess,
+    replica: NvmeAccess,
     checksums: bool,
     retry: RetryPolicy,
     /// Per-sector packed checksum entries (see [`pack`]).
@@ -150,8 +150,8 @@ impl MirrorAccess {
             .collect();
         let versions = (0..pages).map(|_| AtomicU64::new(0)).collect();
         let m = MirrorAccess {
-            primary: SpdkAccess::with_retry(primary, retry),
-            replica: SpdkAccess::with_retry(replica, retry),
+            primary: NvmeAccess::with_retry(primary, Entry::Direct, retry),
+            replica: NvmeAccess::with_retry(replica, Entry::Direct, retry),
             checksums,
             retry,
             sums,
@@ -388,8 +388,8 @@ impl StorageAccess for MirrorAccess {
             .iter()
             .map(|&(page, pages)| self.begin_write(page, pages))
             .collect();
-        let pq = self.primary.device().create_qpair_depth(depth);
-        let rq = self.replica.device().create_qpair_depth(depth);
+        let pq = self.primary.device().create_qpair(depth);
+        let rq = self.replica.device().create_qpair(depth);
         let mut issued = 0u64;
         let mut failure = None;
         for (i, &(page, pages)) in segs.iter().enumerate() {

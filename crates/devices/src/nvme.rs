@@ -1,14 +1,15 @@
-//! NVMe device model with queue pairs.
+//! NVMe device model.
 //!
 //! Models an Intel Optane P4800X-class PCIe SSD, the paper's testbed
 //! device: ~10 us access latency, >500 K random IOPS, ~2.4 GB/s of
-//! bandwidth, with deep internal parallelism. Submission and completion
-//! follow the NVMe queue-pair discipline: commands are submitted to a
-//! queue pair, complete at their service time, and are harvested by
-//! polling the completion queue — exactly how SPDK drives the device
-//! without kernel involvement.
+//! bandwidth, with deep internal parallelism. A command moves its data
+//! at once (the store is coherent) and completes at its reserved device
+//! time: [`NvmeDevice::execute`] runs one and returns that time, which a
+//! blocking caller waits for. A [`QueuePair`] keeps up to its depth of
+//! commands in flight and harvests them by polling, exactly how SPDK
+//! drives the device without kernel involvement.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -25,28 +26,25 @@ use crate::store::{PageStore, STORE_PAGE};
 /// Sectors per 4 KiB device page.
 pub const SECTORS_PER_PAGE: u64 = (STORE_PAGE / SECTOR_SIZE) as u64;
 
-/// An NVMe command opcode (the two the simulation needs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NvmeOp {
-    /// Read `pages` pages starting at `lba_page`.
-    Read,
-    /// Write `pages` pages starting at `lba_page`.
-    Write,
+/// An NVMe command (the two the simulation needs): its direction and
+/// the pages it moves, one per device page from the command's first.
+pub enum NvmeCmd<'a> {
+    /// Each slot receives a reference to the stored page (a private copy
+    /// when an injected fault flips bits in flight).
+    Read(&'a mut [Page]),
+    /// A page list in device order, like an NVMe PRP list. The store
+    /// adopts the pages themselves; no bytes move on the host.
+    Write(&'a [Page]),
 }
 
-/// A completed command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NvmeCompletion {
-    /// The command identifier returned by submit.
-    pub cid: u64,
-    /// Virtual time the command finished on the device.
-    pub finished_at: Cycles,
-}
-
-#[derive(Debug)]
-struct Inflight {
-    cid: u64,
-    finish: Cycles,
+impl NvmeCmd<'_> {
+    /// Pages the command moves.
+    pub(crate) fn pages(&self) -> usize {
+        match self {
+            NvmeCmd::Read(out) => out.len(),
+            NvmeCmd::Write(list) => list.len(),
+        }
+    }
 }
 
 /// Performance profile of an NVMe device.
@@ -120,8 +118,8 @@ impl NvmeDevice {
         dev
     }
 
-    /// Attaches a fault plan; commands submitted through any queue pair
-    /// consult it. First attach wins (like the global plan install).
+    /// Attaches a fault plan; every command consults it. First attach
+    /// wins (like the global plan install).
     pub fn set_fault_plan(&self, plan: Arc<FaultPlan>) {
         let _ = self.fault.set(plan);
     }
@@ -153,7 +151,7 @@ impl NvmeDevice {
     }
 
     /// Commands still being served by the device at virtual time `now`
-    /// (instantaneous queue occupancy across all queue pairs).
+    /// (instantaneous queue occupancy across all submitters).
     pub fn inflight_at(&self, now: Cycles) -> usize {
         self.service.busy_channels(now)
     }
@@ -219,97 +217,59 @@ impl NvmeDevice {
         r.end
     }
 
-    /// Creates an unbounded queue pair.
-    pub fn create_qpair(&self) -> QueuePair<'_> {
-        self.create_qpair_depth(usize::MAX)
-    }
-
     /// Creates a queue pair that accepts at most `depth` in-flight
     /// commands; [`QueuePair::submit`] returns
     /// [`DeviceError::QueueFull`] past that, the backpressure signal the
     /// write-behind evictor paces itself with.
-    pub fn create_qpair_depth(&self, depth: usize) -> QueuePair<'_> {
+    pub fn create_qpair(&self, depth: usize) -> QueuePair<'_> {
         QueuePair {
             dev: self,
             depth,
-            inflight: Mutex::new(VecDeque::new()),
-            next_cid: Mutex::new(0),
+            inflight: Mutex::new(Vec::new()),
         }
     }
-}
 
-impl core::fmt::Debug for NvmeDevice {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "NvmeDevice {{ pages: {}, profile: {:?} }}",
-            self.capacity_pages(),
-            self.profile
-        )
-    }
-}
-
-/// An NVMe submission/completion queue pair.
-///
-/// Commands move data immediately (the store is coherent) but *complete*
-/// at their reserved device time; `poll` harvests completions that have
-/// finished by the caller's current virtual time, mirroring SPDK's
-/// `spdk_nvme_qpair_process_completions`.
-pub struct QueuePair<'d> {
-    dev: &'d NvmeDevice,
-    depth: usize,
-    inflight: Mutex<VecDeque<Inflight>>,
-    next_cid: Mutex<u64>,
-}
-
-impl<'d> QueuePair<'d> {
-    /// Submits a command; returns its command id.
+    /// Executes one command submitted at `now` on pages from `lba_page`:
+    /// moves its data and reserves its device time, returning the
+    /// virtual time it completes. A blocking caller waits until then; a
+    /// [`QueuePair`] keeps the time while the command is in flight.
     ///
     /// The submission itself costs nothing here — the *access path*
     /// (SPDK polled vs host kernel) charges its own per-command CPU cost.
     ///
-    /// Fails if the range exceeds the device capacity, the buffer size
-    /// does not match the page count, or a bounded queue is full.
-    pub fn submit(
+    /// Fails if the range exceeds the device capacity, or with what an
+    /// attached fault plan injects. An injected
+    /// [`DeviceError::QueueFull`] names depth 1: a command waited on
+    /// alone is its own queue.
+    pub fn execute(
         &self,
         now: Cycles,
-        op: NvmeOp,
         lba_page: u64,
-        pages: usize,
-        buf: BufRef<'_>,
-    ) -> Result<u64, DeviceError> {
-        if lba_page + pages as u64 > self.dev.capacity_pages() {
+        cmd: NvmeCmd<'_>,
+    ) -> Result<Cycles, DeviceError> {
+        let pages = cmd.pages();
+        if lba_page + pages as u64 > self.capacity_pages() {
             return Err(DeviceError::OutOfRange {
                 page: lba_page,
                 pages,
-                capacity: self.dev.capacity_pages(),
+                capacity: self.capacity_pages(),
             });
-        }
-        if self.inflight.lock().len() >= self.depth {
-            return Err(DeviceError::QueueFull { depth: self.depth });
         }
         // Injected faults draw after the organic checks, so an operation
-        // number always names a command the queue actually admitted.
-        let injected = self
-            .dev
-            .fault
-            .get()
-            .filter(|p| !p.is_empty())
-            .and_then(|plan| {
-                let target = match op {
-                    NvmeOp::Read => FaultTarget::NvmeRead,
-                    NvmeOp::Write => FaultTarget::NvmeWrite,
-                };
-                plan.draw(target, now)
-            });
+        // number always names a command the device actually admitted.
+        let injected = self.fault.get().filter(|p| !p.is_empty()).and_then(|plan| {
+            let target = match cmd {
+                NvmeCmd::Read(_) => FaultTarget::NvmeRead,
+                NvmeCmd::Write(_) => FaultTarget::NvmeWrite,
+            };
+            plan.draw(target, now)
+        });
         match injected {
             Some(FaultOutcome::MediaError) => {
                 return Err(DeviceError::MediaError { page: lba_page })
             }
             Some(FaultOutcome::Timeout) => return Err(DeviceError::Timeout),
-            Some(FaultOutcome::QueueFull) => {
-                return Err(DeviceError::QueueFull { depth: self.depth })
-            }
+            Some(FaultOutcome::QueueFull) => return Err(DeviceError::QueueFull { depth: 1 }),
             Some(FaultOutcome::DeviceReset) => return Err(DeviceError::DeviceReset),
             Some(
                 FaultOutcome::Torn { .. }
@@ -321,19 +281,13 @@ impl<'d> QueuePair<'d> {
         }
         let first_sector = lba_page * SECTORS_PER_PAGE;
         let nsectors = pages as u64 * SECTORS_PER_PAGE;
-        match (op, buf) {
-            (NvmeOp::Read, BufRef::Out(out)) => {
-                if out.len() != pages {
-                    return Err(DeviceError::BufferSize {
-                        expected: pages * STORE_PAGE,
-                        got: out.len() * STORE_PAGE,
-                    });
-                }
+        match cmd {
+            NvmeCmd::Read(out) => {
                 // A latent fault drawn on a read marks the leading
                 // sectors of the range bad *now*; the read below then
                 // trips over them like any later read would.
                 if let Some(FaultOutcome::Latent { sectors }) = injected {
-                    let mut lat = self.dev.latent.lock();
+                    let mut lat = self.latent.lock();
                     for s in first_sector..first_sector + sectors.min(nsectors) {
                         lat.insert(s);
                     }
@@ -341,7 +295,7 @@ impl<'d> QueuePair<'d> {
                 // Latent sectors fail the whole command loudly (the
                 // drive cannot return the data), naming the bad page.
                 {
-                    let lat = self.dev.latent.lock();
+                    let lat = self.latent.lock();
                     if let Some(&s) = lat.range(first_sector..first_sector + nsectors).next() {
                         return Err(DeviceError::MediaError {
                             page: s / SECTORS_PER_PAGE,
@@ -349,7 +303,7 @@ impl<'d> QueuePair<'d> {
                     }
                 }
                 for (i, slot) in out.iter_mut().enumerate() {
-                    *slot = self.dev.store.page(lba_page + i as u64)?;
+                    *slot = self.store.page(lba_page + i as u64)?;
                 }
                 // Silent corruption: flip bits in a private copy of the
                 // *returned* pages (the medium is fine; the transfer
@@ -366,25 +320,19 @@ impl<'d> QueuePair<'d> {
                     }
                 }
                 {
-                    let poi = self.dev.poisoned.lock();
+                    let poi = self.poisoned.lock();
                     for &s in poi.range(first_sector..first_sector + nsectors) {
                         bad_page[((s - first_sector) / SECTORS_PER_PAGE) as usize] = true;
                     }
                 }
                 let tainted = bad_page.iter().filter(|&&t| t).count() as u64;
                 if tainted > 0 {
-                    self.dev.tainted.fetch_add(tainted, Ordering::SeqCst);
+                    self.tainted.fetch_add(tainted, Ordering::SeqCst);
                 }
             }
-            (NvmeOp::Write, BufRef::Pages(list)) => {
-                if list.len() != pages {
-                    return Err(DeviceError::BufferSize {
-                        expected: pages * STORE_PAGE,
-                        got: list.len() * STORE_PAGE,
-                    });
-                }
+            NvmeCmd::Write(list) => {
                 let got = pages * STORE_PAGE;
-                let store = &self.dev.store;
+                let store = &self.store;
                 match injected {
                     Some(FaultOutcome::Torn { sectors }) => {
                         // The command dies mid-transfer: whole sectors up
@@ -392,8 +340,7 @@ impl<'d> QueuePair<'d> {
                         let keep = (sectors as usize * SECTOR_SIZE).min(got);
                         store.write_pages(lba_page, list, keep)?;
                         // The persisted prefix is fresh data.
-                        self.dev
-                            .heal_sectors(first_sector, (keep / SECTOR_SIZE) as u64);
+                        self.heal_sectors(first_sector, (keep / SECTOR_SIZE) as u64);
                         return Err(DeviceError::MediaError { page: lba_page });
                     }
                     Some(FaultOutcome::Corrupt { bits }) => {
@@ -411,8 +358,8 @@ impl<'d> QueuePair<'d> {
                             bad.insert(first_sector + (bit / 8 / SECTOR_SIZE) as u64);
                         }
                         store.write_pages(lba_page, &data, got)?;
-                        self.dev.heal_sectors(first_sector, nsectors);
-                        let mut poi = self.dev.poisoned.lock();
+                        self.heal_sectors(first_sector, nsectors);
+                        let mut poi = self.poisoned.lock();
                         for s in bad {
                             poi.insert(s);
                         }
@@ -422,8 +369,8 @@ impl<'d> QueuePair<'d> {
                         // leading sectors become unreadable until the
                         // next rewrite.
                         store.write_pages(lba_page, list, got)?;
-                        self.dev.heal_sectors(first_sector, nsectors);
-                        let mut lat = self.dev.latent.lock();
+                        self.heal_sectors(first_sector, nsectors);
+                        let mut lat = self.latent.lock();
                         for s in first_sector..first_sector + sectors.min(nsectors) {
                             lat.insert(s);
                         }
@@ -436,7 +383,7 @@ impl<'d> QueuePair<'d> {
                         // crash-consistency harness recovers from the
                         // captured image, which shares the store's pages
                         // and gives the cut page a fresh copy.
-                        if let Some(plan) = self.dev.fault.get() {
+                        if let Some(plan) = self.fault.get() {
                             let mut image = store.snapshot();
                             let keep = (sectors as usize * SECTOR_SIZE).min(got);
                             for (i, data) in list.iter().enumerate() {
@@ -455,54 +402,62 @@ impl<'d> QueuePair<'d> {
                             plan.record_crash(CrashImage { at: now, image });
                         }
                         store.write_pages(lba_page, list, got)?;
-                        self.dev.heal_sectors(first_sector, nsectors);
+                        self.heal_sectors(first_sector, nsectors);
                     }
                     _ => {
                         store.write_pages(lba_page, list, got)?;
-                        self.dev.heal_sectors(first_sector, nsectors);
+                        self.heal_sectors(first_sector, nsectors);
                     }
                 }
             }
-            _ => return Err(DeviceError::BufferDirection),
         }
-        let finish = self.dev.reserve(now, pages);
-        let mut cid_guard = self.next_cid.lock();
-        let cid = *cid_guard;
-        *cid_guard += 1;
-        drop(cid_guard);
-        self.inflight.lock().push_back(Inflight { cid, finish });
-        Ok(cid)
+        Ok(self.reserve(now, pages))
     }
+}
 
-    /// Harvests completions finished by `now`.
-    pub fn poll(&self, now: Cycles) -> Vec<NvmeCompletion> {
-        let mut inflight = self.inflight.lock();
-        let mut out = Vec::new();
-        // Completions can finish out of order across channels; scan all.
-        let mut i = 0;
-        while i < inflight.len() {
-            if inflight[i].finish <= now {
-                if let Some(c) = inflight.remove(i) {
-                    out.push(NvmeCompletion {
-                        cid: c.cid,
-                        finished_at: c.finish,
-                    });
-                }
-            } else {
-                i += 1;
-            }
+impl core::fmt::Debug for NvmeDevice {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(
+            f,
+            "NvmeDevice {{ pages: {}, profile: {:?} }}",
+            self.capacity_pages(),
+            self.profile
+        )
+    }
+}
+
+/// A depth-bounded NVMe submission/completion queue pair.
+///
+/// Commands execute at submission but *complete* at their reserved
+/// device time; the pair keeps the finish time of each command in
+/// flight, and `poll` harvests those finished by the caller's current
+/// virtual time, mirroring SPDK's `spdk_nvme_qpair_process_completions`.
+pub struct QueuePair<'d> {
+    dev: &'d NvmeDevice,
+    depth: usize,
+    inflight: Mutex<Vec<Cycles>>,
+}
+
+impl QueuePair<'_> {
+    /// Submits a command ([`NvmeDevice::execute`]) without waiting for
+    /// it, or returns [`DeviceError::QueueFull`] while `depth` commands
+    /// are in flight.
+    pub fn submit(&self, now: Cycles, lba_page: u64, cmd: NvmeCmd<'_>) -> Result<(), DeviceError> {
+        let full = DeviceError::QueueFull { depth: self.depth };
+        if self.inflight.lock().len() >= self.depth {
+            return Err(full);
         }
-        out
+        let finish = self.dev.execute(now, lba_page, cmd).map_err(|e| match e {
+            DeviceError::QueueFull { .. } => full,
+            e => e,
+        })?;
+        self.inflight.lock().push(finish);
+        Ok(())
     }
 
-    /// Number of commands still in flight.
-    pub fn inflight(&self) -> usize {
-        self.inflight.lock().len()
-    }
-
-    /// The queue depth (`usize::MAX` for unbounded pairs).
-    pub fn depth(&self) -> usize {
-        self.depth
+    /// Harvests the commands finished by `now`.
+    pub fn poll(&self, now: Cycles) {
+        self.inflight.lock().retain(|&finish| finish > now);
     }
 
     /// Virtual time the earliest in-flight command finishes, if any.
@@ -511,34 +466,17 @@ impl<'d> QueuePair<'d> {
     /// polling again, so it harvests completions as they land instead of
     /// stalling for the whole batch the way [`Self::drain`] does.
     pub fn earliest_finish(&self) -> Option<Cycles> {
-        self.inflight.lock().iter().map(|c| c.finish).min()
+        self.inflight.lock().iter().copied().min()
     }
 
     /// Spins (advancing the caller's clock) until all in-flight commands
     /// complete; charges the wait to `cat`.
-    pub fn drain(&self, ctx: &mut dyn SimCtx, cat: aquila_sim::CostCat) -> Vec<NvmeCompletion> {
-        let latest = self
-            .inflight
-            .lock()
-            .iter()
-            .map(|c| c.finish)
-            .max()
-            .unwrap_or(Cycles::ZERO);
-        ctx.wait_until(latest, cat);
-        self.poll(ctx.now())
+    pub fn drain(&self, ctx: &mut dyn SimCtx, cat: aquila_sim::CostCat) {
+        let latest = self.inflight.lock().drain(..).max();
+        if let Some(t) = latest {
+            ctx.wait_until(t, cat);
+        }
     }
-}
-
-/// The pages a command moves, handed to [`QueuePair::submit`].
-pub enum BufRef<'a> {
-    /// Source data for writes: one page per device page, in device
-    /// order, like an NVMe PRP list. The store adopts the pages
-    /// themselves; no bytes move on the host.
-    Pages(&'a [Page]),
-    /// Destination for reads: each slot receives a reference to the
-    /// stored page (a private copy when an injected fault flips bits in
-    /// flight).
-    Out(&'a mut [Page]),
 }
 
 #[cfg(test)]
@@ -551,58 +489,62 @@ mod tests {
         buf.chunks(STORE_PAGE).map(Page::copy_of).collect()
     }
 
-    /// Reads `n` pages from `page` through `qp` into `buf`.
+    /// Reads `buf.len() / 4096` pages from `page` into `buf`, returning
+    /// when the read completes.
     fn read_into(
-        qp: &QueuePair<'_>,
+        dev: &NvmeDevice,
         now: Cycles,
         page: u64,
-        n: usize,
         buf: &mut [u8],
-    ) -> Result<u64, DeviceError> {
+    ) -> Result<Cycles, DeviceError> {
         let mut out = vec![Page::zero(); buf.len() / STORE_PAGE];
-        let cid = qp.submit(now, NvmeOp::Read, page, n, BufRef::Out(&mut out))?;
+        let finish = dev.execute(now, page, NvmeCmd::Read(&mut out))?;
         for (dst, p) in buf.chunks_mut(STORE_PAGE).zip(&out) {
             dst.copy_from_slice(&p.read());
         }
-        Ok(cid)
+        Ok(finish)
+    }
+
+    /// A one-page read command into a scratch slot.
+    fn read_one(out: &mut [Page; 1]) -> NvmeCmd<'_> {
+        NvmeCmd::Read(out)
     }
 
     #[test]
     fn write_then_read_roundtrip() {
         let dev = NvmeDevice::optane(64);
-        let qp = dev.create_qpair();
         let data = vec![0xABu8; STORE_PAGE];
-        qp.submit(Cycles(0), NvmeOp::Write, 5, 1, BufRef::Pages(&pages(&data)))
+        dev.execute(Cycles(0), 5, NvmeCmd::Write(&pages(&data)))
             .unwrap();
         let mut back = vec![0u8; STORE_PAGE];
-        read_into(&qp, Cycles(0), 5, 1, &mut back).unwrap();
+        read_into(&dev, Cycles(0), 5, &mut back).unwrap();
         assert_eq!(back, data);
     }
 
     #[test]
     fn completion_arrives_after_latency() {
         let dev = NvmeDevice::optane(16);
-        let qp = dev.create_qpair();
-        let mut buf = vec![0u8; STORE_PAGE];
-        let cid = read_into(&qp, Cycles(0), 0, 1, &mut buf).unwrap();
+        let qp = dev.create_qpair(4);
+        let mut out = [Page::zero()];
+        qp.submit(Cycles(0), 0, read_one(&mut out)).unwrap();
         // Nothing completes before the 10 us latency.
-        assert!(qp.poll(Cycles(1000)).is_empty());
-        assert_eq!(qp.inflight(), 1);
-        let done = qp.poll(Cycles::from_micros(12));
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].cid, cid);
-        assert_eq!(qp.inflight(), 0);
+        qp.poll(Cycles(1000));
+        assert!(qp.earliest_finish().is_some());
+        qp.poll(Cycles::from_micros(12));
+        assert_eq!(qp.earliest_finish(), None);
+        let finish = read_into(&dev, Cycles(0), 1, &mut [0u8; STORE_PAGE]).unwrap();
+        assert!(finish >= Cycles::from_micros(10));
     }
 
     #[test]
     fn drain_advances_clock_to_completion() {
         let dev = NvmeDevice::optane(16);
-        let qp = dev.create_qpair();
-        let mut buf = vec![0u8; STORE_PAGE];
-        read_into(&qp, Cycles(0), 0, 1, &mut buf).unwrap();
+        let qp = dev.create_qpair(4);
+        qp.submit(Cycles(0), 0, read_one(&mut [Page::zero()]))
+            .unwrap();
         let mut ctx = FreeCtx::new(1);
-        let done = qp.drain(&mut ctx, CostCat::DeviceIo);
-        assert_eq!(done.len(), 1);
+        qp.drain(&mut ctx, CostCat::DeviceIo);
+        assert_eq!(qp.earliest_finish(), None);
         assert!(ctx.now() >= Cycles::from_micros(10));
     }
 
@@ -610,13 +552,16 @@ mod tests {
     fn iops_cap_paces_submissions() {
         // 550 K IOPS => ~4363 cycles between admissions.
         let dev = NvmeDevice::optane(1024);
-        let qp = dev.create_qpair();
-        let mut buf = vec![0u8; STORE_PAGE];
+        let qp = dev.create_qpair(100);
         for i in 0..100 {
-            read_into(&qp, Cycles(0), i, 1, &mut buf).unwrap();
+            qp.submit(Cycles(0), i, read_one(&mut [Page::zero()]))
+                .unwrap();
         }
         // All 100 commands were admitted and stay in flight until drained.
-        assert_eq!(qp.inflight(), 100);
+        assert_eq!(
+            qp.submit(Cycles(0), 100, read_one(&mut [Page::zero()])),
+            Err(DeviceError::QueueFull { depth: 100 })
+        );
         let mut ctx = FreeCtx::new(1);
         qp.drain(&mut ctx, CostCat::DeviceIo);
         // 100 admissions paced at the IOPS gate: at least 99 * 4363 cycles
@@ -626,32 +571,24 @@ mod tests {
             "IOPS gate must pace: {}",
             ctx.now()
         );
-        assert_eq!(qp.inflight(), 0);
+        assert_eq!(qp.earliest_finish(), None);
     }
 
     #[test]
     fn multi_page_io_roundtrip() {
         let dev = NvmeDevice::optane(64);
-        let qp = dev.create_qpair();
         let data: Vec<u8> = (0..8 * STORE_PAGE).map(|i| (i % 253) as u8).collect();
-        qp.submit(
-            Cycles(0),
-            NvmeOp::Write,
-            16,
-            8,
-            BufRef::Pages(&pages(&data)),
-        )
-        .unwrap();
+        dev.execute(Cycles(0), 16, NvmeCmd::Write(&pages(&data)))
+            .unwrap();
         let mut back = vec![0u8; 8 * STORE_PAGE];
-        read_into(&qp, Cycles(0), 16, 8, &mut back).unwrap();
+        read_into(&dev, Cycles(0), 16, &mut back).unwrap();
         assert_eq!(back, data);
     }
 
     #[test]
     fn io_beyond_capacity_is_error() {
         let dev = NvmeDevice::optane(4);
-        let qp = dev.create_qpair();
-        let err = read_into(&qp, Cycles(0), 3, 2, &mut vec![0u8; 2 * STORE_PAGE]).unwrap_err();
+        let err = read_into(&dev, Cycles(0), 3, &mut vec![0u8; 2 * STORE_PAGE]).unwrap_err();
         assert_eq!(
             err,
             DeviceError::OutOfRange {
@@ -663,38 +600,39 @@ mod tests {
     }
 
     #[test]
-    fn bounded_qpair_reports_full_and_mismatches() {
+    fn bounded_qpair_reports_full() {
         let dev = NvmeDevice::optane(64);
-        let qp = dev.create_qpair_depth(2);
-        let mut buf = vec![0u8; STORE_PAGE];
-        read_into(&qp, Cycles(0), 0, 1, &mut buf).unwrap();
-        read_into(&qp, Cycles(0), 1, 1, &mut buf).unwrap();
+        let qp = dev.create_qpair(2);
+        let mut out = [Page::zero()];
+        qp.submit(Cycles(0), 0, read_one(&mut out)).unwrap();
+        qp.submit(Cycles(0), 1, read_one(&mut out)).unwrap();
         assert_eq!(
-            read_into(&qp, Cycles(0), 2, 1, &mut buf),
+            qp.submit(Cycles(0), 2, read_one(&mut out)),
             Err(DeviceError::QueueFull { depth: 2 })
         );
         // Harvesting frees a slot.
         assert!(qp.earliest_finish().is_some());
         qp.poll(Cycles::from_micros(20));
-        read_into(&qp, Cycles(0), 2, 1, &mut buf).unwrap();
-        // Direction and size mismatches are reportable too.
+        qp.submit(Cycles(0), 2, read_one(&mut out)).unwrap();
+    }
+
+    #[test]
+    fn injected_queue_full_names_the_depth_it_hit() {
+        let dev = NvmeDevice::optane(64);
+        dev.set_fault_plan(Arc::new(
+            FaultPlan::parse("nvme.read:queue_full*2@op=1").unwrap(),
+        ));
+        let mut out = [Page::zero()];
         assert_eq!(
-            qp.submit(
-                Cycles(0),
-                NvmeOp::Write,
-                0,
-                1,
-                BufRef::Out(&mut [Page::zero()])
-            ),
-            Err(DeviceError::BufferDirection)
+            dev.execute(Cycles(0), 0, read_one(&mut out)),
+            Err(DeviceError::QueueFull { depth: 1 }),
+            "a blocking command is its own queue"
         );
         assert_eq!(
-            read_into(&qp, Cycles(0), 0, 2, &mut buf),
-            Err(DeviceError::BufferSize {
-                expected: 2 * STORE_PAGE,
-                got: STORE_PAGE
-            })
+            dev.create_qpair(8).submit(Cycles(0), 0, read_one(&mut out)),
+            Err(DeviceError::QueueFull { depth: 8 })
         );
+        dev.execute(Cycles(0), 0, read_one(&mut out)).unwrap();
     }
 
     #[test]
@@ -703,20 +641,19 @@ mod tests {
         dev.set_fault_plan(Arc::new(
             FaultPlan::parse("nvme.write:media_error@op=2").unwrap(),
         ));
-        let qp = dev.create_qpair();
         let data = vec![7u8; STORE_PAGE];
-        qp.submit(Cycles(0), NvmeOp::Write, 0, 1, BufRef::Pages(&pages(&data)))
+        dev.execute(Cycles(0), 0, NvmeCmd::Write(&pages(&data)))
             .unwrap();
         assert_eq!(
-            qp.submit(Cycles(0), NvmeOp::Write, 1, 1, BufRef::Pages(&pages(&data))),
+            dev.execute(Cycles(0), 1, NvmeCmd::Write(&pages(&data))),
             Err(DeviceError::MediaError { page: 1 })
         );
         // The failed write never reached the medium.
         let mut back = vec![0u8; STORE_PAGE];
-        read_into(&qp, Cycles(0), 1, 1, &mut back).unwrap();
+        read_into(&dev, Cycles(0), 1, &mut back).unwrap();
         assert!(back.iter().all(|&b| b == 0));
         // The retry (op 3) succeeds.
-        qp.submit(Cycles(0), NvmeOp::Write, 1, 1, BufRef::Pages(&pages(&data)))
+        dev.execute(Cycles(0), 1, NvmeCmd::Write(&pages(&data)))
             .unwrap();
     }
 
@@ -726,14 +663,13 @@ mod tests {
         dev.set_fault_plan(Arc::new(
             FaultPlan::parse("nvme.write:torn=3@op=1").unwrap(),
         ));
-        let qp = dev.create_qpair();
         let data = vec![0xAAu8; STORE_PAGE];
         assert_eq!(
-            qp.submit(Cycles(0), NvmeOp::Write, 2, 1, BufRef::Pages(&pages(&data))),
+            dev.execute(Cycles(0), 2, NvmeCmd::Write(&pages(&data))),
             Err(DeviceError::MediaError { page: 2 })
         );
         let mut back = vec![0u8; STORE_PAGE];
-        read_into(&qp, Cycles(0), 2, 1, &mut back).unwrap();
+        read_into(&dev, Cycles(0), 2, &mut back).unwrap();
         let cut = 3 * SECTOR_SIZE;
         assert!(back[..cut].iter().all(|&b| b == 0xAA), "prefix persisted");
         assert!(back[cut..].iter().all(|&b| b == 0), "tail never landed");
@@ -744,13 +680,12 @@ mod tests {
         let dev = NvmeDevice::optane(8);
         let plan = Arc::new(FaultPlan::parse("nvme.write:crash=2@op=2").unwrap());
         dev.set_fault_plan(Arc::clone(&plan));
-        let qp = dev.create_qpair();
         let old = vec![0x11u8; STORE_PAGE];
         let new = vec![0x22u8; STORE_PAGE];
-        qp.submit(Cycles(0), NvmeOp::Write, 3, 1, BufRef::Pages(&pages(&old)))
+        dev.execute(Cycles(0), 3, NvmeCmd::Write(&pages(&old)))
             .unwrap();
         // Op 2 overwrites page 3; the cut lands mid-transfer.
-        qp.submit(Cycles(99), NvmeOp::Write, 3, 1, BufRef::Pages(&pages(&new)))
+        dev.execute(Cycles(99), 3, NvmeCmd::Write(&pages(&new)))
             .unwrap();
         let img = plan.crash_image().expect("crash captured");
         assert_eq!(img.at, Cycles(99));
@@ -763,13 +698,13 @@ mod tests {
         assert!(page3[cut..].iter().all(|&b| b == 0x11), "old tail");
         // The live device saw the whole write (the run continues).
         let mut back = vec![0u8; STORE_PAGE];
-        read_into(&qp, Cycles(100), 3, 1, &mut back).unwrap();
+        read_into(&dev, Cycles(100), 3, &mut back).unwrap();
         assert_eq!(back, new);
         // A recovered device boots from the captured image.
         let rec = NvmeDevice::from_image(&img.image, NvmeProfile::optane_p4800x());
         assert_eq!(rec.capacity_pages(), 8);
         let mut rback = vec![0u8; STORE_PAGE];
-        read_into(&rec.create_qpair(), Cycles(0), 3, 1, &mut rback).unwrap();
+        read_into(&rec, Cycles(0), 3, &mut rback).unwrap();
         assert_eq!(&rback[..], &page3[..]);
         assert_eq!(rec.store().resident_pages(), 1, "zeros stay implied");
     }
@@ -802,18 +737,11 @@ mod tests {
         // never-written pages, plus a write into the device's last pages.
         for (sectors, first) in [(0u64, 2u64), (3, 2), (8, 5), (11, 5), (11, 14)] {
             let dev = NvmeDevice::optane(16);
-            let qp = dev.create_qpair();
             let old: Vec<u8> = (0..3 * STORE_PAGE).map(|i| (i % 251) as u8 + 1).collect();
-            qp.submit(Cycles(0), NvmeOp::Write, 1, 3, BufRef::Pages(&pages(&old)))
+            dev.execute(Cycles(0), 1, NvmeCmd::Write(&pages(&old)))
                 .unwrap();
-            qp.submit(
-                Cycles(0),
-                NvmeOp::Write,
-                9,
-                1,
-                BufRef::Pages(&pages(&old[..STORE_PAGE])),
-            )
-            .unwrap();
+            dev.execute(Cycles(0), 9, NvmeCmd::Write(&pages(&old[..STORE_PAGE])))
+                .unwrap();
             dev.store().discard(9).unwrap();
             let plan =
                 Arc::new(FaultPlan::parse(&format!("nvme.write:crash={sectors}@op=1")).unwrap());
@@ -822,14 +750,8 @@ mod tests {
             let pos = first * STORE_PAGE as u64;
             let keep = sectors as usize * SECTOR_SIZE;
             let want = flat_torn_image(dev.store(), pos, &new, keep);
-            qp.submit(
-                Cycles(5),
-                NvmeOp::Write,
-                first,
-                2,
-                BufRef::Pages(&pages(&new)),
-            )
-            .unwrap();
+            dev.execute(Cycles(5), first, NvmeCmd::Write(&pages(&new)))
+                .unwrap();
             let img = plan.crash_image().expect("crash captured").image;
             assert_eq!(img.bytes() as usize, want.len());
             assert!(
@@ -866,8 +788,7 @@ mod tests {
         let seeded = |spec: &str| {
             let dev = NvmeDevice::optane(12);
             let old = vec![0x5Eu8; 6 * STORE_PAGE];
-            dev.create_qpair()
-                .submit(Cycles(0), NvmeOp::Write, 3, 6, BufRef::Pages(&pages(&old)))
+            dev.execute(Cycles(0), 3, NvmeCmd::Write(&pages(&old)))
                 .unwrap();
             let plan = Arc::new(FaultPlan::parse(spec).unwrap());
             dev.set_fault_plan(Arc::clone(&plan));
@@ -878,9 +799,7 @@ mod tests {
             let (dev, _) = seeded(&torn);
             let keep = sectors as usize * SECTOR_SIZE;
             let want = flat_torn_image(dev.store(), pos, &flat, keep);
-            let res =
-                dev.create_qpair()
-                    .submit(Cycles(0), NvmeOp::Write, first, 3, BufRef::Pages(&list));
+            let res = dev.execute(Cycles(0), first, NvmeCmd::Write(&list));
             assert_eq!(res, Err(DeviceError::MediaError { page: first }));
             let mut got = vec![0u8; want.len()];
             dev.store().read_range(0, &mut got).unwrap();
@@ -889,16 +808,14 @@ mod tests {
             let crash = format!("nvme.write:crash={sectors}@op=1");
             let (dev, plan) = seeded(&crash);
             let want = flat_torn_image(dev.store(), pos, &flat, keep);
-            dev.create_qpair()
-                .submit(Cycles(0), NvmeOp::Write, first, 3, BufRef::Pages(&list))
+            dev.execute(Cycles(0), first, NvmeCmd::Write(&list))
                 .unwrap();
             let img = plan.crash_image().expect("crash captured").image;
             assert_eq!(expand(&img), want, "crash={sectors}");
         }
         for bits in [1u64, 9, 64] {
             let (dev, _) = seeded(&format!("nvme.write:corrupt={bits}@op=1"));
-            dev.create_qpair()
-                .submit(Cycles(0), NvmeOp::Write, first, 3, BufRef::Pages(&list))
+            dev.execute(Cycles(0), first, NvmeCmd::Write(&list))
                 .unwrap();
             let mut want = flat.clone();
             let mut bad = BTreeSet::new();
@@ -922,16 +839,15 @@ mod tests {
         dev.set_fault_plan(Arc::new(
             FaultPlan::parse("nvme.write:corrupt=4@op=1").unwrap(),
         ));
-        let qp = dev.create_qpair();
         let data = vec![0x5Au8; STORE_PAGE];
         // The corrupted write reports success (that is the whole point).
-        qp.submit(Cycles(0), NvmeOp::Write, 2, 1, BufRef::Pages(&pages(&data)))
+        dev.execute(Cycles(0), 2, NvmeCmd::Write(&pages(&data)))
             .unwrap();
         assert!(dev.poisoned_sectors() > 0, "flips recorded as poison");
         assert_eq!(dev.tainted_reads(), 0, "nothing returned yet");
         // The read also reports success but returns flipped bytes.
         let mut back = vec![0u8; STORE_PAGE];
-        read_into(&qp, Cycles(0), 2, 1, &mut back).unwrap();
+        read_into(&dev, Cycles(0), 2, &mut back).unwrap();
         assert_ne!(back, data, "corruption is silent, not absent");
         let flipped: u32 = back
             .iter()
@@ -941,10 +857,10 @@ mod tests {
         assert_eq!(flipped, 4, "exactly the budgeted bits flipped");
         assert_eq!(dev.tainted_reads(), 1, "one tainted page returned");
         // A clean rewrite heals the poison.
-        qp.submit(Cycles(0), NvmeOp::Write, 2, 1, BufRef::Pages(&pages(&data)))
+        dev.execute(Cycles(0), 2, NvmeCmd::Write(&pages(&data)))
             .unwrap();
         assert_eq!(dev.poisoned_sectors(), 0);
-        read_into(&qp, Cycles(0), 2, 1, &mut back).unwrap();
+        read_into(&dev, Cycles(0), 2, &mut back).unwrap();
         assert_eq!(back, data);
         assert_eq!(dev.tainted_reads(), 1, "healed read is clean");
     }
@@ -955,17 +871,16 @@ mod tests {
         dev.set_fault_plan(Arc::new(
             FaultPlan::parse("nvme.read:corrupt=2@op=1").unwrap(),
         ));
-        let qp = dev.create_qpair();
         let data = vec![0x11u8; STORE_PAGE];
-        qp.submit(Cycles(0), NvmeOp::Write, 1, 1, BufRef::Pages(&pages(&data)))
+        dev.execute(Cycles(0), 1, NvmeCmd::Write(&pages(&data)))
             .unwrap();
         let mut back = vec![0u8; STORE_PAGE];
-        read_into(&qp, Cycles(0), 1, 1, &mut back).unwrap();
+        read_into(&dev, Cycles(0), 1, &mut back).unwrap();
         assert_ne!(back, data, "in-flight flip corrupted the transfer");
         assert_eq!(dev.tainted_reads(), 1);
         assert_eq!(dev.poisoned_sectors(), 0, "the medium itself is fine");
         // The next read (no fault drawn) is clean: one-shot clause.
-        read_into(&qp, Cycles(0), 1, 1, &mut back).unwrap();
+        read_into(&dev, Cycles(0), 1, &mut back).unwrap();
         assert_eq!(back, data);
         assert_eq!(dev.tainted_reads(), 1);
     }
@@ -976,28 +891,27 @@ mod tests {
         dev.set_fault_plan(Arc::new(
             FaultPlan::parse("nvme.read:latent=2@op=2").unwrap(),
         ));
-        let qp = dev.create_qpair();
         let data = vec![0x33u8; STORE_PAGE];
-        qp.submit(Cycles(0), NvmeOp::Write, 4, 1, BufRef::Pages(&pages(&data)))
+        dev.execute(Cycles(0), 4, NvmeCmd::Write(&pages(&data)))
             .unwrap();
         let mut back = vec![0u8; STORE_PAGE];
-        read_into(&qp, Cycles(0), 4, 1, &mut back).unwrap();
+        read_into(&dev, Cycles(0), 4, &mut back).unwrap();
         // Op 2 trips the latent clause: the read fails and keeps failing.
         assert_eq!(
-            read_into(&qp, Cycles(0), 4, 1, &mut back),
+            read_into(&dev, Cycles(0), 4, &mut back),
             Err(DeviceError::MediaError { page: 4 })
         );
         assert_eq!(dev.latent_sectors(), 2);
         assert_eq!(
-            read_into(&qp, Cycles(0), 4, 1, &mut back),
+            read_into(&dev, Cycles(0), 4, &mut back),
             Err(DeviceError::MediaError { page: 4 }),
             "latent errors persist"
         );
         // A rewrite heals the cells; reads work again.
-        qp.submit(Cycles(0), NvmeOp::Write, 4, 1, BufRef::Pages(&pages(&data)))
+        dev.execute(Cycles(0), 4, NvmeCmd::Write(&pages(&data)))
             .unwrap();
         assert_eq!(dev.latent_sectors(), 0);
-        read_into(&qp, Cycles(0), 4, 1, &mut back).unwrap();
+        read_into(&dev, Cycles(0), 4, &mut back).unwrap();
         assert_eq!(back, data);
     }
 
@@ -1005,10 +919,9 @@ mod tests {
     fn empty_plan_changes_nothing() {
         let dev = NvmeDevice::optane(8);
         dev.set_fault_plan(Arc::new(FaultPlan::empty()));
-        let qp = dev.create_qpair();
         let data = vec![1u8; STORE_PAGE];
         for i in 0..4 {
-            qp.submit(Cycles(0), NvmeOp::Write, i, 1, BufRef::Pages(&pages(&data)))
+            dev.execute(Cycles(0), i, NvmeCmd::Write(&pages(&data)))
                 .unwrap();
         }
         assert_eq!(dev.fault_plan().unwrap().injected(), 0);
@@ -1017,15 +930,13 @@ mod tests {
     #[test]
     fn parallel_channels_overlap_service() {
         let dev = NvmeDevice::optane(1024);
-        let qp = dev.create_qpair();
         let mut buf = vec![0u8; STORE_PAGE];
         // Two commands at t=0 on a 128-channel device finish at nearly the
         // same time (only the IOPS gate separates them).
-        read_into(&qp, Cycles(0), 0, 1, &mut buf).unwrap();
-        read_into(&qp, Cycles(0), 1, 1, &mut buf).unwrap();
-        let done = qp.poll(Cycles::from_micros(15));
-        assert_eq!(done.len(), 2);
-        let spread = done[1].finished_at.get() as i64 - done[0].finished_at.get() as i64;
+        let a = read_into(&dev, Cycles(0), 0, &mut buf).unwrap();
+        let b = read_into(&dev, Cycles(0), 1, &mut buf).unwrap();
+        assert!(a.max(b) <= Cycles::from_micros(15), "both done by 15 us");
+        let spread = b.get() as i64 - a.get() as i64;
         assert!(spread.unsigned_abs() < 10_000, "channels overlap: {spread}");
     }
 }

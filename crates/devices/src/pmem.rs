@@ -9,7 +9,7 @@
 //! page references instead (the page pool of [`aquila_sim::page`]); the
 //! copies are charged all the same.
 
-use aquila_sim::{Cycles, Page, ServiceCenter, SimCtx};
+use aquila_sim::{CostCat, Cycles, Page, ServiceCenter, SimCtx};
 
 use crate::error::DeviceError;
 use crate::store::{PageStore, STORE_PAGE};
@@ -81,36 +81,28 @@ impl PmemDevice {
         self.service.reset();
     }
 
-    /// DAX read of `out.len()` pages from `page`, charging the memcpy
-    /// cost (`simd` selects Aquila's AVX2 streaming copy) and pacing
-    /// against device bandwidth. The model pays the copy into the cache
-    /// frame; the host hands out references to the stored pages instead
-    /// of moving their bytes.
-    ///
-    /// Returns the cycles spent (CPU copy plus any bandwidth stall).
+    /// DAX read of `out.len()` pages from `page`, charged as one copy
+    /// (`simd` selects Aquila's AVX2 streaming copy) paced against device
+    /// bandwidth. The model pays the copy into the cache frame; the host
+    /// hands out references to the stored pages instead of moving their
+    /// bytes.
     pub fn dax_read(
         &self,
         ctx: &mut dyn SimCtx,
         page: u64,
         out: &mut [Page],
         simd: bool,
-    ) -> Result<Cycles, DeviceError> {
-        let before = ctx.now();
+    ) -> Result<(), DeviceError> {
         for (i, slot) in out.iter_mut().enumerate() {
             *slot = self.store.page(page + i as u64)?;
         }
         let bytes = (out.len() * STORE_PAGE) as u64;
-        let sp = aquila_sim::span::begin(ctx, "pmem.read", aquila_sim::CostCat::Memcpy);
-        let copy = ctx.cost().memcpy(bytes, simd);
-        let r = self
-            .service
-            .submit(ctx.now(), self.profile.load_latency, bytes);
-        ctx.charge(aquila_sim::CostCat::Memcpy, copy);
-        ctx.wait_until(r.end, aquila_sim::CostCat::DeviceIo);
+        let sp = aquila_sim::span::begin(ctx, "pmem.read", CostCat::Memcpy);
+        self.transfer(ctx, bytes, simd);
         ctx.counters().device_reads += 1;
         ctx.counters().bytes_read += bytes;
         aquila_sim::span::end(ctx, sp);
-        Ok(ctx.now() - before)
+        Ok(())
     }
 
     /// DAX write of `pages` to the consecutive device pages from `page`,
@@ -122,21 +114,26 @@ impl PmemDevice {
         page: u64,
         pages: &[Page],
         simd: bool,
-    ) -> Result<Cycles, DeviceError> {
+    ) -> Result<(), DeviceError> {
         let bytes = pages.len() * STORE_PAGE;
-        let before = ctx.now();
         self.store.write_pages(page, pages, bytes)?;
-        let sp = aquila_sim::span::begin(ctx, "pmem.write", aquila_sim::CostCat::Memcpy);
-        let copy = ctx.cost().memcpy(bytes as u64, simd);
-        let r = self
-            .service
-            .submit(ctx.now(), self.profile.load_latency, bytes as u64);
-        ctx.charge(aquila_sim::CostCat::Memcpy, copy);
-        ctx.wait_until(r.end, aquila_sim::CostCat::DeviceIo);
+        let sp = aquila_sim::span::begin(ctx, "pmem.write", CostCat::Memcpy);
+        self.transfer(ctx, bytes as u64, simd);
         ctx.counters().device_writes += 1;
         ctx.counters().bytes_written += bytes as u64;
         aquila_sim::span::end(ctx, sp);
-        Ok(ctx.now() - before)
+        Ok(())
+    }
+
+    /// Charges moving `bytes` by memcpy and waits out the device's
+    /// bandwidth share of the transfer.
+    fn transfer(&self, ctx: &mut dyn SimCtx, bytes: u64, simd: bool) {
+        let copy = ctx.cost().memcpy(bytes, simd);
+        let r = self
+            .service
+            .submit(ctx.now(), self.profile.load_latency, bytes);
+        ctx.charge(CostCat::Memcpy, copy);
+        ctx.wait_until(r.end, CostCat::DeviceIo);
     }
 }
 
@@ -149,7 +146,7 @@ impl core::fmt::Debug for PmemDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aquila_sim::{CostCat, FreeCtx};
+    use aquila_sim::FreeCtx;
 
     fn pages_of(buf: &[u8]) -> Vec<Page> {
         buf.chunks(STORE_PAGE).map(Page::copy_of).collect()

@@ -480,13 +480,13 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::SpdkAccess;
+    use crate::access::{Entry, NvmeAccess};
     use crate::nvme::NvmeDevice;
     use aquila_sim::FreeCtx;
 
     fn new_store(ctx: &mut FreeCtx, pages: u64) -> (Blobstore, Arc<dyn StorageAccess>) {
         let dev = Arc::new(NvmeDevice::optane(pages));
-        let access: Arc<dyn StorageAccess> = Arc::new(SpdkAccess::new(dev));
+        let access: Arc<dyn StorageAccess> = Arc::new(NvmeAccess::new(dev, Entry::Direct));
         (Blobstore::format(ctx, Arc::clone(&access)).unwrap(), access)
     }
 
@@ -563,7 +563,7 @@ mod tests {
     fn metadata_survives_reload() {
         let mut ctx = FreeCtx::new(1);
         let dev = Arc::new(NvmeDevice::optane(8192));
-        let access: Arc<dyn StorageAccess> = Arc::new(SpdkAccess::new(dev));
+        let access: Arc<dyn StorageAccess> = Arc::new(NvmeAccess::new(dev, Entry::Direct));
         let payload = vec![7u8; STORE_PAGE];
 
         let blob;
@@ -595,7 +595,7 @@ mod tests {
     fn load_unformatted_fails() {
         let mut ctx = FreeCtx::new(1);
         let dev = Arc::new(NvmeDevice::optane(4096));
-        let access: Arc<dyn StorageAccess> = Arc::new(SpdkAccess::new(dev));
+        let access: Arc<dyn StorageAccess> = Arc::new(NvmeAccess::new(dev, Entry::Direct));
         assert!(matches!(
             Blobstore::load(&mut ctx, access),
             Err(BlobError::NotFormatted)

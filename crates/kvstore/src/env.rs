@@ -340,7 +340,7 @@ pub type DynEnv = Arc<dyn Env>;
 mod tests {
     use super::*;
     use aquila::{AquilaRuntime, DeviceKind};
-    use aquila_devices::{CallDomain, HostPmemAccess, PmemDevice};
+    use aquila_devices::{CallDomain, Entry, PmemAccess, PmemDevice};
     use aquila_linuxsim::{KernelDevice, LinuxConfig};
     use aquila_sim::{CoreDebts, FreeCtx};
 
@@ -348,7 +348,8 @@ mod tests {
         let debts = Arc::new(CoreDebts::new(1));
         // Direct I/O.
         let pmem = Arc::new(PmemDevice::dram_backed(16384));
-        let access: Arc<dyn StorageAccess> = Arc::new(HostPmemAccess::new(pmem, CallDomain::User));
+        let access: Arc<dyn StorageAccess> =
+            Arc::new(PmemAccess::new(pmem, Entry::Host(CallDomain::User)));
         let direct: DynEnv = Arc::new(DirectIoEnv::new(access, 256));
         // Linux mmap.
         let kdev = KernelDevice::Pmem(Arc::new(PmemDevice::dram_backed(16384)));
@@ -398,7 +399,8 @@ mod tests {
     fn direct_env_repeat_reads_hit_user_cache() {
         let mut ctx = FreeCtx::new(11);
         let pmem = Arc::new(PmemDevice::dram_backed(4096));
-        let access: Arc<dyn StorageAccess> = Arc::new(HostPmemAccess::new(pmem, CallDomain::User));
+        let access: Arc<dyn StorageAccess> =
+            Arc::new(PmemAccess::new(pmem, Entry::Host(CallDomain::User)));
         let env = DirectIoEnv::new(access, 128);
         let f = Env::create(&env, &mut ctx, "x", 16);
         let mut buf = vec![0u8; 4096];

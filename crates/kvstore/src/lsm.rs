@@ -378,12 +378,13 @@ impl core::fmt::Debug for StoneDb {
 mod tests {
     use super::*;
     use crate::env::DirectIoEnv;
-    use aquila_devices::{CallDomain, HostPmemAccess, PmemDevice, StorageAccess};
+    use aquila_devices::{CallDomain, Entry, PmemAccess, PmemDevice, StorageAccess};
     use aquila_sim::FreeCtx;
 
     fn small_db() -> StoneDb {
         let pmem = Arc::new(PmemDevice::dram_backed(262_144)); // 1 GiB device.
-        let access: Arc<dyn StorageAccess> = Arc::new(HostPmemAccess::new(pmem, CallDomain::User));
+        let access: Arc<dyn StorageAccess> =
+            Arc::new(PmemAccess::new(pmem, Entry::Host(CallDomain::User)));
         let env: DynEnv = Arc::new(DirectIoEnv::new(access, 2048));
         StoneDb::new(
             env,

@@ -362,12 +362,13 @@ impl core::fmt::Debug for SstReader {
 mod tests {
     use super::*;
     use crate::env::{DirectIoEnv, Env};
-    use aquila_devices::{CallDomain, HostPmemAccess, PmemDevice, StorageAccess};
+    use aquila_devices::{CallDomain, Entry, PmemAccess, PmemDevice, StorageAccess};
     use aquila_sim::FreeCtx;
 
     fn env() -> DirectIoEnv {
         let pmem = Arc::new(PmemDevice::dram_backed(65536));
-        let access: Arc<dyn StorageAccess> = Arc::new(HostPmemAccess::new(pmem, CallDomain::User));
+        let access: Arc<dyn StorageAccess> =
+            Arc::new(PmemAccess::new(pmem, Entry::Host(CallDomain::User)));
         DirectIoEnv::new(access, 4096)
     }
 

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use aquila_devices::{page_list, BufRef, NvmeDevice, NvmeOp, PmemDevice, STORE_PAGE};
+use aquila_devices::{page_list, NvmeCmd, NvmeDevice, PmemDevice, STORE_PAGE};
 use aquila_sim::{CostCat, Page, SimCtx};
 
 /// A device as seen from the host kernel.
@@ -48,17 +48,11 @@ impl KernelDevice {
             KernelDevice::Nvme(d) => {
                 let c = ctx.cost().nvme_submit_kernel;
                 ctx.charge(CostCat::DeviceIo, c);
-                let qp = d.create_qpair();
-                qp.submit(
-                    ctx.now(),
-                    NvmeOp::Read,
-                    page,
-                    out.len(),
-                    BufRef::Out(&mut out),
-                )
-                .expect("kernel fill within device bounds");
+                let finish = d
+                    .execute(ctx.now(), page, NvmeCmd::Read(&mut out))
+                    .expect("kernel fill within device bounds");
                 // Interrupt-driven completion: CPU idles.
-                qp.drain(ctx, CostCat::Idle);
+                ctx.wait_until(finish, CostCat::Idle);
                 ctx.counters().device_reads += 1;
                 ctx.counters().bytes_read += buf.len() as u64;
             }
@@ -85,16 +79,10 @@ impl KernelDevice {
             KernelDevice::Nvme(d) => {
                 let c = ctx.cost().nvme_submit_kernel;
                 ctx.charge(CostCat::DeviceIo, c);
-                let qp = d.create_qpair();
-                qp.submit(
-                    ctx.now(),
-                    NvmeOp::Write,
-                    page,
-                    pages.len(),
-                    BufRef::Pages(pages),
-                )
-                .expect("kernel writeback within device bounds");
-                qp.drain(ctx, CostCat::Idle);
+                let finish = d
+                    .execute(ctx.now(), page, NvmeCmd::Write(pages))
+                    .expect("kernel writeback within device bounds");
+                ctx.wait_until(finish, CostCat::Idle);
                 ctx.counters().device_writes += 1;
                 ctx.counters().bytes_written += (pages.len() * STORE_PAGE) as u64;
             }

@@ -208,13 +208,14 @@ impl core::fmt::Debug for UserCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aquila_devices::{CallDomain, HostPmemAccess, PmemDevice};
+    use aquila_devices::{CallDomain, Entry, PmemAccess, PmemDevice};
     use aquila_sim::FreeCtx;
 
     fn cache(blocks: usize) -> (FreeCtx, UserCache, Arc<dyn StorageAccess>) {
         let ctx = FreeCtx::new(5);
         let dev = Arc::new(PmemDevice::dram_backed(1024));
-        let access: Arc<dyn StorageAccess> = Arc::new(HostPmemAccess::new(dev, CallDomain::User));
+        let access: Arc<dyn StorageAccess> =
+            Arc::new(PmemAccess::new(dev, Entry::Host(CallDomain::User)));
         let uc = UserCache::new(blocks, 4, Arc::clone(&access));
         (ctx, uc, access)
     }

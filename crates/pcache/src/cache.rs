@@ -582,13 +582,13 @@ impl DramCache {
         }
     }
 
-    /// Whether `key` is currently marked dirty (uniform clean/dirty
-    /// candidacy check for promotion).
-    pub fn page_dirty(&self, ctx: &mut dyn SimCtx, key: PageKey) -> bool {
+    /// Whether `frame` holds a dirty page (uniform clean/dirty candidacy
+    /// check for promotion), charged as the paper's dirty-tree lookup.
+    pub fn page_dirty(&self, ctx: &mut dyn SimCtx, frame: FrameId) -> bool {
         let c = ctx.cost().rbtree_op;
         ctx.charge(CostCat::CacheMgmt, c);
         race::acquire(ctx, (L_DIRTY, 0));
-        let dirty = self.dirty.contains(key);
+        let dirty = self.dirty.is_dirty(frame);
         race::read(ctx, (V_DIRTY, 0));
         race::release(ctx, (L_DIRTY, 0));
         dirty
@@ -1131,13 +1131,23 @@ mod tests {
         cache.commit_insert(&mut ctx, clean, f0).unwrap();
         cache.commit_insert(&mut ctx, dirty, f1).unwrap();
         cache.mark_dirty(&mut ctx, dirty, f1);
-        assert!(!cache.page_dirty(&mut ctx, clean));
-        assert!(cache.page_dirty(&mut ctx, dirty));
+        assert!(!cache.page_dirty(&mut ctx, f0));
+        assert!(cache.page_dirty(&mut ctx, f1));
+        // A page dirtied from the second core reads dirty from either.
+        let mut ctx1 = FreeCtx::new(1).with_core(1, 2);
+        let remote = PageKey::new(1, 2);
+        let f2 = cache.try_alloc(&mut ctx1).unwrap();
+        cache.commit_insert(&mut ctx1, remote, f2).unwrap();
+        assert!(!cache.page_dirty(&mut ctx, f2));
+        cache.mark_dirty(&mut ctx1, remote, f2);
+        assert!(cache.page_dirty(&mut ctx, f2));
+        assert!(cache.page_dirty(&mut ctx1, f2));
 
         let s0 = cache.slab_run_frame(run, 0);
         let s1 = cache.slab_run_frame(run, 1);
         assert!(!cache.migrate_frame(&mut ctx, clean, f0, s0));
         assert!(cache.migrate_frame(&mut ctx, dirty, f1, s1));
+        assert!(cache.page_dirty(&mut ctx, s1) && !cache.page_dirty(&mut ctx, f1));
         // Index now points at the slab frames, bytes travelled along.
         assert_eq!(cache.lookup(&mut ctx, clean), Some(s0));
         assert_eq!(cache.lookup(&mut ctx, dirty), Some(s1));

@@ -92,11 +92,11 @@ impl DirtyTrees {
         Some(core)
     }
 
-    /// Whether `key` is marked dirty in any core's tree.
-    pub fn contains(&self, key: PageKey) -> bool {
-        self.trees
-            .iter()
-            .any(|t| t.lock().contains_key(&(key.file, key.page)))
+    /// Whether `frame` holds a dirty page: an `Acquire` load of its dirty
+    /// word (pairing with the marker's compare-and-swap and a drain's
+    /// store), no tree search.
+    pub fn is_dirty(&self, frame: FrameId) -> bool {
+        self.owner[frame.0 as usize].load(Ordering::Acquire) != 0
     }
 
     /// Total dirty pages across all trees.
@@ -218,9 +218,9 @@ mod tests {
         assert!(t.insert(3, key, FrameId(7)));
         assert!(!t.insert(0, key, FrameId(7)), "already dirty on core 3");
         assert_eq!(t.len(), 1);
-        assert!(t.contains(key));
+        assert!(t.is_dirty(FrameId(7)));
         assert_eq!(t.take(FrameId(7), key), Some(3), "the owning core's tree");
-        assert!(t.is_empty() && !t.contains(key));
+        assert!(t.is_empty() && !t.is_dirty(FrameId(7)));
         // Clean again: the next mark may come from any core.
         assert!(t.insert(0, key, FrameId(7)));
         assert_eq!(t.drain_all().len(), 1);

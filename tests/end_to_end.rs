@@ -230,7 +230,10 @@ fn dynamic_cache_resize_under_load() {
     // Build storage by hand.
     let rt_ctx = &mut ctx;
     let dev = Arc::new(aquila_devices::PmemDevice::dram_backed(16384));
-    let access: Arc<dyn StorageAccess> = Arc::new(aquila_devices::DaxAccess::new(dev, true));
+    let access: Arc<dyn StorageAccess> = Arc::new(aquila_devices::PmemAccess::new(
+        dev,
+        aquila_devices::Entry::Direct,
+    ));
     let store = Arc::new(Blobstore::format(rt_ctx, Arc::clone(&access)).unwrap());
     let f = aquila
         .files()

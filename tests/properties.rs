@@ -567,8 +567,9 @@ fn blobstore_clusters_disjoint() {
     for _ in 0..8 {
         let mut ctx = FreeCtx::new(1);
         let dev = Arc::new(aquila_devices::NvmeDevice::optane(16384));
-        let access: Arc<dyn aquila_devices::StorageAccess> =
-            Arc::new(aquila_devices::SpdkAccess::new(dev));
+        let access: Arc<dyn aquila_devices::StorageAccess> = Arc::new(
+            aquila_devices::NvmeAccess::new(dev, aquila_devices::Entry::Direct),
+        );
         let bs = aquila_devices::Blobstore::format(&mut ctx, access).unwrap();
         let mut blobs = Vec::new();
         let count = rng.range(1, 9);
