@@ -733,11 +733,23 @@ impl<'a> Walker<'a> {
     }
 
     fn walk_seq(&mut self, range: Range<usize>, entry: St, loops: &mut Vec<LoopCtx>) -> St {
+        self.walk_bound(range, entry, loops, None)
+    }
+
+    /// [`Self::walk_seq`] with a `let` binding already pending: a match
+    /// arm whose value the enclosing `let` binds.
+    fn walk_bound(
+        &mut self,
+        range: Range<usize>,
+        entry: St,
+        loops: &mut Vec<LoopCtx>,
+        bind: Option<String>,
+    ) -> St {
         let t = self.toks;
         let mut st = entry;
         let mut i = range.start;
         // Pending `let` binding name, waiting for a `span::begin` RHS.
-        let mut pending_let: Option<String> = None;
+        let mut pending_let: Option<String> = bind;
         while i < range.end {
             match &t[i].kind {
                 TokKind::Punct(';') => {
@@ -769,7 +781,8 @@ impl<'a> Walker<'a> {
                     i = next;
                 }
                 TokKind::Ident(kw) if kw == "match" => {
-                    let (next, out) = self.handle_match(i, range.end, &st, loops);
+                    let bind = pending_let.take();
+                    let (next, out) = self.handle_match(i, range.end, &st, loops, bind);
                     st = out;
                     pending_let = None;
                     i = next;
@@ -1295,12 +1308,19 @@ impl<'a> Walker<'a> {
     }
 
     /// `match expr { pat => arm, … }` — join all arm exits.
+    ///
+    /// `bind` is the name a `let` binds the match's value to. When every
+    /// arm opens a literal-named span (`let sp = match .. { A =>
+    /// span::begin(ctx, "a", ..), B => span::begin(ctx, "b", ..) }`),
+    /// each arm binds it, so after the join `sp` is one open span
+    /// whichever arm ran.
     fn handle_match(
         &mut self,
         i: usize,
         limit: usize,
         entry: &St,
         loops: &mut Vec<LoopCtx>,
+        bind: Option<String>,
     ) -> (usize, St) {
         let t = self.toks;
         let mut j = i + 1;
@@ -1319,7 +1339,9 @@ impl<'a> Walker<'a> {
         }
         let scrut_st = self.walk_seq(i + 1..j, entry.clone(), loops);
         let close = match_delim(t, j);
-        let mut out = St::dead();
+        // Arm bodies: the inside of a block arm, or an expression arm up
+        // to its depth-0 `,` (or the match close).
+        let mut arms = Vec::new();
         let mut k = j + 1;
         while k < close {
             // Pattern up to depth-0 `=>`.
@@ -1337,16 +1359,12 @@ impl<'a> Walker<'a> {
                 break;
             }
             k += 1; // past `=>`
-            let arm_start = k;
-            let arm_end;
             if k < close && t[k].kind.is_punct('{') {
                 let aclose = match_delim(t, k);
-                arm_end = aclose;
+                arms.push(k + 1..aclose);
                 k = aclose + 1;
-                let arm_out = self.walk_seq(arm_start + 1..arm_end, scrut_st.clone(), loops);
-                out.join(&arm_out);
             } else {
-                // Expression arm: to depth-0 `,` (or the match close).
+                let arm_start = k;
                 let mut depth = 0i32;
                 while k < close {
                     match &t[k].kind {
@@ -1361,20 +1379,53 @@ impl<'a> Walker<'a> {
                     }
                     k += 1;
                 }
-                arm_end = k;
-                let arm_out = self.walk_seq(arm_start..arm_end, scrut_st.clone(), loops);
-                out.join(&arm_out);
+                arms.push(arm_start..k);
             }
             // Skip the `,`.
             if k < close && t[k].kind.is_punct(',') {
                 k += 1;
             }
         }
+        let bind = bind.filter(|_| {
+            !arms.is_empty() && arms.iter().all(|arm| self.is_named_span_begin(arm.clone()))
+        });
+        let mut out = St::dead();
+        for arm in arms {
+            let arm_out = self.walk_bound(arm, scrut_st.clone(), loops, bind.clone());
+            out.join(&arm_out);
+        }
         if !out.live {
             // All arms diverge (or no arms): path dies.
             return (close + 1, St::dead());
         }
         (close + 1, out)
+    }
+
+    /// True when `range` is exactly one `…span::begin*(…)` call whose
+    /// span name resolves at parse time.
+    fn is_named_span_begin(&self, range: Range<usize>) -> bool {
+        let t = self.toks;
+        let mut segs = Vec::new();
+        let mut j = range.start;
+        while let Some(TokKind::Ident(seg)) = t.get(j).filter(|_| j < range.end).map(|x| &x.kind) {
+            segs.push(seg.as_str());
+            j += 1;
+            if !matches!(t.get(j).map(|x| &x.kind), Some(TokKind::Sym("::"))) {
+                break;
+            }
+            j += 1;
+        }
+        let begin = matches!(
+            segs.as_slice(),
+            [.., "span", "begin" | "begin_child" | "begin_in"]
+        );
+        begin
+            && j + 1 < range.end
+            && t[j].kind.is_punct('(')
+            && match_delim(t, j) == range.end - 1
+            && t[j + 1..range.end - 1]
+                .iter()
+                .any(|x| self.resolve_str(&x.kind).is_some())
     }
 
     /// `loop`/`while`/`for` — walk the body once (sound for may-analysis of
@@ -1722,6 +1773,53 @@ mod tests {
         let ids = w.resolve(outer, call);
         assert_eq!(ids.len(), 1);
         assert_eq!(w.fns[ids[0]].name, "inner");
+    }
+
+    #[test]
+    fn span_bound_through_match_ended_on_every_path_is_clean() {
+        let w = ws(r#"
+            fn f(ctx: &mut C, cmd: Cmd) -> Result<(), E> {
+                let sp = match cmd {
+                    Cmd::Read(_) => span::begin(ctx, "read", "c"),
+                    Cmd::Write(_) => aquila_sim::span::begin(ctx, "write", "c"),
+                };
+                let done = run(ctx);
+                span::end(ctx, sp);
+                done
+            }
+        "#);
+        let f = w.fns.iter().position(|d| d.name == "f").unwrap();
+        let leaks = &w.facts[f].span_leaks;
+        assert!(
+            leaks.is_empty(),
+            "exits: {:?}",
+            leaks.iter().map(|l| l.exit).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn span_bound_through_match_still_leaks_through_question_mark() {
+        let w = ws(r#"
+            fn f(ctx: &mut C, cmd: Cmd) -> Result<(), E> {
+                let sp = match cmd {
+                    Cmd::Read(_) => span::begin(ctx, "read", "c"),
+                    Cmd::Write(_) => span::begin(ctx, "write", "c"),
+                };
+                run(ctx)?;
+                span::end(ctx, sp);
+                Ok(())
+            }
+        "#);
+        let f = w.fns.iter().position(|d| d.name == "f").unwrap();
+        let leaks = &w.facts[f].span_leaks;
+        assert_eq!(
+            leaks.len(),
+            1,
+            "exits: {:?}",
+            leaks.iter().map(|l| l.exit).collect::<Vec<_>>()
+        );
+        assert_eq!(leaks[0].exit, "?");
+        assert_eq!(leaks[0].var, "sp");
     }
 
     #[test]

@@ -31,7 +31,7 @@ use aquila_pcache::{
     coalesce_runs, CacheConfig, DirtyPage, DramCache, PageKey, Victim, MAX_TENANTS,
 };
 use aquila_sim::{race, CoreDebts, CostCat, Cycles, Page, SimCtx, Step, ThreadFn};
-use aquila_vmx::{Gpa, Vcpu, PAGE_1G};
+use aquila_vmx::{Gpa, PAGE_1G};
 
 use crate::error::AquilaError;
 use crate::file::{FileId, Files};
@@ -153,7 +153,6 @@ pub struct Aquila {
     page_table: ShardedPageTable,
     tlbs: TlbFabric,
     debts: Arc<CoreDebts>,
-    vcpus: Vec<Mutex<Vcpu>>,
     /// Reverse map: frame -> virtual pages currently mapping it.
     rmap: Rmap,
     /// End of the guest-physical window the cache's 1 GiB EPT granules
@@ -180,8 +179,8 @@ pub struct Aquila {
 }
 
 impl Aquila {
-    /// Boots an Aquila instance: builds the cache, maps its initial frames
-    /// through 1 GiB EPT granules, and enters the guest on every vcpu.
+    /// Boots an Aquila instance: builds the cache and records the 1 GiB
+    /// EPT granules its initial frames sit in.
     pub fn new(mut cfg: AquilaConfig, debts: Arc<CoreDebts>) -> Aquila {
         // An eviction batch close to the cache size would wipe the whole
         // working set per round; clamp to 1/8 of the cache (the paper's
@@ -211,14 +210,13 @@ impl Aquila {
         // The huge-run registry is the outermost annotated lock on the
         // promotion path; page-table shard locks are leaves under it.
         race::declare_order("mmu", &[L_HUGE, L_PT_SHARD]);
-        let aquila = Aquila {
+        Aquila {
             files: Files::new(),
             vmas: RegionMap::new(0x10_0000),
             // One shard per vcore (at least two), keyed by 2 MiB block
             // (DESIGN.md §17.2).
             page_table: ShardedPageTable::new(cfg.cores.max(2)),
             tlbs: TlbFabric::new(cfg.cores),
-            vcpus: (0..cfg.cores).map(|_| Mutex::new(Vcpu::new())).collect(),
             rmap: Rmap::new(cfg.max_cache_frames + slab_frames),
             ept_mapped_end: Mutex::new(ept_mapped_end),
             wb_horizon: Mutex::new(Cycles::ZERO),
@@ -232,11 +230,7 @@ impl Aquila {
             debts,
             cache,
             cfg,
-        };
-        for v in &aquila.vcpus {
-            v.lock().vmentry();
         }
-        aquila
     }
 
     /// The file registry (intercepted `open`).
@@ -423,9 +417,9 @@ impl Aquila {
     /// Switches the calling thread into Aquila mode (the per-thread
     /// function call the paper requires at thread start).
     pub fn thread_enter(&self, ctx: &mut dyn SimCtx) {
-        let mut vcpu = self.vcpus[ctx.core() % self.vcpus.len()].lock();
-        // Install the syscall-interception handler (MSR_LSTAR).
-        vcpu.write_msr(ctx, aquila_vmx::msr::LSTAR, 0xFFFF_8000_0000_0000);
+        // Install Aquila's syscall handler in MSR_LSTAR: one `wrmsr` from
+        // guest ring 0, which takes no vmexit.
+        ctx.charge(CostCat::Other, Cycles(100));
     }
 
     // ---------------------------------------------------------------
@@ -747,9 +741,8 @@ impl Aquila {
         let vpn = gva.vpn();
         // Exception delivery in non-root ring 0 (552 cycles, no protection
         // domain switch).
-        self.vcpus[ctx.core() % self.vcpus.len()]
-            .lock()
-            .deliver_exception(ctx);
+        let trap = ctx.cost().trap_nonroot_ring0;
+        ctx.charge(CostCat::Trap, trap);
 
         // Operation 1: is this a valid address? (O(1) region resolution,
         // no lock).
@@ -1653,8 +1646,7 @@ impl Aquila {
     /// the grown window newly covers costs one EPT fault. Returns frames
     /// actually added.
     pub fn grow_cache(&self, ctx: &mut dyn SimCtx, frames: usize) -> usize {
-        let core = ctx.core() % self.vcpus.len();
-        self.vcpus[core].lock().vmcall(ctx, 0x10);
+        aquila_sim::vmcall(ctx);
         let mut mapped_end = self.ept_mapped_end.lock();
         let added = self.cache.grow(frames);
         let end = cache_window_end(
@@ -1678,17 +1670,8 @@ impl Aquila {
     /// The EPT keeps its 1 GiB cache granules mapped, so a later
     /// [`Aquila::grow_cache`] back into them takes no EPT fault.
     pub fn shrink_cache(&self, ctx: &mut dyn SimCtx, frames: usize) -> usize {
-        let core = ctx.core() % self.vcpus.len();
-        self.vcpus[core].lock().vmcall(ctx, 0x11);
+        aquila_sim::vmcall(ctx);
         self.cache.shrink(frames)
-    }
-
-    /// Forwards a non-VM system call to the host OS via vmcall (the slow
-    /// path of the interception table).
-    pub fn forward_to_host(&self, ctx: &mut dyn SimCtx, nr: u64) {
-        let core = ctx.core() % self.vcpus.len();
-        self.vcpus[core].lock().vmcall(ctx, nr);
-        ctx.counters().syscalls += 1;
     }
 
     /// Flushes all dirty pages (shutdown path).

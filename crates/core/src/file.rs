@@ -1,11 +1,8 @@
-//! Aquila's file abstraction: names mapped transparently to blobs or raw
-//! device partitions.
+//! Aquila's file abstraction: names mapped transparently to blobs.
 //!
 //! Paper section 3.3: Aquila intercepts `open` and `mmap` in non-root
 //! ring 0 and translates files to SPDK blobs, giving unmodified
 //! applications a file API whose data path never enters the host kernel.
-//! A file can also map a raw device range directly (the dedicated-device
-//! deployment the paper describes for key-value stores).
 
 use std::sync::Arc;
 
@@ -21,62 +18,28 @@ use crate::error::AquilaError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FileId(pub u32);
 
-enum Backing {
-    /// A blob in a blobstore.
-    Blob {
-        store: Arc<Blobstore>,
-        access: Arc<dyn StorageAccess>,
-        blob: BlobId,
-    },
-    /// A raw, linearly mapped device range.
-    Raw {
-        access: Arc<dyn StorageAccess>,
-        base_page: u64,
-        pages: u64,
-    },
-}
-
+/// An open file: a blob in a blobstore, read and written through the
+/// storage access path of the blobstore's device.
 struct FileObj {
     name: String,
-    backing: Backing,
+    store: Arc<Blobstore>,
+    access: Arc<dyn StorageAccess>,
+    blob: BlobId,
 }
 
 impl FileObj {
     fn len_pages(&self) -> u64 {
-        match &self.backing {
-            Backing::Blob { store, blob, .. } => store.size_pages(*blob).unwrap_or(0),
-            Backing::Raw { pages, .. } => *pages,
-        }
+        self.store.size_pages(self.blob).unwrap_or(0)
     }
 
     /// Device page backing logical `page`, if allocated.
     fn dev_page(&self, page: u64) -> Result<u64, AquilaError> {
-        match &self.backing {
-            Backing::Blob { store, blob, .. } => {
-                store
-                    .lba_page(*blob, page)
-                    .map_err(|_| AquilaError::BeyondEof {
-                        page,
-                        len: self.len_pages(),
-                    })
-            }
-            Backing::Raw {
-                base_page, pages, ..
-            } => {
-                if page < *pages {
-                    Ok(base_page + page)
-                } else {
-                    Err(AquilaError::BeyondEof { page, len: *pages })
-                }
-            }
-        }
-    }
-
-    fn access(&self) -> &Arc<dyn StorageAccess> {
-        match &self.backing {
-            Backing::Blob { access, .. } => access,
-            Backing::Raw { access, .. } => access,
-        }
+        self.store
+            .lba_page(self.blob, page)
+            .map_err(|_| AquilaError::BeyondEof {
+                page,
+                len: self.len_pages(),
+            })
     }
 }
 
@@ -107,12 +70,10 @@ impl Files {
         if let Some(&id) = self.by_name.read().get(name) {
             // Existing file: grow if a larger size is requested.
             let obj = Arc::clone(&self.files.read()[id.0 as usize]);
-            if let Backing::Blob { store, blob, .. } = &obj.backing {
-                let clusters = pages.div_ceil(aquila_devices::PAGES_PER_CLUSTER);
-                store
-                    .resize(*blob, clusters)
-                    .map_err(|_| AquilaError::NoSpace)?;
-            }
+            let clusters = pages.div_ceil(aquila_devices::PAGES_PER_CLUSTER);
+            obj.store
+                .resize(obj.blob, clusters)
+                .map_err(|_| AquilaError::NoSpace)?;
             return Ok(id);
         }
         // Recovery: the blobstore may already hold this file from a
@@ -126,11 +87,9 @@ impl Files {
                     .map_err(|_| AquilaError::NoSpace)?;
                 return self.register(FileObj {
                     name: name.to_string(),
-                    backing: Backing::Blob {
-                        store: Arc::clone(store),
-                        access: Arc::clone(access),
-                        blob: existing,
-                    },
+                    store: Arc::clone(store),
+                    access: Arc::clone(access),
+                    blob: existing,
                 });
             }
         }
@@ -144,35 +103,9 @@ impl Files {
             .map_err(|_| AquilaError::BadFile)?;
         self.register(FileObj {
             name: name.to_string(),
-            backing: Backing::Blob {
-                store: Arc::clone(store),
-                access: Arc::clone(access),
-                blob,
-            },
-        })
-    }
-
-    /// Opens a file over a raw device range (dedicated-partition mode).
-    pub fn open_raw(
-        &self,
-        access: &Arc<dyn StorageAccess>,
-        name: &str,
-        base_page: u64,
-        pages: u64,
-    ) -> Result<FileId, AquilaError> {
-        if let Some(&id) = self.by_name.read().get(name) {
-            return Ok(id);
-        }
-        if base_page + pages > access.capacity_pages() {
-            return Err(AquilaError::NoSpace);
-        }
-        self.register(FileObj {
-            name: name.to_string(),
-            backing: Backing::Raw {
-                access: Arc::clone(access),
-                base_page,
-                pages,
-            },
+            store: Arc::clone(store),
+            access: Arc::clone(access),
+            blob,
         })
     }
 
@@ -227,7 +160,7 @@ impl Files {
 
     /// The storage access path behind `id`.
     pub fn access_of(&self, id: FileId) -> Result<Arc<dyn StorageAccess>, AquilaError> {
-        Ok(Arc::clone(self.get(id)?.access()))
+        Ok(Arc::clone(&self.get(id)?.access))
     }
 
     /// Reads file pages `[page, page + out.len())` from the device, each
@@ -245,7 +178,7 @@ impl Files {
     ) -> Result<(), AquilaError> {
         let obj = self.get(id)?;
         for (dev, i, len) in split(&obj, page, out.len())? {
-            obj.access().read_refs(ctx, dev, &mut out[i..i + len])?;
+            obj.access.read_refs(ctx, dev, &mut out[i..i + len])?;
         }
         Ok(())
     }
@@ -261,7 +194,7 @@ impl Files {
     ) -> Result<(), AquilaError> {
         let obj = self.get(id)?;
         for (dev, i, len) in split(&obj, page, buf.len() / STORE_PAGE)? {
-            obj.access()
+            obj.access
                 .read_pages(ctx, dev, &mut buf[i * STORE_PAGE..(i + len) * STORE_PAGE])?;
         }
         Ok(())
@@ -278,7 +211,7 @@ impl Files {
     ) -> Result<(), AquilaError> {
         let obj = self.get(id)?;
         for (dev, i, len) in split(&obj, page, buf.len() / STORE_PAGE)? {
-            obj.access()
+            obj.access
                 .write_pages(ctx, dev, &buf[i * STORE_PAGE..(i + len) * STORE_PAGE])?;
         }
         Ok(())
@@ -362,30 +295,6 @@ mod tests {
             .open_blob(&store, &access, "/grow", before + 1000)
             .unwrap();
         assert!(files.len_pages(f).unwrap() > before);
-    }
-
-    #[test]
-    fn raw_file_io() {
-        let (mut ctx, _store, access, files) = setup();
-        let f = files.open_raw(&access, "/dev/part0", 8192, 1024).unwrap();
-        assert_eq!(files.len_pages(f).unwrap(), 1024);
-        let data = vec![0x5Au8; STORE_PAGE];
-        files.write_pages(&mut ctx, f, 0, &data).unwrap();
-        let mut back = vec![0u8; STORE_PAGE];
-        files.read_pages(&mut ctx, f, 0, &mut back).unwrap();
-        assert_eq!(back, data);
-    }
-
-    #[test]
-    fn raw_beyond_capacity_rejected() {
-        let (_ctx, _store, access, files) = setup();
-        let cap = access.capacity_pages();
-        assert_eq!(
-            files
-                .open_raw(&access, "/dev/too-big", cap - 10, 20)
-                .unwrap_err(),
-            AquilaError::NoSpace
-        );
     }
 
     #[test]

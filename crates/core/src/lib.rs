@@ -38,7 +38,6 @@ pub mod region;
 mod rmap;
 pub mod runtime;
 pub mod session;
-pub mod syscall;
 
 #[cfg(test)]
 mod tests;
@@ -53,4 +52,3 @@ pub use file::{FileId, Files};
 pub use region::AquilaRegion;
 pub use runtime::{AquilaRuntime, DeviceKind};
 pub use session::{Session, Tenant, TenantSpec};
-pub use syscall::{Syscall, SyscallRet};

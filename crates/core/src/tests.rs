@@ -1,5 +1,5 @@
 //! Engine-level unit tests: the full fault path, dirty tracking, eviction,
-//! msync, resizing, and syscall interception.
+//! msync, resizing, and the intercepted VM calls.
 
 use std::sync::Arc;
 
@@ -10,7 +10,6 @@ use aquila_vma::{Advice, Prot};
 use crate::engine::AquilaConfig;
 use crate::error::AquilaError;
 use crate::runtime::{AquilaRuntime, DeviceKind};
-use crate::syscall::Syscall;
 
 fn runtime(kind: DeviceKind, cache_frames: usize) -> (FreeCtx, AquilaRuntime) {
     let mut ctx = FreeCtx::new(42);
@@ -313,6 +312,8 @@ fn grow_and_shrink_cache_via_hypervisor() {
         vmexits_before + 2,
         "shrinking is one vmcall to the host"
     );
+    // Each vmcall is one 1500-cycle round trip, charged as a vmexit.
+    assert_eq!(ctx.breakdown.get(CostCat::Vmexit), Cycles(2 * 1500));
 }
 
 #[test]
@@ -346,50 +347,34 @@ fn ept_faults_count_only_newly_covered_granules() {
 }
 
 #[test]
-fn syscall_interception_dispatch() {
+fn intercepted_vm_calls_take_no_vmexit() {
     let (mut ctx, rt) = runtime(DeviceKind::PmemDax, 32);
     let f = rt.open("/data/syscalls", 16).unwrap();
     let vmexits_before = ctx.stats.vmexits;
-    let addr = rt
-        .aquila
-        .syscall(
-            &mut ctx,
-            Syscall::Mmap {
-                file: f,
-                offset: 0,
-                pages: 16,
-                prot: Prot::RW,
-            },
-        )
-        .unwrap();
-    rt.aquila
-        .syscall(
-            &mut ctx,
-            Syscall::Msync {
-                addr: Gva(addr),
-                pages: 16,
-            },
-        )
-        .unwrap();
-    rt.aquila
-        .syscall(
-            &mut ctx,
-            Syscall::Munmap {
-                addr: Gva(addr),
-                pages: 16,
-            },
-        )
-        .unwrap();
-    // Intercepted VM calls never exit to the host...
+    let a = &rt.aquila;
+    let addr = a.mmap(&mut ctx, f, 0, 16, Prot::RW).unwrap();
+    a.write(&mut ctx, addr, b"dirty").unwrap();
+    a.madvise(&mut ctx, addr, 16, Advice::Random).unwrap();
+    a.mprotect(&mut ctx, addr, 16, Prot::RW).unwrap();
+    a.msync(&mut ctx, addr, 16).unwrap();
+    let addr = a.mremap(&mut ctx, addr, 16, 8).unwrap();
+    a.munmap(&mut ctx, addr, 8).unwrap();
+    // Mapping management and msync run in non-root ring 0 at the cost
+    // of a function call: none of them exits to the host.
     assert_eq!(
         ctx.stats.vmexits, vmexits_before,
         "no vmexit for VM syscalls"
     );
-    // ...while a forwarded call does.
-    rt.aquila
-        .syscall(&mut ctx, Syscall::Other { nr: 39 })
-        .unwrap();
-    assert_eq!(ctx.stats.vmexits, vmexits_before + 1);
+}
+
+#[test]
+fn thread_enter_is_one_wrmsr_without_a_vmexit() {
+    let (_, rt) = runtime(DeviceKind::PmemDax, 32);
+    let mut ctx = FreeCtx::new(1);
+    rt.aquila.thread_enter(&mut ctx);
+    assert_eq!(ctx.now(), Cycles(100));
+    assert_eq!(ctx.breakdown.get(CostCat::Other), Cycles(100));
+    assert_eq!(ctx.stats.vmexits, 0);
 }
 
 #[test]

@@ -47,11 +47,7 @@ impl CallDomain {
                 ctx.charge(CostCat::Syscall, c);
                 ctx.counters().syscalls += 1;
             }
-            CallDomain::Guest => {
-                let c = ctx.cost().vmcall;
-                ctx.charge(CostCat::Vmexit, c);
-                ctx.counters().vmexits += 1;
-            }
+            CallDomain::Guest => aquila_sim::vmcall(ctx),
         }
         let sw = ctx.cost().host_directio_sw + extra;
         ctx.charge(CostCat::Syscall, sw);
@@ -337,21 +333,13 @@ impl NvmeAccess {
         };
         self.retry.run(ctx, breaker, |ctx| {
             self.charge_submit(ctx);
-            // Span names are literals, so each direction opens its own.
-            match &mut cmd {
-                NvmeCmd::Read(out) => {
-                    let sp = aquila_sim::span::begin(ctx, "nvme.read", CostCat::DeviceIo);
-                    let done = self.complete(ctx, page, NvmeCmd::Read(out));
-                    aquila_sim::span::end(ctx, sp);
-                    done
-                }
-                NvmeCmd::Write(list) => {
-                    let sp = aquila_sim::span::begin(ctx, "nvme.write", CostCat::DeviceIo);
-                    let done = self.complete(ctx, page, NvmeCmd::Write(list));
-                    aquila_sim::span::end(ctx, sp);
-                    done
-                }
-            }
+            let sp = match cmd {
+                NvmeCmd::Read(_) => aquila_sim::span::begin(ctx, "nvme.read", CostCat::DeviceIo),
+                NvmeCmd::Write(_) => aquila_sim::span::begin(ctx, "nvme.write", CostCat::DeviceIo),
+            };
+            let done = self.complete(ctx, page, cmd.reborrow());
+            aquila_sim::span::end(ctx, sp);
+            done
         })?;
         count(ctx, &cmd);
         Ok(())

@@ -45,6 +45,15 @@ impl NvmeCmd<'_> {
             NvmeCmd::Write(list) => list.len(),
         }
     }
+
+    /// The same command over a shorter borrow, for one attempt of a
+    /// command that may be retried.
+    pub(crate) fn reborrow(&mut self) -> NvmeCmd<'_> {
+        match self {
+            NvmeCmd::Read(out) => NvmeCmd::Read(out),
+            NvmeCmd::Write(list) => NvmeCmd::Write(list),
+        }
+    }
 }
 
 /// Performance profile of an NVMe device.
@@ -129,6 +138,13 @@ impl NvmeDevice {
         self.fault.get()
     }
 
+    /// The attached plan if it has clauses. Only its injections put
+    /// sectors into `poisoned` or `latent`, so without one both sets stay
+    /// empty and commands skip them.
+    fn active_plan(&self) -> Option<&Arc<FaultPlan>> {
+        self.fault.get().filter(|p| !p.is_empty())
+    }
+
     /// Creates an Optane-profile device.
     pub fn optane(pages: u64) -> NvmeDevice {
         NvmeDevice::new(pages, NvmeProfile::optane_p4800x())
@@ -183,6 +199,9 @@ impl NvmeDevice {
     /// A rewrite heals both silent poison and latent errors on the
     /// covered sectors (fresh data, fresh cells).
     fn heal_sectors(&self, first_sector: u64, sectors: u64) {
+        if self.active_plan().is_none() {
+            return;
+        }
         let range = first_sector..first_sector + sectors;
         let mut poi = self.poisoned.lock();
         let healed: Vec<u64> = poi.range(range.clone()).copied().collect();
@@ -257,7 +276,8 @@ impl NvmeDevice {
         }
         // Injected faults draw after the organic checks, so an operation
         // number always names a command the device actually admitted.
-        let injected = self.fault.get().filter(|p| !p.is_empty()).and_then(|plan| {
+        let plan = self.active_plan();
+        let injected = plan.and_then(|plan| {
             let target = match cmd {
                 NvmeCmd::Read(_) => FaultTarget::NvmeRead,
                 NvmeCmd::Write(_) => FaultTarget::NvmeWrite,
@@ -283,19 +303,18 @@ impl NvmeDevice {
         let nsectors = pages as u64 * SECTORS_PER_PAGE;
         match cmd {
             NvmeCmd::Read(out) => {
-                // A latent fault drawn on a read marks the leading
-                // sectors of the range bad *now*; the read below then
-                // trips over them like any later read would.
-                if let Some(FaultOutcome::Latent { sectors }) = injected {
+                if plan.is_some() {
+                    // A latent fault drawn on a read marks the leading
+                    // sectors of the range bad *now*; the read below then
+                    // trips over them like any later read would.
                     let mut lat = self.latent.lock();
-                    for s in first_sector..first_sector + sectors.min(nsectors) {
-                        lat.insert(s);
+                    if let Some(FaultOutcome::Latent { sectors }) = injected {
+                        for s in first_sector..first_sector + sectors.min(nsectors) {
+                            lat.insert(s);
+                        }
                     }
-                }
-                // Latent sectors fail the whole command loudly (the
-                // drive cannot return the data), naming the bad page.
-                {
-                    let lat = self.latent.lock();
+                    // Latent sectors fail the whole command loudly (the
+                    // drive cannot return the data), naming the bad page.
                     if let Some(&s) = lat.range(first_sector..first_sector + nsectors).next() {
                         return Err(DeviceError::MediaError {
                             page: s / SECTORS_PER_PAGE,
@@ -305,29 +324,34 @@ impl NvmeDevice {
                 for (i, slot) in out.iter_mut().enumerate() {
                     *slot = self.store.page(lba_page + i as u64)?;
                 }
-                // Silent corruption: flip bits in a private copy of the
-                // *returned* pages (the medium is fine; the transfer
-                // lied). Stored poison rides along for free since the
-                // store holds the flipped bytes. Both count toward
-                // `tainted`.
-                let mut bad_page = vec![false; pages];
-                if let Some(FaultOutcome::Corrupt { bits }) = injected {
-                    for k in 0..bits {
-                        let bit = NvmeDevice::flip_bit(k, pages * STORE_PAGE);
+                if plan.is_some() {
+                    // Silent corruption: flip bits in a private copy of
+                    // the *returned* pages (the medium is fine; the
+                    // transfer lied). Stored poison rides along for free
+                    // since the store holds the flipped bytes. Every page
+                    // with either counts once toward `tainted`.
+                    let flips = match injected {
+                        Some(FaultOutcome::Corrupt { bits }) => bits,
+                        _ => 0,
+                    };
+                    let len = pages * STORE_PAGE;
+                    for k in 0..flips {
+                        let bit = NvmeDevice::flip_bit(k, len);
                         let (page, byte) = (bit / 8 / STORE_PAGE, bit / 8 % STORE_PAGE);
                         out[page].write(|b| b[byte] ^= 1 << (bit % 8));
-                        bad_page[page] = true;
                     }
-                }
-                {
                     let poi = self.poisoned.lock();
-                    for &s in poi.range(first_sector..first_sector + nsectors) {
-                        bad_page[((s - first_sector) / SECTORS_PER_PAGE) as usize] = true;
+                    let tainted = (0..pages)
+                        .filter(|&page| {
+                            let s = first_sector + page as u64 * SECTORS_PER_PAGE;
+                            poi.range(s..s + SECTORS_PER_PAGE).next().is_some()
+                                || (0..flips)
+                                    .any(|k| NvmeDevice::flip_bit(k, len) / 8 / STORE_PAGE == page)
+                        })
+                        .count() as u64;
+                    if tainted > 0 {
+                        self.tainted.fetch_add(tainted, Ordering::SeqCst);
                     }
-                }
-                let tainted = bad_page.iter().filter(|&&t| t).count() as u64;
-                if tainted > 0 {
-                    self.tainted.fetch_add(tainted, Ordering::SeqCst);
                 }
             }
             NvmeCmd::Write(list) => {
@@ -383,7 +407,7 @@ impl NvmeDevice {
                         // crash-consistency harness recovers from the
                         // captured image, which shares the store's pages
                         // and gives the cut page a fresh copy.
-                        if let Some(plan) = self.fault.get() {
+                        if let Some(plan) = plan {
                             let mut image = store.snapshot();
                             let keep = (sectors as usize * SECTOR_SIZE).min(got);
                             for (i, data) in list.iter().enumerate() {

@@ -2,10 +2,10 @@
 //!
 //! An LSM tree with a skiplist memtable, leveled SSTs (64 MB in RocksDB;
 //! scaled here), bloom filters, and leveled compaction. The store is
-//! generic over an [`Env`], which is how the Figure 5/7 experiments swap
-//! the read path between direct I/O + user cache, Linux `mmap`, and
-//! Aquila mmio without touching store logic — mirroring the paper's
-//! minimal-port claim.
+//! generic over an [`Env`](crate::env::Env), which is how the Figure 5/7
+//! experiments swap the read path between direct I/O + user cache, Linux
+//! `mmap`, and Aquila mmio without touching store logic — mirroring the
+//! paper's minimal-port claim.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,10 +1,11 @@
 //! x86-64 memory-management substrate: guest page tables, TLBs, and
 //! physical frame memory.
 //!
-//! Together with `aquila-vmx` this crate provides the two-level address
-//! translation the paper relies on: the guest page table here maps GVA ->
-//! GPA (regular 4 KiB pages, owned by Aquila in non-root ring 0), while
-//! the EPT in `aquila-vmx` maps GPA -> HPA under hypervisor control.
+//! The guest page table here maps GVA -> GPA (regular 4 KiB pages, owned
+//! by Aquila in non-root ring 0), the first of the paper's two
+//! translation stages. The second, the hypervisor's EPT (GPA -> HPA), is
+//! not a table: nothing observable translates through it, and the
+//! engine only counts the 1 GiB granules that map its DRAM cache.
 //!
 //! - [`pagetable::PageTable`] — a real four-level radix page table with
 //!   accessed/dirty semantics (read faults map read-only; the later write

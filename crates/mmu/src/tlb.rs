@@ -27,15 +27,13 @@ const WAYS: usize = 4;
 
 // Race-detector identities: per-core TLB locks (instanced by core; the
 // shootdown sweep takes them one at a time in ascending core order, never
-// nested), the APIC fabric, and the shootdown counter. Owner-side
-// accesses without a `SimCtx` (`with_local` from stats paths) are outside
-// the detector's view; the engine annotates its own `with_local` calls.
+// nested) and the APIC fabric. Owner-side accesses without a `SimCtx`
+// (`with_local` from stats paths) are outside the detector's view; the
+// engine annotates its own `with_local` calls.
 const L_TLB: &str = "mmu.tlb";
 const V_TLB: &str = "mmu.tlb.state";
 const L_APIC: &str = "mmu.apic";
 const V_APIC: &str = "mmu.apic.fabric";
-const L_SHOOTDOWNS: &str = "mmu.shootdowns";
-const V_SHOOTDOWNS: &str = "mmu.shootdowns.count";
 
 /// Key bits 0-1: the way's recency rank within its set (0 = most
 /// recently touched, 3 = least). The ranks of a set's four ways are
@@ -309,7 +307,6 @@ impl Default for Tlb {
 pub struct TlbFabric {
     tlbs: Vec<Mutex<Tlb>>,
     apic: Mutex<ApicFabric>,
-    shootdowns: Mutex<u64>,
 }
 
 impl TlbFabric {
@@ -318,7 +315,6 @@ impl TlbFabric {
         TlbFabric {
             tlbs: (0..cores).map(|_| Mutex::new(Tlb::new())).collect(),
             apic: Mutex::new(ApicFabric::new()),
-            shootdowns: Mutex::new(0),
         }
     }
 
@@ -330,11 +326,6 @@ impl TlbFabric {
     /// Number of cores.
     pub fn cores(&self) -> usize {
         self.tlbs.len()
-    }
-
-    /// Total shootdown rounds performed.
-    pub fn shootdowns(&self) -> u64 {
-        *self.shootdowns.lock()
     }
 
     /// Performs a batched shootdown of `pages` on every core.
@@ -373,10 +364,6 @@ impl TlbFabric {
         ctx.charge(CostCat::Tlb, local);
         ctx.counters().tlb_invalidations += pages.len() as u64;
         ctx.counters().tlb_shootdowns += 1;
-        race::acquire(ctx, (L_SHOOTDOWNS, 0));
-        *self.shootdowns.lock() += 1;
-        race::write(ctx, (V_SHOOTDOWNS, 0));
-        race::release(ctx, (L_SHOOTDOWNS, 0));
         // One IPI round for the whole batch. Tag every remote core with
         // this shootdown's causal span first, so each core's debt drain
         // records a `tlb.ipi.drain` child linking back to us.
@@ -463,7 +450,6 @@ mod tests {
         assert!(ctx.breakdown.get(CostCat::Tlb).get() >= 2081);
         // Remote cores owe handler work.
         assert!(debts.drain(1) > Cycles::ZERO);
-        assert_eq!(fabric.shootdowns(), 1);
     }
 
     #[test]
@@ -473,7 +459,7 @@ mod tests {
         let mut ctx = FreeCtx::new(1).with_core(0, 2);
         fabric.shootdown_batch(&mut ctx, &debts, &[]);
         assert_eq!(ctx.now(), Cycles::ZERO);
-        assert_eq!(fabric.shootdowns(), 0);
+        assert_eq!(ctx.stats.tlb_shootdowns, 0);
     }
 
     #[test]

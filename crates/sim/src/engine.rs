@@ -68,6 +68,16 @@ pub trait SimCtx {
     }
 }
 
+/// Takes one `vmcall`: a deliberate vmexit to the hypervisor, charged as
+/// [`CostModel::vmcall`] to [`CostCat::Vmexit`] and counted in
+/// [`Counters::vmexits`]. Aquila pays it on its uncommon path (cache
+/// resizing) and for every host I/O call it makes from non-root ring 0.
+pub fn vmcall(ctx: &mut dyn SimCtx) {
+    let c = ctx.cost().vmcall;
+    ctx.charge(CostCat::Vmexit, c);
+    ctx.counters().vmexits += 1;
+}
+
 /// Per-core pending interrupt work, charged to a core the next time one of
 /// its threads runs.
 ///

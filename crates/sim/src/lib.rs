@@ -48,7 +48,9 @@ pub mod time;
 pub mod trace;
 
 pub use cost::{CostCat, CostModel};
-pub use engine::{CoreDebts, Engine, FreeCtx, RunReport, SimCtx, Step, ThreadCtx, ThreadFn};
+pub use engine::{
+    vmcall, CoreDebts, Engine, FreeCtx, RunReport, SimCtx, Step, ThreadCtx, ThreadFn,
+};
 pub use fault::{
     CrashImage, DeviceImage, FaultClause, FaultKind, FaultOutcome, FaultPlan, FaultSpecError,
     FaultTarget, FaultTrigger, SECTOR_SIZE,

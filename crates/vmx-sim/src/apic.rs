@@ -60,7 +60,7 @@ impl IpiRateLimiter {
 /// interruption without cross-thread synchronization.
 #[derive(Debug)]
 pub struct ApicFabric {
-    limiter: aquila_sync::Mutex<IpiRateLimiter>,
+    limiter: IpiRateLimiter,
 }
 
 impl ApicFabric {
@@ -68,14 +68,14 @@ impl ApicFabric {
     /// burst 1024) — enough for any honest workload, throttling floods.
     pub fn new() -> ApicFabric {
         ApicFabric {
-            limiter: aquila_sync::Mutex::new(IpiRateLimiter::new(1_000_000, 1024)),
+            limiter: IpiRateLimiter::new(1_000_000, 1024),
         }
     }
 
     /// Creates a fabric with an explicit rate limit.
     pub fn with_rate(rate_per_sec: u64, burst: u64) -> ApicFabric {
         ApicFabric {
-            limiter: aquila_sync::Mutex::new(IpiRateLimiter::new(rate_per_sec, burst)),
+            limiter: IpiRateLimiter::new(rate_per_sec, burst),
         }
     }
 
@@ -90,7 +90,7 @@ impl ApicFabric {
         debts: &CoreDebts,
         handler_cost: Cycles,
     ) -> usize {
-        let delay = self.limiter.lock().admit(ctx.now());
+        let delay = self.limiter.admit(ctx.now());
         if delay > Cycles::ZERO {
             ctx.charge(CostCat::Tlb, delay);
         }

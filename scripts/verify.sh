@@ -30,6 +30,11 @@ cargo test --manifest-path examples/benchmark/Cargo.toml
 step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+step "cargo doc --no-deps --workspace (warnings are errors)"
+# A doc link to a renamed or deleted item is a rustdoc warning; failing
+# on it keeps the crate docs from pointing at code that is gone.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 # Scalar extraction goes through the shared bench::json parser via
