@@ -84,7 +84,6 @@ fn build(
     let policy = if huge {
         MmioPolicy {
             huge_pages: true,
-            promote_threshold: 64,
             ..MmioPolicy::default()
         }
     } else {

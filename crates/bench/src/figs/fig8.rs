@@ -26,7 +26,6 @@ fn aquila_policy(args: &BenchArgs) -> MmioPolicy {
     if args.has_flag("--huge") {
         MmioPolicy {
             huge_pages: true,
-            promote_threshold: 64,
             ..MmioPolicy::default()
         }
     } else {

@@ -334,7 +334,6 @@ fn part_tlb(_args: &BenchArgs, json: &mut JsonReport) {
             "2m",
             MmioPolicy {
                 huge_pages: true,
-                promote_threshold: 64,
                 ..MmioPolicy::default()
             },
         ),
@@ -446,7 +445,6 @@ fn part_latency(args: &BenchArgs, json: &mut JsonReport) {
             "mmio-huge",
             mmio(MmioPolicy {
                 huge_pages: true,
-                promote_threshold: 64,
                 ..MmioPolicy::default()
             }),
         ),

@@ -31,7 +31,7 @@ fn folded_fault_totals_match_engine_histogram() {
     aquila_sim::trace::install(aquila_sim::trace::DEFAULT_CAPACITY);
     aquila_sim::metrics::install(4);
 
-    // Two 2 MiB runs. The first promotes after 128 resident pages (the
+    // Two 2 MiB runs. The first promotes after 64 resident pages (the
     // one slab run); the second cannot, so its faults go through direct
     // reclaim.
     const PAGES: u64 = 1024;
@@ -46,7 +46,6 @@ fn folded_fault_totals_match_engine_histogram() {
         debts,
         MmioPolicy {
             huge_pages: true,
-            promote_threshold: 128,
             ..MmioPolicy::default()
         },
     );

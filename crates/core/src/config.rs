@@ -2,9 +2,13 @@
 //!
 //! Construction goes through [`AquilaConfig::builder`]; the builder is the
 //! only supported way to assemble a configuration (lint AQ005 rejects
-//! direct struct construction elsewhere). The replacement/write-behind
-//! knobs live in their own [`MmioPolicy`] section, set as a unit through
-//! [`AquilaConfigBuilder::policy`]:
+//! direct struct construction elsewhere). It takes the core count and the
+//! cache size and has two setters: [`AquilaConfigBuilder::max_cache_frames`]
+//! and [`AquilaConfigBuilder::policy`], which sets the
+//! replacement/write-behind knobs of the [`MmioPolicy`] section as a
+//! unit. The NUMA shape follows from the core count; device retry and
+//! timing (`aquila_devices::retry`) and the huge-page promotion threshold
+//! are constants:
 //!
 //! ```
 //! use aquila::config::{AquilaConfig, MmioPolicy, WritePolicy};
@@ -21,9 +25,6 @@
 //!     .build();
 //! assert_eq!(cfg.policy.low_watermark, 256);
 //! ```
-
-use aquila_devices::RetryPolicy;
-use aquila_pcache::NumaTopology;
 
 /// When eviction writeback happens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,18 +62,11 @@ pub struct MmioPolicy {
     /// eviction and the evictor), under either [`WritePolicy`]. 1
     /// degenerates to the blocking one-command-then-drain discipline.
     pub queue_depth: usize,
-    /// Retry/backoff policy applied to transient device-command failures
-    /// (media errors, timeouts, controller resets), per command, on
-    /// blocking I/O and queue-pair submission alike.
-    pub retry: RetryPolicy,
     /// Enables transparent 2 MiB huge-page promotion (DESIGN.md §12):
     /// 2 MiB-aligned runs of resident file pages collapse into a single
-    /// PD-level PTE backed by a physically contiguous slab run.
+    /// PD-level PTE backed by a physically contiguous slab run, once 64
+    /// of a run's 512 pages are resident.
     pub huge_pages: bool,
-    /// Resident 4 KiB pages (out of 512) a 2 MiB-aligned run needs before
-    /// promotion triggers; the remainder is filled eagerly from the
-    /// device during collapse. Clamped to `1..=512` at engine boot.
-    pub promote_threshold: usize,
     /// Enables multi-tenant QoS (DESIGN.md §15): per-tenant freelist
     /// quotas (an over-quota tenant reclaims its own frames before
     /// consuming the shared freelist), tenant-fair evictor rounds
@@ -100,9 +94,7 @@ impl Default for MmioPolicy {
             evictor_cores: Vec::new(),
             write_policy: WritePolicy::Sync,
             queue_depth: 8,
-            retry: RetryPolicy::default(),
             huge_pages: false,
-            promote_threshold: 512,
             tenant_qos: false,
             mirror: false,
         }
@@ -118,22 +110,20 @@ pub struct AquilaConfig {
     pub cache_frames: usize,
     /// Maximum cache size (dynamic resizing headroom).
     pub max_cache_frames: usize,
-    /// NUMA shape.
-    pub topology: NumaTopology,
     /// Replacement and write-behind policy.
     pub policy: MmioPolicy,
 }
 
 impl AquilaConfig {
-    /// Starts a builder for a flat-`cores` machine with a cache of
-    /// `cache_frames` frames.
+    /// Starts a builder for a `cores`-core machine with a cache of
+    /// `cache_frames` frames. The NUMA shape follows from `cores`: more
+    /// than 16 cores are two nodes, fewer are one.
     pub fn builder(cores: usize, cache_frames: usize) -> AquilaConfigBuilder {
         AquilaConfigBuilder {
             cfg: AquilaConfig {
                 cores,
                 cache_frames,
                 max_cache_frames: cache_frames,
-                topology: NumaTopology::flat(cores),
                 policy: MmioPolicy::default(),
             },
         }
@@ -154,12 +144,6 @@ impl AquilaConfigBuilder {
         self
     }
 
-    /// NUMA topology (default: flat).
-    pub fn topology(mut self, topology: NumaTopology) -> Self {
-        self.cfg.topology = topology;
-        self
-    }
-
     /// Replaces the whole policy section at once.
     pub fn policy(mut self, policy: MmioPolicy) -> Self {
         self.cfg.policy = policy;
@@ -171,16 +155,8 @@ impl AquilaConfigBuilder {
     /// Under [`WritePolicy::Async`] with unset (0) watermarks, defaults
     /// are derived from the cache size: low = frames/8, high = frames/4.
     /// `high_watermark` is clamped to at least `low_watermark`.
-    ///
-    /// Panics if the retry policy is degenerate (zero attempts, zero
-    /// breaker threshold/cooldown, zero command timeout) — every retry
-    /// site assumes a usable policy, so misconfiguration fails at build
-    /// time, not mid-run.
     pub fn build(self) -> AquilaConfig {
         let mut cfg = self.cfg;
-        if let Err(why) = cfg.policy.retry.validate() {
-            panic!("invalid retry policy: {why}");
-        }
         if cfg.policy.write_policy == WritePolicy::Async && cfg.policy.low_watermark == 0 {
             cfg.policy.low_watermark = (cfg.cache_frames / 8).max(8);
             cfg.policy.high_watermark = (cfg.cache_frames / 4).max(16);
@@ -206,13 +182,8 @@ mod tests {
         assert_eq!(cfg.policy.low_watermark, 0, "sync mode: no watermarks");
         assert!(cfg.policy.evictor_cores.is_empty());
         assert!(!cfg.policy.huge_pages, "huge pages must be opt-in");
-        assert_eq!(cfg.policy.promote_threshold, 512);
         assert!(!cfg.policy.tenant_qos, "QoS must be opt-in");
         assert!(!cfg.policy.mirror, "mirroring must be opt-in");
-        assert_eq!(
-            format!("{:?}", cfg.policy.retry),
-            format!("{:?}", RetryPolicy::default())
-        );
     }
 
     #[test]
@@ -239,19 +210,5 @@ mod tests {
             .build();
         assert_eq!(cfg.policy.low_watermark, 100);
         assert_eq!(cfg.policy.high_watermark, 100, "clamped up to low");
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid retry policy")]
-    fn degenerate_retry_policy_fails_at_build() {
-        let _ = AquilaConfig::builder(2, 1024)
-            .policy(MmioPolicy {
-                retry: RetryPolicy {
-                    max_attempts: 0,
-                    ..RetryPolicy::default()
-                },
-                ..MmioPolicy::default()
-            })
-            .build();
     }
 }

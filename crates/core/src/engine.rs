@@ -79,6 +79,11 @@ pub(crate) const STALL_DEADLINE: Cycles = Cycles::from_millis(10);
 /// every slab run is in use.
 const MAX_PROMOTED_SHARE: usize = 50;
 
+/// Resident 4 KiB pages (out of 512) a 2 MiB-aligned run needs before
+/// promotion triggers under [`MmioPolicy::huge_pages`]; the remainder is
+/// filled eagerly from the device during collapse.
+pub(crate) const PROMOTE_THRESHOLD: usize = 64;
+
 /// Base admission-delay unit under [`MmioPolicy::tenant_qos`]: a noisy
 /// tenant's fault is delayed by this amount scaled by how deep the
 /// freelist sits below the low watermark.
@@ -186,16 +191,11 @@ impl Aquila {
         // working set per round; clamp to 1/8 of the cache (the paper's
         // 512-page batch is a tiny fraction of its multi-GB caches).
         cfg.policy.evict_batch = cfg.policy.evict_batch.min((cfg.cache_frames / 8).max(16));
-        cfg.policy.promote_threshold = cfg
-            .policy
-            .promote_threshold
-            .clamp(1, HUGE_PAGE_PAGES as usize);
-        let mut ccfg = CacheConfig::flat(cfg.max_cache_frames, cfg.cores);
+        let mut ccfg = CacheConfig::new(cfg.max_cache_frames, cfg.cores);
         ccfg.initial_frames = cfg.cache_frames;
         ccfg.evict_batch = cfg.policy.evict_batch;
         ccfg.low_watermark = cfg.policy.low_watermark;
         ccfg.high_watermark = cfg.policy.high_watermark;
-        ccfg.topology = cfg.topology;
         // The slab sizes the promoted share: each run holds 512 frames
         // *in addition to* the ordinary cache, so a full slab means
         // `MAX_PROMOTED_SHARE` percent of the cache is huge-mapped.
@@ -723,7 +723,6 @@ impl Aquila {
         access: Access,
     ) -> Result<(), AquilaError> {
         ctx.counters().page_faults += 1;
-        aquila_sim::metrics::add(ctx, "aquila.fault", 1);
         let sp = aquila_sim::span::begin(ctx, "aquila.fault", CostCat::FaultHandler);
         let result = self.fault_service(ctx, gva, access);
         aquila_sim::span::end(ctx, sp);
@@ -839,7 +838,6 @@ impl Aquila {
         // Miss: allocate a frame (possibly evicting a batch) and fetch
         // from the device.
         ctx.counters().major_faults += 1;
-        aquila_sim::metrics::add(ctx, "aquila.fault.major", 1);
         let frame = self.alloc_frame_for(ctx, desc.file)?;
         let sp_read = aquila_sim::span::begin(ctx, "aquila.fault.read", CostCat::DeviceIo);
         // The fill installs the device's own page in the frame (the model
@@ -926,7 +924,6 @@ impl Aquila {
         }
         // Eviction round: detach a batch, unmap, one shootdown, write back
         // dirty victims in device order, then recycle frames.
-        aquila_sim::metrics::add(ctx, "aquila.evict.stall", 1);
         let sp = aquila_sim::span::begin(ctx, "aquila.evict.direct", CostCat::Eviction);
         // Direct reclaim means the evictor fell behind; feed the stall
         // clock even if the evictor itself is wedged and not ticking.
@@ -1308,7 +1305,7 @@ impl Aquila {
     ///
     /// The trigger is khugepaged-flavoured but synchronous: the scan
     /// only fires when the faulting page sits exactly at
-    /// [`MmioPolicy::promote_threshold`] within its run, so a
+    /// [`PROMOTE_THRESHOLD`] within its run, so a
     /// sequential fill pays one scan per 512 faults instead of 512.
     fn maybe_promote(&self, ctx: &mut dyn SimCtx, vpn: Vpn, desc: &Arc<aquila_vma::VmaDesc>) {
         if !self.cfg.policy.huge_pages || self.cache.slab_runs() == 0 {
@@ -1317,7 +1314,7 @@ impl Aquila {
         if self.region_state() != RegionState::Healthy {
             return;
         }
-        if (vpn.huge_index() as usize) + 1 != self.cfg.policy.promote_threshold {
+        if (vpn.huge_index() as usize) + 1 != PROMOTE_THRESHOLD {
             // Scan only at the exact threshold crossing: a sequential
             // fill pays one scan per run, and random workloads (which
             // fault at arbitrary in-run offsets) don't pay a 512-page
@@ -1358,7 +1355,7 @@ impl Aquila {
                 None => frames.push(None),
             }
         }
-        if resident < self.cfg.policy.promote_threshold {
+        if resident < PROMOTE_THRESHOLD {
             return;
         }
         if dirty_ct != 0 && dirty_ct != resident {
@@ -1488,7 +1485,6 @@ impl Aquila {
         race::write(ctx, (V_HUGE, 0));
         race::release(ctx, (L_HUGE, 0));
         ctx.counters().huge_promotions += 1;
-        aquila_sim::metrics::add(ctx, "aquila.huge.promote", 1);
         aquila_sim::metrics::gauge(ctx, "aquila.huge.promoted_runs", active as u64);
     }
 
@@ -1561,7 +1557,6 @@ impl Aquila {
         }
         let active = self.huge_runs.lock().len();
         ctx.counters().huge_demotions += dropped.len() as u64;
-        aquila_sim::metrics::add(ctx, "aquila.huge.demote", dropped.len() as u64);
         aquila_sim::metrics::gauge(ctx, "aquila.huge.promoted_runs", active as u64);
         aquila_sim::span::end(ctx, sp);
     }

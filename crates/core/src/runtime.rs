@@ -7,10 +7,9 @@
 use std::sync::Arc;
 
 use aquila_devices::{
-    BlobError, Blobstore, CallDomain, Entry, MirrorAccess, NvmeAccess, NvmeDevice, NvmeProfile,
-    PmemAccess, PmemDevice, StorageAccess,
+    BlobError, Blobstore, CallDomain, Entry, MirrorAccess, NvmeAccess, NvmeDevice, PmemAccess,
+    PmemDevice, StorageAccess,
 };
-use aquila_pcache::NumaTopology;
 use aquila_sim::{fault, CoreDebts, DeviceImage, SimCtx};
 
 use crate::engine::{Aquila, AquilaConfig};
@@ -89,17 +88,13 @@ impl AquilaRuntime {
             // checksums and read-repair (DESIGN.md §16). The fault plan
             // attaches to the primary only, so the replica is the clean
             // copy repairs draw from.
-            DeviceKind::NvmeSpdk if policy.mirror => Arc::new(MirrorAccess::with_options(
+            DeviceKind::NvmeSpdk if policy.mirror => Arc::new(MirrorAccess::new(
                 Self::nvme_device(device_pages),
                 Arc::new(NvmeDevice::optane(device_pages)),
-                policy.retry,
-                true,
             )),
-            DeviceKind::NvmeSpdk | DeviceKind::NvmeHost => Arc::new(NvmeAccess::with_retry(
-                Self::nvme_device(device_pages),
-                entry,
-                policy.retry,
-            )),
+            DeviceKind::NvmeSpdk | DeviceKind::NvmeHost => {
+                Arc::new(NvmeAccess::new(Self::nvme_device(device_pages), entry))
+            }
             DeviceKind::PmemDax | DeviceKind::PmemHost => Arc::new(PmemAccess::new(
                 Arc::new(PmemDevice::dram_backed(device_pages)),
                 entry,
@@ -130,16 +125,7 @@ impl AquilaRuntime {
         debts: Arc<CoreDebts>,
         policy: crate::config::MmioPolicy,
     ) -> AquilaRuntime {
-        let topology = if cores > 16 {
-            NumaTopology {
-                nodes: 2,
-                cores_per_node: cores.div_ceil(2),
-            }
-        } else {
-            NumaTopology::flat(cores)
-        };
         let cfg = AquilaConfig::builder(cores, cache_frames)
-            .topology(topology)
             .policy(policy)
             .build();
         let aquila = Arc::new(Aquila::new(cfg, debts));
@@ -164,12 +150,11 @@ impl AquilaRuntime {
         debts: Arc<CoreDebts>,
         policy: crate::config::MmioPolicy,
     ) -> Result<AquilaRuntime, AquilaError> {
-        let dev = Arc::new(NvmeDevice::from_image(image, NvmeProfile::optane_p4800x()));
+        let dev = Arc::new(NvmeDevice::from_image(image));
         if let Some(plan) = fault::global() {
             dev.set_fault_plan(Arc::clone(plan));
         }
-        let access: Arc<dyn StorageAccess> =
-            Arc::new(NvmeAccess::with_retry(dev, Entry::Direct, policy.retry));
+        let access: Arc<dyn StorageAccess> = Arc::new(NvmeAccess::new(dev, Entry::Direct));
         let store = match Blobstore::load(ctx, Arc::clone(&access)) {
             Ok(bs) => Arc::new(bs),
             Err(BlobError::Device(e)) => return Err(AquilaError::Device(e)),

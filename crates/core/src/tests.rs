@@ -317,6 +317,28 @@ fn grow_and_shrink_cache_via_hypervisor() {
 }
 
 #[test]
+fn numa_shape_follows_the_core_count() {
+    // A config straight from the builder gets the runtime's layout: one
+    // node up to 16 cores, two nodes of half the cores (rounded up) above.
+    for (cores, nodes, per_node) in [
+        (1, 1, 1),
+        (16, 1, 16),
+        (17, 2, 9),
+        (32, 2, 16),
+        (256, 2, 128),
+    ] {
+        let cfg = AquilaConfig::builder(cores, 64).build();
+        let aquila = crate::engine::Aquila::new(cfg, Arc::new(CoreDebts::new(cores)));
+        let topo = aquila.cache().topology();
+        assert_eq!(
+            (topo.nodes, topo.cores_per_node),
+            (nodes, per_node),
+            "{cores} cores"
+        );
+    }
+}
+
+#[test]
 fn ept_faults_count_only_newly_covered_granules() {
     use crate::engine::cache_window_end;
     const GIB_FRAMES: usize = (1 << 30) / 4096;
@@ -583,51 +605,47 @@ fn evictor_pipeline_offloads_eviction_and_preserves_data() {
     );
 }
 
+/// A plan failing the first `n` operations on `target` (`nvme.read` or
+/// `nvme.write`) with a media error.
+fn media_errors(target: &str, n: u32) -> Arc<aquila_sim::fault::FaultPlan> {
+    let spec: Vec<String> = (1..=n)
+        .map(|i| format!("{target}:media_error@op={i}"))
+        .collect();
+    Arc::new(aquila_sim::fault::FaultPlan::parse(&spec.join("; ")).unwrap())
+}
+
 #[test]
 fn breaker_trip_degrades_region_to_read_only() {
-    use crate::config::MmioPolicy;
     use crate::engine::RegionState;
-    use aquila_devices::RetryPolicy;
-    use aquila_sim::fault::FaultPlan;
+    use aquila_devices::DeviceError;
+    use aquila_sim::Page;
 
-    let mut ctx = FreeCtx::new(11);
-    let debts = Arc::new(CoreDebts::new(1));
-    // No retry headroom and a hair-trigger breaker: the first injected
-    // media error opens the write path's circuit.
-    let policy = MmioPolicy {
-        retry: RetryPolicy {
-            max_attempts: 1,
-            breaker_threshold: 1,
-            ..RetryPolicy::default()
-        },
-        ..MmioPolicy::default()
-    };
-    let rt = AquilaRuntime::build_with_policy(
-        &mut ctx,
-        DeviceKind::NvmeSpdk,
-        65536,
-        64,
-        1,
-        debts,
-        policy,
-    );
-    rt.aquila.thread_enter(&mut ctx);
+    let (mut ctx, rt) = runtime(DeviceKind::NvmeSpdk, 64);
     // The plan is attached after the blobstore format, so the msync
-    // writeback below is the first counted write command.
+    // writebacks below are the first counted write commands: sixteen
+    // failed attempts, four per command, trip the write path's breaker.
     rt.access
         .nvme_device()
         .expect("spdk path has an nvme device")
-        .set_fault_plan(Arc::new(
-            FaultPlan::parse("nvme.write:media_error@op=1").unwrap(),
-        ));
+        .set_fault_plan(media_errors("nvme.write", 16));
 
     let f = rt.open("/data/degrade", 16).unwrap();
     let addr = rt.aquila.mmap(&mut ctx, f, 0, 16, Prot::RW).unwrap();
     rt.aquila.write(&mut ctx, addr, b"doomed").unwrap();
     assert_eq!(rt.aquila.region_state(), RegionState::Healthy);
 
+    // Three msyncs spend their attempt budgets; a spent budget alone does
+    // not degrade the region.
+    for _ in 0..3 {
+        let err = rt.aquila.msync(&mut ctx, addr, 16).unwrap_err();
+        assert!(
+            matches!(err, AquilaError::Device(DeviceError::MediaError { .. })),
+            "got {err:?}"
+        );
+        assert_eq!(rt.aquila.region_state(), RegionState::Healthy);
+    }
     let err = rt.aquila.msync(&mut ctx, addr, 16).unwrap_err();
-    assert!(matches!(err, AquilaError::Device(_)), "got {err:?}");
+    assert_eq!(err, AquilaError::Device(DeviceError::CircuitOpen));
     assert_eq!(rt.aquila.region_state(), RegionState::ReadOnly);
 
     // Writes now fail fast with the typed degradation error...
@@ -646,7 +664,11 @@ fn breaker_trip_degrades_region_to_read_only() {
     rt.aquila.read(&mut ctx, addr, &mut back).unwrap();
     assert_eq!(&back, b"doomed");
     assert!(rt.aquila.cache().dirty_count() >= 1);
-    assert!(rt.access.breaker().unwrap().is_open(ctx.now()));
+    // The device write path itself is still open.
+    assert_eq!(
+        rt.access.write_refs(&mut ctx, 0, &[Page::zero()]),
+        Err(DeviceError::CircuitOpen)
+    );
 }
 
 #[test]
@@ -760,15 +782,26 @@ fn huge_promotion_collapses_clean_sequential_run() {
     let f = rt.open("/data/huge-seq", 1024).unwrap();
     let addr = rt.aquila.mmap(&mut ctx, f, 0, 1024, Prot::RW).unwrap();
     let mut b = [0u8; 1];
-    for p in 0..512u64 {
+    for p in 0..63u64 {
         rt.aquila
             .read(&mut ctx, addr.add(p * 4096), &mut b)
             .unwrap();
     }
+    assert_eq!(ctx.stats.huge_promotions, 0);
+    // The run's 64th page is the candidacy point. Its fault reads the
+    // page and its readahead window (pages 64..72) in two commands, then
+    // the collapse fills the run's 440 holes from the device, one read
+    // per page.
+    let reads = ctx.stats.device_reads;
+    rt.aquila
+        .read(&mut ctx, addr.add(63 * 4096), &mut b)
+        .unwrap();
     assert_eq!(ctx.stats.huge_promotions, 1, "one run collapsed");
+    assert_eq!(ctx.stats.device_reads - reads, 2 + 440);
     assert_eq!(rt.aquila.promoted_runs(), 1);
     assert_eq!(rt.aquila.huge_mapped_pages(), 512);
-    // A re-scan is fault-free and served by the 2 MiB sub-TLB.
+    // A scan of the whole run is fault-free and served by the 2 MiB
+    // sub-TLB.
     let faults = ctx.stats.page_faults;
     for p in 0..512u64 {
         rt.aquila
@@ -784,6 +817,41 @@ fn huge_promotion_collapses_clean_sequential_run() {
 }
 
 #[test]
+fn huge_promotion_of_a_resident_run_reads_nothing_more() {
+    use crate::config::MmioPolicy;
+    let policy = MmioPolicy {
+        huge_pages: true,
+        ..MmioPolicy::default()
+    };
+    let (mut ctx, rt) = huge_runtime(1024, policy);
+    let f = rt.open("/data/huge-resident", 512).unwrap();
+    let addr = rt.aquila.mmap(&mut ctx, f, 0, 512, Prot::RW).unwrap();
+    let mut b = [0u8; 1];
+    // Fault in every page but the candidacy point (the run's 64th page):
+    // no other fault scans the run.
+    for p in (64..512u64).chain(0..63) {
+        rt.aquila
+            .read(&mut ctx, addr.add(p * 4096), &mut b)
+            .unwrap();
+    }
+    assert_eq!(ctx.stats.huge_promotions, 0);
+    assert_eq!(rt.aquila.cache().resident(), 511);
+    // The last page's own fill completes the run: the collapse migrates
+    // all 512 frames and reads nothing more.
+    let reads = ctx.stats.device_reads;
+    rt.aquila
+        .read(&mut ctx, addr.add(63 * 4096), &mut b)
+        .unwrap();
+    assert_eq!(ctx.stats.huge_promotions, 1);
+    assert_eq!(
+        ctx.stats.device_reads - reads,
+        1,
+        "only the page's own fill"
+    );
+    assert_eq!(rt.aquila.huge_mapped_pages(), 512);
+}
+
+#[test]
 fn huge_dirty_run_demotes_on_msync_and_retracks_writes() {
     use crate::config::MmioPolicy;
     let policy = MmioPolicy {
@@ -793,13 +861,24 @@ fn huge_dirty_run_demotes_on_msync_and_retracks_writes() {
     let (mut ctx, rt) = huge_runtime(1024, policy);
     let f = rt.open("/data/huge-dirty", 512).unwrap();
     let addr = rt.aquila.mmap(&mut ctx, f, 0, 512, Prot::RW).unwrap();
-    for p in 0..512u64 {
+    // No readahead, so the run's first 64 pages are all written (dirty)
+    // when the 64th faults.
+    rt.aquila
+        .madvise(&mut ctx, addr, 512, Advice::Random)
+        .unwrap();
+    for p in 0..64u64 {
         rt.aquila
             .write(&mut ctx, addr.add(p * 4096), &[p as u8])
             .unwrap();
     }
     assert_eq!(rt.aquila.promoted_runs(), 1, "uniformly dirty run promotes");
+    // The device-filled holes map writable too, so they are tracked.
     assert_eq!(rt.aquila.cache().dirty_count(), 512);
+    for p in 64..512u64 {
+        rt.aquila
+            .write(&mut ctx, addr.add(p * 4096), &[p as u8])
+            .unwrap();
+    }
     rt.aquila.msync(&mut ctx, addr, 512).unwrap();
     assert_eq!(ctx.stats.huge_demotions, 1, "msync splinters the run");
     assert_eq!(rt.aquila.promoted_runs(), 0);
@@ -834,7 +913,7 @@ fn huge_clean_run_write_upgrades_whole_leaf() {
     let f = rt.open("/data/huge-upgrade", 512).unwrap();
     let addr = rt.aquila.mmap(&mut ctx, f, 0, 512, Prot::RW).unwrap();
     let mut b = [0u8; 1];
-    for p in 0..512u64 {
+    for p in 0..64u64 {
         rt.aquila
             .read(&mut ctx, addr.add(p * 4096), &mut b)
             .unwrap();
@@ -908,10 +987,11 @@ fn huge_partial_dontneed_splinters_and_slab_drains() {
     rt.aquila
         .madvise(&mut ctx, addr2, 2048, Advice::Random)
         .unwrap();
-    // Skip one page per aligned 512-run so the pressure file itself can
-    // never become uniform enough to claim the freed slab run.
+    // Skip each aligned 512-run's 64th page, the only fault that scans
+    // a run for promotion, so the pressure file itself can never claim
+    // the freed slab run.
     for _pass in 0..2 {
-        for p in (0..2048u64).filter(|p| p % 512 != 17) {
+        for p in (0..2048u64).filter(|p| p % 512 != 63) {
             rt.aquila
                 .read(&mut ctx, addr2.add(p * 4096), &mut b)
                 .unwrap();
@@ -1363,37 +1443,14 @@ fn mirrored_async_msync_keeps_deep_queues_on_both_copies() {
 
 #[test]
 fn failed_fill_returns_its_frame() {
-    use crate::config::MmioPolicy;
-    use aquila_devices::RetryPolicy;
-    use aquila_sim::fault::FaultPlan;
-
-    let mut ctx = FreeCtx::new(17);
-    let debts = Arc::new(CoreDebts::new(1));
-    let policy = MmioPolicy {
-        retry: RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        },
-        ..MmioPolicy::default()
-    };
-    let rt = AquilaRuntime::build_with_policy(
-        &mut ctx,
-        DeviceKind::NvmeSpdk,
-        65536,
-        64,
-        1,
-        debts,
-        policy,
-    );
-    rt.aquila.thread_enter(&mut ctx);
+    let (mut ctx, rt) = runtime(DeviceKind::NvmeSpdk, 64);
     let f = rt.open("/data/leak", 16).unwrap();
     let addr = rt.aquila.mmap(&mut ctx, f, 0, 16, Prot::READ).unwrap();
+    // Four failed reads spend the fill's whole attempt budget.
     rt.access
         .nvme_device()
         .expect("spdk path has an nvme device")
-        .set_fault_plan(Arc::new(
-            FaultPlan::parse("nvme.read:media_error@op=1").unwrap(),
-        ));
+        .set_fault_plan(media_errors("nvme.read", 4));
     let free = rt.aquila.cache().free_frames();
     let mut b = [0u8; 1];
     let err = rt.aquila.read(&mut ctx, addr, &mut b).unwrap_err();
@@ -1404,7 +1461,7 @@ fn failed_fill_returns_its_frame() {
         "failed fill leaked its frame"
     );
     assert_eq!(rt.aquila.cache().resident(), 0);
-    // The plan was one-shot: the retry fills and maps normally.
+    // The plan is spent: the next fault fills and maps normally.
     rt.aquila.read(&mut ctx, addr, &mut b).unwrap();
     assert!(rt.aquila.cache().resident() >= 1);
 }

@@ -270,7 +270,6 @@ fn acknowledged_data_survives_over_100_seeded_power_cuts() {
 fn promoted_runs_keep_the_durability_contract_across_power_cuts() {
     let policy = MmioPolicy {
         huge_pages: true,
-        promote_threshold: 64,
         ..MmioPolicy::default()
     };
     let mut fired = 0u32;

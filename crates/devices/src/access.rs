@@ -23,7 +23,7 @@ use aquila_sim::{CostCat, Cycles, Page, SimCtx};
 use crate::error::DeviceError;
 use crate::nvme::{NvmeCmd, NvmeDevice, QueuePair};
 use crate::pmem::PmemDevice;
-use crate::retry::{CircuitBreaker, RetryPolicy};
+use crate::retry::{self, CircuitBreaker};
 use crate::store::{page_list, STORE_PAGE};
 
 /// Which protection domain the caller sits in, which determines the price
@@ -199,13 +199,6 @@ pub trait StorageAccess: Send + Sync {
     fn nvme_device(&self) -> Option<&Arc<NvmeDevice>> {
         None
     }
-    /// The write-path circuit breaker, when the path has one (the
-    /// primary's, for a mirror). Once it opens, writes fail with
-    /// [`DeviceError::CircuitOpen`], on which the engine degrades the
-    /// region (DESIGN.md §11).
-    fn breaker(&self) -> Option<&Arc<CircuitBreaker>> {
-        None
-    }
     /// Verifies one device page against its recorded checksums,
     /// repairing it if a clean replica copy exists. Returns whether a
     /// repair happened. Paths without integrity metadata have nothing
@@ -265,8 +258,10 @@ fn count(ctx: &mut dyn SimCtx, cmd: &NvmeCmd<'_>) {
 pub struct NvmeAccess {
     dev: Arc<NvmeDevice>,
     entry: Entry,
-    retry: RetryPolicy,
-    breaker: Arc<CircuitBreaker>,
+    /// The write-path breaker. Once it opens, writes fail with
+    /// [`DeviceError::CircuitOpen`], on which the engine degrades the
+    /// region (DESIGN.md §11).
+    breaker: CircuitBreaker,
 }
 
 impl NvmeAccess {
@@ -274,16 +269,10 @@ impl NvmeAccess {
     /// this process (the paper's protection argument), which the type
     /// system encodes by taking ownership of the only handle used for I/O.
     pub fn new(dev: Arc<NvmeDevice>, entry: Entry) -> NvmeAccess {
-        NvmeAccess::with_retry(dev, entry, RetryPolicy::default())
-    }
-
-    /// Wraps a device with an explicit retry policy.
-    pub fn with_retry(dev: Arc<NvmeDevice>, entry: Entry, retry: RetryPolicy) -> NvmeAccess {
         NvmeAccess {
             dev,
             entry,
-            retry,
-            breaker: CircuitBreaker::new(retry.breaker_threshold, retry.breaker_cooldown),
+            breaker: CircuitBreaker::default(),
         }
     }
 
@@ -329,9 +318,9 @@ impl NvmeAccess {
     ) -> Result<(), DeviceError> {
         let breaker = match cmd {
             NvmeCmd::Read(_) => None,
-            NvmeCmd::Write(_) => Some(self.breaker.as_ref()),
+            NvmeCmd::Write(_) => Some(&self.breaker),
         };
-        self.retry.run(ctx, breaker, |ctx| {
+        retry::run(ctx, breaker, |ctx| {
             self.charge_submit(ctx);
             let sp = match cmd {
                 NvmeCmd::Read(_) => aquila_sim::span::begin(ctx, "nvme.read", CostCat::DeviceIo),
@@ -358,7 +347,7 @@ impl NvmeAccess {
         record_nvme_occupancy(ctx, &self.dev);
         ctx.wait_until(done?, self.wait_cat());
         let served = ctx.now() - t0;
-        self.retry.observe_latency(ctx, served);
+        retry::observe_latency(ctx, served);
         Ok(())
     }
 
@@ -375,7 +364,7 @@ impl NvmeAccess {
         page: u64,
         pages: &[Page],
     ) -> Result<(), DeviceError> {
-        self.retry.run(ctx, Some(&self.breaker), |ctx| {
+        retry::run(ctx, Some(&self.breaker), |ctx| {
             self.charge_submit(ctx);
             loop {
                 match qp.submit(ctx.now(), page, NvmeCmd::Write(pages)) {
@@ -454,10 +443,6 @@ impl StorageAccess for NvmeAccess {
     fn nvme_device(&self) -> Option<&Arc<NvmeDevice>> {
         Some(&self.dev)
     }
-
-    fn breaker(&self) -> Option<&Arc<CircuitBreaker>> {
-        Some(&self.breaker)
-    }
 }
 
 /// Pmem access: DAX with Aquila's AVX2 streaming copy, or host-kernel
@@ -526,7 +511,7 @@ impl StorageAccess for PmemAccess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aquila_sim::fault::FaultPlan;
+    use aquila_sim::fault::{FaultPlan, FaultTarget};
     use aquila_sim::FreeCtx;
 
     fn page_of(b: u8) -> Vec<u8> {
@@ -627,12 +612,19 @@ mod tests {
         assert!(hctx.breakdown.get(CostCat::Idle) >= Cycles::from_micros(9));
     }
 
+    /// A plan failing the first `n` operations on `target` with a media
+    /// error.
+    fn failing(target: &str, n: u32) -> Arc<FaultPlan> {
+        let spec: Vec<String> = (1..=n)
+            .map(|i| format!("{target}:media_error@op={i}"))
+            .collect();
+        Arc::new(FaultPlan::parse(&spec.join("; ")).unwrap())
+    }
+
     #[test]
     fn spdk_write_retries_through_injected_fault() {
         let nvme = Arc::new(NvmeDevice::optane(64));
-        nvme.set_fault_plan(Arc::new(
-            FaultPlan::parse("nvme.write:media_error@op=1").unwrap(),
-        ));
+        nvme.set_fault_plan(failing("nvme.write", 1));
         let spdk = NvmeAccess::new(Arc::clone(&nvme), Entry::Direct);
         let mut ctx = FreeCtx::new(1);
         let data = page_of(0x5A);
@@ -642,35 +634,74 @@ mod tests {
         let mut back = page_of(0);
         spdk.read_pages(&mut ctx, 3, &mut back).unwrap();
         assert_eq!(back, data);
-        assert!(!spdk.breaker().unwrap().is_open(ctx.now()));
-        assert!(
-            ctx.now() >= RetryPolicy::default().backoff_for(1),
-            "retry charged its backoff"
-        );
+        assert_eq!(ctx.breakdown.get(CostCat::Idle), retry::backoff_for(1));
+        assert_eq!(ctx.stats.device_writes, 1, "one write completed");
+    }
+
+    #[test]
+    fn a_command_gives_up_after_four_attempts() {
+        let nvme = Arc::new(NvmeDevice::optane(64));
+        let plan = failing("nvme.write", 4);
+        nvme.set_fault_plan(Arc::clone(&plan));
+        let spdk = NvmeAccess::new(Arc::clone(&nvme), Entry::Direct);
+        let mut ctx = FreeCtx::new(1);
+        let err = spdk.write_pages(&mut ctx, 0, &page_of(1)).unwrap_err();
+        assert_eq!(err, DeviceError::MediaError { page: 0 });
+        assert_eq!(plan.ops(FaultTarget::NvmeWrite), 4);
+        // Three backoffs of 5, 10 and 20 us.
+        assert_eq!(ctx.breakdown.get(CostCat::Idle), Cycles::from_micros(35));
+        // The budget is per command: the next write's first attempt lands.
+        spdk.write_pages(&mut ctx, 0, &page_of(2)).unwrap();
+        assert_eq!(plan.ops(FaultTarget::NvmeWrite), 5);
     }
 
     #[test]
     fn breaker_opens_under_sustained_write_failure() {
         let nvme = Arc::new(NvmeDevice::optane(64));
-        // Both write attempts fail, which meets the tightened breaker
-        // threshold below mid-retry.
-        nvme.set_fault_plan(Arc::new(
-            FaultPlan::parse("nvme.write:media_error@op=1; nvme.write:media_error@op=2").unwrap(),
-        ));
-        let policy = RetryPolicy {
-            max_attempts: 2,
-            breaker_threshold: 2,
-            ..RetryPolicy::default()
-        };
-        let spdk = NvmeAccess::with_retry(Arc::clone(&nvme), Entry::Direct, policy);
+        let plan = failing("nvme.write", 16);
+        nvme.set_fault_plan(Arc::clone(&plan));
+        let spdk = NvmeAccess::new(Arc::clone(&nvme), Entry::Direct);
         let mut ctx = FreeCtx::new(1);
         let data = page_of(1);
+        // Three commands spend their four attempts each: 12 failures,
+        // under the threshold of 16.
+        for _ in 0..3 {
+            let err = spdk.write_pages(&mut ctx, 0, &data).unwrap_err();
+            assert_eq!(err, DeviceError::MediaError { page: 0 });
+        }
+        // The fourth command's last attempt is the sixteenth failure.
         let err = spdk.write_pages(&mut ctx, 0, &data).unwrap_err();
         assert_eq!(err, DeviceError::CircuitOpen);
-        assert!(spdk.breaker().unwrap().is_open(ctx.now()));
+        assert_eq!(plan.ops(FaultTarget::NvmeWrite), 16);
+        // Open: writes fail fast without reaching the device.
+        let err = spdk.write_pages(&mut ctx, 0, &data).unwrap_err();
+        assert_eq!(err, DeviceError::CircuitOpen);
+        assert_eq!(plan.ops(FaultTarget::NvmeWrite), 16);
         // Reads keep working: the breaker guards only the write path.
         let mut back = page_of(0);
         spdk.read_pages(&mut ctx, 1, &mut back).unwrap();
+        // 500 us after the trip the next write is the half-open probe; the
+        // device has healed, so it lands and closes the breaker.
+        let wake = ctx.now() + retry::BREAKER_COOLDOWN;
+        ctx.wait_until(wake, CostCat::Idle);
+        spdk.write_pages(&mut ctx, 0, &data).unwrap();
+        spdk.write_pages(&mut ctx, 0, &data).unwrap();
+        assert_eq!(plan.ops(FaultTarget::NvmeWrite), 18);
+    }
+
+    #[test]
+    fn reads_never_feed_the_breaker() {
+        let nvme = Arc::new(NvmeDevice::optane(64));
+        nvme.set_fault_plan(failing("nvme.read", 16));
+        let spdk = NvmeAccess::new(Arc::clone(&nvme), Entry::Direct);
+        let mut ctx = FreeCtx::new(1);
+        let mut back = page_of(0);
+        for _ in 0..4 {
+            let err = spdk.read_pages(&mut ctx, 0, &mut back).unwrap_err();
+            assert_eq!(err, DeviceError::MediaError { page: 0 });
+        }
+        // Sixteen failed read attempts, and the write path is still closed.
+        spdk.write_pages(&mut ctx, 0, &page_of(1)).unwrap();
     }
 
     #[test]

@@ -29,8 +29,7 @@ pub mod store;
 pub use access::{AccessKind, CallDomain, Entry, NvmeAccess, PmemAccess, StorageAccess};
 pub use error::DeviceError;
 pub use mirror::{IntegrityCounters, MirrorAccess};
-pub use nvme::{NvmeCmd, NvmeDevice, NvmeProfile, QueuePair};
-pub use pmem::{PmemDevice, PmemProfile};
-pub use retry::{CircuitBreaker, RetryPolicy};
+pub use nvme::{NvmeCmd, NvmeDevice, QueuePair};
+pub use pmem::PmemDevice;
 pub use spdk::{BlobError, BlobId, Blobstore, MD_PAGES, PAGES_PER_CLUSTER};
 pub use store::{page_list, PageStore, STORE_PAGE};

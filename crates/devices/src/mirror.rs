@@ -45,7 +45,7 @@ use aquila_sync::crc32c_sectors;
 use crate::access::{write_each, AccessKind, Entry, NvmeAccess, StorageAccess};
 use crate::error::DeviceError;
 use crate::nvme::{NvmeDevice, SECTORS_PER_PAGE};
-use crate::retry::{CircuitBreaker, RetryPolicy};
+use crate::retry;
 use crate::store::STORE_PAGE;
 
 /// CRC of a never-written (all-zero) sector.
@@ -100,7 +100,6 @@ pub struct MirrorAccess {
     primary: NvmeAccess,
     replica: NvmeAccess,
     checksums: bool,
-    retry: RetryPolicy,
     /// Per-sector packed checksum entries (see [`pack`]).
     sums: Vec<AtomicU64>,
     /// Per-page write version, bumped when a write *begins*. Repair
@@ -125,10 +124,9 @@ struct Recorded {
 }
 
 impl MirrorAccess {
-    /// Mirrors `primary` onto `replica` with checksums enabled and the
-    /// default retry policy.
+    /// Mirrors `primary` onto `replica` with checksums enabled.
     pub fn new(primary: Arc<NvmeDevice>, replica: Arc<NvmeDevice>) -> MirrorAccess {
-        MirrorAccess::with_options(primary, replica, RetryPolicy::default(), true)
+        MirrorAccess::with_options(primary, replica, true)
     }
 
     /// Full-control constructor. `checksums: false` is the ablation
@@ -141,7 +139,6 @@ impl MirrorAccess {
     pub fn with_options(
         primary: Arc<NvmeDevice>,
         replica: Arc<NvmeDevice>,
-        retry: RetryPolicy,
         checksums: bool,
     ) -> MirrorAccess {
         let pages = primary.capacity_pages().min(replica.capacity_pages());
@@ -150,10 +147,9 @@ impl MirrorAccess {
             .collect();
         let versions = (0..pages).map(|_| AtomicU64::new(0)).collect();
         let m = MirrorAccess {
-            primary: NvmeAccess::with_retry(primary, Entry::Direct, retry),
-            replica: NvmeAccess::with_retry(replica, Entry::Direct, retry),
+            primary: NvmeAccess::new(primary, Entry::Direct),
+            replica: NvmeAccess::new(replica, Entry::Direct),
             checksums,
-            retry,
             sums,
             versions,
             detected: AtomicU64::new(0),
@@ -351,8 +347,7 @@ impl StorageAccess for MirrorAccess {
             // persistent double corruption exhausts the budget and the
             // engine degrades the region. No breaker — degraded regions
             // must keep serving reads (DESIGN.md §11).
-            self.retry
-                .run(ctx, None, |ctx| self.fetch_page(ctx, p, slot).map(|_| ()))?;
+            retry::run(ctx, None, |ctx| self.fetch_page(ctx, p, slot).map(|_| ()))?;
         }
         Ok(())
     }
@@ -418,10 +413,6 @@ impl StorageAccess for MirrorAccess {
 
     fn nvme_device(&self) -> Option<&Arc<NvmeDevice>> {
         self.primary.nvme_device()
-    }
-
-    fn breaker(&self) -> Option<&Arc<CircuitBreaker>> {
-        self.primary.breaker()
     }
 
     fn scrub_page(&self, ctx: &mut dyn SimCtx, page: u64) -> Result<bool, DeviceError> {
@@ -594,12 +585,7 @@ mod tests {
         primary.set_fault_plan(Arc::new(
             FaultPlan::parse("nvme.write:corrupt=4@op=1").unwrap(),
         ));
-        let m = MirrorAccess::with_options(
-            primary,
-            Arc::new(NvmeDevice::optane(16)),
-            RetryPolicy::default(),
-            false,
-        );
+        let m = MirrorAccess::with_options(primary, Arc::new(NvmeDevice::optane(16)), false);
         let mut ctx = FreeCtx::new(1);
         let data = page_of(0x5A);
         m.write_pages(&mut ctx, 2, &data).unwrap();
@@ -666,7 +652,7 @@ mod tests {
         assert_eq!(back, page_of(0x42));
     }
 
-    /// Four media errors in a row exhaust the default retry budget.
+    /// Four media errors in a row exhaust the retry budget.
     const WRITE_DIES: &str = "nvme.write:media_error@op=1; nvme.write:media_error@op=2; \
          nvme.write:media_error@op=3; nvme.write:media_error@op=4";
 

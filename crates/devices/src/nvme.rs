@@ -56,36 +56,20 @@ impl NvmeCmd<'_> {
     }
 }
 
-/// Performance profile of an NVMe device.
-#[derive(Debug, Clone)]
-pub struct NvmeProfile {
-    /// Base access latency per command.
-    pub latency: Cycles,
-    /// Internal parallelism (number of concurrently served commands).
-    pub channels: usize,
-    /// Aggregate IOPS cap (0 = unlimited).
-    pub max_iops: u64,
-    /// Aggregate bandwidth cap in bytes/s (0 = unlimited).
-    pub max_bw: u64,
-}
-
-impl NvmeProfile {
-    /// An Intel Optane DC P4800X-class profile (the paper's device).
-    pub fn optane_p4800x() -> NvmeProfile {
-        NvmeProfile {
-            latency: Cycles::from_micros(10),
-            channels: 128,
-            max_iops: 550_000,
-            max_bw: 2_400_000_000,
-        }
-    }
-}
+// Timing of an Intel Optane DC P4800X-class device (the paper's).
+/// Base access latency per command.
+const LATENCY: Cycles = Cycles::from_micros(10);
+/// Internal parallelism (number of concurrently served commands).
+const CHANNELS: usize = 128;
+/// Aggregate IOPS cap.
+const MAX_IOPS: u64 = 550_000;
+/// Aggregate bandwidth cap in bytes/s.
+const MAX_BW: u64 = 2_400_000_000;
 
 /// The NVMe device: real page contents plus a timing model.
 pub struct NvmeDevice {
     store: PageStore,
     service: ServiceCenter,
-    profile: NvmeProfile,
     fault: OnceLock<Arc<FaultPlan>>,
     /// Ground truth for integrity accounting: sectors whose *stored*
     /// bytes differ from what the last writer supplied (a `corrupt`
@@ -100,12 +84,11 @@ pub struct NvmeDevice {
 }
 
 impl NvmeDevice {
-    /// Creates a device with `pages` 4 KiB pages and the given profile.
-    pub fn new(pages: u64, profile: NvmeProfile) -> NvmeDevice {
+    /// Creates an Optane-class device of `pages` 4 KiB pages.
+    pub fn optane(pages: u64) -> NvmeDevice {
         NvmeDevice {
             store: PageStore::new(pages),
-            service: ServiceCenter::new(profile.channels, profile.max_iops, profile.max_bw),
-            profile,
+            service: ServiceCenter::new(CHANNELS, MAX_IOPS, MAX_BW),
             fault: OnceLock::new(),
             poisoned: Mutex::new(BTreeSet::new()),
             latent: Mutex::new(BTreeSet::new()),
@@ -117,8 +100,8 @@ impl NvmeDevice {
     /// recovery boot): the store adopts the image's resident pages (the
     /// two share them until either side writes) and every other page
     /// stays implied zero.
-    pub fn from_image(image: &DeviceImage, profile: NvmeProfile) -> NvmeDevice {
-        let dev = NvmeDevice::new(image.pages, profile);
+    pub fn from_image(image: &DeviceImage) -> NvmeDevice {
+        let dev = NvmeDevice::optane(image.pages);
         for (page, data) in &image.resident {
             if dev.store.adopt(*page, data.clone()).is_err() {
                 unreachable!("device is sized to hold the image");
@@ -145,11 +128,6 @@ impl NvmeDevice {
         self.fault.get().filter(|p| !p.is_empty())
     }
 
-    /// Creates an Optane-profile device.
-    pub fn optane(pages: u64) -> NvmeDevice {
-        NvmeDevice::new(pages, NvmeProfile::optane_p4800x())
-    }
-
     /// Device capacity in pages.
     pub fn capacity_pages(&self) -> u64 {
         self.store.page_count()
@@ -159,11 +137,6 @@ impl NvmeDevice {
     /// blobstores and filesystems).
     pub fn store(&self) -> &PageStore {
         &self.store
-    }
-
-    /// The device profile.
-    pub fn profile(&self) -> &NvmeProfile {
-        &self.profile
     }
 
     /// Commands still being served by the device at virtual time `now`
@@ -230,9 +203,7 @@ impl NvmeDevice {
         // Service time: base latency plus on-device transfer time at the
         // device's internal stream rate (large I/Os take longer).
         let transfer = Cycles(bytes / 2); // ~4.8 GB/s internal streaming
-        let r = self
-            .service
-            .submit(now, self.profile.latency + transfer, bytes);
+        let r = self.service.submit(now, LATENCY + transfer, bytes);
         r.end
     }
 
@@ -441,12 +412,7 @@ impl NvmeDevice {
 
 impl core::fmt::Debug for NvmeDevice {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "NvmeDevice {{ pages: {}, profile: {:?} }}",
-            self.capacity_pages(),
-            self.profile
-        )
+        write!(f, "NvmeDevice {{ pages: {} }}", self.capacity_pages())
     }
 }
 
@@ -725,7 +691,7 @@ mod tests {
         read_into(&dev, Cycles(100), 3, &mut back).unwrap();
         assert_eq!(back, new);
         // A recovered device boots from the captured image.
-        let rec = NvmeDevice::from_image(&img.image, NvmeProfile::optane_p4800x());
+        let rec = NvmeDevice::from_image(&img.image);
         assert_eq!(rec.capacity_pages(), 8);
         let mut rback = vec![0u8; STORE_PAGE];
         read_into(&rec, Cycles(0), 3, &mut rback).unwrap();
@@ -783,7 +749,7 @@ mod tests {
                 "resident pages in page order"
             );
             assert_eq!(expand(&img), want, "sectors={sectors} first={first}");
-            let rec = NvmeDevice::from_image(&img, NvmeProfile::optane_p4800x());
+            let rec = NvmeDevice::from_image(&img);
             let mut back = vec![0u8; want.len()];
             rec.store().read_range(0, &mut back).unwrap();
             assert_eq!(back, want, "recovered device reads the flat image");

@@ -14,50 +14,30 @@ use aquila_sim::{CostCat, Cycles, Page, ServiceCenter, SimCtx};
 use crate::error::DeviceError;
 use crate::store::{PageStore, STORE_PAGE};
 
-/// Performance profile for a pmem DIMM region.
-#[derive(Debug, Clone)]
-pub struct PmemProfile {
-    /// Load latency for a cacheline-sized access (Optane DC PMM: ~300 ns).
-    pub load_latency: Cycles,
-    /// Aggregate bandwidth cap in bytes/s.
-    pub max_bw: u64,
-    /// Concurrent access channels (iMC queue depth).
-    pub channels: usize,
-}
-
-impl PmemProfile {
-    /// The paper's `pmem` emulation: DRAM-backed (dual-socket DDR4-2400,
-    /// ~50 GB/s effective), so much faster than real NVM. Used to stress
-    /// the software path.
-    pub fn dram_backed() -> PmemProfile {
-        PmemProfile {
-            load_latency: Cycles::from_nanos(80),
-            max_bw: 50_000_000_000,
-            channels: 48,
-        }
-    }
-}
+// Timing of the paper's `pmem` emulation: DRAM-backed (dual-socket
+// DDR4-2400, ~50 GB/s effective), so much faster than real NVM. Used to
+// stress the software path.
+/// Load latency for a cacheline-sized access.
+const LOAD_LATENCY: Cycles = Cycles::from_nanos(80);
+/// Aggregate bandwidth cap in bytes/s.
+const MAX_BW: u64 = 50_000_000_000;
+/// Concurrent access channels (iMC queue depth).
+const CHANNELS: usize = 48;
 
 /// A byte-addressable persistent-memory device.
 pub struct PmemDevice {
     store: PageStore,
     service: ServiceCenter,
-    profile: PmemProfile,
 }
 
 impl PmemDevice {
-    /// Creates a pmem device of `pages` 4 KiB pages.
-    pub fn new(pages: u64, profile: PmemProfile) -> PmemDevice {
+    /// Creates a DRAM-backed pmem device of `pages` 4 KiB pages (the
+    /// paper's `pmem` block device).
+    pub fn dram_backed(pages: u64) -> PmemDevice {
         PmemDevice {
             store: PageStore::new(pages),
-            service: ServiceCenter::new(profile.channels, 0, profile.max_bw),
-            profile,
+            service: ServiceCenter::new(CHANNELS, 0, MAX_BW),
         }
-    }
-
-    /// Creates a DRAM-backed pmem device (the paper's `pmem` block device).
-    pub fn dram_backed(pages: u64) -> PmemDevice {
-        PmemDevice::new(pages, PmemProfile::dram_backed())
     }
 
     /// Device capacity in pages.
@@ -68,11 +48,6 @@ impl PmemDevice {
     /// Direct access to the underlying store.
     pub fn store(&self) -> &PageStore {
         &self.store
-    }
-
-    /// The device profile.
-    pub fn profile(&self) -> &PmemProfile {
-        &self.profile
     }
 
     /// Resets the timing model (between experiment phases; contents are
@@ -129,9 +104,7 @@ impl PmemDevice {
     /// bandwidth share of the transfer.
     fn transfer(&self, ctx: &mut dyn SimCtx, bytes: u64, simd: bool) {
         let copy = ctx.cost().memcpy(bytes, simd);
-        let r = self
-            .service
-            .submit(ctx.now(), self.profile.load_latency, bytes);
+        let r = self.service.submit(ctx.now(), LOAD_LATENCY, bytes);
         ctx.charge(CostCat::Memcpy, copy);
         ctx.wait_until(r.end, CostCat::DeviceIo);
     }

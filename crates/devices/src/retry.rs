@@ -2,18 +2,18 @@
 //!
 //! Device commands can now fail transiently (media errors, timeouts,
 //! controller resets — see [`DeviceError::is_transient`]). This module
-//! gives every access path one policy for surviving them: retry up to a
-//! bound with exponential *virtual-cycle* backoff (charged as Idle, so
-//! the schedule stays deterministic), track commands that exceeded the
-//! per-command deadline, and trip a [`CircuitBreaker`] after enough
-//! consecutive failures so a dead device fails fast instead of melting
-//! the run in retry loops. The engine watches the breaker to degrade
-//! the region (Async -> sync write-through -> read-only, DESIGN.md §11).
+//! gives every access path one fixed policy for surviving them, set by
+//! the constants below: retry up to a bound with exponential
+//! *virtual-cycle* backoff (charged as Idle, so the schedule stays
+//! deterministic), track commands that exceeded the per-command
+//! deadline, and trip a [`CircuitBreaker`] after enough consecutive
+//! failures so a dead device fails fast instead of melting the run in
+//! retry loops. An open breaker surfaces as
+//! [`DeviceError::CircuitOpen`], on which the engine degrades the region
+//! (Async -> sync write-through -> read-only, DESIGN.md §11).
 //!
 //! `QueueFull` is deliberately *not* retried here: it is backpressure,
 //! owned by the submission loops that pace themselves with it.
-
-use std::sync::Arc;
 
 use aquila_sync::Mutex;
 
@@ -21,123 +21,85 @@ use aquila_sim::{metrics, CostCat, Cycles, SimCtx};
 
 use crate::error::DeviceError;
 
-/// Retry/backoff tuning for a storage path.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total command attempts, including the first (>= 1).
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles per subsequent retry.
-    pub backoff: Cycles,
-    /// Consecutive failures (across commands) that trip the breaker.
-    pub breaker_threshold: u32,
-    /// Virtual-time cooldown after a trip before the breaker admits one
-    /// half-open probe command (see [`CircuitBreaker`]).
-    pub breaker_cooldown: Cycles,
-    /// Per-command latency deadline; completions past it bump the
-    /// `aquila.retry.deadline_misses` counter (observability only — the
-    /// simulated device always completes, so there is no abort path).
-    pub command_timeout: Cycles,
+/// Total command attempts, including the first.
+pub const MAX_ATTEMPTS: u32 = 4;
+/// Backoff before the first retry; doubles per subsequent retry.
+pub const BACKOFF: Cycles = Cycles::from_micros(5);
+/// Consecutive failed attempts (across commands) that trip the breaker.
+pub const BREAKER_THRESHOLD: u32 = 16;
+/// Virtual-time cooldown after a trip before the breaker admits one
+/// half-open probe command (see [`CircuitBreaker`]).
+pub const BREAKER_COOLDOWN: Cycles = Cycles::from_micros(500);
+/// Per-command latency deadline; completions past it bump the
+/// `aquila.retry.deadline_misses` counter (observability only — the
+/// simulated device always completes, so there is no abort path).
+pub const COMMAND_TIMEOUT: Cycles = Cycles::from_millis(1);
+
+/// Backoff before retry number `retry` (1-based), doubling each time
+/// with a cap so the exponent cannot overflow.
+pub fn backoff_for(retry: u32) -> Cycles {
+    BACKOFF * (1u64 << retry.saturating_sub(1).min(10))
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            backoff: Cycles::from_micros(5),
-            breaker_threshold: 16,
-            breaker_cooldown: Cycles::from_micros(500),
-            command_timeout: Cycles::from_millis(1),
-        }
+/// Runs `attempt` until it succeeds, exhausts [`MAX_ATTEMPTS`], or hits
+/// a non-transient error. Transient failures wait the backoff (as Idle —
+/// the CPU would be parked, not spinning) and feed the breaker when one
+/// is supplied; when the breaker is or becomes open, the call fails fast
+/// with [`DeviceError::CircuitOpen`].
+pub fn run(
+    ctx: &mut dyn SimCtx,
+    breaker: Option<&CircuitBreaker>,
+    mut attempt: impl FnMut(&mut dyn SimCtx) -> Result<(), DeviceError>,
+) -> Result<(), DeviceError> {
+    if breaker.is_some_and(|b| b.is_open(ctx.now())) {
+        return Err(DeviceError::CircuitOpen);
     }
-}
-
-impl RetryPolicy {
-    /// Checks the policy for values that would wedge or bypass the
-    /// retry machinery (the config builder rejects these at build time,
-    /// so every retry site can trust the policy it is handed).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.max_attempts == 0 {
-            return Err("retry.max_attempts must be >= 1 (the first attempt counts)".into());
-        }
-        if self.breaker_threshold == 0 {
-            return Err("retry.breaker_threshold must be >= 1".into());
-        }
-        if self.breaker_cooldown == Cycles::ZERO {
-            // A zero cooldown re-probes every command, defeating the breaker.
-            return Err("retry.breaker_cooldown must be > 0".into());
-        }
-        if self.command_timeout == Cycles::ZERO {
-            return Err("retry.command_timeout must be > 0".into());
-        }
-        Ok(())
-    }
-
-    /// Backoff before retry number `retry` (1-based), doubling each time
-    /// with a cap so the exponent cannot overflow.
-    pub fn backoff_for(&self, retry: u32) -> Cycles {
-        self.backoff * (1u64 << retry.saturating_sub(1).min(10))
-    }
-
-    /// Runs `attempt` until it succeeds, exhausts the attempt budget, or
-    /// hits a non-transient error. Transient failures wait the backoff
-    /// (as Idle — the CPU would be parked, not spinning) and feed the
-    /// breaker when one is supplied; when the breaker is or becomes
-    /// open, the call fails fast with [`DeviceError::CircuitOpen`].
-    pub fn run(
-        &self,
-        ctx: &mut dyn SimCtx,
-        breaker: Option<&CircuitBreaker>,
-        mut attempt: impl FnMut(&mut dyn SimCtx) -> Result<(), DeviceError>,
-    ) -> Result<(), DeviceError> {
-        if breaker.is_some_and(|b| b.is_open(ctx.now())) {
-            return Err(DeviceError::CircuitOpen);
-        }
-        let mut tries = 0u32;
-        loop {
-            match attempt(ctx) {
-                Ok(()) => {
-                    if let Some(b) = breaker {
-                        b.record_success();
-                    }
-                    return Ok(());
+    let mut tries = 0u32;
+    loop {
+        match attempt(ctx) {
+            Ok(()) => {
+                if let Some(b) = breaker {
+                    b.record_success();
                 }
-                Err(e) if !e.is_transient() => return Err(e),
-                Err(e) => {
-                    metrics::add(ctx, "aquila.fault.injected", 1);
-                    if let Some(b) = breaker {
-                        if b.record_failure(ctx.now()) {
-                            metrics::add(ctx, "aquila.breaker.trips", 1);
-                        }
-                        if b.is_open(ctx.now()) {
-                            return Err(DeviceError::CircuitOpen);
-                        }
+                return Ok(());
+            }
+            Err(e) if !e.is_transient() => return Err(e),
+            Err(e) => {
+                metrics::add(ctx, "aquila.fault.injected", 1);
+                if let Some(b) = breaker {
+                    if b.record_failure(ctx.now()) {
+                        metrics::add(ctx, "aquila.breaker.trips", 1);
                     }
-                    tries += 1;
-                    if tries >= self.max_attempts {
-                        return Err(e);
+                    if b.is_open(ctx.now()) {
+                        return Err(DeviceError::CircuitOpen);
                     }
-                    metrics::add(ctx, "aquila.retry.attempts", 1);
-                    let park = ctx.now() + self.backoff_for(tries);
-                    ctx.wait_until(park, CostCat::Idle);
                 }
+                tries += 1;
+                if tries >= MAX_ATTEMPTS {
+                    return Err(e);
+                }
+                metrics::add(ctx, "aquila.retry.attempts", 1);
+                let park = ctx.now() + backoff_for(tries);
+                ctx.wait_until(park, CostCat::Idle);
             }
         }
     }
+}
 
-    /// Records a completed command's observed latency against the
-    /// per-command deadline (no-op without a metrics registry).
-    pub fn observe_latency(&self, ctx: &dyn SimCtx, latency: Cycles) {
-        if latency > self.command_timeout {
-            metrics::add(ctx, "aquila.retry.deadline_misses", 1);
-        }
+/// Records a completed command's observed latency against
+/// [`COMMAND_TIMEOUT`] (no-op without a metrics registry).
+pub fn observe_latency(ctx: &dyn SimCtx, latency: Cycles) {
+    if latency > COMMAND_TIMEOUT {
+        metrics::add(ctx, "aquila.retry.deadline_misses", 1);
     }
 }
 
 /// Breaker phase. `Open` remembers when it tripped so the cooldown is
 /// measured in deterministic virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum BreakerPhase {
     /// Commands flow; consecutive failures are counted.
+    #[default]
     Closed,
     /// Commands fail fast until the cooldown elapses.
     Open {
@@ -149,38 +111,26 @@ enum BreakerPhase {
     HalfOpen,
 }
 
+#[derive(Default)]
 struct BreakerState {
     consecutive: u32,
     phase: BreakerPhase,
 }
 
-/// Trips open after N consecutive command failures; a success before
-/// the threshold resets the count. An open breaker fails fast until a
-/// virtual-time cooldown elapses, then admits exactly one *half-open
+/// Trips open after [`BREAKER_THRESHOLD`] consecutive command failures;
+/// a success before the threshold resets the count. An open breaker fails fast until a
+/// [`BREAKER_COOLDOWN`] elapses, then admits exactly one *half-open
 /// probe*: if the probe succeeds the breaker closes (the device
 /// healed); if it fails the breaker re-opens and the cooldown restarts.
 /// All transitions are keyed off the caller's virtual `now`, so the
-/// probe schedule is as deterministic as the rest of the DES.
+/// probe schedule is as deterministic as the rest of the DES. The
+/// default breaker is closed.
+#[derive(Default)]
 pub struct CircuitBreaker {
-    threshold: u32,
-    cooldown: Cycles,
     state: Mutex<BreakerState>,
 }
 
 impl CircuitBreaker {
-    /// A breaker that trips after `threshold` consecutive failures and
-    /// admits a half-open probe `cooldown` cycles after each trip.
-    pub fn new(threshold: u32, cooldown: Cycles) -> Arc<CircuitBreaker> {
-        Arc::new(CircuitBreaker {
-            threshold: threshold.max(1),
-            cooldown: cooldown.max(Cycles(1)),
-            state: Mutex::new(BreakerState {
-                consecutive: 0,
-                phase: BreakerPhase::Closed,
-            }),
-        })
-    }
-
     /// Whether a command issued at virtual time `now` must fail fast.
     ///
     /// Returning `false` from the `Open` phase *admits the caller as the
@@ -192,7 +142,7 @@ impl CircuitBreaker {
         match st.phase {
             BreakerPhase::Closed => false,
             BreakerPhase::Open { since } => {
-                if now >= since + self.cooldown {
+                if now >= since + BREAKER_COOLDOWN {
                     st.phase = BreakerPhase::HalfOpen;
                     false
                 } else {
@@ -217,7 +167,7 @@ impl CircuitBreaker {
         let mut st = self.state.lock();
         st.consecutive += 1;
         match st.phase {
-            BreakerPhase::Closed if st.consecutive >= self.threshold => {
+            BreakerPhase::Closed if st.consecutive >= BREAKER_THRESHOLD => {
                 st.phase = BreakerPhase::Open { since: now };
                 true
             }
@@ -228,11 +178,6 @@ impl CircuitBreaker {
             _ => false,
         }
     }
-
-    /// Consecutive failures recorded since the last success.
-    pub fn consecutive_failures(&self) -> u32 {
-        self.state.lock().consecutive
-    }
 }
 
 impl core::fmt::Debug for CircuitBreaker {
@@ -241,7 +186,7 @@ impl core::fmt::Debug for CircuitBreaker {
         write!(
             f,
             "CircuitBreaker {{ phase: {:?}, consecutive: {}/{} }}",
-            st.phase, st.consecutive, self.threshold
+            st.phase, st.consecutive, BREAKER_THRESHOLD
         )
     }
 }
@@ -251,12 +196,21 @@ mod tests {
     use super::*;
     use aquila_sim::FreeCtx;
 
+    /// Fails `n` commands of [`MAX_ATTEMPTS`] attempts each through `b`,
+    /// returning the last error.
+    fn fail_commands(ctx: &mut FreeCtx, b: &CircuitBreaker, n: u32) -> DeviceError {
+        let mut last = None;
+        for _ in 0..n {
+            last = run(ctx, Some(b), |_| Err(DeviceError::Timeout)).err();
+        }
+        last.unwrap()
+    }
+
     #[test]
     fn success_passes_through() {
-        let p = RetryPolicy::default();
         let mut ctx = FreeCtx::new(1);
         let mut calls = 0;
-        p.run(&mut ctx, None, |_| {
+        run(&mut ctx, None, |_| {
             calls += 1;
             Ok(())
         })
@@ -267,10 +221,9 @@ mod tests {
 
     #[test]
     fn transient_errors_retry_with_backoff() {
-        let p = RetryPolicy::default();
         let mut ctx = FreeCtx::new(1);
         let mut calls = 0;
-        p.run(&mut ctx, None, |_| {
+        run(&mut ctx, None, |_| {
             calls += 1;
             if calls < 3 {
                 Err(DeviceError::Timeout)
@@ -281,38 +234,33 @@ mod tests {
         .unwrap();
         assert_eq!(calls, 3);
         // Two retries: backoff 5 us + 10 us.
-        assert_eq!(ctx.now(), p.backoff_for(1) + p.backoff_for(2));
+        assert_eq!(ctx.now(), Cycles::from_micros(15));
     }
 
     #[test]
     fn attempt_budget_is_bounded() {
-        let p = RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::default()
-        };
         let mut ctx = FreeCtx::new(1);
         let mut calls = 0;
-        let err = p
-            .run(&mut ctx, None, |_| {
-                calls += 1;
-                Err(DeviceError::MediaError { page: 7 })
-            })
-            .unwrap_err();
-        assert_eq!(calls, 3);
+        let err = run(&mut ctx, None, |_| {
+            calls += 1;
+            Err(DeviceError::MediaError { page: 7 })
+        })
+        .unwrap_err();
+        assert_eq!(calls, 4);
         assert_eq!(err, DeviceError::MediaError { page: 7 });
+        // Three retries: backoff 5 + 10 + 20 us.
+        assert_eq!(ctx.now(), Cycles::from_micros(35));
     }
 
     #[test]
     fn non_transient_errors_do_not_retry() {
-        let p = RetryPolicy::default();
         let mut ctx = FreeCtx::new(1);
         let mut calls = 0;
-        let err = p
-            .run(&mut ctx, None, |_| {
-                calls += 1;
-                Err(DeviceError::QueueFull { depth: 8 })
-            })
-            .unwrap_err();
+        let err = run(&mut ctx, None, |_| {
+            calls += 1;
+            Err(DeviceError::QueueFull { depth: 8 })
+        })
+        .unwrap_err();
         assert_eq!(calls, 1, "QueueFull is backpressure, not a retry case");
         assert_eq!(err, DeviceError::QueueFull { depth: 8 });
         assert_eq!(ctx.now(), Cycles::ZERO);
@@ -320,147 +268,122 @@ mod tests {
 
     #[test]
     fn breaker_trips_after_threshold_and_fails_fast() {
-        let p = RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::default()
-        };
-        let b = CircuitBreaker::new(3, Cycles::from_millis(100));
+        let b = CircuitBreaker::default();
         let mut ctx = FreeCtx::new(1);
-        // Two commands x up-to-2 attempts of pure failure: the third
-        // recorded failure trips the breaker mid-retry.
-        let e1 = p
-            .run(&mut ctx, Some(&b), |_| Err(DeviceError::Timeout))
-            .unwrap_err();
-        assert_eq!(e1, DeviceError::Timeout);
-        let e2 = p
-            .run(&mut ctx, Some(&b), |_| Err(DeviceError::Timeout))
-            .unwrap_err();
-        assert_eq!(e2, DeviceError::CircuitOpen);
+        // Three commands x 4 attempts of pure failure stay under the
+        // 16-failure threshold; the fourth command's last attempt trips.
+        assert_eq!(fail_commands(&mut ctx, &b, 3), DeviceError::Timeout);
+        assert!(!b.is_open(ctx.now()));
+        assert_eq!(fail_commands(&mut ctx, &b, 1), DeviceError::CircuitOpen);
         assert!(b.is_open(ctx.now()));
         // Open breaker fails fast without calling the closure.
         let mut calls = 0;
-        let e3 = p
-            .run(&mut ctx, Some(&b), |_| {
-                calls += 1;
-                Ok(())
-            })
-            .unwrap_err();
-        assert_eq!(e3, DeviceError::CircuitOpen);
+        let e = run(&mut ctx, Some(&b), |_| {
+            calls += 1;
+            Ok(())
+        })
+        .unwrap_err();
+        assert_eq!(e, DeviceError::CircuitOpen);
         assert_eq!(calls, 0);
     }
 
     #[test]
     fn success_resets_consecutive_count() {
-        let b = CircuitBreaker::new(2, Cycles(1000));
-        assert!(!b.record_failure(Cycles(0)));
+        let b = CircuitBreaker::default();
+        for t in 0..15 {
+            assert!(!b.record_failure(Cycles(t)));
+        }
         b.record_success();
-        assert!(!b.record_failure(Cycles(1)));
+        for t in 0..15 {
+            assert!(!b.record_failure(Cycles(100 + t)));
+        }
         assert!(
-            b.record_failure(Cycles(2)),
-            "second consecutive failure trips"
+            b.record_failure(Cycles(200)),
+            "sixteenth consecutive failure trips"
         );
-        assert!(!b.record_failure(Cycles(3)), "trip reports only once");
+        assert!(!b.record_failure(Cycles(201)), "trip reports only once");
+    }
+
+    /// A breaker tripped by its sixteenth failure at `at`.
+    fn tripped_at(at: Cycles) -> CircuitBreaker {
+        let b = CircuitBreaker::default();
+        for _ in 1..BREAKER_THRESHOLD {
+            assert!(!b.record_failure(at));
+        }
+        assert!(b.record_failure(at), "trips at the threshold");
+        b
     }
 
     #[test]
     fn breaker_half_open_probe_closes_on_success() {
-        let b = CircuitBreaker::new(1, Cycles(1000));
-        assert!(b.record_failure(Cycles(100)), "first failure trips at 1");
-        // Inside the cooldown: fail fast.
-        assert!(b.is_open(Cycles(500)));
-        assert!(b.is_open(Cycles(1099)));
+        let t = Cycles(100);
+        let b = tripped_at(t);
+        // Inside the 500 us cooldown: fail fast.
+        assert!(b.is_open(t + Cycles(1)));
+        assert!(b.is_open(t + Cycles::from_micros(500) - Cycles(1)));
         // Cooldown elapsed: exactly one caller is admitted as the probe,
         // everyone else keeps failing fast until it resolves.
-        assert!(!b.is_open(Cycles(1100)), "probe admitted after cooldown");
-        assert!(b.is_open(Cycles(1100)), "only one probe at a time");
-        // Probe succeeds: the breaker closes and stays closed.
+        let probe = t + Cycles::from_micros(500);
+        assert!(!b.is_open(probe), "probe admitted after cooldown");
+        assert!(b.is_open(probe), "only one probe at a time");
+        // Probe succeeds: the breaker closes and its count restarts.
         b.record_success();
-        assert!(!b.is_open(Cycles(1200)));
-        assert_eq!(b.consecutive_failures(), 0);
+        assert!(!b.is_open(probe + Cycles(1)));
+        for _ in 1..BREAKER_THRESHOLD {
+            assert!(!b.record_failure(probe + Cycles(2)));
+        }
     }
 
     #[test]
     fn breaker_half_open_probe_failure_reopens() {
-        let b = CircuitBreaker::new(2, Cycles(1000));
-        assert!(!b.record_failure(Cycles(0)));
-        assert!(b.record_failure(Cycles(10)), "trips at threshold");
-        assert!(!b.is_open(Cycles(2000)), "probe admitted");
+        let b = tripped_at(Cycles(10));
+        let cooldown = Cycles::from_micros(500);
+        assert!(!b.is_open(Cycles(10) + cooldown), "probe admitted");
         // Probe fails: re-trip, cooldown restarts from the failure time.
-        assert!(b.record_failure(Cycles(2100)), "failed probe re-trips");
-        assert!(b.is_open(Cycles(2500)));
-        assert!(b.is_open(Cycles(3099)), "cooldown restarted at 2100");
-        assert!(!b.is_open(Cycles(3100)), "second probe after re-cooldown");
+        let refail = Cycles(10) + cooldown + Cycles(100);
+        assert!(b.record_failure(refail), "failed probe re-trips");
+        assert!(b.is_open(refail + Cycles(1)));
+        assert!(
+            b.is_open(refail + cooldown - Cycles(1)),
+            "cooldown restarted"
+        );
+        assert!(
+            !b.is_open(refail + cooldown),
+            "second probe after re-cooldown"
+        );
         b.record_success();
-        assert!(!b.is_open(Cycles(9999)));
+        assert!(!b.is_open(refail + cooldown * 10));
     }
 
     #[test]
     fn retry_run_drives_probe_through_the_breaker() {
         // End-to-end trip -> cooldown -> probe -> close through run().
-        let p = RetryPolicy {
-            max_attempts: 1,
-            breaker_threshold: 2,
-            breaker_cooldown: Cycles(10_000),
-            ..RetryPolicy::default()
-        };
-        let b = CircuitBreaker::new(p.breaker_threshold, p.breaker_cooldown);
+        let b = CircuitBreaker::default();
         let mut ctx = FreeCtx::new(1);
-        for _ in 0..2 {
-            let _ = p
-                .run(&mut ctx, Some(&b), |_| {
-                    Err(DeviceError::MediaError { page: 3 })
-                })
-                .unwrap_err();
-        }
-        assert!(b.is_open(ctx.now()), "tripped");
+        assert_eq!(fail_commands(&mut ctx, &b, 4), DeviceError::CircuitOpen);
         assert_eq!(
-            p.run(&mut ctx, Some(&b), |_| Ok(())).unwrap_err(),
+            run(&mut ctx, Some(&b), |_| Ok(())).unwrap_err(),
             DeviceError::CircuitOpen,
             "fails fast inside the cooldown"
         );
         // Park past the cooldown: the next command is the probe and a
         // healed device closes the breaker for everyone.
-        let wake = ctx.now() + p.breaker_cooldown;
+        let wake = ctx.now() + BREAKER_COOLDOWN;
         ctx.wait_until(wake, CostCat::Idle);
-        p.run(&mut ctx, Some(&b), |_| Ok(())).unwrap();
+        run(&mut ctx, Some(&b), |_| Ok(())).unwrap();
         assert!(!b.is_open(ctx.now()), "probe success re-armed the path");
-        p.run(&mut ctx, Some(&b), |_| Ok(())).unwrap();
-    }
-
-    #[test]
-    fn policy_validation_rejects_degenerate_values() {
-        assert!(RetryPolicy::default().validate().is_ok());
-        for bad in [
-            RetryPolicy {
-                max_attempts: 0,
-                ..RetryPolicy::default()
-            },
-            RetryPolicy {
-                breaker_threshold: 0,
-                ..RetryPolicy::default()
-            },
-            RetryPolicy {
-                breaker_cooldown: Cycles::ZERO,
-                ..RetryPolicy::default()
-            },
-            RetryPolicy {
-                command_timeout: Cycles::ZERO,
-                ..RetryPolicy::default()
-            },
-        ] {
-            assert!(bad.validate().is_err(), "{bad:?} should be rejected");
-        }
+        run(&mut ctx, Some(&b), |_| Ok(())).unwrap();
     }
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let p = RetryPolicy {
-            backoff: Cycles(100),
-            ..RetryPolicy::default()
-        };
-        assert_eq!(p.backoff_for(1), Cycles(100));
-        assert_eq!(p.backoff_for(2), Cycles(200));
-        assert_eq!(p.backoff_for(3), Cycles(400));
-        assert_eq!(p.backoff_for(40), Cycles(100 * 1024), "exponent capped");
+        assert_eq!(backoff_for(1), Cycles::from_micros(5));
+        assert_eq!(backoff_for(2), Cycles::from_micros(10));
+        assert_eq!(backoff_for(3), Cycles::from_micros(20));
+        assert_eq!(
+            backoff_for(40),
+            Cycles::from_micros(5 * 1024),
+            "exponent capped"
+        );
     }
 }

@@ -183,7 +183,6 @@ impl KernelPageCache {
         let hold = hold + Cycles(ctx.cost().lock_contended_extra.get() * spinners);
         let r = lock.acquire(ctx.now(), hold);
         if r.wait > Cycles::ZERO {
-            aquila_sim::metrics::add(ctx, "linux.tree_lock.contended", 1);
             let sp = aquila_sim::span::begin(ctx, "linux.tree_lock.wait", CostCat::LockWait);
             ctx.wait_until(r.start, CostCat::LockWait);
             aquila_sim::span::end(ctx, sp);

@@ -372,8 +372,6 @@ impl TlbFabric {
         self.apic.lock().broadcast(ctx, debts, remote_handler);
         race::write(ctx, (V_APIC, 0));
         race::release(ctx, (L_APIC, 0));
-        aquila_sim::metrics::add(ctx, "tlb.shootdown.rounds", 1);
-        aquila_sim::metrics::add(ctx, "tlb.shootdown.pages", pages.len() as u64);
         aquila_sim::span::end(ctx, sp);
     }
 }

@@ -48,40 +48,50 @@ pub struct CacheConfig {
     pub topology: NumaTopology,
     /// Freelist batching parameters.
     pub freelist: FreelistConfig,
-    /// Guest-physical base address of the frame pool.
-    pub gpa_base: u64,
     /// Number of 2 MiB slab runs backing huge-page promotion (0 disables
     /// the slab window). Each run is 512 physically contiguous frames
     /// appended beyond `max_frames`, outside the ordinary freelist.
     pub slab_runs: usize,
-    /// Guest-physical base of the slab window (2 MiB-aligned, disjoint
-    /// from the ordinary window).
-    pub slab_gpa_base: u64,
 }
 
+/// Guest-physical base address of the frame pool.
+const GPA_BASE: u64 = 0x1_0000_0000;
+/// Guest-physical base of the slab window (2 MiB-aligned, disjoint from
+/// the ordinary window).
+const SLAB_GPA_BASE: u64 = 0x8_0000_0000;
+
 impl CacheConfig {
-    /// A cache of `frames` frames on a flat `cores`-core machine.
+    /// A cache of `frames` frames on a `cores`-core machine. More than 16
+    /// cores are split into two NUMA nodes of `cores.div_ceil(2)` cores
+    /// (the paper's testbed is two 16-thread sockets); up to 16 cores are
+    /// one node.
     ///
     /// The freelist spill threshold scales with the per-core share of the
     /// cache so eviction-freed frames flow back to the shared NUMA queue
     /// promptly (the paper's absolute numbers assume multi-GB caches).
-    pub fn flat(frames: usize, cores: usize) -> CacheConfig {
+    pub fn new(frames: usize, cores: usize) -> CacheConfig {
         let spill = (frames / cores.max(1) / 2).clamp(32, 8192);
+        let topology = if cores > 16 {
+            NumaTopology {
+                nodes: 2,
+                cores_per_node: cores.div_ceil(2),
+            }
+        } else {
+            NumaTopology::flat(cores)
+        };
         CacheConfig {
             max_frames: frames,
             initial_frames: frames,
             evict_batch: 512,
             low_watermark: 0,
             high_watermark: 0,
-            topology: NumaTopology::flat(cores),
+            topology,
             freelist: FreelistConfig {
                 core_spill_threshold: spill,
                 level_batch: (spill / 2).max(16),
                 ..FreelistConfig::default()
             },
-            gpa_base: 0x1_0000_0000,
             slab_runs: 0,
-            slab_gpa_base: 0x8_0000_0000,
         }
     }
 }
@@ -234,9 +244,9 @@ impl DramCache {
         let slab_frames = cfg.slab_runs * HUGE_PAGE_PAGES as usize;
         let total_frames = cfg.max_frames + slab_frames;
         let mem = PhysMem::with_slab(
-            Gpa(cfg.gpa_base),
+            Gpa(GPA_BASE),
             cfg.max_frames,
-            Gpa(cfg.slab_gpa_base),
+            Gpa(SLAB_GPA_BASE),
             slab_frames,
         );
         let freelist = Freelist::new(
@@ -324,6 +334,11 @@ impl DramCache {
     /// The frame pool (for reading/filling page data).
     pub fn mem(&self) -> &PhysMem {
         &self.mem
+    }
+
+    /// The NUMA shape the freelist was built for.
+    pub fn topology(&self) -> NumaTopology {
+        self.cfg.topology
     }
 
     /// Configured eviction batch size.
@@ -909,7 +924,7 @@ mod tests {
     use aquila_sim::FreeCtx;
 
     fn small_cache(frames: usize) -> DramCache {
-        let mut cfg = CacheConfig::flat(frames, 2);
+        let mut cfg = CacheConfig::new(frames, 2);
         cfg.evict_batch = 4;
         DramCache::new(cfg)
     }
@@ -1007,7 +1022,7 @@ mod tests {
 
     #[test]
     fn grow_and_shrink_change_capacity() {
-        let mut cfg = CacheConfig::flat(16, 2);
+        let mut cfg = CacheConfig::new(16, 2);
         cfg.initial_frames = 4;
         let cache = DramCache::new(cfg);
         assert_eq!(cache.active_frames(), 4);
@@ -1022,7 +1037,7 @@ mod tests {
 
     #[test]
     fn regrowing_after_a_shrink_hands_out_each_frame_once() {
-        let mut cfg = CacheConfig::flat(16, 1);
+        let mut cfg = CacheConfig::new(16, 1);
         cfg.initial_frames = 8;
         let cache = DramCache::new(cfg);
         assert_eq!(cache.grow(8), 8);
@@ -1040,7 +1055,7 @@ mod tests {
 
     #[test]
     fn watermarks_drive_refill_target() {
-        let mut cfg = CacheConfig::flat(16, 1);
+        let mut cfg = CacheConfig::new(16, 1);
         cfg.low_watermark = 4;
         cfg.high_watermark = 8;
         let cache = DramCache::new(cfg);
@@ -1079,7 +1094,7 @@ mod tests {
     }
 
     fn slab_cache(frames: usize, runs: usize) -> DramCache {
-        let mut cfg = CacheConfig::flat(frames, 2);
+        let mut cfg = CacheConfig::new(frames, 2);
         cfg.evict_batch = 4;
         cfg.slab_runs = runs;
         DramCache::new(cfg)
@@ -1279,7 +1294,7 @@ mod tests {
     /// residency accounting stays exact throughout.
     #[test]
     fn steal_under_quota_pressure_composes_with_tenant_accounting() {
-        let mut cfg = CacheConfig::flat(16, 2);
+        let mut cfg = CacheConfig::new(16, 2);
         cfg.evict_batch = 4;
         let cache = DramCache::new(cfg);
         cache.bind_file_tenant(1, 1);
@@ -1337,7 +1352,7 @@ mod tests {
     #[test]
     fn steal_races_eviction_without_losing_frames() {
         use std::sync::Arc;
-        let mut cfg = CacheConfig::flat(32, 2);
+        let mut cfg = CacheConfig::new(32, 2);
         cfg.evict_batch = 4;
         cfg.freelist.steal_batch = 4;
         let cache = Arc::new(DramCache::new(cfg));

@@ -131,11 +131,6 @@ impl Freelist {
         fl
     }
 
-    /// The topology this freelist was built for.
-    pub fn topology(&self) -> NumaTopology {
-        self.topo
-    }
-
     /// Allocates a frame for `core`: local core queue, then local NUMA
     /// queue (refilling the core queue with a batch), then remote nodes,
     /// then — as a last resort — stealing from sibling core queues, so

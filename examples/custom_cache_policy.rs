@@ -17,8 +17,7 @@
 
 use std::sync::Arc;
 
-use aquila::{Advice, Aquila, AquilaConfig, AquilaRuntime, DeviceKind, MmioPolicy, Prot};
-use aquila_pcache::NumaTopology;
+use aquila::{Advice, AquilaRuntime, DeviceKind, MmioPolicy, Prot};
 use aquila_sim::{CoreDebts, FreeCtx, SimCtx};
 
 const FILE_PAGES: u64 = 4096;
@@ -28,29 +27,22 @@ fn scan_with(advice: Advice, evict_batch: usize, kind: DeviceKind) -> (f64, u64,
     let mut ctx = FreeCtx::new(1);
     let debts = Arc::new(CoreDebts::new(1));
 
-    // Build the stack by hand so the eviction batch is configurable —
-    // exactly the customization surface the paper argues for.
-    let rt = AquilaRuntime::build(
+    // The eviction batch is part of the engine's policy — exactly the
+    // customization surface the paper argues for.
+    let rt = AquilaRuntime::build_with_policy(
         &mut ctx,
         kind,
         FILE_PAGES + 4096,
         CACHE_FRAMES,
         1,
-        debts.clone(),
-    );
-    let cfg = AquilaConfig::builder(1, CACHE_FRAMES)
-        .policy(MmioPolicy {
+        debts,
+        MmioPolicy {
             evict_batch,
             ..MmioPolicy::default()
-        })
-        .topology(NumaTopology::flat(1))
-        .build();
-    let aquila = Aquila::new(cfg, debts);
-    // Reuse the runtime's blobstore/access for the custom engine.
-    let file = aquila
-        .files()
-        .open_blob(&rt.store, &rt.access, "/scan-me", FILE_PAGES)
-        .expect("open");
+        },
+    );
+    let aquila = &rt.aquila;
+    let file = rt.open("/scan-me", FILE_PAGES).expect("open");
     let addr = aquila
         .mmap(&mut ctx, file, 0, FILE_PAGES, Prot::RW)
         .expect("mmap");

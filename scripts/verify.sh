@@ -24,8 +24,10 @@ step "benchmark smoke test (toy sizes, two seeds, bit-identical)"
 # The benchmark is a cargo workspace of its own that builds the stack
 # from source, so a stack change that breaks its correctness checks
 # (read-back values, per-vcore cycle attribution, traced == untraced)
-# fails here rather than only when the benchmark is next run.
-cargo test --manifest-path examples/benchmark/Cargo.toml
+# fails here rather than only when the benchmark is next run. `--locked`
+# fails the step where a dependency change would otherwise rewrite
+# examples/benchmark/Cargo.lock unnoticed.
+cargo test --locked --manifest-path examples/benchmark/Cargo.toml
 
 step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

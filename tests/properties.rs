@@ -666,7 +666,6 @@ fn huge_equivalence_run(seed: u64, huge: bool) -> (Vec<u8>, Vec<u8>, u64) {
     let policy = if huge {
         MmioPolicy {
             huge_pages: true,
-            promote_threshold: 128,
             ..MmioPolicy::default()
         }
     } else {
@@ -694,7 +693,7 @@ fn huge_equivalence_run(seed: u64, huge: bool) -> (Vec<u8>, Vec<u8>, u64) {
         .unwrap();
 
     // Sequential warm touch: crosses each run's promotion threshold
-    // (with holes device-filled, since only the first 128 pages of a run
+    // (with holes device-filled, since only the first 64 pages of a run
     // are resident at the crossing).
     let mut buf = [0u8; 8];
     for p in 0..FILE_PAGES {
