@@ -14,7 +14,7 @@ use aquila_devices::{MirrorAccess, NvmeDevice, StorageAccess, STORE_PAGE};
 use aquila_kvstore::{SstReader, SstWriter};
 use aquila_mmu::{Access, Gva, PageTable, PteFlags, Vpn};
 use aquila_pcache::{ClockLru, Freelist, FreelistConfig, LockFreeMap, NumaTopology, PageKey};
-use aquila_sim::FreeCtx;
+use aquila_sim::{FreeCtx, Page};
 use aquila_vmx::Gpa;
 
 /// Times `iters` calls of `f` (after a 10% warmup) and prints ns/op.
@@ -173,9 +173,12 @@ fn bench_fault_path() {
 }
 
 fn bench_integrity() {
-    // Host cost of the mirror's checksums: the eight sector CRCs of one
-    // page, then one page written to both copies and read back
-    // verified (two CRC passes plus the device model's copies).
+    // Host cost of the mirror's verification: the eight sector CRCs of
+    // one page; a verified read by reference when the primary returns
+    // the page the mirror recorded (an identity check) and when it
+    // returns an equal private copy (both pages' sector CRCs); then one
+    // page written to both copies and read back verified (plus the
+    // device model's copies).
     let mut x = 0x9E37_79B9u32;
     let page: Vec<u8> = (0..STORE_PAGE)
         .map(|_| {
@@ -193,6 +196,19 @@ fn bench_integrity() {
         Arc::new(NvmeDevice::optane(1024)),
     );
     let mut ctx = FreeCtx::new(1);
+    m.write_pages(&mut ctx, 0, &page).expect("write");
+    m.write_pages(&mut ctx, 1, &page).expect("write");
+    m.primary_device()
+        .store()
+        .adopt(1, Page::copy_of(&page))
+        .expect("adopt");
+    let mut out = [Page::zero()];
+    bench("integrity", "verify_same_page", 1_000_000, || {
+        m.read_refs(&mut ctx, 0, &mut out).expect("read")
+    });
+    bench("integrity", "verify_changed_page", 1_000_000, || {
+        m.read_refs(&mut ctx, 1, &mut out).expect("read")
+    });
     let mut back = vec![0u8; STORE_PAGE];
     let mut p = 0u64;
     bench("integrity", "mirror_write_read_page", 200_000, || {
@@ -312,7 +328,7 @@ fn bench_fill(name: &str, kind: aquila::DeviceKind, mirror: bool) {
 /// then an 8-byte write copies the page before writing it.
 fn bench_cow() {
     let mem = aquila_mmu::PhysMem::new(Gpa(0), 1);
-    let stored = aquila_sim::Page::copy_of(&[0x5A; STORE_PAGE]);
+    let stored = Page::copy_of(&[0x5A; STORE_PAGE]);
     let frame = aquila_mmu::FrameId(0);
     let mut x = 0u64;
     bench("cow", "first_write", 1_000_000, || {

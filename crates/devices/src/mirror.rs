@@ -1,14 +1,13 @@
-//! 2-way mirrored NVMe access with per-sector checksums and read-repair.
+//! 2-way mirrored NVMe access with verified reads and read-repair.
 //!
 //! The paper's durability story assumes the device returns the bytes it
 //! was given; real fleets see bit-rot and latent sector errors. This
 //! layer closes that gap end to end:
 //!
-//! - every write lands on *two* devices (primary + replica) and records
-//!   a CRC-32C per 512-byte sector, all eight of a page's in one pass
-//!   ([`aquila_sync::crc32c_sectors`]);
-//! - every read verifies the primary against the recorded checksums
-//!   before a byte reaches the page cache — a mismatch or an unreadable
+//! - every write lands on *two* devices (primary + replica) and records,
+//!   per device page, the [`Page`] handle it wrote;
+//! - every read verifies the primary against that record before a byte
+//!   reaches the page cache — a mismatch or an unreadable
 //!   (latent) sector triggers *read-repair*: fetch the replica, verify
 //!   it, hand the clean copy to the caller, and rewrite the primary;
 //! - a background scrubber (driven by the engine) walks LBAs through
@@ -18,47 +17,51 @@
 //!   [`DeviceError::Corrupt`] instead of silently serving garbage, and
 //!   the engine degrades the region (DESIGN.md §16).
 //!
-//! Never-written sectors verify against the CRC of an all-zero sector
-//! (the store reads zeros for them), so even the first fill of a fresh
-//! page is covered.
+//! A read that returns the very page the mirror recorded verifies by
+//! identity: pages are copy-on-write and the record holds a reference,
+//! so nobody can have changed its bytes in place. Any other page (a
+//! device's flipped private copy, a torn page, an in-flight read flip)
+//! is compared with the record by its eight 512-byte sector CRC-32Cs
+//! ([`aquila_sync::crc32c_sectors`]). A never-written page is recorded
+//! as the zero page (the store reads zeros for it), so even the first
+//! fill of a fresh page is covered.
 //!
 //! Both copies adopt the same [`Page`]s on a write, so the host holds a
 //! mirrored page once; a fault that flips bits as data lands flips them
 //! in a private copy of the faulty device only.
 //!
 //! Writeback batches keep the deep queues of the unmirrored path:
-//! [`StorageAccess::write_batch`] records every segment's checksums up
-//! front, straight from the pages it was handed, then submits each
+//! [`StorageAccess::write_batch`] records every segment's pages up
+//! front, then submits each
 //! segment to the primary and then the replica through one
 //! depth-`depth` queue pair per device, each under that device's own
 //! breaker, and drains both at the end, so the two devices serve the
 //! batch concurrently. A segment that never reached the primary gets its
-//! previous checksum entries back, so the table only ever describes bytes
-//! that landed.
+//! previous records back, so the table only ever describes bytes that
+//! landed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use aquila_sim::{CostCat, Page, SimCtx};
-use aquila_sync::crc32c_sectors;
+use aquila_sync::Mutex;
 
 use crate::access::{write_each, AccessKind, Entry, NvmeAccess, StorageAccess};
 use crate::error::DeviceError;
-use crate::nvme::{NvmeDevice, SECTORS_PER_PAGE};
+use crate::nvme::NvmeDevice;
 use crate::retry;
-use crate::store::STORE_PAGE;
 
-/// CRC of a never-written (all-zero) sector.
-fn zero_sector_crc() -> u32 {
-    static ZERO: OnceLock<u32> = OnceLock::new();
-    *ZERO.get_or_init(|| crc32c_sectors(&[0u8; STORE_PAGE])[0])
+#[cfg(test)]
+thread_local! {
+    /// Pages this thread's mirrors hashed to verify a read.
+    static HASHED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// A checksum-table entry: bit 32 marks "recorded", low 32 bits hold
-/// the CRC. Zero means the sector was never written through the mirror
-/// and verifies against [`zero_sector_crc`].
-fn pack(crc: u32) -> u64 {
-    (1u64 << 32) | crc as u64
+/// The eight sector CRCs of `data`.
+fn sector_crcs(data: &[u8]) -> [u32; 8] {
+    #[cfg(test)]
+    HASHED.with(|n| n.set(n.get() + 1));
+    aquila_sync::crc32c_sectors(data)
 }
 
 /// Integrity counters a mirrored path exposes for reports.
@@ -95,13 +98,14 @@ impl IntegrityCounters {
     }
 }
 
-/// Two-way mirrored access with sector checksums over two polled NVMe paths.
+/// Two-way mirrored access with verified reads over two polled NVMe paths.
 pub struct MirrorAccess {
     primary: NvmeAccess,
     replica: NvmeAccess,
     checksums: bool,
-    /// Per-sector packed checksum entries (see [`pack`]).
-    sums: Vec<AtomicU64>,
+    /// Per device page, the page last written through the mirror (the
+    /// zero page if never): what a read of it must return.
+    written: Vec<Mutex<Page>>,
     /// Per-page write version, bumped when a write *begins*. Repair
     /// rechecks it before rewriting the primary so a scrub racing a
     /// writeback never resurrects stale bytes.
@@ -111,16 +115,10 @@ pub struct MirrorAccess {
     unrepairable: AtomicU64,
     repair_skipped: AtomicU64,
     queued_writes: AtomicU64,
-}
-
-/// The checksum entries of one page's sectors.
-type PageSums = [u64; SECTORS_PER_PAGE as usize];
-
-/// What one write recorded for a page: its own entries and the ones
-/// they replaced, so an abort can put the old ones back.
-struct Recorded {
-    ours: PageSums,
-    prev: PageSums,
+    /// A per-sector CRC-32C table that, when set, verifies reads in
+    /// place of `written`: the differential tests' reference.
+    #[cfg(test)]
+    reference: Option<tests::SectorSums>,
 }
 
 impl MirrorAccess {
@@ -134,45 +132,45 @@ impl MirrorAccess {
     /// through undetected.
     ///
     /// Content already on the primary (a formatted blobstore, a
-    /// recovered crash image) is synced to the replica and its
-    /// checksums are recorded, modeling mirrors attached from birth.
+    /// recovered crash image) is synced to the replica and recorded,
+    /// modeling mirrors attached from birth.
     pub fn with_options(
         primary: Arc<NvmeDevice>,
         replica: Arc<NvmeDevice>,
         checksums: bool,
     ) -> MirrorAccess {
         let pages = primary.capacity_pages().min(replica.capacity_pages());
-        let sums = (0..pages * SECTORS_PER_PAGE)
-            .map(|_| AtomicU64::new(0))
-            .collect();
+        let written = (0..pages).map(|_| Mutex::new(Page::zero())).collect();
         let versions = (0..pages).map(|_| AtomicU64::new(0)).collect();
         let m = MirrorAccess {
             primary: NvmeAccess::new(primary, Entry::Direct),
             replica: NvmeAccess::new(replica, Entry::Direct),
             checksums,
-            sums,
+            written,
             versions,
             detected: AtomicU64::new(0),
             repaired: AtomicU64::new(0),
             unrepairable: AtomicU64::new(0),
             repair_skipped: AtomicU64::new(0),
             queued_writes: AtomicU64::new(0),
+            #[cfg(test)]
+            reference: None,
         };
         m.sync_existing(pages);
         m
     }
 
-    /// Shares pre-existing primary content with the replica and seeds the
-    /// checksum table (free of simulated time: the mirror existed
-    /// before the run). Only materialized pages can hold data, and an
-    /// all-zero one already verifies against [`zero_sector_crc`].
+    /// Shares pre-existing primary content with the replica and records
+    /// it (free of simulated time: the mirror existed before the run).
+    /// Only materialized pages can hold data, and an all-zero one
+    /// already verifies against the zero page.
     fn sync_existing(&self, pages: u64) {
         let replica = self.replica.device().store();
         self.primary.device().store().for_each_resident(|p, data| {
             let nonzero = data.read().iter().any(|&b| b != 0);
             if p < pages && nonzero {
                 let _ = replica.adopt(p, data.clone());
-                self.record_sums(p, &data.read());
+                *self.written[p as usize].lock() = data.clone();
             }
         });
     }
@@ -187,66 +185,70 @@ impl MirrorAccess {
         self.replica.device()
     }
 
-    /// The checksum-table entries of `page`'s sectors.
-    fn page_sums(&self, page: u64) -> &[AtomicU64] {
-        let base = (page * SECTORS_PER_PAGE) as usize;
-        &self.sums[base..base + SECTORS_PER_PAGE as usize]
-    }
-
-    /// Records the checksums of `data` for `page`.
-    fn record_sums(&self, page: u64, data: &[u8]) -> Recorded {
-        let ours = crc32c_sectors(data).map(pack);
-        let mut prev = [0u64; SECTORS_PER_PAGE as usize];
-        for ((old, slot), &entry) in prev.iter_mut().zip(self.page_sums(page)).zip(&ours) {
-            *old = slot.swap(entry, Ordering::SeqCst);
-        }
-        Recorded { ours, prev }
-    }
-
     /// Starts a write of the page list `pages` at `page`: bumps the page
     /// versions first, so an in-flight scrub of the old bytes never
-    /// rewrites them over this write, then records the new checksums.
-    /// Returns what it recorded, one entry per page, for
+    /// rewrites them over this write, then records the new pages.
+    /// Appends the records they replaced, one per page, to `prev` for
     /// [`Self::abort_write`].
-    fn begin_write(&self, page: u64, pages: &[Page]) -> Vec<Recorded> {
+    fn begin_write(&self, page: u64, pages: &[Page], prev: &mut Vec<Page>) {
         for i in 0..pages.len() as u64 {
             self.versions[(page + i) as usize].fetch_add(1, Ordering::SeqCst);
         }
         if !self.checksums {
-            return Vec::new();
+            return;
         }
-        pages
-            .iter()
-            .enumerate()
-            .map(|(i, data)| self.record_sums(page + i as u64, &data.read()))
-            .collect()
+        for (slot, data) in self.written[page as usize..].iter().zip(pages) {
+            prev.push(std::mem::replace(&mut *slot.lock(), data.clone()));
+        }
+        #[cfg(test)]
+        if let Some(r) = &self.reference {
+            r.begin(page, pages);
+        }
     }
 
-    /// Undoes [`Self::begin_write`]'s checksums for a write that never
-    /// reached the primary, so the table keeps describing the bytes on
-    /// the medium. A sector a later write has already re-recorded keeps
-    /// that newer entry.
-    fn abort_write(&self, page: u64, recorded: &[Recorded]) {
-        for (i, rec) in recorded.iter().enumerate() {
-            let slots = self.page_sums(page + i as u64);
-            for ((slot, &ours), &prev) in slots.iter().zip(&rec.ours).zip(&rec.prev) {
-                let _ = slot.compare_exchange(ours, prev, Ordering::SeqCst, Ordering::SeqCst);
+    /// Undoes [`Self::begin_write`]'s records for a write of `pages`
+    /// that never reached the primary, so the table keeps describing
+    /// the bytes on the medium. A page a later write has already
+    /// re-recorded keeps that newer record.
+    fn abort_write(&self, page: u64, pages: &[Page], prev: &[Page]) {
+        let slots = self.written[page as usize..].iter();
+        for ((slot, ours), old) in slots.zip(pages).zip(prev) {
+            let mut slot = slot.lock();
+            if slot.same_as(ours) {
+                *slot = old.clone();
             }
         }
+        #[cfg(test)]
+        if let Some(r) = &self.reference {
+            r.abort(page, pages);
+        }
     }
 
-    /// Whether every sector of `data` matches its recorded checksum.
-    fn verify_page(&self, page: u64, data: &[u8]) -> bool {
-        let crcs = crc32c_sectors(data);
-        self.page_sums(page).iter().zip(crcs).all(|(slot, crc)| {
-            let entry = slot.load(Ordering::SeqCst);
-            let expected = if entry == 0 {
-                zero_sector_crc()
-            } else {
-                entry as u32
-            };
-            crc == expected
-        })
+    /// Whether `data`, as a read of `page` returned it, holds the bytes
+    /// last written there.
+    fn verify_page(&self, page: u64, data: &Page) -> bool {
+        let ok = self.matches_record(page, data);
+        #[cfg(test)]
+        if let Some(r) = &self.reference {
+            return r.verify(page, data, ok);
+        }
+        ok
+    }
+
+    /// True at once when `data` is the recorded page of `page` (its
+    /// bytes cannot have changed: the record holds a reference, and a
+    /// shared page is copied before any write), else when its sector
+    /// CRCs equal the recorded page's.
+    fn matches_record(&self, page: u64, data: &Page) -> bool {
+        let recorded = {
+            let slot = self.written[page as usize].lock();
+            if slot.same_as(data) {
+                return true;
+            }
+            slot.clone()
+        };
+        let got = sector_crcs(&data.read());
+        got == sector_crcs(&recorded.read())
     }
 
     /// Reads one page with verification and repair into `out`. Returns
@@ -260,7 +262,7 @@ impl MirrorAccess {
         let v0 = self.versions[page as usize].load(Ordering::SeqCst);
         match self.primary.read_refs(ctx, page, std::slice::from_mut(out)) {
             Ok(()) => {
-                if !self.checksums || self.verify_page(page, &out.read()) {
+                if !self.checksums || self.verify_page(page, out) {
                     return Ok(false);
                 }
                 // Silent corruption caught before it reaches the caller.
@@ -292,7 +294,7 @@ impl MirrorAccess {
             aquila_sim::metrics::add(ctx, "aquila.integrity.unrepairable", 1);
             return Err(DeviceError::Corrupt { page });
         }
-        if self.checksums && !self.verify_page(page, &rep[0].read()) {
+        if self.checksums && !self.verify_page(page, &rep[0]) {
             if self.versions[page as usize].load(Ordering::SeqCst) != v0 {
                 // A writer moved the page mid-verification; the error is
                 // transient and a retry reads the settled state.
@@ -360,9 +362,10 @@ impl StorageAccess for MirrorAccess {
         page: u64,
         pages: &[Page],
     ) -> Result<(), DeviceError> {
-        let recorded = self.begin_write(page, pages);
+        let mut prev = Vec::new();
+        self.begin_write(page, pages, &mut prev);
         if let Err(e) = self.primary.write_refs(ctx, page, pages) {
-            self.abort_write(page, &recorded);
+            self.abort_write(page, pages, &prev);
             return Err(e);
         }
         self.replica.write_refs(ctx, page, pages)
@@ -379,10 +382,10 @@ impl StorageAccess for MirrorAccess {
         if depth <= 1 {
             return write_each(self, ctx, segs);
         }
-        let recorded: Vec<Vec<Recorded>> = segs
-            .iter()
-            .map(|&(page, pages)| self.begin_write(page, pages))
-            .collect();
+        let mut prev = Vec::new();
+        for &(page, pages) in segs {
+            self.begin_write(page, pages, &mut prev);
+        }
         let pq = self.primary.device().create_qpair(depth);
         let rq = self.replica.device().create_qpair(depth);
         let mut issued = 0u64;
@@ -401,8 +404,15 @@ impl StorageAccess for MirrorAccess {
         }
         self.queued_writes.fetch_add(issued, Ordering::SeqCst);
         if let Some((landed, e)) = failure {
-            for (&(page, _), rec) in segs[landed..].iter().zip(&recorded[landed..]) {
-                self.abort_write(page, rec);
+            // `prev` holds each segment's records in order (none
+            // without checksums).
+            let mut prev = &prev[..];
+            for (i, &(page, pages)) in segs.iter().enumerate() {
+                let (ours, rest) = prev.split_at(prev.len().min(pages.len()));
+                if i >= landed {
+                    self.abort_write(page, pages, ours);
+                }
+                prev = rest;
             }
             return Err(e);
         }
@@ -439,6 +449,8 @@ mod tests {
     use super::*;
     use aquila_sim::fault::{DeviceImage, FaultPlan};
     use aquila_sim::FreeCtx;
+
+    use crate::store::STORE_PAGE;
 
     fn mirror_over(plan: Option<&str>) -> MirrorAccess {
         let primary = Arc::new(NvmeDevice::optane(16));
@@ -639,7 +651,7 @@ mod tests {
         primary.store().write_at(9, 0, &page_of(0)).unwrap();
         let m = MirrorAccess::new(primary, Arc::new(NvmeDevice::optane(16)));
         let recorded: Vec<u64> = (0..m.capacity_pages())
-            .filter(|&p| m.page_sums(p).iter().any(|e| e.load(Ordering::SeqCst) != 0))
+            .filter(|&p| !m.written[p as usize].lock().is_zero())
             .collect();
         assert_eq!(recorded, vec![2, 5]);
         assert_eq!(m.replica_device().store().resident_pages(), 2);
@@ -816,5 +828,359 @@ mod tests {
             assert_eq!(r, r0, "{plan}: replica image differs");
             assert_eq!((c.detected, c.repaired, c.unrepairable), (0, 0, 0));
         }
+    }
+
+    /// The per-sector CRC-32C table the page records replaced, kept as
+    /// the reference the differential tests hold them to: a CRC per
+    /// 512-byte sector recorded at write, put back sector by sector
+    /// (compare-and-swap) when a write aborts, and verified by CRC. Bit
+    /// 32 of an entry marks "recorded"; zero means never written, which
+    /// verifies against the all-zero sector's CRC.
+    pub(super) struct SectorSums {
+        sums: Vec<AtomicU64>,
+        /// Begun writes' `(page, ours, prev)` entries, for aborts.
+        pending: Mutex<Vec<(u64, PageSums, PageSums)>>,
+        verifies: AtomicU64,
+        /// Verifies where the page records' verdict differed from ours.
+        disagreements: AtomicU64,
+    }
+
+    type PageSums = [u64; 8];
+
+    fn packed_sums(data: &Page) -> PageSums {
+        aquila_sync::crc32c_sectors(&data.read()).map(|crc| (1u64 << 32) | crc as u64)
+    }
+
+    impl SectorSums {
+        fn slots(&self, page: u64) -> &[AtomicU64] {
+            &self.sums[page as usize * 8..][..8]
+        }
+
+        pub(super) fn begin(&self, page: u64, pages: &[Page]) {
+            for (p, data) in (page..).zip(pages) {
+                let ours = packed_sums(data);
+                let mut prev = [0u64; 8];
+                for ((old, slot), &entry) in prev.iter_mut().zip(self.slots(p)).zip(&ours) {
+                    *old = slot.swap(entry, Ordering::SeqCst);
+                }
+                self.pending.lock().push((p, ours, prev));
+            }
+        }
+
+        pub(super) fn abort(&self, page: u64, pages: &[Page]) {
+            for (p, data) in (page..).zip(pages) {
+                let ours = packed_sums(data);
+                let mut pending = self.pending.lock();
+                let Some(at) = pending.iter().rposition(|e| e.0 == p && e.1 == ours) else {
+                    continue;
+                };
+                let (_, ours, prev) = pending.remove(at);
+                for ((slot, &o), &old) in self.slots(p).iter().zip(&ours).zip(&prev) {
+                    let _ = slot.compare_exchange(o, old, Ordering::SeqCst, Ordering::SeqCst);
+                }
+            }
+        }
+
+        /// The table's verdict on `data` read from `page`; `by_page` is
+        /// the page records' verdict on the same read.
+        pub(super) fn verify(&self, page: u64, data: &Page, by_page: bool) -> bool {
+            let zero = aquila_sync::crc32c_sectors(&[0u8; STORE_PAGE])[0];
+            let crcs = aquila_sync::crc32c_sectors(&data.read());
+            let ok = self.slots(page).iter().zip(crcs).all(|(slot, crc)| {
+                let entry = slot.load(Ordering::SeqCst);
+                crc == if entry == 0 { zero } else { entry as u32 }
+            });
+            self.verifies.fetch_add(1, Ordering::SeqCst);
+            if ok != by_page {
+                self.disagreements.fetch_add(1, Ordering::SeqCst);
+            }
+            ok
+        }
+    }
+
+    /// Puts the reference table under `m`, seeded from its page records.
+    fn with_reference(mut m: MirrorAccess) -> MirrorAccess {
+        let r = SectorSums {
+            sums: (0..m.capacity_pages() * 8)
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+            pending: Mutex::new(Vec::new()),
+            verifies: AtomicU64::new(0),
+            disagreements: AtomicU64::new(0),
+        };
+        for (p, slot) in (0..).zip(&m.written) {
+            let data = slot.lock().clone();
+            if !data.is_zero() {
+                r.begin(p, &[data]);
+            }
+        }
+        m.reference = Some(r);
+        m
+    }
+
+    /// Pages this thread's mirrors have hashed so far.
+    fn hashed() -> u64 {
+        HASHED.with(|n| n.get())
+    }
+
+    #[test]
+    fn fault_free_writes_fills_and_scrubs_never_hash() {
+        let primary = Arc::new(NvmeDevice::optane(16));
+        primary.store().write_at(6, 0, &page_of(0x66)).unwrap();
+        let m = MirrorAccess::new(primary, Arc::new(NvmeDevice::optane(16)));
+        let mut ctx = FreeCtx::new(1);
+        let before = hashed();
+        m.write_pages(&mut ctx, 1, &[page_of(0x11), page_of(0x12)].concat())
+            .unwrap();
+        let [a, b] = [0xA0, 0xB0].map(|x| [Page::copy_of(&page_of(x))]);
+        let segs: [(u64, &[Page]); 2] = [(4, &a), (9, &b)];
+        assert_eq!(m.write_batch(&mut ctx, &segs, 8), Ok(4));
+        let mut back = page_of(0);
+        for (p, want) in [
+            (1, 0x11),
+            (2, 0x12),
+            (4, 0xA0),
+            (9, 0xB0),
+            (6, 0x66),
+            (7, 0),
+        ] {
+            m.read_pages(&mut ctx, p, &mut back).unwrap();
+            assert_eq!(back, page_of(want), "page {p}");
+        }
+        for p in 0..m.capacity_pages() {
+            assert_eq!(m.scrub_page(&mut ctx, p), Ok(false), "page {p}");
+        }
+        assert_eq!(hashed(), before, "every read was the recorded page");
+        let c = m.integrity_counters().unwrap();
+        assert_eq!((c.detected, c.repaired, c.tainted), (0, 0, 0), "{c:?}");
+    }
+
+    #[test]
+    fn the_page_table_is_a_fifth_of_the_sector_table() {
+        // The per-sector table held eight 8-byte entries per page.
+        let per_page = std::mem::size_of::<Mutex<Page>>();
+        assert!(per_page * 5 <= 64, "{per_page} B per page");
+    }
+
+    #[test]
+    fn an_equal_copy_on_the_primary_verifies_by_crc() {
+        let m = mirror_over(None);
+        let mut ctx = FreeCtx::new(1);
+        m.write_pages(&mut ctx, 3, &page_of(0x42)).unwrap();
+        m.primary_device()
+            .store()
+            .adopt(3, Page::copy_of(&page_of(0x42)))
+            .unwrap();
+        let before = hashed();
+        let mut back = page_of(0);
+        m.read_pages(&mut ctx, 3, &mut back).unwrap();
+        assert_eq!(back, page_of(0x42));
+        assert_eq!(hashed(), before + 2, "both pages hashed once");
+        assert_eq!(
+            m.integrity_counters().unwrap(),
+            IntegrityCounters::default()
+        );
+    }
+
+    #[test]
+    fn zero_pages_verify_by_identity_and_a_zero_copy_by_crc() {
+        let m = mirror_over(None);
+        let mut ctx = FreeCtx::new(1);
+        let before = hashed();
+        assert_eq!(m.scrub_page(&mut ctx, 9), Ok(false));
+        assert_eq!(hashed(), before, "never written: the zero page itself");
+        m.primary_device()
+            .store()
+            .adopt(9, Page::copy_of(&page_of(0)))
+            .unwrap();
+        assert_eq!(m.scrub_page(&mut ctx, 9), Ok(false));
+        assert_eq!(hashed(), before + 2, "a private zero page is hashed");
+        let mut back = page_of(1);
+        m.read_pages(&mut ctx, 9, &mut back).unwrap();
+        assert_eq!(back, page_of(0));
+        assert_eq!(
+            m.integrity_counters().unwrap(),
+            IntegrityCounters::default()
+        );
+    }
+
+    #[test]
+    fn an_aborted_segment_keeps_a_later_writes_record() {
+        let m = with_reference(mirror_over(None));
+        let mut ctx = FreeCtx::new(1);
+        m.write_pages(&mut ctx, 5, &page_of(0x11)).unwrap();
+        // A batch records page 5, a later write supersedes it and lands,
+        // then the batch's segment for page 5 aborts.
+        let early = [Page::copy_of(&page_of(0x22))];
+        let mut prev = Vec::new();
+        m.begin_write(5, &early, &mut prev);
+        let later = [Page::copy_of(&page_of(0x33))];
+        m.write_refs(&mut ctx, 5, &later).unwrap();
+        m.abort_write(5, &early, &prev);
+        assert!(m.written[5].lock().same_as(&later[0]));
+        let before = hashed();
+        let mut back = page_of(0);
+        m.read_pages(&mut ctx, 5, &mut back).unwrap();
+        assert_eq!(back, page_of(0x33));
+        assert_eq!(hashed(), before, "the landed page verifies by identity");
+        let c = m.integrity_counters().unwrap();
+        assert_eq!((c.detected, c.repaired), (0, 0), "{c:?}");
+        let r = m.reference.as_ref().unwrap();
+        assert_eq!(r.disagreements.load(Ordering::SeqCst), 0);
+    }
+
+    /// One step of a differential storm.
+    enum Op {
+        Write(u64, Vec<u8>),
+        Batch(Vec<(u64, Vec<u8>)>),
+        Read(u64, usize),
+        Scrub(u64),
+    }
+
+    /// A seeded storm over a 16-page mirror: blocking writes, write
+    /// batches, multi-page reads and scrubs, plus a primary fault plan
+    /// mixing silent write and read flips, torn writes, latent sectors,
+    /// and media errors (runs of four exhaust a write's retries and abort
+    /// it or the rest of its batch), and a sparse replica plan.
+    fn storm(seed: u64) -> (Vec<Op>, String, String) {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let data = |len: u64, fill: u64| -> Vec<u8> {
+            (0..len as usize * STORE_PAGE)
+                .map(|i| (fill as u8 + 1) ^ (i / 61) as u8)
+                .collect()
+        };
+        let mut ops = Vec::new();
+        for _ in 0..160 {
+            let page = next(16);
+            let len = (1 + next(3)).min(16 - page);
+            ops.push(match next(10) {
+                0..=2 => Op::Write(page, data(len, next(255))),
+                3..=4 => {
+                    let mut segs = Vec::new();
+                    let mut p = next(3);
+                    while p < 16 {
+                        let len = (1 + next(3)).min(16 - p);
+                        segs.push((p, data(len, next(255))));
+                        p += len + 1 + next(5);
+                    }
+                    Op::Batch(segs)
+                }
+                5..=7 => Op::Read(page, len as usize),
+                _ => Op::Scrub(page),
+            });
+        }
+        let mut clauses = Vec::new();
+        let mut op = 0;
+        while op < 200 {
+            op += 1 + next(12);
+            clauses.push(match next(7) {
+                0 => format!("nvme.write:corrupt={}@op={op}", 1 + next(4)),
+                1 => format!("nvme.read:corrupt={}@op={op}", 1 + next(4)),
+                2 => format!("nvme.write:torn={}@op={op}", next(8)),
+                3 => format!("nvme.read:latent={}@op={op}", 1 + next(8)),
+                4 => format!("nvme.write:latent={}@op={op}", 1 + next(8)),
+                5 => format!("nvme.write:media_error@op={op}"),
+                _ => {
+                    let run = (op..op + 4).map(|o| format!("nvme.write:media_error@op={o}"));
+                    let run = run.collect::<Vec<_>>().join("; ");
+                    op += 3;
+                    run
+                }
+            });
+        }
+        let replica = format!(
+            "nvme.write:corrupt=2@op={}; nvme.read:latent=1@op={}",
+            1 + next(40),
+            1 + next(40)
+        );
+        (ops, clauses.join("; "), replica)
+    }
+
+    /// What one storm step returned: an error, or a read's bytes, a
+    /// batch's command count or a scrub's repair flag.
+    fn apply(m: &MirrorAccess, ctx: &mut FreeCtx, op: &Op) -> Result<Vec<u8>, DeviceError> {
+        match op {
+            Op::Write(p, b) => m.write_pages(ctx, *p, b).map(|()| Vec::new()),
+            Op::Batch(segs) => {
+                let lists: Vec<Vec<Page>> = segs
+                    .iter()
+                    .map(|(_, b)| b.chunks(STORE_PAGE).map(Page::copy_of).collect())
+                    .collect();
+                let segs: Vec<(u64, &[Page])> = segs
+                    .iter()
+                    .zip(&lists)
+                    .map(|((p, _), l)| (*p, &l[..]))
+                    .collect();
+                m.write_batch(ctx, &segs, 8).map(|n| vec![n as u8])
+            }
+            Op::Read(p, len) => {
+                let mut buf = vec![0u8; len * STORE_PAGE];
+                m.read_pages(ctx, *p, &mut buf).map(|()| buf)
+            }
+            Op::Scrub(p) => m.scrub_page(ctx, *p).map(|r| vec![r as u8]),
+        }
+    }
+
+    #[test]
+    fn page_records_match_the_sector_table_under_fault_storms() {
+        let mut seen = IntegrityCounters::default();
+        let (mut verifies, mut aborted) = (0, 0);
+        for seed in 1..=12u64 {
+            let (ops, primary_plan, replica_plan) = storm(seed);
+            let build = || {
+                let primary = Arc::new(NvmeDevice::optane(16));
+                primary.set_fault_plan(Arc::new(FaultPlan::parse(&primary_plan).unwrap()));
+                let replica = Arc::new(NvmeDevice::optane(16));
+                replica.set_fault_plan(Arc::new(FaultPlan::parse(&replica_plan).unwrap()));
+                MirrorAccess::new(primary, replica)
+            };
+            let (ours, theirs) = (build(), with_reference(build()));
+            let (mut c1, mut c2) = (FreeCtx::new(seed), FreeCtx::new(seed));
+            for (i, op) in ops.iter().enumerate() {
+                let at = format!("seed {seed} op {i}");
+                let got = apply(&ours, &mut c1, op);
+                assert_eq!(got, apply(&theirs, &mut c2, op), "{at}");
+                if got.is_err() && matches!(op, Op::Write(..) | Op::Batch(_)) {
+                    aborted += 1;
+                }
+                let c = ours.integrity_counters().unwrap();
+                assert_eq!(Some(c), theirs.integrity_counters(), "{at}");
+                assert_eq!(c.undetected(), 0, "{at}: {c:?}");
+                let r = theirs.reference.as_ref().unwrap();
+                assert_eq!(r.disagreements.load(Ordering::SeqCst), 0, "{at}");
+                for (a, b) in [
+                    (ours.primary_device(), theirs.primary_device()),
+                    (ours.replica_device(), theirs.replica_device()),
+                ] {
+                    assert_eq!(a.store().snapshot(), b.store().snapshot(), "{at}");
+                }
+            }
+            let c = ours.integrity_counters().unwrap();
+            seen.detected += c.detected;
+            seen.repaired += c.repaired;
+            seen.unrepairable += c.unrepairable;
+            seen.tainted += c.tainted;
+            seen.queued_writes += c.queued_writes;
+            verifies += theirs
+                .reference
+                .as_ref()
+                .unwrap()
+                .verifies
+                .load(Ordering::SeqCst);
+        }
+        // The storms reached every verdict the table can give.
+        assert!(seen.detected > 0 && seen.tainted > 0, "{seen:?}");
+        assert!(seen.repaired > 0 && seen.queued_writes > 0, "{seen:?}");
+        assert!(
+            seen.unrepairable > 0 && aborted > 0,
+            "{seen:?}, {aborted} aborted"
+        );
+        assert!(verifies > 1000, "{verifies} verifies");
     }
 }

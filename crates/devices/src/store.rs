@@ -325,6 +325,22 @@ mod tests {
     }
 
     #[test]
+    fn a_write_never_changes_a_page_another_handle_holds() {
+        let s = PageStore::new(3);
+        s.write_at(1, 0, &[0x11; STORE_PAGE]).unwrap();
+        let read = s.page(1).unwrap();
+        let mine = Page::copy_of(&[0x22; STORE_PAGE]);
+        s.adopt(2, mine.clone()).unwrap();
+        for (page, held, b) in [(1, &read, 0x11), (2, &mine, 0x22)] {
+            s.write_at(page, 100, &[0xFF; 8]).unwrap();
+            assert!(held.read().iter().all(|&x| x == b), "page {page}");
+            let now = s.page(page).unwrap();
+            assert!(!now.same_as(held), "page {page}: the store copied first");
+            assert_eq!(&now.read()[100..108], &[0xFF; 8]);
+        }
+    }
+
+    #[test]
     fn out_of_bounds_page_is_error() {
         let s = PageStore::new(2);
         assert!(matches!(

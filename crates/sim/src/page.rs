@@ -343,6 +343,22 @@ mod tests {
     }
 
     #[test]
+    fn a_write_never_changes_a_page_another_handle_holds() {
+        // What the mirror's identity check relies on: a handle's id and
+        // bytes stay as they were, whatever the other holders write.
+        let _g = SERIAL.lock();
+        for mut writer in [filled(0x44), Page::zero()] {
+            let held = writer.clone();
+            let (id, bytes) = (held.0, held.read().to_vec());
+            writer.write(|d| d.fill(0x55));
+            assert!(!writer.same_as(&held), "the writer moved to a copy");
+            assert_eq!(held.0, id);
+            assert_eq!(*held.read(), bytes[..]);
+            assert!(writer.read().iter().all(|&x| x == 0x55));
+        }
+    }
+
+    #[test]
     fn a_freed_id_is_reused_first() {
         let _g = SERIAL.lock();
         let a = filled(1);

@@ -200,6 +200,8 @@ grep -q 'race detector: 0 findings' "$tmp/integrity.txt" ||
     { echo "FAIL: race detector reported findings in serve integrity" >&2; exit 1; }
 "$prof" get "$tmp/integrity.json" "integrity/injected" --ge 1 > /dev/null ||
     { echo "FAIL: integrity storm injected no faults" >&2; exit 1; }
+"$prof" get "$tmp/integrity.json" "integrity/detected" --ge 1 > /dev/null ||
+    { echo "FAIL: no silent fault reached the checksum fallback under the storm" >&2; exit 1; }
 "$prof" get "$tmp/integrity.json" "integrity/repaired" --ge 1 > /dev/null ||
     { echo "FAIL: mirrored read-repair never fired under the storm" >&2; exit 1; }
 "$prof" get "$tmp/integrity.json" "integrity/unrepairable" --le 0 > /dev/null ||
