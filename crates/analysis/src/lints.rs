@@ -220,9 +220,7 @@ pub fn lint_file(path: &str, source: &str) -> Vec<Finding> {
     // dynamic labels go to JSON scalars, not sim-path sinks).
     if !path.starts_with("crates/analysis/") && !path.starts_with("crates/bench/") {
         let raw_lines: Vec<&str> = source.lines().collect();
-        const SINKS: [&str; 7] = [
-            "metrics::add(",
-            "metrics::gauge(",
+        const SINKS: [&str; 5] = [
             // Labeled variant: the *base* name (second arg) must still be
             // a literal; the small tenant index may vary.
             "metrics::record_latency_labeled(",
@@ -746,7 +744,7 @@ fn f() {
     let mut counts = HashMap::new();
     counts.insert(1u32, 2u32);
     for (k, v) in &counts {
-        metrics::add(*k as usize, *v as u64);
+        metrics::record_latency_labeled(ctx, \"a.b\", *k as u16, Cycles(*v as u64));
     }
 }
 ";
@@ -879,7 +877,7 @@ fn f() {
 
     #[test]
     fn aq007_flags_dynamic_metric_and_span_names() {
-        let var = "fn f(ctx: &mut dyn SimCtx, name: &str) { metrics::add(ctx, name, 1); }\n";
+        let var = "fn f(ctx: &mut dyn SimCtx, name: &'static str) { metrics::record_latency_labeled(ctx, name, 0, Cycles(1)); }\n";
         let fmtd = "fn f(ctx: &mut dyn SimCtx) { let n = format!(\"m{}\", 1); trace::instant(ctx, &n, CostCat::App); }\n";
         for src in [var, fmtd] {
             let findings = lint_file("crates/core/src/x.rs", src);
@@ -892,7 +890,7 @@ fn f() {
 
     #[test]
     fn aq007_accepts_literal_names_and_exempts_bench() {
-        let lit = "fn f(ctx: &mut dyn SimCtx) { metrics::add(ctx, \"aquila.fault\", 1); }\n";
+        let lit = "fn f(ctx: &mut dyn SimCtx) { metrics::record_latency_labeled(ctx, \"serve.request.cycles\", 3, Cycles(1)); }\n";
         assert!(lint_file("crates/core/src/x.rs", lit).is_empty());
         let multiline = "\
 fn f(ctx: &mut dyn SimCtx) {
@@ -909,7 +907,7 @@ fn f(ctx: &mut dyn SimCtx) {
             "fn f(ctx: &mut dyn SimCtx) { let s = span::begin_child(ctx, \"tlb.ipi.drain\", CostCat::Tlb, p); span::end(ctx, s); }\n";
         assert!(lint_file("crates/sim/src/x.rs", span_child).is_empty());
         // Bench harness labels are host-side and may be dynamic.
-        let var = "fn f(ctx: &mut dyn SimCtx, name: &str) { metrics::add(ctx, name, 1); }\n";
+        let var = "fn f(ctx: &mut dyn SimCtx, name: &'static str) { metrics::record_latency_labeled(ctx, name, 0, Cycles(1)); }\n";
         assert!(lint_file("crates/bench/src/x.rs", var).is_empty());
     }
 

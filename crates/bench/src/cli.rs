@@ -18,11 +18,11 @@
 //!   spec installs an empty plan, which is bit-identical to running
 //!   without the flag.
 //!
-//! Either flag also installs the global metrics registry so subsystem
-//! counters/gauges land in the JSON record. Without them, the binaries
-//! run exactly as before — the instrumentation sites are no-ops, and
-//! because observability never charges virtual cycles the simulated
-//! results are bit-identical either way.
+//! Either flag also installs the global metrics registry so span and
+//! request latency histograms land in the JSON record. Without them,
+//! the binaries run exactly as before — the recording sites are no-ops,
+//! and because observability never charges virtual cycles the
+//! simulated results are bit-identical either way.
 
 use std::path::PathBuf;
 

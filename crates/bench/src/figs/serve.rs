@@ -235,6 +235,7 @@ pub(crate) fn part_integrity(args: &BenchArgs, json: &mut JsonReport) {
         if protected.slo_met() { "met" } else { "MISSED" },
     );
     json.set_integrity(&c);
+    json.add_counters("serve/integrity", &report.counters);
     json.add_scalar("integrity/injected", injected as f64);
     json.add_scalar("integrity/detected", c.detected as f64);
     json.add_scalar("integrity/repaired", c.repaired as f64);

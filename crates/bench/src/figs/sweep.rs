@@ -34,7 +34,7 @@ use crate::{BenchArgs, Dev, Runner};
 use aquila::{Advice, AquilaRuntime, DeviceKind, MmioPolicy, Prot, WritePolicy};
 use aquila_devices::NvmeDevice;
 use aquila_linuxsim::{KernelDevice, LinuxConfig, LinuxMmap};
-use aquila_sim::{CoreDebts, Cycles, Engine, LatencyHist, RunReport, SimCtx, Step};
+use aquila_sim::{CoreDebts, Counters, Cycles, Engine, LatencyHist, RunReport, SimCtx, Step};
 
 const WORKERS: usize = 4;
 const FILE_PAGES: u64 = 8192;
@@ -386,7 +386,7 @@ fn part_tlb(_args: &BenchArgs, json: &mut JsonReport) {
 
 /// The linuxsim analog: same stores, same footprint, kernel mmap path
 /// (inline reclaim, no evictor thread).
-fn run_latency_linux(ops_per_thread: u64) -> LatencyHist {
+fn run_latency_linux(ops_per_thread: u64) -> (LatencyHist, Counters) {
     let mut engine = Engine::new(WORKERS, 0x5EE9);
     let mut ctx = aquila_sim::FreeCtx::new(0x5EE9);
     let kdev = KernelDevice::Nvme(Arc::new(NvmeDevice::optane(FILE_PAGES + 4096)));
@@ -425,9 +425,9 @@ fn run_latency_linux(ops_per_thread: u64) -> LatencyHist {
             }),
         );
     }
-    engine.run();
+    let report = engine.run();
     let hists = hists.take();
-    merged(&hists)
+    (merged(&hists), report.counters)
 }
 
 fn part_latency(args: &BenchArgs, json: &mut JsonReport) {
@@ -436,8 +436,11 @@ fn part_latency(args: &BenchArgs, json: &mut JsonReport) {
         "Fault-service latency: cycle-exact distributions per backend",
         "expected: mmio beats linuxsim at p50 (lean fault path); the eviction tail at p99 is one deep-queue writeback round, inline (sync) or on the evictor (async qd4)",
     );
-    let mmio = |policy| merged(&run_stores(policy, ops).0);
-    let cells: [(&str, LatencyHist); 4] = [
+    let mmio = |policy| {
+        let (hists, report) = run_stores(policy, ops);
+        (merged(&hists), report.counters)
+    };
+    let cells: [(&str, (LatencyHist, Counters)); 4] = [
         ("linuxsim", run_latency_linux(ops)),
         ("mmio-sync", mmio(MmioPolicy::default())),
         ("mmio-async-qd4", mmio(async_policy(4, 0, 0))),
@@ -453,7 +456,7 @@ fn part_latency(args: &BenchArgs, json: &mut JsonReport) {
         "{:<16} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "config", "faults", "p50", "p90", "p99", "p99.9", "max"
     );
-    for (label, h) in &cells {
+    for (label, (h, counters)) in &cells {
         println!(
             "{:<16} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
             label,
@@ -472,11 +475,12 @@ fn part_latency(args: &BenchArgs, json: &mut JsonReport) {
             );
         }
         json.add_scalar(format!("latency/{label}/faults"), h.count() as f64);
+        json.add_counters(format!("latency/{label}"), counters);
     }
-    let p50_speedup =
-        cells[0].1.quantile(0.5).get() as f64 / cells[1].1.quantile(0.5).get().max(1) as f64;
+    let [(_, (linux, _)), (_, (sync, _)), (_, (async_qd4, _)), _] = &cells;
+    let p50_speedup = linux.quantile(0.5).get() as f64 / sync.quantile(0.5).get().max(1) as f64;
     let tail_speedup =
-        cells[1].1.quantile(0.99).get() as f64 / cells[2].1.quantile(0.99).get().max(1) as f64;
+        sync.quantile(0.99).get() as f64 / async_qd4.quantile(0.99).get().max(1) as f64;
     println!("  -> mmio-sync p50 is {p50_speedup:.2}x lower than linuxsim");
     println!("  -> async qd4 p99 is {tail_speedup:.2}x lower than sync");
     json.add_scalar("latency/sync_p50_speedup_over_linux", p50_speedup);

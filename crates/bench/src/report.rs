@@ -1,6 +1,6 @@
 //! Table printing and result records for the figure binaries.
 
-use aquila_sim::{Breakdown, CostCat, Counters, Cycles, LatencyHist, MetricKind};
+use aquila_sim::{Breakdown, CostCat, Counters, Cycles, LatencyHist};
 
 use crate::json::Json;
 
@@ -110,7 +110,10 @@ pub fn print_breakdown_per_op(label: &str, b: &Breakdown, ops: u64) {
 /// corruptions detected/repaired/unrepairable, and the `undetected`
 /// invariant that must read zero); zeroed with `"mirrored": false`
 /// for unmirrored runs.
-pub const SCHEMA_VERSION: u64 = 5;
+/// v6: `metrics` array removed — every event count is a
+/// [`Counters`] field, reported per run in the `counters` rows, and the
+/// global registry holds only the latency histograms of `latency`.
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// Quantiles recorded for every histogram in a JSON report.
 const REPORT_QUANTILES: [f64; 5] = [0.5, 0.9, 0.99, 0.999, 1.0];
@@ -240,8 +243,9 @@ impl JsonReport {
         self.integrity = Some(*c);
     }
 
-    /// Builds the full record, including a snapshot of the global metrics
-    /// registry (empty when `--trace`/`--json` did not install one).
+    /// Builds the full record, including the latency histograms of the
+    /// global metrics registry (empty when `--trace`/`--json` did not
+    /// install one).
     pub fn to_json(&self) -> Json {
         let rows = self
             .rows
@@ -295,30 +299,11 @@ impl JsonReport {
         for (name, v) in &self.scalars {
             scalars.set(name, Json::F64(*v));
         }
-        let snapshot = aquila_sim::metrics::global().map(|m| m.snapshot());
-        let metrics = match &snapshot {
-            Some(s) => s
-                .entries()
-                .iter()
-                .map(|(name, kind, value)| {
-                    Json::obj()
-                        .with("name", Json::Str(name.clone()))
-                        .with(
-                            "kind",
-                            Json::from(match kind {
-                                MetricKind::Counter => "counter",
-                                MetricKind::Gauge => "gauge",
-                            }),
-                        )
-                        .with("value", Json::U64(*value))
-                })
-                .collect(),
-            None => Vec::new(),
-        };
         // Cycle-exact latency distributions (schema v3): one entry per
         // registered histogram, shards merged deterministically.
-        let latency = match &snapshot {
-            Some(s) => s
+        let latency = match aquila_sim::metrics::global() {
+            Some(m) => m
+                .snapshot()
                 .hists()
                 .iter()
                 .map(|(name, h)| hist_entry(name, h))
@@ -364,7 +349,6 @@ impl JsonReport {
             .with("histograms", Json::Arr(self.hists.clone()))
             .with("counters", Json::Arr(counters))
             .with("scalars", scalars)
-            .with("metrics", Json::Arr(metrics))
             .with("latency", Json::Arr(latency))
             .with("tenants", Json::Arr(self.tenants.clone()))
             .with("faults", faults)
@@ -454,7 +438,8 @@ mod tests {
         };
         r.add_tenant(&t, &h);
         let rendered = r.to_json().render();
-        assert!(rendered.contains("\"schema_version\": 5"));
+        assert!(rendered.contains(&format!("\"schema_version\": {SCHEMA_VERSION}")));
+        assert!(!rendered.contains("\"metrics\""));
         assert!(rendered.contains("\"slo_met\": true"));
         assert!(rendered.contains("\"quota_frames\": 64"));
     }

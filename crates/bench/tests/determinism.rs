@@ -12,6 +12,8 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use aquila_bench::json::Json;
+
 fn run_bin(exe: &str, part: &str, tag: &str) -> (Output, Vec<u8>, Vec<u8>) {
     run_bin_with(exe, part, tag, &[])
 }
@@ -178,6 +180,57 @@ fn serve_integrity_part_is_bit_identical_and_repairs_everything() {
         json.contains("\"unrepairable\": 0") && json.contains("\"undetected\": 0"),
         "every silent corruption must be caught and repaired:\n{json}"
     );
+}
+
+/// Every count is a `Counters` field incremented unconditionally, so a
+/// traced run counts exactly what an untraced one does. `serve
+/// integrity` exercises the mirror, the scrubber, tenant QoS and the
+/// retry loop; its `counters` rows must not move when `--trace` is on.
+#[test]
+fn serve_integrity_counters_do_not_depend_on_tracing() {
+    let counters = |trace: bool| -> String {
+        let tag = if trace { "traced" } else { "untraced" };
+        let dir =
+            std::env::temp_dir().join(format!("aquila-counters-{tag}-{}", std::process::id()));
+        fs::create_dir_all(&dir).expect("mkdir");
+        let mut args = vec!["integrity", "--json", "r.json"];
+        if trace {
+            args.extend(["--trace", "t.trace.json"]);
+        }
+        let out = Command::new(env!("CARGO_BIN_EXE_serve"))
+            .current_dir(&dir)
+            .args(&args)
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "serve {args:?} failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let json = fs::read_to_string(dir.join("r.json")).expect("JSON record written");
+        fs::remove_dir_all(&dir).ok();
+        let doc = Json::parse(&json).expect("record parses");
+        doc.get("counters").expect("counters section").render()
+    };
+    let traced = counters(true);
+    assert_eq!(
+        traced,
+        counters(false),
+        "counters differ between traced and untraced runs"
+    );
+    for field in [
+        "scrub_pages",
+        "self_reclaim_pages",
+        "transient_errors",
+        "retry_attempts",
+        "deadline_misses",
+        "pt_shard_locks",
+    ] {
+        assert!(
+            !traced.contains(&format!("\"{field}\": 0")),
+            "{field} never counted, so the comparison shows nothing:\n{traced}"
+        );
+    }
 }
 
 /// `sweep serve` (the alias part) runs the same experiment from the

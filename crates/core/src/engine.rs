@@ -177,9 +177,8 @@ pub struct Aquila {
     /// Promoted 2 MiB runs, keyed by the 2 MiB-aligned base VPN.
     huge_runs: Mutex<BTreeMap<u64, HugeRun>>,
     /// Degradation demands splintering every promoted run, but the
-    /// transition fires from `&dyn` contexts that cannot run the
-    /// demotion machinery; the next fault, sync, or evictor tick
-    /// services the flag.
+    /// transition fires in the middle of a fault, writeback or scrub
+    /// step; the next fault, sync, or evictor tick services the flag.
     demote_all_pending: AtomicBool,
 }
 
@@ -254,8 +253,9 @@ impl Aquila {
     }
 
     /// Escalates the degradation machine to `to` (never downgrades);
-    /// counted in `aquila.degrade.transitions` and traced as an instant.
-    fn transition(&self, ctx: &dyn SimCtx, to: RegionState) {
+    /// counted in [`aquila_sim::Counters::degrade_transitions`] and traced
+    /// as an instant.
+    fn transition(&self, ctx: &mut dyn SimCtx, to: RegionState) {
         let mut d = self.degrade.lock();
         if d.state >= to {
             return;
@@ -268,8 +268,7 @@ impl Aquila {
             // the next opportunity.
             self.demote_all_pending.store(true, Ordering::Release);
         }
-        aquila_sim::metrics::add(ctx, "aquila.degrade.transitions", 1);
-        aquila_sim::metrics::gauge(ctx, "aquila.degrade.state", to as u64);
+        ctx.counters().degrade_transitions += 1;
         aquila_sim::trace::instant(ctx, "aquila.degrade", CostCat::Eviction);
     }
 
@@ -279,7 +278,7 @@ impl Aquila {
     /// to synchronous write-through. Called from the evictor tick and
     /// the direct-reclaim fallback; any alloc recovery above the
     /// watermark resets the clock.
-    pub fn track_watermark_stall(&self, ctx: &dyn SimCtx) {
+    pub fn track_watermark_stall(&self, ctx: &mut dyn SimCtx) {
         if self.cfg.policy.write_policy != WritePolicy::Async {
             return;
         }
@@ -304,7 +303,7 @@ impl Aquila {
     /// Reacts to a writeback failure: an open circuit breaker means the
     /// device write path is gone, and unrepairable corruption means the
     /// medium cannot be trusted; either way the region goes read-only.
-    fn degrade_on_error(&self, ctx: &dyn SimCtx, e: &AquilaError) {
+    fn degrade_on_error(&self, ctx: &mut dyn SimCtx, e: &AquilaError) {
         if matches!(
             e,
             AquilaError::Device(DeviceError::CircuitOpen | DeviceError::Corrupt { .. })
@@ -355,11 +354,11 @@ impl Aquila {
             match self.admit(tenant) {
                 Admission::Admit => {}
                 Admission::Delay(d) => {
-                    aquila_sim::metrics::add(ctx, "aquila.qos.delayed", 1);
+                    ctx.counters().qos_delayed += 1;
                     ctx.charge(CostCat::Idle, d);
                 }
                 Admission::Shed => {
-                    aquila_sim::metrics::add(ctx, "aquila.qos.shed", 1);
+                    ctx.counters().qos_shed += 1;
                     return Err(AquilaError::QosShed);
                 }
             }
@@ -370,11 +369,7 @@ impl Aquila {
                 let batch = overage.min(8);
                 let victims = self.cache.evict_candidates_from(ctx, batch, tenant);
                 if !victims.is_empty() {
-                    aquila_sim::metrics::add(
-                        ctx,
-                        "aquila.qos.self_reclaim.pages",
-                        victims.len() as u64,
-                    );
+                    ctx.counters().self_reclaim_pages += victims.len() as u64;
                     self.retire_victims(ctx, &victims)?;
                 }
             }
@@ -852,7 +847,7 @@ impl Aquila {
                 // Unrepairable corruption on every copy: refuse to map
                 // the poisoned page and degrade the region instead of
                 // silently serving garbage (DESIGN.md §16).
-                aquila_sim::metrics::add(ctx, "aquila.integrity.read_refused", 1);
+                ctx.counters().read_refused += 1;
                 self.transition(ctx, RegionState::ReadOnly);
                 return Err(AquilaError::DataCorrupted { page });
             }
@@ -940,8 +935,9 @@ impl Aquila {
                 }
                 continue;
             }
-            aquila_sim::metrics::add(ctx, "aquila.evict.rounds", 1);
-            aquila_sim::metrics::add(ctx, "aquila.evict.pages", victims.len() as u64);
+            let c = ctx.counters();
+            c.direct_evict_rounds += 1;
+            c.direct_evict_pages += victims.len() as u64;
             if let Err(e) = self.retire_victims(ctx, &victims) {
                 aquila_sim::span::end(ctx, sp);
                 return Err(e);
@@ -1072,8 +1068,7 @@ impl Aquila {
                     .store(aquila_sim::span::current(ctx).0, Ordering::Relaxed);
             }
         }
-        aquila_sim::metrics::add(ctx, "aquila.writeback.pages", dirty.len() as u64);
-        aquila_sim::metrics::add(ctx, "aquila.writeback.ios", ios);
+        ctx.counters().writeback_ios += ios;
         Ok(())
     }
 
@@ -1146,8 +1141,9 @@ impl Aquila {
             return Ok(0);
         }
         let n = victims.len();
-        aquila_sim::metrics::add(ctx, "aquila.evictor.rounds", 1);
-        aquila_sim::metrics::add(ctx, "aquila.evictor.pages", n as u64);
+        let c = ctx.counters();
+        c.evictor_rounds += 1;
+        c.evictor_pages += n as u64;
         let result = self.retire_victims(ctx, &victims);
         aquila_sim::span::end(ctx, sp);
         result?;
@@ -1212,17 +1208,13 @@ impl Aquila {
             let page = next % cap;
             next = next.wrapping_add(1);
             match access.scrub_page(ctx, page) {
-                Ok(repaired) => {
-                    if repaired {
-                        aquila_sim::metrics::add(ctx, "aquila.scrub.repaired", 1);
-                    }
-                }
+                Ok(repaired) => ctx.counters().scrub_repaired += repaired as u64,
                 Err(_) => {
-                    aquila_sim::metrics::add(ctx, "aquila.scrub.unrepairable", 1);
+                    ctx.counters().scrub_unrepairable += 1;
                     aq.transition(ctx, RegionState::ReadOnly);
                 }
             }
-            aquila_sim::metrics::add(ctx, "aquila.scrub.pages", 1);
+            ctx.counters().scrub_pages += 1;
             ctx.charge(CostCat::Idle, scrub_rate);
             Step::Yield
         })
@@ -1287,7 +1279,6 @@ impl Aquila {
                 self.cache.release_frame(ctx, frame);
             } else {
                 ctx.counters().readahead_pages += 1;
-                aquila_sim::metrics::add(ctx, "aquila.readahead.pages", 1);
             }
         }
         aquila_sim::span::end(ctx, sp);
@@ -1361,7 +1352,7 @@ impl Aquila {
         if dirty_ct != 0 && dirty_ct != resident {
             // A mixed run would either lose dirty tracking or amplify
             // a clean majority into writeback; wait until it settles.
-            aquila_sim::metrics::add(ctx, "aquila.huge.mixed_skip", 1);
+            ctx.counters().huge_mixed_skips += 1;
             return;
         }
         let Some(run) = self.cache.try_alloc_slab_run(ctx) else {
@@ -1470,22 +1461,17 @@ impl Aquila {
             .with_local(core, |t| t.insert_huge(hbase, gpa, fl));
         race::write(ctx, (V_TLB, core as u64));
         race::release(ctx, (L_TLB, core as u64));
-        let active = {
-            let mut runs = self.huge_runs.lock();
-            runs.insert(
-                hbase.0,
-                HugeRun {
-                    run,
-                    file: desc.file,
-                    fp_base,
-                },
-            );
-            runs.len()
-        };
+        self.huge_runs.lock().insert(
+            hbase.0,
+            HugeRun {
+                run,
+                file: desc.file,
+                fp_base,
+            },
+        );
         race::write(ctx, (V_HUGE, 0));
         race::release(ctx, (L_HUGE, 0));
         ctx.counters().huge_promotions += 1;
-        aquila_sim::metrics::gauge(ctx, "aquila.huge.promoted_runs", active as u64);
     }
 
     /// Write fault against a read-only 2 MiB leaf: the whole run turns
@@ -1517,7 +1503,7 @@ impl Aquila {
         self.tlbs.with_local(core, |t| t.invalidate(hbase));
         race::write(ctx, (V_TLB, core as u64));
         race::release(ctx, (L_TLB, core as u64));
-        aquila_sim::metrics::add(ctx, "aquila.huge.write_upgrade", 1);
+        ctx.counters().huge_write_upgrades += 1;
     }
 
     /// Splinters the promoted runs at `hbases`: drops each 2 MiB leaf,
@@ -1555,9 +1541,7 @@ impl Aquila {
         for (_, hr) in &dropped {
             self.cache.unpin_slab_run(hr.run);
         }
-        let active = self.huge_runs.lock().len();
         ctx.counters().huge_demotions += dropped.len() as u64;
-        aquila_sim::metrics::gauge(ctx, "aquila.huge.promoted_runs", active as u64);
         aquila_sim::span::end(ctx, sp);
     }
 

@@ -699,19 +699,19 @@ fn watermark_stall_degrades_async_to_write_through() {
     while rt.aquila.cache().watermark_deficit() == 0 {
         held.push(rt.aquila.cache().try_alloc(&mut ctx).unwrap());
     }
-    rt.aquila.track_watermark_stall(&ctx); // Starts the stall clock.
+    rt.aquila.track_watermark_stall(&mut ctx); // Starts the stall clock.
     assert_eq!(rt.aquila.region_state(), RegionState::Healthy);
     ctx.charge(CostCat::Idle, Cycles::from_micros(9_000));
-    rt.aquila.track_watermark_stall(&ctx); // Still inside the deadline.
+    rt.aquila.track_watermark_stall(&mut ctx); // Still inside the deadline.
     assert_eq!(rt.aquila.region_state(), RegionState::Healthy);
     ctx.charge(CostCat::Idle, STALL_DEADLINE);
-    rt.aquila.track_watermark_stall(&ctx); // Past the deadline.
+    rt.aquila.track_watermark_stall(&mut ctx); // Past the deadline.
     assert_eq!(rt.aquila.region_state(), RegionState::WriteThrough);
     // Recovery of the freelist does not un-degrade (sticky for the run).
     for f in held {
         rt.aquila.cache().release_frame(&mut ctx, f);
     }
-    rt.aquila.track_watermark_stall(&ctx);
+    rt.aquila.track_watermark_stall(&mut ctx);
     assert_eq!(rt.aquila.region_state(), RegionState::WriteThrough);
 }
 

@@ -225,16 +225,15 @@ pub(crate) fn write_each<A: StorageAccess + ?Sized>(
     Ok(segs.len() as u64)
 }
 
-/// Records the device's queue occupancy right after a submission: a trace
-/// counter track ("nvme.inflight") plus a high-water-mark gauge. No-ops
-/// without an installed tracer/registry, and never charges cycles.
+/// Records the device's queue occupancy right after a submission on the
+/// trace counter track "nvme.inflight". No-op without an installed
+/// tracer, and never charges cycles.
 fn record_nvme_occupancy(ctx: &dyn SimCtx, dev: &NvmeDevice) {
-    if !aquila_sim::trace::enabled() && aquila_sim::metrics::global().is_none() {
+    if !aquila_sim::trace::enabled() {
         return;
     }
     let depth = dev.inflight_at(ctx.now()) as u64;
     aquila_sim::trace::counter(ctx, "nvme.inflight", depth);
-    aquila_sim::metrics::gauge(ctx, "nvme.inflight.max", depth);
 }
 
 /// Counts one completed command in the device counters.

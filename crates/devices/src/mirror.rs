@@ -91,8 +91,7 @@ pub struct IntegrityCounters {
 
 impl IntegrityCounters {
     /// Corrupt pages the device returned that no checksum caught. The
-    /// integrity invariant is that this is zero whenever checksums are
-    /// enabled.
+    /// integrity invariant is that this is zero.
     pub fn undetected(&self) -> u64 {
         self.tainted.saturating_sub(self.detected)
     }
@@ -102,7 +101,6 @@ impl IntegrityCounters {
 pub struct MirrorAccess {
     primary: NvmeAccess,
     replica: NvmeAccess,
-    checksums: bool,
     /// Per device page, the page last written through the mirror (the
     /// zero page if never): what a read of it must return.
     written: Vec<Mutex<Page>>,
@@ -122,30 +120,18 @@ pub struct MirrorAccess {
 }
 
 impl MirrorAccess {
-    /// Mirrors `primary` onto `replica` with checksums enabled.
-    pub fn new(primary: Arc<NvmeDevice>, replica: Arc<NvmeDevice>) -> MirrorAccess {
-        MirrorAccess::with_options(primary, replica, true)
-    }
-
-    /// Full-control constructor. `checksums: false` is the ablation
-    /// that shows why verification matters: corruption then flows
-    /// through undetected.
+    /// Mirrors `primary` onto `replica`.
     ///
     /// Content already on the primary (a formatted blobstore, a
     /// recovered crash image) is synced to the replica and recorded,
     /// modeling mirrors attached from birth.
-    pub fn with_options(
-        primary: Arc<NvmeDevice>,
-        replica: Arc<NvmeDevice>,
-        checksums: bool,
-    ) -> MirrorAccess {
+    pub fn new(primary: Arc<NvmeDevice>, replica: Arc<NvmeDevice>) -> MirrorAccess {
         let pages = primary.capacity_pages().min(replica.capacity_pages());
         let written = (0..pages).map(|_| Mutex::new(Page::zero())).collect();
         let versions = (0..pages).map(|_| AtomicU64::new(0)).collect();
         let m = MirrorAccess {
             primary: NvmeAccess::new(primary, Entry::Direct),
             replica: NvmeAccess::new(replica, Entry::Direct),
-            checksums,
             written,
             versions,
             detected: AtomicU64::new(0),
@@ -193,9 +179,6 @@ impl MirrorAccess {
     fn begin_write(&self, page: u64, pages: &[Page], prev: &mut Vec<Page>) {
         for i in 0..pages.len() as u64 {
             self.versions[(page + i) as usize].fetch_add(1, Ordering::SeqCst);
-        }
-        if !self.checksums {
-            return;
         }
         for (slot, data) in self.written[page as usize..].iter().zip(pages) {
             prev.push(std::mem::replace(&mut *slot.lock(), data.clone()));
@@ -262,12 +245,11 @@ impl MirrorAccess {
         let v0 = self.versions[page as usize].load(Ordering::SeqCst);
         match self.primary.read_refs(ctx, page, std::slice::from_mut(out)) {
             Ok(()) => {
-                if !self.checksums || self.verify_page(page, out) {
+                if self.verify_page(page, out) {
                     return Ok(false);
                 }
                 // Silent corruption caught before it reaches the caller.
                 self.detected.fetch_add(1, Ordering::SeqCst);
-                aquila_sim::metrics::add(ctx, "aquila.integrity.detected", 1);
                 self.repair_page(ctx, page, v0, out)
             }
             // The primary cannot produce the page at all (latent sector,
@@ -291,10 +273,9 @@ impl MirrorAccess {
         let mut rep = [Page::zero()];
         if self.replica.read_refs(ctx, page, &mut rep).is_err() {
             self.unrepairable.fetch_add(1, Ordering::SeqCst);
-            aquila_sim::metrics::add(ctx, "aquila.integrity.unrepairable", 1);
             return Err(DeviceError::Corrupt { page });
         }
-        if self.checksums && !self.verify_page(page, &rep[0]) {
+        if !self.verify_page(page, &rep[0]) {
             if self.versions[page as usize].load(Ordering::SeqCst) != v0 {
                 // A writer moved the page mid-verification; the error is
                 // transient and a retry reads the settled state.
@@ -302,7 +283,6 @@ impl MirrorAccess {
                 return Err(DeviceError::Corrupt { page });
             }
             self.unrepairable.fetch_add(1, Ordering::SeqCst);
-            aquila_sim::metrics::add(ctx, "aquila.integrity.unrepairable", 1);
             return Err(DeviceError::Corrupt { page });
         }
         *out = rep[0].clone();
@@ -316,7 +296,6 @@ impl MirrorAccess {
             self.repair_skipped.fetch_add(1, Ordering::SeqCst);
         }
         self.repaired.fetch_add(1, Ordering::SeqCst);
-        aquila_sim::metrics::add(ctx, "aquila.integrity.repaired", 1);
         Ok(true)
     }
 }
@@ -404,8 +383,7 @@ impl StorageAccess for MirrorAccess {
         }
         self.queued_writes.fetch_add(issued, Ordering::SeqCst);
         if let Some((landed, e)) = failure {
-            // `prev` holds each segment's records in order (none
-            // without checksums).
+            // `prev` holds each segment's records in order.
             let mut prev = &prev[..];
             for (i, &(page, pages)) in segs.iter().enumerate() {
                 let (ours, rest) = prev.split_at(prev.len().min(pages.len()));
@@ -426,7 +404,7 @@ impl StorageAccess for MirrorAccess {
     }
 
     fn scrub_page(&self, ctx: &mut dyn SimCtx, page: u64) -> Result<bool, DeviceError> {
-        if !self.checksums || page >= self.capacity_pages() {
+        if page >= self.capacity_pages() {
             return Ok(false);
         }
         self.fetch_page(ctx, page, &mut Page::zero())
@@ -592,24 +570,20 @@ mod tests {
     }
 
     #[test]
-    fn disabling_checksums_lets_corruption_through_undetected() {
-        let primary = Arc::new(NvmeDevice::optane(16));
-        primary.set_fault_plan(Arc::new(
-            FaultPlan::parse("nvme.write:corrupt=4@op=1").unwrap(),
-        ));
-        let m = MirrorAccess::with_options(primary, Arc::new(NvmeDevice::optane(16)), false);
+    fn every_tainted_read_is_detected() {
+        // The device's own ground truth (`tainted`) counts the corrupt
+        // pages it returned; the `undetected == 0` gate means something
+        // only when some were returned and every one was caught.
+        let m = mirror_over(Some("nvme.write:corrupt=4@op=1"));
         let mut ctx = FreeCtx::new(1);
         let data = page_of(0x5A);
         m.write_pages(&mut ctx, 2, &data).unwrap();
         let mut back = page_of(0);
         m.read_pages(&mut ctx, 2, &mut back).unwrap();
-        assert_ne!(back, data, "garbage flowed straight through");
+        assert_eq!(back, data);
         let c = m.integrity_counters().unwrap();
-        assert_eq!(c.detected, 0);
-        assert!(
-            c.undetected() > 0,
-            "the ablation shows why checksums matter"
-        );
+        assert!(c.tainted >= 1, "the device returned corrupt data");
+        assert_eq!(c.tainted, c.detected, "and the mirror caught all of it");
     }
 
     #[test]

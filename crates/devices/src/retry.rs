@@ -17,7 +17,7 @@
 
 use aquila_sync::Mutex;
 
-use aquila_sim::{metrics, CostCat, Cycles, SimCtx};
+use aquila_sim::{CostCat, Cycles, SimCtx};
 
 use crate::error::DeviceError;
 
@@ -30,8 +30,8 @@ pub const BREAKER_THRESHOLD: u32 = 16;
 /// Virtual-time cooldown after a trip before the breaker admits one
 /// half-open probe command (see [`CircuitBreaker`]).
 pub const BREAKER_COOLDOWN: Cycles = Cycles::from_micros(500);
-/// Per-command latency deadline; completions past it bump the
-/// `aquila.retry.deadline_misses` counter (observability only — the
+/// Per-command latency deadline; completions past it count in
+/// [`aquila_sim::Counters::deadline_misses`] (observability only — the
 /// simulated device always completes, so there is no abort path).
 pub const COMMAND_TIMEOUT: Cycles = Cycles::from_millis(1);
 
@@ -65,10 +65,10 @@ pub fn run(
             }
             Err(e) if !e.is_transient() => return Err(e),
             Err(e) => {
-                metrics::add(ctx, "aquila.fault.injected", 1);
+                ctx.counters().transient_errors += 1;
                 if let Some(b) = breaker {
                     if b.record_failure(ctx.now()) {
-                        metrics::add(ctx, "aquila.breaker.trips", 1);
+                        ctx.counters().breaker_trips += 1;
                     }
                     if b.is_open(ctx.now()) {
                         return Err(DeviceError::CircuitOpen);
@@ -78,7 +78,7 @@ pub fn run(
                 if tries >= MAX_ATTEMPTS {
                     return Err(e);
                 }
-                metrics::add(ctx, "aquila.retry.attempts", 1);
+                ctx.counters().retry_attempts += 1;
                 let park = ctx.now() + backoff_for(tries);
                 ctx.wait_until(park, CostCat::Idle);
             }
@@ -87,10 +87,10 @@ pub fn run(
 }
 
 /// Records a completed command's observed latency against
-/// [`COMMAND_TIMEOUT`] (no-op without a metrics registry).
-pub fn observe_latency(ctx: &dyn SimCtx, latency: Cycles) {
+/// [`COMMAND_TIMEOUT`].
+pub fn observe_latency(ctx: &mut dyn SimCtx, latency: Cycles) {
     if latency > COMMAND_TIMEOUT {
-        metrics::add(ctx, "aquila.retry.deadline_misses", 1);
+        ctx.counters().deadline_misses += 1;
     }
 }
 
@@ -193,8 +193,12 @@ impl core::fmt::Debug for CircuitBreaker {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use aquila_sim::FreeCtx;
+    use aquila_sim::{FreeCtx, Page};
+
+    use crate::{Entry, NvmeAccess, NvmeDevice, StorageAccess};
 
     /// Fails `n` commands of [`MAX_ATTEMPTS`] attempts each through `b`,
     /// returning the last error.
@@ -250,6 +254,8 @@ mod tests {
         assert_eq!(err, DeviceError::MediaError { page: 7 });
         // Three retries: backoff 5 + 10 + 20 us.
         assert_eq!(ctx.now(), Cycles::from_micros(35));
+        assert_eq!(ctx.stats.transient_errors, 4);
+        assert_eq!(ctx.stats.retry_attempts, 3);
     }
 
     #[test]
@@ -276,6 +282,8 @@ mod tests {
         assert!(!b.is_open(ctx.now()));
         assert_eq!(fail_commands(&mut ctx, &b, 1), DeviceError::CircuitOpen);
         assert!(b.is_open(ctx.now()));
+        assert_eq!(ctx.stats.transient_errors, 16);
+        assert_eq!(ctx.stats.breaker_trips, 1);
         // Open breaker fails fast without calling the closure.
         let mut calls = 0;
         let e = run(&mut ctx, Some(&b), |_| {
@@ -385,5 +393,26 @@ mod tests {
             Cycles::from_micros(5 * 1024),
             "exponent capped"
         );
+    }
+
+    #[test]
+    fn completions_past_one_millisecond_count_as_deadline_misses() {
+        let mut ctx = FreeCtx::new(1);
+        assert_eq!(COMMAND_TIMEOUT, Cycles::from_millis(1));
+        observe_latency(&mut ctx, COMMAND_TIMEOUT);
+        assert_eq!(ctx.stats.deadline_misses, 0, "exactly 1 ms is in time");
+        observe_latency(&mut ctx, COMMAND_TIMEOUT + Cycles(1));
+        assert_eq!(ctx.stats.deadline_misses, 1);
+
+        // Through a real command: one page is served in ~11 us, 2048 pages
+        // (8 MiB at the device's ~4.8 GB/s internal rate) in ~1.7 ms.
+        let path = NvmeAccess::new(Arc::new(NvmeDevice::optane(2048)), Entry::Direct);
+        path.read_refs(&mut ctx, 0, &mut [Page::zero()]).unwrap();
+        assert_eq!(ctx.stats.deadline_misses, 1);
+        let t0 = ctx.now();
+        path.read_refs(&mut ctx, 0, &mut vec![Page::zero(); 2048])
+            .unwrap();
+        assert!(ctx.now() - t0 > COMMAND_TIMEOUT);
+        assert_eq!(ctx.stats.deadline_misses, 2);
     }
 }

@@ -128,7 +128,7 @@ impl ShardedPageTable {
         idx: usize,
         f: impl FnOnce(&mut PageTable) -> R,
     ) -> R {
-        aquila_sim::metrics::add(ctx, "mmu.pt.shard_lock", 1);
+        ctx.counters().pt_shard_locks += 1;
         race::acquire(ctx, (L_PT_SHARD, idx as u64));
         let hold = ctx.cost().lock_uncontended;
         let out = {

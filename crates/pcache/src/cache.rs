@@ -397,21 +397,19 @@ impl DramCache {
         match got {
             Some((_, AllocOutcome::LocalHit)) | None => {}
             Some((_, AllocOutcome::NodeRefill(node))) => {
-                aquila_sim::metrics::add(ctx, "pcache.freelist.refills", 1);
+                ctx.counters().freelist_refills += 1;
                 race::read_acquire(ctx, (V_FREELIST_NODE, node as u64));
             }
             Some((_, AllocOutcome::RemoteNode(node))) => {
-                aquila_sim::metrics::add(ctx, "pcache.freelist.refills", 1);
-                aquila_sim::metrics::add(ctx, "pcache.freelist.remote_refills", 1);
+                let c = ctx.counters();
+                c.freelist_refills += 1;
+                c.freelist_remote_refills += 1;
                 race::read_acquire(ctx, (V_FREELIST_NODE, node as u64));
             }
             Some((_, AllocOutcome::Steal { victim, rebalanced })) => {
-                aquila_sim::metrics::add(ctx, "pcache.freelist.steals", 1);
-                aquila_sim::metrics::add(
-                    ctx,
-                    "pcache.freelist.stolen_frames",
-                    1 + rebalanced as u64,
-                );
+                let c = ctx.counters();
+                c.freelist_steals += 1;
+                c.freelist_stolen_frames += 1 + rebalanced as u64;
                 race::acquire(ctx, (L_FREELIST, victim as u64));
                 race::write(ctx, (V_FREELIST, victim as u64));
                 race::release(ctx, (L_FREELIST, victim as u64));
@@ -684,15 +682,11 @@ impl DramCache {
             }
             self.clock.mark_free(frame);
             victims.push(Victim { key, frame, dirty });
-            ctx.counters().evictions += 1;
+            let c = ctx.counters();
+            c.evictions += 1;
+            c.dirty_victims += dirty as u64;
         }
         ctx.charge(CostCat::Eviction, charge);
-        aquila_sim::metrics::add(ctx, "pcache.evict.victims", victims.len() as u64);
-        aquila_sim::metrics::add(
-            ctx,
-            "pcache.evict.dirty",
-            victims.iter().filter(|v| v.dirty).count() as u64,
-        );
         aquila_sim::span::end(ctx, sp);
         victims
     }
@@ -765,7 +759,7 @@ impl DramCache {
         let k = ctx.core() as u64;
         race::acquire(ctx, (L_FREELIST, k));
         if self.freelist.free(ctx.core(), frame) {
-            aquila_sim::metrics::add(ctx, "pcache.freelist.spills", 1);
+            ctx.counters().freelist_spills += 1;
             aquila_sim::trace::instant(ctx, "pcache.freelist.spill", CostCat::CacheMgmt);
             let node = self.cfg.topology.node_of(ctx.core()) as u64;
             race::write_release(ctx, (V_FREELIST_NODE, node));

@@ -29,7 +29,7 @@ use aquila::{
     Advice, AquilaError, AquilaRuntime, DeviceKind, IntegrityCounters, MmioPolicy, Prot, Session,
     Tenant, TenantSpec, WritePolicy,
 };
-use aquila_sim::{CostCat, Cycles, Engine, FreeCtx, LatencyHist, SimCtx, Step, Zipfian};
+use aquila_sim::{CostCat, Counters, Cycles, Engine, FreeCtx, LatencyHist, SimCtx, Step, Zipfian};
 
 pub use arrival::{Arrival, ArrivalGen};
 
@@ -127,6 +127,9 @@ pub struct ServeReport {
     pub tenants: Vec<TenantOutcome>,
     /// Virtual time when the last session closed.
     pub makespan: Cycles,
+    /// Event counters of every engine thread (sessions, evictor,
+    /// scrubber).
+    pub counters: Counters,
     /// End-of-run integrity counters from the mirrored backend;
     /// `None` unless the run was configured with `mirror`.
     pub integrity: Option<IntegrityCounters>,
@@ -327,6 +330,7 @@ pub fn run(cfg: &ServeConfig) -> ServeReport {
     ServeReport {
         tenants: outcomes,
         makespan: report.makespan,
+        counters: report.counters,
         integrity,
     }
 }

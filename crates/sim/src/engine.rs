@@ -343,9 +343,6 @@ pub struct RunReport {
     pub counters: Counters,
     /// Per-thread breakdowns (for per-core analyses).
     pub per_thread: Vec<Breakdown>,
-    /// Snapshot of the global metrics registry at the end of the run
-    /// (empty when no registry is installed).
-    pub metrics: crate::metrics::MetricsSnapshot,
 }
 
 impl RunReport {
@@ -477,9 +474,6 @@ impl Engine {
             breakdown,
             counters,
             per_thread,
-            metrics: crate::metrics::global()
-                .map(|m| m.snapshot())
-                .unwrap_or_default(),
         }
     }
 }

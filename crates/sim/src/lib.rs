@@ -12,15 +12,15 @@
 //! - [`engine`] — the discrete-event scheduler that steps virtual threads
 //!   in global time order and the [`engine::SimCtx`] trait through which
 //!   library code charges costs;
-//! - [`hist::LatencyHist`] and [`stats::Breakdown`] — the measurement
-//!   machinery behind every figure;
+//! - [`hist::LatencyHist`], [`stats::Breakdown`] and [`stats::Counters`]
+//!   — the measurement machinery behind every figure (`Counters` is the
+//!   one event counter);
 //! - [`trace`], [`span`], and [`metrics`] — cycle-stamped event tracing
 //!   (with a Chrome `trace_event` exporter for Perfetto), causal
 //!   begin/end spans with cross-thread parent links (the one timing
 //!   primitive: each end feeds the trace and a `<name>.cycles`
-//!   histogram), and a registry of named per-core
-//!   counters/gauges/latency-histograms, all zero-cost when not
-//!   installed;
+//!   histogram), and a registry of named per-core latency histograms,
+//!   all zero-cost when not installed;
 //! - [`page`] — the process-wide pool of refcounted 4 KiB pages that
 //!   device stores and the DRAM cache share, copied only on first write;
 //! - [`fault`] — schedule-deterministic fault plans (media errors,
@@ -56,7 +56,7 @@ pub use fault::{
     FaultTarget, FaultTrigger, SECTOR_SIZE,
 };
 pub use hist::LatencyHist;
-pub use metrics::{HistId, MetricId, MetricKind, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{HistId, MetricsRegistry, MetricsSnapshot};
 pub use page::Page;
 pub use race::{RaceDetector, RaceStats};
 pub use region::{DramRegion, MemRegion};

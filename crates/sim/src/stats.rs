@@ -161,6 +161,60 @@ define_counters! {
     huge_promotions,
     /// 2 MiB huge-page demotions (runs splintered back to 4 KiB).
     huge_demotions,
+    /// Frame allocations refilled from a NUMA node queue (the vcore's
+    /// own node or a remote one).
+    freelist_refills,
+    /// Of those refills, the ones a remote node served.
+    freelist_remote_refills,
+    /// Frame allocations that stole from a sibling vcore's queue.
+    freelist_steals,
+    /// Frames those steals moved: the one allocated plus the batch
+    /// rebalanced to the thief.
+    freelist_stolen_frames,
+    /// Frame frees that overflowed the vcore queue into the node queue.
+    freelist_spills,
+    /// Evicted pages that were dirty.
+    dirty_victims,
+    /// Direct-reclaim eviction rounds on the fault path.
+    direct_evict_rounds,
+    /// Pages retired by direct-reclaim rounds.
+    direct_evict_pages,
+    /// Rounds of the write-behind evictor thread that retired pages.
+    evictor_rounds,
+    /// Pages retired by evictor rounds.
+    evictor_pages,
+    /// Page-table shard lock acquisitions.
+    pt_shard_locks,
+    /// Device write commands issued by writeback.
+    writeback_ios,
+    /// Region degradations (Healthy -> WriteThrough -> ReadOnly steps).
+    degrade_transitions,
+    /// Frame allocations delayed by tenant admission control.
+    qos_delayed,
+    /// Frame allocations shed by tenant admission control.
+    qos_shed,
+    /// Pages an over-quota tenant evicted from its own frames.
+    self_reclaim_pages,
+    /// Faults refused because no copy of the page verified.
+    read_refused,
+    /// Pages the integrity scrubber visited.
+    scrub_pages,
+    /// Scrubbed pages repaired from the replica.
+    scrub_repaired,
+    /// Scrubbed pages that no copy could repair.
+    scrub_unrepairable,
+    /// Promotion scans that skipped a run mixing clean and dirty pages.
+    huge_mixed_skips,
+    /// Write faults that made a read-only 2 MiB leaf writable.
+    huge_write_upgrades,
+    /// Transient device errors the retry loop saw.
+    transient_errors,
+    /// Circuit-breaker trips.
+    breaker_trips,
+    /// Command retries after a transient error.
+    retry_attempts,
+    /// Blocking commands that completed past the command deadline.
+    deadline_misses,
 }
 
 #[cfg(test)]
@@ -254,6 +308,32 @@ mod tests {
             c.readahead_pages = 1;
             c.huge_promotions = 1;
             c.huge_demotions = 1;
+            c.freelist_refills = 1;
+            c.freelist_remote_refills = 1;
+            c.freelist_steals = 1;
+            c.freelist_stolen_frames = 1;
+            c.freelist_spills = 1;
+            c.dirty_victims = 1;
+            c.direct_evict_rounds = 1;
+            c.direct_evict_pages = 1;
+            c.evictor_rounds = 1;
+            c.evictor_pages = 1;
+            c.pt_shard_locks = 1;
+            c.writeback_ios = 1;
+            c.degrade_transitions = 1;
+            c.qos_delayed = 1;
+            c.qos_shed = 1;
+            c.self_reclaim_pages = 1;
+            c.read_refused = 1;
+            c.scrub_pages = 1;
+            c.scrub_repaired = 1;
+            c.scrub_unrepairable = 1;
+            c.huge_mixed_skips = 1;
+            c.huge_write_upgrades = 1;
+            c.transient_errors = 1;
+            c.breaker_trips = 1;
+            c.retry_attempts = 1;
+            c.deadline_misses = 1;
         }
         a.merge(&b);
         assert_eq!(Counters::NAMES.len(), a.iter().count());
