@@ -7,8 +7,9 @@
 //! noisy neighbor: bursty arrivals over a footprint 4x the whole cache,
 //! drawn Zipfian-hot so it keeps re-heating the same frames. Six
 //! background tenants trickle along. The experiment runs twice from the
-//! same seed — QoS on, then off — and reports every tenant's latency
-//! percentiles against its SLO (schema v4 `tenants` section).
+//! same seed — QoS on, then off (no tenant declares its quota to the
+//! engine) — and reports every tenant's latency percentiles against its
+//! SLO (schema v4 `tenants` section).
 //!
 //! Expected: with QoS on, quota self-reclaim and weighted-fair eviction
 //! keep the noisy neighbor's pressure on its own frames, so the

@@ -67,15 +67,6 @@ pub struct MmioPolicy {
     /// PD-level PTE backed by a physically contiguous slab run, once 64
     /// of a run's 512 pages are resident.
     pub huge_pages: bool,
-    /// Enables multi-tenant QoS (DESIGN.md §15): per-tenant freelist
-    /// quotas (an over-quota tenant reclaims its own frames before
-    /// consuming the shared freelist), tenant-fair evictor rounds
-    /// (victim batches apportioned by weighted overage), and admission
-    /// control on the fault path (an over-quota tenant's faults are
-    /// delayed — or shed — while the cache is under watermark pressure
-    /// or degraded). Off by default: single-tenant runs are bit-for-bit
-    /// unchanged.
-    pub tenant_qos: bool,
     /// Mirrors the NVMe backend 2-for-1 with per-sector checksums and
     /// read-repair (DESIGN.md §16); every read through the mirror
     /// verifies its sector checksums. Only meaningful for
@@ -95,7 +86,6 @@ impl Default for MmioPolicy {
             write_policy: WritePolicy::Sync,
             queue_depth: 8,
             huge_pages: false,
-            tenant_qos: false,
             mirror: false,
         }
     }
@@ -182,7 +172,11 @@ mod tests {
         assert_eq!(cfg.policy.low_watermark, 0, "sync mode: no watermarks");
         assert!(cfg.policy.evictor_cores.is_empty());
         assert!(!cfg.policy.huge_pages, "huge pages must be opt-in");
-        assert!(!cfg.policy.tenant_qos, "QoS must be opt-in");
+        assert_eq!(
+            crate::session::TenantSpec::unlimited(1).quota_frames,
+            0,
+            "QoS must be opt-in: a tenant declares a quota to get it"
+        );
         assert!(!cfg.policy.mirror, "mirroring must be opt-in");
     }
 

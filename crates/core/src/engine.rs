@@ -27,9 +27,7 @@ use aquila_mmu::{
     Access, FrameId, Gva, LeafKind, PhysMem, PteFlags, ShardedPageTable, TlbFabric, Vpn,
     HUGE_PAGE_PAGES, L_PT_SHARD, PAGE_SIZE,
 };
-use aquila_pcache::{
-    coalesce_runs, CacheConfig, DirtyPage, DramCache, PageKey, Victim, MAX_TENANTS,
-};
+use aquila_pcache::{coalesce_runs, CacheConfig, DirtyPage, DramCache, PageKey, Victim};
 use aquila_sim::{race, CoreDebts, CostCat, Cycles, Page, SimCtx, Step, ThreadFn};
 use aquila_vmx::{Gpa, PAGE_1G};
 
@@ -84,9 +82,9 @@ const MAX_PROMOTED_SHARE: usize = 50;
 /// filled eagerly from the device during collapse.
 pub(crate) const PROMOTE_THRESHOLD: usize = 64;
 
-/// Base admission-delay unit under [`MmioPolicy::tenant_qos`]: a noisy
-/// tenant's fault is delayed by this amount scaled by how deep the
-/// freelist sits below the low watermark.
+/// Base admission-delay unit for a tenant over its declared quota: its
+/// fault is delayed by this amount scaled by how deep the freelist sits
+/// below the low watermark.
 const QOS_DELAY: Cycles = Cycles::from_micros(2);
 
 /// A planned writeback segment: access path, first device page, and the
@@ -114,7 +112,7 @@ pub enum RegionState {
 
 /// Admission-control decision for one tenant request (DESIGN.md §15).
 ///
-/// Computed by [`Aquila::admit`] when [`MmioPolicy::tenant_qos`] is on.
+/// Computed by [`Aquila::admit`] on every fault that allocates a frame.
 /// The invariant the QoS layer guarantees: a tenant at or under its
 /// frame quota (or with no quota declared) is **always** admitted —
 /// throttling applies only to tenants holding more cache than they
@@ -192,7 +190,6 @@ impl Aquila {
         cfg.policy.evict_batch = cfg.policy.evict_batch.min((cfg.cache_frames / 8).max(16));
         let mut ccfg = CacheConfig::new(cfg.max_cache_frames, cfg.cores);
         ccfg.initial_frames = cfg.cache_frames;
-        ccfg.evict_batch = cfg.policy.evict_batch;
         ccfg.low_watermark = cfg.policy.low_watermark;
         ccfg.high_watermark = cfg.policy.high_watermark;
         // The slab sizes the promoted share: each run holds 512 frames
@@ -318,13 +315,13 @@ impl Aquila {
 
     /// Admission decision for a request from `tenant`.
     ///
-    /// Always [`Admission::Admit`] when QoS is off, when the tenant is
-    /// within (or has no) quota, or when the cache is healthy. An
-    /// over-quota tenant under congestion is delayed in proportion to
-    /// the watermark deficit, and shed outright once the deficit
-    /// exceeds half the low watermark or the region has degraded.
+    /// Always [`Admission::Admit`] when the tenant is within (or has
+    /// no) quota, or when the cache is healthy. An over-quota tenant
+    /// under congestion is delayed in proportion to the watermark
+    /// deficit, and shed outright once the deficit exceeds half the low
+    /// watermark or the region has degraded.
     pub fn admit(&self, tenant: u16) -> Admission {
-        if !self.cfg.policy.tenant_qos || !self.cache.tenant_over_quota(tenant) {
+        if !self.cache.tenant_over_quota(tenant) {
             return Admission::Admit;
         }
         let deficit = self.cache.watermark_deficit();
@@ -347,66 +344,33 @@ impl Aquila {
     /// Allocates a frame for a fault on `file`, applying tenant QoS
     /// first: admission control (delay/shed), then quota self-reclaim —
     /// an over-quota tenant evicts a small batch of *its own* frames
-    /// before it may consume the shared freelist.
+    /// before it may consume the shared freelist. Both are no-ops for a
+    /// tenant that declared no quota.
     fn alloc_frame_for(&self, ctx: &mut dyn SimCtx, file: u32) -> Result<FrameId, AquilaError> {
-        if self.cfg.policy.tenant_qos {
-            let tenant = self.cache.tenant_of_file(file);
-            match self.admit(tenant) {
-                Admission::Admit => {}
-                Admission::Delay(d) => {
-                    ctx.counters().qos_delayed += 1;
-                    ctx.charge(CostCat::Idle, d);
-                }
-                Admission::Shed => {
-                    ctx.counters().qos_shed += 1;
-                    return Err(AquilaError::QosShed);
-                }
+        let tenant = self.cache.tenant_of_file(file);
+        match self.admit(tenant) {
+            Admission::Admit => {}
+            Admission::Delay(d) => {
+                ctx.counters().qos_delayed += 1;
+                ctx.charge(CostCat::Idle, d);
             }
-            let overage = self.cache.tenant_overage(tenant);
-            if overage > 0 {
-                // Small batches keep the self-reclaim tax on the noisy
-                // tenant's own fault path instead of the shared evictor.
-                let batch = overage.min(8);
-                let victims = self.cache.evict_candidates_from(ctx, batch, tenant);
-                if !victims.is_empty() {
-                    ctx.counters().self_reclaim_pages += victims.len() as u64;
-                    self.retire_victims(ctx, &victims)?;
-                }
+            Admission::Shed => {
+                ctx.counters().qos_shed += 1;
+                return Err(AquilaError::QosShed);
+            }
+        }
+        let overage = self.cache.tenant_overage(tenant);
+        if overage > 0 {
+            // Small batches keep the self-reclaim tax on the noisy
+            // tenant's own fault path instead of the shared evictor.
+            let batch = overage.min(8);
+            let victims = self.cache.evict_candidates_from(ctx, batch, tenant);
+            if !victims.is_empty() {
+                ctx.counters().self_reclaim_pages += victims.len() as u64;
+                self.retire_victims(ctx, &victims)?;
             }
         }
         self.alloc_frame(ctx)
-    }
-
-    /// Tenant-fair victim selection: over-quota tenants contribute
-    /// victims in proportion to their overage divided by their weight
-    /// (heavier weight = more protected); the global CLOCK sweep tops up
-    /// whatever the scoped sweeps could not supply.
-    fn evict_candidates_fair(&self, ctx: &mut dyn SimCtx, batch: usize) -> Vec<Victim> {
-        let mut shares: Vec<(u16, usize)> = Vec::new();
-        let mut total = 0usize;
-        for t in 0..MAX_TENANTS as u16 {
-            let share = self.cache.tenant_overage(t) / self.cache.tenant_weight(t).max(1);
-            if share > 0 {
-                shares.push((t, share));
-                total += share;
-            }
-        }
-        let mut victims = Vec::with_capacity(batch);
-        if total > 0 {
-            for &(t, share) in &shares {
-                let want = (batch * share)
-                    .div_ceil(total)
-                    .min(batch.saturating_sub(victims.len()));
-                if want == 0 {
-                    break;
-                }
-                victims.extend(self.cache.evict_candidates_from(ctx, want, t));
-            }
-        }
-        if victims.len() < batch {
-            victims.extend(self.cache.evict_candidates_n(ctx, batch - victims.len()));
-        }
-        victims
     }
 
     /// Switches the calling thread into Aquila mode (the per-thread
@@ -924,7 +888,9 @@ impl Aquila {
         // clock even if the evictor itself is wedged and not ticking.
         self.track_watermark_stall(ctx);
         loop {
-            let victims = self.cache.evict_candidates(ctx);
+            let victims = self
+                .cache
+                .evict_candidates(ctx, self.cfg.policy.evict_batch);
             if victims.is_empty() {
                 // Everything evictable is gone but promoted runs may be
                 // pinning frames: splinter the lowest run and retry (the
@@ -1131,11 +1097,7 @@ impl Aquila {
         // The round's window starts before victim selection.
         let sp = aquila_sim::span::begin(ctx, "aquila.evictor.round", CostCat::Eviction);
         let batch = target.min(self.cfg.policy.evict_batch.max(1));
-        let victims = if self.cfg.policy.tenant_qos {
-            self.evict_candidates_fair(ctx, batch)
-        } else {
-            self.cache.evict_candidates_n(ctx, batch)
-        };
+        let victims = self.cache.evict_candidates(ctx, batch);
         if victims.is_empty() {
             aquila_sim::span::end(ctx, sp);
             return Ok(0);

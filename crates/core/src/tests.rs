@@ -1137,7 +1137,6 @@ fn admission_never_drops_a_tenant_under_its_quota() {
     let mut ctx = FreeCtx::new(7);
     let debts = Arc::new(CoreDebts::new(1));
     let policy = MmioPolicy {
-        tenant_qos: true,
         low_watermark: 24,
         high_watermark: 32,
         ..MmioPolicy::default()
@@ -1223,33 +1222,98 @@ fn admission_never_drops_a_tenant_under_its_quota() {
 }
 
 #[test]
-fn qos_off_never_delays_or_sheds() {
+fn a_tenant_without_quota_is_never_delayed_shed_or_self_reclaimed() {
+    use crate::config::MmioPolicy;
     use crate::engine::Admission;
     use crate::session::{Tenant, TenantSpec};
-    let (mut ctx, rt) = runtime(DeviceKind::PmemDax, 32);
-    let noisy = Tenant::register(
-        Arc::clone(&rt.aquila),
-        TenantSpec {
-            id: 3,
-            quota_frames: 2,
-            weight: 1,
-            slo_p99: Cycles::MAX,
-        },
+    let mut ctx = FreeCtx::new(7);
+    let debts = Arc::new(CoreDebts::new(1));
+    let policy = MmioPolicy {
+        low_watermark: 24,
+        high_watermark: 32,
+        ..MmioPolicy::default()
+    };
+    let rt = AquilaRuntime::build_with_policy(
+        &mut ctx,
+        DeviceKind::PmemDax,
+        65536,
+        64,
+        1,
+        debts,
+        policy,
     );
-    let f = noisy.open(&rt, "/t/off", 256).unwrap();
-    let s = noisy.session();
+    rt.aquila.thread_enter(&mut ctx);
+    let tenant = Tenant::register(Arc::clone(&rt.aquila), TenantSpec::unlimited(3));
+    let f = tenant.open(&rt, "/t/unlimited", 256).unwrap();
+    let s = tenant.session();
     let a = s.mmap(&mut ctx, f, 0, 256, Prot::RW).unwrap();
     s.madvise(&mut ctx, a, 256, Advice::Random).unwrap();
+
+    // A flood four times the cache keeps the freelist below the
+    // watermark: every fault past the first 40 runs under a deficit.
     let mut b = [0u8; 1];
-    for p in 0..200u64 {
-        s.read(&mut ctx, a.add((p % 256) * 4096), &mut b).unwrap();
+    let mut under_pressure = 0;
+    for p in 0..256u64 {
+        under_pressure += (rt.aquila.cache().watermark_deficit() > 0) as u64;
+        s.read(&mut ctx, a.add(p * 4096), &mut b).unwrap();
     }
-    assert!(rt.aquila.cache().tenant_over_quota(3));
     assert!(
-        matches!(rt.aquila.admit(3), Admission::Admit),
-        "QoS off: over-quota is meaningless"
+        under_pressure > 200,
+        "only {under_pressure} faults under pressure"
     );
-    assert_eq!(noisy.shed_requests(), 0);
+    assert!(rt.aquila.cache().tenant_resident(3) > 8);
+    assert!(matches!(rt.aquila.admit(3), Admission::Admit));
+    assert_eq!(ctx.stats.qos_delayed, 0);
+    assert_eq!(ctx.stats.qos_shed, 0);
+    assert_eq!(ctx.stats.self_reclaim_pages, 0);
+    assert_eq!(tenant.shed_requests(), 0);
+
+    // The pressure is real: the same tenant with a declared quota would
+    // be throttled now.
+    rt.aquila.cache().set_tenant_quota(3, 8);
+    assert!(!matches!(rt.aquila.admit(3), Admission::Admit));
+}
+
+#[test]
+fn direct_reclaim_takes_victims_from_the_over_quota_tenant_first() {
+    use crate::session::{Tenant, TenantSpec};
+    // Sync policy, no watermarks, no evictor: a fault that finds the
+    // freelist empty reclaims one batch inline.
+    let (mut ctx, rt) = runtime(DeviceKind::PmemDax, 64);
+    let protected = Tenant::register(Arc::clone(&rt.aquila), TenantSpec::unlimited(1));
+    let noisy = Tenant::register(Arc::clone(&rt.aquila), TenantSpec::unlimited(2));
+    let pf = protected.open(&rt, "/t/protected", 64).unwrap();
+    let nf = noisy.open(&rt, "/t/noisy", 64).unwrap();
+    let ps = protected.session();
+    let ns = noisy.session();
+    let pa = ps.mmap(&mut ctx, pf, 0, 64, Prot::RW).unwrap();
+    let na = ns.mmap(&mut ctx, nf, 0, 64, Prot::RW).unwrap();
+    ps.madvise(&mut ctx, pa, 64, Advice::Random).unwrap();
+    ns.madvise(&mut ctx, na, 64, Advice::Random).unwrap();
+
+    // Each tenant fills half of the 64-frame cache.
+    let mut b = [0u8; 1];
+    for p in 0..32u64 {
+        ps.read(&mut ctx, pa.add(p * 4096), &mut b).unwrap();
+    }
+    for p in 0..32u64 {
+        ns.read(&mut ctx, na.add(p * 4096), &mut b).unwrap();
+    }
+    assert_eq!(rt.aquila.cache().free_frames(), 0);
+    // The noisy tenant now holds 24 frames more than its quota.
+    rt.aquila.cache().set_tenant_quota(2, 8);
+
+    // The protected tenant's next fault reclaims one 16-page batch, and
+    // every victim comes out of the noisy tenant's overage.
+    ps.read(&mut ctx, pa.add(32 * 4096), &mut b).unwrap();
+    assert_eq!(ctx.stats.direct_evict_rounds, 1);
+    assert_eq!(ctx.stats.direct_evict_pages, 16);
+    assert_eq!(noisy.resident_frames(), 16);
+    assert_eq!(
+        protected.resident_frames(),
+        33,
+        "direct reclaim took frames from the tenant within its quota"
+    );
 }
 
 #[test]

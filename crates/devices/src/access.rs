@@ -372,7 +372,7 @@ impl NvmeAccess {
                         if let Some(t) = qp.earliest_finish() {
                             ctx.wait_until(t, self.wait_cat());
                         }
-                        qp.poll(ctx.now());
+                        qp.poll(ctx);
                     }
                     Err(e) => return Err(e),
                 }

@@ -21,6 +21,7 @@ use aquila_sim::fault::{
 use aquila_sim::{Cycles, Page, ServiceCenter, SimCtx};
 
 use crate::error::DeviceError;
+use crate::retry;
 use crate::store::{PageStore, STORE_PAGE};
 
 /// Sectors per 4 KiB device page.
@@ -419,13 +420,14 @@ impl core::fmt::Debug for NvmeDevice {
 /// A depth-bounded NVMe submission/completion queue pair.
 ///
 /// Commands execute at submission but *complete* at their reserved
-/// device time; the pair keeps the finish time of each command in
-/// flight, and `poll` harvests those finished by the caller's current
-/// virtual time, mirroring SPDK's `spdk_nvme_qpair_process_completions`.
+/// device time; `poll` harvests those finished by the caller's current
+/// virtual time, mirroring SPDK's `spdk_nvme_qpair_process_completions`,
+/// and checks each one against the deadline as a blocking command is.
 pub struct QueuePair<'d> {
     dev: &'d NvmeDevice,
     depth: usize,
-    inflight: Mutex<Vec<Cycles>>,
+    /// `(submitted, finish)` of each command in flight.
+    inflight: Mutex<Vec<(Cycles, Cycles)>>,
 }
 
 impl QueuePair<'_> {
@@ -441,13 +443,20 @@ impl QueuePair<'_> {
             DeviceError::QueueFull { .. } => full,
             e => e,
         })?;
-        self.inflight.lock().push(finish);
+        self.inflight.lock().push((now, finish));
         Ok(())
     }
 
-    /// Harvests the commands finished by `now`.
-    pub fn poll(&self, now: Cycles) {
-        self.inflight.lock().retain(|&finish| finish > now);
+    /// Harvests the commands finished by the caller's current time.
+    pub fn poll(&self, ctx: &mut dyn SimCtx) {
+        let now = ctx.now();
+        self.inflight.lock().retain(|&(submitted, finish)| {
+            if finish > now {
+                return true;
+            }
+            retry::observe_latency(ctx, finish - submitted);
+            false
+        });
     }
 
     /// Virtual time the earliest in-flight command finishes, if any.
@@ -456,13 +465,17 @@ impl QueuePair<'_> {
     /// polling again, so it harvests completions as they land instead of
     /// stalling for the whole batch the way [`Self::drain`] does.
     pub fn earliest_finish(&self) -> Option<Cycles> {
-        self.inflight.lock().iter().copied().min()
+        self.inflight.lock().iter().map(|&(_, finish)| finish).min()
     }
 
     /// Spins (advancing the caller's clock) until all in-flight commands
     /// complete; charges the wait to `cat`.
     pub fn drain(&self, ctx: &mut dyn SimCtx, cat: aquila_sim::CostCat) {
-        let latest = self.inflight.lock().drain(..).max();
+        let mut latest = None;
+        for (submitted, finish) in self.inflight.lock().drain(..) {
+            retry::observe_latency(ctx, finish - submitted);
+            latest = latest.max(Some(finish));
+        }
         if let Some(t) = latest {
             ctx.wait_until(t, cat);
         }
@@ -518,9 +531,12 @@ mod tests {
         let mut out = [Page::zero()];
         qp.submit(Cycles(0), 0, read_one(&mut out)).unwrap();
         // Nothing completes before the 10 us latency.
-        qp.poll(Cycles(1000));
+        let mut ctx = FreeCtx::new(1);
+        ctx.wait_until(Cycles(1000), CostCat::DeviceIo);
+        qp.poll(&mut ctx);
         assert!(qp.earliest_finish().is_some());
-        qp.poll(Cycles::from_micros(12));
+        ctx.wait_until(Cycles::from_micros(12), CostCat::DeviceIo);
+        qp.poll(&mut ctx);
         assert_eq!(qp.earliest_finish(), None);
         let finish = read_into(&dev, Cycles(0), 1, &mut [0u8; STORE_PAGE]).unwrap();
         assert!(finish >= Cycles::from_micros(10));
@@ -602,7 +618,9 @@ mod tests {
         );
         // Harvesting frees a slot.
         assert!(qp.earliest_finish().is_some());
-        qp.poll(Cycles::from_micros(20));
+        let mut ctx = FreeCtx::new(1);
+        ctx.wait_until(Cycles::from_micros(20), CostCat::DeviceIo);
+        qp.poll(&mut ctx);
         qp.submit(Cycles(0), 2, read_one(&mut out)).unwrap();
     }
 

@@ -415,4 +415,23 @@ mod tests {
         assert!(ctx.now() - t0 > COMMAND_TIMEOUT);
         assert_eq!(ctx.stats.deadline_misses, 2);
     }
+
+    #[test]
+    fn queued_commands_meet_the_same_deadline() {
+        let path = NvmeAccess::new(Arc::new(NvmeDevice::optane(8192)), Entry::Direct);
+        let batch = |ctx: &mut FreeCtx, pages: usize| {
+            let data = vec![Page::zero(); pages];
+            let segs: Vec<(u64, &[Page])> =
+                (0..4u64).map(|i| (i * pages as u64, &data[..])).collect();
+            path.write_batch(ctx, &segs, 4).unwrap();
+        };
+        // Four 1-page writes at depth 4 each land in ~11 us.
+        let mut ctx = FreeCtx::new(1);
+        batch(&mut ctx, 1);
+        assert_eq!(ctx.stats.deadline_misses, 0);
+        // A 2048-page write takes ~1.75 ms (4.2M cycles) from submission
+        // to completion: each queued command misses the deadline once.
+        batch(&mut ctx, 2048);
+        assert_eq!(ctx.stats.deadline_misses, 4);
+    }
 }

@@ -117,6 +117,9 @@ impl LinuxConfig {
 struct Pte {
     frame: u32,
     writable: bool,
+    /// The file page mapped (`struct page`'s mapping and index): the
+    /// rmap list this virtual page is on.
+    key: Key,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -269,8 +272,8 @@ impl LinuxMmap {
             let mut rmap = self.rmap.lock();
             for i in 0..pages {
                 let vpn = start_vpn + i;
-                if pt.remove(&vpn).is_some() {
-                    for list in rmap.values_mut() {
+                if let Some(pte) = pt.remove(&vpn) {
+                    if let Some(list) = rmap.get_mut(&pte.key) {
                         list.retain(|&p| p != vpn);
                     }
                     flushed += 1;
@@ -285,17 +288,20 @@ impl LinuxMmap {
         }
         if flushed > 0 {
             // One flush for the whole unmap (Linux batches range unmaps).
-            self.shootdown(ctx, 1);
+            self.shootdown(ctx, flushed);
         }
     }
 
-    fn shootdown(&self, ctx: &mut dyn SimCtx, rounds: u64) {
+    /// One TLB shootdown round that invalidates `pages` translations.
+    /// The charge is per round; the count of invalidated pages is kept
+    /// in `tlb_invalidations`, as the Aquila side counts it.
+    fn shootdown(&self, ctx: &mut dyn SimCtx, pages: u64) {
         let others = self.cfg.cores.saturating_sub(1) as u64;
-        let c = (SHOOTDOWN_BASE + SHOOTDOWN_PER_CORE * others) * rounds;
-        ctx.charge(CostCat::Tlb, c);
-        ctx.counters().tlb_shootdowns += rounds;
-        self.debts
-            .broadcast_except(ctx.core(), SHOOTDOWN_REMOTE * rounds);
+        ctx.charge(CostCat::Tlb, SHOOTDOWN_BASE + SHOOTDOWN_PER_CORE * others);
+        let c = ctx.counters();
+        c.tlb_shootdowns += 1;
+        c.tlb_invalidations += pages;
+        self.debts.broadcast_except(ctx.core(), SHOOTDOWN_REMOTE);
     }
 
     /// Reads through the mapping, faulting as needed.
@@ -459,7 +465,7 @@ impl LinuxMmap {
             let k: Key = (vma.file, file_page + i as u64);
             let (frame, victim, was_present) = self.cache.insert(ctx, k);
             if let Some(v) = victim {
-                self.evict_victim(ctx, v)?;
+                self.finish_victims(ctx, &[v])?;
             }
             // Never clobber an already-cached page: it may hold dirty data
             // newer than the device copy.
@@ -486,6 +492,7 @@ impl LinuxMmap {
             Pte {
                 frame,
                 writable: write,
+                key,
             },
         );
         race::write(ctx, VAR_PT);
@@ -499,15 +506,11 @@ impl LinuxMmap {
         }
     }
 
-    fn evict_victim(&self, ctx: &mut dyn SimCtx, v: KVictim) -> Result<(), LinuxError> {
-        self.finish_victims(ctx, std::slice::from_ref(&v))
-    }
-
     /// Unmaps reclaimed pages (one shootdown round per batch, as the
     /// kernel's TLB-flush batching does) and writes dirty ones back
     /// page-at-a-time.
     fn finish_victims(&self, ctx: &mut dyn SimCtx, victims: &[KVictim]) -> Result<(), LinuxError> {
-        let mut any_unmapped = false;
+        let mut unmapped = 0;
         {
             race::acquire(ctx, LOCK_PT);
             race::acquire(ctx, LOCK_RMAP);
@@ -516,7 +519,7 @@ impl LinuxMmap {
             for v in victims {
                 for vpn in rmap.remove(&v.key).unwrap_or_default() {
                     pt.remove(&vpn);
-                    any_unmapped = true;
+                    unmapped += 1;
                 }
             }
             race::write(ctx, VAR_PT);
@@ -526,8 +529,8 @@ impl LinuxMmap {
             race::release(ctx, LOCK_RMAP);
             race::release(ctx, LOCK_PT);
         }
-        if any_unmapped {
-            self.shootdown(ctx, 1);
+        if unmapped > 0 {
+            self.shootdown(ctx, unmapped);
         }
         for v in victims {
             if v.dirty {
@@ -585,15 +588,17 @@ impl LinuxMmap {
         // Downgrade written-back mappings so future writes re-fault.
         race::acquire(ctx, LOCK_PT);
         let mut pt = self.pt.lock();
+        let mut downgraded = 0;
         for i in 0..pages {
             if let Some(pte) = pt.get_mut(&(start_vpn + i)) {
+                downgraded += pte.writable as u64;
                 pte.writable = false;
             }
         }
         drop(pt);
         race::write(ctx, VAR_PT);
         race::release(ctx, LOCK_PT);
-        self.shootdown(ctx, 1);
+        self.shootdown(ctx, downgraded);
         Ok(())
     }
 
@@ -771,6 +776,29 @@ mod tests {
             lm.read(&mut ctx, (vpn + p) << 12, &mut b).unwrap();
             assert_eq!(b[0], p as u8, "page {p}");
         }
+    }
+
+    #[test]
+    fn reclaim_counts_one_invalidation_per_unmapped_page() {
+        let (mut ctx, lm) = engine(64);
+        let f = lm.open_file(128).unwrap();
+        let vpn = lm.mmap(&mut ctx, f, 0, 128, false).unwrap();
+        let mut b = [0u8; 1];
+        // Two readahead windows fill the cache; every page is mapped.
+        for p in 0..64u64 {
+            lm.read(&mut ctx, (vpn + p) << 12, &mut b).unwrap();
+        }
+        assert_eq!(ctx.stats.evictions, 0);
+        assert_eq!(ctx.stats.tlb_invalidations, 0);
+        // The next window reclaims a batch of mapped pages in one round.
+        lm.read(&mut ctx, (vpn + 64) << 12, &mut b).unwrap();
+        assert_eq!(ctx.stats.evictions, 32);
+        assert_eq!(ctx.stats.tlb_shootdowns, 1);
+        assert_eq!(ctx.stats.tlb_invalidations, 32);
+        // munmap invalidates the 33 pages still mapped, in one round.
+        lm.munmap(&mut ctx, vpn, 128);
+        assert_eq!(ctx.stats.tlb_shootdowns, 2);
+        assert_eq!(ctx.stats.tlb_invalidations, 65);
     }
 
     #[test]

@@ -283,16 +283,14 @@ impl KernelPageCache {
         self.take_tree_lock(ctx, file, TREE_HOLD * 4);
         race::acquire(ctx, LOCK_INNER);
         let inner = self.inner.lock();
-        let mut v: Vec<(Key, u32)> = inner
+        let v: Vec<(Key, u32)> = inner
             .dirty
-            .keys()
-            .filter(|&&(f, p)| f == file && (start..end).contains(&p))
-            .map(|&k| (k, inner.tree[&k]))
+            .range((file, start)..(file, end))
+            .map(|(&k, ())| (k, inner.tree[&k]))
             .collect();
         drop(inner);
         race::read(ctx, VAR_INNER);
         race::release(ctx, LOCK_INNER);
-        v.sort();
         v
     }
 

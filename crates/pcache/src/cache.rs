@@ -35,8 +35,6 @@ pub struct CacheConfig {
     /// Frames initially available (dynamic resizing can grow to
     /// `max_frames`).
     pub initial_frames: usize,
-    /// Pages evicted per synchronous eviction round (paper: 512).
-    pub evict_batch: usize,
     /// Free-frame count below which the asynchronous write-behind
     /// pipeline starts evicting (0 disables watermark-driven eviction;
     /// faulting vcores then evict synchronously as before).
@@ -82,7 +80,6 @@ impl CacheConfig {
         CacheConfig {
             max_frames: frames,
             initial_frames: frames,
-            evict_batch: 512,
             low_watermark: 0,
             high_watermark: 0,
             topology,
@@ -339,11 +336,6 @@ impl DramCache {
     /// The NUMA shape the freelist was built for.
     pub fn topology(&self) -> NumaTopology {
         self.cfg.topology
-    }
-
-    /// Configured eviction batch size.
-    pub fn evict_batch(&self) -> usize {
-        self.cfg.evict_batch
     }
 
     /// Cached (resident) page count.
@@ -607,7 +599,13 @@ impl DramCache {
         dirty
     }
 
-    /// Selects and detaches an eviction batch.
+    /// Selects and detaches an eviction batch of up to `batch` pages.
+    ///
+    /// Selection is tenant-fair (DESIGN.md §15): each tenant over its
+    /// declared quota contributes victims in proportion to its overage
+    /// divided by its weight (a heavier weight is more protected), and
+    /// the global CLOCK sweep tops up whatever the scoped sweeps could
+    /// not supply. With no quota declared this is one global CLOCK batch.
     ///
     /// Victims are removed from the index and the dirty trees atomically
     /// with respect to lookups (a concurrent fault on a victim page simply
@@ -615,22 +613,32 @@ impl DramCache {
     /// batched TLB shootdown, write back the dirty victims (see
     /// [`crate::dirty::coalesce_runs`]), and then return the frames with
     /// [`DramCache::release_frame`].
-    pub fn evict_candidates(&self, ctx: &mut dyn SimCtx) -> Vec<Victim> {
-        self.evict_candidates_n(ctx, self.cfg.evict_batch)
+    pub fn evict_candidates(&self, ctx: &mut dyn SimCtx, batch: usize) -> Vec<Victim> {
+        let shares: Vec<(u16, usize)> = (0..MAX_TENANTS as u16)
+            .map(|t| (t, self.tenant_overage(t) / self.tenant_weight(t)))
+            .filter(|&(_, share)| share > 0)
+            .collect();
+        let total: usize = shares.iter().map(|&(_, share)| share).sum();
+        let mut victims = Vec::new();
+        for &(t, share) in &shares {
+            let want = (batch * share).div_ceil(total).min(batch - victims.len());
+            if want == 0 {
+                break;
+            }
+            victims.extend(self.evict_candidates_from(ctx, want, t));
+        }
+        if victims.len() < batch {
+            let frames = self.clock.collect_victims(batch - victims.len());
+            victims.extend(self.detach_frames(ctx, frames));
+        }
+        victims
     }
 
-    /// [`DramCache::evict_candidates`] with an explicit batch size (the
-    /// asynchronous evictor sizes batches by the watermark deficit rather
-    /// than the synchronous `evict_batch`).
-    pub fn evict_candidates_n(&self, ctx: &mut dyn SimCtx, batch: usize) -> Vec<Victim> {
-        let frames = self.clock.collect_victims(batch);
-        self.detach_frames(ctx, frames)
-    }
-
-    /// [`DramCache::evict_candidates_n`] restricted to one tenant's
-    /// frames: the CLOCK sweep only considers frames whose owner key
-    /// belongs to a file bound to `tenant`, leaving every other tenant's
-    /// reference bits untouched (the fairness round of DESIGN.md §15).
+    /// The CLOCK sweep restricted to one tenant's frames: it only
+    /// considers frames whose owner key belongs to a file bound to
+    /// `tenant`, leaving every other tenant's reference bits untouched.
+    /// [`DramCache::evict_candidates`] runs it per over-quota tenant, and
+    /// the engine's quota self-reclaim runs it on the faulting tenant.
     pub fn evict_candidates_from(
         &self,
         ctx: &mut dyn SimCtx,
@@ -917,10 +925,11 @@ mod tests {
     use super::*;
     use aquila_sim::FreeCtx;
 
+    /// The batch size the tests evict in.
+    const BATCH: usize = 4;
+
     fn small_cache(frames: usize) -> DramCache {
-        let mut cfg = CacheConfig::new(frames, 2);
-        cfg.evict_batch = 4;
-        DramCache::new(cfg)
+        DramCache::new(CacheConfig::new(frames, 2))
     }
 
     #[test]
@@ -966,7 +975,7 @@ mod tests {
                 .unwrap();
         }
         assert!(cache.try_alloc(&mut ctx).is_none(), "cache is full");
-        let victims = cache.evict_candidates(&mut ctx);
+        let victims = cache.evict_candidates(&mut ctx, BATCH);
         assert_eq!(victims.len(), 4, "configured batch size");
         for v in &victims {
             assert!(!v.dirty);
@@ -991,7 +1000,7 @@ mod tests {
             }
         }
         assert_eq!(cache.dirty_count(), 2);
-        let victims = cache.evict_candidates(&mut ctx);
+        let victims = cache.evict_candidates(&mut ctx, BATCH);
         let dirty_victims = victims.iter().filter(|v| v.dirty).count();
         assert_eq!(dirty_victims, 2);
         assert_eq!(cache.dirty_count(), 0, "eviction drained dirty state");
@@ -1089,7 +1098,6 @@ mod tests {
 
     fn slab_cache(frames: usize, runs: usize) -> DramCache {
         let mut cfg = CacheConfig::new(frames, 2);
-        cfg.evict_batch = 4;
         cfg.slab_runs = runs;
         DramCache::new(cfg)
     }
@@ -1187,10 +1195,10 @@ mod tests {
             cache.release_frame(&mut ctx, f);
         }
         // Two sweeps can never pick the pinned slab frames.
-        assert!(cache.evict_candidates(&mut ctx).is_empty());
-        assert!(cache.evict_candidates(&mut ctx).is_empty());
+        assert!(cache.evict_candidates(&mut ctx, BATCH).is_empty());
+        assert!(cache.evict_candidates(&mut ctx, BATCH).is_empty());
         cache.unpin_slab_run(run);
-        let victims = cache.evict_candidates(&mut ctx);
+        let victims = cache.evict_candidates(&mut ctx, BATCH);
         assert_eq!(victims.len(), 4, "unpinned slab pages become victims");
         assert_eq!(cache.free_slab_runs(), 0, "run still occupied");
         for v in victims {
@@ -1246,7 +1254,7 @@ mod tests {
         assert_eq!(cache.tenant_overage(1), 1);
         assert!(!cache.tenant_over_quota(2), "no quota means never over");
         // Eviction debits the owning tenant.
-        let victims = cache.evict_candidates(&mut ctx);
+        let victims = cache.evict_candidates(&mut ctx, BATCH);
         assert_eq!(victims.len(), 4);
         for v in &victims {
             cache.release_frame(&mut ctx, v.frame);
@@ -1280,6 +1288,34 @@ mod tests {
         }
     }
 
+    #[test]
+    fn eviction_batch_is_apportioned_by_weighted_overage() {
+        let cache = small_cache(16);
+        let mut ctx = FreeCtx::new(1);
+        cache.bind_file_tenant(1, 1);
+        cache.bind_file_tenant(2, 2);
+        for p in 0..8u64 {
+            for file in [1, 2] {
+                let f = cache.try_alloc(&mut ctx).unwrap();
+                cache
+                    .commit_insert(&mut ctx, PageKey::new(file, p), f)
+                    .unwrap();
+            }
+        }
+        // Tenant 1 is 6 frames over at weight 1; tenant 2 is 4 over at
+        // weight 2, a share of 2. A batch of 4 splits 3:1.
+        cache.set_tenant_quota(1, 2);
+        cache.set_tenant_quota(2, 4);
+        cache.set_tenant_weight(2, 2);
+        let victims = cache.evict_candidates(&mut ctx, BATCH);
+        let from = |file| victims.iter().filter(|v| v.key.file == file).count();
+        assert_eq!((from(1), from(2)), (3, 1));
+        // Once nobody is over quota, the global CLOCK fills the batch.
+        cache.set_tenant_quota(1, 0);
+        cache.set_tenant_quota(2, 0);
+        assert_eq!(cache.evict_candidates(&mut ctx, BATCH).len(), BATCH);
+    }
+
     /// Shard rebalance composes with tenant quotas (DESIGN.md §15+§17):
     /// a quota-pressured tenant's frames are reclaimed onto the evicting
     /// vcore's freelist shard, and another tenant allocating from a
@@ -1288,9 +1324,7 @@ mod tests {
     /// residency accounting stays exact throughout.
     #[test]
     fn steal_under_quota_pressure_composes_with_tenant_accounting() {
-        let mut cfg = CacheConfig::new(16, 2);
-        cfg.evict_batch = 4;
-        let cache = DramCache::new(cfg);
+        let cache = DramCache::new(CacheConfig::new(16, 2));
         cache.bind_file_tenant(1, 1);
         cache.bind_file_tenant(2, 2);
         // Tenant 1 fills the whole cache from vcore 0...
@@ -1347,7 +1381,6 @@ mod tests {
     fn steal_races_eviction_without_losing_frames() {
         use std::sync::Arc;
         let mut cfg = CacheConfig::new(32, 2);
-        cfg.evict_batch = 4;
         cfg.freelist.steal_batch = 4;
         let cache = Arc::new(DramCache::new(cfg));
         let mut ctx = FreeCtx::new(1);
@@ -1363,7 +1396,7 @@ mod tests {
                 let mut ctx = FreeCtx::new(2).with_core(0, 2);
                 let mut freed = 0;
                 while freed < 24 {
-                    for v in cache.evict_candidates(&mut ctx) {
+                    for v in cache.evict_candidates(&mut ctx, BATCH) {
                         cache.release_frame(&mut ctx, v.frame);
                         freed += 1;
                     }

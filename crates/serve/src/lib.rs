@@ -73,9 +73,10 @@ pub struct ServeConfig {
     pub worker_cores: usize,
     /// Shared page-cache size in frames.
     pub cache_frames: usize,
-    /// Enables tenant QoS: admission control on the fault path, quota
-    /// self-reclaim, and weighted-fair eviction. Off reproduces the
-    /// pre-PR-8 free-for-all.
+    /// Enables tenant QoS: each tenant's declared quota is installed in
+    /// the engine, which then applies admission control on the fault
+    /// path, quota self-reclaim and weighted-fair eviction. Off
+    /// registers every tenant with no quota: a free-for-all.
     pub qos: bool,
     /// Replicates the NVMe backend 2-for-1 with per-sector checksums
     /// and read-repair (DESIGN.md §16). Required for integrity runs
@@ -151,7 +152,6 @@ fn serve_policy(cfg: &ServeConfig) -> MmioPolicy {
         evictor_cores: vec![cfg.worker_cores],
         write_policy: WritePolicy::Async,
         queue_depth: 4,
-        tenant_qos: cfg.qos,
         mirror: cfg.mirror,
         ..MmioPolicy::default()
     }
@@ -194,7 +194,11 @@ pub fn run(cfg: &ServeConfig) -> ServeReport {
     let mut core_rr = 0usize;
     for (ti, prof) in cfg.tenants.iter().enumerate() {
         assert!(prof.sessions > 0, "tenant {ti} has no sessions");
-        let tenant = Tenant::register(Arc::clone(&rt.aquila), prof.spec.clone());
+        let spec = TenantSpec {
+            quota_frames: if cfg.qos { prof.spec.quota_frames } else { 0 },
+            ..prof.spec.clone()
+        };
+        let tenant = Tenant::register(Arc::clone(&rt.aquila), spec);
         let file = tenant
             .open(&rt, &format!("/serve/t{ti}"), prof.footprint_pages)
             .expect("open tenant file");

@@ -61,10 +61,7 @@ scripts/lint-fixtures.sh
 step "results freshness (committed results/*.txt match what the binaries print)"
 # Every committed results file must be what the current binary prints,
 # so a change that moves a figure has to regenerate it in the same
-# commit. fig10.txt (`fig10`) and fig10_huge.txt (`fig10 fit --huge`)
-# are left out: each takes about 2 min 40 s of host time, against about
-# 40 s for the ten files below together. Re-run those two by hand when a
-# change can move Figure 10.
+# commit.
 cargo build --release -q -p aquila-bench --bins
 fresh() {
     local file="$1" bin="$2"
@@ -81,6 +78,8 @@ fresh fig6b.txt fig6 large
 fresh sweep_latency.txt sweep latency
 fresh serve_qos.txt serve qos diurnal
 fresh serve_integrity.txt serve integrity --race
+fresh fig10.txt fig10
+fresh fig10_huge.txt fig10 fit --huge
 
 step "fig8 smoke run with --json/--trace"
 cargo run --release -q -p aquila-bench --bin fig8 -- c \
