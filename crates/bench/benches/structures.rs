@@ -16,6 +16,7 @@ use aquila_mmu::{Access, Gva, PageTable, PteFlags, Vpn};
 use aquila_pcache::{ClockLru, Freelist, FreelistConfig, LockFreeMap, NumaTopology, PageKey};
 use aquila_sim::{FreeCtx, Page};
 use aquila_vmx::Gpa;
+use aquila_ycsb::workload::{value_of, KeyGen, VALUE_SIZE};
 
 /// Times `iters` calls of `f` (after a 10% warmup) and prints ns/op.
 fn bench<R>(group: &str, name: &str, iters: u64, mut f: impl FnMut() -> R) {
@@ -346,6 +347,41 @@ fn bench_tlb() {
     bench("tlb", "shootdown_batch_512_32cores", 20_000, || {
         fabric.shootdown_batch(&mut ctx, &debts, &pages)
     });
+    // The remap shape: core 0 holds the batch's 1024 pages (refilled
+    // before each round, as the faults after a remap refill them) and
+    // the other 31 cores hold 64 pages each in 2 MiB regions of their own.
+    let batch: Vec<Vpn> = (0..1024).map(Vpn).collect();
+    for core in 1..32u64 {
+        fabric.with_local(core as usize, |t| {
+            for v in (core * 1024..core * 1024 + 64).map(Vpn) {
+                t.insert(v, Gpa(v.0 << 12), PteFlags::RW);
+            }
+        });
+    }
+    bench(
+        "tlb",
+        "shootdown_batch_1024_32cores_disjoint",
+        5_000,
+        || {
+            fabric.with_local(0, |t| {
+                for &v in &batch {
+                    t.insert(v, Gpa(v.0 << 12), PteFlags::RW);
+                }
+            });
+            fabric.shootdown_batch(&mut ctx, &debts, &batch)
+        },
+    );
+}
+
+fn bench_ycsb() {
+    // One record as a benchmark client rebuilds it to check a read.
+    let mut n = 0u64;
+    bench("ycsb", "record_1k", 1_000_000, || {
+        n += 1;
+        let key = KeyGen::key_of(n);
+        let value = value_of(&key, VALUE_SIZE);
+        (key, value)
+    });
 }
 
 fn main() {
@@ -363,4 +399,5 @@ fn main() {
     bench_fill("mirror", aquila::DeviceKind::NvmeSpdk, true);
     bench_cow();
     bench_tlb();
+    bench_ycsb();
 }

@@ -2,8 +2,8 @@
 //!
 //! Encoding: a little-endian `u16` entry count at offset 0, then packed
 //! entries `u16 klen | u16 vlen | key | value`. Entries are sorted by key;
-//! readers binary-search via a rebuilt offset table. A 32-bit checksum
-//! (FNV-based stand-in for RocksDB's CRC32c) guards the payload; the cost
+//! readers binary-search via a rebuilt offset table. A CRC-32C of the
+//! rest of the page, as in RocksDB, sits in its last 4 bytes; the cost
 //! model charges checksum verification per block read.
 
 /// Block payload size (one page).
@@ -87,14 +87,9 @@ impl BlockBuilder {
     }
 }
 
-/// FNV-1a 32-bit checksum (stands in for CRC32c).
+/// The block checksum: CRC-32C (Castagnoli), as RocksDB uses.
 pub fn checksum(data: &[u8]) -> u32 {
-    let mut h: u32 = 0x811C9DC5;
-    for &b in data {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x01000193);
-    }
-    h
+    aquila_sync::crc32c(data)
 }
 
 /// Errors from block decoding.

@@ -24,6 +24,9 @@ const TLB_SETS: usize = 384;
 const HUGE_TLB_SETS: usize = 8;
 /// Associativity of both arrays.
 const WAYS: usize = 4;
+/// Buckets of the 4 KiB array's occupancy summary: a valid entry for
+/// `vpn` counts in bucket `(vpn >> 9) % REGIONS`, its 2 MiB region.
+const REGIONS: usize = 256;
 
 // Race-detector identities: per-core TLB locks (instanced by core; the
 // shootdown sweep takes them one at a time in ascending core order, never
@@ -103,12 +106,16 @@ impl Set {
             })
     }
 
+    /// Fills the victim way with `vpn`; returns the page of the valid
+    /// entry it evicted, if any.
     #[inline]
-    fn fill(&mut self, vpn: Vpn, gpa: Gpa, flags: PteFlags) {
+    fn fill(&mut self, vpn: Vpn, gpa: Gpa, flags: PteFlags) -> Option<Vpn> {
         let way = self.victim();
-        self.keys[way] = Self::tag(vpn) | (self.keys[way] & RANK);
+        let old = self.keys[way];
+        self.keys[way] = Self::tag(vpn) | (old & RANK);
         self.vals[way] = pack(gpa, flags);
         self.touch(way);
+        (old & VALID != 0).then_some(Vpn(old >> KEY_SHIFT))
     }
 
     /// Invalidates every way holding `vpn`; returns how many did.
@@ -163,6 +170,10 @@ pub struct Tlb {
     /// 2 MiB sub-TLB; entries are keyed by the huge VPN (vpn >> 9) and
     /// hold the 2 MiB-aligned base GPA.
     huge_sets: Box<[Set]>,
+    /// Valid entries of `sets` per 2 MiB region bucket ([`REGIONS`]),
+    /// exact: a page whose bucket is empty has no entry to probe for.
+    /// Functional state only; no charge depends on it.
+    regions: [u32; REGIONS],
     hits: u64,
     huge_hits: u64,
     misses: u64,
@@ -176,6 +187,7 @@ impl Tlb {
         Tlb {
             sets: vec![EMPTY_SET; TLB_SETS].into_boxed_slice(),
             huge_sets: vec![EMPTY_SET; HUGE_TLB_SETS].into_boxed_slice(),
+            regions: [0; REGIONS],
             hits: 0,
             huge_hits: 0,
             misses: 0,
@@ -192,6 +204,12 @@ impl Tlb {
     #[inline]
     fn hvpn_of(vpn: Vpn) -> Vpn {
         Vpn(vpn.0 >> 9)
+    }
+
+    /// The summary bucket of the 2 MiB region `hvpn`.
+    #[inline]
+    fn region_of(hvpn: Vpn) -> usize {
+        hvpn.0 as usize % REGIONS
     }
 
     #[inline]
@@ -226,7 +244,10 @@ impl Tlb {
     /// Inserts a translation for the page at page-aligned `gpa`,
     /// evicting the LRU way in its set.
     pub fn insert(&mut self, vpn: Vpn, gpa: Gpa, flags: PteFlags) {
-        self.sets[Self::set_of(vpn)].fill(vpn, gpa, flags);
+        if let Some(old) = self.sets[Self::set_of(vpn)].fill(vpn, gpa, flags) {
+            self.regions[Self::region_of(Self::hvpn_of(old))] -= 1;
+        }
+        self.regions[Self::region_of(Self::hvpn_of(vpn))] += 1;
     }
 
     /// Inserts a 2 MiB translation for the huge page containing
@@ -247,10 +268,23 @@ impl Tlb {
 
     /// [`Tlb::invalidate`] of every page in `pages`, with the 2 MiB
     /// probes made once per entry of `hvpns`: the sorted, de-duplicated
-    /// huge VPNs (`vpn >> 9`) of `pages`.
+    /// huge VPNs (`vpn >> 9`) of `pages`. A page's 4 KiB set is probed
+    /// only when its region holds a valid entry, and a TLB that holds
+    /// nothing in any region of the batch probes no 4 KiB set at all.
     pub fn invalidate_batch(&mut self, pages: &[Vpn], hvpns: &[Vpn]) {
-        for &vpn in pages {
-            self.invalidations += self.sets[Self::set_of(vpn)].invalidate(vpn);
+        if hvpns
+            .iter()
+            .any(|&hvpn| self.regions[Self::region_of(hvpn)] != 0)
+        {
+            for &vpn in pages {
+                let held = &mut self.regions[Self::region_of(Self::hvpn_of(vpn))];
+                if *held == 0 {
+                    continue;
+                }
+                let n = self.sets[Self::set_of(vpn)].invalidate(vpn);
+                *held -= n as u32;
+                self.invalidations += n;
+            }
         }
         for &hvpn in hvpns {
             self.invalidations += self.huge_sets[Self::huge_set_of(hvpn)].invalidate(hvpn);
@@ -264,6 +298,7 @@ impl Tlb {
                 *k &= !VALID;
             }
         }
+        self.regions = [0; REGIONS];
         self.flushes += 1;
     }
 
@@ -766,8 +801,69 @@ mod tests {
                 assert_eq!(tlb.huge_hits(), model.huge_hits);
                 assert_eq!(tlb.invalidations(), model.invalidations);
                 assert_eq!(tlb.reach_bytes(), model.reach_bytes());
+                assert_eq!(tlb.regions, recount(&tlb), "seed {seed} step {step}");
             }
         }
+    }
+
+    /// The region summary recounted from the 4 KiB sets' valid ways.
+    fn recount(tlb: &Tlb) -> [u32; REGIONS] {
+        let mut regions = [0; REGIONS];
+        for set in tlb.sets.iter() {
+            for &k in set.keys.iter().filter(|&&k| k & VALID != 0) {
+                regions[Tlb::region_of(Tlb::hvpn_of(Vpn(k >> KEY_SHIFT)))] += 1;
+            }
+        }
+        regions
+    }
+
+    #[test]
+    fn shootdown_skips_cores_without_the_batch_and_matches_the_entry_model() {
+        // The remap shape: core 0 holds the batch's 1024 pages (two
+        // 2 MiB regions); each other core holds 64 pages of regions of
+        // its own.
+        const CORES: usize = 32;
+        let fabric = TlbFabric::new(CORES);
+        let debts = CoreDebts::new(CORES);
+        let mut models: Vec<model::ModelTlb> = (0..CORES).map(|_| model::ModelTlb::new()).collect();
+        let base = 0x40_000u64;
+        let batch: Vec<Vpn> = (base..base + 1024).map(Vpn).collect();
+        let held = |core: usize| -> Vec<Vpn> {
+            if core == 0 {
+                batch.clone()
+            } else {
+                let start = base + 1024 * core as u64;
+                (start..start + 64).map(Vpn).collect()
+            }
+        };
+        for (core, model) in models.iter_mut().enumerate() {
+            for v in held(core) {
+                fabric.with_local(core, |t| t.insert(v, Gpa(v.0 * PAGE_SIZE), flags()));
+                model.insert(v, Gpa(v.0 * PAGE_SIZE), flags());
+            }
+        }
+        let mut ctx = FreeCtx::new(1).with_core(0, CORES);
+        fabric.shootdown_batch(&mut ctx, &debts, &batch);
+        for model in models.iter_mut() {
+            for &v in &batch {
+                model.invalidate(v);
+            }
+        }
+        assert_eq!(ctx.stats.tlb_shootdowns, 1);
+        assert_eq!(ctx.stats.tlb_invalidations, 1024);
+        for (core, model) in models.iter_mut().enumerate() {
+            fabric.with_local(core, |t| {
+                assert_eq!(t.invalidations(), model.invalidations, "core {core}");
+                assert_eq!(t.regions, recount(t), "core {core}");
+                for v in held(core) {
+                    assert_eq!(t.lookup(v), model.lookup(v), "core {core} {v:?}");
+                }
+                assert_eq!(t.reach_bytes(), model.reach_bytes(), "core {core}");
+            });
+        }
+        assert_eq!(models[0].invalidations, 1024);
+        assert_eq!(fabric.with_local(0, |t| t.reach_bytes()), 0);
+        assert_eq!(fabric.with_local(1, |t| t.reach_bytes()), 64 * PAGE_SIZE);
     }
 
     #[test]

@@ -603,9 +603,10 @@ impl DramCache {
     ///
     /// Selection is tenant-fair (DESIGN.md §15): each tenant over its
     /// declared quota contributes victims in proportion to its overage
-    /// divided by its weight (a heavier weight is more protected), and
-    /// the global CLOCK sweep tops up whatever the scoped sweeps could
-    /// not supply. With no quota declared this is one global CLOCK batch.
+    /// divided by its weight (a heavier weight is more protected), but
+    /// never more than its overage, and the global CLOCK sweep tops up
+    /// whatever the scoped sweeps did not supply. With no quota declared
+    /// this is one global CLOCK batch.
     ///
     /// Victims are removed from the index and the dirty trees atomically
     /// with respect to lookups (a concurrent fault on a victim page simply
@@ -621,14 +622,26 @@ impl DramCache {
         let total: usize = shares.iter().map(|&(_, share)| share).sum();
         let mut victims = Vec::new();
         for &(t, share) in &shares {
-            let want = (batch * share).div_ceil(total).min(batch - victims.len());
+            let want = (batch * share)
+                .div_ceil(total)
+                .min(self.tenant_overage(t))
+                .min(batch - victims.len());
             if want == 0 {
                 break;
             }
             victims.extend(self.evict_candidates_from(ctx, want, t));
         }
         if victims.len() < batch {
-            let frames = self.clock.collect_victims(batch - victims.len());
+            let want = batch - victims.len();
+            // The fair pass cleared the reference bits it swept past, so
+            // its top-up sweep often wraps: take distinct frames. The
+            // plain batch keeps `collect_victims`'s repeats on a wrap,
+            // which `results/fig6b.txt` records.
+            let frames = if shares.is_empty() {
+                self.clock.collect_victims(want)
+            } else {
+                self.clock.collect_victims_where(want, |_| true)
+            };
             victims.extend(self.detach_frames(ctx, frames));
         }
         victims
@@ -1314,6 +1327,39 @@ mod tests {
         cache.set_tenant_quota(1, 0);
         cache.set_tenant_quota(2, 0);
         assert_eq!(cache.evict_candidates(&mut ctx, BATCH).len(), BATCH);
+    }
+
+    #[test]
+    fn fair_pass_takes_no_more_than_a_tenants_overage() {
+        // 17 frames in CLOCK order: file 2 (no quota) at frame 0, then
+        // files 1 and 2 alternating, so tenant 1 holds the odd frames.
+        let cache = small_cache(17);
+        let mut ctx = FreeCtx::new(1);
+        cache.bind_file_tenant(1, 1);
+        let mut frames: Vec<FrameId> = (0..17)
+            .map(|_| cache.try_alloc(&mut ctx).unwrap())
+            .collect();
+        frames.sort_unstable();
+        assert_eq!(frames, (0..17).map(FrameId).collect::<Vec<_>>());
+        for (i, &f) in frames.iter().enumerate() {
+            let file = if i % 2 == 1 { 1 } else { 2 };
+            cache
+                .commit_insert(&mut ctx, PageKey::new(file, i as u64), f)
+                .unwrap();
+        }
+        // With no quota declared, one global victim: the sweep clears
+        // every reference bit and takes frame 0, leaving the hand at 1.
+        let aged = cache.evict_candidates(&mut ctx, 1);
+        assert_eq!(aged[0].frame, FrameId(0));
+        assert_eq!(cache.tenant_resident(1), 8);
+        // Tenant 1 is one frame over its quota. The fair pass takes that
+        // one frame (1); the global CLOCK tops up with the next three in
+        // sweep order (2, 3, 4), so tenant 1 keeps 6 frames, not 4.
+        cache.set_tenant_quota(1, 7);
+        let victims = cache.evict_candidates(&mut ctx, BATCH);
+        let frames: Vec<u32> = victims.iter().map(|v| v.frame.0).collect();
+        assert_eq!(frames, [1, 2, 3, 4]);
+        assert_eq!(cache.tenant_resident(1), 6);
     }
 
     /// Shard rebalance composes with tenant quotas (DESIGN.md §15+§17):

@@ -65,12 +65,16 @@ impl ClockLru {
     /// Referenced frames get a second chance (bit cleared, skipped).
     /// Returns fewer than `batch` victims — possibly none — if the pool
     /// has too few unreferenced resident frames after two full sweeps.
+    /// A sweep that wraps can return a frame twice (the second pass meets
+    /// the first pass's victims again); the detach keeps one copy, so the
+    /// batch comes up short. [`ClockLru::collect_victims_where`] does not.
     pub fn collect_victims(&self, batch: usize) -> Vec<FrameId> {
-        self.collect_victims_where(batch, |_| true)
+        self.sweep(batch, |_| true, false)
     }
 
     /// [`ClockLru::collect_victims`] restricted to frames `pred` accepts
-    /// (the tenant-fair evictor sweeps one tenant's frames at a time).
+    /// (the tenant-fair evictor sweeps one tenant's frames at a time),
+    /// returning distinct frames even when the sweep wraps.
     ///
     /// Frames `pred` rejects are passed over *without* touching their
     /// reference bits, so a scoped sweep never ages another tenant's
@@ -80,12 +84,19 @@ impl ClockLru {
         batch: usize,
         pred: impl Fn(FrameId) -> bool,
     ) -> Vec<FrameId> {
+        self.sweep(batch, pred, true)
+    }
+
+    fn sweep(&self, batch: usize, pred: impl Fn(FrameId) -> bool, distinct: bool) -> Vec<FrameId> {
         let n = self.referenced.len();
         if n == 0 {
             return Vec::new();
         }
         let mut victims = Vec::with_capacity(batch);
         let mut steps = 0usize;
+        // The second sweep meets the first sweep's victims again, in the
+        // order they were taken; `again` indexes the next one.
+        let mut again = 0;
         // Two full sweeps guarantee every matching resident frame either
         // gets its reference bit cleared (sweep 1) or becomes a victim
         // (sweep 2).
@@ -96,6 +107,10 @@ impl ClockLru {
                 continue;
             }
             if !pred(FrameId(i as u32)) {
+                continue;
+            }
+            if distinct && victims.get(again) == Some(&FrameId(i as u32)) {
+                again += 1;
                 continue;
             }
             if self.referenced[i].swap(false, Ordering::Relaxed) {
@@ -181,6 +196,24 @@ mod tests {
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), 10);
+    }
+
+    #[test]
+    fn a_wrapping_sweep_collects_each_frame_once() {
+        let c = ClockLru::new(8);
+        for i in 0..5 {
+            c.mark_resident(FrameId(i));
+        }
+        // Clear every reference bit; frame 0 is taken on the wrap.
+        assert_eq!(c.collect_victims(1), vec![FrameId(0)]);
+        c.mark_free(FrameId(0));
+        c.touch(FrameId(3));
+        c.touch(FrameId(4));
+        // From the hand at 1: frames 1 and 2 are unreferenced and taken
+        // in the first sweep, 3 and 4 lose their bits and are taken in
+        // the second, which meets 1 and 2 again without retaking them.
+        let v = c.collect_victims_where(4, |_| true);
+        assert_eq!(v, [1, 2, 3, 4].map(FrameId));
     }
 
     #[test]

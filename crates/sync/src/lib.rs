@@ -13,8 +13,10 @@
 //! - [`DetMap`] / [`DetSet`] — deterministic ordered replacements for
 //!   `std::collections::HashMap`/`HashSet` in sim-path crates;
 //! - [`crc32c_sectors`] — the per-sector CRC-32C of one 4 KiB page, the
-//!   mirror's checksum. Its SSE4.2 kernel holds the workspace's only
-//!   `unsafe` block; every other crate root forbids `unsafe` outright.
+//!   mirror's checksum — and [`crc32c`] of any byte string, the LSM
+//!   block checksum. Both run one SSE4.2 kernel, whose call holds the
+//!   workspace's only `unsafe` block; every other crate root forbids
+//!   `unsafe` outright.
 //!
 //! Everything here is *host-time* synchronization: it protects the
 //! simulator's own shared state and never charges virtual cycles. Lock
@@ -426,28 +428,60 @@ fn crc32c_portable(data: &[u8]) -> u32 {
     !crc
 }
 
-/// The portable kernel: each sector through slicing-by-8 in turn.
-fn sectors_portable(page: &[u8; PAGE]) -> [u32; SECTORS] {
-    std::array::from_fn(|s| crc32c_portable(&page[s * SECTOR..(s + 1) * SECTOR]))
+/// The portable kernel: each of the `N` equal lanes of `data` through
+/// slicing-by-8 in turn.
+fn lanes_portable<const N: usize>(data: &[u8]) -> [u32; N] {
+    let lane = data.len() / N;
+    std::array::from_fn(|l| crc32c_portable(&data[l * lane..(l + 1) * lane]))
 }
 
-/// The SSE4.2 kernel: the eight sectors advance together, eight bytes
-/// at a time, so eight independent `crc32` chains hide the
-/// instruction's three-cycle latency behind its one-per-cycle
-/// throughput.
+/// The SSE4.2 kernel: the `N` equal lanes of `data` advance together,
+/// eight bytes at a time, then their tails a byte at a time. With
+/// several lanes, independent `crc32` chains hide the instruction's
+/// three-cycle latency behind its one-per-cycle throughput.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
-fn sectors_sse42(page: &[u8; PAGE]) -> [u32; SECTORS] {
-    use std::arch::x86_64::_mm_crc32_u64;
-    let mut crc = [u64::from(u32::MAX); SECTORS];
-    for w in (0..SECTOR).step_by(8) {
-        for (s, c) in crc.iter_mut().enumerate() {
-            let at = s * SECTOR + w;
-            let word = u64::from_le_bytes(page[at..at + 8].try_into().expect("8 bytes"));
+fn lanes_sse42<const N: usize>(data: &[u8]) -> [u32; N] {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let lane = data.len() / N;
+    let words = lane - lane % 8;
+    let mut crc = [u64::from(u32::MAX); N];
+    for w in (0..words).step_by(8) {
+        for (l, c) in crc.iter_mut().enumerate() {
+            let at = l * lane + w;
+            let word = u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"));
             *c = _mm_crc32_u64(*c, word);
         }
     }
+    for b in words..lane {
+        for (l, c) in crc.iter_mut().enumerate() {
+            *c = u64::from(_mm_crc32_u8(*c as u32, data[l * lane + b]));
+        }
+    }
     crc.map(|c| !(c as u32))
+}
+
+/// CRC-32C of each of the `N` equal lanes of `data`: the SSE4.2 kernel
+/// where the CPU has it, else the portable one, with identical results.
+fn crc32c_lanes<const N: usize>(data: &[u8]) -> [u32; N] {
+    assert_eq!(data.len() % N, 0, "lanes must be equal");
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: `lanes_sse42` only requires SSE4.2, and this CPU has
+        // it: the run-time detection just above checked.
+        #[allow(unsafe_code)]
+        let sums = unsafe { lanes_sse42(data) };
+        return sums;
+    }
+    lanes_portable(data)
+}
+
+/// CRC-32C (Castagnoli) of `data`: the SSE4.2 `crc32` instruction on
+/// x86-64 CPUs that have it, else portable slicing-by-8, with identical
+/// results. Host time only, like [`crc32c_sectors`].
+pub fn crc32c(data: &[u8]) -> u32 {
+    let [crc] = crc32c_lanes::<1>(data);
+    crc
 }
 
 /// CRC-32C (Castagnoli) of each 512-byte sector of one 4 KiB page, in
@@ -466,18 +500,8 @@ fn sectors_sse42(page: &[u8; PAGE]) -> [u32; SECTORS] {
 ///
 /// If `page` is not exactly 4096 bytes long.
 pub fn crc32c_sectors(page: &[u8]) -> [u32; SECTORS] {
-    let page: &[u8; PAGE] = page
-        .try_into()
-        .expect("crc32c_sectors takes one 4 KiB page");
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("sse4.2") {
-        // SAFETY: `sectors_sse42` only requires SSE4.2, and this CPU has
-        // it: the run-time detection just above checked.
-        #[allow(unsafe_code)]
-        let sums = unsafe { sectors_sse42(page) };
-        return sums;
-    }
-    sectors_portable(page)
+    assert_eq!(page.len(), PAGE, "crc32c_sectors takes one 4 KiB page");
+    crc32c_lanes(page)
 }
 
 #[cfg(test)]
@@ -665,23 +689,27 @@ mod tests {
                     "seed {seed} offset {offset}"
                 );
                 assert_eq!(
-                    sectors_portable(page),
+                    lanes_portable::<SECTORS>(page),
                     reference,
                     "seed {seed} offset {offset}"
                 );
             }
         }
-        // Slicing-by-8 against the reference at every length and
-        // alignment up to two words past a sector.
+        // Both kernels against the reference at every length and
+        // alignment up to two words past a sector: slicing-by-8
+        // directly, and `crc32c` (on x86-64 with SSE4.2, one lane of the
+        // hardware kernel with its bytewise tail).
         let buf = random_bytes(0x5EED, SECTOR + 24);
         for offset in 0..8 {
             for len in 0..=SECTOR + 16 {
                 let data = &buf[offset..offset + len];
+                let reference = crc32c_bitwise(data);
                 assert_eq!(
                     crc32c_portable(data),
-                    crc32c_bitwise(data),
+                    reference,
                     "offset {offset} len {len}"
                 );
+                assert_eq!(crc32c(data), reference, "offset {offset} len {len}");
             }
         }
     }

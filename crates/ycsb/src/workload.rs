@@ -191,12 +191,18 @@ impl KeyGen {
         }
     }
 
-    /// Formats key number `n` as a fixed-width 30-byte key.
+    /// Formats key number `n` as a fixed-width 30-byte key: `"user"`,
+    /// `n` in 20 zero-padded decimal digits (enough for any `u64`), then
+    /// `'0'` padding.
     pub fn key_of(n: u64) -> Vec<u8> {
-        // "user" + zero-padded decimal, padded to KEY_SIZE.
-        let mut k = format!("user{n:020}").into_bytes();
-        k.resize(KEY_SIZE, b'0');
-        k
+        let mut k = [b'0'; KEY_SIZE];
+        k[..4].copy_from_slice(b"user");
+        let mut rest = n;
+        for digit in k[4..24].iter_mut().rev() {
+            *digit = b'0' + (rest % 10) as u8;
+            rest /= 10;
+        }
+        k.to_vec()
     }
 
     fn next_existing(&mut self, rng: &mut Rng64) -> u64 {
@@ -243,22 +249,57 @@ impl KeyGen {
     }
 }
 
-/// Generates a deterministic 1 KiB value for a key (verifiable content).
+/// Multiplier and increment of the LCG whose words make up a value.
+const LCG_A: u64 = 6364136223846793005;
+const LCG_C: u64 = 1442695040888963407;
+
+/// Words per jump-ahead block: one default-sized (1 KiB) value.
+const LCG_BLOCK: usize = VALUE_SIZE / 8;
+
+/// Jump-ahead constants: `k + 1` LCG steps from `x` land on
+/// `LCG_JUMP[k].0 * x + LCG_JUMP[k].1`, so the words of a block do not
+/// wait on each other.
+const LCG_JUMP: [(u64, u64); LCG_BLOCK] = {
+    let mut jump = [(LCG_A, LCG_C); LCG_BLOCK];
+    let mut k = 1;
+    while k < LCG_BLOCK {
+        let (a, c) = jump[k - 1];
+        jump[k] = (
+            a.wrapping_mul(LCG_A),
+            c.wrapping_mul(LCG_A).wrapping_add(LCG_C),
+        );
+        k += 1;
+    }
+    jump
+};
+
+/// Generates a deterministic 1 KiB value for a key (verifiable content):
+/// the little-endian words of an LCG seeded with the key's FNV-1a hash,
+/// truncated to `size` bytes.
 pub fn value_of(key: &[u8], size: usize) -> Vec<u8> {
-    let mut h = 0xCBF29CE484222325u64;
+    let mut x = 0xCBF29CE484222325u64;
     for &b in key {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001B3);
+        x ^= b as u64;
+        x = x.wrapping_mul(0x100000001B3);
     }
-    let mut v = Vec::with_capacity(size);
-    let mut x = h;
-    while v.len() < size {
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        v.extend_from_slice(&x.to_le_bytes());
+    let jump = |k: usize, x: u64| {
+        let (a, c) = LCG_JUMP[k];
+        a.wrapping_mul(x).wrapping_add(c)
+    };
+    let mut v = vec![0; size];
+    for block in v.chunks_mut(8 * LCG_BLOCK) {
+        let whole = block.len() / 8;
+        let mut words = block.chunks_exact_mut(8);
+        for (k, w) in (&mut words).enumerate() {
+            w.copy_from_slice(&jump(k, x).to_le_bytes());
+        }
+        let tail = words.into_remainder();
+        if !tail.is_empty() {
+            let n = tail.len();
+            tail.copy_from_slice(&jump(whole, x).to_le_bytes()[..n]);
+        }
+        x = jump(LCG_BLOCK - 1, x);
     }
-    v.truncate(size);
     v
 }
 
@@ -352,6 +393,47 @@ mod tests {
         assert_eq!(v1, v2);
         assert_eq!(v1.len(), VALUE_SIZE);
         assert_ne!(v1, value_of(&KeyGen::key_of(8), VALUE_SIZE));
+    }
+
+    /// Reference key: `format!` and `resize`.
+    fn key_reference(n: u64) -> Vec<u8> {
+        let mut k = format!("user{n:020}").into_bytes();
+        k.resize(KEY_SIZE, b'0');
+        k
+    }
+
+    /// Reference value: one serial LCG chain.
+    fn value_reference(key: &[u8], size: usize) -> Vec<u8> {
+        let mut h = 0xCBF29CE484222325u64;
+        for &b in key {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001B3);
+        }
+        let mut v = Vec::with_capacity(size);
+        let mut x = h;
+        while v.len() < size {
+            x = x.wrapping_mul(LCG_A).wrapping_add(LCG_C);
+            v.extend_from_slice(&x.to_le_bytes());
+        }
+        v.truncate(size);
+        v
+    }
+
+    #[test]
+    fn records_match_the_reference_generators() {
+        let mut ns = vec![0, 9, 10_000_000_000_000_000_000, u64::MAX];
+        ns.extend((1..=19).map(|k| 10u64.pow(k) - 1));
+        for &n in &ns {
+            let key = KeyGen::key_of(n);
+            assert_eq!(key, key_reference(n), "key {n}");
+            for size in [0, 1, 7, 8, 9, 1000, 1024, 1025, 4096, 5000] {
+                assert_eq!(
+                    value_of(&key, size),
+                    value_reference(&key, size),
+                    "key {n} size {size}"
+                );
+            }
+        }
     }
 
     #[test]
