@@ -54,6 +54,33 @@ fn bench_lockfree_map() {
     });
 }
 
+/// Misses after eviction churn: a map at the cache's 2x sizing (the
+/// kv-read benchmark's 8192 frames) stays full while 400 k evictions
+/// replace a random resident key with a new one, after which about 94% of
+/// its buckets have spilled into the overflow map at least once (about 3%
+/// of the entries sit there at any time). Then it times misses, which
+/// consult the overflow map only in buckets that hold entries there now.
+fn bench_lockfree_map_churn() {
+    const FRAMES: usize = 8192;
+    let m = LockFreeMap::new(FRAMES);
+    let mut rng = aquila_sim::Rng64::new(7);
+    let mut live: Vec<PageKey> = (0..FRAMES as u64).map(|p| PageKey::new(1, p)).collect();
+    for &k in &live {
+        m.insert(k, 0);
+    }
+    for page in FRAMES as u64..400_000 + FRAMES as u64 {
+        let slot = rng.below(FRAMES as u64) as usize;
+        m.remove(live[slot]);
+        live[slot] = PageKey::new(1, page);
+        m.insert(live[slot], page);
+    }
+    let mut i = 0u64;
+    bench("lockfree_map", "miss_after_churn", 2_000_000, || {
+        i = (i + 12_345) & ((1 << 20) - 1);
+        m.get(PageKey::new(2, i))
+    });
+}
+
 fn bench_freelist() {
     let fl = Freelist::new(
         NumaTopology::paper_testbed(),
@@ -63,6 +90,33 @@ fn bench_freelist() {
     bench("freelist", "alloc_free", 2_000_000, || {
         let f = fl.alloc(3).expect("non-empty");
         fl.free(3, f);
+    });
+    // Four cores (two per node) allocate in turn until the freelist is
+    // empty; then core 0 frees every frame, spilling 64-frame batches to
+    // node 0. Each drain takes local hits, node-0 refills, remote refills
+    // on node 1's cores and, once node 0 runs dry, rebalancing steals.
+    let topo = NumaTopology {
+        nodes: 2,
+        cores_per_node: 2,
+    };
+    let cfg = FreelistConfig {
+        core_spill_threshold: 64,
+        level_batch: 64,
+        steal_batch: 8,
+    };
+    let fl = Freelist::new(topo, cfg, (0..4096u32).map(aquila_mmu::FrameId));
+    let mut held = Vec::with_capacity(4096);
+    let mut core = 0;
+    bench("freelist", "refill_steal", 2_000_000, || {
+        core = (core + 1) % 4;
+        match fl.alloc(core) {
+            Some(f) => held.push(f),
+            None => {
+                for f in held.drain(..) {
+                    fl.free(0, f);
+                }
+            }
+        }
     });
 }
 
@@ -386,6 +440,7 @@ fn bench_ycsb() {
 
 fn main() {
     bench_lockfree_map();
+    bench_lockfree_map_churn();
     bench_freelist();
     bench_page_table();
     bench_clock_lru();

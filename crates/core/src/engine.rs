@@ -639,10 +639,9 @@ impl Aquila {
             }
             // Page-table walk (hardware, on TLB miss; the MMU takes no
             // software lock — it contends on memory, not the table).
-            let walked = self.page_table.translate(gva, access);
+            let walked = self.page_table.translate_leaf(gva, access);
             match walked {
-                Ok(gpa) => {
-                    let (pte, kind) = self.page_table.lookup_leaf(gva).expect("just walked");
+                Ok((gpa, pte, kind)) => {
                     // The hardware walk behind the TLB miss: one memory
                     // reference per radix level. Huge leaves terminate
                     // at the PD, one level early — part of their
@@ -1549,7 +1548,11 @@ impl Aquila {
     /// Services a degradation-triggered demand to splinter every run
     /// (the transition fires from `&dyn` contexts).
     fn service_pending_demotions(&self, ctx: &mut dyn SimCtx) {
-        if self.demote_all_pending.swap(false, Ordering::AcqRel) {
+        // A plain load first: the flag is almost never set, and a swap
+        // would take the cache line exclusive on every fault.
+        if self.demote_all_pending.load(Ordering::Acquire)
+            && self.demote_all_pending.swap(false, Ordering::AcqRel)
+        {
             self.demote_all(ctx);
         }
     }

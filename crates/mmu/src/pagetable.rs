@@ -79,41 +79,33 @@ pub enum LeafKind {
     Huge,
 }
 
+/// A radix slot. Directories (the PML4 root and its PDPTs) hold
+/// [`Node::Dir`]; a PD slot holds a [`Node::Leaves`] table of 4 KiB PTEs
+/// or a [`Node::Huge`] leaf. Each level is one boxed array, so a walk
+/// makes one dependent load per level.
 enum Node {
-    Table(Box<Table>),
+    /// The next directory down: 512 slots.
+    Dir(Box<[Node; ENTRIES_PER_TABLE]>),
+    /// A level-0 table under a PD slot: 512 4 KiB leaf entries.
+    Leaves(Box<[Option<Pte>; ENTRIES_PER_TABLE]>),
     /// A 2 MiB leaf installed directly in a level-1 (PD) slot; `gpa` is
     /// the 2 MiB-aligned base of the backing guest-physical run.
     Huge(Pte),
     Empty,
 }
 
-struct Table {
-    entries: Vec<Node>,
-    leaves: Vec<Option<Pte>>,
-    level: usize,
-}
-
-impl Table {
-    fn new(level: usize) -> Table {
-        if level == 0 {
-            Table {
-                entries: Vec::new(),
-                leaves: (0..ENTRIES_PER_TABLE).map(|_| None).collect(),
-                level,
-            }
-        } else {
-            Table {
-                entries: (0..ENTRIES_PER_TABLE).map(|_| Node::Empty).collect(),
-                leaves: Vec::new(),
-                level,
-            }
-        }
+/// A boxed 512-entry level, built on the heap.
+fn new_level<T>(mut empty: impl FnMut() -> T) -> Box<[T; ENTRIES_PER_TABLE]> {
+    let slots: Box<[T]> = (0..ENTRIES_PER_TABLE).map(|_| empty()).collect();
+    match slots.try_into() {
+        Ok(level) => level,
+        Err(_) => unreachable!("collected exactly one level of slots"),
     }
 }
 
 /// A four-level page table (one per process, shared by all threads).
 pub struct PageTable {
-    root: Table,
+    root: Box<[Node; ENTRIES_PER_TABLE]>,
     mapped: u64,
     huge_mapped: u64,
 }
@@ -122,7 +114,7 @@ impl PageTable {
     /// Creates an empty page table.
     pub fn new() -> PageTable {
         PageTable {
-            root: Table::new(PT_LEVELS - 1),
+            root: new_level(|| Node::Empty),
             mapped: 0,
             huge_mapped: 0,
         }
@@ -143,22 +135,16 @@ impl PageTable {
     ///
     /// Returns the previous entry, if any.
     pub fn map(&mut self, gva: Gva, gpa: Gpa, flags: PteFlags) -> Option<Pte> {
-        let mut table = &mut self.root;
-        for level in (1..PT_LEVELS).rev() {
-            let idx = gva.pt_index(level);
-            let slot = &mut table.entries[idx];
-            if matches!(slot, Node::Empty) {
-                *slot = Node::Table(Box::new(Table::new(level - 1)));
-            }
-            table = match slot {
-                Node::Table(t) => t,
-                Node::Huge(_) => panic!("4 KiB map inside a promoted 2 MiB region; demote first"),
-                Node::Empty => unreachable!("just populated"),
-            };
+        let slot = self.pd_slot_mut_create(gva);
+        if matches!(slot, Node::Empty) {
+            *slot = Node::Leaves(new_level(|| None));
         }
-        debug_assert_eq!(table.level, 0);
-        let idx = gva.pt_index(0);
-        let prev = table.leaves[idx].replace(Pte { gpa, flags });
+        let leaves = match slot {
+            Node::Leaves(t) => t,
+            Node::Huge(_) => panic!("4 KiB map inside a promoted 2 MiB region; demote first"),
+            Node::Dir(_) | Node::Empty => unreachable!("a PD slot holds leaves"),
+        };
+        let prev = leaves[gva.pt_index(0)].replace(Pte { gpa, flags });
         if prev.is_none() {
             self.mapped += 1;
         }
@@ -192,32 +178,33 @@ impl PageTable {
     /// 2 MiB huge leaf (base GPA, not the per-page slice) with
     /// [`LeafKind::Huge`].
     pub fn lookup_leaf(&self, gva: Gva) -> Option<(Pte, LeafKind)> {
-        let mut table = &self.root;
-        for level in (1..PT_LEVELS).rev() {
-            match &table.entries[gva.pt_index(level)] {
-                Node::Table(t) => table = t,
-                Node::Huge(pte) => {
-                    debug_assert_eq!(level, 1);
-                    return Some((*pte, LeafKind::Huge));
-                }
-                Node::Empty => return None,
-            }
+        match self.pd_slot(gva)? {
+            Node::Leaves(t) => t[gva.pt_index(0)].map(|pte| (pte, LeafKind::Small)),
+            Node::Huge(pte) => Some((*pte, LeafKind::Huge)),
+            Node::Dir(_) | Node::Empty => None,
         }
-        table.leaves[gva.pt_index(0)].map(|pte| (pte, LeafKind::Small))
     }
 
     /// Translates an access, updating accessed/dirty bits like hardware
     /// would. Resolves through either a 4 KiB PTE or a 2 MiB huge leaf.
     pub fn translate(&mut self, gva: Gva, access: Access) -> Result<Gpa, PageFaultKind> {
-        let (pte, off) = match self.pd_slot_mut(gva) {
-            Some(Node::Huge(pte)) => (pte, gva.huge_offset()),
-            Some(Node::Table(t)) => {
-                debug_assert_eq!(t.level, 0);
-                match &mut t.leaves[gva.pt_index(0)] {
-                    Some(p) => (p, gva.page_offset()),
-                    None => return Err(PageFaultKind::NotPresent),
-                }
-            }
+        self.translate_leaf(gva, access).map(|(gpa, ..)| gpa)
+    }
+
+    /// [`PageTable::translate`] that also returns the leaf it resolved
+    /// through, with the accessed/dirty bits it just set — what
+    /// [`PageTable::lookup_leaf`] would read after the walk.
+    pub fn translate_leaf(
+        &mut self,
+        gva: Gva,
+        access: Access,
+    ) -> Result<(Gpa, Pte, LeafKind), PageFaultKind> {
+        let (pte, off, kind) = match self.pd_slot_mut(gva) {
+            Some(Node::Huge(pte)) => (pte, gva.huge_offset(), LeafKind::Huge),
+            Some(Node::Leaves(t)) => match &mut t[gva.pt_index(0)] {
+                Some(p) => (p, gva.page_offset(), LeafKind::Small),
+                None => return Err(PageFaultKind::NotPresent),
+            },
             _ => return Err(PageFaultKind::NotPresent),
         };
         if !pte.flags.present {
@@ -230,27 +217,19 @@ impl PageTable {
         if access == Access::Write {
             pte.flags.dirty = true;
         }
-        Ok(Gpa(pte.gpa.get() + off))
+        Ok((Gpa(pte.gpa.get() + off), *pte, kind))
     }
 
     /// Updates the flags of an existing mapping (the `mprotect` /
     /// write-enable path). Returns the old flags. On a huge leaf the new
     /// flags apply to the whole 2 MiB region.
     pub fn protect(&mut self, gva: Gva, flags: PteFlags) -> Option<PteFlags> {
-        if let Some(Node::Huge(pte)) = self.pd_slot_mut(gva) {
-            let old = pte.flags;
-            pte.flags = flags;
-            return Some(old);
-        }
-        let leaf = self.leaf_mut(gva)?;
-        match leaf {
-            Some(pte) => {
-                let old = pte.flags;
-                pte.flags = flags;
-                Some(old)
-            }
-            None => None,
-        }
+        let pte = match self.pd_slot_mut(gva)? {
+            Node::Huge(pte) => pte,
+            Node::Leaves(t) => t[gva.pt_index(0)].as_mut()?,
+            Node::Dir(_) | Node::Empty => return None,
+        };
+        Some(std::mem::replace(&mut pte.flags, flags))
     }
 
     /// Installs a 2 MiB huge leaf at the (2 MiB-aligned) `gva`, mapping
@@ -263,9 +242,10 @@ impl PageTable {
         debug_assert_eq!(gpa.get() % (HUGE_PAGE_PAGES * PAGE_SIZE), 0);
         let slot = self.pd_slot_mut_create(gva);
         let displaced = match std::mem::replace(slot, Node::Huge(Pte { gpa, flags })) {
-            Node::Table(t) => t.leaves.iter().filter(|l| l.is_some()).count() as u64,
+            Node::Leaves(t) => t.iter().filter(|l| l.is_some()).count() as u64,
             Node::Huge(_) => HUGE_PAGE_PAGES,
             Node::Empty => 0,
+            Node::Dir(_) => unreachable!("a PD slot holds leaves"),
         };
         self.mapped -= displaced;
         if displaced == HUGE_PAGE_PAGES {
@@ -309,45 +289,51 @@ impl PageTable {
     /// huge leaf yields `None`: per-page mutation under a promoted region
     /// is a caller bug (demote first).
     fn leaf_mut(&mut self, gva: Gva) -> Option<&mut Option<Pte>> {
-        let mut table = &mut self.root;
-        for level in (1..PT_LEVELS).rev() {
-            match &mut table.entries[gva.pt_index(level)] {
-                Node::Table(t) => table = t,
-                Node::Huge(_) | Node::Empty => return None,
-            }
+        match self.pd_slot_mut(gva)? {
+            Node::Leaves(t) => Some(&mut t[gva.pt_index(0)]),
+            _ => None,
         }
-        Some(&mut table.leaves[gva.pt_index(0)])
     }
 
     /// The level-1 (PD) slot covering `gva`, without creating tables.
-    fn pd_slot_mut(&mut self, gva: Gva) -> Option<&mut Node> {
-        let mut table = &mut self.root;
+    fn pd_slot(&self, gva: Gva) -> Option<&Node> {
+        let mut dir = &self.root;
         for level in (2..PT_LEVELS).rev() {
-            match &mut table.entries[gva.pt_index(level)] {
-                Node::Table(t) => table = t,
+            match &dir[gva.pt_index(level)] {
+                Node::Dir(d) => dir = d,
                 _ => return None,
             }
         }
-        debug_assert_eq!(table.level, 1);
-        Some(&mut table.entries[gva.pt_index(1)])
+        Some(&dir[gva.pt_index(1)])
     }
 
-    /// The level-1 (PD) slot covering `gva`, creating intermediate
-    /// tables on the way down.
-    fn pd_slot_mut_create(&mut self, gva: Gva) -> &mut Node {
-        let mut table = &mut self.root;
+    /// [`PageTable::pd_slot`], mutably.
+    fn pd_slot_mut(&mut self, gva: Gva) -> Option<&mut Node> {
+        let mut dir = &mut self.root;
         for level in (2..PT_LEVELS).rev() {
-            let slot = &mut table.entries[gva.pt_index(level)];
-            if matches!(slot, Node::Empty) {
-                *slot = Node::Table(Box::new(Table::new(level - 1)));
+            match &mut dir[gva.pt_index(level)] {
+                Node::Dir(d) => dir = d,
+                _ => return None,
             }
-            table = match slot {
-                Node::Table(t) => t,
-                _ => unreachable!("levels above 1 hold only tables"),
+        }
+        Some(&mut dir[gva.pt_index(1)])
+    }
+
+    /// The level-1 (PD) slot covering `gva`, creating directories on the
+    /// way down.
+    fn pd_slot_mut_create(&mut self, gva: Gva) -> &mut Node {
+        let mut dir = &mut self.root;
+        for level in (2..PT_LEVELS).rev() {
+            let slot = &mut dir[gva.pt_index(level)];
+            if matches!(slot, Node::Empty) {
+                *slot = Node::Dir(new_level(|| Node::Empty));
+            }
+            dir = match slot {
+                Node::Dir(d) => d,
+                _ => unreachable!("levels above 1 hold only directories"),
             };
         }
-        debug_assert_eq!(table.level, 1);
-        &mut table.entries[gva.pt_index(1)]
+        &mut dir[gva.pt_index(1)]
     }
 }
 
@@ -534,6 +520,71 @@ mod tests {
         pt.map(gva.add(5 * PAGE_SIZE), Gpa(0x2000), PteFlags::RO);
         assert_eq!(pt.map_huge(gva, Gpa(32 * HUGE), PteFlags::RW), 2);
         assert_eq!(pt.mapped_pages(), HUGE_PAGE_PAGES);
+    }
+
+    #[test]
+    fn huge_map_over_half_filled_leaves_then_fresh_leaves_after_unmap() {
+        let mut pt = PageTable::new();
+        let gva = Gva(5 * HUGE);
+        for i in (0..HUGE_PAGE_PAGES).step_by(2) {
+            pt.map(gva.add(i * PAGE_SIZE), Gpa(i * PAGE_SIZE), PteFlags::RW);
+        }
+        assert_eq!(pt.mapped_pages(), HUGE_PAGE_PAGES / 2);
+        assert_eq!(
+            pt.map_huge(gva, Gpa(64 * HUGE), PteFlags::RW),
+            HUGE_PAGE_PAGES / 2
+        );
+        assert_eq!(pt.mapped_pages(), HUGE_PAGE_PAGES);
+        assert_eq!(pt.huge_mapped(), 1);
+        assert!(pt.unmap_huge(gva).is_some());
+        // The displaced leaf table is gone: one map builds a fresh one
+        // holding only the new entry.
+        assert_eq!(
+            pt.map(gva.add(2 * PAGE_SIZE), Gpa(0x9000), PteFlags::RO),
+            None
+        );
+        assert_eq!(pt.mapped_pages(), 1);
+        assert_eq!(pt.lookup_leaf(gva), None);
+        assert_eq!(
+            pt.lookup_leaf(gva.add(2 * PAGE_SIZE)),
+            Some((
+                Pte {
+                    gpa: Gpa(0x9000),
+                    flags: PteFlags::RO
+                },
+                LeafKind::Small
+            ))
+        );
+        let mut seen = 0;
+        pt.for_range(gva.vpn(), Vpn(gva.vpn().0 + HUGE_PAGE_PAGES), |_, _| {
+            seen += 1
+        });
+        assert_eq!(seen, 1);
+    }
+
+    #[test]
+    fn translate_leaf_returns_the_updated_leaf() {
+        let mut pt = PageTable::new();
+        let small = Gva(0x3000);
+        pt.map(small, Gpa(0x8000), PteFlags::RW);
+        let (gpa, pte, kind) = pt.translate_leaf(small.add(0x10), Access::Write).unwrap();
+        assert_eq!((gpa, kind), (Gpa(0x8010), LeafKind::Small));
+        assert_eq!(Some((pte, kind)), pt.lookup_leaf(small));
+        assert!(pte.flags.dirty && pte.flags.accessed);
+        let huge = Gva(6 * HUGE);
+        pt.map_huge(huge, Gpa(32 * HUGE), PteFlags::RO);
+        let (gpa, pte, kind) = pt
+            .translate_leaf(huge.add(PAGE_SIZE + 5), Access::Read)
+            .unwrap();
+        assert_eq!(
+            (gpa, kind),
+            (Gpa(32 * HUGE + PAGE_SIZE + 5), LeafKind::Huge)
+        );
+        assert_eq!(Some((pte, kind)), pt.lookup_leaf(huge));
+        assert_eq!(
+            pt.translate_leaf(huge, Access::Write),
+            Err(PageFaultKind::Protection)
+        );
     }
 
     #[test]

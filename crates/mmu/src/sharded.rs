@@ -192,10 +192,21 @@ impl ShardedPageTable {
     /// not on the table's lock). `&mut` access via the shard's host
     /// mutex only.
     pub fn translate(&self, gva: Gva, access: Access) -> Result<Gpa, PageFaultKind> {
+        self.translate_leaf(gva, access).map(|(gpa, ..)| gpa)
+    }
+
+    /// [`ShardedPageTable::translate`] that also returns the leaf the walk
+    /// resolved through and its kind, in one hold of the shard's host
+    /// mutex (see [`PageTable::translate_leaf`]).
+    pub fn translate_leaf(
+        &self,
+        gva: Gva,
+        access: Access,
+    ) -> Result<(Gpa, Pte, LeafKind), PageFaultKind> {
         self.shards[self.shard_of(gva.vpn())]
             .lock()
             .pt
-            .translate(gva, access)
+            .translate_leaf(gva, access)
     }
 
     /// Leaf probe for `gva` (hardware-walk side, like

@@ -14,7 +14,7 @@
 //! and performs unmapping, shootdowns, and device writeback — mirroring
 //! the paper's layering where applications can customize either side.
 
-use std::sync::atomic::{AtomicU16, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU16, AtomicU64, AtomicUsize, Ordering};
 
 use aquila_mmu::{FrameId, PhysMem, HUGE_PAGE_PAGES};
 use aquila_sim::{race, CostCat, Page, SimCtx};
@@ -110,12 +110,22 @@ const L_DIRTY: &str = "pcache.dirty";
 const V_DIRTY: &str = "pcache.dirty.trees";
 const L_FREELIST: &str = "pcache.freelist";
 const V_FREELIST: &str = "pcache.freelist.queues";
-/// NUMA node queues are lock-free (SegQueue); their push/pop traffic is
-/// annotated as release-publishes and acquire-reads per node instead of
-/// lockset-checked accesses.
+/// NUMA node-queue traffic is annotated as release-publishes (spills)
+/// and acquire-reads (refills) per node instead of lockset-checked
+/// accesses. The freelist's one host mutex is not part of the model: the
+/// contention the paper's design avoids is what these per-core and
+/// per-node annotations and the `freelist_op` charge describe.
 const V_FREELIST_NODE: &str = "pcache.freelist.node_queue";
 const L_SLAB: &str = "pcache.slab";
 const V_SLAB: &str = "pcache.slab.runs";
+
+/// The owner slot of a frame that holds no page (packed keys are never 0).
+const NO_OWNER: u64 = 0;
+
+/// Decodes an owner slot.
+fn owner_key(slot: u64) -> Option<PageKey> {
+    (slot != NO_OWNER).then(|| PageKey::unpack(slot))
+}
 
 /// Upper bound on distinct tenants a cache tracks (DESIGN.md §15). Ids
 /// at or beyond the cap alias into the default tenant.
@@ -199,8 +209,9 @@ pub struct DramCache {
     freelist: Freelist,
     clock: ClockLru,
     dirty: DirtyTrees,
-    /// Reverse mapping frame -> key for eviction (slot locked per frame).
-    owners: Vec<Mutex<Option<PageKey>>>,
+    /// Reverse mapping frame -> key for eviction: the owner's
+    /// [`PageKey::pack`], or [`NO_OWNER`] for a frame that holds no page.
+    owners: Vec<AtomicU64>,
     cfg: CacheConfig,
     pool: Mutex<FramePool>,
     /// Free slab runs, sorted descending so `pop` yields the lowest id
@@ -255,7 +266,9 @@ impl DramCache {
             map: LockFreeMap::new(total_frames),
             clock: ClockLru::new(total_frames),
             dirty: DirtyTrees::new(cfg.topology.cores(), total_frames),
-            owners: (0..total_frames).map(|_| Mutex::new(None)).collect(),
+            owners: (0..total_frames)
+                .map(|_| AtomicU64::new(NO_OWNER))
+                .collect(),
             freelist,
             mem,
             pool: Mutex::new(FramePool {
@@ -372,14 +385,26 @@ impl DramCache {
         frame
     }
 
+    /// The page `frame` holds, from its owner slot.
+    fn owner(&self, frame: FrameId) -> Option<PageKey> {
+        owner_key(self.owners[frame.0 as usize].load(Ordering::Acquire))
+    }
+
+    /// Sets `frame`'s owner slot.
+    fn set_owner(&self, frame: FrameId, key: Option<PageKey>) {
+        let slot = key.map_or(NO_OWNER, PageKey::pack);
+        self.owners[frame.0 as usize].store(slot, Ordering::Release);
+    }
+
     /// Allocates a free frame without evicting; `None` means the caller
     /// must run an eviction round.
     ///
     /// Freelist ownership is per-vcore: the caller's core queue is its
     /// own race-detector instance, node-queue refills are annotated as
-    /// acquire-reads of the (lock-free) node queue, and a sibling steal
-    /// briefly takes the victim core's instance so the cross-core queue
-    /// traffic stays lockset-consistent. No shared lock on this path.
+    /// acquire-reads of the node queue, and a sibling steal briefly takes
+    /// the victim core's instance so the cross-core queue traffic stays
+    /// lockset-consistent. The model has no shared lock on this path (the
+    /// freelist's host mutex charges nothing).
     pub fn try_alloc(&self, ctx: &mut dyn SimCtx) -> Option<FrameId> {
         let c = ctx.cost().freelist_op;
         ctx.charge(CostCat::CacheMgmt, c);
@@ -512,11 +537,11 @@ impl DramCache {
             "page vanished during promotion; candidacy is checked under the fault lock"
         );
         race::acquire(ctx, (L_OWNER, old.0 as u64));
-        *self.owners[old.0 as usize].lock() = None;
+        self.set_owner(old, None);
         race::write(ctx, (V_OWNER, old.0 as u64));
         race::release(ctx, (L_OWNER, old.0 as u64));
         race::acquire(ctx, (L_OWNER, new.0 as u64));
-        *self.owners[new.0 as usize].lock() = Some(key);
+        self.set_owner(new, Some(key));
         race::write(ctx, (V_OWNER, new.0 as u64));
         race::release(ctx, (L_OWNER, new.0 as u64));
         race::acquire(ctx, (L_DIRTY, 0));
@@ -556,7 +581,7 @@ impl DramCache {
         let result = match self.map.insert(key, frame.0 as u64) {
             InsertOutcome::Inserted => {
                 race::acquire(ctx, (L_OWNER, frame.0 as u64));
-                *self.owners[frame.0 as usize].lock() = Some(key);
+                self.set_owner(frame, Some(key));
                 race::write(ctx, (V_OWNER, frame.0 as u64));
                 race::release(ctx, (L_OWNER, frame.0 as u64));
                 Ok(())
@@ -581,7 +606,7 @@ impl DramCache {
     pub fn unpin_slab_run(&self, run: usize) {
         for page in 0..HUGE_PAGE_PAGES as usize {
             let frame = self.slab_run_frame(run, page);
-            if self.owners[frame.0 as usize].lock().is_some() {
+            if self.owner(frame).is_some() {
                 self.clock.mark_resident(frame);
             }
         }
@@ -662,10 +687,8 @@ impl DramCache {
             // An unannotated peek at the owner slot: the detach below
             // re-takes it authoritatively, so a racing release at worst
             // wastes one candidate slot.
-            self.owners[frame.0 as usize]
-                .lock()
-                .map(|key| self.tenants.tenant_of(key.file) == tenant)
-                .unwrap_or(false)
+            self.owner(frame)
+                .is_some_and(|key| self.tenants.tenant_of(key.file) == tenant)
         });
         self.detach_frames(ctx, frames)
     }
@@ -678,7 +701,7 @@ impl DramCache {
         let mut charge = aquila_sim::Cycles::ZERO;
         for frame in frames {
             race::acquire(ctx, (L_OWNER, frame.0 as u64));
-            let key = self.owners[frame.0 as usize].lock().take();
+            let key = owner_key(self.owners[frame.0 as usize].swap(NO_OWNER, Ordering::AcqRel));
             race::write(ctx, (V_OWNER, frame.0 as u64));
             race::release(ctx, (L_OWNER, frame.0 as u64));
             let Some(key) = key else {
@@ -731,7 +754,7 @@ impl DramCache {
         let result = match self.map.insert(key, frame.0 as u64) {
             InsertOutcome::Inserted => {
                 race::acquire(ctx, (L_OWNER, frame.0 as u64));
-                *self.owners[frame.0 as usize].lock() = Some(key);
+                self.set_owner(frame, Some(key));
                 race::write(ctx, (V_OWNER, frame.0 as u64));
                 race::release(ctx, (L_OWNER, frame.0 as u64));
                 self.clock.mark_resident(frame);
@@ -756,7 +779,7 @@ impl DramCache {
         ctx.charge(CostCat::CacheMgmt, c);
         self.clock.mark_free(frame);
         race::acquire(ctx, (L_OWNER, frame.0 as u64));
-        *self.owners[frame.0 as usize].lock() = None;
+        self.set_owner(frame, None);
         race::write(ctx, (V_OWNER, frame.0 as u64));
         race::release(ctx, (L_OWNER, frame.0 as u64));
         // A free frame holds no page: its reference goes back now, not

@@ -7,12 +7,17 @@
 //! shared file scale with cores instead of serializing on one tree lock
 //! (paper sections 3.2 and 6.5).
 //!
-//! Design: closed hashing with 8-slot buckets. Each slot is a pair of
-//! atomics; writers hold the bucket's spinlock and publish in two phases
-//! (value first, then key with release ordering), so readers never observe
-//! a key without its value. Bucket overflow — rare at the 2x sizing used
-//! here — falls back to a locked side map, flagged per bucket so the
-//! common read path never touches it.
+//! Design: closed hashing with 8-slot buckets. Each slot is a key and its
+//! value side by side (a bucket spans 136 bytes, so a miss reads two or
+//! three cache lines and a hit in an early slot one). Writers hold the
+//! bucket's spinlock and publish in two phases (value first, then key
+//! with release ordering), so readers never observe a key without its
+//! value. Bucket overflow — rare at the 2x sizing used here — falls back
+//! to a locked side map. Each bucket counts its own entries in that map,
+//! raised on a spill and lowered on an overflow remove, both under the
+//! bucket lock, so an operation takes the side map's lock only while its
+//! bucket has entries there: a bucket that spilled once and drained
+//! answers a miss from its own slots again.
 //!
 //! The paper uses a fully lock-free table (David et al.); per-bucket
 //! locking is the documented substitution: it has no shared contention
@@ -20,7 +25,7 @@
 //! correct under deletion-heavy eviction churn, where lock-free open
 //! addressing is notoriously subtle.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 use aquila_sync::{DetMap, Mutex};
 
@@ -30,7 +35,7 @@ use crate::key::PageKey;
 const EMPTY: u64 = 0;
 /// Slot sentinel for removed entries.
 const TOMBSTONE: u64 = u64::MAX;
-/// Slots per bucket (one cache line of keys).
+/// Slots per bucket.
 const BUCKET_SLOTS: usize = 8;
 
 struct Slot {
@@ -49,8 +54,9 @@ impl Slot {
 
 struct Bucket {
     lock: AtomicBool,
-    /// Set once the bucket has ever spilled into the overflow map.
-    overflowed: AtomicBool,
+    /// This bucket's entries in the overflow map. Changed only under the
+    /// bucket lock; lock-free readers load it after missing every slot.
+    spilled: AtomicU32,
     slots: [Slot; BUCKET_SLOTS],
 }
 
@@ -58,7 +64,7 @@ impl Bucket {
     fn new() -> Bucket {
         Bucket {
             lock: AtomicBool::new(false),
-            overflowed: AtomicBool::new(false),
+            spilled: AtomicU32::new(0),
             slots: [
                 Slot::new(),
                 Slot::new(),
@@ -81,6 +87,22 @@ impl Bucket {
             std::hint::spin_loop();
         }
         BucketGuard { bucket: self }
+    }
+
+    /// The slot holding `packed`, if any.
+    #[inline]
+    fn find(&self, packed: u64) -> Option<&Slot> {
+        // Acquire pairs with the writer's release publish: a visible key
+        // implies a visible value.
+        self.slots
+            .iter()
+            .find(|slot| slot.key.load(Ordering::Acquire) == packed)
+    }
+
+    /// Whether the overflow map holds entries of this bucket.
+    #[inline]
+    fn has_spilled(&self) -> bool {
+        self.spilled.load(Ordering::Acquire) > 0
     }
 }
 
@@ -154,18 +176,15 @@ impl LockFreeMap {
         key.hash() & self.mask
     }
 
-    /// Looks up a key (lock-free in the common, non-overflowed case).
+    /// Looks up a key (lock-free unless the bucket has entries in the
+    /// overflow map).
     pub fn get(&self, key: PageKey) -> Option<u64> {
         let packed = key.pack();
         let bucket = self.bucket_of(key);
-        for slot in &bucket.slots {
-            // Acquire pairs with the writer's release publish: a visible
-            // key implies a visible value.
-            if slot.key.load(Ordering::Acquire) == packed {
-                return Some(slot.value.load(Ordering::Acquire));
-            }
+        if let Some(slot) = bucket.find(packed) {
+            return Some(slot.value.load(Ordering::Acquire));
         }
-        if bucket.overflowed.load(Ordering::Acquire) {
+        if bucket.has_spilled() {
             return self.overflow.lock().get(&packed).copied();
         }
         None
@@ -190,7 +209,7 @@ impl LockFreeMap {
                 free = Some(i);
             }
         }
-        if bucket.overflowed.load(Ordering::Acquire) {
+        if bucket.has_spilled() {
             if let Some(&v) = self.overflow.lock().get(&packed) {
                 return InsertOutcome::AlreadyPresent(v);
             }
@@ -204,7 +223,9 @@ impl LockFreeMap {
                 slot.key.store(packed, Ordering::Release);
             }
             None => {
-                bucket.overflowed.store(true, Ordering::Release);
+                // Count before publishing: a reader that finds the entry
+                // missing from the slots must already see the count.
+                bucket.spilled.fetch_add(1, Ordering::Release);
                 self.overflow.lock().insert(packed, value);
             }
         }
@@ -217,21 +238,25 @@ impl LockFreeMap {
         let packed = key.pack();
         let bucket = self.bucket_of(key);
         let _guard = bucket.acquire();
-        for slot in &bucket.slots {
-            if slot.key.load(Ordering::Acquire) == packed {
+        let removed = match bucket.find(packed) {
+            Some(slot) => {
                 let v = slot.value.load(Ordering::Acquire);
                 slot.key.store(TOMBSTONE, Ordering::Release);
-                self.len.fetch_sub(1, Ordering::Relaxed);
-                return Some(v);
+                Some(v)
             }
-        }
-        if bucket.overflowed.load(Ordering::Acquire) {
-            if let Some(v) = self.overflow.lock().remove(&packed) {
-                self.len.fetch_sub(1, Ordering::Relaxed);
-                return Some(v);
+            None if bucket.has_spilled() => {
+                let v = self.overflow.lock().remove(&packed);
+                if v.is_some() {
+                    bucket.spilled.fetch_sub(1, Ordering::Release);
+                }
+                v
             }
+            None => None,
+        };
+        if removed.is_some() {
+            self.len.fetch_sub(1, Ordering::Relaxed);
         }
-        None
+        removed
     }
 
     /// Updates the value of an existing key; returns false if absent.
@@ -239,13 +264,11 @@ impl LockFreeMap {
         let packed = key.pack();
         let bucket = self.bucket_of(key);
         let _guard = bucket.acquire();
-        for slot in &bucket.slots {
-            if slot.key.load(Ordering::Acquire) == packed {
-                slot.value.store(value, Ordering::Release);
-                return true;
-            }
+        if let Some(slot) = bucket.find(packed) {
+            slot.value.store(value, Ordering::Release);
+            return true;
         }
-        if bucket.overflowed.load(Ordering::Acquire) {
+        if bucket.has_spilled() {
             if let Some(v) = self.overflow.lock().get_mut(&packed) {
                 *v = value;
                 return true;
@@ -377,6 +400,47 @@ mod tests {
         ));
         assert!(m.update(last, 777));
         assert_eq!(m.get(last), Some(777));
+    }
+
+    /// A bucket whose overflow entries are all removed stops consulting
+    /// the overflow map: a miss there completes while another thread
+    /// holds the map's lock.
+    #[test]
+    fn drained_bucket_misses_without_the_overflow_map() {
+        use std::sync::{mpsc, Arc};
+        use std::time::Duration;
+        let m = Arc::new(LockFreeMap::new(8));
+        let same_bucket: Vec<PageKey> = (0..)
+            .map(|p| PageKey::new(1, p))
+            .filter(|&k| m.bucket_index(k) == 0)
+            .take(BUCKET_SLOTS + 3)
+            .collect();
+        let (stored, absent) = same_bucket.split_at(BUCKET_SLOTS + 2);
+        let absent = absent[0];
+        for (i, &k) in stored.iter().enumerate() {
+            m.insert(k, i as u64);
+        }
+        let bucket = &m.buckets[0];
+        assert_eq!(bucket.spilled.load(Ordering::Relaxed), 2);
+        assert_eq!(m.overflow_len(), 2);
+        // The last two inserts spilled; removing them drains the bucket's
+        // share of the overflow map.
+        for &k in &stored[BUCKET_SLOTS..] {
+            assert!(m.remove(k).is_some());
+        }
+        assert_eq!(bucket.spilled.load(Ordering::Relaxed), 0);
+        assert_eq!(m.overflow_len(), 0);
+        let held = m.overflow.lock();
+        let (tx, rx) = mpsc::channel();
+        let reader = Arc::clone(&m);
+        let probe = std::thread::spawn(move || tx.send(reader.get(absent)).unwrap());
+        let answer = rx.recv_timeout(Duration::from_secs(10));
+        drop(held);
+        probe.join().unwrap();
+        assert_eq!(answer, Ok(None), "the miss waited on the overflow map");
+        for (i, &k) in stored[..BUCKET_SLOTS].iter().enumerate() {
+            assert_eq!(m.get(k), Some(i as u64));
+        }
     }
 
     #[test]

@@ -1,15 +1,12 @@
 //! Minimal synchronization primitives for the Aquila workspace.
 //!
-//! The simulation previously pulled in `parking_lot` and `crossbeam` for
-//! three things: panic-free mutexes, reader-writer locks, and an
-//! unbounded MPMC queue. The build must work fully offline, so this
-//! crate provides the same narrow API over `std::sync`:
+//! The simulation previously pulled in `parking_lot` for panic-free
+//! mutexes and reader-writer locks. The build must work fully offline,
+//! so this crate provides the same narrow API over `std::sync`:
 //!
 //! - [`Mutex`] / [`RwLock`] — `lock()`/`read()`/`write()` return guards
 //!   directly (no poisoning: a panicked holder propagates the inner
 //!   value rather than wedging every later run of the simulation);
-//! - [`SegQueue`] — an unbounded MPMC FIFO (a mutexed `VecDeque`; the
-//!   freelist's queues are short and per-core, so contention is nil);
 //! - [`DetMap`] / [`DetSet`] — deterministic ordered replacements for
 //!   `std::collections::HashMap`/`HashSet` in sim-path crates;
 //! - [`crc32c_sectors`] — the per-sector CRC-32C of one 4 KiB page, the
@@ -25,7 +22,7 @@
 
 #![deny(unsafe_code)]
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard, TryLockError};
@@ -142,52 +139,6 @@ impl<T: fmt::Debug> fmt::Debug for RwLock<T> {
             }
             Err(TryLockError::WouldBlock) => f.write_str("RwLock(<locked>)"),
         }
-    }
-}
-
-/// An unbounded MPMC FIFO queue (`crossbeam::queue::SegQueue` API).
-pub struct SegQueue<T> {
-    inner: Mutex<VecDeque<T>>,
-}
-
-impl<T> SegQueue<T> {
-    /// Creates an empty queue.
-    pub const fn new() -> SegQueue<T> {
-        SegQueue {
-            inner: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    /// Pushes `value` onto the back of the queue.
-    pub fn push(&self, value: T) {
-        self.inner.lock().push_back(value);
-    }
-
-    /// Pops from the front of the queue, or `None` if empty.
-    pub fn pop(&self) -> Option<T> {
-        self.inner.lock().pop_front()
-    }
-
-    /// Number of queued elements.
-    pub fn len(&self) -> usize {
-        self.inner.lock().len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
-    }
-}
-
-impl<T> Default for SegQueue<T> {
-    fn default() -> SegQueue<T> {
-        SegQueue::new()
-    }
-}
-
-impl<T> fmt::Debug for SegQueue<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SegQueue {{ len: {} }}", self.len())
     }
 }
 
@@ -548,42 +499,6 @@ mod tests {
         })
         .join();
         assert_eq!(*m.lock(), 7, "no poisoning");
-    }
-
-    #[test]
-    fn segqueue_is_fifo() {
-        let q = SegQueue::new();
-        assert!(q.is_empty());
-        for i in 0..10 {
-            q.push(i);
-        }
-        assert_eq!(q.len(), 10);
-        for i in 0..10 {
-            assert_eq!(q.pop(), Some(i));
-        }
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn segqueue_concurrent_producers() {
-        let q = Arc::new(SegQueue::new());
-        let mut handles = Vec::new();
-        for t in 0..4u64 {
-            let q = Arc::clone(&q);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..100u64 {
-                    q.push(t * 1000 + i);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let mut seen = std::collections::HashSet::new();
-        while let Some(v) = q.pop() {
-            assert!(seen.insert(v));
-        }
-        assert_eq!(seen.len(), 400);
     }
 
     #[test]
