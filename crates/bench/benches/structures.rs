@@ -143,7 +143,7 @@ fn bench_clock_lru() {
         clock.mark_resident(aquila_mmu::FrameId(i));
     }
     bench("clock_lru", "collect_512", 5_000, || {
-        let victims = clock.collect_victims(512);
+        let victims = clock.collect_victims_where(512, |_| true);
         for v in &victims {
             clock.mark_resident(*v);
         }
@@ -406,7 +406,8 @@ fn bench_tlb() {
     // the other 31 cores hold 64 pages each in 2 MiB regions of their own.
     let batch: Vec<Vpn> = (0..1024).map(Vpn).collect();
     for core in 1..32u64 {
-        fabric.with_local(core as usize, |t| {
+        let mut owner = FreeCtx::new(1).with_core(core as usize, 32);
+        fabric.with_local(&mut owner, |t| {
             for v in (core * 1024..core * 1024 + 64).map(Vpn) {
                 t.insert(v, Gpa(v.0 << 12), PteFlags::RW);
             }
@@ -417,7 +418,7 @@ fn bench_tlb() {
         "shootdown_batch_1024_32cores_disjoint",
         5_000,
         || {
-            fabric.with_local(0, |t| {
+            fabric.with_local(&mut ctx, |t| {
                 for &v in &batch {
                     t.insert(v, Gpa(v.0 << 12), PteFlags::RW);
                 }

@@ -9,16 +9,17 @@
 //! background tenants trickle along. The experiment runs twice from the
 //! same seed — QoS on, then off (no tenant declares its quota to the
 //! engine) — and reports every tenant's latency percentiles against its
-//! SLO (schema v4 `tenants` section).
+//! SLO (the JSON record's `tenants` section).
 //!
-//! Expected: with QoS on, quota self-reclaim and weighted-fair eviction
-//! keep the noisy neighbor's pressure on its own frames, so the
-//! protected tenant's p99 stays at cache-hit latency and inside its
-//! SLO; with QoS off the neighbor evicts the protected working set and
-//! the refault tail blows the SLO.
+//! Expected: with QoS on, quota self-reclaim keeps the noisy neighbor's
+//! pressure on its own frames (it holds at most one 8-frame
+//! self-reclaim batch over its quota), so the protected tenant's p99
+//! stays at cache-hit latency and inside its SLO; with QoS off the
+//! neighbor evicts the protected working set and the refault tail
+//! blows the SLO.
 
 use aquila::TenantSpec;
-use aquila_serve::{run, Arrival, ServeConfig, TenantProfile};
+use aquila_serve::{run, Arrival, ServeConfig, TenantOutcome, TenantProfile};
 use aquila_sim::Cycles;
 
 use crate::report::{banner, JsonReport, TenantEntry};
@@ -40,9 +41,8 @@ fn tenant_set(reqs: u64) -> Vec<TenantProfile> {
             spec: TenantSpec {
                 id: 1,
                 quota_frames: 256,
-                weight: 4,
-                slo_p99: PROTECTED_SLO,
             },
+            slo_p99: PROTECTED_SLO,
             label: "protected".into(),
             arrival: Arrival::Poisson {
                 mean: Cycles::from_micros(100),
@@ -58,9 +58,8 @@ fn tenant_set(reqs: u64) -> Vec<TenantProfile> {
             spec: TenantSpec {
                 id: 2,
                 quota_frames: 256,
-                weight: 1,
-                slo_p99: Cycles::from_millis(2),
             },
+            slo_p99: Cycles::from_millis(2),
             label: "zipf-hot".into(),
             arrival: Arrival::Bursty {
                 mean: Cycles::from_micros(1),
@@ -80,9 +79,8 @@ fn tenant_set(reqs: u64) -> Vec<TenantProfile> {
             spec: TenantSpec {
                 id,
                 quota_frames: 128,
-                weight: 1,
-                slo_p99: Cycles::from_millis(5),
             },
+            slo_p99: Cycles::from_millis(5),
             label: format!("background-{id}"),
             arrival: Arrival::Poisson {
                 mean: Cycles::from_micros(60),
@@ -96,6 +94,17 @@ fn tenant_set(reqs: u64) -> Vec<TenantProfile> {
         });
     }
     tenants
+}
+
+/// The schema `tenants` record of one tenant's outcome.
+fn entry(t: &TenantOutcome, label: String) -> TenantEntry {
+    TenantEntry {
+        id: t.id,
+        label,
+        quota_frames: t.quota_frames,
+        slo_p99: t.slo_p99,
+        requests: t.requests,
+    }
 }
 
 pub(crate) fn part_qos(args: &BenchArgs, json: &mut JsonReport) {
@@ -122,34 +131,22 @@ pub(crate) fn part_qos(args: &BenchArgs, json: &mut JsonReport) {
             report.makespan.as_secs_f64() * 1e3,
         );
         println!(
-            "  {:<14} {:>6} {:>7} {:>6} {:>10} {:>10} {:>10} {:>10} {:>5}",
-            "tenant", "quota", "reqs", "shed", "p50", "p99", "p99.9", "SLO", "met"
+            "  {:<14} {:>6} {:>7} {:>10} {:>10} {:>10} {:>10} {:>5}",
+            "tenant", "quota", "reqs", "p50", "p99", "p99.9", "SLO", "met"
         );
         for t in &report.tenants {
             println!(
-                "  {:<14} {:>6} {:>7} {:>6} {:>10} {:>10} {:>10} {:>10} {:>5}",
+                "  {:<14} {:>6} {:>7} {:>10} {:>10} {:>10} {:>10} {:>5}",
                 t.label,
                 t.quota_frames,
                 t.requests,
-                t.shed,
                 t.hist.quantile(0.5).get(),
                 t.hist.quantile(0.99).get(),
                 t.hist.quantile(0.999).get(),
                 t.slo_p99.get(),
                 if t.slo_met() { "yes" } else { "NO" },
             );
-            json.add_tenant(
-                &TenantEntry {
-                    id: t.id,
-                    label: format!("{tag}/{}", t.label),
-                    quota_frames: t.quota_frames,
-                    weight: t.weight,
-                    slo_p99: t.slo_p99,
-                    requests: t.requests,
-                    shed: t.shed,
-                },
-                &t.hist,
-            );
+            json.add_tenant(&entry(t, format!("{tag}/{}", t.label)), &t.hist);
         }
         let protected = &report.tenants[0];
         let noisy = &report.tenants[1];
@@ -161,8 +158,6 @@ pub(crate) fn part_qos(args: &BenchArgs, json: &mut JsonReport) {
             format!("serve/{tag}/protected_slo_met"),
             if protected.slo_met() { 1.0 } else { 0.0 },
         );
-        json.add_scalar(format!("serve/{tag}/protected_shed"), protected.shed as f64);
-        json.add_scalar(format!("serve/{tag}/noisy_shed"), noisy.shed as f64);
         json.add_scalar(
             format!("serve/{tag}/noisy_resident_frames"),
             noisy.resident_at_end as f64,
@@ -215,18 +210,7 @@ pub(crate) fn part_integrity(args: &BenchArgs, json: &mut JsonReport) {
         "integrity invariant violated: corrupted payload acked to a session ({c:?})"
     );
     for t in &report.tenants {
-        json.add_tenant(
-            &TenantEntry {
-                id: t.id,
-                label: format!("integrity/{}", t.label),
-                quota_frames: t.quota_frames,
-                weight: t.weight,
-                slo_p99: t.slo_p99,
-                requests: t.requests,
-                shed: t.shed,
-            },
-            &t.hist,
-        );
+        json.add_tenant(&entry(t, format!("integrity/{}", t.label)), &t.hist);
     }
     let protected = &report.tenants[0];
     println!(
@@ -271,9 +255,8 @@ fn part_diurnal(args: &BenchArgs, json: &mut JsonReport) {
                 spec: TenantSpec {
                     id: 1,
                     quota_frames: 256,
-                    weight: 1,
-                    slo_p99: Cycles::from_millis(2),
                 },
+                slo_p99: Cycles::from_millis(2),
                 label: "steady".into(),
                 arrival: Arrival::Poisson {
                     mean: Cycles::from_micros(20),
@@ -289,9 +272,8 @@ fn part_diurnal(args: &BenchArgs, json: &mut JsonReport) {
                 spec: TenantSpec {
                     id: 2,
                     quota_frames: 256,
-                    weight: 1,
-                    slo_p99: Cycles::from_millis(2),
                 },
+                slo_p99: Cycles::from_millis(2),
                 label: "diurnal".into(),
                 arrival: Arrival::Diurnal {
                     mean: Cycles::from_micros(20),
@@ -309,31 +291,19 @@ fn part_diurnal(args: &BenchArgs, json: &mut JsonReport) {
     };
     let report = run(&cfg);
     println!(
-        "  {:<10} {:>7} {:>6} {:>10} {:>10} {:>10}",
-        "tenant", "reqs", "shed", "p50", "p99", "p99.9"
+        "  {:<10} {:>7} {:>10} {:>10} {:>10}",
+        "tenant", "reqs", "p50", "p99", "p99.9"
     );
     for t in &report.tenants {
         println!(
-            "  {:<10} {:>7} {:>6} {:>10} {:>10} {:>10}",
+            "  {:<10} {:>7} {:>10} {:>10} {:>10}",
             t.label,
             t.requests,
-            t.shed,
             t.hist.quantile(0.5).get(),
             t.hist.quantile(0.99).get(),
             t.hist.quantile(0.999).get(),
         );
-        json.add_tenant(
-            &TenantEntry {
-                id: t.id,
-                label: t.label.clone(),
-                quota_frames: t.quota_frames,
-                weight: t.weight,
-                slo_p99: t.slo_p99,
-                requests: t.requests,
-                shed: t.shed,
-            },
-            &t.hist,
-        );
+        json.add_tenant(&entry(t, t.label.clone()), &t.hist);
         json.add_scalar(
             format!("serve/diurnal/{}_p99_cycles", t.label),
             t.hist.quantile(0.99).get() as f64,

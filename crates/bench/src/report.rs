@@ -113,7 +113,11 @@ pub fn print_breakdown_per_op(label: &str, b: &Breakdown, ops: u64) {
 /// v6: `metrics` array removed — every event count is a
 /// [`Counters`] field, reported per run in the `counters` rows, and the
 /// global registry holds only the latency histograms of `latency`.
-pub const SCHEMA_VERSION: u64 = 6;
+/// v7: `tenants` entries lose `weight` and `shed`, and the `counters`
+/// rows lose `qos_delayed` and `qos_shed`: quota self-reclaim is the
+/// whole QoS mechanism, with no eviction weight and no admission
+/// control.
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// Quantiles recorded for every histogram in a JSON report.
 const REPORT_QUANTILES: [f64; 5] = [0.5, 0.9, 0.99, 0.999, 1.0];
@@ -137,8 +141,8 @@ pub struct JsonReport {
     integrity: Option<aquila::IntegrityCounters>,
 }
 
-/// One tenant's record in the schema-v4 `tenants` section: the declared
-/// contract (quota/weight/SLO) next to what the run actually delivered.
+/// One tenant's record in the `tenants` section: the declared contract
+/// (quota and SLO) next to what the run actually delivered.
 #[derive(Debug, Clone)]
 pub struct TenantEntry {
     /// Tenant id (the label index of its histograms, e.g. `t03`).
@@ -147,14 +151,10 @@ pub struct TenantEntry {
     pub label: String,
     /// Declared page-cache quota in frames (0 = unlimited).
     pub quota_frames: usize,
-    /// Declared eviction weight.
-    pub weight: usize,
     /// Declared p99 latency SLO.
     pub slo_p99: Cycles,
-    /// Requests issued (including shed ones).
+    /// Requests issued.
     pub requests: u64,
-    /// Requests shed by admission control.
-    pub shed: u64,
 }
 
 impl JsonReport {
@@ -223,10 +223,8 @@ impl JsonReport {
                 .with("id", Json::U64(t.id as u64))
                 .with("label", Json::Str(t.label.clone()))
                 .with("quota_frames", Json::U64(t.quota_frames as u64))
-                .with("weight", Json::U64(t.weight as u64))
                 .with("slo_p99_cycles", Json::U64(t.slo_p99.get()))
                 .with("requests", Json::U64(t.requests))
-                .with("shed", Json::U64(t.shed))
                 .with("count", Json::U64(h.count()))
                 .with("mean_cycles", Json::U64(h.mean().get()))
                 .with("p50_cycles", Json::U64(h.quantile(0.5).get()))
@@ -431,10 +429,8 @@ mod tests {
             id: 3,
             label: "protected".into(),
             quota_frames: 64,
-            weight: 4,
             slo_p99: Cycles(1_000_000),
             requests: 4,
-            shed: 0,
         };
         r.add_tenant(&t, &h);
         let rendered = r.to_json().render();

@@ -142,9 +142,9 @@ fn sweep_latency_part_is_bit_identical_across_runs() {
 
 /// The multi-tenant serving experiment — 8 tenants of open-loop
 /// Poisson/bursty sessions over a shared cache, tenant-labeled
-/// histograms, quota self-reclaim, weighted-fair eviction — is a
+/// histograms, quota self-reclaim, overage-fair eviction — is a
 /// bit-identical pure function of its seed, race-clean, and the
-/// schema-v4 `tenants` section carries the QoS verdicts.
+/// `tenants` section carries the QoS verdicts.
 #[test]
 fn serve_qos_part_is_bit_identical_across_runs() {
     let stdout = assert_double_run_identical(env!("CARGO_BIN_EXE_serve"), "qos", "serve");

@@ -37,13 +37,6 @@ use crate::rmap::Rmap;
 
 pub use crate::config::{AquilaConfig, AquilaConfigBuilder, MmioPolicy, WritePolicy};
 
-// Race-detector names for the owner side of the per-core TLB locks; the
-// remote side (shootdown sweep) uses the same names in `aquila-mmu`, so
-// happens-before edges line up across crates. Instanced by core, taken
-// one at a time, never nested with another annotated lock.
-const L_TLB: &str = "mmu.tlb";
-const V_TLB: &str = "mmu.tlb.state";
-
 // The promoted-run registry lock. When promotion or demotion nests it
 // with pcache or TLB locks it is always the *outermost* annotated lock,
 // so its edges in the dynamic order graph never form a cycle.
@@ -82,11 +75,6 @@ const MAX_PROMOTED_SHARE: usize = 50;
 /// filled eagerly from the device during collapse.
 pub(crate) const PROMOTE_THRESHOLD: usize = 64;
 
-/// Base admission-delay unit for a tenant over its declared quota: its
-/// fault is delayed by this amount scaled by how deep the freelist sits
-/// below the low watermark.
-const QOS_DELAY: Cycles = Cycles::from_micros(2);
-
 /// A planned writeback segment: access path, first device page, and the
 /// positions of its pages in the batch of dirty pages it was planned from.
 pub(crate) type Segment = (Arc<dyn StorageAccess>, u64, Range<usize>);
@@ -108,25 +96,6 @@ pub enum RegionState {
     /// fail with [`AquilaError::DegradedReadOnly`]; cached data stays
     /// readable.
     ReadOnly,
-}
-
-/// Admission-control decision for one tenant request (DESIGN.md §15).
-///
-/// Computed by [`Aquila::admit`] on every fault that allocates a frame.
-/// The invariant the QoS layer guarantees: a tenant at or under its
-/// frame quota (or with no quota declared) is **always** admitted —
-/// throttling applies only to tenants holding more cache than they
-/// reserved, and only while the cache is actually under pressure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// Proceed immediately.
-    Admit,
-    /// Proceed after charging the given deterministic throttle delay
-    /// (scaled from `QOS_DELAY` by watermark deficit).
-    Delay(Cycles),
-    /// Refuse with [`AquilaError::QosShed`]: deep watermark deficit or
-    /// a degraded region, and the tenant is over quota.
-    Shed,
 }
 
 /// Degradation bookkeeping (kept off the hot path: only the evictor
@@ -313,52 +282,12 @@ impl Aquila {
     // Multi-tenant QoS (DESIGN.md §15).
     // ---------------------------------------------------------------
 
-    /// Admission decision for a request from `tenant`.
-    ///
-    /// Always [`Admission::Admit`] when the tenant is within (or has
-    /// no) quota, or when the cache is healthy. An over-quota tenant
-    /// under congestion is delayed in proportion to the watermark
-    /// deficit, and shed outright once the deficit exceeds half the low
-    /// watermark or the region has degraded.
-    pub fn admit(&self, tenant: u16) -> Admission {
-        if !self.cache.tenant_over_quota(tenant) {
-            return Admission::Admit;
-        }
-        let deficit = self.cache.watermark_deficit();
-        let degraded = self.region_state() != RegionState::Healthy;
-        if deficit == 0 && !degraded {
-            // No congestion: overage costs nobody anything yet.
-            return Admission::Admit;
-        }
-        let low = self.cfg.policy.low_watermark.max(1);
-        if degraded || deficit > low / 2 {
-            return Admission::Shed;
-        }
-        // Mild pressure: deterministic backoff growing linearly with how
-        // deep the freelist sits below the watermark.
-        let unit = QOS_DELAY.0;
-        let scaled = unit + unit.saturating_mul(4 * deficit as u64) / low as u64;
-        Admission::Delay(Cycles(scaled))
-    }
-
     /// Allocates a frame for a fault on `file`, applying tenant QoS
-    /// first: admission control (delay/shed), then quota self-reclaim —
-    /// an over-quota tenant evicts a small batch of *its own* frames
-    /// before it may consume the shared freelist. Both are no-ops for a
-    /// tenant that declared no quota.
+    /// first: quota self-reclaim, where an over-quota tenant evicts a
+    /// small batch of *its own* frames before it may consume the shared
+    /// freelist. A no-op for a tenant that declared no quota.
     fn alloc_frame_for(&self, ctx: &mut dyn SimCtx, file: u32) -> Result<FrameId, AquilaError> {
         let tenant = self.cache.tenant_of_file(file);
-        match self.admit(tenant) {
-            Admission::Admit => {}
-            Admission::Delay(d) => {
-                ctx.counters().qos_delayed += 1;
-                ctx.charge(CostCat::Idle, d);
-            }
-            Admission::Shed => {
-                ctx.counters().qos_shed += 1;
-                return Err(AquilaError::QosShed);
-            }
-        }
         let overage = self.cache.tenant_overage(tenant);
         if overage > 0 {
             // Small batches keep the self-reclaim tax on the noisy
@@ -627,12 +556,7 @@ impl Aquila {
         for _attempt in 0..4 {
             // TLB first: a hit is free, exactly the paper's argument for
             // mmio over software caches.
-            let core = ctx.core() % self.cfg.cores;
-            race::acquire(ctx, (L_TLB, core as u64));
-            let hit = self.tlbs.with_local(core, |t| t.lookup(vpn));
-            race::read(ctx, (V_TLB, core as u64));
-            race::release(ctx, (L_TLB, core as u64));
-            if let Some((gpa_base, flags)) = hit {
+            if let Some((gpa_base, flags)) = self.tlbs.lookup(ctx, vpn) {
                 if access == Access::Read || flags.writable {
                     return Ok(Gpa(gpa_base.get() + gva.page_offset()));
                 }
@@ -652,13 +576,10 @@ impl Aquila {
                     };
                     let walk = Cycles(ctx.cost().radix_level.get() * levels);
                     ctx.charge(CostCat::Tlb, walk);
-                    race::acquire(ctx, (L_TLB, core as u64));
-                    self.tlbs.with_local(core, |t| match kind {
+                    self.tlbs.with_local(ctx, |t| match kind {
                         LeafKind::Small => t.insert(vpn, pte.gpa, pte.flags),
                         LeafKind::Huge => t.insert_huge(vpn.huge_base(), pte.gpa, pte.flags),
                     });
-                    race::write(ctx, (V_TLB, core as u64));
-                    race::release(ctx, (L_TLB, core as u64));
                     return Ok(gpa);
                 }
                 Err(_) => {
@@ -765,11 +686,7 @@ impl Aquila {
                             let mut fl = PteFlags::RW;
                             fl.dirty = true;
                             self.page_table.with(ctx, vpn, |pt| pt.protect(gva, fl));
-                            let core = ctx.core() % self.cfg.cores;
-                            race::acquire(ctx, (L_TLB, core as u64));
-                            self.tlbs.with_local(core, |t| t.invalidate(vpn));
-                            race::write(ctx, (V_TLB, core as u64));
-                            race::release(ctx, (L_TLB, core as u64));
+                            self.tlbs.with_local(ctx, |t| t.invalidate(vpn));
                         }
                         LeafKind::Huge => {
                             // The whole 2 MiB leaf upgrades at once,
@@ -862,11 +779,7 @@ impl Aquila {
             pt.map(vpn.base(), gpa, flags);
         });
         self.rmap.push(frame, vpn);
-        let core = ctx.core() % self.cfg.cores;
-        race::acquire(ctx, (L_TLB, core as u64));
-        self.tlbs.with_local(core, |t| t.insert(vpn, gpa, flags));
-        race::write(ctx, (V_TLB, core as u64));
-        race::release(ctx, (L_TLB, core as u64));
+        self.tlbs.with_local(ctx, |t| t.insert(vpn, gpa, flags));
     }
 
     /// Allocates a cache frame, running a batched eviction round when the
@@ -1416,12 +1329,7 @@ impl Aquila {
         }
         // Prime the local 2 MiB sub-TLB so the faulting access retries
         // straight into a huge hit.
-        let core = ctx.core() % self.cfg.cores;
-        race::acquire(ctx, (L_TLB, core as u64));
-        self.tlbs
-            .with_local(core, |t| t.insert_huge(hbase, gpa, fl));
-        race::write(ctx, (V_TLB, core as u64));
-        race::release(ctx, (L_TLB, core as u64));
+        self.tlbs.with_local(ctx, |t| t.insert_huge(hbase, gpa, fl));
         self.huge_runs.lock().insert(
             hbase.0,
             HugeRun {
@@ -1459,11 +1367,7 @@ impl Aquila {
         });
         // Upgrades need no shootdown: stale read-only entries on other
         // cores refault at worst (same rule as the 4 KiB path).
-        let core = ctx.core() % self.cfg.cores;
-        race::acquire(ctx, (L_TLB, core as u64));
-        self.tlbs.with_local(core, |t| t.invalidate(hbase));
-        race::write(ctx, (V_TLB, core as u64));
-        race::release(ctx, (L_TLB, core as u64));
+        self.tlbs.with_local(ctx, |t| t.invalidate(hbase));
         ctx.counters().huge_write_upgrades += 1;
     }
 
@@ -1576,9 +1480,7 @@ impl Aquila {
 
     /// Huge-TLB (2 MiB sub-array) hits summed across cores.
     pub fn tlb_huge_hits(&self) -> u64 {
-        (0..self.cfg.cores)
-            .map(|c| self.tlbs.with_local(c, |t| t.huge_hits()))
-            .sum()
+        self.tlbs.huge_hits()
     }
 
     // ---------------------------------------------------------------
@@ -1629,14 +1531,7 @@ impl Aquila {
 
     /// Per-core TLB statistics: (hits, misses) summed across cores.
     pub fn tlb_stats(&self) -> (u64, u64) {
-        let mut hits = 0;
-        let mut misses = 0;
-        for c in 0..self.cfg.cores {
-            let (h, m) = self.tlbs.with_local(c, |t| t.stats());
-            hits += h;
-            misses += m;
-        }
-        (hits, misses)
+        self.tlbs.stats()
     }
 }
 

@@ -35,10 +35,6 @@ pub enum AquilaError {
     /// A storage-device operation failed (out-of-range I/O, mismatched
     /// buffer, full queue pair).
     Device(DeviceError),
-    /// Admission control shed the request: the calling tenant is over
-    /// its frame quota while the cache is under pressure or degraded
-    /// (DESIGN.md §15). Never returned to a tenant within its quota.
-    QosShed,
     /// A read's data failed its integrity check on every copy (primary
     /// and replica): the engine refuses to map the poisoned page and
     /// degrades the region to read-only instead of serving garbage
@@ -74,9 +70,6 @@ impl core::fmt::Display for AquilaError {
             }
             AquilaError::RecoveryFailed(why) => write!(f, "crash recovery failed: {why}"),
             AquilaError::Device(e) => write!(f, "device error: {e}"),
-            AquilaError::QosShed => {
-                write!(f, "request shed: tenant over quota under cache pressure")
-            }
             AquilaError::DataCorrupted { page } => {
                 write!(f, "unrepairable data corruption at device page {page}")
             }

@@ -46,7 +46,7 @@ pub use aquila_devices::{IntegrityCounters, StorageAccess};
 pub use aquila_mmu::Gva;
 pub use aquila_vma::{Advice, Prot};
 pub use config::{AquilaConfig, AquilaConfigBuilder, MmioPolicy, WritePolicy};
-pub use engine::{Admission, Aquila, RegionState};
+pub use engine::{Aquila, RegionState};
 pub use error::AquilaError;
 pub use file::{FileId, Files};
 pub use region::AquilaRegion;

@@ -2,20 +2,20 @@
 //!
 //! Until PR 8 every caller passed raw [`Gva`]s straight to
 //! [`Aquila`]; a multi-tenant front end needs an accountable surface
-//! instead. A [`Tenant`] is registered once with a [`TenantSpec`]
-//! (quota, eviction weight, latency SLO); every file it opens is bound
-//! to its tenant id in the pcache, so frame accounting, quota
-//! enforcement, and fair eviction all happen per tenant. A [`Session`]
+//! instead. A [`Tenant`] is registered once with a [`TenantSpec`] (id
+//! and frame quota); every file it opens is bound to its tenant id in
+//! the pcache, so frame accounting, quota enforcement, and fair
+//! eviction all happen per tenant. A [`Session`]
 //! is one simulated client connection: it wraps the engine operations
 //! (`mmap`/`read`/`write`/`msync`/...) with per-tenant request counts
 //! and tenant-labeled latency histograms
 //! (`session.op.cycles[tNN]` via
 //! [`aquila_sim::metrics::record_latency_labeled`]).
 //!
-//! The QoS invariant (enforced by [`Aquila::admit`], tested here): a
-//! tenant at or under its declared quota is never delayed or shed —
-//! admission control only taxes tenants holding more cache than they
-//! reserved, and only while the cache is under real pressure.
+//! The QoS mechanism is quota self-reclaim: a fault from a tenant over
+//! its declared quota first evicts a small batch of that tenant's own
+//! frames, so its pressure lands on its own working set. Every request
+//! is served; a tenant with no quota is never self-reclaimed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,25 +35,17 @@ pub struct TenantSpec {
     /// Small dense tenant id (also the histogram label index; ids are
     /// taken modulo [`aquila_pcache::MAX_TENANTS`] in the cache).
     pub id: u16,
-    /// Frame quota in the shared cache; 0 = unlimited (never throttled).
+    /// Frame quota in the shared cache; 0 = unlimited (never
+    /// self-reclaimed).
     pub quota_frames: usize,
-    /// Eviction-protection weight (≥ 1). The fair evictor divides a
-    /// tenant's overage by its weight when apportioning victim batches,
-    /// so heavier tenants shed frames more slowly.
-    pub weight: usize,
-    /// Declared p99 request-latency SLO, for reporting and gating; the
-    /// engine never reads it.
-    pub slo_p99: Cycles,
 }
 
 impl TenantSpec {
-    /// A spec with no quota, unit weight, and an unbounded SLO.
+    /// A spec with no quota.
     pub fn unlimited(id: u16) -> TenantSpec {
         TenantSpec {
             id,
             quota_frames: 0,
-            weight: 1,
-            slo_p99: Cycles::MAX,
         }
     }
 }
@@ -63,7 +55,6 @@ impl TenantSpec {
 #[derive(Debug, Default)]
 struct TenantStats {
     requests: AtomicU64,
-    shed: AtomicU64,
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
 }
@@ -77,13 +68,10 @@ pub struct Tenant {
 }
 
 impl Tenant {
-    /// Registers a tenant with the engine: installs its quota and
-    /// weight in the shared cache and returns the handle.
+    /// Registers a tenant with the engine: installs its quota in the
+    /// shared cache and returns the handle.
     pub fn register(aquila: Arc<Aquila>, spec: TenantSpec) -> Arc<Tenant> {
         aquila.cache().set_tenant_quota(spec.id, spec.quota_frames);
-        aquila
-            .cache()
-            .set_tenant_weight(spec.id, spec.weight.max(1));
         Arc::new(Tenant {
             aquila,
             spec,
@@ -127,11 +115,6 @@ impl Tenant {
         self.stats.requests.load(Ordering::Relaxed)
     }
 
-    /// Requests refused by admission control ([`AquilaError::QosShed`]).
-    pub fn shed_requests(&self) -> u64 {
-        self.stats.shed.load(Ordering::Relaxed)
-    }
-
     /// Bytes read / written through this tenant's sessions.
     pub fn bytes(&self) -> (u64, u64) {
         (
@@ -147,9 +130,6 @@ impl Tenant {
         result: Result<T, AquilaError>,
     ) -> Result<T, AquilaError> {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        if matches!(result, Err(AquilaError::QosShed)) {
-            self.stats.shed.fetch_add(1, Ordering::Relaxed);
-        }
         aquila_sim::metrics::record_latency_labeled(
             ctx,
             "session.op.cycles",
@@ -164,8 +144,8 @@ impl core::fmt::Debug for Tenant {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(
             f,
-            "Tenant {{ id: {}, quota: {}, weight: {} }}",
-            self.spec.id, self.spec.quota_frames, self.spec.weight
+            "Tenant {{ id: {}, quota: {} }}",
+            self.spec.id, self.spec.quota_frames
         )
     }
 }

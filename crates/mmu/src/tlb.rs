@@ -29,10 +29,10 @@ const WAYS: usize = 4;
 const REGIONS: usize = 256;
 
 // Race-detector identities: per-core TLB locks (instanced by core; the
-// shootdown sweep takes them one at a time in ascending core order, never
-// nested) and the APIC fabric. Owner-side accesses without a `SimCtx`
-// (`with_local` from stats paths) are outside the detector's view; the
-// engine annotates its own `with_local` calls.
+// shootdown sweep takes them one at a time in ascending core order, the
+// owner core takes its own in `lookup` and `with_local`, never nested)
+// and the APIC fabric. The stats sums read without a `SimCtx` and are
+// outside the detector's view.
 const L_TLB: &str = "mmu.tlb";
 const V_TLB: &str = "mmu.tlb.state";
 const L_APIC: &str = "mmu.apic";
@@ -353,9 +353,45 @@ impl TlbFabric {
         }
     }
 
-    /// Runs `f` with the calling core's TLB.
-    pub fn with_local<R>(&self, core: usize, f: impl FnOnce(&mut Tlb) -> R) -> R {
-        f(&mut self.tlbs[core].lock())
+    /// Index of the TLB of the core `ctx` runs on (core ids wrap
+    /// modulo [`TlbFabric::cores`]).
+    fn local(&self, ctx: &dyn SimCtx) -> usize {
+        ctx.core() % self.tlbs.len()
+    }
+
+    /// Looks `vpn` up in the calling core's TLB, recorded for the race
+    /// detector as a read under that core's TLB lock.
+    pub fn lookup(&self, ctx: &mut dyn SimCtx, vpn: Vpn) -> Option<(Gpa, PteFlags)> {
+        let core = self.local(ctx);
+        race::acquire(ctx, (L_TLB, core as u64));
+        let hit = self.tlbs[core].lock().lookup(vpn);
+        race::read(ctx, (V_TLB, core as u64));
+        race::release(ctx, (L_TLB, core as u64));
+        hit
+    }
+
+    /// Runs `f` with the calling core's TLB, recorded for the race
+    /// detector as a write under that core's TLB lock.
+    pub fn with_local<R>(&self, ctx: &mut dyn SimCtx, f: impl FnOnce(&mut Tlb) -> R) -> R {
+        let core = self.local(ctx);
+        race::acquire(ctx, (L_TLB, core as u64));
+        let r = f(&mut self.tlbs[core].lock());
+        race::write(ctx, (V_TLB, core as u64));
+        race::release(ctx, (L_TLB, core as u64));
+        r
+    }
+
+    /// (hits, misses) summed across cores.
+    pub fn stats(&self) -> (u64, u64) {
+        self.tlbs.iter().fold((0, 0), |(h, m), t| {
+            let (th, tm) = t.lock().stats();
+            (h + th, m + tm)
+        })
+    }
+
+    /// 2 MiB sub-TLB hits summed across cores.
+    pub fn huge_hits(&self) -> u64 {
+        self.tlbs.iter().map(|t| t.lock().huge_hits()).sum()
     }
 
     /// Number of cores.
@@ -420,6 +456,11 @@ mod tests {
         PteFlags::RW
     }
 
+    /// Runs `f` with `core`'s TLB, as that core would.
+    fn on_core<R>(fabric: &TlbFabric, core: usize, f: impl FnOnce(&mut Tlb) -> R) -> R {
+        fabric.with_local(&mut FreeCtx::new(1).with_core(core, fabric.cores()), f)
+    }
+
     #[test]
     fn lookup_after_insert_hits() {
         let mut tlb = Tlb::new();
@@ -473,16 +514,31 @@ mod tests {
         let fabric = TlbFabric::new(4);
         let debts = CoreDebts::new(4);
         // Fill core 2's TLB.
-        fabric.with_local(2, |t| t.insert(Vpn(9), Gpa(0x9000), flags()));
+        on_core(&fabric, 2, |t| t.insert(Vpn(9), Gpa(0x9000), flags()));
         let mut ctx = FreeCtx::new(1).with_core(0, 4);
         fabric.shootdown_batch(&mut ctx, &debts, &[Vpn(9), Vpn(10)]);
-        assert!(fabric.with_local(2, |t| t.lookup(Vpn(9)).is_none()));
+        assert!(on_core(&fabric, 2, |t| t.lookup(Vpn(9)).is_none()));
         assert_eq!(ctx.stats.tlb_shootdowns, 1);
         assert_eq!(ctx.stats.tlb_invalidations, 2);
         // Sender paid at least the mediated IPI cost.
         assert!(ctx.breakdown.get(CostCat::Tlb).get() >= 2081);
         // Remote cores owe handler work.
         assert!(debts.drain(1) > Cycles::ZERO);
+    }
+
+    #[test]
+    fn lookup_and_with_local_use_the_calling_cores_tlb() {
+        let fabric = TlbFabric::new(2);
+        let mut core1 = FreeCtx::new(1).with_core(1, 2);
+        let mut core0 = FreeCtx::new(1).with_core(0, 2);
+        fabric.with_local(&mut core1, |t| t.insert(Vpn(5), Gpa(0x5000), flags()));
+        assert_eq!(
+            fabric.lookup(&mut core1, Vpn(5)),
+            Some((Gpa(0x5000), flags()))
+        );
+        assert_eq!(fabric.lookup(&mut core0, Vpn(5)), None);
+        assert_eq!(fabric.stats(), (1, 1));
+        assert_eq!(fabric.huge_hits(), 0);
     }
 
     #[test]
@@ -576,12 +632,16 @@ mod tests {
         let debts = CoreDebts::new(2);
         let hbase = Vpn(2048);
         for core in 0..2 {
-            fabric.with_local(core, |t| t.insert_huge(hbase, Gpa(0x80_0000), flags()));
+            on_core(&fabric, core, |t| {
+                t.insert_huge(hbase, Gpa(0x80_0000), flags())
+            });
         }
         let mut ctx = FreeCtx::new(1).with_core(0, 2);
         fabric.shootdown_batch(&mut ctx, &debts, &[hbase]);
         for core in 0..2 {
-            assert!(fabric.with_local(core, |t| t.lookup(Vpn(2048 + 17)).is_none()));
+            assert!(on_core(&fabric, core, |t| t
+                .lookup(Vpn(2048 + 17))
+                .is_none()));
         }
     }
 
@@ -838,7 +898,9 @@ mod tests {
         };
         for (core, model) in models.iter_mut().enumerate() {
             for v in held(core) {
-                fabric.with_local(core, |t| t.insert(v, Gpa(v.0 * PAGE_SIZE), flags()));
+                on_core(&fabric, core, |t| {
+                    t.insert(v, Gpa(v.0 * PAGE_SIZE), flags())
+                });
                 model.insert(v, Gpa(v.0 * PAGE_SIZE), flags());
             }
         }
@@ -852,7 +914,7 @@ mod tests {
         assert_eq!(ctx.stats.tlb_shootdowns, 1);
         assert_eq!(ctx.stats.tlb_invalidations, 1024);
         for (core, model) in models.iter_mut().enumerate() {
-            fabric.with_local(core, |t| {
+            on_core(&fabric, core, |t| {
                 assert_eq!(t.invalidations(), model.invalidations, "core {core}");
                 assert_eq!(t.regions, recount(t), "core {core}");
                 for v in held(core) {
@@ -862,8 +924,8 @@ mod tests {
             });
         }
         assert_eq!(models[0].invalidations, 1024);
-        assert_eq!(fabric.with_local(0, |t| t.reach_bytes()), 0);
-        assert_eq!(fabric.with_local(1, |t| t.reach_bytes()), 64 * PAGE_SIZE);
+        assert_eq!(on_core(&fabric, 0, |t| t.reach_bytes()), 0);
+        assert_eq!(on_core(&fabric, 1, |t| t.reach_bytes()), 64 * PAGE_SIZE);
     }
 
     #[test]

@@ -151,9 +151,6 @@ struct TenantTable {
     resident: Vec<AtomicUsize>,
     /// Frame quota per tenant; 0 means unlimited.
     quota: Vec<AtomicUsize>,
-    /// Fair-share weight per tenant (default 1); the evictor divides a
-    /// tenant's overage by its weight when apportioning a fairness round.
-    weight: Vec<AtomicUsize>,
 }
 
 impl TenantTable {
@@ -162,7 +159,6 @@ impl TenantTable {
             file_tenant: (0..FILE_TENANT_CAP).map(|_| AtomicU16::new(0)).collect(),
             resident: (0..MAX_TENANTS).map(|_| AtomicUsize::new(0)).collect(),
             quota: (0..MAX_TENANTS).map(|_| AtomicUsize::new(0)).collect(),
-            weight: (0..MAX_TENANTS).map(|_| AtomicUsize::new(1)).collect(),
         }
     }
 
@@ -284,7 +280,7 @@ impl DramCache {
     }
 
     // ---------------------------------------------------------------
-    // Tenancy (DESIGN.md §15): per-tenant residency, quotas, weights.
+    // Tenancy (DESIGN.md §15): per-tenant residency and quotas.
     // ---------------------------------------------------------------
 
     /// Attributes `file`'s cached pages to `tenant` (call before the
@@ -305,11 +301,6 @@ impl DramCache {
         self.tenants.quota[self.tenants.slot(tenant)].store(frames, Ordering::Relaxed);
     }
 
-    /// Sets `tenant`'s fair-share weight (clamped to at least 1).
-    pub fn set_tenant_weight(&self, tenant: u16, weight: usize) {
-        self.tenants.weight[self.tenants.slot(tenant)].store(weight.max(1), Ordering::Relaxed);
-    }
-
     /// Frames `tenant`'s files currently hold in the cache.
     pub fn tenant_resident(&self, tenant: u16) -> usize {
         self.tenants.resident[self.tenants.slot(tenant)].load(Ordering::Relaxed)
@@ -320,25 +311,15 @@ impl DramCache {
         self.tenants.quota[self.tenants.slot(tenant)].load(Ordering::Relaxed)
     }
 
-    /// `tenant`'s fair-share weight.
-    pub fn tenant_weight(&self, tenant: u16) -> usize {
-        self.tenants.weight[self.tenants.slot(tenant)].load(Ordering::Relaxed)
-    }
-
     /// How many frames `tenant` holds *beyond* its quota (0 with no
     /// quota, or while under it). The fairness round evicts in
-    /// proportion to `overage / weight`.
+    /// proportion to it.
     pub fn tenant_overage(&self, tenant: u16) -> usize {
         let quota = self.tenant_quota(tenant);
         if quota == 0 {
             return 0;
         }
         self.tenant_resident(tenant).saturating_sub(quota)
-    }
-
-    /// Whether `tenant` has a quota and currently exceeds it.
-    pub fn tenant_over_quota(&self, tenant: u16) -> bool {
-        self.tenant_overage(tenant) > 0
     }
 
     /// The frame pool (for reading/filling page data).
@@ -627,9 +608,8 @@ impl DramCache {
     /// Selects and detaches an eviction batch of up to `batch` pages.
     ///
     /// Selection is tenant-fair (DESIGN.md §15): each tenant over its
-    /// declared quota contributes victims in proportion to its overage
-    /// divided by its weight (a heavier weight is more protected), but
-    /// never more than its overage, and the global CLOCK sweep tops up
+    /// declared quota contributes victims in proportion to its overage,
+    /// but never more than it, and the global CLOCK sweep tops up
     /// whatever the scoped sweeps did not supply. With no quota declared
     /// this is one global CLOCK batch.
     ///
@@ -641,15 +621,15 @@ impl DramCache {
     /// [`DramCache::release_frame`].
     pub fn evict_candidates(&self, ctx: &mut dyn SimCtx, batch: usize) -> Vec<Victim> {
         let shares: Vec<(u16, usize)> = (0..MAX_TENANTS as u16)
-            .map(|t| (t, self.tenant_overage(t) / self.tenant_weight(t)))
-            .filter(|&(_, share)| share > 0)
+            .map(|t| (t, self.tenant_overage(t)))
+            .filter(|&(_, overage)| overage > 0)
             .collect();
-        let total: usize = shares.iter().map(|&(_, share)| share).sum();
+        let total: usize = shares.iter().map(|&(_, overage)| overage).sum();
         let mut victims = Vec::new();
-        for &(t, share) in &shares {
-            let want = (batch * share)
+        for &(t, overage) in &shares {
+            let want = (batch * overage)
                 .div_ceil(total)
-                .min(self.tenant_overage(t))
+                .min(overage)
                 .min(batch - victims.len());
             if want == 0 {
                 break;
@@ -657,16 +637,9 @@ impl DramCache {
             victims.extend(self.evict_candidates_from(ctx, want, t));
         }
         if victims.len() < batch {
-            let want = batch - victims.len();
-            // The fair pass cleared the reference bits it swept past, so
-            // its top-up sweep often wraps: take distinct frames. The
-            // plain batch keeps `collect_victims`'s repeats on a wrap,
-            // which `results/fig6b.txt` records.
-            let frames = if shares.is_empty() {
-                self.clock.collect_victims(want)
-            } else {
-                self.clock.collect_victims_where(want, |_| true)
-            };
+            let frames = self
+                .clock
+                .collect_victims_where(batch - victims.len(), |_| true);
             victims.extend(self.detach_frames(ctx, frames));
         }
         victims
@@ -1286,9 +1259,8 @@ mod tests {
         assert_eq!(cache.tenant_resident(0), 0, "unbound default tenant idle");
         // Quota/overage bookkeeping.
         cache.set_tenant_quota(1, 2);
-        assert!(cache.tenant_over_quota(1));
         assert_eq!(cache.tenant_overage(1), 1);
-        assert!(!cache.tenant_over_quota(2), "no quota means never over");
+        assert_eq!(cache.tenant_overage(2), 0, "no quota means never over");
         // Eviction debits the owning tenant.
         let victims = cache.evict_candidates(&mut ctx, BATCH);
         assert_eq!(victims.len(), 4);
@@ -1325,7 +1297,7 @@ mod tests {
     }
 
     #[test]
-    fn eviction_batch_is_apportioned_by_weighted_overage() {
+    fn eviction_batch_is_apportioned_by_overage() {
         let cache = small_cache(16);
         let mut ctx = FreeCtx::new(1);
         cache.bind_file_tenant(1, 1);
@@ -1338,11 +1310,10 @@ mod tests {
                     .unwrap();
             }
         }
-        // Tenant 1 is 6 frames over at weight 1; tenant 2 is 4 over at
-        // weight 2, a share of 2. A batch of 4 splits 3:1.
+        // Tenant 1 is 6 frames over, tenant 2 is 2 over: a batch of 4
+        // splits 3:1.
         cache.set_tenant_quota(1, 2);
-        cache.set_tenant_quota(2, 4);
-        cache.set_tenant_weight(2, 2);
+        cache.set_tenant_quota(2, 6);
         let victims = cache.evict_candidates(&mut ctx, BATCH);
         let from = |file| victims.iter().filter(|v| v.key.file == file).count();
         assert_eq!((from(1), from(2)), (3, 1));
@@ -1415,7 +1386,7 @@ mod tests {
             cache.release_frame(&mut ctx0, v.frame);
         }
         assert_eq!(cache.tenant_resident(1), 10);
-        assert!(cache.tenant_over_quota(1), "still above quota");
+        assert!(cache.tenant_overage(1) > 0, "still above quota");
         // Vcore 1 allocates for tenant 2: its own shard and the node
         // queue are empty, so the first alloc crosses shards (a steal)
         // and the rebalance batch makes the rest local.

@@ -60,34 +60,22 @@ impl ClockLru {
             .count()
     }
 
-    /// Sweeps the clock hand and collects up to `batch` victims.
+    /// Sweeps the clock hand and collects up to `batch` distinct
+    /// victims among the frames `pred` accepts (the tenant-fair evictor
+    /// sweeps one tenant's frames at a time; every other batch accepts
+    /// all frames).
     ///
     /// Referenced frames get a second chance (bit cleared, skipped).
     /// Returns fewer than `batch` victims — possibly none — if the pool
-    /// has too few unreferenced resident frames after two full sweeps.
-    /// A sweep that wraps can return a frame twice (the second pass meets
-    /// the first pass's victims again); the detach keeps one copy, so the
-    /// batch comes up short. [`ClockLru::collect_victims_where`] does not.
-    pub fn collect_victims(&self, batch: usize) -> Vec<FrameId> {
-        self.sweep(batch, |_| true, false)
-    }
-
-    /// [`ClockLru::collect_victims`] restricted to frames `pred` accepts
-    /// (the tenant-fair evictor sweeps one tenant's frames at a time),
-    /// returning distinct frames even when the sweep wraps.
-    ///
-    /// Frames `pred` rejects are passed over *without* touching their
-    /// reference bits, so a scoped sweep never ages another tenant's
-    /// recency state.
+    /// has too few unreferenced matching resident frames after two full
+    /// sweeps. Frames `pred` rejects are passed over *without* touching
+    /// their reference bits, so a scoped sweep never ages another
+    /// tenant's recency state.
     pub fn collect_victims_where(
         &self,
         batch: usize,
         pred: impl Fn(FrameId) -> bool,
     ) -> Vec<FrameId> {
-        self.sweep(batch, pred, true)
-    }
-
-    fn sweep(&self, batch: usize, pred: impl Fn(FrameId) -> bool, distinct: bool) -> Vec<FrameId> {
         let n = self.referenced.len();
         if n == 0 {
             return Vec::new();
@@ -109,7 +97,7 @@ impl ClockLru {
             if !pred(FrameId(i as u32)) {
                 continue;
             }
-            if distinct && victims.get(again) == Some(&FrameId(i as u32)) {
+            if victims.get(again) == Some(&FrameId(i as u32)) {
                 again += 1;
                 continue;
             }
@@ -144,7 +132,7 @@ mod tests {
             c.mark_resident(FrameId(i));
         }
         // All recently touched: first sweep clears bits, second collects.
-        let v = c.collect_victims(2);
+        let v = c.collect_victims_where(2, |_| true);
         assert_eq!(v.len(), 2);
         for f in &v {
             assert!(f.0 < 4, "victim must be resident");
@@ -157,21 +145,24 @@ mod tests {
         c.mark_resident(FrameId(0));
         c.mark_resident(FrameId(1));
         // Clear both reference bits via a collection round.
-        let _ = c.collect_victims(2);
+        let _ = c.collect_victims_where(2, |_| true);
         c.mark_resident(FrameId(2));
         c.mark_resident(FrameId(3));
         c.touch(FrameId(0));
         // Frame 0 is referenced; frame 1 is not: 1 must be evicted first.
-        let v = c.collect_victims(1);
+        let v = c.collect_victims_where(1, |_| true);
         assert_eq!(v, vec![FrameId(1)]);
     }
 
     #[test]
     fn empty_pool_yields_nothing() {
         let c = ClockLru::new(0);
-        assert!(c.collect_victims(10).is_empty());
+        assert!(c.collect_victims_where(10, |_| true).is_empty());
         let c = ClockLru::new(4);
-        assert!(c.collect_victims(10).is_empty(), "nothing resident");
+        assert!(
+            c.collect_victims_where(10, |_| true).is_empty(),
+            "nothing resident"
+        );
     }
 
     #[test]
@@ -179,7 +170,7 @@ mod tests {
         let c = ClockLru::new(4);
         c.mark_resident(FrameId(0));
         c.mark_free(FrameId(0));
-        assert!(c.collect_victims(4).is_empty());
+        assert!(c.collect_victims_where(4, |_| true).is_empty());
         assert_eq!(c.resident_count(), 0);
     }
 
@@ -189,7 +180,7 @@ mod tests {
         for i in 0..64 {
             c.mark_resident(FrameId(i));
         }
-        let v = c.collect_victims(10);
+        let v = c.collect_victims_where(10, |_| true);
         assert_eq!(v.len(), 10);
         // Victims are distinct.
         let mut ids: Vec<u32> = v.iter().map(|f| f.0).collect();
@@ -205,7 +196,7 @@ mod tests {
             c.mark_resident(FrameId(i));
         }
         // Clear every reference bit; frame 0 is taken on the wrap.
-        assert_eq!(c.collect_victims(1), vec![FrameId(0)]);
+        assert_eq!(c.collect_victims_where(1, |_| true), vec![FrameId(0)]);
         c.mark_free(FrameId(0));
         c.touch(FrameId(3));
         c.touch(FrameId(4));
@@ -230,7 +221,7 @@ mod tests {
         // single-victim sweep must still give them their second chance
         // (i.e. the first collected victim is one whose bit was already
         // cleared by the scoped sweep — an even frame).
-        let next = c.collect_victims(1);
+        let next = c.collect_victims_where(1, |_| true);
         assert_eq!(next.len(), 1);
         assert_eq!(next[0].0 % 2, 0, "odd frames kept their reference bits");
     }
@@ -243,9 +234,9 @@ mod tests {
         for i in 0..16 {
             c.mark_resident(FrameId(i));
         }
-        let _ = c.collect_victims(0); // No-op, hand at 0, bits set.
-                                      // Clear all bits with one sweep.
-        let cleared = c.collect_victims(16);
+        let _ = c.collect_victims_where(0, |_| true); // No-op, hand at 0, bits set.
+                                                      // Clear all bits with one sweep.
+        let cleared = c.collect_victims_where(16, |_| true);
         assert_eq!(cleared.len(), 16, "second sweep collects everything");
     }
 }

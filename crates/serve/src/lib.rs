@@ -3,17 +3,17 @@
 //!
 //! N tenants share one page cache through the tenant-scoped session API
 //! ([`aquila::Tenant`]/[`aquila::Session`]): each tenant declares a
-//! [`TenantSpec`] (frame quota, eviction weight, p99 SLO) and runs a set
-//! of simulated client sessions as DES virtual threads, driven by
-//! seeded open-loop [`Arrival`] processes in virtual time. Request
-//! latency is measured from the *scheduled* arrival to completion, so
-//! queueing delay — the thing multi-tenant interference actually
-//! inflates — lands in the histograms instead of being absorbed by a
-//! self-throttling client.
+//! [`TenantSpec`] (id and frame quota) and a p99 SLO in its
+//! [`TenantProfile`], and runs a set of simulated client sessions as
+//! DES virtual threads, driven by seeded open-loop [`Arrival`]
+//! processes in virtual time. Request latency is measured from the
+//! *scheduled* arrival to completion, so queueing delay — the thing
+//! multi-tenant interference actually inflates — lands in the
+//! histograms instead of being absorbed by a self-throttling client.
 //!
 //! The harness is a pure function of its [`ServeConfig`]: the same
-//! seed reproduces every arrival, every page choice, and every shed
-//! decision bit-for-bit, which is what lets `aquila-prof check` gate
+//! seed reproduces every arrival, every page choice, and every
+//! eviction bit-for-bit, which is what lets `aquila-prof check` gate
 //! per-tenant percentiles against golden records.
 
 #![forbid(unsafe_code)]
@@ -26,8 +26,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use aquila::{
-    Advice, AquilaError, AquilaRuntime, DeviceKind, IntegrityCounters, MmioPolicy, Prot, Session,
-    Tenant, TenantSpec, WritePolicy,
+    Advice, AquilaRuntime, DeviceKind, IntegrityCounters, MmioPolicy, Prot, Session, Tenant,
+    TenantSpec, WritePolicy,
 };
 use aquila_sim::{CostCat, Counters, Cycles, Engine, FreeCtx, LatencyHist, SimCtx, Step, Zipfian};
 
@@ -36,8 +36,11 @@ pub use arrival::{Arrival, ArrivalGen};
 /// One tenant's declared workload.
 #[derive(Debug, Clone)]
 pub struct TenantProfile {
-    /// Identity, quota, weight, SLO (installed in the cache at setup).
+    /// Identity and quota (installed in the cache at setup).
     pub spec: TenantSpec,
+    /// Declared p99 request-latency SLO, for reporting and gating; the
+    /// engine never reads it.
+    pub slo_p99: Cycles,
     /// Human-readable role, carried into reports ("protected",
     /// "zipf-hot", ...).
     pub label: String,
@@ -74,9 +77,9 @@ pub struct ServeConfig {
     /// Shared page-cache size in frames.
     pub cache_frames: usize,
     /// Enables tenant QoS: each tenant's declared quota is installed in
-    /// the engine, which then applies admission control on the fault
-    /// path, quota self-reclaim and weighted-fair eviction. Off
-    /// registers every tenant with no quota: a free-for-all.
+    /// the engine, which then applies quota self-reclaim on the fault
+    /// path and overage-fair eviction. Off registers every tenant with
+    /// no quota: a free-for-all.
     pub qos: bool,
     /// Replicates the NVMe backend 2-for-1 with per-sector checksums
     /// and read-repair (DESIGN.md §16). Required for integrity runs
@@ -99,17 +102,13 @@ pub struct TenantOutcome {
     pub label: String,
     /// Declared frame quota (0 = unlimited).
     pub quota_frames: usize,
-    /// Declared eviction weight.
-    pub weight: usize,
     /// Declared p99 SLO.
     pub slo_p99: Cycles,
     /// End-to-end request latencies (completion − scheduled arrival)
-    /// of every *served* request.
+    /// of every request.
     pub hist: LatencyHist,
-    /// Requests issued, including shed ones.
+    /// Requests issued.
     pub requests: u64,
-    /// Requests refused by admission control.
-    pub shed: u64,
     /// Frames still on the tenant's account when the run ended.
     pub resident_at_end: usize,
 }
@@ -162,8 +161,7 @@ fn serve_policy(cfg: &ServeConfig) -> MmioPolicy {
 /// # Panics
 ///
 /// Panics on configuration errors (no tenants, zero sessions) and on
-/// any engine error other than [`AquilaError::QosShed`] — a serving run
-/// is supposed to shed, never to fail.
+/// any engine error: a serving run serves every request.
 pub fn run(cfg: &ServeConfig) -> ServeReport {
     assert!(!cfg.tenants.is_empty(), "serve needs at least one tenant");
     assert!(cfg.worker_cores > 0, "serve needs at least one worker core");
@@ -195,8 +193,8 @@ pub fn run(cfg: &ServeConfig) -> ServeReport {
     for (ti, prof) in cfg.tenants.iter().enumerate() {
         assert!(prof.sessions > 0, "tenant {ti} has no sessions");
         let spec = TenantSpec {
+            id: prof.spec.id,
             quota_frames: if cfg.qos { prof.spec.quota_frames } else { 0 },
-            ..prof.spec.clone()
         };
         let tenant = Tenant::register(Arc::clone(&rt.aquila), spec);
         let file = tenant
@@ -258,23 +256,17 @@ pub fn run(cfg: &ServeConfig) -> ServeReport {
                         let mut buf = [0u8; 8];
                         sess.read(ctx, addr.add(off), &mut buf)
                     };
-                    match r {
-                        Ok(()) => {
-                            let lat = ctx.now().saturating_sub(scheduled);
-                            hists.borrow_mut()[s].record(lat);
-                            aquila_sim::metrics::record_latency_labeled(
-                                ctx,
-                                "serve.request.cycles",
-                                sess.tenant().id(),
-                                lat,
-                            );
-                        }
-                        // Shed is the QoS mechanism working: the request
-                        // is dropped (open loop — nothing retries) and
-                        // counted by the session accounting.
-                        Err(AquilaError::QosShed) => {}
-                        Err(e) => panic!("serve request failed: {e}"),
+                    if let Err(e) = r {
+                        panic!("serve request failed: {e}");
                     }
+                    let lat = ctx.now().saturating_sub(scheduled);
+                    hists.borrow_mut()[s].record(lat);
+                    aquila_sim::metrics::record_latency_labeled(
+                        ctx,
+                        "serve.request.cycles",
+                        sess.tenant().id(),
+                        lat,
+                    );
                     scheduled = scheduled + gen.next_gap(ctx.rng(), scheduled);
                     done += 1;
                     if done >= quota {
@@ -322,11 +314,9 @@ pub fn run(cfg: &ServeConfig) -> ServeReport {
                 id: prof.spec.id,
                 label: prof.label.clone(),
                 quota_frames: prof.spec.quota_frames,
-                weight: prof.spec.weight,
-                slo_p99: prof.spec.slo_p99,
+                slo_p99: prof.slo_p99,
                 hist,
                 requests: tenant.requests(),
-                shed: tenant.shed_requests(),
                 resident_at_end: tenant.resident_frames(),
             }
         })
@@ -356,9 +346,8 @@ mod tests {
                     spec: TenantSpec {
                         id: 1,
                         quota_frames: 128,
-                        weight: 4,
-                        slo_p99: Cycles::from_millis(10),
                     },
+                    slo_p99: Cycles::from_millis(10),
                     label: "steady".into(),
                     arrival: Arrival::Poisson {
                         mean: Cycles::from_micros(20),
@@ -374,9 +363,8 @@ mod tests {
                     spec: TenantSpec {
                         id: 2,
                         quota_frames: 64,
-                        weight: 1,
-                        slo_p99: Cycles::from_millis(10),
                     },
+                    slo_p99: Cycles::from_millis(10),
                     label: "hot".into(),
                     arrival: Arrival::Bursty {
                         mean: Cycles::from_micros(5),
@@ -401,7 +389,6 @@ mod tests {
         assert_eq!(a.makespan, b.makespan);
         for (x, y) in a.tenants.iter().zip(&b.tenants) {
             assert_eq!(x.requests, y.requests);
-            assert_eq!(x.shed, y.shed);
             assert_eq!(x.hist.count(), y.hist.count());
             assert_eq!(x.hist.quantile(0.99), y.hist.quantile(0.99));
             assert_eq!(x.resident_at_end, y.resident_at_end);
@@ -411,12 +398,12 @@ mod tests {
     #[test]
     fn open_loop_issues_every_scheduled_arrival() {
         let r = run(&small_cfg(true, 7));
-        // Open loop: backlog or shedding never swallows an arrival —
-        // every scheduled request is issued and accounted.
+        // Open loop: backlog never swallows an arrival — every
+        // scheduled request is issued, served and timed.
         for (t, prof) in r.tenants.iter().zip(&small_cfg(true, 7).tenants) {
             let want = prof.sessions as u64 * prof.requests_per_session;
             assert_eq!(t.requests, want, "tenant {} lost arrivals", t.id);
-            assert_eq!(t.hist.count() + t.shed, want);
+            assert_eq!(t.hist.count(), want);
         }
     }
 
@@ -441,24 +428,14 @@ mod tests {
     }
 
     #[test]
-    fn qos_off_never_sheds() {
-        let r = run(&small_cfg(false, 7));
-        for t in &r.tenants {
-            assert_eq!(t.shed, 0, "tenant {} shed with QoS off", t.id);
-        }
-    }
-
-    #[test]
     fn slo_verdict_follows_the_declared_bound() {
         let mut o = TenantOutcome {
             id: 1,
             label: "x".into(),
             quota_frames: 0,
-            weight: 1,
             slo_p99: Cycles(100),
             hist: LatencyHist::new(),
             requests: 1,
-            shed: 0,
             resident_at_end: 0,
         };
         o.hist.record(Cycles(50));

@@ -189,10 +189,6 @@ define_counters! {
     writeback_ios,
     /// Region degradations (Healthy -> WriteThrough -> ReadOnly steps).
     degrade_transitions,
-    /// Frame allocations delayed by tenant admission control.
-    qos_delayed,
-    /// Frame allocations shed by tenant admission control.
-    qos_shed,
     /// Pages an over-quota tenant evicted from its own frames.
     self_reclaim_pages,
     /// Faults refused because no copy of the page verified.
@@ -321,8 +317,6 @@ mod tests {
             c.pt_shard_locks = 1;
             c.writeback_ios = 1;
             c.degrade_transitions = 1;
-            c.qos_delayed = 1;
-            c.qos_shed = 1;
             c.self_reclaim_pages = 1;
             c.read_refused = 1;
             c.scrub_pages = 1;

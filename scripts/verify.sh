@@ -85,8 +85,8 @@ step "fig8 smoke run with --json/--trace"
 cargo run --release -q -p aquila-bench --bin fig8 -- c \
     --json "$tmp/r.json" --trace "$tmp/t.json" > "$tmp/stdout.txt"
 
-grep -q '"schema_version": 6' "$tmp/r.json" ||
-    { echo "FAIL: JSON record missing schema_version 6" >&2; exit 1; }
+grep -q '"schema_version": 7' "$tmp/r.json" ||
+    { echo "FAIL: JSON record missing schema_version 7" >&2; exit 1; }
 # Events are counted in the `counters` rows; the registry holds only
 # latency histograms, so the record carries no `metrics` section.
 if grep -q '"metrics"' "$tmp/r.json"; then
@@ -177,19 +177,23 @@ step "serve smoke run (serve qos --race --json, per-tenant SLO isolation)"
 # (serve_qos_part_is_bit_identical_across_runs); this step asserts the
 # QoS claim itself: the protected tenant's p99 holds inside its declared
 # SLO (48 K cycles = 20 us) with tenant QoS on, and the same seed with
-# QoS off lets the zipf-hot neighbor blow it.
+# QoS off lets the zipf-hot neighbor blow it. QoS is quota self-reclaim:
+# the zipf-hot tenant ends the run at most one 8-frame self-reclaim
+# batch over its 256-frame quota.
 cargo run --release -q -p aquila-bench --bin serve -- qos --race \
     --json "$tmp/serve.json" > "$tmp/serve.txt"
 grep -q 'race detector: 0 findings' "$tmp/serve.txt" ||
     { echo "FAIL: race detector reported findings in serve" >&2; exit 1; }
 grep -q '"tenants"' "$tmp/serve.json" ||
-    { echo "FAIL: serve record missing schema-v4 tenants section" >&2; exit 1; }
+    { echo "FAIL: serve record missing its per-tenant tenants section" >&2; exit 1; }
 "$prof" get "$tmp/serve.json" "serve/qos_on/protected_p99_cycles" --le 48000 > /dev/null ||
     { echo "FAIL: protected tenant p99 over SLO with QoS on" >&2; exit 1; }
 "$prof" get "$tmp/serve.json" "serve/qos_on/protected_slo_met" --ge 1 > /dev/null ||
     { echo "FAIL: protected tenant SLO verdict not met with QoS on" >&2; exit 1; }
 "$prof" get "$tmp/serve.json" "serve/qos_off/protected_slo_met" --le 0 > /dev/null ||
     { echo "FAIL: QoS off unexpectedly held the protected SLO (experiment lost its teeth)" >&2; exit 1; }
+"$prof" get "$tmp/serve.json" "serve/qos_on/noisy_resident_frames" --le 264 > /dev/null ||
+    { echo "FAIL: quota self-reclaim let the zipf-hot tenant run over quota + one batch" >&2; exit 1; }
 
 step "integrity smoke run (serve integrity --race --json, zero undetected corruptions)"
 # Bit-identity of the double run lives in determinism.rs
