@@ -19,10 +19,10 @@
 //! blows the SLO.
 
 use aquila::TenantSpec;
-use aquila_serve::{run, Arrival, ServeConfig, TenantOutcome, TenantProfile};
+use aquila_serve::{run, Arrival, ServeConfig, TenantProfile};
 use aquila_sim::Cycles;
 
-use crate::report::{banner, JsonReport, TenantEntry};
+use crate::report::{banner, JsonReport};
 use crate::{BenchArgs, Runner};
 
 /// The protected tenant's declared p99 SLO. Cache-hit service sits two
@@ -96,17 +96,6 @@ fn tenant_set(reqs: u64) -> Vec<TenantProfile> {
     tenants
 }
 
-/// The schema `tenants` record of one tenant's outcome.
-fn entry(t: &TenantOutcome, label: String) -> TenantEntry {
-    TenantEntry {
-        id: t.id,
-        label,
-        quota_frames: t.quota_frames,
-        slo_p99: t.slo_p99,
-        requests: t.requests,
-    }
-}
-
 pub(crate) fn part_qos(args: &BenchArgs, json: &mut JsonReport) {
     let reqs: u64 = if args.has_flag("--full") { 800 } else { 200 };
     banner(
@@ -146,7 +135,7 @@ pub(crate) fn part_qos(args: &BenchArgs, json: &mut JsonReport) {
                 t.slo_p99.get(),
                 if t.slo_met() { "yes" } else { "NO" },
             );
-            json.add_tenant(&entry(t, format!("{tag}/{}", t.label)), &t.hist);
+            json.add_tenant(t, format!("{tag}/{}", t.label));
         }
         let protected = &report.tenants[0];
         let noisy = &report.tenants[1];
@@ -210,7 +199,7 @@ pub(crate) fn part_integrity(args: &BenchArgs, json: &mut JsonReport) {
         "integrity invariant violated: corrupted payload acked to a session ({c:?})"
     );
     for t in &report.tenants {
-        json.add_tenant(&entry(t, format!("integrity/{}", t.label)), &t.hist);
+        json.add_tenant(t, format!("integrity/{}", t.label));
     }
     let protected = &report.tenants[0];
     println!(
@@ -303,7 +292,7 @@ fn part_diurnal(args: &BenchArgs, json: &mut JsonReport) {
             t.hist.quantile(0.99).get(),
             t.hist.quantile(0.999).get(),
         );
-        json.add_tenant(&entry(t, t.label.clone()), &t.hist);
+        json.add_tenant(t, t.label.as_str());
         json.add_scalar(
             format!("serve/diurnal/{}_p99_cycles", t.label),
             t.hist.quantile(0.99).get() as f64,

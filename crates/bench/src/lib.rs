@@ -38,6 +38,6 @@ pub use kvscen::{build_stone, load_stone, warm_stone, Backend, Dev, StoneScenari
 pub use micro::{micro_aquila, micro_linux, run_micro, Micro, MicroResult};
 pub use report::{
     banner, fig7_bars, print_breakdown_per_op, print_rows, print_speedup, JsonReport, Row,
-    TenantEntry, SCHEMA_VERSION,
+    SCHEMA_VERSION,
 };
 pub use runner::Runner;

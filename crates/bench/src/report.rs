@@ -117,7 +117,9 @@ pub fn print_breakdown_per_op(label: &str, b: &Breakdown, ops: u64) {
 /// rows lose `qos_delayed` and `qos_shed`: quota self-reclaim is the
 /// whole QoS mechanism, with no eviction weight and no admission
 /// control.
-pub const SCHEMA_VERSION: u64 = 7;
+/// v8: the `counters` rows lose `huge_mixed_skips`: a 2 MiB run with
+/// any dirty page promotes dirty, so no promotion scan skips a run.
+pub const SCHEMA_VERSION: u64 = 8;
 
 /// Quantiles recorded for every histogram in a JSON report.
 const REPORT_QUANTILES: [f64; 5] = [0.5, 0.9, 0.99, 0.999, 1.0];
@@ -139,22 +141,6 @@ pub struct JsonReport {
     scalars: Vec<(String, f64)>,
     tenants: Vec<Json>,
     integrity: Option<aquila::IntegrityCounters>,
-}
-
-/// One tenant's record in the `tenants` section: the declared contract
-/// (quota and SLO) next to what the run actually delivered.
-#[derive(Debug, Clone)]
-pub struct TenantEntry {
-    /// Tenant id (the label index of its histograms, e.g. `t03`).
-    pub id: u16,
-    /// Human-readable tenant label (workload shape, role).
-    pub label: String,
-    /// Declared page-cache quota in frames (0 = unlimited).
-    pub quota_frames: usize,
-    /// Declared p99 latency SLO.
-    pub slo_p99: Cycles,
-    /// Requests issued.
-    pub requests: u64,
 }
 
 impl JsonReport {
@@ -210,18 +196,21 @@ impl JsonReport {
         self.scalars.push((name.into(), value));
     }
 
-    /// Records one tenant of a multi-tenant serving run (schema v4).
+    /// Records one tenant of a multi-tenant serving run (schema v4)
+    /// under `label`: the declared contract (quota and SLO) next to what
+    /// the run delivered.
     ///
-    /// The latency histogram `h` holds the tenant's end-to-end request
-    /// latencies (completion minus *scheduled* open-loop arrival, so
-    /// queueing shows up); `slo_met` is derived here, not by the caller,
-    /// so the JSON and any stdout table always agree on the verdict.
-    pub fn add_tenant(&mut self, t: &TenantEntry, h: &LatencyHist) {
+    /// The tenant's histogram holds its end-to-end request latencies
+    /// (completion minus *scheduled* open-loop arrival, so queueing
+    /// shows up); `slo_met` is derived from it here, so the JSON and any
+    /// stdout table always agree on the verdict.
+    pub fn add_tenant(&mut self, t: &aquila_serve::TenantOutcome, label: impl Into<String>) {
+        let h = &t.hist;
         let p99 = h.quantile(0.99);
         self.tenants.push(
             Json::obj()
                 .with("id", Json::U64(t.id as u64))
-                .with("label", Json::Str(t.label.clone()))
+                .with("label", Json::Str(label.into()))
                 .with("quota_frames", Json::U64(t.quota_frames as u64))
                 .with("slo_p99_cycles", Json::U64(t.slo_p99.get()))
                 .with("requests", Json::U64(t.requests))
@@ -419,20 +408,22 @@ mod tests {
     }
 
     #[test]
-    fn tenant_entry_derives_slo_verdict_from_hist() {
-        let mut h = LatencyHist::new();
+    fn tenant_record_derives_slo_verdict_from_hist() {
+        let mut hist = LatencyHist::new();
         for v in [100u64, 200, 300, 400] {
-            h.record(Cycles(v));
+            hist.record(Cycles(v));
         }
         let mut r = JsonReport::new("serve", "t");
-        let t = TenantEntry {
+        let t = aquila_serve::TenantOutcome {
             id: 3,
             label: "protected".into(),
             quota_frames: 64,
             slo_p99: Cycles(1_000_000),
+            hist,
             requests: 4,
+            resident_at_end: 0,
         };
-        r.add_tenant(&t, &h);
+        r.add_tenant(&t, "qos_on/protected");
         let rendered = r.to_json().render();
         assert!(rendered.contains(&format!("\"schema_version\": {SCHEMA_VERSION}")));
         assert!(!rendered.contains("\"metrics\""));

@@ -59,12 +59,6 @@ const READAHEAD_SEQ_PAGES: usize = 32;
 /// simulated time.
 const STAGE_PAGES: usize = 2048;
 
-/// How long the freelist may sit *continuously* below the low watermark
-/// under [`WritePolicy::Async`] before the engine concludes the
-/// write-behind evictor cannot keep up and degrades the region to
-/// synchronous write-through (DESIGN.md §11).
-pub(crate) const STALL_DEADLINE: Cycles = Cycles::from_millis(10);
-
 /// Upper bound on the promoted cache share, in percent of
 /// `max_cache_frames`: it sizes the slab pool, and promotion stops when
 /// every slab run is in use.
@@ -79,32 +73,18 @@ pub(crate) const PROMOTE_THRESHOLD: usize = 64;
 /// positions of its pages in the batch of dirty pages it was planned from.
 pub(crate) type Segment = (Arc<dyn StorageAccess>, u64, Range<usize>);
 
-/// Health of the mmio region's write path (DESIGN.md §11). Transitions
-/// only escalate within a run: `Healthy` → `WriteThrough` when the
-/// write-behind evictor misses its watermark stall deadline, and any
-/// state → `ReadOnly` when the device write path trips its circuit
-/// breaker. Reads are served in every state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Health of the mmio region's write path (DESIGN.md §11). The region
+/// goes `Healthy` → `ReadOnly` once, when the device write path trips
+/// its circuit breaker or a page no copy can repair surfaces, and stays
+/// there for the run. Reads are served in both states.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegionState {
     /// Full service: writeback runs at [`MmioPolicy::queue_depth`].
     Healthy,
-    /// Write-behind suspended: dirty pages are written back one command
-    /// at a time (write-through), applying backpressure directly to the
-    /// writers instead of letting the pipeline fall further behind.
-    WriteThrough,
     /// The device no longer accepts writes: write faults and `msync`
     /// fail with [`AquilaError::DegradedReadOnly`]; cached data stays
     /// readable.
     ReadOnly,
-}
-
-/// Degradation bookkeeping (kept off the hot path: only the evictor
-/// tick and the direct-reclaim fallback touch it).
-struct DegradeState {
-    state: RegionState,
-    /// Virtual time the freelist first dipped below the low watermark
-    /// of the current continuous stall (None when healthy).
-    stall_since: Option<Cycles>,
 }
 
 /// One promoted 2 MiB mapping: the slab run backing it and the file
@@ -139,14 +119,10 @@ pub struct Aquila {
     /// the cross-thread wait attributes to the evictor round it waited
     /// on. Zero when tracing is off or nothing was published.
     wb_span: AtomicU64,
-    /// Write-path degradation machine (DESIGN.md §11).
-    degrade: Mutex<DegradeState>,
+    /// Set once the region is [`RegionState::ReadOnly`] (DESIGN.md §11).
+    read_only: AtomicBool,
     /// Promoted 2 MiB runs, keyed by the 2 MiB-aligned base VPN.
     huge_runs: Mutex<BTreeMap<u64, HugeRun>>,
-    /// Degradation demands splintering every promoted run, but the
-    /// transition fires in the middle of a fault, writeback or scrub
-    /// step; the next fault, sync, or evictor tick services the flag.
-    demote_all_pending: AtomicBool,
 }
 
 impl Aquila {
@@ -186,12 +162,8 @@ impl Aquila {
             ept_mapped_end: Mutex::new(ept_mapped_end),
             wb_horizon: Mutex::new(Cycles::ZERO),
             wb_span: AtomicU64::new(0),
-            degrade: Mutex::new(DegradeState {
-                state: RegionState::Healthy,
-                stall_since: None,
-            }),
+            read_only: AtomicBool::new(false),
             huge_runs: Mutex::new(BTreeMap::new()),
-            demote_all_pending: AtomicBool::new(false),
             debts,
             cache,
             cfg,
@@ -215,55 +187,22 @@ impl Aquila {
 
     /// Current write-path health of the region.
     pub fn region_state(&self) -> RegionState {
-        self.degrade.lock().state
+        if self.read_only.load(Ordering::Acquire) {
+            RegionState::ReadOnly
+        } else {
+            RegionState::Healthy
+        }
     }
 
-    /// Escalates the degradation machine to `to` (never downgrades);
-    /// counted in [`aquila_sim::Counters::degrade_transitions`] and traced
-    /// as an instant.
-    fn transition(&self, ctx: &mut dyn SimCtx, to: RegionState) {
-        let mut d = self.degrade.lock();
-        if d.state >= to {
+    /// Makes the region read-only for the rest of the run; the first
+    /// call is counted in [`aquila_sim::Counters::degrade_transitions`]
+    /// and traced as an instant, later calls do nothing.
+    fn degrade(&self, ctx: &mut dyn SimCtx) {
+        if self.read_only.swap(true, Ordering::AcqRel) {
             return;
-        }
-        d.state = to;
-        drop(d);
-        if self.cfg.policy.huge_pages {
-            // A degraded region runs write-through or read-only; both
-            // want 4 KiB dirty tracking back, so splinter every run at
-            // the next opportunity.
-            self.demote_all_pending.store(true, Ordering::Release);
         }
         ctx.counters().degrade_transitions += 1;
         aquila_sim::trace::instant(ctx, "aquila.degrade", CostCat::Eviction);
-    }
-
-    /// Samples the freelist against the low watermark: a *continuous*
-    /// stretch below it longer than `STALL_DEADLINE` (10 ms) means
-    /// the write-behind evictor cannot keep up, and the region degrades
-    /// to synchronous write-through. Called from the evictor tick and
-    /// the direct-reclaim fallback; any alloc recovery above the
-    /// watermark resets the clock.
-    pub fn track_watermark_stall(&self, ctx: &mut dyn SimCtx) {
-        if self.cfg.policy.write_policy != WritePolicy::Async {
-            return;
-        }
-        let stalled = self.cache.watermark_deficit() > 0;
-        let mut d = self.degrade.lock();
-        if !stalled {
-            d.stall_since = None;
-            return;
-        }
-        match d.stall_since {
-            None => d.stall_since = Some(ctx.now()),
-            Some(t0) => {
-                if ctx.now().saturating_sub(t0) > STALL_DEADLINE && d.state == RegionState::Healthy
-                {
-                    drop(d);
-                    self.transition(ctx, RegionState::WriteThrough);
-                }
-            }
-        }
     }
 
     /// Reacts to a writeback failure: an open circuit breaker means the
@@ -274,7 +213,7 @@ impl Aquila {
             e,
             AquilaError::Device(DeviceError::CircuitOpen | DeviceError::Corrupt { .. })
         ) {
-            self.transition(ctx, RegionState::ReadOnly);
+            self.degrade(ctx);
         }
     }
 
@@ -446,7 +385,6 @@ impl Aquila {
             // silently acknowledge (DESIGN.md §11).
             return Err(AquilaError::DegradedReadOnly);
         }
-        self.service_pending_demotions(ctx);
         // msync's contract is "writes after the sync are tracked again";
         // a 2 MiB leaf cannot be write-protected per page, so any run
         // the range touches splinters first.
@@ -634,7 +572,6 @@ impl Aquila {
         if access == Access::Write && self.region_state() == RegionState::ReadOnly {
             return Err(AquilaError::DegradedReadOnly);
         }
-        self.service_pending_demotions(ctx);
         let body = ctx.cost().aquila_fault_body;
         ctx.charge(CostCat::FaultHandler, body);
 
@@ -728,7 +665,7 @@ impl Aquila {
                 // the poisoned page and degrade the region instead of
                 // silently serving garbage (DESIGN.md §16).
                 ctx.counters().read_refused += 1;
-                self.transition(ctx, RegionState::ReadOnly);
+                self.degrade(ctx);
                 return Err(AquilaError::DataCorrupted { page });
             }
             return Err(e);
@@ -788,7 +725,9 @@ impl Aquila {
     /// With the write-behind pipeline active this is the *direct reclaim*
     /// fallback: the evictor normally keeps the freelist above the low
     /// watermark, so faulting vcores take a clean frame and return
-    /// immediately; a stall here means the evictor fell behind.
+    /// immediately; reaching the round here means the evictor fell
+    /// behind or is not running, and the faulting vcore writes back
+    /// itself, as under [`WritePolicy::Sync`].
     fn alloc_frame(&self, ctx: &mut dyn SimCtx) -> Result<FrameId, AquilaError> {
         if let Some(f) = self.cache.try_alloc(ctx) {
             return Ok(f);
@@ -796,9 +735,6 @@ impl Aquila {
         // Eviction round: detach a batch, unmap, one shootdown, write back
         // dirty victims in device order, then recycle frames.
         let sp = aquila_sim::span::begin(ctx, "aquila.evict.direct", CostCat::Eviction);
-        // Direct reclaim means the evictor fell behind; feed the stall
-        // clock even if the evictor itself is wedged and not ticking.
-        self.track_watermark_stall(ctx);
         loop {
             let victims = self
                 .cache
@@ -901,19 +837,16 @@ impl Aquila {
     /// in flight on real queue pairs (both copies, for a mirror), so
     /// device service overlaps instead of each command draining before the
     /// next is issued; DAX and the host-kernel paths write segment by
-    /// segment. A region degraded to write-through submits at depth 1, so
-    /// its writers pay every command's device latency themselves; a
-    /// read-only region refuses. An open circuit breaker or unrepairable
-    /// corruption surfacing here escalates the degradation machine.
+    /// segment. A read-only region refuses. An open circuit breaker or
+    /// unrepairable corruption surfacing here makes the region read-only.
     fn writeback(&self, ctx: &mut dyn SimCtx, dirty: &[DirtyPage]) -> Result<(), AquilaError> {
         if dirty.is_empty() {
             return Ok(());
         }
-        let depth = match self.region_state() {
-            RegionState::Healthy => self.cfg.policy.queue_depth.max(1),
-            RegionState::WriteThrough => 1,
-            RegionState::ReadOnly => return Err(AquilaError::DegradedReadOnly),
-        };
+        if self.region_state() == RegionState::ReadOnly {
+            return Err(AquilaError::DegradedReadOnly);
+        }
+        let depth = self.cfg.policy.queue_depth.max(1);
         let sp = aquila_sim::span::begin(ctx, "aquila.writeback", CostCat::DeviceIo);
         let result = self.write_segments(ctx, dirty, depth);
         aquila_sim::span::end(ctx, sp);
@@ -1001,7 +934,6 @@ impl Aquila {
     /// the number of frames reclaimed (0 when the freelist is already at
     /// the high watermark or watermarks are disabled).
     pub fn evictor_round(&self, ctx: &mut dyn SimCtx) -> Result<usize, AquilaError> {
-        self.service_pending_demotions(ctx);
         let target = self.cache.refill_target();
         if target == 0 {
             return Ok(0);
@@ -1035,7 +967,6 @@ impl Aquila {
     pub fn evictor(self: &Arc<Self>, stop: Arc<AtomicBool>, poll_interval: Cycles) -> ThreadFn {
         let aq = Arc::clone(self);
         Box::new(move |ctx| {
-            aq.track_watermark_stall(ctx);
             if aq.needs_eviction() {
                 if let Ok(n) = aq.evictor_round(ctx) {
                     if n > 0 {
@@ -1085,7 +1016,7 @@ impl Aquila {
                 Ok(repaired) => ctx.counters().scrub_repaired += repaired as u64,
                 Err(_) => {
                     ctx.counters().scrub_unrepairable += 1;
-                    aq.transition(ctx, RegionState::ReadOnly);
+                    aq.degrade(ctx);
                 }
             }
             ctx.counters().scrub_pages += 1;
@@ -1203,7 +1134,7 @@ impl Aquila {
         if promoted || self.cache.free_slab_runs() == 0 {
             return;
         }
-        // Candidacy scan: residency and clean/dirty uniformity.
+        // Candidacy scan: residency, and whether any page is dirty.
         let mut frames: Vec<Option<FrameId>> = Vec::with_capacity(HUGE_PAGE_PAGES as usize);
         let mut resident = 0usize;
         let mut dirty_ct = 0usize;
@@ -1223,15 +1154,12 @@ impl Aquila {
         if resident < PROMOTE_THRESHOLD {
             return;
         }
-        if dirty_ct != 0 && dirty_ct != resident {
-            // A mixed run would either lose dirty tracking or amplify
-            // a clean majority into writeback; wait until it settles.
-            ctx.counters().huge_mixed_skips += 1;
-            return;
-        }
         let Some(run) = self.cache.try_alloc_slab_run(ctx) else {
             return;
         };
+        // A run with any dirty page promotes dirty: its clean pages then
+        // write back bytes identical to the device's, the amplification
+        // `huge_write_upgrade` accepts for any write to a clean run.
         let sp = aquila_sim::span::begin(ctx, "aquila.huge.promote", CostCat::CacheMgmt);
         self.promote(ctx, hbase, desc, fp_base, run, &frames, dirty_ct != 0);
         aquila_sim::span::end(ctx, sp);
@@ -1280,8 +1208,12 @@ impl Aquila {
         for (i, f) in frames.iter().enumerate() {
             if let Some(old) = *f {
                 let key = PageKey::new(desc.file, fp_base + i as u64);
-                self.cache
-                    .migrate_frame(ctx, key, old, self.cache.slab_run_frame(run, i));
+                let slab = self.cache.slab_run_frame(run, i);
+                if !self.cache.migrate_frame(ctx, key, old, slab) && dirty {
+                    // A clean page of a dirty run: the writable leaf
+                    // will not fault on its next write, so track it now.
+                    self.cache.mark_dirty(ctx, key, slab);
+                }
                 self.rmap.take_into(old, &mut vpns);
                 displaced.push(old);
             }
@@ -1294,9 +1226,9 @@ impl Aquila {
                 .insert_pinned(ctx, key, slab)
                 .expect("scan saw the page absent under the fault lock");
             if dirty {
-                // A uniformly dirty run maps writable, so the fills
-                // must be tracked too: their (device-identical) bytes
-                // ride along at writeback.
+                // A dirty run maps writable, so the fills must be
+                // tracked too: their (device-identical) bytes ride
+                // along at writeback.
                 self.cache.mark_dirty(ctx, key, slab);
             }
         }
@@ -1427,7 +1359,7 @@ impl Aquila {
         self.demote_runs(ctx, &hbases);
     }
 
-    /// Demotes every promoted run (shutdown and degradation service).
+    /// Demotes every promoted run (`sync_all`).
     fn demote_all(&self, ctx: &mut dyn SimCtx) {
         if !self.cfg.policy.huge_pages {
             return;
@@ -1449,26 +1381,9 @@ impl Aquila {
         }
     }
 
-    /// Services a degradation-triggered demand to splinter every run
-    /// (the transition fires from `&dyn` contexts).
-    fn service_pending_demotions(&self, ctx: &mut dyn SimCtx) {
-        // A plain load first: the flag is almost never set, and a swap
-        // would take the cache line exclusive on every fault.
-        if self.demote_all_pending.load(Ordering::Acquire)
-            && self.demote_all_pending.swap(false, Ordering::AcqRel)
-        {
-            self.demote_all(ctx);
-        }
-    }
-
     /// Number of currently promoted 2 MiB runs.
     pub fn promoted_runs(&self) -> usize {
         self.huge_runs.lock().len()
-    }
-
-    /// 4 KiB pages currently mapped through 2 MiB leaves.
-    pub fn huge_mapped_pages(&self) -> u64 {
-        self.page_table.huge_mapped() * HUGE_PAGE_PAGES
     }
 
     /// Resets the page-table shard contention models (harnesses call

@@ -672,9 +672,14 @@ fn breaker_trip_degrades_region_to_read_only() {
 }
 
 #[test]
-fn watermark_stall_degrades_async_to_write_through() {
+fn async_region_without_a_running_evictor_stays_healthy() {
+    // The shape of a read-back after the measured phase: write-behind
+    // policy and watermarks, but no evictor thread, so every fault past
+    // the watermark reclaims inline. The freelist sits below the low
+    // watermark for far longer than any deadline, and the region keeps
+    // serving at full depth.
     use crate::config::{MmioPolicy, WritePolicy};
-    use crate::engine::{RegionState, STALL_DEADLINE};
+    use crate::engine::RegionState;
 
     let mut ctx = FreeCtx::new(12);
     let debts = Arc::new(CoreDebts::new(1));
@@ -693,26 +698,29 @@ fn watermark_stall_degrades_async_to_write_through() {
         debts,
         policy,
     );
-    // Pin the freelist below the low watermark, as if the evictor were
-    // wedged behind a failing device.
-    let mut held = Vec::new();
-    while rt.aquila.cache().watermark_deficit() == 0 {
-        held.push(rt.aquila.cache().try_alloc(&mut ctx).unwrap());
+    rt.aquila.thread_enter(&mut ctx);
+    let f = rt.open("/data/readback", 256).unwrap();
+    let addr = rt.aquila.mmap(&mut ctx, f, 0, 256, Prot::RW).unwrap();
+    rt.aquila
+        .madvise(&mut ctx, addr, 256, Advice::Random)
+        .unwrap();
+    let mut b = [0u8; 1];
+    let mut below = 0u64;
+    let mut reads = 0u64;
+    while ctx.now() < Cycles::from_millis(30) {
+        below += rt.aquila.cache().below_low_watermark() as u64;
+        rt.aquila
+            .read(&mut ctx, addr.add((reads % 256) * 4096), &mut b)
+            .unwrap();
+        reads += 1;
     }
-    rt.aquila.track_watermark_stall(&mut ctx); // Starts the stall clock.
+    assert!(
+        below * 10 > reads * 9,
+        "only {below} of {reads} reads below the watermark"
+    );
+    assert!(ctx.stats.direct_evict_rounds > 0, "reclaim ran inline");
     assert_eq!(rt.aquila.region_state(), RegionState::Healthy);
-    ctx.charge(CostCat::Idle, Cycles::from_micros(9_000));
-    rt.aquila.track_watermark_stall(&mut ctx); // Still inside the deadline.
-    assert_eq!(rt.aquila.region_state(), RegionState::Healthy);
-    ctx.charge(CostCat::Idle, STALL_DEADLINE);
-    rt.aquila.track_watermark_stall(&mut ctx); // Past the deadline.
-    assert_eq!(rt.aquila.region_state(), RegionState::WriteThrough);
-    // Recovery of the freelist does not un-degrade (sticky for the run).
-    for f in held {
-        rt.aquila.cache().release_frame(&mut ctx, f);
-    }
-    rt.aquila.track_watermark_stall(&mut ctx);
-    assert_eq!(rt.aquila.region_state(), RegionState::WriteThrough);
+    assert_eq!(ctx.stats.degrade_transitions, 0);
 }
 
 #[test]
@@ -799,7 +807,6 @@ fn huge_promotion_collapses_clean_sequential_run() {
     assert_eq!(ctx.stats.huge_promotions, 1, "one run collapsed");
     assert_eq!(ctx.stats.device_reads - reads, 2 + 440);
     assert_eq!(rt.aquila.promoted_runs(), 1);
-    assert_eq!(rt.aquila.huge_mapped_pages(), 512);
     // A scan of the whole run is fault-free and served by the 2 MiB
     // sub-TLB.
     let faults = ctx.stats.page_faults;
@@ -848,7 +855,14 @@ fn huge_promotion_of_a_resident_run_reads_nothing_more() {
         1,
         "only the page's own fill"
     );
-    assert_eq!(rt.aquila.huge_mapped_pages(), 512);
+    assert_eq!(rt.aquila.promoted_runs(), 1);
+    let faults = ctx.stats.page_faults;
+    for p in 0..512u64 {
+        rt.aquila
+            .read(&mut ctx, addr.add(p * 4096), &mut b)
+            .unwrap();
+    }
+    assert_eq!(ctx.stats.page_faults, faults, "the run is one 2 MiB leaf");
 }
 
 #[test]
@@ -900,6 +914,42 @@ fn huge_dirty_run_demotes_on_msync_and_retracks_writes() {
     // Writes fault and are tracked at 4 KiB again.
     rt.aquila.write(&mut ctx, addr, &[0xAA]).unwrap();
     assert_eq!(rt.aquila.cache().dirty_count(), 1);
+}
+
+#[test]
+fn huge_sequential_write_promotes_a_mixed_run_dirty() {
+    // Under `Normal` advice the 64th write finds the run's first 64
+    // pages dirty and the 8 readahead pages after them clean. The run
+    // promotes dirty, so the clean pages, written later through the
+    // writable leaf without a fault, are tracked too.
+    use crate::config::MmioPolicy;
+    let policy = MmioPolicy {
+        huge_pages: true,
+        ..MmioPolicy::default()
+    };
+    let (mut ctx, rt) = huge_runtime(1024, policy);
+    let f = rt.open("/data/huge-seq-write", 512).unwrap();
+    let addr = rt.aquila.mmap(&mut ctx, f, 0, 512, Prot::RW).unwrap();
+    let tag = |p: u64| (p ^ 0xA5A5_5A5A_0F0F_F0F0).to_le_bytes();
+    for p in 0..512u64 {
+        rt.aquila
+            .write(&mut ctx, addr.add(p * 4096 + 100), &tag(p))
+            .unwrap();
+    }
+    assert_eq!(ctx.stats.huge_promotions, 1, "the mixed run promoted");
+    assert_eq!(rt.aquila.cache().dirty_count(), 512);
+    rt.aquila.msync(&mut ctx, addr, 512).unwrap();
+    assert_eq!(rt.aquila.cache().dirty_count(), 0);
+    let mut back = vec![0u8; 4096];
+    for (dev, i, len) in rt.aquila.files().segments(f, 0, 512).unwrap() {
+        for k in 0..len {
+            let p = (i + k) as u64;
+            rt.access
+                .read_pages(&mut ctx, dev + k as u64, &mut back)
+                .unwrap();
+            assert_eq!(back[100..108], tag(p), "page {p} on the device");
+        }
+    }
 }
 
 #[test]
@@ -1174,7 +1224,7 @@ fn self_reclaim_keeps_the_noisy_tenant_within_one_batch_of_its_quota() {
     for p in 0..54u64 {
         ps.read(&mut ctx, pa.add(p * 4096), &mut b).unwrap();
     }
-    assert!(rt.aquila.cache().watermark_deficit() > 0);
+    assert!(rt.aquila.cache().below_low_watermark());
 
     // The noisy tenant floods far past its 8-frame quota while the
     // cache is under pressure. Every request is served; each fault over
@@ -1243,7 +1293,7 @@ fn a_tenant_without_quota_is_never_self_reclaimed() {
     let mut b = [0u8; 1];
     let mut under_pressure = 0;
     for p in 0..256u64 {
-        under_pressure += (rt.aquila.cache().watermark_deficit() > 0) as u64;
+        under_pressure += rt.aquila.cache().below_low_watermark() as u64;
         s.read(&mut ctx, a.add(p * 4096), &mut b).unwrap();
     }
     assert!(

@@ -9,8 +9,8 @@
 //! deadline, and trip a [`CircuitBreaker`] after enough consecutive
 //! failures so a dead device fails fast instead of melting the run in
 //! retry loops. An open breaker surfaces as
-//! [`DeviceError::CircuitOpen`], on which the engine degrades the region
-//! (Async -> sync write-through -> read-only, DESIGN.md §11).
+//! [`DeviceError::CircuitOpen`], on which the engine makes the region
+//! read-only (DESIGN.md §11).
 //!
 //! `QueueFull` is deliberately *not* retried here: it is backpressure,
 //! owned by the submission loops that pace themselves with it.

@@ -890,19 +890,6 @@ impl DramCache {
         self.cfg.low_watermark > 0 && self.freelist.free_count() < self.cfg.low_watermark
     }
 
-    /// How many frames the free pool currently sits *below* the low
-    /// watermark (0 at/above it, or with watermarks disabled). The
-    /// engine's stall-deadline degradation samples this: a deficit that
-    /// never clears means the write-behind evictor is not keeping up.
-    pub fn watermark_deficit(&self) -> usize {
-        if self.cfg.low_watermark == 0 {
-            return 0;
-        }
-        self.cfg
-            .low_watermark
-            .saturating_sub(self.freelist.free_count())
-    }
-
     /// How many frames the evictor should reclaim right now to bring the
     /// free pool back up to the high watermark (0 when already there or
     /// watermarks are disabled).
@@ -1080,18 +1067,12 @@ mod tests {
         }
         assert!(cache.below_low_watermark());
         assert_eq!(cache.refill_target(), 5, "refill to the high mark");
-        assert_eq!(
-            cache.watermark_deficit(),
-            1,
-            "one frame short of the low mark"
-        );
         cache.release_frame(&mut ctx, held.pop().unwrap());
         assert!(
             !cache.below_low_watermark(),
             "4 free == low mark, not below"
         );
         assert_eq!(cache.refill_target(), 4);
-        assert_eq!(cache.watermark_deficit(), 0);
     }
 
     #[test]

@@ -187,7 +187,7 @@ define_counters! {
     pt_shard_locks,
     /// Device write commands issued by writeback.
     writeback_ios,
-    /// Region degradations (Healthy -> WriteThrough -> ReadOnly steps).
+    /// Region degradations (the one Healthy -> ReadOnly step).
     degrade_transitions,
     /// Pages an over-quota tenant evicted from its own frames.
     self_reclaim_pages,
@@ -199,8 +199,6 @@ define_counters! {
     scrub_repaired,
     /// Scrubbed pages that no copy could repair.
     scrub_unrepairable,
-    /// Promotion scans that skipped a run mixing clean and dirty pages.
-    huge_mixed_skips,
     /// Write faults that made a read-only 2 MiB leaf writable.
     huge_write_upgrades,
     /// Transient device errors the retry loop saw.
@@ -322,7 +320,6 @@ mod tests {
             c.scrub_pages = 1;
             c.scrub_repaired = 1;
             c.scrub_unrepairable = 1;
-            c.huge_mixed_skips = 1;
             c.huge_write_upgrades = 1;
             c.transient_errors = 1;
             c.breaker_trips = 1;

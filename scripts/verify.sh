@@ -85,8 +85,8 @@ step "fig8 smoke run with --json/--trace"
 cargo run --release -q -p aquila-bench --bin fig8 -- c \
     --json "$tmp/r.json" --trace "$tmp/t.json" > "$tmp/stdout.txt"
 
-grep -q '"schema_version": 7' "$tmp/r.json" ||
-    { echo "FAIL: JSON record missing schema_version 7" >&2; exit 1; }
+grep -q '"schema_version": 8' "$tmp/r.json" ||
+    { echo "FAIL: JSON record missing schema_version 8" >&2; exit 1; }
 # Events are counted in the `counters` rows; the registry holds only
 # latency histograms, so the record carries no `metrics` section.
 if grep -q '"metrics"' "$tmp/r.json"; then
