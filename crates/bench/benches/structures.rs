@@ -428,6 +428,25 @@ fn bench_tlb() {
     );
 }
 
+/// Host cost of the primitives every simulated step takes many times:
+/// an uncontended `aquila_sync::Mutex` lock and unlock, a `Page`
+/// handle's clone and drop, and a read of one byte of a page.
+fn bench_primitives() {
+    let m = aquila_sync::Mutex::new(0u64);
+    bench("sync", "mutex_lock_unlock", 5_000_000, || {
+        let mut g = m.lock();
+        *g += 1;
+        *g
+    });
+    let page = Page::copy_of(&[0x5A; STORE_PAGE]);
+    bench("page", "clone_drop", 5_000_000, || page.clone());
+    let mut at = 0usize;
+    bench("page", "read", 5_000_000, || {
+        at = (at + 97) % STORE_PAGE;
+        page.read()[at]
+    });
+}
+
 fn bench_ycsb() {
     // One record as a benchmark client rebuilds it to check a read.
     let mut n = 0u64;
@@ -456,4 +475,5 @@ fn main() {
     bench_cow();
     bench_tlb();
     bench_ycsb();
+    bench_primitives();
 }

@@ -575,20 +575,13 @@ impl Aquila {
         let body = ctx.cost().aquila_fault_body;
         ctx.charge(CostCat::FaultHandler, body);
 
-        // Lock the entry so concurrent faults on this page serialize.
+        // The per-entry lock that serializes concurrent faults on this
+        // page. A fault runs to completion within one engine step, so
+        // on the host the lock is never contended: only its cost is
+        // modelled.
         let lock_cost = Cycles(150);
         ctx.charge(CostCat::FaultHandler, lock_cost);
-        let mut spins = 0;
-        while !self.vmas.try_lock_entry(vpn) {
-            spins += 1;
-            ctx.charge(CostCat::LockWait, Cycles(50));
-            if spins > 1_000_000 {
-                return Err(AquilaError::Segfault(gva));
-            }
-        }
-        let result = self.fault_locked(ctx, gva, access, &desc);
-        self.vmas.unlock_entry(vpn);
-        result
+        self.fault_locked(ctx, gva, access, &desc)
     }
 
     fn fault_locked(

@@ -4,17 +4,14 @@
 //! Almost every frame is mapped at most once, so the map is one word per
 //! frame holding the first mapper as `vpn + 1` (0 = unmapped). A frame
 //! mapped at more VPNs sets [`SPILL`] in its word and keeps the extra
-//! VPNs, in push order, in one shared spill map. A frame with at most one
+//! VPNs, in push order, in one spill map. A frame with at most one
 //! mapping never allocates.
 //!
-//! Every operation on one frame is atomic: words without [`SPILL`] change
-//! by compare-and-swap, and a word with [`SPILL`] set changes only under
-//! the spill lock. A lock-free operation publishes nothing but the word
-//! itself (its Release writes pair with the Acquire loads of the same
-//! word); spill-map contents are ordered by the spill lock.
+//! The words and the spill map are plain state in one `aquila_sync`
+//! cell: the simulator runs on one host thread, so every operation on a
+//! frame is a single step.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use aquila_mmu::{FrameId, Vpn};
 use aquila_sync::Mutex;
@@ -24,116 +21,84 @@ const SPILL: u64 = 1 << 63;
 
 /// Frame -> mapping VPNs, in the order they were pushed.
 pub(crate) struct Rmap {
-    words: Box<[AtomicU64]>,
-    spill: Mutex<BTreeMap<u32, Vec<Vpn>>>,
+    state: Mutex<State>,
+}
+
+struct State {
+    words: Box<[u64]>,
+    spill: BTreeMap<u32, Vec<Vpn>>,
 }
 
 impl Rmap {
     /// An empty map over `frames` frames.
     pub(crate) fn new(frames: usize) -> Rmap {
         Rmap {
-            words: (0..frames).map(|_| AtomicU64::new(0)).collect(),
-            spill: Mutex::new(BTreeMap::new()),
+            state: Mutex::new(State {
+                words: vec![0; frames].into_boxed_slice(),
+                spill: BTreeMap::new(),
+            }),
         }
-    }
-
-    fn word(&self, frame: FrameId) -> &AtomicU64 {
-        &self.words[frame.0 as usize]
-    }
-
-    /// Replaces `cur` by `new`; false if another thread changed it first.
-    fn cas(w: &AtomicU64, cur: u64, new: u64) -> bool {
-        w.compare_exchange(cur, new, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
     }
 
     /// Appends `vpn` to the frame's mappers.
     pub(crate) fn push(&self, frame: FrameId, vpn: Vpn) {
         assert!(vpn.0 + 1 < SPILL, "vpn {vpn:?} too wide");
-        let w = self.word(frame);
-        if Self::cas(w, 0, vpn.0 + 1) {
-            return;
-        }
-        let mut spill = self.spill.lock();
-        loop {
-            let cur = w.load(Ordering::Acquire);
-            if cur == 0 {
-                if Self::cas(w, 0, vpn.0 + 1) {
-                    return;
-                }
-            } else if cur & SPILL != 0 || Self::cas(w, cur, cur | SPILL) {
-                spill.entry(frame.0).or_default().push(vpn);
-                return;
-            }
+        let st = &mut *self.state.lock();
+        let w = &mut st.words[frame.0 as usize];
+        if *w == 0 {
+            *w = vpn.0 + 1;
+        } else {
+            *w |= SPILL;
+            st.spill.entry(frame.0).or_default().push(vpn);
         }
     }
 
     /// Removes every occurrence of `vpn` from the frame's mappers,
     /// keeping the others in order.
     pub(crate) fn remove(&self, frame: FrameId, vpn: Vpn) {
-        let w = self.word(frame);
-        loop {
-            let cur = w.load(Ordering::Acquire);
-            if cur & SPILL == 0 {
-                if cur != vpn.0 + 1 || Self::cas(w, cur, 0) {
-                    return;
-                }
-                continue;
-            }
-            let mut spill = self.spill.lock();
-            let cur = w.load(Ordering::Acquire);
-            if cur & SPILL == 0 {
-                continue;
-            }
-            let rest = spill
-                .remove(&frame.0)
-                .expect("spill bit without spill entry");
-            let mut all = std::iter::once(Vpn((cur & !SPILL) - 1))
-                .chain(rest)
-                .filter(|&p| p != vpn);
-            let Some(first) = all.next() else {
-                w.store(0, Ordering::Release);
-                return;
-            };
-            let rest: Vec<Vpn> = all.collect();
-            if rest.is_empty() {
-                w.store(first.0 + 1, Ordering::Release);
-            } else {
-                w.store((first.0 + 1) | SPILL, Ordering::Release);
-                spill.insert(frame.0, rest);
+        let st = &mut *self.state.lock();
+        let w = &mut st.words[frame.0 as usize];
+        if *w & SPILL == 0 {
+            if *w == vpn.0 + 1 {
+                *w = 0;
             }
             return;
+        }
+        let rest = st
+            .spill
+            .remove(&frame.0)
+            .expect("spill bit without spill entry");
+        let mut all = std::iter::once(Vpn((*w & !SPILL) - 1))
+            .chain(rest)
+            .filter(|&p| p != vpn);
+        let Some(first) = all.next() else {
+            *w = 0;
+            return;
+        };
+        let rest: Vec<Vpn> = all.collect();
+        if rest.is_empty() {
+            *w = first.0 + 1;
+        } else {
+            *w = (first.0 + 1) | SPILL;
+            st.spill.insert(frame.0, rest);
         }
     }
 
     /// Empties the frame's mappers, appending them to `out` in push
     /// order.
     pub(crate) fn take_into(&self, frame: FrameId, out: &mut Vec<Vpn>) {
-        let w = self.word(frame);
-        loop {
-            let cur = w.load(Ordering::Acquire);
-            if cur == 0 {
-                return;
-            }
-            if cur & SPILL == 0 {
-                if Self::cas(w, cur, 0) {
-                    out.push(Vpn(cur - 1));
-                    return;
-                }
-                continue;
-            }
-            let mut spill = self.spill.lock();
-            if w.load(Ordering::Acquire) & SPILL == 0 {
-                continue;
-            }
-            let cur = w.swap(0, Ordering::AcqRel);
-            out.push(Vpn((cur & !SPILL) - 1));
+        let st = &mut *self.state.lock();
+        let cur = std::mem::take(&mut st.words[frame.0 as usize]);
+        if cur == 0 {
+            return;
+        }
+        out.push(Vpn((cur & !SPILL) - 1));
+        if cur & SPILL != 0 {
             out.extend(
-                spill
+                st.spill
                     .remove(&frame.0)
                     .expect("spill bit without spill entry"),
             );
-            return;
         }
     }
 }
@@ -152,7 +117,7 @@ mod tests {
     fn single_mapper_round_trips_without_spilling() {
         let rmap = Rmap::new(4);
         rmap.push(FrameId(2), Vpn(0));
-        assert!(rmap.spill.lock().is_empty());
+        assert!(rmap.state.lock().spill.is_empty());
         assert_eq!(take(&rmap, 2), [0]);
         assert_eq!(take(&rmap, 2), [] as [u64; 0]);
         rmap.push(FrameId(1), Vpn(7));
@@ -169,7 +134,7 @@ mod tests {
         }
         rmap.push(FrameId(1), Vpn(5));
         assert_eq!(take(&rmap, 0), [30, 10, 20, 10]);
-        assert!(rmap.spill.lock().is_empty());
+        assert!(rmap.state.lock().spill.is_empty());
         assert_eq!(take(&rmap, 1), [5]);
     }
 
@@ -188,36 +153,31 @@ mod tests {
         rmap.push(FrameId(0), Vpn(6));
         rmap.push(FrameId(0), Vpn(7));
         rmap.remove(FrameId(0), Vpn(7));
-        assert!(rmap.spill.lock().is_empty());
+        assert!(rmap.state.lock().spill.is_empty());
         rmap.remove(FrameId(0), Vpn(6));
         assert_eq!(take(&rmap, 0), [] as [u64; 0]);
     }
 
     #[test]
-    fn concurrent_pushes_and_removes_lose_nothing() {
+    fn interleaved_pushes_and_removes_lose_nothing() {
+        // Four mappers' pushes and removes interleaved on one frame, as
+        // vcores stepping in turn issue them.
         let rmap = Rmap::new(1);
-        let start = std::sync::Barrier::new(4);
-        std::thread::scope(|s| {
+        for i in 0..500 {
             for t in 0..4u64 {
-                let (rmap, start) = (&rmap, &start);
-                s.spawn(move || {
-                    start.wait();
-                    for i in 0..500 {
-                        let v = Vpn(t * 1000 + i);
-                        rmap.push(FrameId(0), v);
-                        if i % 2 == 0 {
-                            rmap.remove(FrameId(0), v);
-                        }
-                    }
-                });
+                let v = Vpn(t * 1000 + i);
+                rmap.push(FrameId(0), v);
+                if i % 2 == 0 {
+                    rmap.remove(FrameId(0), v);
+                }
             }
-        });
+        }
         let mut got = take(&rmap, 0);
         got.sort_unstable();
         let want: Vec<u64> = (0..4u64)
             .flat_map(|t| (0..500).filter(|i| i % 2 == 1).map(move |i| t * 1000 + i))
             .collect();
         assert_eq!(got, want);
-        assert!(rmap.spill.lock().is_empty());
+        assert!(rmap.state.lock().spill.is_empty());
     }
 }

@@ -17,8 +17,9 @@
 //! frames, so its pressure lands on its own working set. Every request
 //! is served; a tenant with no quota is never self-reclaimed.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use aquila_sync::Mutex;
 
 use aquila_mmu::Gva;
 use aquila_sim::{Cycles, SimCtx};
@@ -52,11 +53,11 @@ impl TenantSpec {
 
 /// Per-tenant request accounting (plain counters; the latency
 /// distributions live in the metrics registry as labeled histograms).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, Copy)]
 struct TenantStats {
-    requests: AtomicU64,
-    bytes_read: AtomicU64,
-    bytes_written: AtomicU64,
+    requests: u64,
+    bytes_read: u64,
+    bytes_written: u64,
 }
 
 /// A registered tenant: the handle through which its files are opened
@@ -64,7 +65,7 @@ struct TenantStats {
 pub struct Tenant {
     aquila: Arc<Aquila>,
     spec: TenantSpec,
-    stats: TenantStats,
+    stats: Mutex<TenantStats>,
 }
 
 impl Tenant {
@@ -75,7 +76,7 @@ impl Tenant {
         Arc::new(Tenant {
             aquila,
             spec,
-            stats: TenantStats::default(),
+            stats: Mutex::new(TenantStats::default()),
         })
     }
 
@@ -112,15 +113,13 @@ impl Tenant {
 
     /// Total requests issued through this tenant's sessions.
     pub fn requests(&self) -> u64 {
-        self.stats.requests.load(Ordering::Relaxed)
+        self.stats.lock().requests
     }
 
     /// Bytes read / written through this tenant's sessions.
     pub fn bytes(&self) -> (u64, u64) {
-        (
-            self.stats.bytes_read.load(Ordering::Relaxed),
-            self.stats.bytes_written.load(Ordering::Relaxed),
-        )
+        let st = self.stats.lock();
+        (st.bytes_read, st.bytes_written)
     }
 
     fn account<T>(
@@ -129,7 +128,7 @@ impl Tenant {
         t0: Cycles,
         result: Result<T, AquilaError>,
     ) -> Result<T, AquilaError> {
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
+        self.stats.lock().requests += 1;
         aquila_sim::metrics::record_latency_labeled(
             ctx,
             "session.op.cycles",
@@ -206,10 +205,7 @@ impl Session {
         let t0 = ctx.now();
         let r = self.aq().read(ctx, addr, buf);
         if r.is_ok() {
-            self.tenant
-                .stats
-                .bytes_read
-                .fetch_add(buf.len() as u64, Ordering::Relaxed);
+            self.tenant.stats.lock().bytes_read += buf.len() as u64;
         }
         self.tenant.account(ctx, t0, r)
     }
@@ -219,10 +215,7 @@ impl Session {
         let t0 = ctx.now();
         let r = self.aq().write(ctx, addr, data);
         if r.is_ok() {
-            self.tenant
-                .stats
-                .bytes_written
-                .fetch_add(data.len() as u64, Ordering::Relaxed);
+            self.tenant.stats.lock().bytes_written += data.len() as u64;
         }
         self.tenant.account(ctx, t0, r)
     }

@@ -32,6 +32,30 @@ fn mmap_read_write_roundtrip() {
     assert!(ctx.stats.page_faults >= 1);
 }
 
+/// The engine stays shareable by `Arc` across host threads (clients hold
+/// `Arc<Aquila>`), but its state belongs to the thread that built it: a
+/// fault served from any other host thread panics instead of racing.
+#[test]
+fn the_engine_is_shareable_but_owned_by_its_host_thread() {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<crate::Aquila>();
+    let (mut ctx, rt) = runtime(DeviceKind::PmemDax, 64);
+    let f = rt.open("/data/owned", 4).unwrap();
+    let addr = rt.aquila.mmap(&mut ctx, f, 0, 4, Prot::RW).unwrap();
+    let aq = Arc::clone(&rt.aquila);
+    let foreign = std::thread::spawn(move || {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut ctx = FreeCtx::new(7);
+            let _ = aq.read(&mut ctx, addr, &mut [0u8; 8]);
+        }))
+        .is_err()
+    });
+    assert!(foreign.join().unwrap(), "a foreign host thread got in");
+    let mut back = [1u8; 8];
+    rt.aquila.read(&mut ctx, addr, &mut back).unwrap();
+    assert_eq!(back, [0; 8], "the owner thread is unaffected");
+}
+
 #[test]
 fn cross_page_access_works() {
     let (mut ctx, rt) = runtime(DeviceKind::PmemDax, 64);

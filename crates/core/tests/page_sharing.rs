@@ -1,7 +1,7 @@
 //! Property test of fill by reference and copy-on-write.
 //!
 //! Device stores and the DRAM cache share refcounted pages from one
-//! process-wide pool (DESIGN.md §17.6): a fill installs the device's page
+//! per-host-thread pool (DESIGN.md §17.6): a fill installs the device's page
 //! in the frame, writeback hands the frame's page to the device, and only
 //! the first write to a shared page copies it. Every check below compares
 //! that sharing against a model that copies bytes everywhere:

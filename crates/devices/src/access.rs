@@ -96,7 +96,7 @@ impl AccessKind {
 /// `read_refs`/`write_refs` return once the data is usable, having
 /// charged all CPU, transition, and device costs to the context.
 ///
-/// Data moves as [`Page`] references into the process-wide page pool
+/// Data moves as [`Page`] references into the host thread's page pool
 /// ([`aquila_sim::page`]): a read hands out the device's own pages and a
 /// write's pages are adopted by the device's store, one page per device
 /// page in device order, like an NVMe PRP list. A cache fill therefore

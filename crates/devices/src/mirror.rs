@@ -40,7 +40,6 @@
 //! previous records back, so the table only ever describes bytes that
 //! landed.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use aquila_sim::{CostCat, Page, SimCtx};
@@ -107,12 +106,9 @@ pub struct MirrorAccess {
     /// Per-page write version, bumped when a write *begins*. Repair
     /// rechecks it before rewriting the primary so a scrub racing a
     /// writeback never resurrects stale bytes.
-    versions: Vec<AtomicU64>,
-    detected: AtomicU64,
-    repaired: AtomicU64,
-    unrepairable: AtomicU64,
-    repair_skipped: AtomicU64,
-    queued_writes: AtomicU64,
+    versions: Mutex<Vec<u64>>,
+    /// Every count but `tainted`, which the primary device keeps.
+    counts: Mutex<IntegrityCounters>,
     /// A per-sector CRC-32C table that, when set, verifies reads in
     /// place of `written`: the differential tests' reference.
     #[cfg(test)]
@@ -128,17 +124,13 @@ impl MirrorAccess {
     pub fn new(primary: Arc<NvmeDevice>, replica: Arc<NvmeDevice>) -> MirrorAccess {
         let pages = primary.capacity_pages().min(replica.capacity_pages());
         let written = (0..pages).map(|_| Mutex::new(Page::zero())).collect();
-        let versions = (0..pages).map(|_| AtomicU64::new(0)).collect();
+        let versions = Mutex::new(vec![0; pages as usize]);
         let m = MirrorAccess {
             primary: NvmeAccess::new(primary, Entry::Direct),
             replica: NvmeAccess::new(replica, Entry::Direct),
             written,
             versions,
-            detected: AtomicU64::new(0),
-            repaired: AtomicU64::new(0),
-            unrepairable: AtomicU64::new(0),
-            repair_skipped: AtomicU64::new(0),
-            queued_writes: AtomicU64::new(0),
+            counts: Mutex::new(IntegrityCounters::default()),
             #[cfg(test)]
             reference: None,
         };
@@ -177,8 +169,8 @@ impl MirrorAccess {
     /// Appends the records they replaced, one per page, to `prev` for
     /// [`Self::abort_write`].
     fn begin_write(&self, page: u64, pages: &[Page], prev: &mut Vec<Page>) {
-        for i in 0..pages.len() as u64 {
-            self.versions[(page + i) as usize].fetch_add(1, Ordering::SeqCst);
+        for v in &mut self.versions.lock()[page as usize..][..pages.len()] {
+            *v += 1;
         }
         for (slot, data) in self.written[page as usize..].iter().zip(pages) {
             prev.push(std::mem::replace(&mut *slot.lock(), data.clone()));
@@ -234,6 +226,11 @@ impl MirrorAccess {
         got == sector_crcs(&recorded.read())
     }
 
+    /// `page`'s write version.
+    fn version(&self, page: u64) -> u64 {
+        self.versions.lock()[page as usize]
+    }
+
     /// Reads one page with verification and repair into `out`. Returns
     /// whether a repair happened.
     fn fetch_page(
@@ -242,14 +239,14 @@ impl MirrorAccess {
         page: u64,
         out: &mut Page,
     ) -> Result<bool, DeviceError> {
-        let v0 = self.versions[page as usize].load(Ordering::SeqCst);
+        let v0 = self.version(page);
         match self.primary.read_refs(ctx, page, std::slice::from_mut(out)) {
             Ok(()) => {
                 if self.verify_page(page, out) {
                     return Ok(false);
                 }
                 // Silent corruption caught before it reaches the caller.
-                self.detected.fetch_add(1, Ordering::SeqCst);
+                self.counts.lock().detected += 1;
                 self.repair_page(ctx, page, v0, out)
             }
             // The primary cannot produce the page at all (latent sector,
@@ -272,30 +269,30 @@ impl MirrorAccess {
     ) -> Result<bool, DeviceError> {
         let mut rep = [Page::zero()];
         if self.replica.read_refs(ctx, page, &mut rep).is_err() {
-            self.unrepairable.fetch_add(1, Ordering::SeqCst);
+            self.counts.lock().unrepairable += 1;
             return Err(DeviceError::Corrupt { page });
         }
         if !self.verify_page(page, &rep[0]) {
-            if self.versions[page as usize].load(Ordering::SeqCst) != v0 {
+            if self.version(page) != v0 {
                 // A writer moved the page mid-verification; the error is
                 // transient and a retry reads the settled state.
-                self.repair_skipped.fetch_add(1, Ordering::SeqCst);
+                self.counts.lock().repair_skipped += 1;
                 return Err(DeviceError::Corrupt { page });
             }
-            self.unrepairable.fetch_add(1, Ordering::SeqCst);
+            self.counts.lock().unrepairable += 1;
             return Err(DeviceError::Corrupt { page });
         }
         *out = rep[0].clone();
         // Rewrite the primary unless a newer write superseded the page
         // (the caller still gets the clean copy either way).
-        if self.versions[page as usize].load(Ordering::SeqCst) == v0 {
+        if self.version(page) == v0 {
             if self.primary.write_refs(ctx, page, &rep).is_err() {
-                self.repair_skipped.fetch_add(1, Ordering::SeqCst);
+                self.counts.lock().repair_skipped += 1;
             }
         } else {
-            self.repair_skipped.fetch_add(1, Ordering::SeqCst);
+            self.counts.lock().repair_skipped += 1;
         }
-        self.repaired.fetch_add(1, Ordering::SeqCst);
+        self.counts.lock().repaired += 1;
         Ok(true)
     }
 }
@@ -306,7 +303,7 @@ impl StorageAccess for MirrorAccess {
     }
 
     fn capacity_pages(&self) -> u64 {
-        self.versions.len() as u64
+        self.written.len() as u64
     }
 
     fn reset_timing(&self) {
@@ -381,7 +378,7 @@ impl StorageAccess for MirrorAccess {
             }
             issued += 1;
         }
-        self.queued_writes.fetch_add(issued, Ordering::SeqCst);
+        self.counts.lock().queued_writes += issued;
         if let Some((landed, e)) = failure {
             // `prev` holds each segment's records in order.
             let mut prev = &prev[..];
@@ -412,12 +409,8 @@ impl StorageAccess for MirrorAccess {
 
     fn integrity_counters(&self) -> Option<IntegrityCounters> {
         Some(IntegrityCounters {
-            detected: self.detected.load(Ordering::SeqCst),
-            repaired: self.repaired.load(Ordering::SeqCst),
-            unrepairable: self.unrepairable.load(Ordering::SeqCst),
-            repair_skipped: self.repair_skipped.load(Ordering::SeqCst),
             tainted: self.primary.device().tainted_reads(),
-            queued_writes: self.queued_writes.load(Ordering::SeqCst),
+            ..*self.counts.lock()
         })
     }
 }
@@ -811,12 +804,12 @@ mod tests {
     /// 32 of an entry marks "recorded"; zero means never written, which
     /// verifies against the all-zero sector's CRC.
     pub(super) struct SectorSums {
-        sums: Vec<AtomicU64>,
+        sums: Mutex<Vec<u64>>,
         /// Begun writes' `(page, ours, prev)` entries, for aborts.
         pending: Mutex<Vec<(u64, PageSums, PageSums)>>,
-        verifies: AtomicU64,
+        verifies: Mutex<u64>,
         /// Verifies where the page records' verdict differed from ours.
-        disagreements: AtomicU64,
+        disagreements: Mutex<u64>,
     }
 
     type PageSums = [u64; 8];
@@ -825,17 +818,19 @@ mod tests {
         aquila_sync::crc32c_sectors(&data.read()).map(|crc| (1u64 << 32) | crc as u64)
     }
 
-    impl SectorSums {
-        fn slots(&self, page: u64) -> &[AtomicU64] {
-            &self.sums[page as usize * 8..][..8]
-        }
+    /// The eight sector entries of `page`.
+    fn slots(sums: &mut [u64], page: u64) -> &mut [u64] {
+        &mut sums[page as usize * 8..][..8]
+    }
 
+    impl SectorSums {
         pub(super) fn begin(&self, page: u64, pages: &[Page]) {
             for (p, data) in (page..).zip(pages) {
                 let ours = packed_sums(data);
                 let mut prev = [0u64; 8];
-                for ((old, slot), &entry) in prev.iter_mut().zip(self.slots(p)).zip(&ours) {
-                    *old = slot.swap(entry, Ordering::SeqCst);
+                let mut sums = self.sums.lock();
+                for ((old, slot), &entry) in prev.iter_mut().zip(slots(&mut sums, p)).zip(&ours) {
+                    *old = std::mem::replace(slot, entry);
                 }
                 self.pending.lock().push((p, ours, prev));
             }
@@ -849,8 +844,11 @@ mod tests {
                     continue;
                 };
                 let (_, ours, prev) = pending.remove(at);
-                for ((slot, &o), &old) in self.slots(p).iter().zip(&ours).zip(&prev) {
-                    let _ = slot.compare_exchange(o, old, Ordering::SeqCst, Ordering::SeqCst);
+                let mut sums = self.sums.lock();
+                for ((slot, &o), &old) in slots(&mut sums, p).iter_mut().zip(&ours).zip(&prev) {
+                    if *slot == o {
+                        *slot = old;
+                    }
                 }
             }
         }
@@ -860,13 +858,13 @@ mod tests {
         pub(super) fn verify(&self, page: u64, data: &Page, by_page: bool) -> bool {
             let zero = aquila_sync::crc32c_sectors(&[0u8; STORE_PAGE])[0];
             let crcs = aquila_sync::crc32c_sectors(&data.read());
-            let ok = self.slots(page).iter().zip(crcs).all(|(slot, crc)| {
-                let entry = slot.load(Ordering::SeqCst);
-                crc == if entry == 0 { zero } else { entry as u32 }
-            });
-            self.verifies.fetch_add(1, Ordering::SeqCst);
+            let ok = slots(&mut self.sums.lock(), page)
+                .iter()
+                .zip(crcs)
+                .all(|(&entry, crc)| crc == if entry == 0 { zero } else { entry as u32 });
+            *self.verifies.lock() += 1;
             if ok != by_page {
-                self.disagreements.fetch_add(1, Ordering::SeqCst);
+                *self.disagreements.lock() += 1;
             }
             ok
         }
@@ -875,12 +873,10 @@ mod tests {
     /// Puts the reference table under `m`, seeded from its page records.
     fn with_reference(mut m: MirrorAccess) -> MirrorAccess {
         let r = SectorSums {
-            sums: (0..m.capacity_pages() * 8)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
+            sums: Mutex::new(vec![0; m.capacity_pages() as usize * 8]),
             pending: Mutex::new(Vec::new()),
-            verifies: AtomicU64::new(0),
-            disagreements: AtomicU64::new(0),
+            verifies: Mutex::new(0),
+            disagreements: Mutex::new(0),
         };
         for (p, slot) in (0..).zip(&m.written) {
             let data = slot.lock().clone();
@@ -1000,7 +996,7 @@ mod tests {
         let c = m.integrity_counters().unwrap();
         assert_eq!((c.detected, c.repaired), (0, 0), "{c:?}");
         let r = m.reference.as_ref().unwrap();
-        assert_eq!(r.disagreements.load(Ordering::SeqCst), 0);
+        assert_eq!(*r.disagreements.lock(), 0);
     }
 
     /// One step of a differential storm.
@@ -1127,7 +1123,7 @@ mod tests {
                 assert_eq!(Some(c), theirs.integrity_counters(), "{at}");
                 assert_eq!(c.undetected(), 0, "{at}: {c:?}");
                 let r = theirs.reference.as_ref().unwrap();
-                assert_eq!(r.disagreements.load(Ordering::SeqCst), 0, "{at}");
+                assert_eq!(*r.disagreements.lock(), 0, "{at}");
                 for (a, b) in [
                     (ours.primary_device(), theirs.primary_device()),
                     (ours.replica_device(), theirs.replica_device()),
@@ -1141,12 +1137,7 @@ mod tests {
             seen.unrepairable += c.unrepairable;
             seen.tainted += c.tainted;
             seen.queued_writes += c.queued_writes;
-            verifies += theirs
-                .reference
-                .as_ref()
-                .unwrap()
-                .verifies
-                .load(Ordering::SeqCst);
+            verifies += *theirs.reference.as_ref().unwrap().verifies.lock();
         }
         // The storms reached every verdict the table can give.
         assert!(seen.detected > 0 && seen.tainted > 0, "{seen:?}");

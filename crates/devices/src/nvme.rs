@@ -10,7 +10,6 @@
 //! drives the device without kernel involvement.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use aquila_sync::Mutex;
@@ -81,7 +80,7 @@ pub struct NvmeDevice {
     /// Pages of corrupt data the device has silently returned to
     /// readers (stored-poisoned sectors plus in-flight read flips).
     /// The integrity layer's `detected` count is audited against this.
-    tainted: AtomicU64,
+    tainted: Mutex<u64>,
 }
 
 impl NvmeDevice {
@@ -93,7 +92,7 @@ impl NvmeDevice {
             fault: OnceLock::new(),
             poisoned: Mutex::new(BTreeSet::new()),
             latent: Mutex::new(BTreeSet::new()),
-            tainted: AtomicU64::new(0),
+            tainted: Mutex::new(0),
         }
     }
 
@@ -157,7 +156,7 @@ impl NvmeDevice {
     /// every one of these must be caught by a checksum before it is
     /// acked to a session).
     pub fn tainted_reads(&self) -> u64 {
-        self.tainted.load(Ordering::SeqCst)
+        *self.tainted.lock()
     }
 
     /// Sectors currently storing silently corrupted data.
@@ -322,7 +321,7 @@ impl NvmeDevice {
                         })
                         .count() as u64;
                     if tainted > 0 {
-                        self.tainted.fetch_add(tainted, Ordering::SeqCst);
+                        *self.tainted.lock() += tainted;
                     }
                 }
             }

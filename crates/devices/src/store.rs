@@ -3,7 +3,7 @@
 //! Device contents are real bytes: writes persist, reads return what was
 //! written, so the KV stores and graph workloads above verify actual data
 //! integrity through the whole mmio path. Each device page is one
-//! [`Page`] handle into the process-wide page pool
+//! [`Page`] handle into the host thread's page pool
 //! ([`aquila_sim::page`]); the zero page means "never written". A read
 //! hands out a reference to the stored page and a page-list write adopts
 //! the caller's pages, so the DRAM cache and the store share bytes
@@ -105,7 +105,7 @@ impl PageStore {
 
     /// Writes `buf` into `page` starting at `offset`, copying a shared
     /// page first. `buf` must not be borrowed from a [`Page`] (the page
-    /// pool's lock rule).
+    /// pool's borrow rule).
     ///
     /// Fails if the range crosses the page boundary or the page index is
     /// out of bounds.

@@ -7,17 +7,18 @@
 //! hands dirty frames to the device — so KV stores and graph workloads
 //! running on the simulator observe genuine data, not placeholders.
 //!
-//! Each frame holds a [`Page`] of the process-wide page pool
+//! Each frame holds a [`Page`] of the host thread's page pool
 //! ([`aquila_sim::page`]) and starts as the shared zero page, so no frame
 //! bytes exist until a frame is filled. A fill installs the device's own
 //! page ([`PhysMem::install`]); writeback hands the frame's page to the
 //! device ([`PhysMem::page`]), which adopts it; a write through a mapping
 //! ([`PhysMem::write`]) copies a shared page first, making the frame
-//! private. One short lock per frame slot guards the handle.
+//! private. Each frame slot is its own `aquila_sync::Mutex` (a 12-byte
+//! owner-checked cell, no atomic), which the frame's handle lives in.
 //!
 //! A frame's bytes are reached only by copying them in or out
-//! ([`PhysMem::read`] / [`PhysMem::write`]), under the frame's slot lock
-//! and its page's chunk lock, or by taking a reference to its page; there
+//! ([`PhysMem::read`] / [`PhysMem::write`]), under the frame's slot and
+//! its page's chunk borrow, or by taking a reference to its page; there
 //! is no closure access in which a caller could fill a frame in place.
 
 use aquila_sim::Page;

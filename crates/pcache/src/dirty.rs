@@ -13,7 +13,6 @@
 //! operation regardless.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 use aquila_sync::Mutex;
 
@@ -36,46 +35,61 @@ type Tree = BTreeMap<(u32, u64), FrameId>;
 /// The per-core dirty trees.
 ///
 /// A page sits in at most one tree: each frame has a dirty word holding
-/// the owning core plus one (0 while clean). Marking sets it by
-/// compare-and-swap, so a page re-dirtied from another core (a fresh
-/// mapping of a still-dirty page) is not entered twice; eviction, drains
-/// and migration read and clear it, and removal goes to the one tree the
-/// word names. The word publishes which tree holds the entry: a marker's
-/// `AcqRel` compare-and-swap pairs with the `AcqRel` swap of `take` and
-/// the `Release` store of a drain (made under that tree's lock).
+/// the owning core plus one (0 while clean). Marking sets it only while
+/// it is 0, so a page re-dirtied from another core (a fresh mapping of a
+/// still-dirty page) is not entered twice; eviction, drains and
+/// migration read and clear it, and removal goes to the one tree the
+/// word names. Trees and words are plain state in one `aquila_sync`
+/// cell; the per-core trees are the model, and the race detector sees
+/// them through the cache's per-core annotations.
 pub struct DirtyTrees {
-    trees: Vec<Mutex<Tree>>,
-    owner: Vec<AtomicU32>,
+    state: Mutex<Dirty>,
+}
+
+struct Dirty {
+    trees: Vec<Tree>,
+    owner: Vec<u32>,
+}
+
+impl Dirty {
+    /// Removes `k` from tree `core` and clears its frame's dirty word.
+    fn drain_one(&mut self, core: usize, k: (u32, u64), out: &mut Vec<DirtyPage>) {
+        let frame = self.trees[core].remove(&k).expect("key just observed");
+        self.owner[frame.0 as usize] = 0;
+        out.push(DirtyPage {
+            key: PageKey::new(k.0, k.1),
+            frame,
+        });
+    }
 }
 
 impl DirtyTrees {
     /// Creates trees for `cores` cores over a pool of `frames` frames.
     pub fn new(cores: usize, frames: usize) -> DirtyTrees {
         DirtyTrees {
-            trees: (0..cores.max(1))
-                .map(|_| Mutex::new(BTreeMap::new()))
-                .collect(),
-            owner: (0..frames).map(|_| AtomicU32::new(0)).collect(),
+            state: Mutex::new(Dirty {
+                trees: vec![BTreeMap::new(); cores.max(1)],
+                owner: vec![0; frames],
+            }),
         }
     }
 
     /// Number of per-core trees.
     pub fn cores(&self) -> usize {
-        self.trees.len()
+        self.state.lock().trees.len()
     }
 
     /// Marks `key` (held in `frame`) dirty from `core`. Returns false,
     /// changing nothing, if the frame is already dirty in any core's tree.
     pub fn insert(&self, core: usize, key: PageKey, frame: FrameId) -> bool {
-        let core = core % self.trees.len();
-        let word = &self.owner[frame.0 as usize];
-        if word
-            .compare_exchange(0, core as u32 + 1, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
+        let d = &mut *self.state.lock();
+        let core = core % d.trees.len();
+        let word = &mut d.owner[frame.0 as usize];
+        if *word != 0 {
             return false;
         }
-        self.trees[core].lock().insert((key.file, key.page), frame);
+        *word = core as u32 + 1;
+        d.trees[core].insert((key.file, key.page), frame);
         true
     }
 
@@ -83,25 +97,25 @@ impl DirtyTrees {
     /// removes the page from the one tree the word named. Returns that
     /// tree's core, or `None` if the frame was clean.
     pub fn take(&self, frame: FrameId, key: PageKey) -> Option<usize> {
-        let core = self.owner[frame.0 as usize].swap(0, Ordering::AcqRel);
+        let d = &mut *self.state.lock();
+        let core = std::mem::take(&mut d.owner[frame.0 as usize]);
         if core == 0 {
             return None;
         }
         let core = core as usize - 1;
-        self.trees[core].lock().remove(&(key.file, key.page));
+        d.trees[core].remove(&(key.file, key.page));
         Some(core)
     }
 
-    /// Whether `frame` holds a dirty page: an `Acquire` load of its dirty
-    /// word (pairing with the marker's compare-and-swap and a drain's
-    /// store), no tree search.
+    /// Whether `frame` holds a dirty page: its dirty word, no tree
+    /// search.
     pub fn is_dirty(&self, frame: FrameId) -> bool {
-        self.owner[frame.0 as usize].load(Ordering::Acquire) != 0
+        self.state.lock().owner[frame.0 as usize] != 0
     }
 
     /// Total dirty pages across all trees.
     pub fn len(&self) -> usize {
-        self.trees.iter().map(|t| t.lock().len()).sum()
+        self.state.lock().trees.iter().map(Tree::len).sum()
     }
 
     /// Whether no pages are dirty.
@@ -109,29 +123,19 @@ impl DirtyTrees {
         self.len() == 0
     }
 
-    /// Removes `k` from a locked tree and clears its frame's dirty word.
-    fn drain_one(&self, tree: &mut Tree, k: (u32, u64), out: &mut Vec<DirtyPage>) {
-        let frame = tree.remove(&k).expect("key just observed");
-        self.owner[frame.0 as usize].store(0, Ordering::Release);
-        out.push(DirtyPage {
-            key: PageKey::new(k.0, k.1),
-            frame,
-        });
-    }
-
     /// Drains all dirty pages of `file` whose page index lies in
     /// `[start, end)`, merged across cores in device-offset order (the
     /// `msync` and writeback path).
     pub fn drain_file_range(&self, file: u32, start: u64, end: u64) -> Vec<DirtyPage> {
+        let d = &mut *self.state.lock();
         let mut merged: Vec<DirtyPage> = Vec::new();
-        for tree in &self.trees {
-            let mut tree = tree.lock();
-            let keys: Vec<(u32, u64)> = tree
+        for core in 0..d.trees.len() {
+            let keys: Vec<(u32, u64)> = d.trees[core]
                 .range((file, start)..(file, end))
                 .map(|(&k, _)| k)
                 .collect();
             for k in keys {
-                self.drain_one(&mut tree, k, &mut merged);
+                d.drain_one(core, k, &mut merged);
             }
         }
         // Per-core trees are sorted runs; a final sort merges them.
@@ -142,11 +146,11 @@ impl DirtyTrees {
     /// Drains every dirty page (shutdown / full sync), sorted by device
     /// offset.
     pub fn drain_all(&self) -> Vec<DirtyPage> {
+        let d = &mut *self.state.lock();
         let mut merged: Vec<DirtyPage> = Vec::new();
-        for tree in &self.trees {
-            let mut tree = tree.lock();
-            while let Some(&k) = tree.keys().next() {
-                self.drain_one(&mut tree, k, &mut merged);
+        for core in 0..d.trees.len() {
+            while let Some(&k) = d.trees[core].keys().next() {
+                d.drain_one(core, k, &mut merged);
             }
         }
         merged.sort_by_key(|d| (d.key.file, d.key.page));

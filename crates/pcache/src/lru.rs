@@ -8,62 +8,67 @@
 //! eviction round in the paper) so the TLB shootdown and writeback costs
 //! amortize.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
 use aquila_mmu::FrameId;
+use aquila_sync::Mutex;
 
 /// CLOCK state over a fixed frame pool.
 pub struct ClockLru {
-    referenced: Vec<AtomicBool>,
-    resident: Vec<AtomicBool>,
-    hand: AtomicUsize,
+    state: Mutex<Clock>,
+}
+
+/// Reference and residency bits per frame, and the hand.
+struct Clock {
+    referenced: Vec<bool>,
+    resident: Vec<bool>,
+    hand: usize,
 }
 
 impl ClockLru {
     /// Creates CLOCK state for `frames` frames, all non-resident.
     pub fn new(frames: usize) -> ClockLru {
         ClockLru {
-            referenced: (0..frames).map(|_| AtomicBool::new(false)).collect(),
-            resident: (0..frames).map(|_| AtomicBool::new(false)).collect(),
-            hand: AtomicUsize::new(0),
+            state: Mutex::new(Clock {
+                referenced: vec![false; frames],
+                resident: vec![false; frames],
+                hand: 0,
+            }),
         }
     }
 
     /// Number of tracked frames.
     pub fn frames(&self) -> usize {
-        self.referenced.len()
+        self.state.lock().referenced.len()
     }
 
     /// Marks a frame recently used (called from the fault path).
     #[inline]
     pub fn touch(&self, frame: FrameId) {
-        self.referenced[frame.0 as usize].store(true, Ordering::Relaxed);
+        self.state.lock().referenced[frame.0 as usize] = true;
     }
 
     /// Marks a frame resident (it now holds a cached page).
     pub fn mark_resident(&self, frame: FrameId) {
-        self.resident[frame.0 as usize].store(true, Ordering::Relaxed);
-        self.referenced[frame.0 as usize].store(true, Ordering::Relaxed);
+        let c = &mut *self.state.lock();
+        c.resident[frame.0 as usize] = true;
+        c.referenced[frame.0 as usize] = true;
     }
 
     /// Marks a frame free (evicted or never filled).
     pub fn mark_free(&self, frame: FrameId) {
-        self.resident[frame.0 as usize].store(false, Ordering::Relaxed);
-        self.referenced[frame.0 as usize].store(false, Ordering::Relaxed);
+        let c = &mut *self.state.lock();
+        c.resident[frame.0 as usize] = false;
+        c.referenced[frame.0 as usize] = false;
     }
 
     /// Resident frame count (linear scan; diagnostics only).
     pub fn resident_count(&self) -> usize {
-        self.resident
-            .iter()
-            .filter(|r| r.load(Ordering::Relaxed))
-            .count()
+        self.state.lock().resident.iter().filter(|&&r| r).count()
     }
 
     /// Sweeps the clock hand and collects up to `batch` distinct
     /// victims among the frames `pred` accepts (the tenant-fair evictor
     /// sweeps one tenant's frames at a time; every other batch accepts
-    /// all frames).
+    /// all frames). `pred` must not call back into the CLOCK.
     ///
     /// Referenced frames get a second chance (bit cleared, skipped).
     /// Returns fewer than `batch` victims — possibly none — if the pool
@@ -76,7 +81,8 @@ impl ClockLru {
         batch: usize,
         pred: impl Fn(FrameId) -> bool,
     ) -> Vec<FrameId> {
-        let n = self.referenced.len();
+        let c = &mut *self.state.lock();
+        let n = c.referenced.len();
         if n == 0 {
             return Vec::new();
         }
@@ -89,9 +95,10 @@ impl ClockLru {
         // gets its reference bit cleared (sweep 1) or becomes a victim
         // (sweep 2).
         while victims.len() < batch && steps < 2 * n {
-            let i = self.hand.fetch_add(1, Ordering::Relaxed) % n;
+            let i = c.hand % n;
+            c.hand = c.hand.wrapping_add(1);
             steps += 1;
-            if !self.resident[i].load(Ordering::Relaxed) {
+            if !c.resident[i] {
                 continue;
             }
             if !pred(FrameId(i as u32)) {
@@ -101,7 +108,7 @@ impl ClockLru {
                 again += 1;
                 continue;
             }
-            if self.referenced[i].swap(false, Ordering::Relaxed) {
+            if std::mem::take(&mut c.referenced[i]) {
                 continue; // Second chance.
             }
             victims.push(FrameId(i as u32));

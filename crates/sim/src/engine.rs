@@ -12,8 +12,9 @@
 //! which is what lets a one-core container reproduce the paper's 32-thread
 //! scalability figures.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use aquila_sync::Mutex;
 
 use crate::cost::{CostCat, CostModel};
 use crate::rng::Rng64;
@@ -87,42 +88,47 @@ pub fn vmcall(ctx: &mut dyn SimCtx) {
 /// start of its next step.
 #[derive(Debug, Default)]
 pub struct CoreDebts {
-    debts: Vec<AtomicU64>,
-    /// Causal-span id of the latest depositor per core ([`crate::span`]);
-    /// drained with the debt so the IPI handler's span links back to the
+    ledger: Mutex<Vec<Debt>>,
+}
+
+/// One core's pending interrupt work.
+#[derive(Debug, Default, Clone, Copy)]
+struct Debt {
+    cycles: u64,
+    /// Causal-span id of the latest depositor ([`crate::span`]); drained
+    /// with the debt so the IPI handler's span links back to the
     /// shootdown that caused it. Zero when untagged.
-    span_tags: Vec<AtomicU64>,
+    span_tag: u64,
 }
 
 impl CoreDebts {
     /// Creates a debt ledger for `cores` cores.
     pub fn new(cores: usize) -> CoreDebts {
         CoreDebts {
-            debts: (0..cores).map(|_| AtomicU64::new(0)).collect(),
-            span_tags: (0..cores).map(|_| AtomicU64::new(0)).collect(),
+            ledger: Mutex::new(vec![Debt::default(); cores]),
         }
     }
 
     /// Deposits `c` cycles of pending interrupt work on `core`.
     pub fn deposit(&self, core: usize, c: Cycles) {
-        if let Some(d) = self.debts.get(core) {
-            d.fetch_add(c.get(), Ordering::Relaxed);
+        if let Some(d) = self.ledger.lock().get_mut(core) {
+            d.cycles += c.get();
         }
     }
 
     /// Deposits on every core except `sender`.
     pub fn broadcast_except(&self, sender: usize, c: Cycles) {
-        for (i, d) in self.debts.iter().enumerate() {
+        for (i, d) in self.ledger.lock().iter_mut().enumerate() {
             if i != sender {
-                d.fetch_add(c.get(), Ordering::Relaxed);
+                d.cycles += c.get();
             }
         }
     }
 
     /// Drains and returns the pending debt for `core`.
     pub fn drain(&self, core: usize) -> Cycles {
-        match self.debts.get(core) {
-            Some(d) => Cycles(d.swap(0, Ordering::Relaxed)),
+        match self.ledger.lock().get_mut(core) {
+            Some(d) => Cycles(std::mem::take(&mut d.cycles)),
             None => Cycles::ZERO,
         }
     }
@@ -133,24 +139,24 @@ impl CoreDebts {
         if span.is_none() {
             return;
         }
-        for (i, t) in self.span_tags.iter().enumerate() {
+        for (i, d) in self.ledger.lock().iter_mut().enumerate() {
             if i != sender {
-                t.store(span.0, Ordering::Relaxed);
+                d.span_tag = span.0;
             }
         }
     }
 
     /// Takes (and clears) the causal-span tag for `core`.
     pub fn take_span_tag(&self, core: usize) -> crate::span::SpanId {
-        match self.span_tags.get(core) {
-            Some(t) => crate::span::SpanId(t.swap(0, Ordering::Relaxed)),
+        match self.ledger.lock().get_mut(core) {
+            Some(d) => crate::span::SpanId(std::mem::take(&mut d.span_tag)),
             None => crate::span::SpanId::NONE,
         }
     }
 
     /// Number of cores tracked.
     pub fn cores(&self) -> usize {
-        self.debts.len()
+        self.ledger.lock().len()
     }
 }
 

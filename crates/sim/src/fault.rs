@@ -33,10 +33,9 @@
 //!
 //! Example: `--faults "nvme.write:media_error@op=1000"`.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use aquila_sync::Mutex;
-
+use crate::lock_shared;
 use crate::page::Page;
 use crate::time::Cycles;
 use crate::PAGE_SIZE;
@@ -232,7 +231,7 @@ impl DeviceImage {
 
     /// Writes `data` at absolute byte offset `pos`, materializing zero
     /// pages as needed. Bytes past the end of the device are dropped.
-    /// `data` must not be borrowed from a [`Page`] (the page pool's lock
+    /// `data` must not be borrowed from a [`Page`] (the page pool's borrow
     /// rule).
     pub fn write(&mut self, pos: u64, data: &[u8]) {
         let end = (pos + data.len() as u64).min(self.bytes());
@@ -281,7 +280,6 @@ struct PlanState {
     /// Remaining QueueFull-storm submissions, per target.
     storm: [u64; TARGETS],
     injected: u64,
-    crash: Option<CrashImage>,
 }
 
 /// A parsed, stateful fault plan.
@@ -292,7 +290,14 @@ struct PlanState {
 /// act on the returned outcome.
 pub struct FaultPlan {
     clauses: Vec<FaultClause>,
+    /// A `std` mutex: the installed global plan is shared by parallel
+    /// test threads.
     state: Mutex<PlanState>,
+    /// The captured image holds [`Page`]s of the capturing thread's
+    /// pool, so it lives in a cell owned by the thread that built the
+    /// plan: the thread whose simulation draws from it (for the global
+    /// plan, a binary's main thread).
+    crash: aquila_sync::Mutex<Option<CrashImage>>,
 }
 
 impl FaultPlan {
@@ -314,8 +319,8 @@ impl FaultPlan {
                 clauses: states,
                 storm: [0; TARGETS],
                 injected: 0,
-                crash: None,
             }),
+            crash: aquila_sync::Mutex::new(None),
         }
     }
 
@@ -346,7 +351,7 @@ impl FaultPlan {
     /// Records one operation on `target` at virtual time `now` and
     /// returns the fault to inject, if any fires.
     pub fn draw(&self, target: FaultTarget, now: Cycles) -> Option<FaultOutcome> {
-        let mut st = self.state.lock();
+        let mut st = lock_shared(&self.state);
         let t = target.index();
         st.ops[t] += 1;
         let n = st.ops[t];
@@ -387,38 +392,38 @@ impl FaultPlan {
 
     /// Total faults injected so far.
     pub fn injected(&self) -> u64 {
-        self.state.lock().injected
+        lock_shared(&self.state).injected
     }
 
     /// Operations observed on `target` so far.
     pub fn ops(&self, target: FaultTarget) -> u64 {
-        self.state.lock().ops[target.index()]
+        lock_shared(&self.state).ops[target.index()]
     }
 
     /// Stores the crash image captured by a `crash` clause. Only the
     /// first capture is kept (one power cut per run).
     pub fn record_crash(&self, image: CrashImage) {
-        let mut st = self.state.lock();
-        if st.crash.is_none() {
-            st.crash = Some(image);
+        let mut crash = self.crash.lock();
+        if crash.is_none() {
+            *crash = Some(image);
         }
     }
 
     /// The captured crash image, if a `crash` clause fired.
     pub fn crash_image(&self) -> Option<CrashImage> {
-        self.state.lock().crash.clone()
+        self.crash.lock().clone()
     }
 }
 
 impl core::fmt::Debug for FaultPlan {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let st = self.state.lock();
+        let st = lock_shared(&self.state);
         write!(
             f,
             "FaultPlan {{ clauses: {}, injected: {}, crashed: {} }}",
             self.clauses.len(),
             st.injected,
-            st.crash.is_some()
+            self.crash.lock().is_some()
         )
     }
 }
@@ -635,7 +640,6 @@ mod tests {
 
     #[test]
     fn image_writes_materialize_pages_in_order_and_stop_at_the_end() {
-        let _g = crate::page::SERIAL.lock();
         let mut img = DeviceImage {
             pages: 4,
             resident: Vec::new(),
@@ -657,7 +661,6 @@ mod tests {
 
     #[test]
     fn an_image_shares_put_pages_until_written() {
-        let _g = crate::page::SERIAL.lock();
         let data = Page::copy_of(&[3; PAGE_SIZE]);
         let mut img = DeviceImage {
             pages: 2,

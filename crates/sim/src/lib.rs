@@ -21,7 +21,7 @@
 //!   primitive: each end feeds the trace and a `<name>.cycles`
 //!   histogram), and a registry of named per-core latency histograms,
 //!   all zero-cost when not installed;
-//! - [`page`] — the process-wide pool of refcounted 4 KiB pages that
+//! - [`page`] — the per-host-thread pool of refcounted 4 KiB pages that
 //!   device stores and the DRAM cache share, copied only on first write;
 //! - [`fault`] — schedule-deterministic fault plans (media errors,
 //!   timeouts, torn writes, power cuts) that device models consult at
@@ -73,6 +73,14 @@ pub const PAGE_SIZE: usize = 4096;
 
 /// log2 of [`PAGE_SIZE`].
 pub const PAGE_SHIFT: u32 = 12;
+
+/// Locks a `std` mutex of one of the process-wide registries (race
+/// detector, tracer, metrics, fault plan), which parallel test threads
+/// share. Poisoning is ignored, as `aquila_sync`'s locks have none: a
+/// panic under the lock is a bug to fix, not a state to propagate.
+pub(crate) fn lock_shared<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 #[cfg(test)]
 mod tests {

@@ -13,12 +13,13 @@
 //! Like tracing, the registry never charges virtual cycles; with none
 //! installed each recording site costs one atomic load.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use aquila_sync::{DetMap, Mutex, RwLock};
+use aquila_sync::DetMap;
 
 use crate::engine::SimCtx;
 use crate::hist::LatencyHist;
+use crate::lock_shared;
 use crate::time::Cycles;
 
 /// A registered latency histogram's slot (index into every hist shard).
@@ -37,6 +38,9 @@ struct Registrations {
 }
 
 /// Named latency histograms with one shard per virtual core.
+///
+/// Its locks are `std`'s: the installed global registry is shared by
+/// parallel test threads.
 pub struct MetricsRegistry {
     regs: RwLock<Registrations>,
     hist_shards: Vec<Mutex<Vec<LatencyHist>>>,
@@ -56,6 +60,14 @@ impl MetricsRegistry {
         }
     }
 
+    fn regs(&self) -> RwLockReadGuard<'_, Registrations> {
+        self.regs.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn regs_mut(&self) -> RwLockWriteGuard<'_, Registrations> {
+        self.regs.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Registers (or looks up) the latency histogram `<span>.cycles` that
     /// closing a span named `span` records into.
     ///
@@ -63,10 +75,10 @@ impl MetricsRegistry {
     /// the static span name and never format a string on the simulation
     /// hot path (lint AQ007).
     pub fn register_span(&self, span: &'static str) -> HistId {
-        if let Some(&id) = self.regs.read().span_hists.get(span) {
+        if let Some(&id) = self.regs().span_hists.get(span) {
             return id;
         }
-        let mut regs = self.regs.write();
+        let mut regs = self.regs_mut();
         if let Some(&id) = regs.span_hists.get(span) {
             return id;
         }
@@ -83,10 +95,10 @@ impl MetricsRegistry {
     /// the static `base` and the small `index`, keeping string formatting
     /// off the simulation hot path (lint AQ007).
     pub fn register_hist_labeled(&self, base: &'static str, index: u16) -> HistId {
-        if let Some(&id) = self.regs.read().hist_labels.get(&(base, index)) {
+        if let Some(&id) = self.regs().hist_labels.get(&(base, index)) {
             return id;
         }
-        let mut regs = self.regs.write();
+        let mut regs = self.regs_mut();
         if let Some(&id) = regs.hist_labels.get(&(base, index)) {
             return id;
         }
@@ -99,7 +111,7 @@ impl MetricsRegistry {
     /// Records one latency sample into a histogram on `core`'s shard.
     pub fn record(&self, core: usize, id: HistId, v: Cycles) {
         let shard = &self.hist_shards[core % self.hist_shards.len()];
-        let mut hists = shard.lock();
+        let mut hists = lock_shared(shard);
         if hists.len() <= id.0 {
             hists.resize_with(id.0 + 1, LatencyHist::new);
         }
@@ -121,7 +133,7 @@ impl MetricsRegistry {
 
     /// Merges all shards into a name-sorted snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let regs = self.regs.read();
+        let regs = self.regs();
         // Merge histogram shards in shard order: bucket-wise sums commute,
         // so the merged distribution is deterministic regardless.
         let mut hists: Vec<(String, LatencyHist)> = regs
@@ -130,7 +142,7 @@ impl MetricsRegistry {
             .map(|n| (n.clone(), LatencyHist::new()))
             .collect();
         for shard in &self.hist_shards {
-            let shard_hists = shard.lock();
+            let shard_hists = lock_shared(shard);
             for (slot, h) in shard_hists.iter().enumerate() {
                 hists[slot].1.merge(h);
             }
@@ -145,7 +157,7 @@ impl core::fmt::Debug for MetricsRegistry {
         write!(
             f,
             "MetricsRegistry {{ hists: {}, cores: {} }}",
-            self.regs.read().hist_names.len(),
+            self.regs().hist_names.len(),
             self.hist_shards.len()
         )
     }

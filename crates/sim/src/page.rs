@@ -1,4 +1,4 @@
-//! One process-wide pool of refcounted 4 KiB pages.
+//! One pool of refcounted 4 KiB pages per host thread.
 //!
 //! Device stores and the DRAM cache both hold their bytes as [`Page`]
 //! handles into this pool, so a cache fill installs a reference to the
@@ -8,123 +8,146 @@
 //! this: every copy the modelled hardware makes is still charged where it
 //! happens; only the host stops moving the bytes.
 //!
-//! Pages live in 2 MiB chunks of 512, page-aligned, one reader-writer lock
-//! per chunk, and each page has a dense reference count in its chunk.
-//! Freed page ids go on a free list and are reused before the pool grows;
-//! chunks are never returned. Page id 0 is the shared zero page: it is
-//! never written, never counted and never freed, so "never written" costs
-//! neither an allocation nor a reference count.
+//! The simulator runs on one host thread, so the pool is that thread's:
+//! a thread-local with plain reference counts, and a [`Page`] is neither
+//! `Send` nor `Sync`, so a handle never reaches another thread's pool.
+//! (A structure holding pages inside an `aquila_sync` cell may move
+//! between threads, but only its owner thread can reach the pages, and a
+//! drop elsewhere leaks them.) Parallel test threads each get a pool of
+//! their own, freed when the thread exits.
 //!
-//! **Lock rule:** a page's bytes are reachable only through a [`PageRef`]
-//! (its chunk's read lock) or inside a [`Page::write`] closure (its
-//! chunk's write lock). Neighbouring pages share a chunk, so a thread
-//! holding either must not read or write another page while it does:
-//! the second lock may be the same one. Copy the bytes out first when one
-//! page must feed another. Cloning and dropping handles take no chunk
-//! lock and are always safe.
+//! Pages live in 2 MiB chunks of 512, page-aligned, each chunk's bytes
+//! in one `aquila_sync::RwLock`, and each page has a reference count.
+//! Freed page ids go on a free list and are reused before the pool
+//! grows; chunks are returned only with the pool. Page id 0 is the shared
+//! zero page: it is never written, never counted and never freed, so
+//! "never written" costs neither an allocation nor a reference count.
+//!
+//! **Borrow rule:** a page's bytes are reachable only through a
+//! [`PageRef`] (a read borrow of its chunk) or inside a [`Page::write`]
+//! closure (the chunk's write borrow). Neighbouring pages share a chunk,
+//! so code holding either must not write another page while it does:
+//! the chunk may be the same one, and the second borrow panics. Copy the
+//! bytes out first when one page must feed another. Cloning and dropping
+//! handles borrow no chunk and are always allowed.
 
+use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::ops::Deref;
-use std::sync::atomic::{fence, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{OnceLock, RwLockReadGuard};
+use std::rc::Rc;
 
-use aquila_sync::{Mutex, RwLock};
+use aquila_sync::{RcReadGuard, RwLock};
 
 use crate::PAGE_SIZE;
 
 /// Pages per chunk: one 2 MiB host allocation and lock.
 const CHUNK_PAGES: usize = 512;
-/// Most chunks the pool can grow to (64 GiB of pages).
+/// Most chunks a pool can grow to (64 GiB of pages).
 const MAX_CHUNKS: usize = 1 << 15;
 /// The shared zero page.
 const ZERO_ID: u32 = 0;
 
+/// One chunk's bytes, page-aligned from `base`.
 struct Chunk {
-    /// The chunk's pages, page-aligned from `base`.
-    bytes: RwLock<Box<[u8]>>,
+    bytes: Rc<RwLock<Box<[u8]>>>,
     base: usize,
-    refs: Box<[AtomicU32]>,
 }
 
 impl Chunk {
-    fn new() -> Box<Chunk> {
+    fn new() -> Chunk {
         // One spare page so the pages can start on a page boundary.
         let bytes = vec![0u8; (CHUNK_PAGES + 1) * PAGE_SIZE].into_boxed_slice();
         let base = (PAGE_SIZE - bytes.as_ptr() as usize % PAGE_SIZE) % PAGE_SIZE;
-        Box::new(Chunk {
-            bytes: RwLock::new(bytes),
+        Chunk {
+            bytes: Rc::new(RwLock::new(bytes)),
             base,
-            refs: (0..CHUNK_PAGES).map(|_| AtomicU32::new(0)).collect(),
-        })
+        }
     }
 }
 
-static CHUNKS: [OnceLock<Box<Chunk>>; MAX_CHUNKS] = [const { OnceLock::new() }; MAX_CHUNKS];
-
-/// Free page ids (reused last-freed first) and the next never-used id.
-struct Alloc {
+/// A host thread's pool: chunks, per-page reference counts, free page
+/// ids (reused last-freed first) and the next never-used id.
+struct Pool {
+    chunks: Vec<Chunk>,
+    refs: Vec<u32>,
     free: Vec<u32>,
     next: u32,
+    live: usize,
 }
 
-static ALLOC: Mutex<Alloc> = Mutex::new(Alloc {
-    free: Vec::new(),
-    next: ZERO_ID + 1,
-});
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-/// The chunk holding page `id` and the page's byte offset in it.
-#[inline]
-fn locate(id: u32) -> (&'static Chunk, usize) {
-    let id = id as usize;
-    let chunk = CHUNKS[id / CHUNK_PAGES].get_or_init(Chunk::new);
-    (chunk, chunk.base + (id % CHUNK_PAGES) * PAGE_SIZE)
+thread_local! {
+    static POOL: RefCell<Pool> = const {
+        RefCell::new(Pool {
+            chunks: Vec::new(),
+            refs: Vec::new(),
+            free: Vec::new(),
+            next: ZERO_ID + 1,
+            live: 0,
+        })
+    };
 }
 
-#[inline]
-fn refs(id: u32) -> &'static AtomicU32 {
-    &locate(id).0.refs[id as usize % CHUNK_PAGES]
-}
+impl Pool {
+    /// The chunk holding page `id` and the page's byte offset in it,
+    /// growing the pool to reach it.
+    fn locate(&mut self, id: u32) -> (Rc<RwLock<Box<[u8]>>>, usize) {
+        let id = id as usize;
+        while self.chunks.len() <= id / CHUNK_PAGES {
+            self.chunks.push(Chunk::new());
+            self.refs.resize(self.chunks.len() * CHUNK_PAGES, 0);
+        }
+        let chunk = &self.chunks[id / CHUNK_PAGES];
+        (
+            Rc::clone(&chunk.bytes),
+            chunk.base + (id % CHUNK_PAGES) * PAGE_SIZE,
+        )
+    }
 
-/// Takes a page id with one reference. Its bytes are stale: the caller
-/// overwrites all of them.
-fn alloc() -> u32 {
-    let id = {
-        let mut a = ALLOC.lock();
-        match a.free.pop() {
+    /// Takes a page id with one reference. Its bytes are stale: the
+    /// caller overwrites all of them.
+    fn alloc(&mut self) -> u32 {
+        let id = match self.free.pop() {
             Some(id) => id,
             None => {
-                let id = a.next;
+                let id = self.next;
                 assert!(
                     (id as usize) < MAX_CHUNKS * CHUNK_PAGES,
                     "page pool exhausted"
                 );
-                a.next += 1;
+                self.next += 1;
                 id
             }
-        }
-    };
-    refs(id).store(1, Ordering::Relaxed);
-    LIVE.fetch_add(1, Ordering::Relaxed);
-    id
+        };
+        self.locate(id);
+        self.refs[id as usize] = 1;
+        self.live += 1;
+        id
+    }
 }
 
-/// Pages currently allocated from the pool (the zero page not counted).
+/// Runs `f` on this thread's pool.
+#[inline]
+fn with_pool<R>(f: impl FnOnce(&mut Pool) -> R) -> R {
+    POOL.with(|p| f(&mut p.borrow_mut()))
+}
+
+/// Pages currently allocated from the calling thread's pool (the zero
+/// page not counted).
 pub fn live_pages() -> usize {
-    LIVE.load(Ordering::Relaxed)
+    with_pool(|p| p.live)
 }
 
-/// A counted reference to one 4 KiB page of the pool.
+/// A counted reference to one 4 KiB page of the calling thread's pool.
 ///
 /// Cloning shares the page; dropping the last reference frees it. Two
-/// handles compare equal when their bytes are equal.
-pub struct Page(u32);
+/// handles compare equal when their bytes are equal. Neither `Send` nor
+/// `Sync`: the page belongs to its thread's pool.
+pub struct Page(u32, PhantomData<*const ()>);
 
 impl Page {
     /// The shared zero page (never written, never freed).
     pub const fn zero() -> Page {
-        Page(ZERO_ID)
+        Page(ZERO_ID, PhantomData)
     }
 
     /// A new private page holding a copy of `bytes`.
@@ -134,10 +157,12 @@ impl Page {
     /// Panics unless `bytes` is exactly one page long.
     pub fn copy_of(bytes: &[u8]) -> Page {
         assert_eq!(bytes.len(), PAGE_SIZE, "a page is {PAGE_SIZE} bytes");
-        let id = alloc();
-        let (chunk, off) = locate(id);
-        chunk.bytes.write()[off..off + PAGE_SIZE].copy_from_slice(bytes);
-        Page(id)
+        let (id, (chunk, off)) = with_pool(|p| {
+            let id = p.alloc();
+            (id, p.locate(id))
+        });
+        chunk.write()[off..off + PAGE_SIZE].copy_from_slice(bytes);
+        Page(id, PhantomData)
     }
 
     /// Whether this is the shared zero page.
@@ -154,14 +179,14 @@ impl Page {
     /// Whether another reference (or the zero page's sharing) means a
     /// write must copy first.
     fn is_shared(&self) -> bool {
-        self.is_zero() || refs(self.0).load(Ordering::Acquire) > 1
+        self.is_zero() || with_pool(|p| p.refs[self.0 as usize] > 1)
     }
 
-    /// Shared access to the page's bytes; see the module's lock rule.
+    /// Shared access to the page's bytes; see the module's borrow rule.
     pub fn read(&self) -> PageRef<'_> {
-        let (chunk, off) = locate(self.0);
+        let (chunk, off) = with_pool(|p| p.locate(self.0));
         PageRef {
-            guard: chunk.bytes.read(),
+            guard: RwLock::read_rc(&chunk),
             off,
             _page: PhantomData,
         }
@@ -169,93 +194,66 @@ impl Page {
 
     /// Runs `f` on the page's bytes for writing. A shared page is first
     /// replaced by a private copy, made in the same pass under the new
-    /// page's lock; `f` must not touch another page (module lock rule).
+    /// page's borrow; `f` must not touch another page (module borrow
+    /// rule).
     pub fn write<R>(&mut self, f: impl FnOnce(&mut [u8]) -> R) -> R {
         if !self.is_shared() {
-            let (chunk, off) = locate(self.0);
-            return f(&mut chunk.bytes.write()[off..off + PAGE_SIZE]);
+            let (chunk, off) = with_pool(|p| p.locate(self.0));
+            return f(&mut chunk.write()[off..off + PAGE_SIZE]);
         }
-        let copy = Page(alloc());
+        let copy = Page(with_pool(Pool::alloc), PhantomData);
         let r = copy_then(self.0, copy.0, f);
         *self = copy;
         r
     }
 }
 
-/// Copies page `src` into the fresh page `dst` and runs `f` on `dst`,
-/// taking the two chunk locks in ascending chunk order.
+/// Copies page `src` into the fresh page `dst` and runs `f` on `dst`.
 fn copy_then<R>(src: u32, dst: u32, f: impl FnOnce(&mut [u8]) -> R) -> R {
-    let (dchunk, doff) = locate(dst);
+    let ((dchunk, doff), (schunk, soff)) = with_pool(|p| (p.locate(dst), p.locate(src)));
     let drange = doff..doff + PAGE_SIZE;
+    let mut d = dchunk.write();
     if src == ZERO_ID {
-        let mut d = dchunk.bytes.write();
         d[drange.clone()].fill(0);
-        return f(&mut d[drange]);
-    }
-    let (schunk, soff) = locate(src);
-    let (sc, dc) = (src as usize / CHUNK_PAGES, dst as usize / CHUNK_PAGES);
-    if sc == dc {
-        let mut d = dchunk.bytes.write();
+    } else if Rc::ptr_eq(&schunk, &dchunk) {
         d.copy_within(soff..soff + PAGE_SIZE, doff);
-        return f(&mut d[drange]);
-    }
-    let mut d = if sc < dc {
-        let s = schunk.bytes.read();
-        let mut d = dchunk.bytes.write();
-        d[drange.clone()].copy_from_slice(&s[soff..soff + PAGE_SIZE]);
-        d
     } else {
-        let mut d = dchunk.bytes.write();
-        d[drange.clone()].copy_from_slice(&schunk.bytes.read()[soff..soff + PAGE_SIZE]);
-        d
-    };
+        d[drange.clone()].copy_from_slice(&schunk.read()[soff..soff + PAGE_SIZE]);
+    }
     f(&mut d[drange])
 }
 
-// The counts follow `Arc`'s orderings. A clone is made from a live
-// handle and publishes nothing, so its increment is `Relaxed`. Each
-// decrement is `Release`, and both the last dropper (before freeing) and
-// `is_shared` (before writing in place) read the count with `Acquire`, so
-// every other holder's reads of the bytes happen before the page is
-// reused or written. `LIVE` is a statistic and publishes nothing.
 impl Clone for Page {
     fn clone(&self) -> Page {
         if !self.is_zero() {
-            refs(self.0).fetch_add(1, Ordering::Relaxed);
+            with_pool(|p| p.refs[self.0 as usize] += 1);
         }
-        Page(self.0)
+        Page(self.0, PhantomData)
     }
 }
 
 impl Drop for Page {
     fn drop(&mut self) {
-        if self.is_zero() || refs(self.0).fetch_sub(1, Ordering::Release) != 1 {
+        if self.is_zero() {
             return;
         }
-        fence(Ordering::Acquire);
-        LIVE.fetch_sub(1, Ordering::Relaxed);
-        ALLOC.lock().free.push(self.0);
+        // A handle outliving its thread's pool (held by another
+        // thread-local torn down after it) has nothing left to free.
+        let _ = POOL.try_with(|p| {
+            let mut p = p.borrow_mut();
+            let refs = &mut p.refs[self.0 as usize];
+            *refs -= 1;
+            if *refs == 0 {
+                p.live -= 1;
+                p.free.push(self.0);
+            }
+        });
     }
 }
 
 impl PartialEq for Page {
     fn eq(&self, other: &Page) -> bool {
-        if self.same_as(other) {
-            return true;
-        }
-        let (a, b) = (
-            self.0 as usize / CHUNK_PAGES,
-            other.0 as usize / CHUNK_PAGES,
-        );
-        if a == b {
-            // One chunk, one read lock.
-            let r = self.read();
-            let (_, off) = locate(other.0);
-            return *r == r.guard[off..off + PAGE_SIZE];
-        }
-        let (lo, hi) = if a < b { (self, other) } else { (other, self) };
-        let lo = lo.read();
-        *lo == *hi.read()
+        self.same_as(other) || *self.read() == *other.read()
     }
 }
 
@@ -267,10 +265,10 @@ impl core::fmt::Debug for Page {
     }
 }
 
-/// Read access to one page's bytes, holding its chunk's read lock; see
-/// the module's lock rule.
+/// Read access to one page's bytes, holding a read borrow of its chunk;
+/// see the module's borrow rule.
 pub struct PageRef<'a> {
-    guard: RwLockReadGuard<'static, Box<[u8]>>,
+    guard: RcReadGuard<Box<[u8]>>,
     off: usize,
     _page: PhantomData<&'a Page>,
 }
@@ -283,12 +281,6 @@ impl Deref for PageRef<'_> {
     }
 }
 
-/// The pool is process-wide: this crate's tests that allocate pages take
-/// this lock, so the ones that count live pages or watch id reuse see
-/// only their own traffic.
-#[cfg(test)]
-pub(crate) static SERIAL: Mutex<()> = Mutex::new(());
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,7 +291,6 @@ mod tests {
 
     #[test]
     fn the_zero_page_reads_zero_and_is_never_freed() {
-        let _g = SERIAL.lock();
         let live = live_pages();
         let zeros: Vec<Page> = (0..1000).map(|_| Page::zero()).collect();
         assert!(zeros.iter().all(|p| p.is_zero() && p.is_shared()));
@@ -319,7 +310,6 @@ mod tests {
 
     #[test]
     fn a_shared_page_copies_on_write_and_a_private_one_does_not() {
-        let _g = SERIAL.lock();
         let live = live_pages();
         let mut a = filled(0x11);
         let b = a.clone();
@@ -346,7 +336,6 @@ mod tests {
     fn a_write_never_changes_a_page_another_handle_holds() {
         // What the mirror's identity check relies on: a handle's id and
         // bytes stay as they were, whatever the other holders write.
-        let _g = SERIAL.lock();
         for mut writer in [filled(0x44), Page::zero()] {
             let held = writer.clone();
             let (id, bytes) = (held.0, held.read().to_vec());
@@ -360,7 +349,6 @@ mod tests {
 
     #[test]
     fn a_freed_id_is_reused_first() {
-        let _g = SERIAL.lock();
         let a = filled(1);
         let id = a.0;
         drop(a);
@@ -374,7 +362,6 @@ mod tests {
 
     #[test]
     fn pages_compare_by_bytes_within_and_across_chunks() {
-        let _g = SERIAL.lock();
         let chunk = |p: &Page| p.0 as usize / CHUNK_PAGES;
         let mut many: Vec<Page> = (0..=CHUNK_PAGES).map(|_| filled(5)).collect();
         let b = many
@@ -399,8 +386,32 @@ mod tests {
     }
 
     #[test]
+    fn each_host_thread_has_its_own_pool() {
+        let mine = filled(7);
+        let live = live_pages();
+        let (theirs_id, theirs_live, reads_own) = std::thread::spawn(|| {
+            assert_eq!(live_pages(), 0, "a new thread starts with an empty pool");
+            let p = filled(9);
+            let q = p.clone();
+            let out = (p.0, live_pages(), q.read().iter().all(|&b| b == 9));
+            drop((p, q));
+            assert_eq!(live_pages(), 0);
+            out
+        })
+        .join()
+        .unwrap();
+        assert_eq!(theirs_id, 1, "ids are numbered per pool");
+        assert_eq!((theirs_live, reads_own), (1, true));
+        assert_eq!(
+            live_pages(),
+            live,
+            "the other thread's pages are not counted here"
+        );
+        assert!(mine.read().iter().all(|&b| b == 7), "nor written here");
+    }
+
+    #[test]
     fn pages_are_page_aligned() {
-        let _g = SERIAL.lock();
         let p = filled(3);
         assert_eq!(p.read().as_ptr() as usize % PAGE_SIZE, 0);
     }

@@ -38,9 +38,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use aquila_sync::Mutex;
+use crate::lock_shared;
 
 use crate::engine::SimCtx;
 
@@ -302,7 +302,7 @@ impl RaceDetector {
     /// `domain`: earlier names must be acquired before later ones when
     /// nested. Idempotent; later declarations overwrite.
     pub fn declare_order(&self, domain: &'static str, names: &[&'static str]) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock_shared(&self.inner);
         for (rank, &name) in names.iter().enumerate() {
             inner.ranks.insert(name, (domain, rank));
         }
@@ -310,7 +310,7 @@ impl RaceDetector {
 
     /// Records thread `tid` acquiring `lock`.
     pub fn on_acquire(&self, tid: usize, lock: LockKey) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock_shared(&self.inner);
         inner.acquires += 1;
         let held = self.held_snapshot(&mut inner, tid);
         // Declared-rank check against every held lock in the same domain.
@@ -356,7 +356,7 @@ impl RaceDetector {
     /// Records thread `tid` releasing `lock`: publishes the thread's
     /// clock on the lock and ticks the thread's own component.
     pub fn on_release(&self, tid: usize, lock: LockKey) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock_shared(&self.inner);
         let ts = inner.thread(tid);
         if let Some(pos) = ts.held.iter().rposition(|&l| l == lock) {
             ts.held.remove(pos);
@@ -394,7 +394,7 @@ impl RaceDetector {
     }
 
     fn access(&self, tid: usize, var: VarKey, is_write: bool, atomic: bool) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock_shared(&self.inner);
         inner.accesses += 1;
         let held: BTreeSet<LockKey> = inner.thread(tid).held.iter().copied().collect();
         if atomic {
@@ -507,12 +507,12 @@ impl RaceDetector {
 
     /// Deduplicated findings in deterministic (`Ord`) order.
     pub fn findings(&self) -> Vec<Finding> {
-        self.inner.lock().findings.iter().cloned().collect()
+        lock_shared(&self.inner).findings.iter().cloned().collect()
     }
 
     /// Aggregate statistics.
     pub fn stats(&self) -> RaceStats {
-        let inner = self.inner.lock();
+        let inner = lock_shared(&self.inner);
         RaceStats {
             threads: inner.threads.len(),
             locks: inner.locks.len(),
@@ -645,7 +645,7 @@ mod tests {
         d.on_write(0, V);
         d.on_read(0, V); // Same-thread re-read: stays an epoch.
         {
-            let inner = d.inner.lock();
+            let inner = lock_shared(&d.inner);
             let vs = &inner.vars[&V];
             assert!(vs.read_vc.is_none(), "fast path keeps an epoch");
             assert_eq!(vs.read_epoch.map(|e| e.tid), Some(0));
@@ -653,7 +653,7 @@ mod tests {
         // A second reader: race with the write AND promotion to a vector.
         d.on_read(1, V);
         {
-            let inner = d.inner.lock();
+            let inner = lock_shared(&d.inner);
             let vs = &inner.vars[&V];
             assert!(vs.read_vc.is_some(), "shared read promotes to vector");
             assert!(vs.read_epoch.is_none());

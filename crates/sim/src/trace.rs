@@ -21,9 +21,9 @@
 //! with the free functions [`instant`] and [`counter`], which read the
 //! clock and core id from the `SimCtx` they are handed.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use aquila_sync::Mutex;
+use crate::lock_shared;
 
 use crate::cost::CostCat;
 use crate::engine::SimCtx;
@@ -147,7 +147,7 @@ impl Tracer {
 
     /// Records one event, overwriting the oldest if the ring is full.
     pub fn record(&self, ev: TraceEvent) {
-        let mut r = self.ring.lock();
+        let mut r = lock_shared(&self.ring);
         if r.buf.len() < self.capacity {
             r.buf.push(ev);
         } else {
@@ -160,7 +160,7 @@ impl Tracer {
 
     /// Number of events currently held.
     pub fn len(&self) -> usize {
-        self.ring.lock().buf.len()
+        lock_shared(&self.ring).buf.len()
     }
 
     /// Whether no events have been recorded.
@@ -170,12 +170,12 @@ impl Tracer {
 
     /// Events overwritten because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.ring.lock().dropped
+        lock_shared(&self.ring).dropped
     }
 
     /// Returns the retained events in recording order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let r = self.ring.lock();
+        let r = lock_shared(&self.ring);
         let mut out = Vec::with_capacity(r.buf.len());
         out.extend_from_slice(&r.buf[r.head..]);
         out.extend_from_slice(&r.buf[..r.head]);

@@ -1,83 +1,291 @@
-//! Minimal synchronization primitives for the Aquila workspace.
+//! Single-host-thread state and deterministic collections for the
+//! Aquila workspace.
 //!
-//! The simulation previously pulled in `parking_lot` for panic-free
-//! mutexes and reader-writer locks. The build must work fully offline,
-//! so this crate provides the same narrow API over `std::sync`:
+//! The simulator steps every virtual core from one host thread
+//! (`aquila_sim::engine`), so the state it shares between simulated
+//! cores needs no host synchronization, only a guard against the host
+//! thread changing. This crate provides:
 //!
 //! - [`Mutex`] / [`RwLock`] — `lock()`/`read()`/`write()` return guards
-//!   directly (no poisoning: a panicked holder propagates the inner
-//!   value rather than wedging every later run of the simulation);
+//!   directly, as `std::sync`'s do, but each lock is a cell owned by the
+//!   host thread that created it. Taking it compares the caller's thread
+//!   tag with the owner's and flips a plain borrow flag: no atomic
+//!   instruction, no waiting. A lock taken from any other host thread
+//!   panics, and so does a re-entrant lock (which would deadlock a real
+//!   mutex). A panic while a guard is held releases the guard as the
+//!   stack unwinds, so the lock stays usable (no poisoning). Every
+//!   accessor checks the owner, `get_mut` and `into_inner` included; a
+//!   lock dropped on another host thread leaks its value instead of
+//!   dropping it there, so the value never runs code off its thread;
+//! - [`RwLock::read_rc`] — a read guard that keeps its lock alive
+//!   through an [`Rc`], for the page pool's per-thread chunks;
 //! - [`DetMap`] / [`DetSet`] — deterministic ordered replacements for
 //!   `std::collections::HashMap`/`HashSet` in sim-path crates;
 //! - [`crc32c_sectors`] — the per-sector CRC-32C of one 4 KiB page, the
 //!   mirror's checksum — and [`crc32c`] of any byte string, the LSM
-//!   block checksum. Both run one SSE4.2 kernel, whose call holds the
-//!   workspace's only `unsafe` block; every other crate root forbids
-//!   `unsafe` outright.
+//!   block checksum. Both run one SSE4.2 kernel.
 //!
-//! Everything here is *host-time* synchronization: it protects the
-//! simulator's own shared state and never charges virtual cycles. Lock
-//! contention that the paper models (tree locks, IPIs) lives in
-//! `aquila_sim::resource` instead.
+//! This crate holds the workspace's only `unsafe` code: the owner cell
+//! behind the locks and the SSE4.2 call, each block with its `SAFETY`
+//! argument. Every other crate root forbids `unsafe` outright.
+//!
+//! Everything here is *host-time* state: it never charges virtual
+//! cycles. Lock contention that the paper models (tree locks, IPIs)
+//! lives in `aquila_sim::resource` and the race detector instead.
+//! Process-wide registries that parallel test threads share (the race
+//! detector, tracer, metrics and fault-plan globals) use `std::sync`.
 
-#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
+use std::cell::{Cell, UnsafeCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::marker::PhantomData;
+use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut};
-use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard, TryLockError};
+use std::panic::{RefUnwindSafe, UnwindSafe};
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU32, Ordering};
 
-/// A mutual-exclusion lock whose `lock()` returns the guard directly.
+thread_local! {
+    /// This host thread's tag; 0 until [`thread_tag`] first assigns one.
+    static TAG: Cell<u32> = const { Cell::new(0) };
+}
+
+/// The next unassigned thread tag. Tags are never reused, so a dead
+/// owner's tag matches no live thread; a process that has started 2^32
+/// threads gets no more (32 bits keep a `Mutex<Page>` at 12 bytes).
+static NEXT_TAG: AtomicU32 = AtomicU32::new(1);
+
+/// The calling host thread's tag: unique among every thread the process
+/// ever ran, assigned on first use.
+#[inline]
+fn thread_tag() -> u32 {
+    TAG.with(|t| match t.get() {
+        0 => {
+            let tag = NEXT_TAG
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_add(1))
+                .expect("aquila_sync: thread tags exhausted");
+            t.set(tag);
+            tag
+        }
+        tag => tag,
+    })
+}
+
+#[cold]
+#[inline(never)]
+#[track_caller]
+fn foreign() -> ! {
+    panic!("aquila_sync: a lock owned by one host thread was used from another")
+}
+
+#[cold]
+#[inline(never)]
+#[track_caller]
+fn reentrant() -> ! {
+    panic!("aquila_sync: lock taken again while this host thread holds it")
+}
+
+/// The value of a [`Mutex`] or [`RwLock`], its owner's tag and its
+/// borrow state.
 ///
-/// Poisoning is deliberately ignored: the simulation is deterministic,
-/// so a panic under the lock is a bug to fix, not a state to propagate.
-#[derive(Default)]
-pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
+/// `borrow` counts readers when positive and is -1 while a writer holds
+/// the cell.
+struct Owned<T: ?Sized> {
+    owner: u32,
+    borrow: Cell<i32>,
+    value: ManuallyDrop<UnsafeCell<T>>,
+}
 
-impl<T> Mutex<T> {
-    /// Creates a new mutex holding `value`.
-    pub const fn new(value: T) -> Mutex<T> {
-        Mutex(std::sync::Mutex::new(value))
+// SAFETY: `Owned` only lets its owning host thread reach its fields'
+// mutable state, so moving or sharing it between threads never lets two
+// threads touch that state:
+// - `owner` is written once, in `new`, and only read afterwards, so any
+//   thread may read it;
+// - `borrow` is read and written only after `check` has confirmed that
+//   the caller is the owner, and by the guards, which are neither `Send`
+//   nor `Sync`, so they stay on the owner thread;
+// - `value` is reached only through `check`ed accessors and the guards
+//   they return, and is dropped only on the owner thread: `Drop` leaks
+//   it on any other thread. So `T` itself need be neither `Send` nor
+//   `Sync`.
+unsafe impl<T: ?Sized> Send for Owned<T> {}
+// SAFETY: see `Send` above; every field is reachable from a shared
+// reference only through the owner check.
+unsafe impl<T: ?Sized> Sync for Owned<T> {}
+
+impl<T> Owned<T> {
+    fn new(value: T) -> Owned<T> {
+        Owned {
+            owner: thread_tag(),
+            borrow: Cell::new(0),
+            value: ManuallyDrop::new(UnsafeCell::new(value)),
+        }
     }
 
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        match self.0.into_inner() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
+    fn into_inner(self) -> T {
+        self.check();
+        let mut this = ManuallyDrop::new(self);
+        // SAFETY: `this` is never used or dropped again, so the value is
+        // moved out exactly once; `check` confirmed this is the owner.
+        let value = unsafe { ManuallyDrop::take(&mut this.value) };
+        value.into_inner()
+    }
+}
+
+impl<T: ?Sized> Owned<T> {
+    /// Panics unless the calling host thread owns the cell.
+    #[inline]
+    #[track_caller]
+    fn check(&self) {
+        if self.owner != thread_tag() {
+            foreign();
+        }
+    }
+
+    fn is_owned_here(&self) -> bool {
+        self.owner == thread_tag()
+    }
+
+    /// Takes the exclusive borrow; false if any borrow is outstanding.
+    #[inline]
+    #[track_caller]
+    fn try_write(&self) -> bool {
+        self.check();
+        if self.borrow.get() != 0 {
+            return false;
+        }
+        self.borrow.set(-1);
+        true
+    }
+
+    #[inline]
+    #[track_caller]
+    fn write(&self) {
+        if !self.try_write() {
+            reentrant();
+        }
+    }
+
+    #[inline]
+    #[track_caller]
+    fn read(&self) {
+        self.check();
+        let b = self.borrow.get();
+        // Readers leaked with `mem::forget` must not wrap the count round
+        // to a free lock.
+        if b < 0 || b == i32::MAX {
+            reentrant();
+        }
+        self.borrow.set(b + 1);
+    }
+
+    fn get_mut(&mut self) -> &mut T {
+        self.check();
+        self.value.get_mut()
+    }
+
+    /// The value's address, which the guards dereference while their
+    /// borrow is recorded in `borrow`.
+    #[inline]
+    fn ptr(&self) -> *mut T {
+        self.value.get()
+    }
+}
+
+impl<T: ?Sized> Drop for Owned<T> {
+    fn drop(&mut self) {
+        if self.is_owned_here() {
+            // SAFETY: the value is dropped once, here, and never used
+            // again; this is the owner thread.
+            unsafe { ManuallyDrop::drop(&mut self.value) }
         }
     }
 }
 
+// Like `std::sync`'s locks: a panic under a guard releases it on unwind
+// and leaves no half-state behind that the lock itself relies on.
+impl<T: ?Sized> UnwindSafe for Owned<T> {}
+impl<T: ?Sized> RefUnwindSafe for Owned<T> {}
+
+/// A mutual-exclusion cell whose `lock()` returns the guard directly.
+///
+/// Owned by the host thread that created it: see the crate docs for the
+/// owner check, the re-entry panic and the lack of poisoning.
+pub struct Mutex<T: ?Sized>(Owned<T>);
+
+impl<T> Mutex<T> {
+    /// Creates a new mutex holding `value`, owned by the calling host
+    /// thread.
+    pub fn new(value: T) -> Mutex<T> {
+        Mutex(Owned::new(value))
+    }
+
+    /// Consumes the mutex, returning the inner value.
+    ///
+    /// # Panics
+    ///
+    /// On any host thread but the owner.
+    #[track_caller]
+    pub fn into_inner(self) -> T {
+        self.0.into_inner()
+    }
+}
+
 impl<T: ?Sized> Mutex<T> {
-    /// Acquires the lock, blocking until it is available.
+    /// Acquires the lock.
+    ///
+    /// # Panics
+    ///
+    /// On any host thread but the owner, or if this thread already holds
+    /// the lock.
+    #[inline]
+    #[track_caller]
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        match self.0.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
+        self.0.write();
+        MutexGuard {
+            cell: &self.0,
+            _here: PhantomData,
         }
     }
 
-    /// Attempts to acquire the lock without blocking.
+    /// Acquires the lock unless this thread already holds it.
+    ///
+    /// # Panics
+    ///
+    /// On any host thread but the owner.
+    #[inline]
+    #[track_caller]
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
+        self.0.try_write().then_some(MutexGuard {
+            cell: &self.0,
+            _here: PhantomData,
+        })
     }
 
     /// Mutable access without locking (requires exclusive ownership).
+    ///
+    /// # Panics
+    ///
+    /// On any host thread but the owner.
+    #[track_caller]
     pub fn get_mut(&mut self) -> &mut T {
-        match self.0.get_mut() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
+        self.0.get_mut()
+    }
+}
+
+impl<T: Default> Default for Mutex<T> {
+    fn default() -> Mutex<T> {
+        Mutex::new(T::default())
     }
 }
 
 impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if !self.0.is_owned_here() {
+            return f.write_str("Mutex(<other thread>)");
+        }
         match self.try_lock() {
             Some(g) => f.debug_tuple("Mutex").field(&*g).finish(),
             None => f.write_str("Mutex(<locked>)"),
@@ -85,60 +293,221 @@ impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
     }
 }
 
-/// A reader-writer lock whose `read()`/`write()` return guards directly.
-#[derive(Default)]
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
+/// The guard of a [`Mutex`]: exclusive access until dropped. Neither
+/// `Send` nor `Sync`, so it stays on the owner thread.
+pub struct MutexGuard<'a, T: ?Sized> {
+    cell: &'a Owned<T>,
+    _here: PhantomData<*const ()>,
+}
+
+impl<T: ?Sized> Deref for MutexGuard<'_, T> {
+    type Target = T;
+    #[inline]
+    fn deref(&self) -> &T {
+        // SAFETY: the guard exists only on the owner thread (it is
+        // `!Send`), and its borrow, recorded in `borrow` until it drops,
+        // rules out a live `&mut T`.
+        unsafe { &*self.cell.ptr() }
+    }
+}
+
+impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut T {
+        // SAFETY: the guard holds the exclusive borrow (`borrow` is -1)
+        // on the owner thread, and `&mut self` rules out another
+        // reference through this guard.
+        unsafe { &mut *self.cell.ptr() }
+    }
+}
+
+impl<T: ?Sized> Drop for MutexGuard<'_, T> {
+    #[inline]
+    fn drop(&mut self) {
+        self.cell.borrow.set(0);
+    }
+}
+
+/// A reader-writer cell whose `read()`/`write()` return guards directly.
+///
+/// Owned by the host thread that created it, like [`Mutex`]; any number
+/// of read guards may be live at once, or one write guard.
+pub struct RwLock<T: ?Sized>(Owned<T>);
 
 impl<T> RwLock<T> {
-    /// Creates a new lock holding `value`.
-    pub const fn new(value: T) -> RwLock<T> {
-        RwLock(std::sync::RwLock::new(value))
+    /// Creates a new lock holding `value`, owned by the calling host
+    /// thread.
+    pub fn new(value: T) -> RwLock<T> {
+        RwLock(Owned::new(value))
     }
 
     /// Consumes the lock, returning the inner value.
+    ///
+    /// # Panics
+    ///
+    /// On any host thread but the owner.
+    #[track_caller]
     pub fn into_inner(self) -> T {
-        match self.0.into_inner() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
+        self.0.into_inner()
     }
 }
 
 impl<T: ?Sized> RwLock<T> {
     /// Acquires shared read access.
+    ///
+    /// # Panics
+    ///
+    /// On any host thread but the owner, or while this thread holds the
+    /// write guard.
+    #[inline]
+    #[track_caller]
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        match self.0.read() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
+        self.0.read();
+        RwLockReadGuard {
+            cell: &self.0,
+            _here: PhantomData,
         }
     }
 
     /// Acquires exclusive write access.
+    ///
+    /// # Panics
+    ///
+    /// On any host thread but the owner, or while this thread holds any
+    /// guard of the lock.
+    #[inline]
+    #[track_caller]
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        match self.0.write() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
+        self.0.write();
+        RwLockWriteGuard {
+            cell: &self.0,
+            _here: PhantomData,
+        }
+    }
+
+    /// Shared read access through a guard that holds the lock alive by
+    /// `this` (the page pool hands these out for chunks it may drop).
+    ///
+    /// # Panics
+    ///
+    /// As [`RwLock::read`].
+    #[inline]
+    #[track_caller]
+    pub fn read_rc(this: &Rc<RwLock<T>>) -> RcReadGuard<T> {
+        this.0.read();
+        RcReadGuard {
+            lock: Rc::clone(this),
         }
     }
 
     /// Mutable access without locking (requires exclusive ownership).
+    ///
+    /// # Panics
+    ///
+    /// On any host thread but the owner.
+    #[track_caller]
     pub fn get_mut(&mut self) -> &mut T {
-        match self.0.get_mut() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
+        self.0.get_mut()
+    }
+}
+
+impl<T: Default> Default for RwLock<T> {
+    fn default() -> RwLock<T> {
+        RwLock::new(T::default())
     }
 }
 
 impl<T: fmt::Debug> fmt::Debug for RwLock<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0.try_read() {
-            Ok(g) => f.debug_tuple("RwLock").field(&*g).finish(),
-            Err(TryLockError::Poisoned(p)) => {
-                f.debug_tuple("RwLock").field(&*p.into_inner()).finish()
-            }
-            Err(TryLockError::WouldBlock) => f.write_str("RwLock(<locked>)"),
+        if !self.0.is_owned_here() {
+            return f.write_str("RwLock(<other thread>)");
         }
+        if self.0.borrow.get() < 0 {
+            return f.write_str("RwLock(<locked>)");
+        }
+        f.debug_tuple("RwLock").field(&*self.read()).finish()
+    }
+}
+
+/// A shared guard of an [`RwLock`]. Neither `Send` nor `Sync`.
+pub struct RwLockReadGuard<'a, T: ?Sized> {
+    cell: &'a Owned<T>,
+    _here: PhantomData<*const ()>,
+}
+
+impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
+    type Target = T;
+    #[inline]
+    fn deref(&self) -> &T {
+        // SAFETY: the guard exists only on the owner thread (it is
+        // `!Send`), and its borrow, recorded in `borrow` until it drops,
+        // rules out a live `&mut T`.
+        unsafe { &*self.cell.ptr() }
+    }
+}
+
+impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
+    #[inline]
+    fn drop(&mut self) {
+        self.cell.borrow.set(self.cell.borrow.get() - 1);
+    }
+}
+
+/// The exclusive guard of an [`RwLock`]. Neither `Send` nor `Sync`.
+pub struct RwLockWriteGuard<'a, T: ?Sized> {
+    cell: &'a Owned<T>,
+    _here: PhantomData<*const ()>,
+}
+
+impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
+    type Target = T;
+    #[inline]
+    fn deref(&self) -> &T {
+        // SAFETY: the guard exists only on the owner thread (it is
+        // `!Send`), and its borrow, recorded in `borrow` until it drops,
+        // rules out a live `&mut T`.
+        unsafe { &*self.cell.ptr() }
+    }
+}
+
+impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut T {
+        // SAFETY: the guard holds the exclusive borrow (`borrow` is -1)
+        // on the owner thread, and `&mut self` rules out another
+        // reference through this guard.
+        unsafe { &mut *self.cell.ptr() }
+    }
+}
+
+impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
+    #[inline]
+    fn drop(&mut self) {
+        self.cell.borrow.set(0);
+    }
+}
+
+/// A shared guard of an [`RwLock`] that owns an [`Rc`] of its lock
+/// ([`RwLock::read_rc`]); `Rc` makes it neither `Send` nor `Sync`.
+pub struct RcReadGuard<T: ?Sized> {
+    lock: Rc<RwLock<T>>,
+}
+
+impl<T: ?Sized> Deref for RcReadGuard<T> {
+    type Target = T;
+    #[inline]
+    fn deref(&self) -> &T {
+        // SAFETY: as for `RwLockReadGuard`; the `Rc` keeps the lock alive
+        // for as long as the guard.
+        unsafe { &*self.lock.0.ptr() }
+    }
+}
+
+impl<T: ?Sized> Drop for RcReadGuard<T> {
+    #[inline]
+    fn drop(&mut self) {
+        let b = &self.lock.0.borrow;
+        b.set(b.get() - 1);
     }
 }
 
@@ -420,7 +789,6 @@ fn crc32c_lanes<const N: usize>(data: &[u8]) -> [u32; N] {
     if std::arch::is_x86_feature_detected!("sse4.2") {
         // SAFETY: `lanes_sse42` only requires SSE4.2, and this CPU has
         // it: the run-time detection just above checked.
-        #[allow(unsafe_code)]
         let sums = unsafe { lanes_sse42(data) };
         return sums;
     }
@@ -489,16 +857,133 @@ mod tests {
         assert_eq!(l.read().len(), 3);
     }
 
+    /// Whether `f` panics (its message printed by the default hook).
+    fn panics(f: impl FnOnce()) -> bool {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+    }
+
     #[test]
-    fn lock_survives_panicked_holder() {
-        let m = Arc::new(Mutex::new(7));
-        let m2 = Arc::clone(&m);
-        let _ = std::thread::spawn(move || {
-            let _g = m2.lock();
-            panic!("poison attempt");
+    fn a_lock_from_another_host_thread_panics() {
+        let m = Arc::new(Mutex::new(1));
+        let l = Arc::new(RwLock::new(2));
+        let (m2, l2) = (Arc::clone(&m), Arc::clone(&l));
+        let verdicts = std::thread::spawn(move || {
+            [
+                panics(|| drop(m2.lock())),
+                panics(|| drop(m2.try_lock())),
+                panics(|| drop(l2.read())),
+                panics(|| drop(l2.write())),
+                format!("{m2:?}") == "Mutex(<other thread>)",
+            ]
         })
-        .join();
-        assert_eq!(*m.lock(), 7, "no poisoning");
+        .join()
+        .unwrap();
+        assert_eq!(verdicts, [true; 5]);
+        // The owner is unaffected.
+        *m.lock() += 1;
+        assert_eq!((*m.lock(), *l.read()), (2, 2));
+    }
+
+    #[test]
+    fn get_mut_and_into_inner_check_the_owner_too() {
+        let mut m = Mutex::new(vec![1]);
+        let mut l = RwLock::new(3);
+        m.get_mut().push(2);
+        *l.get_mut() += 1;
+        let (m, l) = std::thread::spawn(move || {
+            assert!(panics(|| m.get_mut().push(3)));
+            assert!(panics(|| *l.get_mut() += 1));
+            (m, l)
+        })
+        .join()
+        .unwrap();
+        let moved = Mutex::new(5);
+        let foreign_into_inner =
+            std::thread::spawn(move || panics(move || assert_eq!(moved.into_inner(), 5)))
+                .join()
+                .unwrap();
+        assert!(foreign_into_inner);
+        assert_eq!((m.into_inner(), l.into_inner()), (vec![1, 2], 4));
+    }
+
+    #[test]
+    fn a_reentrant_lock_panics() {
+        let m = Mutex::new(0);
+        let g = m.lock();
+        assert!(panics(|| drop(m.lock())));
+        assert!(m.try_lock().is_none(), "try_lock reports it instead");
+        drop(g);
+        let l = RwLock::new(0);
+        let r = l.read();
+        let r2 = l.read();
+        assert!(panics(|| drop(l.write())), "write under a read");
+        drop((r, r2));
+        let w = l.write();
+        assert!(panics(|| drop(l.read())), "read under the write");
+        drop(w);
+        assert_eq!(*l.read(), 0);
+    }
+
+    #[test]
+    fn a_panic_under_a_guard_leaves_the_lock_usable() {
+        let m = Mutex::new(7);
+        let l = RwLock::new(8);
+        assert!(panics(|| {
+            let mut g = m.lock();
+            *g += 1;
+            panic!("holder panics");
+        }));
+        assert!(panics(|| {
+            let _r = l.read();
+            let _w = RwLock::read_rc(&Rc::new(RwLock::new(0)));
+            panic!("reader panics");
+        }));
+        assert!(panics(|| {
+            let _w = l.write();
+            panic!("writer panics");
+        }));
+        assert_eq!(
+            *m.lock(),
+            8,
+            "no poisoning; the write before the panic stays"
+        );
+        *l.write() += 1;
+        assert_eq!(*l.read(), 9);
+    }
+
+    #[test]
+    fn a_foreign_drop_leaks_the_value() {
+        struct Counted(Arc<std::sync::atomic::AtomicUsize>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let drops = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        drop(Mutex::new(Counted(Arc::clone(&drops))));
+        assert_eq!(drops.load(Ordering::Relaxed), 1, "the owner drops it");
+        let m = Mutex::new(Counted(Arc::clone(&drops)));
+        std::thread::spawn(move || drop(m)).join().unwrap();
+        assert_eq!(drops.load(Ordering::Relaxed), 1, "another thread leaks it");
+    }
+
+    #[test]
+    fn rc_read_guards_share_with_plain_readers() {
+        let l = Rc::new(RwLock::new(vec![4u8; 3]));
+        let a = RwLock::read_rc(&l);
+        let b = l.read();
+        assert_eq!(*a, *b);
+        assert!(panics(|| drop(l.write())));
+        drop((a, b));
+        l.write().push(5);
+        assert_eq!(RwLock::read_rc(&l).len(), 4);
+    }
+
+    #[test]
+    fn cells_of_thread_bound_values_are_send_and_sync() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Mutex<Rc<u8>>>();
+        send_sync::<RwLock<Rc<u8>>>();
     }
 
     #[test]

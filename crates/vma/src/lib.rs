@@ -10,9 +10,14 @@
 //! scalability. Following Theseus-style `MappedPages` regions,
 //! [`RegionMap`] answers both from a flat table of per-page entries: a
 //! fault resolves its region descriptor by indexing the table with the
-//! page number (no search, no shared lock), and the per-entry lock bit
-//! serializes faults on one page. The cost model charges that one index
-//! one `radix_level`, where a radix walk pays four. Map/unmap cost stays
+//! page number (no search, no shared lock). The cost model charges that
+//! one index one `radix_level`, where a radix walk pays four, and the
+//! fault handler charges the per-entry lock that serializes faults on
+//! one page. On the host, which steps every vcore from one thread, a
+//! fault runs to completion within one engine step, so no two faults on
+//! a page ever overlap and the table needs no lock bit: entries,
+//! descriptor slots and placement are plain state in one `aquila_sync`
+//! cell. Map/unmap cost stays
 //! proportional to the range being changed, never to the number of live
 //! regions. (The linuxsim baseline keeps its own VMA tree.)
 //!
@@ -20,7 +25,7 @@
 //! bounded by what is live rather than by what was ever mapped:
 //!
 //! - **Tables sized by use.** The flat table is materialized sparsely,
-//!   in 4096-entry leaves published on first touch (the simulator's
+//!   in 4096-entry leaves created on first touch (the simulator's
 //!   stand-in for demand-zero paging of one flat array), and descriptor
 //!   slots in chunks as they are first used.
 //! - **Descriptor slot recycling.** A descriptor's slot returns to the
@@ -36,8 +41,7 @@
 #![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use aquila_sync::Mutex;
 
@@ -68,7 +72,6 @@ impl Prot {
 
 /// `madvise`-style access hints, used by the mmio engine's readahead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 pub enum Advice {
     /// Default readahead.
     Normal,
@@ -80,18 +83,6 @@ pub enum Advice {
     WillNeed,
     /// The range is no longer needed.
     DontNeed,
-}
-
-impl Advice {
-    fn from_u8(v: u8) -> Advice {
-        match v {
-            1 => Advice::Random,
-            2 => Advice::Sequential,
-            3 => Advice::WillNeed,
-            4 => Advice::DontNeed,
-            _ => Advice::Normal,
-        }
-    }
 }
 
 /// A mapping descriptor (one per `mmap` call).
@@ -108,13 +99,13 @@ pub struct VmaDesc {
     /// Protection (per-desc; `mprotect` of a sub-range splits via the
     /// per-page override bit in the entry).
     pub prot: Prot,
-    advice: AtomicU8,
+    advice: Mutex<Advice>,
     /// The id entries store for this descriptor: generation above
     /// [`SLOT_BITS`], slot below.
     id: u64,
     /// Entries still naming this descriptor; the slot (and the guard
     /// gap) is released when this reaches zero.
-    live: AtomicU64,
+    live: Mutex<u64>,
     /// Guard pages reserved after the mapping (automatic placement only).
     guard: u64,
 }
@@ -127,12 +118,12 @@ impl VmaDesc {
 
     /// Current access advice.
     pub fn advice(&self) -> Advice {
-        Advice::from_u8(self.advice.load(Ordering::Relaxed))
+        *self.advice.lock()
     }
 
     /// Updates access advice (the `madvise` path).
     pub fn set_advice(&self, a: Advice) {
-        self.advice.store(a as u8, Ordering::Relaxed);
+        *self.advice.lock() = a;
     }
 }
 
@@ -148,11 +139,9 @@ pub enum VmaError {
     NoVirtualSpace,
 }
 
-/// Entry state: bits 0..62 hold the id of the descriptor mapping the page
-/// (0 = unmapped); bit 63 is the per-entry fault lock; bit 62 forces the
-/// page read-only regardless of the descriptor's protection (per-page
-/// `mprotect`).
-const ENTRY_LOCK: u64 = 1 << 63;
+/// Entry state: bits 0..61 hold the id of the descriptor mapping the page
+/// (0 = unmapped); bit 62 forces the page read-only regardless of the
+/// descriptor's protection (per-page `mprotect`).
 const ENTRY_FORCE_RO: u64 = 1 << 62;
 const ENTRY_ID_MASK: u64 = ENTRY_FORCE_RO - 1;
 
@@ -181,21 +170,21 @@ pub const GUARD_PAGES: u64 = 16;
 const HUGE_ALIGN: u64 = 512;
 
 /// One descriptor slot: the current tenant, if any.
-type Slot = Mutex<Option<Arc<VmaDesc>>>;
+type Slot = Option<Arc<VmaDesc>>;
 
 fn slot_index(id: u64) -> usize {
     (id as usize) & (DESC_SLOTS - 1)
 }
 
-type Leaf = Box<[AtomicU64]>;
-type Dir = Box<[OnceLock<Leaf>]>;
+type Leaf = Box<[u64]>;
+type Dir = Box<[Option<Leaf>]>;
 
 /// One level's table of `LEVEL_SIZE` fresh slots.
 fn table<T>(mut slot: impl FnMut() -> T) -> Box<[T]> {
     (0..LEVEL_SIZE).map(|_| slot()).collect()
 }
 
-/// Free-space and slot bookkeeping; only map/unmap paths take its lock.
+/// Free-space and slot bookkeeping, touched only by map and unmap.
 struct Placement {
     /// First page of the managed (automatically placed) area.
     base: u64,
@@ -207,6 +196,8 @@ struct Placement {
     free_slots: Vec<usize>,
     /// Slots handed out at least once; chunks below it are materialized.
     slots_used: usize,
+    /// Descriptor slots, materialized a chunk at a time.
+    slots: Vec<Slot>,
     /// Generation stamped into the next descriptor id (never zero, so no
     /// id is zero).
     next_gen: u64,
@@ -272,13 +263,14 @@ impl Placement {
     }
 
     /// Takes a descriptor slot and stamps a fresh id for it.
-    fn take_slot(&mut self, chunks: &[OnceLock<Box<[Slot]>>]) -> Option<u64> {
+    fn take_slot(&mut self) -> Option<u64> {
         let slot = match self.free_slots.pop() {
             Some(slot) => slot,
             None if self.slots_used < DESC_SLOTS => {
                 self.slots_used += 1;
-                chunks[(self.slots_used - 1) >> CHUNK_BITS]
-                    .get_or_init(|| (0..CHUNK_SIZE).map(|_| Mutex::new(None)).collect());
+                if self.slots.len() < self.slots_used {
+                    self.slots.resize(self.slots.len() + CHUNK_SIZE, None);
+                }
                 self.slots_used - 1
             }
             None => return None,
@@ -291,15 +283,54 @@ impl Placement {
 
 /// The spill-free region map.
 pub struct RegionMap {
-    /// Directories of lazily materialized leaves of per-page entries. A
-    /// `OnceLock` publish is the only synchronization a first touch pays;
-    /// steady-state resolution is three array indexes.
-    dirs: Box<[OnceLock<Dir>]>,
-    /// Descriptor slots in lazily materialized chunks; a chunk never moves
-    /// once published ("spill-free").
-    chunks: Box<[OnceLock<Box<[Slot]>>]>,
-    placement: Mutex<Placement>,
-    mapped_pages: AtomicU64,
+    state: Mutex<State>,
+}
+
+/// The per-page entries, placement and descriptor slots.
+struct State {
+    /// Directories of lazily materialized leaves of per-page entries;
+    /// resolution is three array indexes.
+    dirs: Box<[Option<Dir>]>,
+    placement: Placement,
+    mapped_pages: u64,
+}
+
+impl State {
+    #[inline]
+    fn split(vpn: Vpn) -> [usize; 3] {
+        let level = |l: u32| ((vpn.0 >> (l * LEVEL_BITS)) as usize) & (LEVEL_SIZE - 1);
+        [level(2), level(1), level(0)]
+    }
+
+    /// The entry of `vpn`, if its leaf exists.
+    #[inline]
+    fn entry(&self, vpn: Vpn) -> Option<u64> {
+        let [d, l, e] = Self::split(vpn);
+        self.dirs[d].as_ref()?[l].as_ref().map(|leaf| leaf[e])
+    }
+
+    #[inline]
+    fn entry_mut(&mut self, vpn: Vpn) -> Option<&mut u64> {
+        let [d, l, e] = Self::split(vpn);
+        self.dirs[d].as_mut()?[l].as_mut().map(|leaf| &mut leaf[e])
+    }
+
+    #[inline]
+    fn entry_or_init(&mut self, vpn: Vpn) -> &mut u64 {
+        let [d, l, e] = Self::split(vpn);
+        let dir = self.dirs[d].get_or_insert_with(|| table(|| None));
+        &mut dir[l].get_or_insert_with(|| table(|| 0))[e]
+    }
+
+    /// The descriptor `id` names, unless its slot has been recycled since.
+    fn desc_by_id(&self, id: u64) -> Option<Arc<VmaDesc>> {
+        self.placement
+            .slots
+            .get(slot_index(id))?
+            .as_ref()
+            .filter(|d| d.id == id)
+            .cloned()
+    }
 }
 
 impl RegionMap {
@@ -307,71 +338,36 @@ impl RegionMap {
     /// starts (like `mmap_base`).
     pub fn new(base_vpn: u64) -> RegionMap {
         RegionMap {
-            dirs: table(OnceLock::new),
-            chunks: (0..DESC_SLOTS >> CHUNK_BITS)
-                .map(|_| OnceLock::new())
-                .collect(),
-            placement: Mutex::new(Placement {
-                base: base_vpn,
-                free: BTreeMap::from([(base_vpn, VPN_LIMIT)]),
-                free_slots: Vec::new(),
-                slots_used: 0,
-                next_gen: 1,
+            state: Mutex::new(State {
+                dirs: table(|| None),
+                placement: Placement {
+                    base: base_vpn,
+                    free: BTreeMap::from([(base_vpn, VPN_LIMIT)]),
+                    free_slots: Vec::new(),
+                    slots_used: 0,
+                    slots: Vec::new(),
+                    next_gen: 1,
+                },
+                mapped_pages: 0,
             }),
-            mapped_pages: AtomicU64::new(0),
         }
     }
 
     /// Total pages currently mapped.
     pub fn mapped_pages(&self) -> u64 {
-        self.mapped_pages.load(Ordering::Relaxed)
+        self.state.lock().mapped_pages
     }
 
     /// Number of live region descriptors.
     pub fn desc_count(&self) -> usize {
-        let pl = self.placement.lock();
-        pl.slots_used - pl.free_slots.len()
-    }
-
-    #[inline]
-    fn split(vpn: Vpn) -> [usize; 3] {
-        let level = |l: u32| ((vpn.0 >> (l * LEVEL_BITS)) as usize) & (LEVEL_SIZE - 1);
-        [level(2), level(1), level(0)]
-    }
-
-    #[inline]
-    fn entry(&self, vpn: Vpn) -> Option<&AtomicU64> {
-        let [d, l, e] = Self::split(vpn);
-        self.dirs[d].get()?[l].get().map(|leaf| &leaf[e])
-    }
-
-    #[inline]
-    fn entry_or_init(&self, vpn: Vpn) -> &AtomicU64 {
-        let [d, l, e] = Self::split(vpn);
-        let dir = self.dirs[d].get_or_init(|| table(OnceLock::new));
-        &dir[l].get_or_init(|| table(|| AtomicU64::new(0)))[e]
+        let st = self.state.lock();
+        st.placement.slots_used - st.placement.free_slots.len()
     }
 
     /// Charges the O(1) resolution cost: one table index, no walk.
     fn charge_resolve(ctx: &mut dyn SimCtx) {
         let c = ctx.cost().radix_level;
         ctx.charge(CostCat::FaultHandler, c);
-    }
-
-    fn slot(&self, id: u64) -> Option<&Slot> {
-        let slot = slot_index(id);
-        self.chunks[slot >> CHUNK_BITS]
-            .get()
-            .map(|chunk| &chunk[slot & (CHUNK_SIZE - 1)])
-    }
-
-    /// The descriptor `id` names, unless its slot has been recycled since.
-    fn desc_by_id(&self, id: u64) -> Option<Arc<VmaDesc>> {
-        self.slot(id)?
-            .lock()
-            .as_ref()
-            .filter(|d| d.id == id)
-            .cloned()
     }
 
     /// Maps `pages` pages starting at `start` (or an automatically chosen
@@ -387,21 +383,22 @@ impl RegionMap {
         prot: Prot,
     ) -> Result<Arc<VmaDesc>, VmaError> {
         assert!(pages > 0, "cannot map zero pages");
+        let st = &mut *self.state.lock();
         if let Some(s) = start {
             if pages > VPN_LIMIT || s.0 > VPN_LIMIT - pages {
                 return Err(VmaError::NoVirtualSpace);
             }
             let busy = |i| {
-                self.entry(Vpn(s.0 + i))
-                    .is_some_and(|e| e.load(Ordering::Acquire) & ENTRY_ID_MASK != 0)
+                st.entry(Vpn(s.0 + i))
+                    .is_some_and(|e| e & ENTRY_ID_MASK != 0)
             };
             if (0..pages).any(busy) {
                 return Err(VmaError::Overlap);
             }
         }
         let (start, guard, id) = {
-            let mut pl = self.placement.lock();
-            let id = pl.take_slot(&self.chunks).ok_or(VmaError::NoVirtualSpace)?;
+            let pl = &mut st.placement;
+            let id = pl.take_slot().ok_or(VmaError::NoVirtualSpace)?;
             let placed = match start {
                 None => pl.find_free(pages).map(|s| (s, GUARD_PAGES)),
                 // The part inside the managed area must be free (not a
@@ -426,18 +423,17 @@ impl RegionMap {
             start,
             pages,
             prot,
-            advice: AtomicU8::new(0),
+            advice: Mutex::new(Advice::Normal),
             id,
-            live: AtomicU64::new(pages),
+            live: Mutex::new(pages),
             guard,
         });
-        *self.slot(id).expect("taken slot is materialized").lock() = Some(Arc::clone(&desc));
+        st.placement.slots[slot_index(id)] = Some(Arc::clone(&desc));
         for i in 0..pages {
-            self.entry_or_init(Vpn(start.0 + i))
-                .store(id, Ordering::Release);
+            *st.entry_or_init(Vpn(start.0 + i)) = id;
         }
         Self::charge_resolve(ctx);
-        self.mapped_pages.fetch_add(pages, Ordering::Relaxed);
+        st.mapped_pages += pages;
         Ok(desc)
     }
 
@@ -447,59 +443,41 @@ impl RegionMap {
     /// gap and descriptor slot when its last page goes. Returns the
     /// descriptors of pages actually unmapped, in address order.
     pub fn unmap(&self, ctx: &mut dyn SimCtx, start: Vpn, pages: u64) -> Vec<(Vpn, Arc<VmaDesc>)> {
+        let st = &mut *self.state.lock();
         let mut removed: Vec<(Vpn, Arc<VmaDesc>)> = Vec::new();
         let mut retired = Vec::new();
         for i in 0..pages {
             let vpn = Vpn(start.0 + i);
-            let Some(e) = self.entry(vpn) else {
+            let Some(e) = st.entry_mut(vpn) else {
                 continue;
             };
-            // Wait out any in-flight fault holding the entry lock, then
-            // claim the entry atomically; a plain swap could otherwise let
-            // the fault's later unlock clear the lock bit of a mapping
-            // installed here afterwards.
-            let old = loop {
-                let cur = e.load(Ordering::Acquire);
-                if cur & ENTRY_ID_MASK == 0 {
-                    break 0;
-                }
-                if cur & ENTRY_LOCK != 0 {
-                    std::hint::spin_loop();
-                    continue;
-                }
-                if e.compare_exchange(cur, 0, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    break cur;
-                }
-            };
-            let id = old & ENTRY_ID_MASK;
+            let id = std::mem::take(e) & ENTRY_ID_MASK;
             if id == 0 {
                 continue;
             }
             // Runs of one mapping resolve its descriptor once.
             let desc = match removed.last() {
                 Some((_, d)) if d.id == id => Arc::clone(d),
-                _ => self
+                _ => st
                     .desc_by_id(id)
                     .expect("a mapped entry names a live descriptor"),
             };
-            if desc.live.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let mut live = desc.live.lock();
+            *live -= 1;
+            if *live == 0 {
                 retired.push(Arc::clone(&desc));
             }
+            drop(live);
             removed.push((vpn, desc));
         }
         Self::charge_resolve(ctx);
         if removed.is_empty() {
             return removed;
         }
-        self.mapped_pages
-            .fetch_sub(removed.len() as u64, Ordering::Relaxed);
+        st.mapped_pages -= removed.len() as u64;
+        let pl = &mut st.placement;
         for d in &retired {
-            *self.slot(d.id).expect("live slot is materialized").lock() = None;
-        }
-        let mut pl = self.placement.lock();
-        for d in &retired {
+            pl.slots[slot_index(d.id)] = None;
             pl.free_slots.push(slot_index(d.id));
             let end = d.start.0 + d.pages;
             pl.release(end, end + d.guard);
@@ -520,14 +498,15 @@ impl RegionMap {
     /// is individually forced read-only.
     pub fn lookup(&self, ctx: &mut dyn SimCtx, vpn: Vpn) -> Option<(Arc<VmaDesc>, Prot)> {
         Self::charge_resolve(ctx);
-        let e = self.entry(vpn)?.load(Ordering::Acquire);
+        let st = self.state.lock();
+        let e = st.entry(vpn)?;
         let id = e & ENTRY_ID_MASK;
         if id == 0 {
             return None;
         }
-        // `None` here means the page was unmapped, and its slot recycled,
-        // after the entry was read.
-        let desc = self.desc_by_id(id)?;
+        let desc = st
+            .desc_by_id(id)
+            .expect("a mapped entry names a live descriptor");
         let mut prot = desc.prot;
         if e & ENTRY_FORCE_RO != 0 {
             prot.write = false;
@@ -535,42 +514,20 @@ impl RegionMap {
         Some((desc, prot))
     }
 
-    /// Tries to lock the entry for `vpn` so a fault can install the page
-    /// without racing concurrent faults. Returns false if the entry is
-    /// unmapped or already locked.
-    pub fn try_lock_entry(&self, vpn: Vpn) -> bool {
-        if let Some(e) = self.entry(vpn) {
-            let cur = e.load(Ordering::Acquire);
-            if cur & ENTRY_ID_MASK == 0 || cur & ENTRY_LOCK != 0 {
-                return false;
-            }
-            return e
-                .compare_exchange(cur, cur | ENTRY_LOCK, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok();
-        }
-        false
-    }
-
-    /// Unlocks an entry locked by [`RegionMap::try_lock_entry`].
-    pub fn unlock_entry(&self, vpn: Vpn) {
-        if let Some(e) = self.entry(vpn) {
-            e.fetch_and(!ENTRY_LOCK, Ordering::AcqRel);
-        }
-    }
-
     /// Applies `mprotect` to a range via the per-page override bits.
     /// Returns the number of pages affected.
     pub fn protect(&self, ctx: &mut dyn SimCtx, start: Vpn, pages: u64, prot: Prot) -> u64 {
         let mut n = 0;
+        let st = &mut *self.state.lock();
         for i in 0..pages {
-            if let Some(e) = self.entry(Vpn(start.0 + i)) {
-                if e.load(Ordering::Acquire) & ENTRY_ID_MASK == 0 {
+            if let Some(e) = st.entry_mut(Vpn(start.0 + i)) {
+                if *e & ENTRY_ID_MASK == 0 {
                     continue;
                 }
                 if prot.write {
-                    e.fetch_and(!ENTRY_FORCE_RO, Ordering::AcqRel);
+                    *e &= !ENTRY_FORCE_RO;
                 } else {
-                    e.fetch_or(ENTRY_FORCE_RO, Ordering::AcqRel);
+                    *e |= ENTRY_FORCE_RO;
                 }
                 n += 1;
             }
@@ -681,8 +638,11 @@ mod tests {
         let b = t.map(&mut ctx, None, 2, 1, 0, Prot::RW).unwrap();
         assert_eq!(slot_index(b.id), slot_index(stale));
         assert_ne!(b.id, stale, "a recycled slot gets a new generation");
-        assert!(t.desc_by_id(stale).is_none(), "stale id resolved");
-        assert_eq!(t.desc_by_id(b.id).unwrap().file, 1);
+        assert!(
+            t.state.lock().desc_by_id(stale).is_none(),
+            "stale id resolved"
+        );
+        assert_eq!(t.state.lock().desc_by_id(b.id).unwrap().file, 1);
     }
 
     #[test]
@@ -702,24 +662,6 @@ mod tests {
         let again = t.map(&mut ctx, None, 1, 1, 0, Prot::RW).unwrap();
         assert_eq!(again.start, first.start);
         assert_eq!(t.lookup(&mut ctx, again.start).unwrap().0.file, 1);
-    }
-
-    #[test]
-    fn entry_lock_serializes_faults() {
-        let t = map();
-        let mut ctx = FreeCtx::new(1);
-        t.map(&mut ctx, Some(Vpn(50)), 2, 0, 0, Prot::RW).unwrap();
-        assert!(t.try_lock_entry(Vpn(50)));
-        assert!(!t.try_lock_entry(Vpn(50)), "second lock must fail");
-        assert!(t.try_lock_entry(Vpn(51)), "other pages unaffected");
-        t.unlock_entry(Vpn(50));
-        assert!(t.try_lock_entry(Vpn(50)));
-        // Lookup still works while locked.
-        assert!(t.lookup(&mut ctx, Vpn(50)).is_some());
-        assert!(
-            !t.try_lock_entry(Vpn(0xdead)),
-            "unmapped entries never lock"
-        );
     }
 
     #[test]
@@ -772,30 +714,5 @@ mod tests {
         let t0 = ctx.now();
         t.lookup(&mut ctx, Vpn(64)).unwrap();
         assert_eq!(ctx.now() - t0, ctx.cost().radix_level);
-    }
-
-    #[test]
-    fn concurrent_lookups_and_locks() {
-        use std::sync::Arc as StdArc;
-        let t = StdArc::new(map());
-        let mut ctx = FreeCtx::new(1);
-        t.map(&mut ctx, Some(Vpn(1000)), 64, 0, 0, Prot::RW)
-            .unwrap();
-        let mut handles = Vec::new();
-        for i in 0..4usize {
-            let t = StdArc::clone(&t);
-            handles.push(std::thread::spawn(move || {
-                let mut locked = 0;
-                for p in 0..64u64 {
-                    if p % 4 == i as u64 && t.try_lock_entry(Vpn(1000 + p)) {
-                        locked += 1;
-                        t.unlock_entry(Vpn(1000 + p));
-                    }
-                }
-                locked
-            }));
-        }
-        let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(total, 64, "each thread locks its disjoint quarter");
     }
 }

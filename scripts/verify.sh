@@ -40,8 +40,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 # Scalar extraction goes through the shared bench::json parser via
-# `aquila-prof get` (one code path for every report consumer).
+# `aquila-prof get` (one code path for every report consumer). The lint
+# step below is its first user, so it is built here, with the figure
+# binaries the freshness step runs.
 prof=target/release/aquila-prof
+cargo build --release -q -p aquila-bench --bins
 
 step "static analysis (aquila-analysis lint --strict, AQ001-AQ010)"
 cargo run --release -q -p aquila-analysis -- lint --strict \
@@ -62,7 +65,6 @@ step "results freshness (committed results/*.txt match what the binaries print)"
 # Every committed results file must be what the current binary prints,
 # so a change that moves a figure has to regenerate it in the same
 # commit.
-cargo build --release -q -p aquila-bench --bins
 fresh() {
     local file="$1" bin="$2"
     shift 2
