@@ -286,7 +286,7 @@ pub fn lint_file(path: &str, source: &str) -> Vec<Finding> {
     // order". The precise hold-tracking version runs at simulation time
     // in aquila_sim::race; AQ008 extends it across function boundaries.
     if path.starts_with("crates/linuxsim/") {
-        const TABLE: [(&str, usize); 4] = [("files", 0), ("vmas", 1), ("pt", 2), ("rmap", 3)];
+        const TABLE: [(&str, usize); 3] = [("files", 0), ("vmas", 1), ("rmap", 2)];
         let mut prev: Option<(usize, &str)> = None;
         for (n, line) in lines.iter().enumerate() {
             if skip.get(n).copied().unwrap_or(false) {
@@ -311,7 +311,7 @@ pub fn lint_file(path: &str, source: &str) -> Vec<Finding> {
                             format!(
                                 "`{name}` (rank {rank}) acquired after \
                                  `{pname}` (rank {prank}); declared order \
-                                 is files -> vmas -> pt -> rmap"
+                                 is files -> vmas -> rmap"
                             ),
                         );
                     }
@@ -759,12 +759,12 @@ fn f() {
     fn aq004_flags_rank_inversion_per_function() {
         let src = "\
 fn bad(&self) {
-    let pt = self.pt.lock();
+    let rmap = self.rmap.lock();
     let vmas = self.vmas.read();
 }
 fn fine(&self) {
     let vmas = self.vmas.read();
-    let pt = self.pt.lock();
+    let rmap = self.rmap.lock();
 }
 ";
         let findings = lint_file("crates/linuxsim/src/x.rs", src);

@@ -99,7 +99,7 @@ fn workspace_graph_sees_ranks_pairs_and_spawn_roots() {
     let ws = Workspace::build(sources);
 
     // Rank tables from sim::race declare_order calls across domains.
-    for lock in ["pcache.map.bucket", "linuxsim.pt"] {
+    for lock in ["pcache.map.bucket", "linuxsim.rmap"] {
         assert!(
             ws.ranks.contains_key(lock),
             "rank table missing {lock}; ranks = {:?}",

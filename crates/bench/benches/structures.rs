@@ -394,7 +394,7 @@ fn bench_cow() {
 }
 
 fn bench_tlb() {
-    let fabric = aquila_mmu::TlbFabric::new(32);
+    let fabric = aquila_mmu::TlbFabric::new(32, aquila_mmu::ApicFabric::new());
     let debts = aquila_sim::CoreDebts::new(32);
     let mut ctx = FreeCtx::new(1).with_core(0, 32);
     let pages: Vec<Vpn> = (0..512).map(Vpn).collect();

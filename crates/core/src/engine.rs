@@ -24,7 +24,7 @@ use aquila_sync::Mutex;
 
 use aquila_devices::{DeviceError, StorageAccess};
 use aquila_mmu::{
-    Access, FrameId, Gva, LeafKind, PhysMem, PteFlags, ShardedPageTable, TlbFabric, Vpn,
+    Access, ApicFabric, FrameId, Gva, LeafKind, Mmu, PhysMem, PteFlags, TlbFabric, Vpn,
     HUGE_PAGE_PAGES, L_PT_SHARD, PAGE_SIZE,
 };
 use aquila_pcache::{coalesce_runs, CacheConfig, DirtyPage, DramCache, PageKey, Victim};
@@ -102,9 +102,8 @@ pub struct Aquila {
     files: Files,
     cache: DramCache,
     vmas: RegionMap,
-    page_table: ShardedPageTable,
-    tlbs: TlbFabric,
-    debts: Arc<CoreDebts>,
+    /// Page table and TLBs; shootdowns send mediated IPIs.
+    mmu: Mmu,
     /// Reverse map: frame -> virtual pages currently mapping it.
     rmap: Rmap,
     /// End of the guest-physical window the cache's 1 GiB EPT granules
@@ -154,17 +153,13 @@ impl Aquila {
         Aquila {
             files: Files::new(),
             vmas: RegionMap::new(0x10_0000),
-            // One shard per vcore (at least two), keyed by 2 MiB block
-            // (DESIGN.md §17.2).
-            page_table: ShardedPageTable::new(cfg.cores.max(2)),
-            tlbs: TlbFabric::new(cfg.cores),
+            mmu: Mmu::new(TlbFabric::new(cfg.cores, ApicFabric::new()), debts),
             rmap: Rmap::new(cfg.max_cache_frames + slab_frames),
             ept_mapped_end: Mutex::new(ept_mapped_end),
             wb_horizon: Mutex::new(Cycles::ZERO),
             wb_span: AtomicU64::new(0),
             read_only: AtomicBool::new(false),
             huge_runs: Mutex::new(BTreeMap::new()),
-            debts,
             cache,
             cfg,
         }
@@ -354,7 +349,7 @@ impl Aquila {
             // Write-protecting part of a promoted run splinters it:
             // per-page protection needs per-page leaves.
             self.demote_range(ctx, addr.vpn(), pages);
-            self.write_protect(ctx, &vpn_range(addr.vpn(), pages));
+            self.mmu.write_protect(ctx, &vpn_range(addr.vpn(), pages));
         }
         Ok(())
     }
@@ -399,40 +394,18 @@ impl Aquila {
             .iter()
             .map(|d| Vpn(desc.start.0 + (d.key.page - desc.file_page)))
             .collect();
-        self.write_protect(ctx, &vpns);
+        self.mmu.write_protect(ctx, &vpns);
         Ok(())
     }
 
     /// Drops the PTEs of `vpns` and shoots down the live ones; cached
     /// data stays cached (shared mapping).
     fn zap(&self, ctx: &mut dyn SimCtx, vpns: &[Vpn]) {
-        let unmapped = self
-            .page_table
-            .with_each(ctx, vpns, |pt, i| pt.unmap(vpns[i].base()));
-        let mut flushed = Vec::new();
-        for (&vpn, pte) in vpns.iter().zip(unmapped) {
-            if let Some(pte) = pte {
-                if let Some(frame) = pte_frame(&self.cache, pte.gpa) {
-                    self.rmap.remove(frame, vpn);
-                }
-                flushed.push(vpn);
+        self.mmu.unmap(ctx, vpns, |vpn, pte| {
+            if let Some(frame) = pte_frame(&self.cache, pte.gpa) {
+                self.rmap.remove(frame, vpn);
             }
-        }
-        self.tlbs.shootdown_batch(ctx, &self.debts, &flushed);
-    }
-
-    /// Downgrades the live PTEs of `vpns` to read-only and shoots down
-    /// their stale writable entries.
-    fn write_protect(&self, ctx: &mut dyn SimCtx, vpns: &[Vpn]) {
-        let present = self.page_table.with_each(ctx, vpns, |pt, i| {
-            pt.protect(vpns[i].base(), PteFlags::RO).is_some()
         });
-        let flushed: Vec<Vpn> = vpns
-            .iter()
-            .zip(present)
-            .filter_map(|(&vpn, p)| p.then_some(vpn))
-            .collect();
-        self.tlbs.shootdown_batch(ctx, &self.debts, &flushed);
     }
 
     // ---------------------------------------------------------------
@@ -490,39 +463,12 @@ impl Aquila {
         gva: Gva,
         access: Access,
     ) -> Result<Gpa, AquilaError> {
-        let vpn = gva.vpn();
         for _attempt in 0..4 {
             // TLB first: a hit is free, exactly the paper's argument for
             // mmio over software caches.
-            if let Some((gpa_base, flags)) = self.tlbs.lookup(ctx, vpn) {
-                if access == Access::Read || flags.writable {
-                    return Ok(Gpa(gpa_base.get() + gva.page_offset()));
-                }
-            }
-            // Page-table walk (hardware, on TLB miss; the MMU takes no
-            // software lock — it contends on memory, not the table).
-            let walked = self.page_table.translate_leaf(gva, access);
-            match walked {
-                Ok((gpa, pte, kind)) => {
-                    // The hardware walk behind the TLB miss: one memory
-                    // reference per radix level. Huge leaves terminate
-                    // at the PD, one level early — part of their
-                    // fault-path win beyond the wider TLB reach.
-                    let levels = match kind {
-                        LeafKind::Small => 4,
-                        LeafKind::Huge => 3,
-                    };
-                    let walk = Cycles(ctx.cost().radix_level.get() * levels);
-                    ctx.charge(CostCat::Tlb, walk);
-                    self.tlbs.with_local(ctx, |t| match kind {
-                        LeafKind::Small => t.insert(vpn, pte.gpa, pte.flags),
-                        LeafKind::Huge => t.insert_huge(vpn.huge_base(), pte.gpa, pte.flags),
-                    });
-                    return Ok(gpa);
-                }
-                Err(_) => {
-                    self.handle_fault(ctx, gva, access)?;
-                }
+            match self.mmu.translate(ctx, gva, access) {
+                Ok(gpa) => return Ok(gpa),
+                Err(_) => self.handle_fault(ctx, gva, access)?,
             }
         }
         // Unreachable in practice: a fault either errors or installs a
@@ -601,7 +547,7 @@ impl Aquila {
         // a hardware-style walk; only an actual upgrade takes the owning
         // shard's lock (the per-entry fault lock already serializes
         // handlers for this page).
-        if let Some((pte, kind)) = self.page_table.lookup_leaf(gva) {
+        if let Some((pte, kind)) = self.mmu.page_table.lookup_leaf(gva) {
             if pte.flags.present {
                 if access == Access::Write && !pte.flags.writable {
                     match kind {
@@ -615,8 +561,7 @@ impl Aquila {
                             }
                             let mut fl = PteFlags::RW;
                             fl.dirty = true;
-                            self.page_table.with(ctx, vpn, |pt| pt.protect(gva, fl));
-                            self.tlbs.with_local(ctx, |t| t.invalidate(vpn));
+                            self.mmu.upgrade(ctx, vpn, fl);
                         }
                         LeafKind::Huge => {
                             // The whole 2 MiB leaf upgrades at once,
@@ -705,11 +650,11 @@ impl Aquila {
         // PTE install + local TLB fill cost.
         ctx.charge(CostCat::FaultHandler, Cycles(300));
         let gpa = self.cache.mem().gpa_of(frame);
-        self.page_table.with(ctx, vpn, |pt| {
+        self.mmu.page_table.with(ctx, vpn, |pt| {
             pt.map(vpn.base(), gpa, flags);
         });
         self.rmap.push(frame, vpn);
-        self.tlbs.with_local(ctx, |t| t.insert(vpn, gpa, flags));
+        self.mmu.tlbs.with_local(ctx, |t| t.insert(vpn, gpa, flags));
     }
 
     /// Allocates a cache frame, running a batched eviction round when the
@@ -766,10 +711,10 @@ impl Aquila {
         for v in victims {
             self.rmap.take_into(v.frame, &mut flushed);
         }
-        self.page_table.with_each(ctx, &flushed, |pt, i| {
+        self.mmu.page_table.with_each(ctx, &flushed, |pt, i| {
             pt.unmap(flushed[i].base());
         });
-        self.tlbs.shootdown_batch(ctx, &self.debts, &flushed);
+        self.mmu.shootdown(ctx, &flushed);
         let mut dirty: Vec<DirtyPage> = victims
             .iter()
             .filter(|v| v.dirty)
@@ -1235,7 +1180,7 @@ impl Aquila {
         // it never covers a PTE still to be torn down.
         let leaf = vpns.len();
         vpns.push(hbase);
-        let unmapped = self.page_table.with_each(ctx, &vpns, |pt, i| {
+        let unmapped = self.mmu.page_table.with_each(ctx, &vpns, |pt, i| {
             if i == leaf {
                 pt.map_huge(hbase.base(), gpa, fl);
                 None
@@ -1248,13 +1193,15 @@ impl Aquila {
             .zip(unmapped)
             .filter_map(|(&vpn, pte)| pte.map(|_| vpn))
             .collect();
-        self.tlbs.shootdown_batch(ctx, &self.debts, &flushed);
+        self.mmu.shootdown(ctx, &flushed);
         for &old in &displaced {
             self.cache.release_frame(ctx, old);
         }
         // Prime the local 2 MiB sub-TLB so the faulting access retries
         // straight into a huge hit.
-        self.tlbs.with_local(ctx, |t| t.insert_huge(hbase, gpa, fl));
+        self.mmu
+            .tlbs
+            .with_local(ctx, |t| t.insert_huge(hbase, gpa, fl));
         self.huge_runs.lock().insert(
             hbase.0,
             HugeRun {
@@ -1287,12 +1234,7 @@ impl Aquila {
         }
         let mut fl = PteFlags::RW;
         fl.dirty = true;
-        self.page_table.with(ctx, hbase, |pt| {
-            pt.protect(hbase.base(), fl);
-        });
-        // Upgrades need no shootdown: stale read-only entries on other
-        // cores refault at worst (same rule as the 4 KiB path).
-        self.tlbs.with_local(ctx, |t| t.invalidate(hbase));
+        self.mmu.upgrade(ctx, hbase, fl);
         ctx.counters().huge_write_upgrades += 1;
     }
 
@@ -1320,14 +1262,14 @@ impl Aquila {
         }
         let sp = aquila_sim::span::begin(ctx, "aquila.huge.demote", CostCat::CacheMgmt);
         for (hv, _) in &dropped {
-            self.page_table.with(ctx, *hv, |pt| {
+            self.mmu.page_table.with(ctx, *hv, |pt| {
                 pt.unmap_huge(hv.base());
             });
         }
         // One invalidation per run base: every core's covering 2 MiB
         // TLB entry drops with it.
         let flushed: Vec<Vpn> = dropped.iter().map(|&(hv, _)| hv).collect();
-        self.tlbs.shootdown_batch(ctx, &self.debts, &flushed);
+        self.mmu.shootdown(ctx, &flushed);
         for (_, hr) in &dropped {
             self.cache.unpin_slab_run(hr.run);
         }
@@ -1383,12 +1325,12 @@ impl Aquila {
     /// this between a warm-up phase and a measured run, alongside the
     /// device-side `reset_timing`).
     pub fn reset_lock_timing(&self) {
-        self.page_table.reset_timing();
+        self.mmu.page_table.reset_timing();
     }
 
     /// Huge-TLB (2 MiB sub-array) hits summed across cores.
     pub fn tlb_huge_hits(&self) -> u64 {
-        self.tlbs.huge_hits()
+        self.mmu.tlbs.huge_hits()
     }
 
     // ---------------------------------------------------------------
@@ -1439,7 +1381,7 @@ impl Aquila {
 
     /// Per-core TLB statistics: (hits, misses) summed across cores.
     pub fn tlb_stats(&self) -> (u64, u64) {
-        self.tlbs.stats()
+        self.mmu.tlbs.stats()
     }
 }
 

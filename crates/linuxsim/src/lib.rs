@@ -1,8 +1,9 @@
 //! Baseline I/O stacks the paper compares Aquila against.
 //!
 //! - [`mmap::LinuxMmap`] — Linux mmio: ring-3 fault traps, the
-//!   single-lock kernel page cache, 128 KiB forced readahead, per-page
-//!   reclaim shootdowns; with [`mmap::LinuxConfig::kmmap`] it becomes
+//!   single-lock kernel page cache, 128 KiB forced readahead, 32-page
+//!   reclaim batches, on Aquila's [`aquila_mmu::Mmu`]; with
+//!   [`mmap::LinuxConfig::kmmap`] it becomes
 //!   Kreon's custom kernel path (lazy coalesced writeback, no forced
 //!   readahead, batched `msync`);
 //! - [`ucache::UserCache`] — the user-space block cache + O_DIRECT

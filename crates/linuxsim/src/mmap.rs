@@ -10,8 +10,13 @@
 //!   the pathology behind Figure 5(b);
 //! - shared file mappings track dirtying via write-protect faults
 //!   (`page_mkwrite`);
-//! - eviction is page-at-a-time with a per-page TLB shootdown that waits
-//!   for acknowledgements.
+//! - reclaim takes 32 pages at a time and unmaps them with one TLB
+//!   shootdown round.
+//!
+//! Translation, unmapping and shootdowns run on [`aquila_mmu::Mmu`], the
+//! MMU model Aquila uses, with the native IPI send of a kernel in root
+//! mode: TLB misses walk the page table, and a shootdown invalidates
+//! every core's TLB and charges `invlpg` work and one 298-cycle send.
 //!
 //! With [`LinuxConfig::kmmap`] the engine becomes Kreon's custom kernel
 //! path: no forced readahead, lazy coalesced writeback, and a batched
@@ -19,8 +24,10 @@
 //! (kmmap "does not address scalability issues with the number of user
 //! threads", section 7.2).
 
+use std::ops::Range;
 use std::sync::Arc;
 
+use aquila_mmu::{Access, ApicFabric, Gpa, Mmu, PteFlags, TlbFabric, Vpn, PAGE_SIZE};
 use aquila_sync::{DetMap, Mutex};
 
 use aquila_sim::{race, CoreDebts, CostCat, Cycles, SimCtx, SimRwLock};
@@ -28,12 +35,6 @@ use aquila_sim::{race, CoreDebts, CostCat, Cycles, SimCtx, SimRwLock};
 use crate::device::KernelDevice;
 use crate::pagecache::{KVictim, KernelPageCache, Key};
 
-/// Native TLB shootdown: IPI broadcast plus waiting for acknowledgements.
-const SHOOTDOWN_BASE: Cycles = Cycles(2000);
-/// Additional sender-side wait per remote core.
-const SHOOTDOWN_PER_CORE: Cycles = Cycles(300);
-/// Remote handler work deposited per shootdown.
-const SHOOTDOWN_REMOTE: Cycles = Cycles(600);
 /// `mmap_sem` read-side hold time on the fault path.
 const RWSEM_HOLD: Cycles = Cycles(80);
 /// kmmap: dirty fraction of the cache that triggers a synchronous
@@ -44,19 +45,18 @@ const RWSEM_HOLD: Cycles = Cycles(80);
 const KMMAP_FLUSH_RATIO: f64 = 0.10;
 
 // Race-detector identities (`aquila_sim::race`). Canonical acquisition
-// order within the engine: files -> vmas -> pt -> rmap (declared in
+// order within the engine: files -> vmas -> rmap (declared in
 // [`LinuxMmap::new`], checked statically by AQ004 and dynamically by the
-// detector's rank table). `next_vpn`/`next_dev_page` are leaf counters
-// never held across another lock, so they carry no rank. Setup-phase
-// mutations without a `SimCtx` (`open_file`) are outside the detector's
-// view.
+// detector's rank table). `rmap` is never held across an `Mmu` call, so
+// no order edge joins it to the page-table shard or TLB locks.
+// `next_vpn`/`next_dev_page` are leaf counters never held across another
+// lock, so they carry no rank. Setup-phase mutations without a `SimCtx`
+// (`open_file`) are outside the detector's view.
 const LOCK_FILES: race::LockKey = ("linuxsim.files", 0);
 const LOCK_VMAS: race::LockKey = ("linuxsim.vmas", 0);
-const LOCK_PT: race::LockKey = ("linuxsim.pt", 0);
 const LOCK_RMAP: race::LockKey = ("linuxsim.rmap", 0);
 const VAR_FILES: race::VarKey = ("linuxsim.files.table", 0);
 const VAR_VMAS: race::VarKey = ("linuxsim.vmas.list", 0);
-const VAR_PT: race::VarKey = ("linuxsim.pt.map", 0);
 const VAR_RMAP: race::VarKey = ("linuxsim.rmap.map", 0);
 
 /// Errors from the Linux baseline engine.
@@ -114,15 +114,6 @@ impl LinuxConfig {
 }
 
 #[derive(Debug, Clone, Copy)]
-struct Pte {
-    frame: u32,
-    writable: bool,
-    /// The file page mapped (`struct page`'s mapping and index): the
-    /// rmap list this virtual page is on.
-    key: Key,
-}
-
-#[derive(Debug, Clone, Copy)]
 struct Vma {
     start: u64,
     pages: u64,
@@ -144,13 +135,13 @@ pub struct LinuxMmap {
     dev: KernelDevice,
     mmap_sem: SimRwLock,
     vmas: Mutex<Vec<Vma>>,
-    pt: Mutex<DetMap<u64, Pte>>,
+    /// Page table and TLBs; shootdowns send native IPIs.
+    mmu: Mmu,
     /// Reverse map: cached page -> virtual pages mapping it.
     rmap: Mutex<DetMap<Key, Vec<u64>>>,
     files: Mutex<Vec<FileDesc>>,
     next_vpn: Mutex<u64>,
     next_dev_page: Mutex<u64>,
-    debts: Arc<CoreDebts>,
 }
 
 impl LinuxMmap {
@@ -158,25 +149,19 @@ impl LinuxMmap {
     pub fn new(cfg: LinuxConfig, dev: KernelDevice, debts: Arc<CoreDebts>) -> LinuxMmap {
         race::declare_order(
             "linuxsim",
-            &[
-                "linuxsim.files",
-                "linuxsim.vmas",
-                "linuxsim.pt",
-                "linuxsim.rmap",
-            ],
+            &["linuxsim.files", "linuxsim.vmas", "linuxsim.rmap"],
         );
         LinuxMmap {
             cache: KernelPageCache::new(cfg.cache_frames),
             mmap_sem: SimRwLock::new(),
             vmas: Mutex::new(Vec::new()),
-            pt: Mutex::new(DetMap::new()),
+            mmu: Mmu::new(TlbFabric::new(cfg.cores, ApicFabric::native()), debts),
             rmap: Mutex::new(DetMap::new()),
             files: Mutex::new(Vec::new()),
             next_vpn: Mutex::new(0x10_0000),
             next_dev_page: Mutex::new(0),
             cfg,
             dev,
-            debts,
         }
     }
 
@@ -189,6 +174,7 @@ impl LinuxMmap {
     pub fn reset_timing(&self) {
         self.mmap_sem.reset();
         self.cache.reset_timing();
+        self.mmu.page_table.reset_timing();
     }
 
     /// Allocates a file of `pages` pages on the device.
@@ -259,120 +245,99 @@ impl LinuxMmap {
         ctx.wait_until(r.start, CostCat::LockWait);
         ctx.wait_until(r.end, CostCat::Syscall);
         race::acquire(ctx, LOCK_VMAS);
-        self.vmas
-            .lock()
-            .retain(|v| !(v.start == start_vpn && v.pages == pages));
+        let gone = {
+            let mut vmas = self.vmas.lock();
+            let at = vmas
+                .iter()
+                .position(|v| v.start == start_vpn && v.pages == pages);
+            at.map(|i| vmas.remove(i))
+        };
         race::write(ctx, VAR_VMAS);
         race::release(ctx, LOCK_VMAS);
-        let mut flushed = 0;
-        {
-            race::acquire(ctx, LOCK_PT);
-            race::acquire(ctx, LOCK_RMAP);
-            let mut pt = self.pt.lock();
-            let mut rmap = self.rmap.lock();
-            for i in 0..pages {
-                let vpn = start_vpn + i;
-                if let Some(pte) = pt.remove(&vpn) {
-                    if let Some(list) = rmap.get_mut(&pte.key) {
-                        list.retain(|&p| p != vpn);
-                    }
-                    flushed += 1;
-                }
+        // One shootdown round for the whole unmap (Linux batches range
+        // unmaps); then each dropped page leaves its file page's rmap
+        // list.
+        let mut dropped = Vec::new();
+        self.mmu.unmap(ctx, &vpn_range(start_vpn, pages), |vpn, _| {
+            dropped.push(vpn)
+        });
+        let Some(vma) = gone else { return };
+        race::acquire(ctx, LOCK_RMAP);
+        let mut rmap = self.rmap.lock();
+        for vpn in dropped {
+            let key = (vma.file, vma.file_page + (vpn.0 - vma.start));
+            if let Some(list) = rmap.get_mut(&key) {
+                list.retain(|&p| p != vpn.0);
             }
-            race::write(ctx, VAR_PT);
-            race::write(ctx, VAR_RMAP);
-            drop(rmap);
-            drop(pt);
-            race::release(ctx, LOCK_RMAP);
-            race::release(ctx, LOCK_PT);
         }
-        if flushed > 0 {
-            // One flush for the whole unmap (Linux batches range unmaps).
-            self.shootdown(ctx, flushed);
-        }
-    }
-
-    /// One TLB shootdown round that invalidates `pages` translations.
-    /// The charge is per round; the count of invalidated pages is kept
-    /// in `tlb_invalidations`, as the Aquila side counts it.
-    fn shootdown(&self, ctx: &mut dyn SimCtx, pages: u64) {
-        let others = self.cfg.cores.saturating_sub(1) as u64;
-        ctx.charge(CostCat::Tlb, SHOOTDOWN_BASE + SHOOTDOWN_PER_CORE * others);
-        let c = ctx.counters();
-        c.tlb_shootdowns += 1;
-        c.tlb_invalidations += pages;
-        self.debts.broadcast_except(ctx.core(), SHOOTDOWN_REMOTE);
+        drop(rmap);
+        race::write(ctx, VAR_RMAP);
+        race::release(ctx, LOCK_RMAP);
     }
 
     /// Reads through the mapping, faulting as needed.
     pub fn read(&self, ctx: &mut dyn SimCtx, addr: u64, buf: &mut [u8]) -> Result<(), LinuxError> {
-        self.access(
-            ctx,
-            addr,
-            buf.len(),
-            false,
-            |cache, frame, off, chunk, done, b: &mut [u8]| {
-                cache.read_frame(frame, off, &mut b[done..done + chunk]);
-            },
-            buf,
-        )
+        self.access(ctx, addr, buf.len(), false, |frame, off, r| {
+            self.cache.read_frame(frame, off, &mut buf[r]);
+        })
     }
 
     /// Writes through the mapping, faulting (and dirty-tracking) as
     /// needed.
     pub fn write(&self, ctx: &mut dyn SimCtx, addr: u64, buf: &[u8]) -> Result<(), LinuxError> {
-        let mut scratch = buf.to_vec();
-        self.access(
-            ctx,
-            addr,
-            buf.len(),
-            true,
-            |cache, frame, off, chunk, done, b: &mut [u8]| {
-                cache.write_frame(frame, off, &b[done..done + chunk]);
-            },
-            &mut scratch,
-        )
+        self.access(ctx, addr, buf.len(), true, |frame, off, r| {
+            self.cache.write_frame(frame, off, &buf[r]);
+        })
     }
 
-    fn access<F>(
+    /// Translates `[addr, addr + len)` page by page and runs `op` with
+    /// each page's frame, offset in the frame, and range in the buffer.
+    fn access(
         &self,
         ctx: &mut dyn SimCtx,
         addr: u64,
         len: usize,
         write: bool,
-        mut op: F,
-        buf: &mut [u8],
-    ) -> Result<(), LinuxError>
-    where
-        F: FnMut(&KernelPageCache, u32, usize, usize, usize, &mut [u8]),
-    {
+        mut op: impl FnMut(u32, usize, Range<usize>),
+    ) -> Result<(), LinuxError> {
         let mut done = 0usize;
         while done < len {
             let a = addr + done as u64;
-            let vpn = a >> 12;
             let off = (a & 0xFFF) as usize;
             let chunk = (4096 - off).min(len - done);
-            let frame = self.translate(ctx, vpn, write)?;
-            op(&self.cache, frame, off, chunk, done, buf);
+            op(
+                self.translate(ctx, a >> 12, write)?,
+                off,
+                done..done + chunk,
+            );
             done += chunk;
         }
         Ok(())
     }
 
     fn translate(&self, ctx: &mut dyn SimCtx, vpn: u64, write: bool) -> Result<u32, LinuxError> {
+        let access = if write { Access::Write } else { Access::Read };
         for _ in 0..4 {
-            race::acquire(ctx, LOCK_PT);
-            let hit = self.pt.lock().get(&vpn).copied();
-            race::read(ctx, VAR_PT);
-            race::release(ctx, LOCK_PT);
-            if let Some(pte) = hit {
-                if !write || pte.writable {
-                    return Ok(pte.frame);
-                }
+            match self.mmu.translate(ctx, Vpn(vpn).base(), access) {
+                Ok(gpa) => return Ok((gpa.get() / PAGE_SIZE) as u32),
+                Err(_) => self.fault(ctx, vpn, write)?,
             }
-            self.fault(ctx, vpn, write)?;
         }
         Err(LinuxError::Segfault(vpn << 12))
+    }
+
+    /// The mapping that covers `vpn`.
+    fn vma_at(&self, ctx: &mut dyn SimCtx, vpn: u64) -> Result<Vma, LinuxError> {
+        race::acquire(ctx, LOCK_VMAS);
+        let vma = self
+            .vmas
+            .lock()
+            .iter()
+            .find(|v| (v.start..v.start + v.pages).contains(&vpn))
+            .copied();
+        race::read(ctx, VAR_VMAS);
+        race::release(ctx, LOCK_VMAS);
+        vma.ok_or(LinuxError::Segfault(vpn << 12))
     }
 
     fn fault(&self, ctx: &mut dyn SimCtx, vpn: u64, write: bool) -> Result<(), LinuxError> {
@@ -393,16 +358,7 @@ impl LinuxMmap {
         ctx.wait_until(r.end, CostCat::FaultHandler);
         // VMA lookup on the rb-tree.
         ctx.charge(CostCat::FaultHandler, Cycles(150));
-        race::acquire(ctx, LOCK_VMAS);
-        let vma = {
-            let vmas = self.vmas.lock();
-            vmas.iter()
-                .find(|v| (v.start..v.start + v.pages).contains(&vpn))
-                .copied()
-        };
-        race::read(ctx, VAR_VMAS);
-        race::release(ctx, LOCK_VMAS);
-        let vma = vma.ok_or(LinuxError::Segfault(vpn << 12))?;
+        let vma = self.vma_at(ctx, vpn)?;
         if write && !vma.writable {
             return Err(LinuxError::Protection(vpn << 12));
         }
@@ -413,23 +369,9 @@ impl LinuxMmap {
         let key: Key = (vma.file, file_page);
 
         // Write-protect fault on an already-present page: `page_mkwrite`.
-        let mkwrite = {
-            race::acquire(ctx, LOCK_PT);
-            let mut pt = self.pt.lock();
-            let state = pt.get_mut(&vpn).map(|pte| {
-                let upgrade = write && !pte.writable;
-                if upgrade {
-                    pte.writable = true;
-                }
-                upgrade
-            });
-            race::write(ctx, VAR_PT);
-            drop(pt);
-            race::release(ctx, LOCK_PT);
-            state
-        };
-        if let Some(upgraded) = mkwrite {
-            if upgraded {
+        if let Some((pte, _)) = self.mmu.page_table.lookup_leaf(Vpn(vpn).base()) {
+            if write && !pte.flags.writable {
+                self.mmu.upgrade(ctx, Vpn(vpn), PteFlags::RW);
                 self.cache.mark_dirty(ctx, key);
             }
             ctx.counters().minor_faults += 1;
@@ -485,18 +427,14 @@ impl LinuxMmap {
         Ok(())
     }
 
+    /// Maps `vpn` to `frame`. The TLB fills when the faulting access
+    /// retries, through the walk.
     fn install(&self, ctx: &mut dyn SimCtx, vpn: u64, key: Key, frame: u32, write: bool) {
-        race::acquire(ctx, LOCK_PT);
-        self.pt.lock().insert(
-            vpn,
-            Pte {
-                frame,
-                writable: write,
-                key,
-            },
-        );
-        race::write(ctx, VAR_PT);
-        race::release(ctx, LOCK_PT);
+        let flags = if write { PteFlags::RW } else { PteFlags::RO };
+        // Frame `f` sits at GPA `f * PAGE_SIZE`.
+        self.mmu.page_table.with(ctx, Vpn(vpn), |pt| {
+            pt.map(Vpn(vpn).base(), Gpa(u64::from(frame) * PAGE_SIZE), flags);
+        });
         race::acquire(ctx, LOCK_RMAP);
         self.rmap.lock().entry(key).or_default().push(vpn);
         race::write(ctx, VAR_RMAP);
@@ -510,28 +448,17 @@ impl LinuxMmap {
     /// kernel's TLB-flush batching does) and writes dirty ones back
     /// page-at-a-time.
     fn finish_victims(&self, ctx: &mut dyn SimCtx, victims: &[KVictim]) -> Result<(), LinuxError> {
-        let mut unmapped = 0;
-        {
-            race::acquire(ctx, LOCK_PT);
-            race::acquire(ctx, LOCK_RMAP);
-            let mut pt = self.pt.lock();
-            let mut rmap = self.rmap.lock();
-            for v in victims {
-                for vpn in rmap.remove(&v.key).unwrap_or_default() {
-                    pt.remove(&vpn);
-                    unmapped += 1;
-                }
-            }
-            race::write(ctx, VAR_PT);
-            race::write(ctx, VAR_RMAP);
-            drop(rmap);
-            drop(pt);
-            race::release(ctx, LOCK_RMAP);
-            race::release(ctx, LOCK_PT);
-        }
-        if unmapped > 0 {
-            self.shootdown(ctx, unmapped);
-        }
+        race::acquire(ctx, LOCK_RMAP);
+        let mut rmap = self.rmap.lock();
+        let vpns: Vec<Vpn> = victims
+            .iter()
+            .flat_map(|v| rmap.remove(&v.key).unwrap_or_default())
+            .map(Vpn)
+            .collect();
+        drop(rmap);
+        race::write(ctx, VAR_RMAP);
+        race::release(ctx, LOCK_RMAP);
+        self.mmu.unmap(ctx, &vpns, |_, _| {});
         for v in victims {
             if v.dirty {
                 let dev_page = self.file_dev_page(v.key.0, v.key.1)?;
@@ -573,32 +500,11 @@ impl LinuxMmap {
         let c = ctx.cost().syscall_entry_exit;
         ctx.charge(CostCat::Syscall, c);
         ctx.counters().syscalls += 1;
-        race::acquire(ctx, LOCK_VMAS);
-        let vma = {
-            let vmas = self.vmas.lock();
-            vmas.iter()
-                .find(|v| (v.start..v.start + v.pages).contains(&start_vpn))
-                .copied()
-        };
-        race::read(ctx, VAR_VMAS);
-        race::release(ctx, LOCK_VMAS);
-        let vma = vma.ok_or(LinuxError::Segfault(start_vpn << 12))?;
+        let vma = self.vma_at(ctx, start_vpn)?;
         let fp0 = vma.file_page + (start_vpn - vma.start);
         self.msync_file(ctx, vma.file, fp0, fp0 + pages, self.cfg.kmmap)?;
         // Downgrade written-back mappings so future writes re-fault.
-        race::acquire(ctx, LOCK_PT);
-        let mut pt = self.pt.lock();
-        let mut downgraded = 0;
-        for i in 0..pages {
-            if let Some(pte) = pt.get_mut(&(start_vpn + i)) {
-                downgraded += pte.writable as u64;
-                pte.writable = false;
-            }
-        }
-        drop(pt);
-        race::write(ctx, VAR_PT);
-        race::release(ctx, LOCK_PT);
-        self.shootdown(ctx, downgraded);
+        self.mmu.write_protect(ctx, &vpn_range(start_vpn, pages));
         Ok(())
     }
 
@@ -611,35 +517,27 @@ impl LinuxMmap {
         coalesce: bool,
     ) -> Result<(), LinuxError> {
         let dirty = self.cache.dirty_range(ctx, file, start, end);
-        if coalesce {
-            // kmmap: merge contiguous pages into large I/Os.
-            let mut i = 0usize;
-            while i < dirty.len() {
-                let mut run = 1usize;
-                while i + run < dirty.len() && dirty[i + run].0 .1 == dirty[i].0 .1 + run as u64 {
-                    run += 1;
-                }
-                let frames: Vec<u32> = dirty[i..i + run].iter().map(|&(_, f)| f).collect();
-                let dev_page = self.file_dev_page(file, dirty[i].0 .1)?;
-                self.cache.with_frames(&frames, |pages| {
-                    self.dev.write_page_list(ctx, dev_page, pages)
-                });
-                for &(k, _) in &dirty[i..i + run] {
-                    self.cache.clear_dirty(ctx, k);
-                    ctx.counters().writebacks += 1;
-                }
-                i += run;
+        // kmmap merges contiguous pages into large I/Os; vanilla writes
+        // back page at a time.
+        let mut i = 0usize;
+        while i < dirty.len() {
+            let mut run = 1usize;
+            while coalesce
+                && i + run < dirty.len()
+                && dirty[i + run].0 .1 == dirty[i].0 .1 + run as u64
+            {
+                run += 1;
             }
-        } else {
-            // Vanilla: page-at-a-time writeback.
-            for &(k, frame) in &dirty {
-                let dev_page = self.file_dev_page(file, k.1)?;
-                self.cache.with_frames(&[frame], |pages| {
-                    self.dev.write_page_list(ctx, dev_page, pages)
-                });
+            let frames: Vec<u32> = dirty[i..i + run].iter().map(|&(_, f)| f).collect();
+            let dev_page = self.file_dev_page(file, dirty[i].0 .1)?;
+            self.cache.with_frames(&frames, |pages| {
+                self.dev.write_page_list(ctx, dev_page, pages)
+            });
+            for &(k, _) in &dirty[i..i + run] {
                 self.cache.clear_dirty(ctx, k);
                 ctx.counters().writebacks += 1;
             }
+            i += run;
         }
         Ok(())
     }
@@ -672,6 +570,11 @@ impl LinuxMmap {
     }
 }
 
+/// The pages `[start, start + pages)`.
+fn vpn_range(start: u64, pages: u64) -> Vec<Vpn> {
+    (start..start + pages).map(Vpn).collect()
+}
+
 impl core::fmt::Debug for LinuxMmap {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(
@@ -685,6 +588,7 @@ impl core::fmt::Debug for LinuxMmap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pagecache::TREE_HOLD;
     use aquila_devices::PmemDevice;
     use aquila_sim::FreeCtx;
 
@@ -815,6 +719,87 @@ mod tests {
         let faults = ctx.stats.page_faults;
         lm.write(&mut ctx, vpn << 12, &[2]).unwrap();
         assert!(ctx.stats.page_faults > faults);
+    }
+
+    #[test]
+    fn msync_of_a_clean_range_shoots_nothing_down() {
+        let (mut ctx, lm) = engine(64);
+        let f = lm.open_file(16).unwrap();
+        let vpn = lm.mmap(&mut ctx, f, 0, 16, true).unwrap();
+        lm.write(&mut ctx, vpn << 12, &[1]).unwrap();
+        lm.msync(&mut ctx, vpn, 16).unwrap();
+        // Only the one writable PTE turned read-only.
+        assert_eq!(ctx.stats.tlb_shootdowns, 1);
+        assert_eq!(ctx.stats.tlb_invalidations, 1);
+        let now = ctx.now();
+        lm.msync(&mut ctx, vpn, 16).unwrap();
+        assert_eq!(ctx.stats.tlb_shootdowns, 1);
+        assert_eq!(ctx.stats.tlb_invalidations, 1);
+        let syscall = ctx.cost().syscall_entry_exit;
+        assert_eq!(ctx.now(), now + syscall + TREE_HOLD * 4);
+    }
+
+    /// A 2-core engine over a 128-page file whose page `p` holds `p + 1`
+    /// in every byte, mapped read-only; and a context per core.
+    fn two_cores(frames: usize) -> (LinuxMmap, u64, [FreeCtx; 2]) {
+        let (_, lm) = engine(frames);
+        let mut cores = [
+            FreeCtx::new(1).with_core(0, 2),
+            FreeCtx::new(2).with_core(1, 2),
+        ];
+        let f = lm.open_file(128).unwrap();
+        let bytes: Vec<u8> = (0..128u8).flat_map(|p| [p + 1; 4096]).collect();
+        lm.pwrite_direct(&mut cores[0], f, 0, &bytes).unwrap();
+        let vpn = lm.mmap(&mut cores[0], f, 0, 128, false).unwrap();
+        (lm, vpn, cores)
+    }
+
+    #[test]
+    fn munmap_shoots_down_another_cores_translation() {
+        let (lm, vpn, [mut core0, mut core1]) = two_cores(256);
+        let mut b = [0u8; 1];
+        lm.read(&mut core1, vpn << 12, &mut b).unwrap();
+        assert_eq!(b[0], 1);
+        lm.munmap(&mut core0, vpn, 128);
+        assert_eq!(core0.stats.tlb_shootdowns, 1);
+        assert_eq!(
+            lm.read(&mut core1, vpn << 12, &mut b),
+            Err(LinuxError::Segfault(vpn << 12))
+        );
+    }
+
+    #[test]
+    fn reclaim_shoots_down_a_reused_frames_translation() {
+        let (lm, vpn, [mut core0, mut core1]) = two_cores(64);
+        let mut b = [0u8; 1];
+        lm.read(&mut core1, vpn << 12, &mut b).unwrap();
+        assert_eq!(b[0], 1);
+        // Two more readahead windows: the second reclaims pages 0-31
+        // and refills their frames with pages 64-95.
+        lm.read(&mut core0, (vpn + 32) << 12, &mut b).unwrap();
+        lm.read(&mut core0, (vpn + 64) << 12, &mut b).unwrap();
+        assert_eq!(b[0], 65);
+        assert_eq!(core0.stats.evictions, 32);
+        assert_eq!(core0.stats.tlb_shootdowns, 1);
+        let faults = core1.stats.page_faults;
+        lm.read(&mut core1, vpn << 12, &mut b).unwrap();
+        assert_eq!(core1.stats.page_faults, faults + 1, "re-faults");
+        assert_eq!(b[0], 1, "the file's bytes, not the frame's new page");
+    }
+
+    #[test]
+    fn a_mapped_page_walks_once_then_hits() {
+        let (lm, vpn, [_, mut core1]) = two_cores(256);
+        let mut b = [0u8; 1];
+        lm.read(&mut core1, vpn << 12, &mut b).unwrap();
+        // The retry after the fault misses the TLB and walks four levels.
+        let walk = Cycles(4 * core1.cost().radix_level.get());
+        assert_eq!(core1.breakdown.get(CostCat::Tlb), walk);
+        let (faults, now) = (core1.stats.page_faults, core1.now());
+        lm.read(&mut core1, (vpn << 12) + 100, &mut b).unwrap();
+        assert_eq!(core1.stats.page_faults, faults);
+        assert_eq!(core1.breakdown.get(CostCat::Tlb), walk);
+        assert_eq!(core1.now(), now, "a TLB hit is free");
     }
 
     #[test]

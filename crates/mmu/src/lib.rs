@@ -15,11 +15,14 @@
 //!   plus a 32-entry 2 MiB sub-TLB) and the *batched* TLB shootdown (one
 //!   IPI round per 512-page batch, section 4.1);
 //! - [`physmem::PhysMem`] — real 4 KiB frames backing the DRAM cache,
-//!   with an optional 2 MiB-contiguous slab window for promoted runs.
+//!   with an optional 2 MiB-contiguous slab window for promoted runs;
+//! - [`mmu::Mmu`] — page table plus TLBs, the one MMU model both
+//!   engines translate and shoot down through.
 
 #![forbid(unsafe_code)]
 
 pub mod addr;
+pub mod mmu;
 pub mod pagetable;
 pub mod physmem;
 pub mod sharded;
@@ -28,6 +31,8 @@ pub mod tlb;
 pub use addr::{
     Gva, Vpn, ENTRIES_PER_TABLE, HUGE_PAGE_PAGES, PAGE_2M, PAGE_SHIFT, PAGE_SIZE, PT_LEVELS,
 };
+pub use aquila_vmx::{ApicFabric, Gpa};
+pub use mmu::Mmu;
 pub use pagetable::{Access, LeafKind, PageFaultKind, PageTable, Pte, PteFlags};
 pub use physmem::{FrameId, PhysMem};
 pub use sharded::{ShardedPageTable, L_PT_SHARD};

@@ -345,11 +345,14 @@ pub struct TlbFabric {
 }
 
 impl TlbFabric {
-    /// Creates TLBs for `cores` cores.
-    pub fn new(cores: usize) -> TlbFabric {
+    /// Creates TLBs for `cores` cores whose shootdowns send IPIs through
+    /// `apic`: [`ApicFabric::new`] for the hypervisor-mediated,
+    /// rate-limited send (Aquila, section 4.1), [`ApicFabric::native`]
+    /// for the direct send of a kernel in root mode (the Linux baseline).
+    pub fn new(cores: usize, apic: ApicFabric) -> TlbFabric {
         TlbFabric {
             tlbs: (0..cores).map(|_| Mutex::new(Tlb::new())).collect(),
-            apic: Mutex::new(ApicFabric::new()),
+            apic: Mutex::new(apic),
         }
     }
 
@@ -402,9 +405,10 @@ impl TlbFabric {
     /// Performs a batched shootdown of `pages` on every core.
     ///
     /// The caller has already removed/downgraded the page-table entries.
-    /// Costs follow the paper: local `invlpg` per page, one vmexit-mediated
-    /// IPI broadcast (rate-limited for DoS protection), remote handler cost
-    /// proportional to the batch deposited as core debt.
+    /// Costs follow the paper: local `invlpg` per page, one IPI broadcast
+    /// (vmexit-mediated and rate-limited, or native, by constructor),
+    /// remote handler cost proportional to the batch deposited as core
+    /// debt.
     pub fn shootdown_batch(
         &self,
         ctx: &mut dyn SimCtx,
@@ -511,7 +515,7 @@ mod tests {
 
     #[test]
     fn shootdown_invalidates_all_cores_and_charges_sender() {
-        let fabric = TlbFabric::new(4);
+        let fabric = TlbFabric::new(4, ApicFabric::new());
         let debts = CoreDebts::new(4);
         // Fill core 2's TLB.
         on_core(&fabric, 2, |t| t.insert(Vpn(9), Gpa(0x9000), flags()));
@@ -528,7 +532,7 @@ mod tests {
 
     #[test]
     fn lookup_and_with_local_use_the_calling_cores_tlb() {
-        let fabric = TlbFabric::new(2);
+        let fabric = TlbFabric::new(2, ApicFabric::new());
         let mut core1 = FreeCtx::new(1).with_core(1, 2);
         let mut core0 = FreeCtx::new(1).with_core(0, 2);
         fabric.with_local(&mut core1, |t| t.insert(Vpn(5), Gpa(0x5000), flags()));
@@ -543,7 +547,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_free() {
-        let fabric = TlbFabric::new(2);
+        let fabric = TlbFabric::new(2, ApicFabric::new());
         let debts = CoreDebts::new(2);
         let mut ctx = FreeCtx::new(1).with_core(0, 2);
         fabric.shootdown_batch(&mut ctx, &debts, &[]);
@@ -553,7 +557,7 @@ mod tests {
 
     #[test]
     fn large_batch_cost_capped_by_flush() {
-        let fabric = TlbFabric::new(2);
+        let fabric = TlbFabric::new(2, ApicFabric::new());
         let debts = CoreDebts::new(2);
         let mut ctx = FreeCtx::new(1).with_core(0, 2);
         let pages: Vec<Vpn> = (0..512).map(Vpn).collect();
@@ -628,7 +632,7 @@ mod tests {
 
     #[test]
     fn shootdown_drops_huge_entries_on_every_core() {
-        let fabric = TlbFabric::new(2);
+        let fabric = TlbFabric::new(2, ApicFabric::new());
         let debts = CoreDebts::new(2);
         let hbase = Vpn(2048);
         for core in 0..2 {
@@ -883,7 +887,7 @@ mod tests {
         // 2 MiB regions); each other core holds 64 pages of regions of
         // its own.
         const CORES: usize = 32;
-        let fabric = TlbFabric::new(CORES);
+        let fabric = TlbFabric::new(CORES, ApicFabric::new());
         let debts = CoreDebts::new(CORES);
         let mut models: Vec<model::ModelTlb> = (0..CORES).map(|_| model::ModelTlb::new()).collect();
         let base = 0x40_000u64;
@@ -940,12 +944,12 @@ mod tests {
         let debts = CoreDebts::new(2);
         let pages: Vec<Vpn> = (0..512).map(Vpn).collect();
 
-        let fabric1 = TlbFabric::new(2);
+        let fabric1 = TlbFabric::new(2, ApicFabric::new());
         let mut batched = FreeCtx::new(1).with_core(0, 2);
         fabric1.shootdown_batch(&mut batched, &debts, &pages);
         let _ = debts.drain(1);
 
-        let fabric2 = TlbFabric::new(2);
+        let fabric2 = TlbFabric::new(2, ApicFabric::new());
         let mut single = FreeCtx::new(1).with_core(0, 2);
         for &p in &pages {
             fabric2.shootdown_batch(&mut single, &debts, &[p]);

@@ -125,6 +125,10 @@ pub struct CostModel {
     /// can rate-limit interrupt floods (Aquila section 4.1): 2081 cycles,
     /// against 298 for a direct posted-interrupt send (Shinjuku).
     pub ipi_send_vmexit: Cycles,
+    /// IPI send from root mode, the Linux baseline's: a direct
+    /// posted-interrupt write with no vmexit and no rate limiter, 298
+    /// cycles (Aquila section 4.1, citing Shinjuku).
+    pub ipi_send_native: Cycles,
     /// Receiving and dispatching an IPI on the target core (vmexit-less
     /// receive path).
     pub ipi_receive: Cycles,
@@ -211,6 +215,7 @@ impl CostModel {
             vmexit_roundtrip: Cycles(750),
             vmcall: Cycles(1500),
             ipi_send_vmexit: Cycles(2081),
+            ipi_send_native: Cycles(298),
             ipi_receive: Cycles(300),
             tlb_invlpg: Cycles(120),
             tlb_flush_local: Cycles(500),
@@ -276,6 +281,7 @@ mod tests {
         assert_eq!(m.trap_ring3, Cycles(1287));
         assert_eq!(m.trap_nonroot_ring0, Cycles(552));
         assert_eq!(m.ipi_send_vmexit, Cycles(2081));
+        assert_eq!(m.ipi_send_native, Cycles(298));
         assert_eq!(m.memcpy_4k_nosimd, Cycles(2400));
     }
 

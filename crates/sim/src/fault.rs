@@ -280,6 +280,8 @@ struct PlanState {
     /// Remaining QueueFull-storm submissions, per target.
     storm: [u64; TARGETS],
     injected: u64,
+    /// `FaultPlan::crash` holds an image (any host thread may read this).
+    crashed: bool,
 }
 
 /// A parsed, stateful fault plan.
@@ -319,6 +321,7 @@ impl FaultPlan {
                 clauses: states,
                 storm: [0; TARGETS],
                 injected: 0,
+                crashed: false,
             }),
             crash: aquila_sync::Mutex::new(None),
         }
@@ -406,6 +409,7 @@ impl FaultPlan {
         let mut crash = self.crash.lock();
         if crash.is_none() {
             *crash = Some(image);
+            lock_shared(&self.state).crashed = true;
         }
     }
 
@@ -423,7 +427,7 @@ impl core::fmt::Debug for FaultPlan {
             "FaultPlan {{ clauses: {}, injected: {}, crashed: {} }}",
             self.clauses.len(),
             st.injected,
-            self.crash.lock().is_some()
+            st.crashed
         )
     }
 }
@@ -636,6 +640,22 @@ mod tests {
         let img = p.crash_image().unwrap();
         assert_eq!(img.at, Cycles(10));
         assert_eq!(img.image.pages, 1);
+    }
+
+    /// The installed plan is global, so any host thread may format it,
+    /// not only the one that owns its crash image.
+    #[test]
+    fn debug_formats_from_another_host_thread() {
+        let p = FaultPlan::empty();
+        p.record_crash(CrashImage {
+            at: Cycles(10),
+            image: DeviceImage {
+                pages: 1,
+                resident: Vec::new(),
+            },
+        });
+        let text = std::thread::scope(|s| s.spawn(|| format!("{p:?}")).join().unwrap());
+        assert_eq!(text, "FaultPlan { clauses: 0, injected: 0, crashed: true }");
     }
 
     #[test]

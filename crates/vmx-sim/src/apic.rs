@@ -6,7 +6,8 @@
 //! flooding a core with IPIs. That raises the send cost from the 298
 //! cycles of a direct posted-interrupt send (Shinjuku) to 2081 cycles; the
 //! *receive* side stays vmexit-less. Batching amortizes the send cost over
-//! many invalidated pages.
+//! many invalidated pages. [`ApicFabric::native`] is the direct send of
+//! a kernel in root mode (the Linux baseline's), with no limiter.
 
 use aquila_sim::{CoreDebts, CostCat, Cycles, SimCtx};
 
@@ -60,41 +61,48 @@ impl IpiRateLimiter {
 /// interruption without cross-thread synchronization.
 #[derive(Debug)]
 pub struct ApicFabric {
-    limiter: IpiRateLimiter,
+    /// The hypervisor's limiter on a mediated send; `None` for a native
+    /// send.
+    limiter: Option<IpiRateLimiter>,
 }
 
 impl ApicFabric {
-    /// Creates a fabric with a generous default rate limit (1 M sends/s,
-    /// burst 1024) — enough for any honest workload, throttling floods.
+    /// Creates a mediated fabric with a generous default rate limit (1 M
+    /// sends/s, burst 1024) — enough for any honest workload, throttling
+    /// floods.
     pub fn new() -> ApicFabric {
         ApicFabric {
-            limiter: IpiRateLimiter::new(1_000_000, 1024),
+            limiter: Some(IpiRateLimiter::new(1_000_000, 1024)),
         }
     }
 
-    /// Creates a fabric with an explicit rate limit.
-    pub fn with_rate(rate_per_sec: u64, burst: u64) -> ApicFabric {
-        ApicFabric {
-            limiter: IpiRateLimiter::new(rate_per_sec, burst),
-        }
+    /// Creates a fabric whose sends go out directly, without a vmexit
+    /// or a limiter.
+    pub fn native() -> ApicFabric {
+        ApicFabric { limiter: None }
     }
 
     /// Sends an IPI from the calling core to every other core.
     ///
-    /// Charges the sender the mediated send (plus any rate-limit delay)
-    /// and deposits the receive-handler cost on all other cores. Returns
-    /// the number of target cores.
+    /// Charges the sender the send (mediated, plus any rate-limit delay,
+    /// or native) and deposits the receive-handler cost on all other
+    /// cores. Returns the number of target cores.
     pub fn broadcast(
         &mut self,
         ctx: &mut dyn SimCtx,
         debts: &CoreDebts,
         handler_cost: Cycles,
     ) -> usize {
-        let delay = self.limiter.admit(ctx.now());
-        if delay > Cycles::ZERO {
-            ctx.charge(CostCat::Tlb, delay);
-        }
-        let send_cost = ctx.cost().ipi_send_vmexit;
+        let send_cost = match &mut self.limiter {
+            Some(limiter) => {
+                let delay = limiter.admit(ctx.now());
+                if delay > Cycles::ZERO {
+                    ctx.charge(CostCat::Tlb, delay);
+                }
+                ctx.cost().ipi_send_vmexit
+            }
+            None => ctx.cost().ipi_send_native,
+        };
         ctx.charge(CostCat::Tlb, send_cost);
         let receive = ctx.cost().ipi_receive + handler_cost;
         debts.broadcast_except(ctx.core(), receive);
@@ -121,6 +129,18 @@ mod tests {
         let targets = fabric.broadcast(&mut ctx, &debts, Cycles(0));
         assert_eq!(targets, 3);
         assert_eq!(ctx.breakdown.get(CostCat::Tlb), Cycles(2081));
+    }
+
+    #[test]
+    fn native_send_costs_298_and_is_never_throttled() {
+        let mut fabric = ApicFabric::native();
+        let debts = CoreDebts::new(2);
+        let mut ctx = FreeCtx::new(1).with_core(0, 2);
+        for _ in 0..2000 {
+            fabric.broadcast(&mut ctx, &debts, Cycles(0));
+        }
+        assert_eq!(ctx.breakdown.get(CostCat::Tlb), Cycles(2000 * 298));
+        assert_eq!(debts.drain(1), Cycles(2000 * 300));
     }
 
     #[test]
@@ -160,7 +180,9 @@ mod tests {
 
     #[test]
     fn flood_through_fabric_is_throttled() {
-        let mut fabric = ApicFabric::with_rate(1000, 1);
+        let mut fabric = ApicFabric {
+            limiter: Some(IpiRateLimiter::new(1000, 1)),
+        };
         let debts = CoreDebts::new(2);
         let mut ctx = FreeCtx::new(1).with_core(0, 2);
         for _ in 0..10 {

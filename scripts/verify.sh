@@ -82,6 +82,7 @@ fresh serve_qos.txt serve qos diurnal
 fresh serve_integrity.txt serve integrity --race
 fresh fig10.txt fig10
 fresh fig10_huge.txt fig10 fit --huge
+fresh sweep_scale.txt sweep scale
 
 step "fig8 smoke run with --json/--trace"
 cargo run --release -q -p aquila-bench --bin fig8 -- c \
